@@ -59,9 +59,9 @@ def main():
     times, ranked, cands = [], {}, []
     for qid, q in enumerate(queries.vectors):
         t0 = time.perf_counter()
-        ranked[qid] = baseline.lsh_query(lsh, q, args.topk)
+        ranked[qid], scanned = baseline.lsh_query(lsh, q, args.topk)
         times.append(time.perf_counter() - t0)
-        cands.append(len(ranked[qid]))
+        cands.append(scanned)
     add_row("LSH", ranked, times, cands, db.vectors.nbytes)
 
     # TIFC and IFC

@@ -37,10 +37,6 @@ def brute_force(db: FeatureSet, q, top_k: int) -> list[int]:
     return [int(i) for i in order[:top_k]]
 
 
-def brute_force_batch(db: FeatureSet, queries: FeatureSet, top_k: int) -> list[list[int]]:
-    return [brute_force(db, q, top_k) for q in queries.vectors]
-
-
 def _sq_dists(vectors: np.ndarray, q, chunk: int = 65536) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (vectors.shape[1],):
@@ -79,10 +75,12 @@ def lsh_build(db: FeatureSet, cfg: LshConfig) -> LshIndex:
     return LshIndex(config=cfg, planes=planes, buckets=buckets, db=db)
 
 
-def lsh_query(ix: LshIndex, q, top_k: int) -> list[int]:
+def lsh_query(ix: LshIndex, q, top_k: int) -> tuple[list[int], int]:
     """Union of the query's buckets across tables, re-ranked exactly.
 
-    May return fewer than top_k ids when the buckets are sparse.
+    Returns the top_k ids and the size of the union, which is the number of
+    database vectors the query scanned. May return fewer than top_k ids when
+    the buckets are sparse.
     """
     keys = _hash_keys(np.asarray(q, dtype=np.float64)[None, :], ix.planes)[0]
     cand: set[int] = set()
@@ -91,8 +89,8 @@ def lsh_query(ix: LshIndex, q, top_k: int) -> list[int]:
         if hit is not None:
             cand.update(int(i) for i in hit)
     if not cand:
-        return []
+        return [], 0
     ids = np.fromiter(cand, dtype=np.int64)
     dists = _sq_dists(ix.db.vectors[ids], q)
     order = np.lexsort((ids, dists))
-    return [int(ids[i]) for i in order[:top_k]]
+    return [int(ids[i]) for i in order[:top_k]], len(ids)

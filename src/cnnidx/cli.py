@@ -223,10 +223,12 @@ def _cmd_baseline(args) -> int:
         lix = bl.lsh_build(db, bl.LshConfig(args.tables, args.bits, args.seed))
         for q in queries.vectors:
             t0 = time.perf_counter()
-            ranked.append(bl.lsh_query(lix, q, args.topk))
+            ids, scanned = bl.lsh_query(lix, q, args.topk)
             summary.query_times.append(time.perf_counter() - t0)
-            summary.candidate_counts.append(len(ranked[-1]))
-    results = [search.RankedResult(entries=[(i, 1, 0) for i in ids]) for ids in ranked]
+            ranked.append(ids)
+            summary.candidate_counts.append(scanned)
+    results = [search.RankedResult(entries=[(i, 1, 0) for i in ids], candidates=c)
+               for ids, c in zip(ranked, summary.candidate_counts)]
     search.write_batch_results(
         results, summary,
         ids_path=args.out + ".ivecs",

@@ -50,11 +50,6 @@ def encode(x, c, cfg: EmbedConfig) -> np.ndarray:
     return pack_bits(bits)
 
 
-def encode_from_means(x_means: np.ndarray, c_means: np.ndarray) -> np.ndarray:
-    """Codes from precomputed segment means (rows broadcast against rows)."""
-    return pack_bits(x_means >= c_means)
-
-
 def hamming(a: np.ndarray, b: np.ndarray) -> int:
     """Number of differing bits between two packed codes."""
     a = np.asarray(a, dtype=np.uint8)

@@ -1,6 +1,15 @@
 """Product-quantization dictionary: per-segment k-means sub-codebooks whose
 Cartesian product forms K^M visual words, plus exact S-nearest product-word
-enumeration via a multi-sequence heap merge (never materializes K^M words)."""
+search by a batched prefix prune-and-merge over the segments (never
+materializes K^M words).
+
+The merge folds the segments in left to right and keeps only the S best
+prefixes at each step. A prefix of prefix rank i is paired with the sub-word
+of rank j only when (i+1)(j+1) <= S: every other pair is dominated by at
+least S pairs. Float rounding can break that dominance, so every row carries
+a lower bound on the words the merge left out; a row whose bound does not
+clear its S-th distance is answered by an exact multi-sequence heap merge
+(Babenko & Lempitsky, "The Inverted Multi-Index", CVPR 2012)."""
 
 from __future__ import annotations
 
@@ -177,25 +186,71 @@ def assign(x, cb: PqCodebook) -> int:
 def nearest_words(x, cb: PqCodebook, count: int) -> list[tuple[int, float]]:
     """The `count` product words nearest to x, ascending by summed segment
     distance, ties broken by smaller product word id."""
-    return _merge_nearest(segment_distances(x, cb), cb.config.words_per_segment, count)
+    wids, totals = _nearest(segment_distances(x, cb)[None], cb.config.words_per_segment,
+                            count)
+    return [(int(w), float(t)) for w, t in zip(wids[0], totals[0])]
 
 
 def nearest_words_batch(xs: np.ndarray, cb: PqCodebook, count: int,
-                        chunk: int = 4096) -> np.ndarray:
-    """Word ids of the `count` nearest product words per row, shape (N, count)."""
+                        chunk: int = 1024) -> np.ndarray:
+    """Word ids of the `count` nearest product words per row, shape (N, count).
+
+    `chunk` rows go through the merge at once. Each of its candidate arrays
+    is (chunk, about count * (ln(count) + 0.6)), so a larger chunk raises
+    peak memory without making the merge faster."""
     n = xs.shape[0]
     out = np.empty((n, count), dtype=np.int64)
     for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        dists = segment_distances_batch(np.asarray(xs[lo:hi], dtype=np.float64), cb)
-        for i in range(hi - lo):
-            found = _merge_nearest(dists[i], cb.config.words_per_segment, count)
-            out[lo + i] = [w for w, _ in found]
+        dists = segment_distances_batch(np.asarray(xs[lo:lo + chunk], dtype=np.float64), cb)
+        out[lo:lo + len(dists)] = _nearest(dists, cb.config.words_per_segment, count)[0]
     return out
 
 
+def _nearest(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix prune-and-merge over (rows, M, K) segment distances.
+
+    Returns the word ids and summed distances of the `count` nearest product
+    words per row, both (rows, count), ascending by (distance, word id). Sums
+    are added left to right in float64, as `_merge_nearest` adds them.
+    """
+    rows, m, _ = dists.shape
+    if not 1 <= count <= k**m:
+        raise ValueError(f"count must be in [1, {k**m}], got {count}")
+    order = np.argsort(dists, axis=2, kind="stable")
+    sorted_d = np.take_along_axis(dists, order, axis=2)
+    keep = min(count, k)
+    totals = np.zeros((rows, 1))
+    wids = np.zeros((rows, 1), dtype=np.int64)
+    # lower bound on the summed distance of every word left out so far
+    bound = np.full(rows, np.inf)
+    for s in range(m):
+        n_pre = totals.shape[1]
+        # first sub-word rank left out after each prefix rank
+        edge = count // np.arange(1, n_pre + 1)
+        pre, sub = np.nonzero(edge[:, None] > np.arange(keep))
+        cand = totals[:, pre] + sorted_d[:, s, sub]
+        cand_w = wids[:, pre] * k + order[:, s, sub]
+        bound += sorted_d[:, s, 0]
+        cut = edge < k
+        if cut.any():
+            bound = np.minimum(bound, (totals[:, cut] + sorted_d[:, s, edge[cut]]).min(axis=1))
+        sel = np.lexsort((cand_w, cand), axis=1)
+        if s < m - 1 and cand.shape[1] > count:
+            bound = np.minimum(bound, np.take_along_axis(cand, sel[:, count:count + 1],
+                                                         axis=1)[:, 0])
+        sel = sel[:, :count]
+        totals = np.take_along_axis(cand, sel, axis=1)
+        wids = np.take_along_axis(cand_w, sel, axis=1)
+    for r in np.flatnonzero(~(bound > totals[:, -1])):
+        found = _merge_nearest(dists[r], k, count)
+        wids[r] = [w for w, _ in found]
+        totals[r] = [t for _, t in found]
+    return wids, totals
+
+
 def _merge_nearest(dists: np.ndarray, k: int, count: int) -> list[tuple[int, float]]:
-    """Multi-sequence heap merge over per-segment sorted distance lists.
+    """Multi-sequence heap merge over one row's per-segment sorted distance
+    lists: the exact answer for rows `_nearest` cannot certify.
 
     Explores product words in nondecreasing summed distance, so at most
     O(count * M) heap operations; K^M candidates are never enumerated.

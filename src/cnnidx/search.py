@@ -36,6 +36,9 @@ class RankedResult:
     """Entries sorted by votes desc, then min Hamming asc, then image id."""
 
     entries: list[tuple[int, int, int]]  # (image_id, votes, min_hamming)
+    # distinct ids in the probed lists, before the Hamming filter; None when
+    # the query was not asked to count them
+    candidates: int | None = None
 
     @property
     def ids(self) -> list[int]:
@@ -59,6 +62,8 @@ def select_words(ix: InvertedIndex, q: np.ndarray, count: int) -> list[int]:
     q = np.asarray(q, dtype=np.float64)
     if not 1 <= count <= ix.word_count:
         raise ValueError(f"assignment count must be in [1, {ix.word_count}]")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("query must be finite")
     if ix.scheme == SCHEME_TIFC:
         if q.shape != (ix.quantizer.dim,):
             raise ValueError(f"query dim {q.shape} does not match index")
@@ -75,12 +80,15 @@ def _word_means(ix: InvertedIndex, wids: list[int]) -> np.ndarray:
     return segment_means(refs, ix.code_length)
 
 
-def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
+def query(ix: InvertedIndex, q, cfg: QueryConfig,
+          count_candidates: bool = False) -> RankedResult:
     """Rank database images for one query vector.
 
     A posting entry votes when its code is at Hamming distance < T from the
     query's code against the shared word. Images are ranked by vote count,
-    minimum observed Hamming distance, then id.
+    minimum observed Hamming distance, then id. With `count_candidates`, the
+    result also counts the distinct ids in the probed lists; that marks every
+    scanned entry, so single queries, which do not report it, skip it.
     """
     if cfg.hamming_threshold > ix.code_length:
         raise ValueError(
@@ -94,11 +102,14 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
     n = ix.indexed_count
     votes = np.zeros(n, dtype=np.int32)
     min_h = np.full(n, ix.code_length + 1, dtype=np.int32)
+    seen = np.zeros(n, dtype=bool) if count_candidates else None
     for qi, wid in enumerate(wids):
         entry = ix.lists.get(wid)
         if entry is None:
             continue
         ids, codes = entry
+        if seen is not None:
+            seen[ids] = True
         dists = hamming_to_many(q_codes[qi], codes)
         keep = dists < cfg.hamming_threshold
         if not keep.any():
@@ -108,12 +119,11 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
         np.minimum.at(min_h, kept_ids, dists[keep].astype(np.int32))
 
     hit = np.nonzero(votes)[0]
-    if hit.size == 0:
-        return RankedResult(entries=[])
     order = np.lexsort((hit, min_h[hit], -votes[hit]))[: cfg.top_k]
     ranked = hit[order]
     return RankedResult(
-        entries=[(int(i), int(votes[i]), int(min_h[i])) for i in ranked])
+        entries=[(int(i), int(votes[i]), int(min_h[i])) for i in ranked],
+        candidates=None if seen is None else int(np.count_nonzero(seen)))
 
 
 def candidate_set(ix: InvertedIndex, q, count: int) -> set[int]:
@@ -135,9 +145,9 @@ def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
     vectors = queries.vectors if hasattr(queries, "vectors") else np.asarray(queries)
     for q in vectors:
         t0 = time.perf_counter()
-        res = query(ix, q, cfg)
+        res = query(ix, q, cfg, count_candidates=True)
         summary.query_times.append(time.perf_counter() - t0)
-        summary.candidate_counts.append(len(candidate_set(ix, q, cfg.assignment_count)))
+        summary.candidate_counts.append(res.candidates)
         results.append(res)
     return results, summary
 

@@ -44,8 +44,19 @@ class TestLsh:
         db = FeatureSet(rng.standard_normal((100, 16)).astype(np.float32))
         ix = baseline.lsh_build(db, LshConfig(tables=4, bits_per_table=8, seed=2))
         for i in (0, 17, 99):
-            got = baseline.lsh_query(ix, db.vectors[i], 10)
+            got, _ = baseline.lsh_query(ix, db.vectors[i], 10)
             assert got[0] == i
+
+    def test_scanned_count_is_bucket_union(self):
+        rng = np.random.default_rng(7)
+        db = FeatureSet(rng.standard_normal((300, 8)).astype(np.float32))
+        ix = baseline.lsh_build(db, LshConfig(tables=4, bits_per_table=3, seed=1))
+        db_keys = baseline._hash_keys(db.vectors, ix.planes)
+        for q in rng.standard_normal((20, 8)):
+            ids, scanned = baseline.lsh_query(ix, q, 10)
+            q_keys = baseline._hash_keys(q[None, :], ix.planes)[0]
+            assert scanned == int((db_keys == q_keys).any(axis=1).sum())
+            assert scanned >= len(ids)
 
     def test_recall_reasonable_on_clustered_data(self):
         db, queries, _ = generate_synthetic(
@@ -55,7 +66,7 @@ class TestLsh:
         hits = total = 0
         for q in queries.vectors:
             exact = set(baseline.brute_force(db, q, 10))
-            approx = set(baseline.lsh_query(ix, q, 10))
+            approx = set(baseline.lsh_query(ix, q, 10)[0])
             hits += len(exact & approx)
             total += 10
         assert hits / total > 0.5
@@ -68,7 +79,7 @@ class TestLsh:
 
         def recall(tables):
             ix = baseline.lsh_build(db, LshConfig(tables=tables, bits_per_table=12, seed=0))
-            hits = sum(len(exact[i] & set(baseline.lsh_query(ix, q, 10)))
+            hits = sum(len(exact[i] & set(baseline.lsh_query(ix, q, 10)[0]))
                        for i, q in enumerate(queries.vectors))
             return hits / (10 * queries.n)
 

@@ -120,6 +120,21 @@ def test_baseline_lsh_runs(workspace, tmp_path):
     assert (tmp_path / "lsh.ivecs").exists()
 
 
+def test_baseline_lsh_records_bucket_union(workspace, tmp_path):
+    rc = run([
+        "baseline", "--method", "lsh",
+        "--features", str(workspace / "db.fvecs"),
+        "--queries", str(workspace / "q.fvecs"),
+        "--topk", "5", "--tables", "4", "--bits", "4",
+        "--out", str(tmp_path / "lsh"),
+    ])
+    assert rc == EXIT_OK
+    summary = json.loads((tmp_path / "lsh.summary.json").read_text())
+    pairs = list(zip(summary["candidate_counts"], summary["result_sizes"]))
+    assert all(scanned >= size for scanned, size in pairs)
+    assert any(scanned > size for scanned, size in pairs)
+
+
 def test_sweep_command(workspace, tmp_path):
     spec = {
         "grid": {"W": [1, 3]},

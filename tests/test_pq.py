@@ -197,6 +197,102 @@ class TestNearestWords:
             assert list(batch[i]) == single
 
 
+def integer_codebook(k, m, seg_dim, seed):
+    """Centroids with coordinates in {0, 1, 2}: distances to integer vectors
+    are exact, and duplicate centroids and equal sums tie often."""
+    rng = np.random.default_rng(seed)
+    sub = rng.integers(0, 3, (m, k, seg_dim)).astype(np.float32)
+    return PqCodebook(sub_codebooks=sub, config=PqConfig(segments=m, words_per_segment=k))
+
+
+class TestPrunedMerge:
+    """The batch kernel against the exhaustive oracle where it prunes: K or
+    the prefix count exceeds `count`, so the rank grid drops pairs."""
+
+    # (codebook, counts, integer-valued queries)
+    CASES = [
+        (random_codebook(k=16, m=2, seg_dim=2, seed=24), range(1, 257), False),
+        (random_codebook(k=8, m=3, seg_dim=2, seed=25), range(1, 513), False),
+        (random_codebook(k=1, m=1, seg_dim=3, seed=26), [1], False),
+        (random_codebook(k=1, m=3, seg_dim=1, seed=27), [1], False),
+        (random_codebook(k=6, m=1, seg_dim=2, seed=28), range(1, 7), False),
+        (integer_codebook(k=16, m=2, seg_dim=2, seed=29), range(1, 257), True),
+        (integer_codebook(k=6, m=3, seg_dim=2, seed=30), range(1, 217), True),
+    ]
+
+    @staticmethod
+    def queries(dim, integer, seed):
+        rng = np.random.default_rng(seed)
+        if integer:
+            return rng.integers(0, 3, (6, dim)).astype(np.float64)
+        return rng.standard_normal((6, dim))
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_batch_matches_oracle_every_count(self, case):
+        cb, counts, integer = self.CASES[case]
+        xs = self.queries(cb.dim, integer, case)
+        oracle = np.array([[w for _, w in exhaustive_ranking(x, cb)] for x in xs])
+        for s in counts:
+            np.testing.assert_array_equal(pq.nearest_words_batch(xs, cb, s), oracle[:, :s],
+                                          err_msg=f"count {s}")
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_single_matches_batch_and_heap(self, case):
+        cb, counts, integer = self.CASES[case]
+        k = cb.config.words_per_segment
+        xs = self.queries(cb.dim, integer, 100 + case)
+        for s in list(counts)[::7] + [max(counts)]:
+            batch = pq.nearest_words_batch(xs, cb, s)
+            for i, x in enumerate(xs):
+                single = pq.nearest_words(x, cb, s)
+                assert [w for w, _ in single] == list(batch[i])
+                assert single == pq._merge_nearest(pq.segment_distances(x, cb), k, s)
+
+    # Rows where float rounding breaks the dominance the pruning relies on:
+    # a left-out word's sum rounds to the same value as a kept word's, and
+    # the tie goes to the left-out word's smaller id. 1 + 2**53 and
+    # 0.75 + 2**53 both round to 2**53.
+    ROUNDING_TIES = [
+        # sub-word 0 of segment 1 (1.0) is past rank count = 1, yet word
+        # (0, 0) ties word (1, 0) at 2**53 and has the smaller id
+        ([[1.0, 0.0], [2.0**53, 2.0**53 + 2]], 1, [0], [2.0**53]),
+        # prefix (0, 1) at 0.75 is dropped after segment 2 for (1, 0) at
+        # 0.5, yet its word 2 ties word 4 at 2**53
+        ([[0.0, 0.5], [0.0, 0.75], [2.0**53, 2.0**53 + 1024]], 2, [0, 2],
+         [2.0**53, 2.0**53]),
+    ]
+
+    @pytest.mark.parametrize("dists,count,wids,totals", ROUNDING_TIES)
+    def test_rounding_tie_takes_exact_path(self, monkeypatch, dists, count, wids, totals):
+        assert 1.0 + 2.0**53 == 0.75 + 2.0**53 == 2.0**53
+        dists = np.array([dists])
+        slow_rows = []
+        heap = pq._merge_nearest
+
+        def recording(row, k, count):
+            slow_rows.append(row.copy())
+            return heap(row, k, count)
+
+        monkeypatch.setattr(pq, "_merge_nearest", recording)
+        got_wids, got_totals = pq._nearest(dists, 2, count)
+        assert len(slow_rows) == 1
+        np.testing.assert_array_equal(slow_rows[0], dists[0])
+        assert got_wids.tolist() == [wids]
+        assert got_totals.tolist() == [totals]
+        # the expected words are the exhaustive ranking of the float sums
+        exhaustive = sorted((sum(dists[0][s][w] for s, w in
+                                 enumerate(pq.decode_word(wid, 2, len(dists[0])))), wid)
+                            for wid in range(2 ** len(dists[0])))
+        assert [w for _, w in exhaustive[:count]] == wids
+
+    def test_random_rows_need_no_exact_path(self, monkeypatch):
+        cb = random_codebook(k=64, m=2, seg_dim=8, seed=31)
+        xs = np.random.default_rng(32).standard_normal((500, cb.dim))
+        monkeypatch.setattr(pq, "_merge_nearest", None)
+        ids = pq.nearest_words_batch(xs, cb, 40, chunk=128)
+        assert ids.shape == (500, 40)
+
+
 class TestReconstruct:
     def test_word_zero(self):
         cb = random_codebook(k=3, m=2, seg_dim=2, seed=21)

@@ -94,6 +94,16 @@ class TestQuery:
         with pytest.raises(ValueError):
             search.query(index_pair, np.zeros(16), cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, index_pair, small_dataset, bad):
+        q = small_dataset[1].vectors[0].astype(np.float64)
+        q[3] = bad
+        cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=5)
+        with pytest.raises(ValueError, match="finite"):
+            search.query(index_pair, q, cfg)
+        with pytest.raises(ValueError, match="finite"):
+            search.select_words(index_pair, q, 3)
+
     def test_dim_mismatch_rejected(self, tifc_index):
         cfg = QueryConfig(assignment_count=1, hamming_threshold=4, top_k=5)
         with pytest.raises(ValueError):
@@ -136,6 +146,16 @@ class TestBatch:
         assert len(summary.query_times) == queries.n
         for i, q in enumerate(queries.vectors):
             assert results[i].entries == search.query(ifc_index, q, cfg).entries
+
+    def test_candidate_counts_match_candidate_set(self, index_pair, small_dataset):
+        queries = small_dataset[1]
+        for w in (1, 3, 8):
+            cfg = QueryConfig(assignment_count=w, hamming_threshold=6, top_k=10)
+            results, summary = search.batch_query(index_pair, queries, cfg)
+            expected = [len(search.candidate_set(index_pair, q, w)) for q in queries.vectors]
+            assert summary.candidate_counts == expected
+            assert [r.candidates for r in results] == expected
+            assert search.query(index_pair, queries.vectors[0], cfg).candidates is None
 
     def test_written_outputs_are_deterministic(self, ifc_index, small_dataset, tmp_path):
         queries = small_dataset[1]
