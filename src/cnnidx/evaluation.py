@@ -35,11 +35,14 @@ def average_precision(ranked, relevant) -> float:
 
 @dataclass
 class EvalReport:
+    """MAP plus efficiency figures; a figure is None (JSON null) when the
+    inputs it needs were not given."""
+
     map: float
     per_query_ap: dict[int, float]
-    mean_query_time: float
-    scan_fraction: float
-    index_bytes: int
+    mean_query_time: float | None
+    scan_fraction: float | None
+    index_bytes: int | None
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -55,7 +58,7 @@ class EvalReport:
 
 def evaluate(results: dict[int, list[int]], gt: dict[int, set[int]],
              query_times=None, candidate_counts=None, database_size: int = 0,
-             index_bytes: int = 0, config: dict | None = None,
+             index_bytes: int | None = None, config: dict | None = None,
              self_ids: dict[int, int] | None = None) -> EvalReport:
     """Aggregate per-query AP into MAP plus efficiency figures.
 
@@ -78,11 +81,11 @@ def evaluate(results: dict[int, list[int]], gt: dict[int, set[int]],
                 continue
         per_ap[qid] = average_precision(ranked, relevant)
     map_score = float(np.mean(list(per_ap.values()))) if per_ap else 0.0
-    mean_time = float(np.mean(query_times)) if query_times else 0.0
+    mean_time = float(np.mean(query_times)) if query_times else None
     if candidate_counts and database_size:
         scan = float(np.mean(candidate_counts)) / database_size
     else:
-        scan = 0.0
+        scan = None
     return EvalReport(
         map=map_score,
         per_query_ap=per_ap,

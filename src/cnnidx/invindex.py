@@ -152,13 +152,6 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     )
 
 
-def reference_vector(ix: InvertedIndex, wid: int) -> np.ndarray:
-    """The vector standing for word `wid` (virtual word vector or centroid)."""
-    if ix.scheme == SCHEME_TIFC:
-        return ix.quantizer.word_vectors[wid]
-    return pq.reconstruct(wid, ix.quantizer)
-
-
 def stats(ix: InvertedIndex) -> IndexStats:
     total = sum(len(ids) for ids, _ in ix.lists.values())
     nlists = len(ix.lists)

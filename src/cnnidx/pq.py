@@ -81,7 +81,10 @@ def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
     """Train per-segment sub-codebooks with restarted k-means++ Lloyd runs.
 
     Each sub-codebook is the best of kmeans_restarts runs by within-cluster
-    sum of squares. Deterministic for a fixed seed.
+    sum of squares (a tie keeps the earlier run). Every restart of every
+    segment draws from one generator seeded by kmeans_seed, so the codebook
+    is deterministic for a fixed seed. The segment's points are cast to
+    float64 once and shared by its restarts.
     """
     m, k = cfg.segments, cfg.words_per_segment
     n, d = training.n, training.dim
@@ -105,7 +108,17 @@ def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
 
 
 def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, float]:
-    """One Lloyd run with k-means++ seeding; stops when assignments stabilize."""
+    """One Lloyd run with k-means++ seeding; stops when assignments stabilize.
+
+    Returns the (k, d) float64 centroids and their within-cluster sum of
+    squares. Each iteration assigns every point to its nearest centroid (ties
+    to the smaller index) and moves each centroid to the mean of its members
+    in ascending row order, read from one stable sort of the rows by cluster.
+    Every centroid left without members takes the same point: the one
+    farthest from its nearest centroid before the update. The iterations
+    share one (n, k) distance buffer and the points' squared norms, and a
+    run that converges takes its WCSS from the last assignment's distances.
+    """
     n = pts.shape[0]
     centroids = np.empty((k, pts.shape[1]))
     centroids[0] = pts[rng.integers(n)]
@@ -119,22 +132,31 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
         centroids[j] = pts[idx]
         np.minimum(d2, _sq_dist_to(pts, centroids[j]), out=d2)
 
+    pts_sq = _sq_norms(pts)
+    dists = np.empty((n, k))
     assign = None
     for _ in range(max_iters):
-        dists = _pairwise_sq_dists(pts, centroids)
+        _sq_dists(pts, pts_sq, centroids, dists)
         new_assign = dists.argmin(axis=1)
         if assign is not None and np.array_equal(assign, new_assign):
-            break
+            break  # the centroids did not move, so dists is still theirs
         assign = new_assign
-        mind = dists[np.arange(n), assign]
+        # a stable sort is unique; on the narrowest dtype numpy radix-sorts it
+        order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
+        grouped = pts[order]
+        edges = np.searchsorted(assign[order], np.arange(k + 1)).tolist()
+        worst = None
         for j in range(k):
-            members = assign == j
-            if members.any():
-                centroids[j] = pts[members].mean(axis=0)
+            lo, hi = edges[j], edges[j + 1]
+            if hi > lo:
+                centroids[j] = grouped[lo:hi].mean(axis=0)
             else:
                 # steal the point currently worst-represented
-                centroids[j] = pts[int(mind.argmax())]
-    dists = _pairwise_sq_dists(pts, centroids)
+                if worst is None:
+                    worst = pts[int(dists.min(axis=1).argmax())]
+                centroids[j] = worst
+    else:
+        _sq_dists(pts, pts_sq, centroids, dists)
     wcss = float(dists.min(axis=1).sum())
     return centroids, wcss
 
@@ -144,13 +166,23 @@ def _sq_dist_to(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of x (n,d) and c (k,d)."""
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d = (x * x).sum(axis=1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)[None, :]
-    np.maximum(d, 0.0, out=d)
-    return d
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of x, shape (n, 1)."""
+    return (x * x).sum(axis=1)[:, None]
+
+
+def _sq_dists(x: np.ndarray, x_sq: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x (n, d) and c (k, d),
+    all float64, written into out (n, k) and clamped at 0; x_sq is
+    `_sq_norms(x)`. The steps give exactly the values of
+    x_sq - 2.0 * (x @ c.T) + cc: scaling by -2 is exact and addition
+    commutes."""
+    np.matmul(x, c.T, out=out)
+    out *= -2.0
+    out += x_sq
+    out += (c * c).sum(axis=1)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def segment_distances(x, cb: PqCodebook) -> np.ndarray:
@@ -158,22 +190,20 @@ def segment_distances(x, cb: PqCodebook) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cb.dim,):
         raise ValueError(f"vector dim {x.shape} does not match codebook dim {cb.dim}")
-    m, k, seg_dim = cb.sub_codebooks.shape
-    out = np.empty((m, k))
-    for s in range(m):
-        seg = x[s * seg_dim : (s + 1) * seg_dim]
-        out[s] = _pairwise_sq_dists(seg[None, :], cb.sub_codebooks[s])[0]
-    return out
+    return segment_distances_batch(x[None], cb)[0]
 
 
 def segment_distances_batch(xs: np.ndarray, cb: PqCodebook) -> np.ndarray:
     """Per-segment squared distances for a batch, shape (N, M, K)."""
+    xs = np.asarray(xs, dtype=np.float64)
     m, k, seg_dim = cb.sub_codebooks.shape
     n = xs.shape[0]
     out = np.empty((n, m, k))
+    buf = np.empty((n, k))
     for s in range(m):
         seg = xs[:, s * seg_dim : (s + 1) * seg_dim]
-        out[:, s, :] = _pairwise_sq_dists(seg, cb.sub_codebooks[s])
+        out[:, s, :] = _sq_dists(seg, _sq_norms(seg), cb.sub_codebooks[s].astype(np.float64),
+                                 buf)
     return out
 
 
@@ -201,7 +231,7 @@ def nearest_words_batch(xs: np.ndarray, cb: PqCodebook, count: int,
     n = xs.shape[0]
     out = np.empty((n, count), dtype=np.int64)
     for lo in range(0, n, chunk):
-        dists = segment_distances_batch(np.asarray(xs[lo:lo + chunk], dtype=np.float64), cb)
+        dists = segment_distances_batch(xs[lo:lo + chunk], cb)
         out[lo:lo + len(dists)] = _nearest(dists, cb.config.words_per_segment, count)[0]
     return out
 

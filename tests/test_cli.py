@@ -58,6 +58,36 @@ def test_build_query_evaluate_pipeline(workspace, capsys):
     assert 0.0 <= report["map"] <= 1.0
 
 
+def test_evaluate_reports_unknown_figures_as_null(workspace, tmp_path):
+    # evaluate sees the ranked ids and the query times, not the index or its
+    # candidate counts: scan fraction and index size are unknown, not zero
+    rc = run([
+        "build", "--features", str(workspace / "db.fvecs"),
+        "--scheme", "ifc", "--S", "3", "--L", "8", "--K", "4", "--M", "2",
+        "--out", str(tmp_path / "ifc.idx"),
+    ])
+    assert rc == EXIT_OK
+    rc = run([
+        "query", "--index", str(tmp_path / "ifc.idx"),
+        "--queries", str(workspace / "q.fvecs"),
+        "--W", "3", "--T", "5", "--topk", "20", "--out", str(tmp_path / "res"),
+    ])
+    assert rc == EXIT_OK
+    common = ["evaluate", "--results", str(tmp_path / "res.ivecs"),
+              "--ground-truth", str(workspace / "gt.txt")]
+    rc = run(common + ["--timing", str(tmp_path / "res.timing.json"),
+                       "--out", str(tmp_path / "timed.json")])
+    assert rc == EXIT_OK
+    timed = json.loads((tmp_path / "timed.json").read_text())
+    assert timed["scan_fraction"] is None and timed["index_bytes"] is None
+    assert timed["mean_query_time_s"] > 0
+    rc = run(common + ["--out", str(tmp_path / "untimed.json")])
+    assert rc == EXIT_OK
+    untimed = json.loads((tmp_path / "untimed.json").read_text())
+    assert untimed["mean_query_time_s"] is None
+    assert untimed["map"] == timed["map"]
+
+
 def test_query_defaults_follow_index(workspace, capsys):
     rc = run([
         "build", "--features", str(workspace / "db.fvecs"),

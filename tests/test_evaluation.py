@@ -76,6 +76,12 @@ class TestEvaluate:
         assert report.mean_query_time == pytest.approx(1.0)
         assert report.scan_fraction == pytest.approx(0.2)
 
+    def test_efficiency_fields_unknown_without_inputs(self):
+        report = evaluation.evaluate({0: [1]}, {0: {1}}, candidate_counts=[10])
+        assert report.mean_query_time is None
+        assert report.scan_fraction is None  # no database size to divide by
+        assert report.index_bytes is None
+
     def test_self_exclusion(self):
         results = {0: [0, 5, 6]}
         gt = {0: {0, 5}}

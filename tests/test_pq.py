@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnnidx import pq
 from cnnidx.pq import PqCodebook, PqConfig
@@ -104,6 +106,156 @@ class TestTrain:
             _, wcss = pq._kmeans(pts.copy(), 8, iters, np.random.default_rng(0))
             wcss_by_iters.append(wcss)
         assert all(a >= b - 1e-9 for a, b in zip(wcss_by_iters, wcss_by_iters[1:]))
+
+
+def reference_kmeans(pts, k, max_iters, rng):
+    """Reference Lloyd run: `pq._kmeans` as it was before its iterations were
+    made allocation-free, kept verbatim with its distance helpers."""
+    n = pts.shape[0]
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[rng.integers(n)]
+    d2 = reference_sq_dist_to(pts, centroids[0])
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centroids[j] = pts[idx]
+        np.minimum(d2, reference_sq_dist_to(pts, centroids[j]), out=d2)
+
+    assign = None
+    for _ in range(max_iters):
+        dists = reference_pairwise_sq_dists(pts, centroids)
+        new_assign = dists.argmin(axis=1)
+        if assign is not None and np.array_equal(assign, new_assign):
+            break
+        assign = new_assign
+        mind = dists[np.arange(n), assign]
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centroids[j] = pts[members].mean(axis=0)
+            else:
+                # steal the point currently worst-represented
+                centroids[j] = pts[int(mind.argmax())]
+    dists = reference_pairwise_sq_dists(pts, centroids)
+    wcss = float(dists.min(axis=1).sum())
+    return centroids, wcss
+
+
+def reference_sq_dist_to(pts, c):
+    diff = pts - c
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def reference_pairwise_sq_dists(x, c):
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    d = (x * x).sum(axis=1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)[None, :]
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def kmeans_points(kind, n, seg_dim, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.standard_normal((n, seg_dim))
+    if kind == "integer":
+        return rng.integers(0, 3, (n, seg_dim)).astype(np.float64)
+    # a few distinct rows, each repeated, far from the origin
+    base = rng.standard_normal((max(1, n // 3), seg_dim)) * 1e3
+    return base[rng.integers(0, len(base), n)]
+
+
+class ScriptedRng:
+    """Stands in for the generator: k-means++ seeds at the listed rows."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def integers(self, n):
+        return next(self.rows)
+
+    def choice(self, n, p):
+        return next(self.rows)
+
+
+class TestKmeansOracle:
+    """`pq._kmeans` against the reference Lloyd run: equal centroids and an
+    equal WCSS, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seg_dim=st.sampled_from([1, 2, 3, 32]), n=st.integers(1, 40),
+           k_frac=st.floats(0.0, 1.0), iters=st.sampled_from([1, 2, 25]),
+           kind=st.sampled_from(["gaussian", "integer", "repeated"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, seg_dim, n, k_frac, iters, kind, seed):
+        pts = kmeans_points(kind, n, seg_dim, seed)
+        k = 1 + int(k_frac * (n - 1))
+        want, want_wcss = reference_kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
+        got, got_wcss = pq._kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+
+    def test_early_convergence_reuses_last_distances(self, monkeypatch):
+        # two far-apart blobs settle in a few iterations, well before 25
+        rng = np.random.default_rng(40)
+        pts = np.concatenate([rng.standard_normal((50, 3)), rng.standard_normal((50, 3)) + 20])
+        calls = []
+        sq_dists = pq._sq_dists
+
+        def counting(*args):
+            calls.append(1)
+            return sq_dists(*args)
+
+        monkeypatch.setattr(pq, "_sq_dists", counting)
+        got, got_wcss = pq._kmeans(pts.copy(), 2, 25, np.random.default_rng(41))
+        # one call per iteration run, the last of which saw no change
+        assert len(calls) < 25
+        want, want_wcss = reference_kmeans(pts.copy(), 2, 25, np.random.default_rng(41))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+
+    @pytest.mark.parametrize("iters", [1, 25])
+    def test_empty_cluster_takes_worst_point(self, iters):
+        # seeds 0, 10, 10: the second 10 wins no point (ties go to the
+        # smaller index), so its cluster is empty after the first assignment
+        # and takes 2, the point farthest from its own centroid
+        pts = np.array([[0.0], [1.0], [2.0], [10.0]])
+        got, got_wcss = pq._kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
+        want, want_wcss = reference_kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+        if iters == 1:
+            assert got.tolist() == [[1.0], [10.0], [2.0]]
+
+    def test_train_matches_reference_codebooks(self):
+        rng = np.random.default_rng(42)
+        data = FeatureSet(np.abs(rng.standard_normal((300, 10))).astype(np.float32))
+        cfg = PqConfig(segments=2, words_per_segment=8, kmeans_seed=43)
+        ref_rng = np.random.default_rng(43)
+        want = []
+        for s in range(2):
+            pts = data.vectors[:, 5 * s : 5 * s + 5].astype(np.float64)
+            runs = [reference_kmeans(pts, 8, 25, ref_rng) for _ in range(3)]
+            best = min(range(3), key=lambda r: (runs[r][1], r))
+            want.append(runs[best][0].astype(np.float32))
+        np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
+
+    def test_segment_distances_match_reference(self):
+        cb = random_codebook(k=16, m=2, seg_dim=3, seed=44)
+        xs = np.random.default_rng(45).standard_normal((30, 6))
+        got = pq.segment_distances_batch(xs, cb)
+        for s in range(2):
+            seg = xs[:, 3 * s : 3 * s + 3]
+            want = reference_pairwise_sq_dists(seg, cb.sub_codebooks[s])
+            np.testing.assert_array_equal(got[:, s], want)
+            # one row goes through a different BLAS routine than a batch, so
+            # the single-row path is held to the reference on one row
+            for i, x in enumerate(xs):
+                want_row = reference_pairwise_sq_dists(seg[i][None, :], cb.sub_codebooks[s])[0]
+                np.testing.assert_array_equal(pq.segment_distances(x, cb)[s], want_row)
 
 
 class TestAssign:

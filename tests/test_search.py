@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cnnidx import embed, invindex, search
+from cnnidx import embed, invindex, pq, search
 from cnnidx.embed import EmbedConfig
-from cnnidx.invindex import BuildConfig, reference_vector
+from cnnidx.invindex import BuildConfig
 from cnnidx.search import QueryConfig
 from cnnidx.vecio import FeatureSet
 
@@ -16,7 +16,11 @@ def pipeline_oracle(ix, q, cfg):
     min_h = {}
     ecfg = EmbedConfig(ix.code_length)
     for wid in wids:
-        q_code = embed.encode(q, reference_vector(ix, wid), ecfg)
+        if ix.scheme == invindex.SCHEME_TIFC:
+            ref = ix.quantizer.word_vectors[wid]
+        else:
+            ref = pq.reconstruct(wid, ix.quantizer)
+        q_code = embed.encode(q, ref, ecfg)
         ids, codes = ix.lists.get(wid, (np.array([], dtype=np.int32), None))
         for row, image_id in enumerate(ids):
             d = embed.hamming(q_code, codes[row])
