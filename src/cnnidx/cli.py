@@ -165,8 +165,8 @@ def _cmd_build(args) -> int:
     ix = invindex.build(db, cfg, training=training)
     invindex.save(ix, args.out)
     st = invindex.stats(ix)
-    print(f"[build] indexed {ix.indexed_count} vectors into {len(ix.lists)} lists "
-          f"({st.total_entries} entries, ~{st.estimated_file_bytes} bytes)")
+    print(f"[build] indexed {ix.indexed_count} vectors into {len(ix.wids)} lists "
+          f"({st.total_entries} entries, {st.estimated_file_bytes} bytes)")
     return EXIT_OK
 
 

@@ -60,7 +60,20 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def hamming_to_many(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Hamming distances from one packed code to each row of a code matrix."""
-    if codes.shape[-1] != code.shape[-1]:
+    """Hamming distances from packed codes to each row of a code matrix.
+
+    `code` is one code (B,) for every row, or one code per row (N, B). The
+    XOR is popcounted on the widest unsigned word that divides B bytes (8, 4,
+    2 or 1), so a code of at most 64 bits in a single word takes one
+    `bitwise_count` and no sum. Returns an (N,) unsigned or int64 array.
+    """
+    code = np.ascontiguousarray(code, dtype=np.uint8)
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    nbytes = codes.shape[-1]
+    if code.shape[-1] != nbytes:
         raise ValueError(f"code length mismatch: {codes.shape} vs {code.shape}")
-    return np.bitwise_count(codes ^ code).sum(axis=-1, dtype=np.int64)
+    word = np.dtype(f"u{next(w for w in (8, 4, 2, 1) if nbytes % w == 0)}")
+    counts = np.bitwise_count(codes.view(word) ^ code.view(word))
+    if counts.shape[-1] == 1:
+        return counts[..., 0]
+    return counts.sum(axis=-1, dtype=np.int64)

@@ -2,18 +2,29 @@
 (multiple link) and each posting entry carries the vector's binary code
 relative to that word.
 
+In memory and on disk the posting lists are four arrays: the occupied word
+ids `wids` (ascending), the list boundaries, the image ids `ids` (int32,
+ascending within each list) and the packed codes `codes` (n*S, B). List j
+belongs to word wids[j] and holds the entries offsets[j]:offsets[j + 1].
+
 Index file layout (all integers little-endian):
 
-    magic   8 bytes  b"CNNIDX01"
+    magic   8 bytes  b"CNNIDX02"
     hlen    uint32   length of the JSON header
     header  bytes    JSON: scheme, word_count, link_count, code_length,
                      indexed_count, quantizer parameters
     quantizer payload: IFC -> sub-codebook centroids as float32, segments in
                      order; TIFC -> empty (word bank regenerated from seed)
     nlists  uint64   number of non-empty posting lists
-    per list: wid int64, length int64, ids int32 x length,
-              codes (length * code_bytes) raw
+    wids    int64 x nlists, strictly increasing
+    lengths int64 x nlists, each >= 1, summing to indexed_count * S
+    ids     int32 x (indexed_count * S), list after list
+    codes   uint8 x (indexed_count * S * code_bytes), one code per id
     crc     uint32   CRC32 of every byte after the magic
+
+`load` rejects with `DataError` every file that breaks one of these rules,
+so a query never meets an id outside [0, indexed_count) or an image twice in
+one list. `CNNIDX01` files (one record per list) are not read; rebuild them.
 """
 
 from __future__ import annotations
@@ -32,12 +43,14 @@ from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import DataError, FeatureSet
 
-MAGIC = b"CNNIDX01"
+MAGIC = b"CNNIDX02"
+OLD_MAGIC = b"CNNIDX01"
 
 SCHEME_TIFC = "tifc"
 SCHEME_IFC = "ifc"
 
-_BUILD_CHUNK = 8192
+# Bytes of the (rows, S, L) float64 word-mean gather per build chunk.
+_BUILD_BYTES = 64 << 20
 
 
 @dataclass
@@ -64,8 +77,10 @@ class InvertedIndex:
     link_count: int
     code_length: int
     indexed_count: int
-    # word id -> (image ids sorted ascending, packed codes), one row per entry
-    lists: dict[int, tuple[np.ndarray, np.ndarray]]
+    wids: np.ndarray  # (nlists,) int64, occupied word ids, strictly increasing
+    offsets: np.ndarray  # (nlists + 1,) int64, list j is offsets[j]:offsets[j + 1]
+    ids: np.ndarray  # (n * S,) int32, strictly increasing within each list
+    codes: np.ndarray  # (n * S, B) uint8, packed code of each entry
     quantizer: VirtualWordBank | PqCodebook
 
     @property
@@ -88,7 +103,9 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     """Index a database under TIFC or IFC with multiple link S.
 
     For IFC the codebook is trained on `training` (default: the database
-    itself). Every image lands in exactly S distinct posting lists.
+    itself). Every image lands in exactly S distinct posting lists. Rows go
+    through in chunks sized so that their word-mean gather stays within
+    `_BUILD_BYTES`; the index does not depend on the chunk size.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if d % cfg.code_length != 0:
@@ -109,9 +126,10 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     if s > word_count:
         raise DataError(f"link count {s} exceeds word count {word_count}")
 
+    chunk_rows = max(1, _BUILD_BYTES // (s * cfg.code_length * 8))
     id_parts, wid_parts, code_parts = [], [], []
-    for lo in range(0, n, _BUILD_CHUNK):
-        hi = min(lo + _BUILD_CHUNK, n)
+    for lo in range(0, n, chunk_rows):
+        hi = min(lo + chunk_rows, n)
         chunk = db.vectors[lo:hi]
         x_means = segment_means(chunk, cfg.code_length)
         if cfg.scheme == SCHEME_TIFC:
@@ -133,13 +151,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     codes = np.concatenate(code_parts)
     order = np.lexsort((ids, wids))
     ids, wids, codes = ids[order], wids[order], codes[order]
-
-    lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    occupied, starts = np.unique(wids, return_index=True)
-    bounds = np.append(starts, len(wids))
-    for i, w in enumerate(occupied):
-        sl = slice(bounds[i], bounds[i + 1])
-        lists[int(w)] = (ids[sl], codes[sl])
+    starts = np.flatnonzero(np.diff(wids, prepend=-1))
 
     return InvertedIndex(
         scheme=cfg.scheme,
@@ -147,32 +159,29 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         link_count=s,
         code_length=cfg.code_length,
         indexed_count=n,
-        lists=lists,
+        wids=wids[starts],
+        offsets=np.append(starts, len(wids)),
+        ids=ids,
+        codes=codes,
         quantizer=quantizer,
     )
 
 
 def stats(ix: InvertedIndex) -> IndexStats:
-    total = sum(len(ids) for ids, _ in ix.lists.values())
-    nlists = len(ix.lists)
-    b = code_bytes(ix.code_length)
-    hist = Counter(len(ids) for ids, _ in ix.lists.values())
-    hist[0] += ix.word_count - nlists
-    if isinstance(ix.quantizer, PqCodebook):
-        qbytes = ix.quantizer.sub_codebooks.nbytes
-    else:
-        qbytes = 0
-    posting_bytes = nlists * 16 + total * 4
-    cbytes = total * b
-    est = len(MAGIC) + 4 + len(_header_json(ix)) + qbytes + 8 + posting_bytes + cbytes + 4
+    """Entry counts, list-length histogram and byte sizes, all read from the
+    arrays that `save` writes."""
+    lengths = np.diff(ix.offsets)
+    hist = Counter(lengths.tolist())
+    hist[0] += ix.word_count - len(ix.wids)
+    qbytes = ix.quantizer.sub_codebooks.nbytes if isinstance(ix.quantizer, PqCodebook) else 0
     return IndexStats(
         word_count=ix.word_count,
-        total_entries=total,
-        posting_bytes=posting_bytes,
-        code_bytes=cbytes,
+        total_entries=len(ix.ids),
+        posting_bytes=ix.wids.nbytes + lengths.nbytes + ix.ids.nbytes,
+        code_bytes=ix.codes.nbytes,
         quantizer_bytes=qbytes,
         list_length_histogram=hist,
-        estimated_file_bytes=est,
+        estimated_file_bytes=len(MAGIC) + sum(memoryview(sec).nbytes for sec in _sections(ix)) + 4,
     )
 
 
@@ -204,44 +213,126 @@ def _header_json(ix: InvertedIndex) -> bytes:
     return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
+def _sections(ix: InvertedIndex) -> list:
+    """The file's byte sections between the magic and the CRC, in order."""
+    header = _header_json(ix)
+    out = [struct.pack("<I", len(header)), header]
+    if isinstance(ix.quantizer, PqCodebook):
+        out.append(np.ascontiguousarray(ix.quantizer.sub_codebooks, dtype="<f4"))
+    out += [
+        struct.pack("<Q", len(ix.wids)),
+        np.ascontiguousarray(ix.wids, dtype="<i8"),
+        np.ascontiguousarray(np.diff(ix.offsets), dtype="<i8"),
+        np.ascontiguousarray(ix.ids, dtype="<i4"),
+        np.ascontiguousarray(ix.codes, dtype=np.uint8),
+    ]
+    return out
+
+
 def save(ix: InvertedIndex, path) -> None:
     crc = 0
     with open(path, "wb") as f:
         f.write(MAGIC)
-
-        def put(data: bytes):
-            nonlocal crc
-            crc = zlib.crc32(data, crc)
-            f.write(data)
-
-        header = _header_json(ix)
-        put(struct.pack("<I", len(header)))
-        put(header)
-        if isinstance(ix.quantizer, PqCodebook):
-            put(ix.quantizer.sub_codebooks.astype("<f4").tobytes())
-        put(struct.pack("<Q", len(ix.lists)))
-        for wid in sorted(ix.lists):
-            ids, codes = ix.lists[wid]
-            put(struct.pack("<qq", wid, len(ids)))
-            put(ids.astype("<i4").tobytes())
-            put(np.ascontiguousarray(codes).tobytes())
+        for section in _sections(ix):
+            crc = zlib.crc32(section, crc)
+            f.write(section)
         f.write(struct.pack("<I", crc))
 
 
+def _field(path, obj: dict, key: str, kind: type, minimum: int | None = None):
+    value = obj.get(key)
+    # `type(...) is` rather than isinstance: JSON true/false are not ints here
+    if type(value) is not kind:
+        raise DataError(f"{path}: index header field {key!r} missing or not {kind.__name__}")
+    if minimum is not None and value < minimum:
+        raise DataError(f"{path}: index header field {key!r} is {value}, below {minimum}")
+    return value
+
+
+def _read_header(path, raw) -> tuple[dict, PqConfig | None, int]:
+    """The checked header fields, the quantizer config (a PqConfig, or None
+    for TIFC) and the quantizer's dimension."""
+    try:
+        header = json.loads(bytes(raw).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable index header ({exc})") from None
+    if type(header) is not dict:
+        raise DataError(f"{path}: index header is not a JSON object")
+    scheme = _field(path, header, "scheme", str)
+    out = {"scheme": scheme,
+           "word_count": _field(path, header, "word_count", int, 1),
+           "link_count": _field(path, header, "link_count", int, 1),
+           "code_length": _field(path, header, "code_length", int, 1),
+           "indexed_count": _field(path, header, "indexed_count", int, 1)}
+    q = _field(path, header, "quantizer", dict)
+    kind = _field(path, q, "kind", str)
+    dim = _field(path, q, "dim", int, 1)
+    if (scheme, kind) == (SCHEME_IFC, "pq"):
+        fields = {key: _field(path, q, key, int, minimum) for key, minimum in (
+            ("segments", 1), ("words_per_segment", 1), ("kmeans_iters", 1),
+            ("kmeans_seed", 0), ("kmeans_restarts", 1))}
+        # bounds K^M before PqConfig computes it
+        if fields["words_per_segment"] > 1 and fields["segments"] > 63:
+            raise DataError(f"{path}: K^M does not fit in a 64-bit word id")
+        try:
+            cfg = PqConfig(**fields)
+        except ValueError as exc:
+            raise DataError(f"{path}: bad quantizer in index header ({exc})") from None
+        words = cfg.words_per_segment ** cfg.segments
+        if dim % cfg.segments:
+            raise DataError(f"{path}: dim {dim} not divisible by {cfg.segments} segments")
+    elif (scheme, kind) == (SCHEME_TIFC, "virtual"):
+        cfg = None
+        out["seed"] = _field(path, q, "seed", int, 0)
+        words = dim
+    else:
+        raise DataError(f"{path}: scheme {scheme!r} with quantizer kind {kind!r}")
+    if out["word_count"] != words:
+        raise DataError(f"{path}: word_count {out['word_count']} != quantizer's {words}")
+    if out["link_count"] > words:
+        raise DataError(f"{path}: link_count {out['link_count']} exceeds word count {words}")
+    if dim % out["code_length"]:
+        raise DataError(f"{path}: dim {dim} not divisible by code length {out['code_length']}")
+    if out["indexed_count"] > np.iinfo(np.int32).max:
+        raise DataError(f"{path}: indexed_count {out['indexed_count']} exceeds int32 ids")
+    return out, cfg, dim
+
+
+def _check_postings(path, ix: InvertedIndex) -> None:
+    """Reject posting arrays that break the layout's invariants; the lengths
+    are checked already, so there is at least one list and one entry."""
+    wids, ids = ix.wids, ix.ids
+    if wids[0] < 0 or wids[-1] >= ix.word_count or np.any(np.diff(wids) <= 0):
+        raise DataError(f"{path}: word ids not strictly increasing in [0, {ix.word_count})")
+    if ids.min() < 0 or ids.max() >= ix.indexed_count:
+        raise DataError(f"{path}: posting ids outside [0, {ix.indexed_count})")
+    rising = np.diff(ids) > 0
+    rising[ix.offsets[1:-1] - 1] = True  # list boundaries may step down
+    if not rising.all():
+        raise DataError(f"{path}: posting ids not strictly increasing within a list")
+    pad = ix.code_length % 8
+    if pad and np.any(ix.codes[:, -1] >> pad):
+        raise DataError(f"{path}: nonzero pad bits in the codes")
+
+
 def load(path) -> InvertedIndex:
+    """Read and validate an index file; any malformed file raises DataError."""
     with open(path, "rb") as f:
         blob = f.read()
+    if blob[: len(OLD_MAGIC)] == OLD_MAGIC:
+        raise DataError(f"{path}: index file in the old CNNIDX01 format; "
+                        "rebuild the index with `cnnidx build`")
     if blob[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: bad magic bytes (not an index file)")
     if len(blob) < len(MAGIC) + 8:
         raise DataError(f"{path}: truncated index file")
-    body, trailer = blob[len(MAGIC) : -4], blob[-4:]
+    body, trailer = memoryview(blob)[len(MAGIC) : -4], blob[-4:]
     if zlib.crc32(body) != struct.unpack("<I", trailer)[0]:
         raise DataError(f"{path}: checksum mismatch (corrupt index file)")
 
     off = 0
 
-    def take(nbytes: int) -> bytes:
+    def take(nbytes: int) -> memoryview:
         nonlocal off
         if off + nbytes > len(body):
             raise DataError(f"{path}: truncated index file")
@@ -249,44 +340,48 @@ def load(path) -> InvertedIndex:
         off += nbytes
         return chunk
 
+    def array(count: int, dtype, native) -> np.ndarray:
+        # astype copies: the array is aligned and does not keep the blob alive
+        raw = take(count * np.dtype(dtype).itemsize)
+        return np.frombuffer(raw, dtype=dtype).astype(native)
+
     (hlen,) = struct.unpack("<I", take(4))
-    header = json.loads(take(hlen).decode("utf-8"))
-    q = header["quantizer"]
-    if q["kind"] == "pq":
-        cfg = PqConfig(
-            segments=q["segments"],
-            words_per_segment=q["words_per_segment"],
-            kmeans_iters=q["kmeans_iters"],
-            kmeans_seed=q["kmeans_seed"],
-            kmeans_restarts=q["kmeans_restarts"],
-        )
-        seg_dim = q["dim"] // cfg.segments
-        nfloats = cfg.segments * cfg.words_per_segment * seg_dim
-        cents = np.frombuffer(take(nfloats * 4), dtype="<f4")
+    header, cfg, dim = _read_header(path, take(hlen))
+    if cfg is not None:
+        seg_dim = dim // cfg.segments
+        cents = array(cfg.segments * cfg.words_per_segment * seg_dim, "<f4", np.float32)
         quantizer = PqCodebook(
-            sub_codebooks=cents.reshape(cfg.segments, cfg.words_per_segment, seg_dim).copy(),
+            sub_codebooks=cents.reshape(cfg.segments, cfg.words_per_segment, seg_dim),
             config=cfg,
         )
     else:
-        quantizer = tifc.make_virtual_words(q["dim"], q["seed"])
+        quantizer = tifc.make_virtual_words(dim, header["seed"])
 
-    b = code_bytes(header["code_length"])
+    total = header["indexed_count"] * header["link_count"]
     (nlists,) = struct.unpack("<Q", take(8))
-    lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for _ in range(nlists):
-        wid, length = struct.unpack("<qq", take(16))
-        ids = np.frombuffer(take(length * 4), dtype="<i4").astype(np.int32)
-        codes = np.frombuffer(take(length * b), dtype=np.uint8).reshape(length, b).copy()
-        lists[wid] = (ids, codes)
+    wids = array(nlists, "<i8", np.int64)
+    lengths = array(nlists, "<i8", np.int64)
+    ids = array(total, "<i4", np.int32)
+    b = code_bytes(header["code_length"])
+    codes = array(total * b, np.uint8, np.uint8).reshape(total, b)
     if off != len(body):
         raise DataError(f"{path}: {len(body) - off} trailing bytes after posting lists")
+    # total fits the file here, so a sum of lengths in [1, total] cannot overflow
+    if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
+        raise DataError(f"{path}: list lengths are not all >= 1 with sum "
+                        f"indexed_count * link_count = {total}")
 
-    return InvertedIndex(
+    ix = InvertedIndex(
         scheme=header["scheme"],
         word_count=header["word_count"],
         link_count=header["link_count"],
         code_length=header["code_length"],
         indexed_count=header["indexed_count"],
-        lists=lists,
+        wids=wids,
+        offsets=np.concatenate(([0], np.cumsum(lengths))),
+        ids=ids,
+        codes=codes,
         quantizer=quantizer,
     )
+    _check_postings(path, ix)
+    return ix

@@ -80,6 +80,20 @@ def _word_means(ix: InvertedIndex, wids: list[int]) -> np.ndarray:
     return segment_means(refs, ix.code_length)
 
 
+def _probe(ix: InvertedIndex, wids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The posting lists of the given words: the positions in `wids` of the
+    words that have a list, the lengths of those lists, and the rows of their
+    entries in `ix.ids`/`ix.codes`, list after list."""
+    wids = np.asarray(wids, dtype=np.int64)
+    pos = np.searchsorted(ix.wids, wids)
+    slots = np.flatnonzero(ix.wids.take(pos, mode="clip") == wids)
+    starts = ix.offsets[pos[slots]]
+    lengths = ix.offsets[pos[slots] + 1] - starts
+    ends = np.cumsum(lengths)
+    rows = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+    return slots, lengths, rows
+
+
 def query(ix: InvertedIndex, q, cfg: QueryConfig,
           count_candidates: bool = False) -> RankedResult:
     """Rank database images for one query vector.
@@ -89,52 +103,55 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig,
     minimum observed Hamming distance, then id. With `count_candidates`, the
     result also counts the distinct ids in the probed lists; that marks every
     scanned entry, so single queries, which do not report it, skip it.
+
+    All probed entries are gathered at once and go through one Hamming pass.
+    The ranking key packs (W - votes, min Hamming, id) into one int64; ids
+    strictly increasing within each list keep votes <= W.
     """
-    if cfg.hamming_threshold > ix.code_length:
+    n, length, w = ix.indexed_count, ix.code_length, cfg.assignment_count
+    if cfg.hamming_threshold > length:
         raise ValueError(
-            f"hamming_threshold {cfg.hamming_threshold} exceeds code length {ix.code_length}")
+            f"hamming_threshold {cfg.hamming_threshold} exceeds code length {length}")
+    if w * (length + 1) * n >= 2**63:
+        raise ValueError("assignment_count * (code_length + 1) * indexed_count "
+                         "exceeds the int64 ranking key")
     q = np.asarray(q, dtype=np.float64)
-    wids = select_words(ix, q, cfg.assignment_count)
-    q_means = segment_means(q, ix.code_length)
+    wids = select_words(ix, q, w)
+    q_means = segment_means(q, length)
     c_means = _word_means(ix, wids)
     q_codes = pack_bits(q_means[None, :] >= c_means)
 
-    n = ix.indexed_count
-    votes = np.zeros(n, dtype=np.int32)
-    min_h = np.full(n, ix.code_length + 1, dtype=np.int32)
-    seen = np.zeros(n, dtype=bool) if count_candidates else None
-    for qi, wid in enumerate(wids):
-        entry = ix.lists.get(wid)
-        if entry is None:
-            continue
-        ids, codes = entry
-        if seen is not None:
-            seen[ids] = True
-        dists = hamming_to_many(q_codes[qi], codes)
-        keep = dists < cfg.hamming_threshold
-        if not keep.any():
-            continue
-        kept_ids = ids[keep]
-        votes[kept_ids] += 1
-        np.minimum.at(min_h, kept_ids, dists[keep].astype(np.int32))
+    slots, lengths, rows = _probe(ix, wids)
+    ids = ix.ids[rows]
+    # take() gathers rows of a 2-d array many times faster than [rows]
+    dists = hamming_to_many(np.repeat(q_codes[slots], lengths, axis=0),
+                            np.take(ix.codes, rows, axis=0))
+    keep = dists < cfg.hamming_threshold
+    kept_ids = ids[keep]
+    votes = np.bincount(kept_ids, minlength=n)
+    min_h = np.full(n, length, dtype=dists.dtype)
+    np.minimum.at(min_h, kept_ids, dists[keep])
 
-    hit = np.nonzero(votes)[0]
-    order = np.lexsort((hit, min_h[hit], -votes[hit]))[: cfg.top_k]
-    ranked = hit[order]
-    return RankedResult(
-        entries=[(int(i), int(votes[i]), int(min_h[i])) for i in ranked],
-        candidates=None if seen is None else int(np.count_nonzero(seen)))
+    hit = np.flatnonzero(votes > 0)  # on bool, many times faster than on int64
+    key = ((w - votes[hit]) * (length + 1) + min_h[hit]) * n + hit
+    if len(key) > cfg.top_k:
+        key = np.partition(key, cfg.top_k - 1)[: cfg.top_k]
+    key.sort()
+    rest = key // n
+    entries = zip((key % n).tolist(), (w - rest // (length + 1)).tolist(),
+                  (rest % (length + 1)).tolist())
+    candidates = None
+    if count_candidates:
+        seen = np.zeros(n, dtype=bool)
+        seen[ids] = True
+        candidates = int(np.count_nonzero(seen))
+    return RankedResult(entries=list(entries), candidates=candidates)
 
 
 def candidate_set(ix: InvertedIndex, q, count: int) -> set[int]:
     """Union of posting-list members over the W selected words (pre-filter)."""
-    wids = select_words(ix, np.asarray(q, dtype=np.float64), count)
-    out: set[int] = set()
-    for wid in wids:
-        entry = ix.lists.get(wid)
-        if entry is not None:
-            out.update(int(i) for i in entry[0])
-    return out
+    _, _, rows = _probe(ix, select_words(ix, np.asarray(q, dtype=np.float64), count))
+    return set(ix.ids[rows].tolist())
 
 
 def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig

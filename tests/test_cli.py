@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from cnnidx import vecio
+from cnnidx import invindex, vecio
 from cnnidx.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
 
 
@@ -197,6 +198,21 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     ])
     assert rc == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_query_on_malformed_index_is_data_error(workspace, tmp_path, capsys):
+    # a CRC-valid file whose first posting id is -1
+    db = vecio.read_feature_file(workspace / "db.fvecs")
+    ix = invindex.build(db, invindex.BuildConfig(scheme="tifc", link_count=3, code_length=8))
+    ids = ix.ids.copy()
+    ids[0] = -1
+    invindex.save(dataclasses.replace(ix, ids=ids), tmp_path / "bad.idx")
+    rc = run([
+        "query", "--index", str(tmp_path / "bad.idx"),
+        "--queries", str(workspace / "q.fvecs"), "--out", str(tmp_path / "res"),
+    ])
+    assert rc == EXIT_DATA
+    assert "posting ids outside" in capsys.readouterr().err
 
 
 def test_evaluate_perfect_prints_one(tmp_path, capsys):

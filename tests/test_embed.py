@@ -99,6 +99,19 @@ class TestHamming:
         for i in range(20):
             assert got[i] == embed.hamming(code, codes[i])
 
+    @pytest.mark.parametrize("length", [4, 8, 12, 24, 32, 256])
+    def test_hamming_to_many_word_widths(self, length):
+        """Codes of 1, 2, 3, 4 and 32 bytes: popcounts on u1, u2, u1, u4 and
+        u8 words, one code for all rows or one code per row."""
+        rng = np.random.default_rng(length)
+        codes = embed.pack_bits(rng.integers(0, 2, (30, length)))
+        code = embed.pack_bits(rng.integers(0, 2, length))
+        per_row = embed.pack_bits(rng.integers(0, 2, (30, length)))
+        np.testing.assert_array_equal(embed.hamming_to_many(code, codes),
+                                      [embed.hamming(code, c) for c in codes])
+        np.testing.assert_array_equal(embed.hamming_to_many(per_row, codes),
+                                      [embed.hamming(a, c) for a, c in zip(per_row, codes)])
+
 
 def test_locality_of_codes():
     """Codes of nearby vectors differ in far fewer bits than codes of

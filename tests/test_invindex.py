@@ -1,19 +1,30 @@
+import dataclasses
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from cnnidx import invindex, pq, search, tifc
+from cnnidx import embed, invindex, pq, search, tifc
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
 from cnnidx.search import QueryConfig
 from cnnidx.vecio import DataError, FeatureSet
 
 
+def posting_lists(ix):
+    """word id -> (ids, codes) of its list, read from the index arrays."""
+    return {int(w): (ix.ids[lo:hi], ix.codes[lo:hi])
+            for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
+
+
 def entry_count(ix):
-    return sum(len(ids) for ids, _ in ix.lists.values())
+    return sum(len(ids) for ids, _ in posting_lists(ix).values())
 
 
 def words_of_image(ix, image_id):
-    return {wid for wid, (ids, _) in ix.lists.items() if image_id in ids}
+    return {wid for wid, (ids, _) in posting_lists(ix).items() if image_id in ids}
 
 
 class TestBuild:
@@ -28,7 +39,7 @@ class TestBuild:
 
     def test_lists_sorted_by_image_id(self, tifc_index, ifc_index):
         for ix in (tifc_index, ifc_index):
-            for ids, _ in ix.lists.values():
+            for ids, _ in posting_lists(ix).values():
                 assert np.all(np.diff(ids) > 0)
 
     def test_single_link_is_assign_word(self, small_dataset):
@@ -54,7 +65,7 @@ class TestBuild:
         ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=4))
         assert words_of_image(ix, 0) == words_of_image(ix, 2)
         for wid in words_of_image(ix, 0):
-            ids, codes = ix.lists[wid]
+            ids, codes = posting_lists(ix)[wid]
             np.testing.assert_array_equal(codes[ids == 0], codes[ids == 2])
 
     def test_link_count_exceeding_words_rejected(self, small_dataset):
@@ -66,6 +77,27 @@ class TestBuild:
         db = small_dataset[0]
         with pytest.raises(DataError, match="divisible"):
             invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=5))
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_index_bytes_independent_of_chunk_size(self, scheme, small_dataset, tmp_path,
+                                                   monkeypatch):
+        db = small_dataset[0]
+        cfg = BuildConfig(scheme=scheme, link_count=3, code_length=8,
+                          pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3)
+                          if scheme == "ifc" else None)
+        whole, chunked = tmp_path / "whole.idx", tmp_path / "chunked.idx"
+        invindex.save(invindex.build(db, cfg), whole)
+        chunks = []
+
+        def counting_pack_bits(bits):
+            chunks.append(len(bits))
+            return embed.pack_bits(bits)
+
+        monkeypatch.setattr(invindex, "pack_bits", counting_pack_bits)
+        monkeypatch.setattr(invindex, "_BUILD_BYTES", 3 * 3 * 8 * 8)  # 3 rows of (S, L) float64
+        invindex.save(invindex.build(db, cfg), chunked)
+        assert chunks == [3] * 16 + [2]
+        assert chunked.read_bytes() == whole.read_bytes()
 
     def test_build_determinism(self, small_dataset, tmp_path):
         db = small_dataset[0]
@@ -122,6 +154,120 @@ class TestPersistence:
         with pytest.raises(DataError):
             invindex.load(path)
 
+    def test_old_format_asks_for_rebuild(self, tifc_index, tmp_path):
+        path = tmp_path / "old.idx"
+        invindex.save(tifc_index, path)
+        path.write_bytes(b"CNNIDX01" + path.read_bytes()[8:])
+        with pytest.raises(DataError, match="CNNIDX01.*rebuild"):
+            invindex.load(path)
+
+
+def split_file(path):
+    """(header dict, bytes after the header) of a saved index file."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12:12 + hlen]), blob[12 + hlen:-4]
+
+
+def write_file(path, header, payload):
+    """An index file from a header and the bytes after it, with a valid CRC."""
+    head = json.dumps(header).encode()
+    body = struct.pack("<I", len(head)) + head + payload
+    path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.fixture(scope="module")
+def tiny_index():
+    """Three 12-d vectors, each in two of the 12 TIFC words, with 12-bit codes
+    (4 pad bits in the second byte); posting arrays written out by hand."""
+    rng = np.random.default_rng(4)
+    ix = invindex.build(FeatureSet(rng.standard_normal((3, 12)).astype(np.float32)),
+                        BuildConfig(scheme="tifc", link_count=2, code_length=12))
+    return dataclasses.replace(
+        ix, wids=np.array([0, 5, 7]), offsets=np.array([0, 2, 4, 6]),
+        ids=np.array([0, 1, 1, 2, 0, 2], dtype=np.int32),
+        codes=np.zeros((6, 2), dtype=np.uint8))
+
+
+class TestLoadValidation:
+    """CRC-valid files that break the layout's rules raise DataError."""
+
+    def test_hand_written_arrays_load(self, tiny_index, tmp_path):
+        path = tmp_path / "ok.idx"
+        invindex.save(tiny_index, path)
+        back = invindex.load(path)
+        for name in ("wids", "offsets", "ids", "codes"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(tiny_index, name))
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(ids=[-1, 1, 1, 2, 0, 2]), "outside"),
+        (dict(ids=[0, 1, 1, 3, 0, 2]), "outside"),
+        (dict(ids=[1, 0, 1, 2, 0, 2]), "strictly increasing within"),
+        (dict(ids=[1, 1, 1, 2, 0, 2]), "strictly increasing within"),
+        (dict(wids=[-1, 5, 7]), "word ids"),
+        (dict(wids=[0, 5, 12]), "word ids"),
+        (dict(wids=[5, 0, 7]), "word ids"),
+        (dict(wids=[0, 5, 5]), "word ids"),
+        (dict(wids=[0, 3, 5, 7], offsets=[0, 2, 2, 4, 6]), "lengths"),
+        (dict(offsets=[0, 2, 4, 5]), "lengths"),
+        (dict(offsets=[0, 2, 4, 7]), "lengths"),
+        (dict(codes=[[0, 0]] * 5 + [[0, 0x10]]), "pad bits"),
+    ])
+    def test_malformed_postings_rejected(self, tiny_index, tmp_path, change, message):
+        arrays = {k: np.asarray(v, dtype=getattr(tiny_index, k).dtype)
+                  for k, v in change.items()}
+        path = tmp_path / "bad.idx"
+        invindex.save(dataclasses.replace(tiny_index, **arrays), path)
+        with pytest.raises(DataError, match=message):
+            invindex.load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("indexed_count"), "'indexed_count' missing"),
+        (lambda h: h.update(word_count="12"), "'word_count' missing or not int"),
+        (lambda h: h.update(link_count=True), "'link_count' missing or not int"),
+        (lambda h: h.update(code_length=12.0), "'code_length' missing or not int"),
+        (lambda h: h.update(indexed_count=0), "'indexed_count' is 0"),
+        (lambda h: h.update(scheme=["tifc"]), "'scheme' missing or not str"),
+        (lambda h: h.update(quantizer=[]), "'quantizer' missing or not dict"),
+        (lambda h: h["quantizer"].pop("seed"), "'seed' missing"),
+        (lambda h: h["quantizer"].update(dim="12"), "'dim' missing or not int"),
+        (lambda h: h.update(scheme="ifc"), "quantizer kind 'virtual'"),
+        (lambda h: h.update(word_count=13), "word_count 13"),
+        (lambda h: h.update(link_count=13), "exceeds word count"),
+        (lambda h: h.update(code_length=5), "not divisible by code length"),
+    ])
+    def test_malformed_header_rejected(self, tiny_index, tmp_path, edit, message):
+        path = tmp_path / "bad.idx"
+        invindex.save(tiny_index, path)
+        header, payload = split_file(path)
+        edit(header)
+        write_file(path, header, payload)
+        with pytest.raises(DataError, match=message):
+            invindex.load(path)
+
+    def test_pq_header_rejected(self, ifc_index, tmp_path):
+        path = tmp_path / "bad.idx"
+        invindex.save(ifc_index, path)
+        header, payload = split_file(path)
+        for key, value, message in (("kmeans_iters", 0, "below 1"),
+                                    ("segments", "2", "not int"),
+                                    ("segments", 3, "not divisible by 3 segments"),
+                                    ("segments", 64, "64-bit word id")):
+            edited = json.loads(json.dumps(header))
+            edited["quantizer"][key] = value
+            write_file(path, edited, payload)
+            with pytest.raises(DataError, match=message):
+                invindex.load(path)
+
+    def test_unreadable_header_rejected(self, tiny_index, tmp_path):
+        path = tmp_path / "bad.idx"
+        invindex.save(tiny_index, path)
+        _, payload = split_file(path)
+        body = struct.pack("<I", 3) + b"\xff{]" + payload
+        path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(DataError, match="unreadable index header"):
+            invindex.load(path)
+
 
 class TestStats:
     def test_entry_and_code_byte_arithmetic(self):
@@ -134,7 +280,7 @@ class TestStats:
 
     def test_histogram_counts_empty_lists(self, ifc_index):
         st = invindex.stats(ifc_index)
-        occupied = len(ifc_index.lists)
+        occupied = len(posting_lists(ifc_index))
         assert st.list_length_histogram[0] == ifc_index.word_count - occupied
         assert sum(st.list_length_histogram.values()) == ifc_index.word_count
 
@@ -144,4 +290,4 @@ class TestStats:
             invindex.save(ix, path)
             est = invindex.stats(ix).estimated_file_bytes
             actual = path.stat().st_size
-            assert abs(est - actual) <= 0.05 * actual
+            assert est == actual

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnnidx import embed, invindex, pq, search
 from cnnidx.embed import EmbedConfig
 from cnnidx.invindex import BuildConfig
+from cnnidx.pq import PqConfig
 from cnnidx.search import QueryConfig
 from cnnidx.vecio import FeatureSet
 
@@ -15,13 +18,15 @@ def pipeline_oracle(ix, q, cfg):
     votes = {}
     min_h = {}
     ecfg = EmbedConfig(ix.code_length)
+    lists = {int(w): (ix.ids[lo:hi], ix.codes[lo:hi])
+             for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
     for wid in wids:
         if ix.scheme == invindex.SCHEME_TIFC:
             ref = ix.quantizer.word_vectors[wid]
         else:
             ref = pq.reconstruct(wid, ix.quantizer)
         q_code = embed.encode(q, ref, ecfg)
-        ids, codes = ix.lists.get(wid, (np.array([], dtype=np.int32), None))
+        ids, codes = lists.get(wid, (np.array([], dtype=np.int32), None))
         for row, image_id in enumerate(ids):
             d = embed.hamming(q_code, codes[row])
             if d < cfg.hamming_threshold:
@@ -112,6 +117,52 @@ class TestQuery:
         cfg = QueryConfig(assignment_count=1, hamming_threshold=4, top_k=5)
         with pytest.raises(ValueError):
             search.query(tifc_index, np.zeros(7), cfg)
+
+
+class TestVotingOracle:
+    """`query` against `pipeline_oracle` on random small indexes: T = 0 and
+    T = L, W up to the word count (most probed words then have no list),
+    duplicate vectors, top_k beyond the hits, and short codes that tie on
+    votes and on min Hamming."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 12), length=st.sampled_from([3, 4, 6, 8, 12, 24]),
+           data=st.data())
+    def test_query_matches_oracle(self, scheme, seed, n, length, data):
+        rng = np.random.default_rng(seed)
+        dim = 24
+        vectors = rng.standard_normal((n, dim)).astype(np.float32)
+        dups = data.draw(st.integers(0, n // 2), label="duplicated rows")
+        vectors[n - dups:] = vectors[:dups]
+        training = None
+        if scheme == "tifc":
+            word_count, pq_cfg = dim, None
+        else:
+            k = data.draw(st.integers(2, 4), label="K")
+            word_count = k * k
+            pq_cfg = PqConfig(segments=2, words_per_segment=k, kmeans_iters=3,
+                              kmeans_seed=seed % 97, kmeans_restarts=1)
+            training = FeatureSet(rng.standard_normal((4 * k, dim)).astype(np.float32))
+        s = data.draw(st.integers(1, min(4, word_count)), label="S")
+        ix = invindex.build(FeatureSet(vectors),
+                            BuildConfig(scheme=scheme, link_count=s, code_length=length,
+                                        pq=pq_cfg, virtual_word_seed=seed % 89),
+                            training=training)
+        w = data.draw(st.sampled_from([1, s, word_count]) | st.integers(1, word_count),
+                      label="W")
+        t = data.draw(st.sampled_from([0, length]) | st.integers(0, length), label="T")
+        cfg = QueryConfig(assignment_count=w, hamming_threshold=t,
+                          top_k=data.draw(st.integers(1, n + 3), label="top_k"))
+        lists = {int(wid): set(ix.ids[lo:hi].tolist())
+                 for wid, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
+        for q in np.vstack([vectors[:2], rng.standard_normal((2, dim))]):
+            res = search.query(ix, q, cfg, count_candidates=True)
+            assert res.entries == pipeline_oracle(ix, q, cfg)
+            union = set().union(*(lists.get(wid, set())
+                                  for wid in search.select_words(ix, q, w)))
+            assert search.candidate_set(ix, q, w) == union
+            assert res.candidates == len(union)
 
 
 class TestCandidateSet:
