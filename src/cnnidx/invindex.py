@@ -14,7 +14,8 @@ Index file layout (all integers little-endian):
     header  bytes    JSON: scheme, word_count, link_count, code_length,
                      indexed_count, quantizer parameters
     quantizer payload: IFC -> sub-codebook centroids as float32, segments in
-                     order; TIFC -> empty (word bank regenerated from seed)
+                     order; TIFC -> empty (the (D, L) table of the virtual
+                     words' segment means is regenerated from dim and seed)
     nlists  uint64   number of non-empty posting lists
     wids    int64 x nlists, strictly increasing
     lengths int64 x nlists, each >= 1, summing to indexed_count * S
@@ -112,10 +113,9 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         raise DataError(f"dimension {d} not divisible by code length {cfg.code_length}")
 
     if cfg.scheme == SCHEME_TIFC:
-        quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed)
+        quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
         word_count = d
-        # reference segment means for all D virtual words, computed once
-        ref_means = segment_means(quantizer.word_vectors, cfg.code_length)
+        ref_means = quantizer.means
     else:
         quantizer = pq.train(training if training is not None else db, cfg.pq)
         if quantizer.dim != d:
@@ -355,7 +355,7 @@ def load(path) -> InvertedIndex:
             config=cfg,
         )
     else:
-        quantizer = tifc.make_virtual_words(dim, header["seed"])
+        quantizer = tifc.make_virtual_words(dim, header["seed"], header["code_length"])
 
     total = header["indexed_count"] * header["link_count"]
     (nlists,) = struct.unpack("<Q", take(8))

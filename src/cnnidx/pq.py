@@ -20,6 +20,10 @@ import numpy as np
 
 from .vecio import FeatureSet
 
+# Bytes of the (rows, K, D/M) float64 differences per step of
+# `segment_distances_rows`.
+_ROWS_DIFF_BYTES = 4 << 20
+
 
 @dataclass
 class PqConfig:
@@ -207,6 +211,28 @@ def segment_distances_batch(xs: np.ndarray, cb: PqCodebook) -> np.ndarray:
     return out
 
 
+def segment_distances_rows(xs: np.ndarray, cb: PqCodebook) -> np.ndarray:
+    """Per-segment squared distances for a batch, shape (N, M, K), summed as
+    sum((x - c)**2) so that each row's values depend on that row alone.
+
+    `segment_distances_batch` is faster on many rows, but its matmul can
+    change a value's last bit with the number of rows; the query side uses
+    this form, so a query is assigned the same words alone or in a batch.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    m, k, seg_dim = cb.sub_codebooks.shape
+    cents = cb.sub_codebooks.astype(np.float64)
+    out = np.empty((xs.shape[0], m, k))
+    # rows per step, so the (rows, K, D/M) difference stays within a budget
+    step = max(1, _ROWS_DIFF_BYTES // (k * seg_dim * 8))
+    for lo in range(0, xs.shape[0], step):
+        for s in range(m):
+            diff = xs[lo : lo + step, None, s * seg_dim : (s + 1) * seg_dim] - cents[s]
+            np.square(diff, out=diff)
+            out[lo : lo + step, s] = diff.sum(axis=-1)
+    return out
+
+
 def assign(x, cb: PqCodebook) -> int:
     """Nearest product word: per-segment argmin, ties to the smaller sub-id."""
     dists = segment_distances(x, cb)
@@ -321,9 +347,9 @@ def _merge_nearest(dists: np.ndarray, k: int, count: int) -> list[tuple[int, flo
 
 def reconstruct(wid: int, cb: PqCodebook) -> np.ndarray:
     """Concatenation of the M sub-centroids encoded by a product word id."""
-    m, k, _ = cb.sub_codebooks.shape
-    sub_ids = decode_word(wid, k, m)
-    return np.concatenate([cb.sub_codebooks[s][w] for s, w in enumerate(sub_ids)])
+    if not 0 <= wid < cb.word_count:
+        raise ValueError(f"word id {wid} out of range [0, {cb.word_count})")
+    return reconstruct_batch([wid], cb)[0]
 
 
 def reconstruct_batch(wids: np.ndarray, cb: PqCodebook) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -258,6 +259,24 @@ class TestLoadValidation:
             write_file(path, edited, payload)
             with pytest.raises(DataError, match=message):
                 invindex.load(path)
+
+    def test_wide_tifc_header_loads_in_bounded_memory(self, tiny_index, tmp_path):
+        """A 260-byte file that declares dim 4,096 loads without the
+        134 MB D x D virtual-word bank: only the (D, L) means table."""
+        path = tmp_path / "wide.idx"
+        invindex.save(tiny_index, path)
+        header, payload = split_file(path)
+        header.update(word_count=4096, code_length=16)
+        header["quantizer"]["dim"] = 4096
+        write_file(path, header, payload)
+        tracemalloc.start()
+        try:
+            ix = invindex.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ix.quantizer.means.shape == (4096, 16)
+        assert peak < 16 << 20
 
     def test_unreadable_header_rejected(self, tiny_index, tmp_path):
         path = tmp_path / "bad.idx"

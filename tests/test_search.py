@@ -1,3 +1,6 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +12,25 @@ from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
 from cnnidx.search import QueryConfig
 from cnnidx.vecio import FeatureSet
+from test_pq import exhaustive_ranking, integer_codebook, random_codebook
 
 
 def pipeline_oracle(ix, q, cfg):
     """Independent re-implementation of the query pipeline with plain dict
-    loops and per-pair encode/hamming calls."""
+    loops and per-pair encode/hamming calls. TIFC reference vectors come from
+    the virtual-word bank drawn here in full, not from the index's table."""
     wids = search.select_words(ix, q, cfg.assignment_count)
     votes = {}
     min_h = {}
     ecfg = EmbedConfig(ix.code_length)
     lists = {int(w): (ix.ids[lo:hi], ix.codes[lo:hi])
              for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
+    if ix.scheme == invindex.SCHEME_TIFC:
+        dim = ix.quantizer.dim
+        bank = np.random.default_rng(ix.quantizer.seed).standard_normal((dim, dim))
     for wid in wids:
         if ix.scheme == invindex.SCHEME_TIFC:
-            ref = ix.quantizer.word_vectors[wid]
+            ref = bank[wid]
         else:
             ref = pq.reconstruct(wid, ix.quantizer)
         q_code = embed.encode(q, ref, ecfg)
@@ -118,6 +126,52 @@ class TestQuery:
         with pytest.raises(ValueError):
             search.query(tifc_index, np.zeros(7), cfg)
 
+    @pytest.mark.parametrize("shape", [(7,), (24,), (32,), (1, 16), ()])
+    def test_query_shape_checked_against_index(self, index_pair, shape):
+        """A 24-d query on the 16-d index is divisible into its 8 code
+        segments, so only the dimension check stops it."""
+        cfg = QueryConfig(assignment_count=2, hamming_threshold=4, top_k=5)
+        with pytest.raises(ValueError, match="does not match index dim 16"):
+            search.query(index_pair, np.zeros(shape), cfg)
+        with pytest.raises(ValueError, match="does not match index dim 16"):
+            search.batch_query(index_pair, np.zeros((2, *shape)), cfg)
+
+    def test_batch_rejects_threshold_above_code_length(self, index_pair, small_dataset):
+        cfg = QueryConfig(assignment_count=1, hamming_threshold=9, top_k=5)
+        with pytest.raises(ValueError, match="exceeds code length"):
+            search.batch_query(index_pair, small_dataset[1], cfg)
+
+
+def random_index(scheme, seed, n, length, data):
+    """A random small index of 24-d vectors with some duplicated rows, and a
+    query config drawn to include T = 0, T = L and W up to the word count:
+    (index, vectors, config, generator)."""
+    rng = np.random.default_rng(seed)
+    dim = 24
+    vectors = rng.standard_normal((n, dim)).astype(np.float32)
+    dups = data.draw(st.integers(0, n // 2), label="duplicated rows")
+    vectors[n - dups:] = vectors[:dups]
+    training = None
+    if scheme == "tifc":
+        word_count, pq_cfg = dim, None
+    else:
+        k = data.draw(st.integers(2, 4), label="K")
+        word_count = k * k
+        pq_cfg = PqConfig(segments=2, words_per_segment=k, kmeans_iters=3,
+                          kmeans_seed=seed % 97, kmeans_restarts=1)
+        training = FeatureSet(rng.standard_normal((4 * k, dim)).astype(np.float32))
+    s = data.draw(st.integers(1, min(4, word_count)), label="S")
+    ix = invindex.build(FeatureSet(vectors),
+                        BuildConfig(scheme=scheme, link_count=s, code_length=length,
+                                    pq=pq_cfg, virtual_word_seed=seed % 89),
+                        training=training)
+    w = data.draw(st.sampled_from([1, s, word_count]) | st.integers(1, word_count),
+                  label="W")
+    t = data.draw(st.sampled_from([0, length]) | st.integers(0, length), label="T")
+    cfg = QueryConfig(assignment_count=w, hamming_threshold=t,
+                      top_k=data.draw(st.integers(1, n + 3), label="top_k"))
+    return ix, vectors, cfg, rng
+
 
 class TestVotingOracle:
     """`query` against `pipeline_oracle` on random small indexes: T = 0 and
@@ -130,39 +184,123 @@ class TestVotingOracle:
            n=st.integers(1, 12), length=st.sampled_from([3, 4, 6, 8, 12, 24]),
            data=st.data())
     def test_query_matches_oracle(self, scheme, seed, n, length, data):
-        rng = np.random.default_rng(seed)
-        dim = 24
-        vectors = rng.standard_normal((n, dim)).astype(np.float32)
-        dups = data.draw(st.integers(0, n // 2), label="duplicated rows")
-        vectors[n - dups:] = vectors[:dups]
-        training = None
-        if scheme == "tifc":
-            word_count, pq_cfg = dim, None
-        else:
-            k = data.draw(st.integers(2, 4), label="K")
-            word_count = k * k
-            pq_cfg = PqConfig(segments=2, words_per_segment=k, kmeans_iters=3,
-                              kmeans_seed=seed % 97, kmeans_restarts=1)
-            training = FeatureSet(rng.standard_normal((4 * k, dim)).astype(np.float32))
-        s = data.draw(st.integers(1, min(4, word_count)), label="S")
-        ix = invindex.build(FeatureSet(vectors),
-                            BuildConfig(scheme=scheme, link_count=s, code_length=length,
-                                        pq=pq_cfg, virtual_word_seed=seed % 89),
-                            training=training)
-        w = data.draw(st.sampled_from([1, s, word_count]) | st.integers(1, word_count),
-                      label="W")
-        t = data.draw(st.sampled_from([0, length]) | st.integers(0, length), label="T")
-        cfg = QueryConfig(assignment_count=w, hamming_threshold=t,
-                          top_k=data.draw(st.integers(1, n + 3), label="top_k"))
+        ix, vectors, cfg, rng = random_index(scheme, seed, n, length, data)
+        w = cfg.assignment_count
         lists = {int(wid): set(ix.ids[lo:hi].tolist())
                  for wid, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
-        for q in np.vstack([vectors[:2], rng.standard_normal((2, dim))]):
+        for q in np.vstack([vectors[:2], rng.standard_normal((2, vectors.shape[1]))]):
             res = search.query(ix, q, cfg, count_candidates=True)
             assert res.entries == pipeline_oracle(ix, q, cfg)
             union = set().union(*(lists.get(wid, set())
                                   for wid in search.select_words(ix, q, w)))
             assert search.candidate_set(ix, q, w) == union
             assert res.candidates == len(union)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 12), length=st.sampled_from([3, 4, 6, 8, 12, 24]),
+           data=st.data())
+    def test_batch_matches_query_and_oracle(self, scheme, seed, n, length, data):
+        """Chunks of 1, 2 and 3 rows, so that chunk boundaries fall inside
+        batches of up to 7 queries (database rows and random vectors)."""
+        ix, vectors, cfg, rng = random_index(scheme, seed, n, length, data)
+        pool = np.vstack([vectors, rng.standard_normal((7, vectors.shape[1]))])
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=7), label="queries")
+        queries = pool[np.array(picks, dtype=np.int64)]
+        expected = [search.query(ix, q, cfg).entries for q in queries]
+        assert expected == [pipeline_oracle(ix, q, cfg) for q in queries]
+        counts = [len(search.candidate_set(ix, q, cfg.assignment_count)) for q in queries]
+        for chunk in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_QUERY_CHUNK", chunk)
+                results, summary = search.batch_query(ix, queries, cfg)
+            assert [r.entries for r in results] == expected
+            assert summary.candidate_counts == counts
+            assert [r.candidates for r in results] == counts
+            assert len(summary.query_times) == len(queries)
+
+
+class TestBatchWords:
+    """A query row's distances and words do not depend on the rows that are
+    assigned together with it."""
+
+    def test_distances_independent_of_chunking(self, monkeypatch):
+        cb = random_codebook(k=64, m=2, seg_dim=32, seed=5)
+        xs = np.random.default_rng(6).standard_normal((130, 64))
+        with monkeypatch.context() as mp:
+            # three rows per step of the difference buffer, the last step short
+            mp.setattr(pq, "_ROWS_DIFF_BYTES", 3 * 64 * 32 * 8)
+            stepped = pq.segment_distances_rows(xs, cb)
+        alone = np.stack([pq.segment_distances_rows(x[None], cb)[0] for x in xs])
+        np.testing.assert_array_equal(stepped, alone)
+        for chunk in (2, 16, 64):
+            got = np.concatenate([pq.segment_distances_rows(xs[lo:lo + chunk], cb)
+                                  for lo in range(0, len(xs), chunk)])
+            np.testing.assert_array_equal(got, alone, err_msg=f"chunk {chunk}")
+        np.testing.assert_allclose(alone, pq.segment_distances_batch(xs, cb), rtol=1e-12)
+
+    def test_queries_never_use_the_matmul_distances(self, ifc_index, small_dataset,
+                                                     monkeypatch):
+        """`segment_distances_batch` can change a value's last bit with the
+        number of rows, so the query side must not call it."""
+        def refuse(*args):
+            raise AssertionError("query side called segment_distances_batch")
+
+        monkeypatch.setattr(pq, "segment_distances_batch", refuse)
+        cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
+        search.batch_query(ifc_index, small_dataset[1], cfg)
+        search.query(ifc_index, small_dataset[1].vectors[0], cfg)
+
+    def test_integer_codebook_words_match_exhaustive(self, ifc_index):
+        """Exact distances with many ties: the (distance, word id) order."""
+        cb = integer_codebook(k=16, m=2, seg_dim=2, seed=29)
+        ix = dataclasses.replace(ifc_index, quantizer=cb, word_count=cb.word_count)
+        xs = np.random.default_rng(7).integers(0, 3, (70, cb.dim)).astype(np.float64)
+        count = 40
+        expected = [[w for _, w in exhaustive_ranking(x, cb)[:count]] for x in xs]
+        for chunk in (1, 2, 16, 64):
+            got = np.concatenate([search._assign(ix, xs[lo:lo + chunk], count)
+                                  for lo in range(0, len(xs), chunk)])
+            assert got.tolist() == expected, f"chunk {chunk}"
+            for i in (0, 69):
+                assert search.select_words(ix, xs[i], count).tolist() == expected[i]
+
+
+class TestTracedCalls:
+    """`perfbench` derives its search counters from the results of
+    `select_words` and the calls of `hamming_to_many`: one query must call
+    each once, and `batch_query` must not go through `query`."""
+
+    def test_one_call_of_each_per_query(self, index_pair, small_dataset, monkeypatch):
+        calls = {"select_words": [], "hamming_to_many": [], "query": 0}
+
+        def recording(name):
+            original = getattr(search, name)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                calls[name].append(len(out))
+                return out
+            return wrapper
+
+        for name in ("select_words", "hamming_to_many"):
+            monkeypatch.setattr(search, name, recording(name))
+        cfg = QueryConfig(assignment_count=5, hamming_threshold=6, top_k=10)
+        q = small_dataset[1].vectors[0]
+        search.query(index_pair, q, cfg)
+        assert calls["select_words"] == [5]
+        assert len(calls["hamming_to_many"]) == 1
+
+        original_query = search.query
+
+        def counting_query(*args, **kwargs):
+            calls["query"] += 1
+            return original_query(*args, **kwargs)
+
+        monkeypatch.setattr(search, "query", counting_query)
+        search.batch_query(index_pair, small_dataset[1], cfg)
+        assert calls["query"] == 0
 
 
 class TestCandidateSet:
@@ -201,6 +339,19 @@ class TestBatch:
         assert len(summary.query_times) == queries.n
         for i, q in enumerate(queries.vectors):
             assert results[i].entries == search.query(ifc_index, q, cfg).entries
+
+    def test_query_times_are_shares_of_their_chunk(self, index_pair, small_dataset,
+                                                   monkeypatch):
+        queries = small_dataset[1]
+        monkeypatch.setattr(search, "_QUERY_CHUNK", 2)
+        cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
+        t0 = time.perf_counter()
+        _, summary = search.batch_query(index_pair, queries, cfg)
+        wall = time.perf_counter() - t0
+        times = summary.query_times
+        assert queries.n >= 3 and len(times) == queries.n
+        assert all(times[i] == times[i + 1] for i in range(0, queries.n - 1, 2))
+        assert 0 < sum(times) <= wall
 
     def test_candidate_counts_match_candidate_set(self, index_pair, small_dataset):
         queries = small_dataset[1]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cnnidx import tifc
+from cnnidx.embed import segment_means
 
 finite_vectors = hnp.arrays(
     np.float64,
@@ -89,19 +90,36 @@ class TestTopWords:
 
 class TestVirtualWordBank:
     def test_determinism(self):
-        a = tifc.make_virtual_words(8, seed=5)
-        b = tifc.make_virtual_words(8, seed=5)
-        np.testing.assert_array_equal(a.word_vectors, b.word_vectors)
+        a = tifc.make_virtual_words(8, seed=5, code_length=4)
+        b = tifc.make_virtual_words(8, seed=5, code_length=4)
+        np.testing.assert_array_equal(a.means, b.means)
 
     def test_different_seeds_differ(self):
-        a = tifc.make_virtual_words(8, seed=5)
-        b = tifc.make_virtual_words(8, seed=6)
-        assert not np.array_equal(a.word_vectors, b.word_vectors)
+        a = tifc.make_virtual_words(8, seed=5, code_length=4)
+        b = tifc.make_virtual_words(8, seed=6, code_length=4)
+        assert not np.array_equal(a.means, b.means)
 
     def test_degenerate_dim_one(self):
-        bank = tifc.make_virtual_words(1, seed=0)
-        assert bank.word_vectors.shape == (1, 1)
+        bank = tifc.make_virtual_words(1, seed=0, code_length=1)
+        assert bank.means.shape == (1, 1)
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
-            tifc.make_virtual_words(0, seed=0)
+            tifc.make_virtual_words(0, seed=0, code_length=1)
+
+    def test_code_length_must_divide_dim(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            tifc.make_virtual_words(12, seed=0, code_length=5)
+
+    @pytest.mark.parametrize("dim, chunk_rows", [(12, 5), (12, None), (384, None)])
+    def test_table_is_segment_means_of_the_bank(self, monkeypatch, dim, chunk_rows):
+        """Bit-identical to the means of the D x D bank drawn at once, for L
+        in {1, 3, D}, whether the bank is drawn in one chunk, in chunks of 5
+        rows (the last one short) or in chunks of the default size (341 of
+        the 384 rows at D = 384)."""
+        if chunk_rows is not None:
+            monkeypatch.setattr(tifc, "_BANK_CHUNK_BYTES", chunk_rows * dim * 8)
+        bank = np.random.default_rng(11).standard_normal((dim, dim))
+        for length in (1, 3, dim):
+            table = tifc.make_virtual_words(dim, seed=11, code_length=length).means
+            np.testing.assert_array_equal(table, segment_means(bank, length))
