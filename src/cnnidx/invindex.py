@@ -149,7 +149,9 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     ids = np.concatenate(id_parts)
     wids = np.concatenate(wid_parts)
     codes = np.concatenate(code_parts)
-    order = np.lexsort((ids, wids))
+    # ids ascend already, so a stable sort on the word (a radix sort for
+    # word counts up to 2^16) groups the lists in (word, id) order
+    order = np.argsort(wids.astype(np.min_scalar_type(word_count - 1)), kind="stable")
     ids, wids, codes = ids[order], wids[order], codes[order]
     starts = np.flatnonzero(np.diff(wids, prepend=-1))
 

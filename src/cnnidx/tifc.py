@@ -47,11 +47,29 @@ def top_words(tf: np.ndarray, count: int) -> list[tuple[int, float]]:
 
 
 def top_words_rows(tf: np.ndarray, count: int) -> np.ndarray:
-    """Row-wise word ids of the top-`count` bins, shape (N, count)."""
+    """Row-wise word ids of the top-`count` bins, shape (N, count), in
+    (-tf, id) order: the first `count` of a stable argsort of -tf.
+
+    A partition picks each row's `count` largest bins in O(D); only those are
+    sorted. A row whose `count`-th value ties with a bin outside the set could
+    have picked the wrong ids among the ties, so it takes the full stable
+    argsort instead.
+    """
     if not 1 <= count <= tf.shape[1]:
         raise ValueError(f"count must be in [1, {tf.shape[1]}], got {count}")
-    # stable sort on negated probs keeps smaller ids first among ties
-    return np.argsort(-tf, axis=1, kind="stable")[:, :count]
+    neg = -tf
+    if count == tf.shape[1]:
+        return np.argsort(neg, axis=1, kind="stable")
+    top = np.argpartition(neg, count - 1, axis=1)[:, :count]
+    cut = np.take_along_axis(neg, top, axis=1).max(axis=1, keepdims=True)
+    # exactly `count` bins at or above the cut, or a tie straddles it (or NaN)
+    exact = np.count_nonzero(neg <= cut, axis=1) == count
+    top.sort(axis=1)
+    order = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    if not exact.all():
+        top[~exact] = np.argsort(neg[~exact], axis=1, kind="stable")[:, :count]
+    return top
 
 
 @dataclass

@@ -100,6 +100,39 @@ class TestBuild:
         assert chunks == [3] * 16 + [2]
         assert chunked.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("scheme, dim, segments, seed", [
+        ("tifc", 12, None, 0), ("tifc", 48, None, 1),
+        ("ifc", 12, 2, 2),   # 16 words: uint8 keys
+        ("ifc", 18, 9, 3),   # 4^9 = 262,144 words: uint32 keys
+    ])
+    def test_lists_equal_lexsort_grouping(self, scheme, dim, segments, seed):
+        """The build's arrays equal every row's (word, id, code) entries
+        grouped by `np.lexsort((ids, wids))`, on rows that share many words."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(40, dim)).astype(np.float32)
+        x = np.vstack([x, x[:10]])  # duplicate rows link to the same words
+        n, s, length = len(x), 3, dim // 3
+        cfg = BuildConfig(scheme=scheme, link_count=s, code_length=length,
+                          pq=PqConfig(segments=segments, words_per_segment=4,
+                                      kmeans_seed=seed) if scheme == "ifc" else None)
+        ix = invindex.build(FeatureSet(x), cfg)
+        if scheme == "tifc":
+            wids = tifc.top_words_rows(tifc.softmax_rows(x), s)
+            ref = ix.quantizer.means[wids]
+        else:
+            wids = pq.nearest_words_batch(x, ix.quantizer, s)
+            ref = embed.segment_means(pq.reconstruct_batch(wids.ravel(), ix.quantizer),
+                                      length).reshape(n, s, length)
+        codes = embed.pack_bits(embed.segment_means(x, length)[:, None, :] >= ref)
+        ids, wids = np.repeat(np.arange(n), s), wids.ravel()
+        order = np.lexsort((ids, wids))
+        starts = np.flatnonzero(np.diff(wids[order], prepend=-1))
+        assert len(starts) <= (n - 10) * s  # some lists hold several entries
+        np.testing.assert_array_equal(ix.wids, wids[order][starts])
+        np.testing.assert_array_equal(ix.offsets, np.append(starts, n * s))
+        np.testing.assert_array_equal(ix.ids, ids[order])
+        np.testing.assert_array_equal(ix.codes, codes.reshape(n * s, -1)[order])
+
     def test_build_determinism(self, small_dataset, tmp_path):
         db = small_dataset[0]
         cfg = BuildConfig(scheme="ifc", link_count=2, code_length=8,

@@ -88,6 +88,51 @@ class TestTopWords:
         assert got == list(np.argsort(-x, kind="stable")[:s])
 
 
+def argsort_top_words(tf, count):
+    """Oracle: the first `count` ids of a full stable argsort of -tf."""
+    return np.argsort(-tf, axis=1, kind="stable")[:, :count]
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """(N, D) rows of a few integer values, so ties fall at the count-th bin
+    often, and one count in {1, D - 1, D} or anywhere in [1, D]."""
+    d = draw(st.integers(1, 64))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 1000]))
+    tf = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), d),
+                         elements=st.integers(0, levels - 1).map(float)))
+    if draw(st.booleans()):  # one row all equal
+        tf[0] = tf[0, 0]
+    count = draw(st.sampled_from([1, max(1, d - 1), d, draw(st.integers(1, d))]))
+    if count < d and draw(st.booleans()):
+        # a tie exactly at the count-th bin: copy its value to a later bin
+        order = argsort_top_words(tf[:1], d)[0]
+        tf[0, order[count]] = tf[0, order[count - 1]]
+    return tf, count
+
+
+class TestTopWordsRows:
+    @settings(max_examples=400, deadline=None)
+    @given(case=tie_heavy_rows())
+    def test_matches_stable_argsort(self, case):
+        tf, count = case
+        got = tifc.top_words_rows(tf, count)
+        np.testing.assert_array_equal(got, argsort_top_words(tf, count))
+        for i in range(len(tf)):  # a row alone gives what it gives in the batch
+            np.testing.assert_array_equal(tifc.top_words_rows(tf[i:i + 1], count)[0], got[i])
+        assert tifc.top_words(tf[0], count) == [
+            (int(w), float(tf[0, w])) for w in argsort_top_words(tf[:1], count)[0]]
+
+    @pytest.mark.parametrize("count", [1, 40, 2047, 2048])
+    def test_wide_softmax_rows(self, count):
+        """At D = 2,048 on softmax rows, with and without ties at the cut."""
+        rng = np.random.default_rng(count)
+        tf = tifc.softmax_rows(rng.standard_normal((50, 2048)))
+        tf[::3] = np.round(tf[::3], 5)
+        np.testing.assert_array_equal(tifc.top_words_rows(tf, count),
+                                      argsort_top_words(tf, count))
+
+
 class TestVirtualWordBank:
     def test_determinism(self):
         a = tifc.make_virtual_words(8, seed=5, code_length=4)
