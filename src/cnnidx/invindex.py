@@ -12,10 +12,12 @@ Index file layout (all integers little-endian):
     magic   8 bytes  b"CNNIDX02"
     hlen    uint32   length of the JSON header
     header  bytes    JSON: scheme, word_count, link_count, code_length,
-                     indexed_count, quantizer parameters
+                     indexed_count, quantizer parameters (kind "pq" for IFC,
+                     "means" for TIFC)
     quantizer payload: IFC -> sub-codebook centroids as float32, segments in
                      order; TIFC -> empty (the (D, L) table of the virtual
-                     words' segment means is regenerated from dim and seed)
+                     words' segment means is redrawn from dim, code_length
+                     and seed)
     nlists  uint64   number of non-empty posting lists
     wids    int64 x nlists, strictly increasing
     lengths int64 x nlists, each >= 1, summing to indexed_count * S
@@ -26,6 +28,12 @@ Index file layout (all integers little-endian):
 `load` rejects with `DataError` every file that breaks one of these rules,
 so a query never meets an id outside [0, indexed_count) or an image twice in
 one list. `CNNIDX01` files (one record per list) are not read; rebuild them.
+Nor are TIFC files with quantizer kind "virtual": their table of means came
+from a D x D bank, and the table drawn now differs, so rebuild them too.
+
+A TIFC table holds D * L float64 means. `build` and `load` reject any table
+of more than `MAX_TABLE_ENTRIES` = 2^24 entries (128 MiB; D = L = 4,096 still
+fits) before drawing it, so a small file cannot ask for gigabytes.
 """
 
 from __future__ import annotations
@@ -49,6 +57,9 @@ OLD_MAGIC = b"CNNIDX01"
 
 SCHEME_TIFC = "tifc"
 SCHEME_IFC = "ifc"
+
+# Largest TIFC table of segment means, D * L, that build or load will draw.
+MAX_TABLE_ENTRIES = 1 << 24
 
 # Bytes of the (rows, S, L) float64 word-mean gather per build chunk.
 _BUILD_BYTES = 64 << 20
@@ -113,6 +124,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         raise DataError(f"dimension {d} not divisible by code length {cfg.code_length}")
 
     if cfg.scheme == SCHEME_TIFC:
+        _check_table(d, cfg.code_length, "database")
         quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
         word_count = d
         ref_means = quantizer.means
@@ -208,7 +220,7 @@ def _header_json(ix: InvertedIndex) -> bytes:
         }
     else:
         header["quantizer"] = {
-            "kind": "virtual",
+            "kind": "means",
             "dim": ix.quantizer.dim,
             "seed": ix.quantizer.seed,
         }
@@ -284,6 +296,9 @@ def _read_header(path, raw) -> tuple[dict, PqConfig | None, int]:
         if dim % cfg.segments:
             raise DataError(f"{path}: dim {dim} not divisible by {cfg.segments} segments")
     elif (scheme, kind) == (SCHEME_TIFC, "virtual"):
+        raise DataError(f"{path}: TIFC index with the old virtual-word table "
+                        "(quantizer kind 'virtual'); rebuild the index with `cnnidx build`")
+    elif (scheme, kind) == (SCHEME_TIFC, "means"):
         cfg = None
         out["seed"] = _field(path, q, "seed", int, 0)
         words = dim
@@ -297,7 +312,15 @@ def _read_header(path, raw) -> tuple[dict, PqConfig | None, int]:
         raise DataError(f"{path}: dim {dim} not divisible by code length {out['code_length']}")
     if out["indexed_count"] > np.iinfo(np.int32).max:
         raise DataError(f"{path}: indexed_count {out['indexed_count']} exceeds int32 ids")
+    if cfg is None:
+        _check_table(dim, out["code_length"], path)
     return out, cfg, dim
+
+
+def _check_table(dim: int, code_length: int, where) -> None:
+    if dim * code_length > MAX_TABLE_ENTRIES:
+        raise DataError(f"{where}: TIFC table of {dim} x {code_length} means exceeds "
+                        f"{MAX_TABLE_ENTRIES} entries")
 
 
 def _check_postings(path, ix: InvertedIndex) -> None:

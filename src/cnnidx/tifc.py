@@ -2,18 +2,16 @@
 word; the softmax of a feature vector gives word probabilities, and the top-S
 bins select the words the vector is linked to.
 
-The virtual words are D random vectors that only ever enter through their L
-segment means, so `VirtualWordBank` keeps the (D, L) table of those means and
-never the D x D bank itself."""
+The virtual words are D random N(0, 1) vectors that only ever enter through
+their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
+N(0, L/D): `VirtualWordBank` draws the (D, L) table of means directly, and no
+D x D bank exists."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Bytes of the bank rows drawn at once while the means table is computed.
-_BANK_CHUNK_BYTES = 1 << 20
 
 
 def softmax(x) -> np.ndarray:
@@ -76,13 +74,11 @@ def top_words_rows(tf: np.ndarray, count: int) -> np.ndarray:
 class VirtualWordBank:
     """Reference segment means of the D virtual words, a (D, L) table.
 
-    Virtual word i is row i of
-    `np.random.default_rng(seed).standard_normal((dim, dim))`, and
-    `means[i]` is `embed.segment_means` of it. The table is regenerated
+    `means` is `np.random.default_rng(seed).standard_normal((dim, code_length))
+    * sqrt(code_length / dim)`: the law of the segment means of D random
+    N(0, 1) words, drawn at O(D * L) cost. The table is regenerated
     deterministically from (dim, seed, code_length), so only those are
-    persisted. The bank is drawn a few rows at a time into one reused
-    buffer: the same draws in the same order, summed as `segment_means`
-    sums them, so the table is bit-identical to the means of the full bank.
+    persisted.
     """
 
     dim: int
@@ -96,16 +92,8 @@ class VirtualWordBank:
             raise ValueError("dim must be >= 1")
         if length < 1 or d % length:
             raise ValueError(f"code_length {length} does not divide dim {d}")
-        rng = np.random.default_rng(self.seed)
-        step = max(1, _BANK_CHUNK_BYTES // (8 * d))
-        buf = np.empty((min(step, d), d))
-        self.means = np.empty((d, length))
-        for lo in range(0, d, step):
-            rows = buf[: min(step, d - lo)]
-            rng.standard_normal(out=rows)
-            np.add.reduce(rows.reshape(len(rows), length, d // length), axis=-1,
-                          out=self.means[lo : lo + len(rows)])
-        self.means /= d // length
+        self.means = np.random.default_rng(self.seed).standard_normal((d, length))
+        self.means *= np.sqrt(length / d)
 
 
 def make_virtual_words(dim: int, seed: int, code_length: int) -> VirtualWordBank:

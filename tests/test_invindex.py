@@ -133,6 +133,14 @@ class TestBuild:
         np.testing.assert_array_equal(ix.ids, ids[order])
         np.testing.assert_array_equal(ix.codes, codes.reshape(n * s, -1)[order])
 
+    def test_huge_tifc_table_rejected_by_build(self, monkeypatch):
+        monkeypatch.setattr(invindex, "MAX_TABLE_ENTRIES", 12 * 3 - 1)
+        db = FeatureSet(np.ones((2, 12), dtype=np.float32))
+        with pytest.raises(DataError, match="TIFC table of 12 x 3 means"):
+            invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=3))
+        monkeypatch.setattr(invindex, "MAX_TABLE_ENTRIES", 12 * 3)
+        invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=3))
+
     def test_build_determinism(self, small_dataset, tmp_path):
         db = small_dataset[0]
         cfg = BuildConfig(scheme="ifc", link_count=2, code_length=8,
@@ -265,7 +273,7 @@ class TestLoadValidation:
         (lambda h: h.update(quantizer=[]), "'quantizer' missing or not dict"),
         (lambda h: h["quantizer"].pop("seed"), "'seed' missing"),
         (lambda h: h["quantizer"].update(dim="12"), "'dim' missing or not int"),
-        (lambda h: h.update(scheme="ifc"), "quantizer kind 'virtual'"),
+        (lambda h: h.update(scheme="ifc"), "quantizer kind 'means'"),
         (lambda h: h.update(word_count=13), "word_count 13"),
         (lambda h: h.update(link_count=13), "exceeds word count"),
         (lambda h: h.update(code_length=5), "not divisible by code length"),
@@ -310,6 +318,34 @@ class TestLoadValidation:
             tracemalloc.stop()
         assert ix.quantizer.means.shape == (4096, 16)
         assert peak < 16 << 20
+
+    def test_huge_tifc_table_rejected_before_allocating(self, tiny_index, tmp_path):
+        """A small CRC-valid file that declares a 2^20 x 2^10 table (8 GiB of
+        means) is rejected without drawing it."""
+        path = tmp_path / "huge.idx"
+        invindex.save(tiny_index, path)
+        header, payload = split_file(path)
+        header.update(word_count=1 << 20, code_length=1 << 10)
+        header["quantizer"]["dim"] = 1 << 20
+        write_file(path, header, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="TIFC table of 1048576 x 1024 means"):
+                invindex.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_old_virtual_kind_asks_for_rebuild(self, tiny_index, tmp_path):
+        path = tmp_path / "old.idx"
+        invindex.save(tiny_index, path)
+        header, payload = split_file(path)
+        assert header["quantizer"]["kind"] == "means"
+        header["quantizer"]["kind"] = "virtual"
+        write_file(path, header, payload)
+        with pytest.raises(DataError, match="kind 'virtual'.*rebuild"):
+            invindex.load(path)
 
     def test_unreadable_header_rejected(self, tiny_index, tmp_path):
         path = tmp_path / "bad.idx"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -17,23 +18,24 @@ from test_pq import exhaustive_ranking, integer_codebook, random_codebook
 
 def pipeline_oracle(ix, q, cfg):
     """Independent re-implementation of the query pipeline with plain dict
-    loops and per-pair encode/hamming calls. TIFC reference vectors come from
-    the virtual-word bank drawn here in full, not from the index's table."""
+    loops and per-pair encode/hamming calls. TIFC reference means come from a
+    (D, L) table drawn here, not from the index's table."""
     wids = search.select_words(ix, q, cfg.assignment_count)
     votes = {}
     min_h = {}
     ecfg = EmbedConfig(ix.code_length)
     lists = {int(w): (ix.ids[lo:hi], ix.codes[lo:hi])
              for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
+    length = ix.code_length
     if ix.scheme == invindex.SCHEME_TIFC:
         dim = ix.quantizer.dim
-        bank = np.random.default_rng(ix.quantizer.seed).standard_normal((dim, dim))
+        table = (np.random.default_rng(ix.quantizer.seed).standard_normal((dim, length))
+                 * math.sqrt(length / dim))
     for wid in wids:
         if ix.scheme == invindex.SCHEME_TIFC:
-            ref = bank[wid]
+            q_code = embed.pack_bits(embed.segment_means(q, length) >= table[wid])
         else:
-            ref = pq.reconstruct(wid, ix.quantizer)
-        q_code = embed.encode(q, ref, ecfg)
+            q_code = embed.encode(q, pq.reconstruct(wid, ix.quantizer), ecfg)
         ids, codes = lists.get(wid, (np.array([], dtype=np.int32), None))
         for row, image_id in enumerate(ids):
             d = embed.hamming(q_code, codes[row])
