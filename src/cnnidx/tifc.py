@@ -56,8 +56,6 @@ def top_words_rows(tf: np.ndarray, count: int) -> np.ndarray:
     if not 1 <= count <= tf.shape[1]:
         raise ValueError(f"count must be in [1, {tf.shape[1]}], got {count}")
     neg = -tf
-    if count == tf.shape[1]:
-        return np.argsort(neg, axis=1, kind="stable")
     top = np.argpartition(neg, count - 1, axis=1)[:, :count]
     cut = np.take_along_axis(neg, top, axis=1).max(axis=1, keepdims=True)
     # exactly `count` bins at or above the cut, or a tie straddles it (or NaN)
