@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import baseline as bl
 from . import evaluation, invindex, search, vecio
@@ -209,24 +210,23 @@ def _cmd_baseline(args) -> int:
         resolved.update(tables=args.tables, bits=args.bits, seed=args.seed)
     _echo_config("baseline", resolved)
 
-    import time
+    if args.method == "bf":
+        def run_one(q):
+            return bl.brute_force(db, q, args.topk), db.n
+    else:
+        lix = bl.lsh_build(db, bl.LshConfig(args.tables, args.bits, args.seed))
+
+        def run_one(q):
+            return bl.lsh_query(lix, q, args.topk)
 
     summary = search.BatchSummary()
     ranked: list[list[int]] = []
-    if args.method == "bf":
-        for q in queries.vectors:
-            t0 = time.perf_counter()
-            ranked.append(bl.brute_force(db, q, args.topk))
-            summary.query_times.append(time.perf_counter() - t0)
-            summary.candidate_counts.append(db.n)
-    else:
-        lix = bl.lsh_build(db, bl.LshConfig(args.tables, args.bits, args.seed))
-        for q in queries.vectors:
-            t0 = time.perf_counter()
-            ids, scanned = bl.lsh_query(lix, q, args.topk)
-            summary.query_times.append(time.perf_counter() - t0)
-            ranked.append(ids)
-            summary.candidate_counts.append(scanned)
+    for q in queries.vectors:
+        t0 = time.perf_counter()
+        ids, scanned = run_one(q)
+        summary.query_times.append(time.perf_counter() - t0)
+        ranked.append(ids)
+        summary.candidate_counts.append(scanned)
     results = [search.RankedResult(entries=[(i, 1, 0) for i in ids], candidates=c)
                for ids, c in zip(ranked, summary.candidate_counts)]
     search.write_batch_results(

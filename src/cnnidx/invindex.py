@@ -31,6 +31,12 @@ one list. `CNNIDX01` files (one record per list) are not read; rebuild them.
 Nor are TIFC files with quantizer kind "virtual": their table of means came
 from a D x D bank, and the table drawn now differs, so rebuild them too.
 
+Build and query share one encoding stage. `assign_words` gives a matrix of
+rows their words (TIFC: the top softmax bins; IFC: the exact nearest product
+words) and `encode_rows` packs each row's codes against those words' segment
+means. A row's words and codes depend on that row alone, so a database
+vector queried with itself gets exactly its S links and their codes.
+
 A TIFC table holds D * L float64 means. `build` and `load` reject any table
 of more than `MAX_TABLE_ENTRIES` = 2^24 entries (128 MiB; D = L = 4,096 still
 fits) before drawing it, so a small file cannot ask for gigabytes.
@@ -46,8 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import embed, pq, tifc
-from .embed import EmbedConfig, code_bytes, pack_bits, segment_means
+from . import pq, tifc
+from .embed import code_bytes, pack_bits, segment_means
 from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import DataError, FeatureSet
@@ -95,10 +101,6 @@ class InvertedIndex:
     codes: np.ndarray  # (n * S, B) uint8, packed code of each entry
     quantizer: VirtualWordBank | PqCodebook
 
-    @property
-    def embed_cfg(self) -> EmbedConfig:
-        return EmbedConfig(self.code_length)
-
 
 @dataclass
 class IndexStats:
@@ -111,13 +113,38 @@ class IndexStats:
     estimated_file_bytes: int = 0
 
 
+def assign_words(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray,
+                 count: int) -> np.ndarray:
+    """The `count` words of each row of xs, (N, count) int64, in selection
+    order: TIFC takes the largest softmax bins in (-tf, id) order, IFC the
+    nearest product words in (distance, word id) order."""
+    if isinstance(quantizer, VirtualWordBank):
+        return tifc.top_words_rows(tifc.softmax_rows(xs), count)
+    return pq.nearest_words_batch(xs, quantizer, count)
+
+
+def encode_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: np.ndarray,
+                code_length: int) -> np.ndarray:
+    """Each row's packed codes against the segment means of its words,
+    (N, count, B) for (N, count) word ids."""
+    if isinstance(quantizer, VirtualWordBank):
+        c_means = quantizer.means[wids]
+    else:
+        # each distinct word of the rows is reconstructed once
+        uniq, inverse = np.unique(wids, return_inverse=True)
+        uniq_means = segment_means(pq.reconstruct_batch(uniq, quantizer), code_length)
+        c_means = uniq_means[inverse.reshape(wids.shape)]
+    return pack_bits(segment_means(xs, code_length)[:, None, :] >= c_means)
+
+
 def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) -> InvertedIndex:
     """Index a database under TIFC or IFC with multiple link S.
 
     For IFC the codebook is trained on `training` (default: the database
     itself). Every image lands in exactly S distinct posting lists. Rows go
-    through in chunks sized so that their word-mean gather stays within
-    `_BUILD_BYTES`; the index does not depend on the chunk size.
+    through `assign_words` and `encode_rows` in chunks sized so that their
+    word-mean gather stays within `_BUILD_BYTES`; the index does not depend
+    on the chunk size.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if d % cfg.code_length != 0:
@@ -127,39 +154,25 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         _check_table(d, cfg.code_length, "database")
         quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
         word_count = d
-        ref_means = quantizer.means
     else:
         quantizer = pq.train(training if training is not None else db, cfg.pq)
         if quantizer.dim != d:
             raise DataError(f"codebook dim {quantizer.dim} != database dim {d}")
         word_count = quantizer.word_count
-        ref_means = None
 
     if s > word_count:
         raise DataError(f"link count {s} exceeds word count {word_count}")
 
     chunk_rows = max(1, _BUILD_BYTES // (s * cfg.code_length * 8))
-    id_parts, wid_parts, code_parts = [], [], []
+    wid_parts, code_parts = [], []
     for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        chunk = db.vectors[lo:hi]
-        x_means = segment_means(chunk, cfg.code_length)
-        if cfg.scheme == SCHEME_TIFC:
-            wids = tifc.top_words_rows(tifc.softmax_rows(chunk), s)
-            c_means = ref_means[wids]  # (chunk, S, L)
-        else:
-            wids = pq.nearest_words_batch(chunk, quantizer, s)
-            uniq, inverse = np.unique(wids, return_inverse=True)
-            uniq_means = segment_means(pq.reconstruct_batch(uniq, quantizer),
-                                       cfg.code_length)
-            c_means = uniq_means[inverse].reshape(hi - lo, s, -1)
-        codes = pack_bits(x_means[:, None, :] >= c_means)
-        id_parts.append(np.repeat(np.arange(lo, hi, dtype=np.int32), s))
-        wid_parts.append(np.asarray(wids, dtype=np.int64).ravel())
-        code_parts.append(codes.reshape((hi - lo) * s, -1))
+        chunk = db.vectors[lo:lo + chunk_rows]
+        wid_parts.append(assign_words(quantizer, chunk, s))
+        codes = encode_rows(quantizer, chunk, wid_parts[-1], cfg.code_length)
+        code_parts.append(codes.reshape(len(chunk) * s, -1))
 
-    ids = np.concatenate(id_parts)
-    wids = np.concatenate(wid_parts)
+    ids = np.repeat(np.arange(n, dtype=np.int32), s)
+    wids = np.concatenate(wid_parts).ravel()
     codes = np.concatenate(code_parts)
     # ids ascend already, so a stable sort on the word (a radix sort for
     # word counts up to 2^16) groups the lists in (word, id) order

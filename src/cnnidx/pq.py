@@ -9,7 +9,14 @@ of rank j only when (i+1)(j+1) <= S: every other pair is dominated by at
 least S pairs. Float rounding can break that dominance, so every row carries
 a lower bound on the words the merge left out; a row whose bound does not
 clear its S-th distance is answered by an exact multi-sequence heap merge
-(Babenko & Lempitsky, "The Inverted Multi-Index", CVPR 2012)."""
+(Babenko & Lempitsky, "The Inverted Multi-Index", CVPR 2012).
+
+`segment_distances_batch` is the one kernel that word assignment uses, on
+the build side and the query side alike. Its `einsum` contractions cover all
+M segments at once with no BLAS call, and sum each distance in an order that
+does not depend on the other rows, so a row gets bit-identical distances,
+and so the same words, alone or in any batch. K-means training
+keeps its own matmul form (`_sq_dists`)."""
 
 from __future__ import annotations
 
@@ -20,9 +27,10 @@ import numpy as np
 
 from .vecio import FeatureSet
 
-# Bytes of the (rows, K, D/M) float64 differences per step of
-# `segment_distances_rows`.
-_ROWS_DIFF_BYTES = 4 << 20
+# Rows that `nearest_words_batch` merges at once. Each candidate array of the
+# merge is (rows, about count * (ln(count) + 0.6)), so more rows raise peak
+# memory without making the merge faster.
+_NEAREST_CHUNK = 1024
 
 
 @dataclass
@@ -198,38 +206,22 @@ def segment_distances(x, cb: PqCodebook) -> np.ndarray:
 
 
 def segment_distances_batch(xs: np.ndarray, cb: PqCodebook) -> np.ndarray:
-    """Per-segment squared distances for a batch, shape (N, M, K)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    m, k, seg_dim = cb.sub_codebooks.shape
-    n = xs.shape[0]
-    out = np.empty((n, m, k))
-    buf = np.empty((n, k))
-    for s in range(m):
-        seg = xs[:, s * seg_dim : (s + 1) * seg_dim]
-        out[:, s, :] = _sq_dists(seg, _sq_norms(seg), cb.sub_codebooks[s].astype(np.float64),
-                                 buf)
-    return out
+    """Per-segment squared distances for a batch, shape (N, M, K), clamped
+    at 0: ||x_s||^2 - 2 x_s . c + ||c||^2 for every segment s of every row.
 
-
-def segment_distances_rows(xs: np.ndarray, cb: PqCodebook) -> np.ndarray:
-    """Per-segment squared distances for a batch, shape (N, M, K), summed as
-    sum((x - c)**2) so that each row's values depend on that row alone.
-
-    `segment_distances_batch` is faster on many rows, but its matmul can
-    change a value's last bit with the number of rows; the query side uses
-    this form, so a query is assigned the same words alone or in a batch.
+    The three terms are `einsum` contractions over (rows, M, D/M), which sum
+    each value along D/M alone; unlike a matmul, which picks its BLAS routine
+    by the row count, a row's values do not depend on the batch around it.
     """
     xs = np.asarray(xs, dtype=np.float64)
     m, k, seg_dim = cb.sub_codebooks.shape
-    cents = cb.sub_codebooks.astype(np.float64)
-    out = np.empty((xs.shape[0], m, k))
-    # rows per step, so the (rows, K, D/M) difference stays within a budget
-    step = max(1, _ROWS_DIFF_BYTES // (k * seg_dim * 8))
-    for lo in range(0, xs.shape[0], step):
-        for s in range(m):
-            diff = xs[lo : lo + step, None, s * seg_dim : (s + 1) * seg_dim] - cents[s]
-            np.square(diff, out=diff)
-            out[lo : lo + step, s] = diff.sum(axis=-1)
+    xr = xs.reshape(xs.shape[0], m, seg_dim)
+    c = cb.sub_codebooks.astype(np.float64)
+    out = np.einsum("nmd,mkd->nmk", xr, c)
+    out *= -2.0
+    out += np.einsum("nmd,nmd->nm", xr, xr)[..., None]
+    out += np.einsum("mkd,mkd->mk", c, c)
+    np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -247,17 +239,13 @@ def nearest_words(x, cb: PqCodebook, count: int) -> list[tuple[int, float]]:
     return [(int(w), float(t)) for w, t in zip(wids[0], totals[0])]
 
 
-def nearest_words_batch(xs: np.ndarray, cb: PqCodebook, count: int,
-                        chunk: int = 1024) -> np.ndarray:
-    """Word ids of the `count` nearest product words per row, shape (N, count).
-
-    `chunk` rows go through the merge at once. Each of its candidate arrays
-    is (chunk, about count * (ln(count) + 0.6)), so a larger chunk raises
-    peak memory without making the merge faster."""
+def nearest_words_batch(xs: np.ndarray, cb: PqCodebook, count: int) -> np.ndarray:
+    """Word ids of the `count` nearest product words per row, shape (N, count),
+    in (distance, word id) order; a row's words depend on that row alone."""
     n = xs.shape[0]
     out = np.empty((n, count), dtype=np.int64)
-    for lo in range(0, n, chunk):
-        dists = segment_distances_batch(xs[lo:lo + chunk], cb)
+    for lo in range(0, n, _NEAREST_CHUNK):
+        dists = segment_distances_batch(xs[lo:lo + _NEAREST_CHUNK], cb)
         out[lo:lo + len(dists)] = _nearest(dists, cb.config.words_per_segment, count)[0]
     return out
 

@@ -3,9 +3,11 @@ each probed posting list by Hamming distance < T against the query's binary
 code for that word, then rank candidates by vote count.
 
 It runs in two stages. The first takes a matrix of queries: it checks the
-rows, assigns each its W words and packs its codes against them. The second
-scans one query's lists at a time. `query` is the one-row case of both, and
-`batch_query` runs the first stage on chunks of rows."""
+rows, then assigns each its W words and packs its codes against them with
+`invindex.assign_words` and `invindex.encode_rows`, the encoding stage that
+the build uses too. The second scans one query's lists at a time. `query` is
+the one-row case of both, and `batch_query` runs the first stage on chunks of
+rows."""
 
 from __future__ import annotations
 
@@ -15,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pq, tifc
-from .embed import hamming_to_many, pack_bits, segment_means
-from .invindex import SCHEME_TIFC, InvertedIndex
+from .embed import hamming_to_many
+from .invindex import InvertedIndex, assign_words, encode_rows
 from .vecio import write_int_lists
 
 # Query rows that `batch_query` assigns and encodes together; 16 to 256
@@ -80,34 +81,10 @@ def _check_queries(ix: InvertedIndex, qs, count: int) -> np.ndarray:
     return qs
 
 
-def _assign(ix: InvertedIndex, qs: np.ndarray, count: int) -> np.ndarray:
-    """The `count` words of each checked query row, (N, count) int64, in
-    selection order. A row's words depend on that row alone, so a query gets
-    the same words in any batch."""
-    if ix.scheme == SCHEME_TIFC:
-        return tifc.top_words_rows(tifc.softmax_rows(qs), count)
-    cb = ix.quantizer
-    return pq._nearest(pq.segment_distances_rows(qs, cb), cb.config.words_per_segment,
-                       count)[0]
-
-
-def _codes(ix: InvertedIndex, qs: np.ndarray, wids: np.ndarray) -> np.ndarray:
-    """Each query row's packed codes against the segment means of its words,
-    (N, W, B)."""
-    if ix.scheme == SCHEME_TIFC:
-        c_means = ix.quantizer.means[wids]
-    else:
-        # each distinct word of the batch is reconstructed once
-        uniq, inverse = np.unique(wids, return_inverse=True)
-        uniq_means = segment_means(pq.reconstruct_batch(uniq, ix.quantizer), ix.code_length)
-        c_means = uniq_means[inverse.reshape(wids.shape)]
-    return pack_bits(segment_means(qs, ix.code_length)[:, None, :] >= c_means)
-
-
 def select_words(ix: InvertedIndex, q, count: int) -> np.ndarray:
     """The W words a query is assigned to, in selection order, as an int64
     array: the one-row case of the batch word assignment."""
-    return _assign(ix, _check_queries(ix, np.asarray(q)[None], count), count)[0]
+    return assign_words(ix.quantizer, _check_queries(ix, np.asarray(q)[None], count), count)[0]
 
 
 def _probe(ix: InvertedIndex, wids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,7 +164,7 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig,
     _check_config(ix, cfg)
     q = np.asarray(q, dtype=np.float64)
     wids = select_words(ix, q, cfg.assignment_count)
-    q_codes = _codes(ix, q[None], wids[None])[0]
+    q_codes = encode_rows(ix.quantizer, q[None], wids[None], ix.code_length)[0]
     return _scan(ix, wids, q_codes, cfg, count_candidates)
 
 
@@ -214,8 +191,8 @@ def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
     for lo in range(0, len(vectors), _QUERY_CHUNK):
         t0 = time.perf_counter()
         qs = _check_queries(ix, vectors[lo : lo + _QUERY_CHUNK], w)
-        wids = _assign(ix, qs, w)
-        codes = _codes(ix, qs, wids)
+        wids = assign_words(ix.quantizer, qs, w)
+        codes = encode_rows(ix.quantizer, qs, wids, ix.code_length)
         chunk = [_scan(ix, wq, cq, cfg, count_candidates=True) for wq, cq in zip(wids, codes)]
         share = (time.perf_counter() - t0) / len(chunk)
         summary.query_times += [share] * len(chunk)

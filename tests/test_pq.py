@@ -244,18 +244,23 @@ class TestKmeansOracle:
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
 
     def test_segment_distances_match_reference(self):
+        """One row's distances are bit-identical to its row of a batch. They
+        equal the sum of squared differences to 1e-12 relative, not bit for
+        bit: the kernel expands ||x - c||^2 as ||x||^2 - 2 x.c + ||c||^2,
+        which rounds differently."""
         cb = random_codebook(k=16, m=2, seg_dim=3, seed=44)
         xs = np.random.default_rng(45).standard_normal((30, 6))
         got = pq.segment_distances_batch(xs, cb)
+        for i, x in enumerate(xs):
+            np.testing.assert_array_equal(pq.segment_distances(x, cb), got[i])
         for s in range(2):
             seg = xs[:, 3 * s : 3 * s + 3]
-            want = reference_pairwise_sq_dists(seg, cb.sub_codebooks[s])
-            np.testing.assert_array_equal(got[:, s], want)
-            # one row goes through a different BLAS routine than a batch, so
-            # the single-row path is held to the reference on one row
-            for i, x in enumerate(xs):
-                want_row = reference_pairwise_sq_dists(seg[i][None, :], cb.sub_codebooks[s])[0]
-                np.testing.assert_array_equal(pq.segment_distances(x, cb)[s], want_row)
+            diff = seg[:, None, :] - cb.sub_codebooks[s].astype(np.float64)
+            np.testing.assert_allclose(got[:, s], (diff * diff).sum(axis=-1), rtol=1e-12)
+        # within 1e-9 of a word the expanded form rounds below 0 unless clamped
+        near = pq.reconstruct_batch(np.arange(cb.word_count), cb).astype(np.float64)
+        near += 1e-9 * np.random.default_rng(46).standard_normal(near.shape)
+        assert pq.segment_distances_batch(near, cb).min() >= 0.0
 
 
 class TestAssign:
@@ -441,7 +446,7 @@ class TestPrunedMerge:
         cb = random_codebook(k=64, m=2, seg_dim=8, seed=31)
         xs = np.random.default_rng(32).standard_normal((500, cb.dim))
         monkeypatch.setattr(pq, "_merge_nearest", None)
-        ids = pq.nearest_words_batch(xs, cb, 40, chunk=128)
+        ids = pq.nearest_words_batch(xs, cb, 40)
         assert ids.shape == (500, 40)
 
 

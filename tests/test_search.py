@@ -224,35 +224,26 @@ class TestVotingOracle:
 
 
 class TestBatchWords:
-    """A query row's distances and words do not depend on the rows that are
-    assigned together with it."""
+    """A row's distances and words do not depend on the rows that are
+    assigned together with it, on the build side or the query side."""
 
-    def test_distances_independent_of_chunking(self, monkeypatch):
-        cb = random_codebook(k=64, m=2, seg_dim=32, seed=5)
-        xs = np.random.default_rng(6).standard_normal((130, 64))
-        with monkeypatch.context() as mp:
-            # three rows per step of the difference buffer, the last step short
-            mp.setattr(pq, "_ROWS_DIFF_BYTES", 3 * 64 * 32 * 8)
-            stepped = pq.segment_distances_rows(xs, cb)
-        alone = np.stack([pq.segment_distances_rows(x[None], cb)[0] for x in xs])
-        np.testing.assert_array_equal(stepped, alone)
-        for chunk in (2, 16, 64):
-            got = np.concatenate([pq.segment_distances_rows(xs[lo:lo + chunk], cb)
-                                  for lo in range(0, len(xs), chunk)])
-            np.testing.assert_array_equal(got, alone, err_msg=f"chunk {chunk}")
-        np.testing.assert_allclose(alone, pq.segment_distances_batch(xs, cb), rtol=1e-12)
-
-    def test_queries_never_use_the_matmul_distances(self, ifc_index, small_dataset,
-                                                     monkeypatch):
-        """`segment_distances_batch` can change a value's last bit with the
-        number of rows, so the query side must not call it."""
-        def refuse(*args):
-            raise AssertionError("query side called segment_distances_batch")
-
-        monkeypatch.setattr(pq, "segment_distances_batch", refuse)
-        cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
-        search.batch_query(ifc_index, small_dataset[1], cfg)
-        search.query(ifc_index, small_dataset[1].vectors[0], cfg)
+    def test_distances_independent_of_chunking(self):
+        """`segment_distances_batch` is the only word-assignment kernel. Its
+        `einsum` sums each value in an order that does not depend on the
+        other rows; that is a property of numpy's implementation, not of its
+        documented contract, so a numpy upgrade that breaks it fails here."""
+        for k, m, seg_dim, n in ((64, 2, 32, 2100), (16, 4, 5, 1100), (256, 1, 64, 1100)):
+            cb = random_codebook(k=k, m=m, seg_dim=seg_dim, seed=5)
+            xs = np.random.default_rng(6).standard_normal((n, m * seg_dim))
+            alone = np.stack([pq.segment_distances(x, cb) for x in xs])
+            for chunk in (1, 2, 3, 16, 64, 1000, n):
+                got = np.concatenate([pq.segment_distances_batch(xs[lo:lo + chunk], cb)
+                                      for lo in range(0, n, chunk)])
+                np.testing.assert_array_equal(
+                    got, alone, err_msg=f"numpy {np.__version__}: distances of K={k}, "
+                    f"M={m}, D/M={seg_dim} change with the chunk of {chunk} rows")
+            diff = xs.reshape(n, m, 1, seg_dim) - cb.sub_codebooks.astype(np.float64)
+            np.testing.assert_allclose(alone, (diff * diff).sum(axis=-1), rtol=1e-12)
 
     def test_integer_codebook_words_match_exhaustive(self, ifc_index):
         """Exact distances with many ties: the (distance, word id) order."""
@@ -262,11 +253,72 @@ class TestBatchWords:
         count = 40
         expected = [[w for _, w in exhaustive_ranking(x, cb)[:count]] for x in xs]
         for chunk in (1, 2, 16, 64):
-            got = np.concatenate([search._assign(ix, xs[lo:lo + chunk], count)
+            got = np.concatenate([invindex.assign_words(cb, xs[lo:lo + chunk], count)
                                   for lo in range(0, len(xs), chunk)])
             assert got.tolist() == expected, f"chunk {chunk}"
             for i in (0, 69):
                 assert search.select_words(ix, xs[i], count).tolist() == expected[i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 40), integer=st.booleans(), data=st.data())
+    def test_database_rows_select_their_links(self, scheme, seed, n, integer, data):
+        """`select_words` of every database row equals the S words that the
+        build linked it to, in the build's selection order, whatever rows the
+        build assigned together. Integer vectors and an integer codebook make
+        exact ties, which the (distance, word id) order must break the same
+        way on both sides; duplicate rows must get equal links."""
+        rng = np.random.default_rng(seed)
+        dim, length = 12, 4
+        if integer:
+            vectors = rng.integers(-2, 3, (n, dim)).astype(np.float32)
+        else:
+            vectors = rng.standard_normal((n, dim)).astype(np.float32)
+        dups = data.draw(st.integers(0, n // 2), label="duplicated rows")
+        vectors[n - dups:] = vectors[:dups]
+        training, pq_cfg, word_count = None, None, dim
+        if scheme == "ifc":
+            k = data.draw(st.integers(2, 6), label="K")
+            word_count = k * k
+            pq_cfg = PqConfig(segments=2, words_per_segment=k, kmeans_iters=3,
+                              kmeans_seed=seed % 97, kmeans_restarts=1)
+            if integer:
+                # K distinct integer points per segment, each repeated: k-means
+                # keeps them as its centroids, so every distance is an integer
+                picks = rng.choice(5**6, 2 * k, replace=False)
+                pts = picks[:, None] // 5 ** np.arange(6) % 5 - 2  # in {-2..2}^6
+                rows = np.hstack([pts[:k], pts[k:]])
+                training = FeatureSet(np.tile(rows, (3, 1)).astype(np.float32))
+            else:
+                training = FeatureSet(rng.standard_normal((4 * k, dim)).astype(np.float32))
+        s = data.draw(st.integers(1, min(6, word_count)), label="S")
+        chunk_rows = data.draw(st.integers(1, n), label="build chunk rows")
+        cfg = BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg,
+                          virtual_word_seed=seed % 89)
+        built = []
+        assign_words = invindex.assign_words
+
+        def recording(quantizer, xs, count):
+            built.append(assign_words(quantizer, xs, count))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invindex, "_BUILD_BYTES", chunk_rows * s * length * 8)
+            mp.setattr(invindex, "assign_words", recording)
+            ix = invindex.build(FeatureSet(vectors), cfg, training=training)
+        links = np.concatenate(built)
+        assert links.shape == (n, s)
+        if integer and scheme == "ifc":
+            cents = ix.quantizer.sub_codebooks
+            assert np.array_equal(cents, np.round(cents)), "distances would not be exact"
+        words_of_row = {}
+        for wid, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:]):
+            for image_id in ix.ids[lo:hi].tolist():
+                words_of_row.setdefault(image_id, set()).add(int(wid))
+        for i, x in enumerate(vectors):
+            got = search.select_words(ix, x, s)
+            assert got.tolist() == links[i].tolist(), f"row {i}"
+            assert set(got.tolist()) == words_of_row[i]
 
 
 class TestTracedCalls:
