@@ -147,6 +147,8 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     on the chunk size.
     """
     d, n, s = db.dim, db.n, cfg.link_count
+    if n == 0:
+        raise DataError("database has no vectors to index")
     if d % cfg.code_length != 0:
         raise DataError(f"dimension {d} not divisible by code length {cfg.code_length}")
 

@@ -113,6 +113,36 @@ class TestHamming:
                                       [embed.hamming(a, c) for a, c in zip(per_row, codes)])
 
 
+def test_hamming_to_many_matches_hamming_across_widths():
+    """Codes of 1 to 520 bytes: u1, u2, u4 and u8 words, with u8 codes of 1 to
+    65 words on both sides of `COLUMN_SUM_MAX_WORDS`. 0, 1 and 37 rows, one
+    code for all rows or one per row. Every third row differs from its query
+    code in every bit, so distances of 256 and 4,096 occur, where an 8-bit
+    accumulator would wrap to 0."""
+    rng = np.random.default_rng(17)
+    cut = embed.COLUMN_SUM_MAX_WORDS
+    widths = sorted(set(range(1, 521)) | {8 * cut, 8 * (cut + 1)})
+    seen = set()
+    for nbytes in widths:
+        word = next(w for w in (8, 4, 2, 1) if nbytes % w == 0)
+        for rows in (0, 1, 37):
+            codes = rng.integers(0, 256, (rows, nbytes), dtype=np.uint8)
+            code = rng.integers(0, 256, nbytes, dtype=np.uint8)
+            per_row = rng.integers(0, 256, (rows, nbytes), dtype=np.uint8)
+            codes[::3] = ~code
+            per_row[1::3] = ~codes[1::3]
+            for query in (code, per_row):
+                got = embed.hamming_to_many(query, codes)
+                expected = [embed.hamming(a, c)
+                            for a, c in zip(np.broadcast_to(query, codes.shape), codes)]
+                assert got.shape == (rows,)
+                assert got.dtype == (np.int64 if nbytes > word else np.uint8)
+                np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64),
+                                              err_msg=f"{nbytes} bytes, {rows} rows")
+                seen.update(got.tolist())
+    assert {256, 4096} <= seen
+
+
 def test_locality_of_codes():
     """Codes of nearby vectors differ in far fewer bits than codes of
     independent vectors (statistical, fixed seed)."""

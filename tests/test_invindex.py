@@ -74,6 +74,23 @@ class TestBuild:
         with pytest.raises(DataError, match="exceeds word count"):
             invindex.build(db, BuildConfig(scheme="tifc", link_count=17, code_length=8))
 
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_empty_database_rejected(self, scheme):
+        """IFC gets its own training set, so only the empty database stops
+        the build, and it stops before any training or table draw."""
+        rng = np.random.default_rng(2)
+        training, pq_cfg = None, None
+        if scheme == "ifc":
+            training = FeatureSet(rng.standard_normal((20, 8)).astype(np.float32))
+            pq_cfg = PqConfig(segments=2, words_per_segment=3, kmeans_iters=2)
+        cfg = BuildConfig(scheme=scheme, link_count=2, code_length=4, pq=pq_cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((pq, "train"), (tifc, "make_virtual_words")):
+                mp.setattr(module, name, lambda *a, **k: pytest.fail("drew a quantizer"))
+            with pytest.raises(DataError, match="no vectors"):
+                invindex.build(FeatureSet(np.zeros((0, 8), dtype=np.float32)), cfg,
+                               training=training)
+
     def test_code_length_divisibility_enforced(self, small_dataset):
         db = small_dataset[0]
         with pytest.raises(DataError, match="divisible"):

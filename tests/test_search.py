@@ -144,12 +144,17 @@ class TestQuery:
             search.batch_query(index_pair, small_dataset[1], cfg)
 
 
+# code lengths for random_index: up to 24 bits on 24-d vectors, wider on 384-d
+LENGTHS = [3, 4, 6, 8, 12, 24, 128, 192, 384]
+
+
 def random_index(scheme, seed, n, length, data):
-    """A random small index of 24-d vectors with some duplicated rows, and a
-    query config drawn to include T = 0, T = L and W up to the word count:
-    (index, vectors, config, generator)."""
+    """A random small index with some duplicated rows, 24-d for codes of up to
+    24 bits and 384-d for wider ones, and a query config drawn to include
+    T = 0, T = L and W up to the word count: (index, vectors, config,
+    generator)."""
     rng = np.random.default_rng(seed)
-    dim = 24
+    dim = 24 if length <= 24 else 384
     vectors = rng.standard_normal((n, dim)).astype(np.float32)
     dups = data.draw(st.integers(0, n // 2), label="duplicated rows")
     vectors[n - dups:] = vectors[:dups]
@@ -179,11 +184,12 @@ class TestVotingOracle:
     """`query` against `pipeline_oracle` on random small indexes: T = 0 and
     T = L, W up to the word count (most probed words then have no list),
     duplicate vectors, top_k beyond the hits, and short codes that tie on
-    votes and on min Hamming."""
+    votes and on min Hamming. Codes of 128, 192 and 384 bits (2, 3 and 6 u8
+    words) on 384-d vectors reach the multi-word Hamming sum."""
 
     @settings(max_examples=200, deadline=None)
     @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
-           n=st.integers(1, 12), length=st.sampled_from([3, 4, 6, 8, 12, 24]),
+           n=st.integers(1, 12), length=st.sampled_from(LENGTHS),
            data=st.data())
     def test_query_matches_oracle(self, scheme, seed, n, length, data):
         ix, vectors, cfg, rng = random_index(scheme, seed, n, length, data)
@@ -201,7 +207,7 @@ class TestVotingOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
-           n=st.integers(1, 12), length=st.sampled_from([3, 4, 6, 8, 12, 24]),
+           n=st.integers(1, 12), length=st.sampled_from(LENGTHS),
            data=st.data())
     def test_batch_matches_query_and_oracle(self, scheme, seed, n, length, data):
         """Chunks of 1, 2 and 3 rows, so that chunk boundaries fall inside
