@@ -12,12 +12,13 @@ before timing. The table gives each form's median and quartiles in
 microseconds:
 
 - `hamming_to_many`: the kernel as it is;
-- `row sum`: `counts.sum(axis=-1, dtype=np.int64)`, one reduction per row;
+- `row sum`: `counts.sum(axis=-1, dtype=np.int64)`, one reduction per row,
+  for codes of several words, and the counts as they are for one word;
 - `columns`: int64 sum of the first word column, plus each further column;
 - `einsum`: `np.einsum("ij->i", counts, dtype=np.int64)`.
 
 `embed.COLUMN_SUM_MAX_WORDS` is the widest code, in words, that
-`hamming_to_many` sums by columns; above it the kernel takes the row-wise
+`hamming_to_many` sums by columns; above it the kernel takes the `einsum`
 form. Re-check it on a new machine or numpy by where `columns` stops being the
 fastest.
 """
@@ -42,7 +43,10 @@ def word_counts(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def row_sum(code, codes):
-    return word_counts(code, codes).sum(axis=-1, dtype=np.int64)
+    counts = word_counts(code, codes)
+    if counts.shape[-1] == 1:
+        return counts[:, 0]
+    return counts.sum(axis=-1, dtype=np.int64)
 
 
 def columns(code, codes):
@@ -92,12 +96,11 @@ def main():
     print(f"{'bits':>5} {'words':>5}" + "".join(f" {name:>20}" for name in FORMS))
     for bits in WIDTHS:
         times = time_width(bits, args.rows, args.repeats, rng)
-        words = bits // 64
         cells = []
         for name in FORMS:
             q1, med, q3 = np.percentile(times[name], [25, 50, 75])
             cells.append(f"{med:.0f} [{q1:.0f}, {q3:.0f}]")
-        print(f"{bits:>5} {words:>5}" + "".join(f" {c:>20}" for c in cells))
+        print(f"{bits:>5} {bits // 64:>5}" + "".join(f" {c:>20}" for c in cells))
 
 
 if __name__ == "__main__":
