@@ -11,9 +11,9 @@ import numpy as np
 
 # Widest code, in words, whose popcounts hamming_to_many adds up one word
 # column at a time. Measured as scripts/bench_hamming.py does (8,000 rows,
-# numpy 2.4.6, 2 vCPUs; median us, columns / einsum / sum(axis=-1)): 4 words 84 /
-# 140 / 244, 16 words 409 / 428 / 520, 20 words 432 / 419 / 533, 32 words
-# 835 / 769 / 855, 64 words 1,719 / 1,425 / 1,486.
+# numpy 2.4.6, 2 vCPUs; median us, columns / einsum / sum(axis=-1)):
+# 4 words 84 / 140 / 244, 16 words 409 / 428 / 520, 20 words 432 / 419 / 533,
+# 32 words 835 / 769 / 855, 64 words 1,719 / 1,425 / 1,486.
 COLUMN_SUM_MAX_WORDS = 16
 
 
