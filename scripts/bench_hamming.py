@@ -1,26 +1,18 @@
 #!/usr/bin/env python3
-"""Time `embed.hamming_to_many` against other ways of summing a code's word
-popcounts, at code widths of 64 to 4,096 bits.
+"""Time `embed.hamming_to_many` against numpy's row sum of the word
+popcounts, at code widths of 64 to 4,096 bits and several scan lengths.
 
-    PYTHONPATH=src python3 scripts/bench_hamming.py [--rows 8000] [--repeats 60]
+    PYTHONPATH=src python3 scripts/bench_hamming.py [--rows 10 100 200 8000] [--repeats 100]
 
-Each width gets random packed codes of `--rows` rows and one query code per
-row, as a query's posting scan passes them. The forms are timed interleaved,
-one call each per repeat in a rotating order, so that a change in the host's
-speed hits them alike. Every form's answer is checked against the row sum
-before timing. The table gives each form's median and quartiles in
-microseconds:
-
-- `hamming_to_many`: the kernel as it is;
-- `row sum`: `counts.sum(axis=-1, dtype=np.int64)`, one reduction per row,
-  for codes of several words, and the counts as they are for one word;
-- `columns`: int64 sum of the first word column, plus each further column;
-- `einsum`: `np.einsum("ij->i", counts, dtype=np.int64)`.
-
-`embed.COLUMN_SUM_MAX_WORDS` is the widest code, in words, that
-`hamming_to_many` sums by columns; above it the kernel takes the `einsum`
-form. Re-check it on a new machine or numpy by where `columns` stops being the
-fastest.
+Each width and row count gets random packed codes and one query code per
+row, as a query's posting scan passes them. The row sum is
+`counts.sum(axis=-1, dtype=np.int64)` over `embed.word_popcounts`, or the
+counts as they are for a one-word code. The two are timed interleaved, in
+alternating order, so that a change in the host's speed hits both alike, and
+checked equal first. The table gives each one's median and quartiles in
+microseconds, and the ratio of the medians. Re-check
+`embed.COLUMN_SUM_MAX_WORDS` and `embed.COLUMN_SUM_MIN_ROWS` with it on a new
+machine or numpy: the kernel should be no slower than the row sum anywhere.
 """
 
 from __future__ import annotations
@@ -35,72 +27,50 @@ from cnnidx import embed
 WIDTHS = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
-def word_counts(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Per-word popcounts of the XOR, on the kernel's word width."""
-    nbytes = codes.shape[-1]
-    word = np.dtype(f"u{next(w for w in (8, 4, 2, 1) if nbytes % w == 0)}")
-    return np.bitwise_count(codes.view(word) ^ code.view(word))
-
-
 def row_sum(code, codes):
-    counts = word_counts(code, codes)
+    counts = embed.word_popcounts(code, codes)
     if counts.shape[-1] == 1:
-        return counts[:, 0]
+        return counts[..., 0]
     return counts.sum(axis=-1, dtype=np.int64)
 
 
-def columns(code, codes):
-    counts = word_counts(code, codes)
-    out = counts[:, 0].astype(np.int64)
-    for j in range(1, counts.shape[-1]):
-        out += counts[:, j]
-    return out
+FORMS = {"hamming_to_many": embed.hamming_to_many, "row sum": row_sum}
 
 
-def einsum(code, codes):
-    return np.einsum("ij->i", word_counts(code, codes), dtype=np.int64)
-
-
-FORMS = {"hamming_to_many": embed.hamming_to_many, "row sum": row_sum,
-         "columns": columns, "einsum": einsum}
-
-
-def time_width(bits: int, rows: int, repeats: int, rng) -> dict[str, np.ndarray]:
+def time_forms(bits: int, rows: int, repeats: int, rng) -> dict[str, np.ndarray]:
     codes = rng.integers(0, 256, (rows, bits // 8), dtype=np.uint8)
     code = rng.integers(0, 256, (rows, bits // 8), dtype=np.uint8)
-    expected = row_sum(code, codes)
-    for name, form in FORMS.items():
-        if not np.array_equal(form(code, codes), expected):
-            raise AssertionError(f"{name} disagrees with the row sum at {bits} bits")
+    if not np.array_equal(embed.hamming_to_many(code, codes), row_sum(code, codes)):
+        raise AssertionError(f"hamming_to_many disagrees with the row sum at {bits} bits")
     names = list(FORMS)
     samples = {name: [] for name in names}
     for r in range(repeats):
-        for name in names[r % len(names):] + names[:r % len(names)]:
-            form = FORMS[name]
+        for name in names[r % 2:] + names[:r % 2]:
             t0 = time.perf_counter_ns()
-            form(code, codes)
+            FORMS[name](code, codes)
             samples[name].append(time.perf_counter_ns() - t0)
     return {name: np.array(s) / 1e3 for name, s in samples.items()}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rows", type=int, default=8000)
-    ap.add_argument("--repeats", type=int, default=60)
+    ap.add_argument("--rows", type=int, nargs="+", default=[10, 100, 200, 8000])
+    ap.add_argument("--repeats", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
-    print(f"numpy {np.__version__}, {args.rows} rows, {args.repeats} interleaved "
-          f"repeats, COLUMN_SUM_MAX_WORDS = {embed.COLUMN_SUM_MAX_WORDS}")
+    print(f"numpy {np.__version__}, {args.repeats} interleaved repeats, "
+          f"COLUMN_SUM_MAX_WORDS = {embed.COLUMN_SUM_MAX_WORDS}, "
+          f"COLUMN_SUM_MIN_ROWS = {embed.COLUMN_SUM_MIN_ROWS}")
     print("median [q1, q3] in us")
-    print(f"{'bits':>5} {'words':>5}" + "".join(f" {name:>20}" for name in FORMS))
-    for bits in WIDTHS:
-        times = time_width(bits, args.rows, args.repeats, rng)
-        cells = []
-        for name in FORMS:
-            q1, med, q3 = np.percentile(times[name], [25, 50, 75])
-            cells.append(f"{med:.0f} [{q1:.0f}, {q3:.0f}]")
-        print(f"{bits:>5} {bits // 64:>5}" + "".join(f" {c:>20}" for c in cells))
+    print(f"{'rows':>5} {'bits':>5}" + "".join(f" {name:>20}" for name in FORMS) + "  ratio")
+    for rows in args.rows:
+        for bits in WIDTHS:
+            times = time_forms(bits, rows, args.repeats, rng)
+            q = {name: np.percentile(t, [25, 50, 75]) for name, t in times.items()}
+            cells = "".join(f" {f'{m:.1f} [{q1:.1f}, {q3:.1f}]':>20}" for q1, m, q3 in q.values())
+            ratio = q["hamming_to_many"][1] / q["row sum"][1]
+            print(f"{rows:>5} {bits:>5}{cells}  {ratio:.2f}")
 
 
 if __name__ == "__main__":

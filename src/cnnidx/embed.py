@@ -9,12 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Widest code, in words, whose popcounts hamming_to_many adds up one word
-# column at a time. Measured as scripts/bench_hamming.py does (8,000 rows,
-# numpy 2.4.6, 2 vCPUs; median us, columns / einsum / sum(axis=-1)):
-# 4 words 84 / 140 / 244, 16 words 409 / 428 / 520, 20 words 432 / 419 / 533,
-# 32 words 835 / 769 / 855, 64 words 1,719 / 1,425 / 1,486.
-COLUMN_SUM_MAX_WORDS = 16
+# hamming_to_many adds up the word popcounts of a code one word column at a
+# time only where that was measured to beat numpy's row sum: codes of 2 to
+# COLUMN_SUM_MAX_WORDS words over at least COLUMN_SUM_MIN_ROWS rows. Four words
+# is the widest code a benchmark workload scans (tifc-wide, L = 256). Each
+# column pass costs about a microsecond whatever the row count, so the loop
+# loses on short scans and on wider codes. Measured as scripts/bench_hamming.py
+# does (numpy 2.4.6, 2 vCPUs; median us, column loop / row sum): 4 words on
+# 100, 200 and 8,000 rows 11.0 / 10.5, 8.7 / 10.2 and 57 / 198; 8 words on
+# 300 rows 14.6 / 14.0.
+COLUMN_SUM_MAX_WORDS = 4
+COLUMN_SUM_MIN_ROWS = 200
 
 
 @dataclass
@@ -66,20 +71,12 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
-def hamming_to_many(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Hamming distances from packed codes to each row of a code matrix.
+def word_popcounts(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Popcounts of the XOR of packed codes, one per word: (..., words) uint8.
 
     `code` is one code (B,) for every row, or one code per row (N, B). The
-    XOR is popcounted on the widest unsigned word that divides B bytes (8, 4,
-    2 or 1). A code of one word takes one `bitwise_count` and no sum, and
-    gives its uint8 counts. A code of several words gives int64 sums, added
-    up one word column at a time: the first column cast to int64, then each
-    further column added in place, one vectorised pass over N per word.
-    numpy's reduction along the short inner axis, `sum(axis=-1)`, pays a cost
-    per row and took 1.7 to 4 times as long at 2 to 8 words. The column
-    passes add up with the word count, so codes wider than
-    `COLUMN_SUM_MAX_WORDS` words are summed row by row in one `einsum` call,
-    which measured faster there than `sum(axis=-1)`.
+    XOR is taken on the widest unsigned word that divides B bytes (8, 4, 2
+    or 1).
     """
     code = np.ascontiguousarray(code, dtype=np.uint8)
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
@@ -87,13 +84,29 @@ def hamming_to_many(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
     if code.shape[-1] != nbytes:
         raise ValueError(f"code length mismatch: {codes.shape} vs {code.shape}")
     word = np.dtype(f"u{next(w for w in (8, 4, 2, 1) if nbytes % w == 0)}")
-    counts = np.bitwise_count(codes.view(word) ^ code.view(word))
+    return np.bitwise_count(codes.view(word) ^ code.view(word))
+
+
+def hamming_to_many(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Hamming distances from packed codes to each row of a code matrix.
+
+    `code` is one code (B,) for every row, or one code per row (N, B); the
+    per-word popcounts come from `word_popcounts`. A code of one word (at
+    most 64 bits) takes no sum and gives its uint8 counts. A code of several
+    words gives int64 sums. numpy's `sum(axis=-1)` reduces each short row on
+    its own and pays a cost per row, so at 2 to `COLUMN_SUM_MAX_WORDS` words
+    and at least `COLUMN_SUM_MIN_ROWS` rows the sum runs one word column at a
+    time instead: one vectorised pass over the rows per word, about 3.5
+    times as fast at 4 words on 8,000 rows. Wider codes and shorter scans
+    keep the row sum, where the column passes' fixed cost makes them slower.
+    """
+    counts = word_popcounts(code, codes)
     words = counts.shape[-1]
     if words == 1:
         return counts[..., 0]
-    if words > COLUMN_SUM_MAX_WORDS:
-        return np.einsum("...j->...", counts, dtype=np.int64)
-    out = counts[..., 0].astype(np.int64)
-    for j in range(1, words):
+    if words > COLUMN_SUM_MAX_WORDS or counts.size < COLUMN_SUM_MIN_ROWS * words:
+        return counts.sum(axis=-1, dtype=np.int64)
+    out = np.add(counts[..., 0], counts[..., 1], dtype=np.int64)
+    for j in range(2, words):
         out += counts[..., j]
     return out

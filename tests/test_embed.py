@@ -115,17 +115,21 @@ class TestHamming:
 
 def test_hamming_to_many_matches_hamming_across_widths():
     """Codes of 1 to 520 bytes: u1, u2, u4 and u8 words, with u8 codes of 1 to
-    65 words on both sides of `COLUMN_SUM_MAX_WORDS`. 0, 1 and 37 rows, one
+    65 words. 0, 1 and 37 rows, and for codes of up to one word past
+    `COLUMN_SUM_MAX_WORDS` also one row either side of `COLUMN_SUM_MIN_ROWS`,
+    so that both of the kernel's sums run on both sides of each cut. One
     code for all rows or one per row. Every third row differs from its query
     code in every bit, so distances of 256 and 4,096 occur, where an 8-bit
     accumulator would wrap to 0."""
     rng = np.random.default_rng(17)
-    cut = embed.COLUMN_SUM_MAX_WORDS
-    widths = sorted(set(range(1, 521)) | {8 * cut, 8 * (cut + 1)})
+    max_words, min_rows = embed.COLUMN_SUM_MAX_WORDS, embed.COLUMN_SUM_MIN_ROWS
     seen = set()
-    for nbytes in widths:
+    for nbytes in range(1, 521):
         word = next(w for w in (8, 4, 2, 1) if nbytes % w == 0)
-        for rows in (0, 1, 37):
+        row_counts = [0, 1, 37]
+        if nbytes <= 8 * (max_words + 1):
+            row_counts += [min_rows - 1, min_rows]
+        for rows in row_counts:
             codes = rng.integers(0, 256, (rows, nbytes), dtype=np.uint8)
             code = rng.integers(0, 256, nbytes, dtype=np.uint8)
             per_row = rng.integers(0, 256, (rows, nbytes), dtype=np.uint8)

@@ -144,10 +144,6 @@ class TestQuery:
             search.batch_query(index_pair, small_dataset[1], cfg)
 
 
-# code lengths for random_index: up to 24 bits on 24-d vectors, wider on 384-d
-LENGTHS = [3, 4, 6, 8, 12, 24, 128, 192, 384]
-
-
 def random_index(scheme, seed, n, length, data):
     """A random small index with some duplicated rows, 24-d for codes of up to
     24 bits and 384-d for wider ones, and a query config drawn to include
@@ -180,53 +176,83 @@ def random_index(scheme, seed, n, length, data):
     return ix, vectors, cfg, rng
 
 
+def check_query_against_oracle(scheme, seed, n, length, data):
+    ix, vectors, cfg, rng = random_index(scheme, seed, n, length, data)
+    w = cfg.assignment_count
+    lists = {int(wid): set(ix.ids[lo:hi].tolist())
+             for wid, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
+    for q in np.vstack([vectors[:2], rng.standard_normal((2, vectors.shape[1]))]):
+        res = search.query(ix, q, cfg, count_candidates=True)
+        assert res.entries == pipeline_oracle(ix, q, cfg)
+        union = set().union(*(lists.get(wid, set())
+                              for wid in search.select_words(ix, q, w)))
+        assert search.candidate_set(ix, q, w) == union
+        assert res.candidates == len(union)
+
+
+def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
+    """Chunks of 1, 2 and 3 rows, so that chunk boundaries fall inside
+    batches of up to 7 queries (database rows and random vectors)."""
+    ix, vectors, cfg, rng = random_index(scheme, seed, n, length, data)
+    pool = np.vstack([vectors, rng.standard_normal((7, vectors.shape[1]))])
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=7), label="queries")
+    queries = pool[np.array(picks, dtype=np.int64)]
+    expected = [search.query(ix, q, cfg).entries for q in queries]
+    assert expected == [pipeline_oracle(ix, q, cfg) for q in queries]
+    counts = [len(search.candidate_set(ix, q, cfg.assignment_count)) for q in queries]
+    for chunk in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_QUERY_CHUNK", chunk)
+            results, summary = search.batch_query(ix, queries, cfg)
+        assert [r.entries for r in results] == expected
+        assert summary.candidate_counts == counts
+        assert [r.candidates for r in results] == counts
+        assert len(summary.query_times) == len(queries)
+
+
 class TestVotingOracle:
     """`query` against `pipeline_oracle` on random small indexes: T = 0 and
     T = L, W up to the word count (most probed words then have no list),
     duplicate vectors, top_k beyond the hits, and short codes that tie on
-    votes and on min Hamming. Codes of 128, 192 and 384 bits (2, 3 and 6 u8
-    words) on 384-d vectors reach the multi-word Hamming sum."""
+    votes and on min Hamming.
+
+    The wide-code tests draw codes of 128, 192 and 384 bits (2, 3 and 6 u8
+    words) on 384-d vectors, with their own example budget, so the short codes
+    keep theirs. Their scans are far shorter than
+    `embed.COLUMN_SUM_MIN_ROWS`, so they lower it to one row: the 2- and
+    3-word codes then take the column sum, and the 6-word codes the row sum."""
 
     @settings(max_examples=200, deadline=None)
     @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
-           n=st.integers(1, 12), length=st.sampled_from(LENGTHS),
+           n=st.integers(1, 12), length=st.sampled_from([3, 4, 6, 8, 12, 24]),
            data=st.data())
     def test_query_matches_oracle(self, scheme, seed, n, length, data):
-        ix, vectors, cfg, rng = random_index(scheme, seed, n, length, data)
-        w = cfg.assignment_count
-        lists = {int(wid): set(ix.ids[lo:hi].tolist())
-                 for wid, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
-        for q in np.vstack([vectors[:2], rng.standard_normal((2, vectors.shape[1]))]):
-            res = search.query(ix, q, cfg, count_candidates=True)
-            assert res.entries == pipeline_oracle(ix, q, cfg)
-            union = set().union(*(lists.get(wid, set())
-                                  for wid in search.select_words(ix, q, w)))
-            assert search.candidate_set(ix, q, w) == union
-            assert res.candidates == len(union)
+        check_query_against_oracle(scheme, seed, n, length, data)
 
+    @settings(max_examples=70, deadline=None)
+    @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 12), length=st.sampled_from([128, 192, 384]),
+           data=st.data())
+    def test_query_matches_oracle_wide_codes(self, scheme, seed, n, length, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embed, "COLUMN_SUM_MIN_ROWS", 1)
+            check_query_against_oracle(scheme, seed, n, length, data)
 
     @settings(max_examples=150, deadline=None)
     @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
-           n=st.integers(1, 12), length=st.sampled_from(LENGTHS),
+           n=st.integers(1, 12), length=st.sampled_from([3, 4, 6, 8, 12, 24]),
            data=st.data())
     def test_batch_matches_query_and_oracle(self, scheme, seed, n, length, data):
-        """Chunks of 1, 2 and 3 rows, so that chunk boundaries fall inside
-        batches of up to 7 queries (database rows and random vectors)."""
-        ix, vectors, cfg, rng = random_index(scheme, seed, n, length, data)
-        pool = np.vstack([vectors, rng.standard_normal((7, vectors.shape[1]))])
-        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=7), label="queries")
-        queries = pool[np.array(picks, dtype=np.int64)]
-        expected = [search.query(ix, q, cfg).entries for q in queries]
-        assert expected == [pipeline_oracle(ix, q, cfg) for q in queries]
-        counts = [len(search.candidate_set(ix, q, cfg.assignment_count)) for q in queries]
-        for chunk in (1, 2, 3):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_QUERY_CHUNK", chunk)
-                results, summary = search.batch_query(ix, queries, cfg)
-            assert [r.entries for r in results] == expected
-            assert summary.candidate_counts == counts
-            assert [r.candidates for r in results] == counts
-            assert len(summary.query_times) == len(queries)
+        check_batch_against_query_and_oracle(scheme, seed, n, length, data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 12), length=st.sampled_from([128, 192, 384]),
+           data=st.data())
+    def test_batch_matches_query_and_oracle_wide_codes(self, scheme, seed, n, length, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embed, "COLUMN_SUM_MIN_ROWS", 1)
+            check_batch_against_query_and_oracle(scheme, seed, n, length, data)
 
 
 class TestBatchWords:
