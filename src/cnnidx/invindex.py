@@ -67,8 +67,20 @@ SCHEME_IFC = "ifc"
 # Largest TIFC table of segment means, D * L, that build or load will draw.
 MAX_TABLE_ENTRIES = 1 << 24
 
-# Bytes of the (rows, S, L) float64 word-mean gather per build chunk.
-_BUILD_BYTES = 64 << 20
+# Bytes of float64 working arrays per build chunk. A row takes D + stage + S*L
+# of them: its input, its word stage (D term frequencies for TIFC, M*K
+# segment distances for IFC) and the means of its S words. Median seconds of
+# the build's encoding loop over 9 runs (2 vCPUs), by budget:
+#
+#   budget      2 MiB   4 MiB   8 MiB   16 MiB   64 MiB   S*L only
+#   tifc-wide   0.57    0.58    0.47    0.55     0.83     0.98
+#   ifc-hard    0.55    0.47    0.45    0.45     0.50     0.48
+#
+# The last column sizes chunks by the S*L means alone at 64 MiB (819 and
+# 6,553 rows; IFC then merged 1,024 rows at a time). That leaves a row's
+# input and stage unbounded: at S = 2, L = 8 a 20,000 x 512 TIFC build goes
+# in one chunk and peaks at 244.5 MiB, against 12.7 MiB under this budget.
+_BUILD_BYTES = 8 << 20
 
 
 @dataclass
@@ -141,10 +153,10 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     """Index a database under TIFC or IFC with multiple link S.
 
     For IFC the codebook is trained on `training` (default: the database
-    itself). Every image lands in exactly S distinct posting lists. Rows go
-    through `assign_words` and `encode_rows` in chunks sized so that their
-    word-mean gather stays within `_BUILD_BYTES`; the index does not depend
-    on the chunk size.
+    itself), whose dimension, row count and segment count are checked before
+    training. Every image lands in exactly S distinct posting lists. Rows go
+    through `assign_words` and `encode_rows` in chunks whose float64 working
+    arrays stay within `_BUILD_BYTES`; the index does not depend on the chunk size.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
@@ -155,17 +167,23 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     if cfg.scheme == SCHEME_TIFC:
         _check_table(d, cfg.code_length, "database")
         quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
-        word_count = d
+        word_count = stage = d  # the stage row: one term frequency per word
     else:
-        quantizer = pq.train(training if training is not None else db, cfg.pq)
-        if quantizer.dim != d:
-            raise DataError(f"codebook dim {quantizer.dim} != database dim {d}")
-        word_count = quantizer.word_count
+        training = training if training is not None else db
+        m, k = cfg.pq.segments, cfg.pq.words_per_segment
+        if training.dim != d:
+            raise DataError(f"training dim {training.dim} != database dim {d}")
+        if d % m != 0:
+            raise DataError(f"dimension {d} not divisible by {m} segments")
+        if training.n < k:
+            raise DataError(f"need at least {k} training vectors, got {training.n}")
+        quantizer = pq.train(training, cfg.pq)
+        word_count, stage = k**m, m * k  # the stage row: M x K segment distances
 
     if s > word_count:
         raise DataError(f"link count {s} exceeds word count {word_count}")
 
-    chunk_rows = max(1, _BUILD_BYTES // (s * cfg.code_length * 8))
+    chunk_rows = max(1, _BUILD_BYTES // ((d + stage + s * cfg.code_length) * 8))
     wid_parts, code_parts = [], []
     for lo in range(0, n, chunk_rows):
         chunk = db.vectors[lo:lo + chunk_rows]

@@ -27,11 +27,6 @@ import numpy as np
 
 from .vecio import FeatureSet
 
-# Rows that `nearest_words_batch` merges at once. Each candidate array of the
-# merge is (rows, about count * (ln(count) + 0.6)), so more rows raise peak
-# memory without making the merge faster.
-_NEAREST_CHUNK = 1024
-
 
 @dataclass
 class PqConfig:
@@ -240,14 +235,10 @@ def nearest_words(x, cb: PqCodebook, count: int) -> list[tuple[int, float]]:
 
 
 def nearest_words_batch(xs: np.ndarray, cb: PqCodebook, count: int) -> np.ndarray:
-    """Word ids of the `count` nearest product words per row, shape (N, count),
-    in (distance, word id) order; a row's words depend on that row alone."""
-    n = xs.shape[0]
-    out = np.empty((n, count), dtype=np.int64)
-    for lo in range(0, n, _NEAREST_CHUNK):
-        dists = segment_distances_batch(xs[lo:lo + _NEAREST_CHUNK], cb)
-        out[lo:lo + len(dists)] = _nearest(dists, cb.config.words_per_segment, count)[0]
-    return out
+    """Word ids of each row's `count` nearest product words, (N, count), in
+    (distance, word id) order and from that row alone. Callers bound N."""
+    # all N rows at once: the distances and the merge's candidate arrays grow with N
+    return _nearest(segment_distances_batch(xs, cb), cb.config.words_per_segment, count)[0]
 
 
 def _nearest(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np.ndarray]:

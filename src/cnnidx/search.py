@@ -23,6 +23,11 @@ from .vecio import write_int_lists
 
 # Query rows that `batch_query` assigns and encodes together; 16 to 256
 # rows ran within about 20% of each other on both benchmark workloads.
+# Larger chunks spread the fixed per-query cost thinner, and acceptance
+# criterion 7 (IFC mean query time grows < 5x from 10k to 100k vectors)
+# rests on that cost. Chunks sized like the build's (`invindex._BUILD_BYTES`,
+# 712 to 780 rows) failed it in 3 of 16 isolated runs in one series (x5.45
+# to x8.01) and 1 of 16 in another (x5.55), against 0 and 1 of 16 at 64 rows.
 _QUERY_CHUNK = 64
 
 

@@ -91,6 +91,25 @@ class TestBuild:
                 invindex.build(FeatureSet(np.zeros((0, 8), dtype=np.float32)), cfg,
                                training=training)
 
+    @pytest.mark.parametrize("db_rows, training_shape, segments, message", [
+        (30, (20, 12), 2, "training dim 12 != database dim 8"),
+        (30, (20, 8), 3, "dimension 8 not divisible by 3 segments"),
+        (30, (10, 8), 2, "need at least 16 training vectors, got 10"),
+        (10, None, 2, "need at least 16 training vectors, got 10"),  # the database trains
+    ])
+    def test_ifc_input_errors_rejected_before_training(self, db_rows, training_shape,
+                                                       segments, message):
+        rng = np.random.default_rng(3)
+        db = FeatureSet(rng.standard_normal((db_rows, 8)).astype(np.float32))
+        training = None if training_shape is None else FeatureSet(
+            rng.standard_normal(training_shape).astype(np.float32))
+        cfg = BuildConfig(scheme="ifc", link_count=2, code_length=4,
+                          pq=PqConfig(segments=segments, words_per_segment=16))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pq, "train", lambda *a, **k: pytest.fail("trained a codebook"))
+            with pytest.raises(DataError, match=message):
+                invindex.build(db, cfg, training=training)
+
     def test_code_length_divisibility_enforced(self, small_dataset):
         db = small_dataset[0]
         with pytest.raises(DataError, match="divisible"):
@@ -112,7 +131,9 @@ class TestBuild:
             return embed.pack_bits(bits)
 
         monkeypatch.setattr(invindex, "pack_bits", counting_pack_bits)
-        monkeypatch.setattr(invindex, "_BUILD_BYTES", 3 * 3 * 8 * 8)  # 3 rows of (S, L) float64
+        # 3 rows of float64 (D + stage + S*L): stage is D for TIFC, M*K for IFC
+        monkeypatch.setattr(invindex, "_BUILD_BYTES",
+                            3 * (16 + (16 if scheme == "tifc" else 2 * 4) + 3 * 8) * 8)
         invindex.save(invindex.build(db, cfg), chunked)
         assert chunks == [3] * 16 + [2]
         assert chunked.read_bytes() == whole.read_bytes()
@@ -166,6 +187,44 @@ class TestBuild:
         invindex.save(invindex.build(db, cfg), a)
         invindex.save(invindex.build(db, cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBuildMemory:
+    """The build's traced peak stays bounded as n grows: rows are chunked by
+    their whole float64 footprint, input plus word stage plus word means."""
+
+    LIMIT = 64 << 20
+
+    @staticmethod
+    def build_peak(db, cfg, training=None):
+        tracemalloc.start()
+        try:
+            invindex.build(db, cfg, training=training)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_tifc_peak_bounded(self):
+        """20,000 x 512 at S = 2, L = 8: each row's D term frequencies, not
+        its 16 word means, set the chunk (164 MB of float64 rows and
+        frequencies if the whole database went at once)."""
+        rng = np.random.default_rng(5)
+        db = FeatureSet(rng.standard_normal((20_000, 512)).astype(np.float32))
+        cfg = BuildConfig(scheme="tifc", link_count=2, code_length=8)
+        assert self.build_peak(db, cfg) < self.LIMIT
+
+    def test_ifc_peak_bounded_by_segment_distances(self):
+        """K = 256, M = 2 on 64-d rows at S = 1, L = 8: each row's 512
+        segment distances outweigh its D + S*L = 72 other values, so they
+        must be counted for the chunk to stay small."""
+        rng = np.random.default_rng(6)
+        db = FeatureSet(rng.standard_normal((20_000, 64)).astype(np.float32))
+        training = FeatureSet(rng.standard_normal((1_000, 64)).astype(np.float32))
+        cfg = BuildConfig(scheme="ifc", link_count=1, code_length=8,
+                          pq=PqConfig(segments=2, words_per_segment=256, kmeans_iters=5,
+                                      kmeans_restarts=1))
+        assert self.build_peak(db, cfg, training) < self.LIMIT
 
 
 class TestPersistence:

@@ -353,6 +353,20 @@ class TestNearestWords:
             single = [w for w, _ in pq.nearest_words(xs[i], cb, 5)]
             assert list(batch[i]) == single
 
+    def test_many_rows_in_one_call_match_small_chunks(self):
+        """2,100 rows in one call, more than 1,024, get the words they get in
+        chunks of 7 and 64 rows; integer rows and centroids make ties."""
+        cb = integer_codebook(k=16, m=2, seg_dim=2, seed=33)
+        rng = np.random.default_rng(34)
+        xs = np.vstack([rng.integers(0, 3, (1050, cb.dim)),
+                        rng.standard_normal((1050, cb.dim))]).astype(np.float64)
+        whole = pq.nearest_words_batch(xs, cb, 40)
+        assert whole.shape == (2100, 40)
+        for chunk in (7, 64):
+            parts = [pq.nearest_words_batch(xs[lo:lo + chunk], cb, 40)
+                     for lo in range(0, len(xs), chunk)]
+            np.testing.assert_array_equal(whole, np.concatenate(parts), err_msg=f"chunk {chunk}")
+
 
 def integer_codebook(k, m, seg_dim, seed):
     """Centroids with coordinates in {0, 1, 2}: distances to integer vectors

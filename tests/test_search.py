@@ -335,7 +335,8 @@ class TestBatchWords:
             return built[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(invindex, "_BUILD_BYTES", chunk_rows * s * length * 8)
+            mp.setattr(invindex, "_BUILD_BYTES", chunk_rows * 8 * (
+                dim + (dim if scheme == "tifc" else 2 * k) + s * length))
             mp.setattr(invindex, "assign_words", recording)
             ix = invindex.build(FeatureSet(vectors), cfg, training=training)
         links = np.concatenate(built)
