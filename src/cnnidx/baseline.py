@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .invindex import CHUNK_BYTES
 from .vecio import FeatureSet
 
 
@@ -20,6 +21,8 @@ class LshConfig:
     def __post_init__(self):
         if self.tables < 1 or self.bits_per_table < 1:
             raise ValueError("tables and bits_per_table must be >= 1")
+        if self.bits_per_table > 64:
+            raise ValueError("bits_per_table must be <= 64, the bits of a bucket key")
 
 
 @dataclass
@@ -37,11 +40,14 @@ def brute_force(db: FeatureSet, q, top_k: int) -> list[int]:
     return [int(i) for i in order[:top_k]]
 
 
-def _sq_dists(vectors: np.ndarray, q, chunk: int = 65536) -> np.ndarray:
+def _sq_dists(vectors: np.ndarray, q) -> np.ndarray:
+    # rows are chunked so that their float64 copies and differences, rows * 2D
+    # values, stay within CHUNK_BYTES
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (vectors.shape[1],):
         raise ValueError(f"query dim {q.shape} does not match database {vectors.shape}")
     n = vectors.shape[0]
+    chunk = max(1, CHUNK_BYTES // (2 * len(q) * 8))
     out = np.empty(n)
     for lo in range(0, n, chunk):
         diff = vectors[lo : lo + chunk].astype(np.float64) - q

@@ -67,10 +67,13 @@ SCHEME_IFC = "ifc"
 # Largest TIFC table of segment means, D * L, that build or load will draw.
 MAX_TABLE_ENTRIES = 1 << 24
 
-# Bytes of float64 working arrays per build chunk. A row takes D + stage + S*L
-# of them: its input, its word stage (D term frequencies for TIFC, M*K
-# segment distances for IFC) and the means of its S words. Median seconds of
-# the build's encoding loop over 9 runs (2 vCPUs), by budget:
+# Bytes of float64 working arrays per chunk of rows that `encode_chunks`
+# encodes, for the build and for batch queries alike, and per chunk of
+# database rows that brute force compares with a query. An encoded row takes
+# D + stage + count*L of them: its input, its word stage (D term frequencies
+# for TIFC, M*K segment distances for IFC) and the means of its `count`
+# words. Median seconds of the build's encoding loop over 9 runs (2 vCPUs),
+# by budget:
 #
 #   budget      2 MiB   4 MiB   8 MiB   16 MiB   64 MiB   S*L only
 #   tifc-wide   0.57    0.58    0.47    0.55     0.83     0.98
@@ -80,7 +83,7 @@ MAX_TABLE_ENTRIES = 1 << 24
 # 6,553 rows; IFC then merged 1,024 rows at a time). That leaves a row's
 # input and stage unbounded: at S = 2, L = 8 a 20,000 x 512 TIFC build goes
 # in one chunk and peaks at 244.5 MiB, against 12.7 MiB under this budget.
-_BUILD_BYTES = 8 << 20
+CHUNK_BYTES = 8 << 20
 
 
 @dataclass
@@ -96,6 +99,8 @@ class BuildConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.link_count < 1:
             raise ValueError("link_count must be >= 1")
+        if self.code_length < 1:
+            raise ValueError("code_length must be >= 1")
         if self.scheme == SCHEME_IFC and self.pq is None:
             raise ValueError("IFC build requires a PqConfig")
 
@@ -149,14 +154,28 @@ def encode_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: n
     return pack_bits(segment_means(xs, code_length)[:, None, :] >= c_means)
 
 
+def encode_chunks(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
+                  code_length: int):
+    """Yield `assign_words`' (rows, count) words and `encode_rows`' codes for
+    the rows of xs, chunk after chunk. Each chunk is cast to float64 once, and
+    its rows * (D + stage + count * L) float64 values stay within `CHUNK_BYTES`."""
+    d = xs.shape[1]
+    # the word stage's row: D term frequencies (TIFC), M*K segment distances (IFC)
+    stage = d if isinstance(quantizer, VirtualWordBank) else quantizer.sub_codebooks[..., 0].size
+    rows = max(1, CHUNK_BYTES // ((d + stage + count * code_length) * 8))
+    for lo in range(0, len(xs), rows):
+        chunk = np.asarray(xs[lo:lo + rows], dtype=np.float64)
+        wids = assign_words(quantizer, chunk, count)
+        yield wids, encode_rows(quantizer, chunk, wids, code_length)
+
+
 def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) -> InvertedIndex:
     """Index a database under TIFC or IFC with multiple link S.
 
     For IFC the codebook is trained on `training` (default: the database
     itself), whose dimension, row count and segment count are checked before
     training. Every image lands in exactly S distinct posting lists. Rows go
-    through `assign_words` and `encode_rows` in chunks whose float64 working
-    arrays stay within `_BUILD_BYTES`; the index does not depend on the chunk size.
+    through `encode_chunks`; the index does not depend on the chunk size.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
@@ -167,7 +186,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     if cfg.scheme == SCHEME_TIFC:
         _check_table(d, cfg.code_length, "database")
         quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
-        word_count = stage = d  # the stage row: one term frequency per word
+        word_count = d
     else:
         training = training if training is not None else db
         m, k = cfg.pq.segments, cfg.pq.words_per_segment
@@ -178,22 +197,15 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         if training.n < k:
             raise DataError(f"need at least {k} training vectors, got {training.n}")
         quantizer = pq.train(training, cfg.pq)
-        word_count, stage = k**m, m * k  # the stage row: M x K segment distances
+        word_count = k**m
 
     if s > word_count:
         raise DataError(f"link count {s} exceeds word count {word_count}")
 
-    chunk_rows = max(1, _BUILD_BYTES // ((d + stage + s * cfg.code_length) * 8))
-    wid_parts, code_parts = [], []
-    for lo in range(0, n, chunk_rows):
-        chunk = db.vectors[lo:lo + chunk_rows]
-        wid_parts.append(assign_words(quantizer, chunk, s))
-        codes = encode_rows(quantizer, chunk, wid_parts[-1], cfg.code_length)
-        code_parts.append(codes.reshape(len(chunk) * s, -1))
-
+    parts = list(encode_chunks(quantizer, db.vectors, s, cfg.code_length))
     ids = np.repeat(np.arange(n, dtype=np.int32), s)
-    wids = np.concatenate(wid_parts).ravel()
-    codes = np.concatenate(code_parts)
+    wids = np.concatenate([w for w, _ in parts]).ravel()
+    codes = np.concatenate([c for _, c in parts]).reshape(n * s, -1)
     # ids ascend already, so a stable sort on the word (a radix sort for
     # word counts up to 2^16) groups the lists in (word, id) order
     order = np.argsort(wids.astype(np.min_scalar_type(word_count - 1)), kind="stable")

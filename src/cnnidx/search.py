@@ -6,8 +6,8 @@ It runs in two stages. The first takes a matrix of queries: it checks the
 rows, then assigns each its W words and packs its codes against them with
 `invindex.assign_words` and `invindex.encode_rows`, the encoding stage that
 the build uses too. The second scans one query's lists at a time. `query` is
-the one-row case of both, and `batch_query` runs the first stage on chunks of
-rows."""
+the one-row case of both, and `batch_query` runs the first stage through
+`invindex.encode_chunks`, in chunks sized as the build's are."""
 
 from __future__ import annotations
 
@@ -18,17 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import hamming_to_many
-from .invindex import InvertedIndex, assign_words, encode_rows
+from .invindex import InvertedIndex, assign_words, encode_chunks, encode_rows
 from .vecio import write_int_lists
-
-# Query rows that `batch_query` assigns and encodes together; 16 to 256
-# rows ran within about 20% of each other on both benchmark workloads.
-# Larger chunks spread the fixed per-query cost thinner, and acceptance
-# criterion 7 (IFC mean query time grows < 5x from 10k to 100k vectors)
-# rests on that cost. Chunks sized like the build's (`invindex._BUILD_BYTES`,
-# 712 to 780 rows) failed it in 3 of 16 isolated runs in one series (x5.45
-# to x8.01) and 1 of 16 in another (x5.55), against 0 and 1 of 16 at 64 rows.
-_QUERY_CHUNK = 64
 
 
 @dataclass
@@ -73,9 +64,9 @@ class BatchSummary:
 
 
 def _check_queries(ix: InvertedIndex, qs, count: int) -> np.ndarray:
-    """The query rows as a float64 (N, D) matrix, checked against the index:
-    the right dimension, finite values and 1 <= count <= word count."""
-    qs = np.asarray(qs, dtype=np.float64)
+    """The query rows, checked against the index but not cast: the right
+    dimension, finite values and 1 <= count <= word count."""
+    qs = np.asarray(qs)
     if not 1 <= count <= ix.word_count:
         raise ValueError(f"assignment count must be in [1, {ix.word_count}]")
     if qs.ndim != 2 or qs.shape[1] != ix.quantizer.dim:
@@ -183,24 +174,22 @@ def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
                 ) -> tuple[list[RankedResult], BatchSummary]:
     """Run every query and count its candidates; each result equals `query`'s.
 
-    Rows are checked, assigned their words and encoded `_QUERY_CHUNK` at a
-    time, then each row's lists are scanned on their own. A query's entry in
-    `query_times` is an equal share of its chunk's wall time (index access
-    only).
+    The rows are checked once, then assigned their words and encoded by
+    `encode_chunks`, and each row's lists are scanned on their own. A query's
+    entry in `query_times` is an equal share of its chunk's wall time (index
+    access only).
     """
     _check_config(ix, cfg)
-    vectors = queries.vectors if hasattr(queries, "vectors") else np.asarray(queries)
     w = cfg.assignment_count
+    qs = _check_queries(ix, queries.vectors if hasattr(queries, "vectors") else queries, w)
     summary = BatchSummary()
     results = []
-    for lo in range(0, len(vectors), _QUERY_CHUNK):
-        t0 = time.perf_counter()
-        qs = _check_queries(ix, vectors[lo : lo + _QUERY_CHUNK], w)
-        wids = assign_words(ix.quantizer, qs, w)
-        codes = encode_rows(ix.quantizer, qs, wids, ix.code_length)
+    t0 = time.perf_counter()
+    for wids, codes in encode_chunks(ix.quantizer, qs, w, ix.code_length):
         chunk = [_scan(ix, wq, cq, cfg, count_candidates=True) for wq, cq in zip(wids, codes)]
-        share = (time.perf_counter() - t0) / len(chunk)
-        summary.query_times += [share] * len(chunk)
+        t1 = time.perf_counter()
+        summary.query_times += [(t1 - t0) / len(chunk)] * len(chunk)
+        t0 = t1
         summary.candidate_counts += [r.candidates for r in chunk]
         results += chunk
     return results, summary

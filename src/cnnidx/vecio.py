@@ -35,7 +35,8 @@ class FeatureSet:
             raise DataError(f"feature matrix must be 2-d, got shape {v.shape}")
         if v.shape[1] < 1:
             raise DataError("feature dimension must be >= 1")
-        if not np.all(np.isfinite(v)):
+        # min and max carry any NaN or infinity, without an N x D temporary
+        if v.size and not np.isfinite([v.min(), v.max()]).all():
             raise DataError("feature vectors must be finite (no NaN/Inf)")
         self.vectors = v
 
@@ -75,16 +76,33 @@ _CENTER_SCALE = 10.0
 
 
 def read_feature_file(path) -> FeatureSet:
-    """Read a binary feature file into a FeatureSet, preserving record order."""
+    """Read a binary feature file into a FeatureSet, preserving record order.
+
+    Every record must have the first record's dimension D, so the bytes are
+    viewed as (n, 1 + D) int32 records and all headers are checked in one
+    comparison; the first record that breaks the layout is named."""
     raw = np.fromfile(path, dtype=np.uint8)
-    vectors = _parse_records(raw, np.float32, path)
-    if not vectors:
+    if raw.size == 0:
         raise DataError(f"{path}: no records")
-    dim = len(vectors[0])
-    for i, v in enumerate(vectors):
-        if len(v) != dim:
-            raise DataError(f"{path}: record {i} has dim {len(v)}, expected {dim}")
-    return FeatureSet(np.vstack(vectors))
+    if raw.size < 4:
+        raise DataError(f"{path}: record 0: truncated header")
+    dim = int(raw[:4].view("<i4")[0])
+    if dim <= 0:
+        raise DataError(f"{path}: record 0: bad length {dim}")
+    n, rest = divmod(raw.size, 4 * (1 + dim))
+    records = raw[: raw.size - rest].view("<i4").reshape(n, 1 + dim)
+    # a record of another dimension shifts every later header out of place,
+    # so the first header that differs from dim is the first bad record; a
+    # cut last record's header, when whole, is checked too
+    heads = records[:, 0]
+    if rest >= 4:
+        heads = np.append(heads, raw[raw.size - rest:][:4].view("<i4"))
+    bad = np.flatnonzero(heads != dim)
+    if len(bad):
+        raise DataError(f"{path}: record {bad[0]} has dim {heads[bad[0]]}, expected {dim}")
+    if rest:
+        raise DataError(f"{path}: record {n}: truncated {'payload' if rest >= 4 else 'header'}")
+    return FeatureSet(records[:, 1:].view("<f4"))
 
 
 def l2_normalize(fs: FeatureSet) -> FeatureSet:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,11 +35,33 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             baseline.brute_force(db, np.zeros(3), 1)
 
+    def test_peak_bounded_on_wide_rows(self):
+        """One query over 10,000 x 2,048: the float64 rows and differences
+        are chunked by bytes, not by a row count that ignores D (328 MB of
+        them in one chunk of 65,536 rows)."""
+        rng = np.random.default_rng(8)
+        db = FeatureSet(rng.standard_normal((10_000, 2_048), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            top = baseline.brute_force(db, db.vectors[5], 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert top[0] == 5
+        assert peak < 32 << 20
+
 
 class TestLsh:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LshConfig(tables=1, bits_per_table=0)
+
+    def test_bits_beyond_a_bucket_key_rejected(self):
+        """A 64-bit key holds 64 planes' sign bits; `1 << 64` and above would
+        collapse planes onto the same weight."""
+        assert LshConfig(tables=1, bits_per_table=64).bits_per_table == 64
+        with pytest.raises(ValueError, match="<= 64"):
+            LshConfig(tables=1, bits_per_table=65)
 
     def test_exact_duplicate_always_candidate(self):
         rng = np.random.default_rng(1)

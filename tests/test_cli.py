@@ -200,6 +200,31 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+@pytest.mark.parametrize("length", ["0", "-4"])
+def test_build_code_length_below_one_is_data_error(workspace, tmp_path, capsys,
+                                                   scheme, length):
+    rc = run([
+        "build", "--features", str(workspace / "db.fvecs"), "--scheme", scheme,
+        "--S", "3", "--L", length, "--K", "4", "--M", "2",
+        "--out", str(tmp_path / "x.idx"),
+    ])
+    assert rc == EXIT_DATA
+    assert "code_length must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.idx").exists()
+
+
+def test_baseline_lsh_bits_beyond_a_bucket_key_is_data_error(workspace, tmp_path, capsys):
+    rc = run([
+        "baseline", "--method", "lsh",
+        "--features", str(workspace / "db.fvecs"),
+        "--queries", str(workspace / "q.fvecs"),
+        "--tables", "2", "--bits", "70", "--out", str(tmp_path / "lsh"),
+    ])
+    assert rc == EXIT_DATA
+    assert "bits_per_table must be <= 64" in capsys.readouterr().err
+
+
 def test_query_on_malformed_index_is_data_error(workspace, tmp_path, capsys):
     # a CRC-valid file whose first posting id is -1
     db = vecio.read_feature_file(workspace / "db.fvecs")

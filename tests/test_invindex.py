@@ -110,6 +110,13 @@ class TestBuild:
             with pytest.raises(DataError, match=message):
                 invindex.build(db, cfg, training=training)
 
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    @pytest.mark.parametrize("length", [0, -4])
+    def test_code_length_below_one_rejected(self, scheme, length):
+        with pytest.raises(ValueError, match="code_length must be >= 1"):
+            BuildConfig(scheme=scheme, link_count=2, code_length=length,
+                        pq=PqConfig(segments=2, words_per_segment=4))
+
     def test_code_length_divisibility_enforced(self, small_dataset):
         db = small_dataset[0]
         with pytest.raises(DataError, match="divisible"):
@@ -132,7 +139,7 @@ class TestBuild:
 
         monkeypatch.setattr(invindex, "pack_bits", counting_pack_bits)
         # 3 rows of float64 (D + stage + S*L): stage is D for TIFC, M*K for IFC
-        monkeypatch.setattr(invindex, "_BUILD_BYTES",
+        monkeypatch.setattr(invindex, "CHUNK_BYTES",
                             3 * (16 + (16 if scheme == "tifc" else 2 * 4) + 3 * 8) * 8)
         invindex.save(invindex.build(db, cfg), chunked)
         assert chunks == [3] * 16 + [2]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,9 +201,13 @@ def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
     expected = [search.query(ix, q, cfg).entries for q in queries]
     assert expected == [pipeline_oracle(ix, q, cfg) for q in queries]
     counts = [len(search.candidate_set(ix, q, cfg.assignment_count)) for q in queries]
+    d = vectors.shape[1]
+    stage = d if scheme == "tifc" else 2 * ix.quantizer.config.words_per_segment
     for chunk in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_QUERY_CHUNK", chunk)
+            # chunk rows of float64 (D + stage + W*L)
+            mp.setattr(invindex, "CHUNK_BYTES",
+                       chunk * 8 * (d + stage + cfg.assignment_count * ix.code_length))
             results, summary = search.batch_query(ix, queries, cfg)
         assert [r.entries for r in results] == expected
         assert summary.candidate_counts == counts
@@ -335,7 +340,7 @@ class TestBatchWords:
             return built[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(invindex, "_BUILD_BYTES", chunk_rows * 8 * (
+            mp.setattr(invindex, "CHUNK_BYTES", chunk_rows * 8 * (
                 dim + (dim if scheme == "tifc" else 2 * k) + s * length))
             mp.setattr(invindex, "assign_words", recording)
             ix = invindex.build(FeatureSet(vectors), cfg, training=training)
@@ -390,6 +395,26 @@ class TestTracedCalls:
         assert calls["query"] == 0
 
 
+class TestBatchMemory:
+    def test_peak_bounded_at_wide_assignment(self):
+        """64 TIFC queries at D = 2,048, L = 512, W = 512: each query row
+        gathers W * L = 262,144 float64 word means (2 MiB), so chunks are
+        sized by bytes, not by a row count (128 MiB of means in 64 rows)."""
+        rng = np.random.default_rng(4)
+        db = FeatureSet(rng.standard_normal((1_000, 2_048), dtype=np.float32))
+        ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=4, code_length=512))
+        queries = rng.standard_normal((64, 2_048), dtype=np.float32)
+        cfg = QueryConfig(assignment_count=512, hamming_threshold=200, top_k=10)
+        tracemalloc.start()
+        try:
+            results, _ = search.batch_query(ix, queries, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 64
+        assert peak < 32 << 20
+
+
 class TestCandidateSet:
     def test_full_assignment_returns_everything(self, tifc_index, small_dataset):
         db, queries, _ = small_dataset
@@ -430,7 +455,9 @@ class TestBatch:
     def test_query_times_are_shares_of_their_chunk(self, index_pair, small_dataset,
                                                    monkeypatch):
         queries = small_dataset[1]
-        monkeypatch.setattr(search, "_QUERY_CHUNK", 2)
+        # 2 rows of float64 (D + stage + W*L) at D = 16, W = 3, L = 8
+        monkeypatch.setattr(invindex, "CHUNK_BYTES",
+                            2 * 8 * (16 + (16 if index_pair.scheme == "tifc" else 2 * 4) + 3 * 8))
         cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
         t0 = time.perf_counter()
         _, summary = search.batch_query(index_pair, queries, cfg)

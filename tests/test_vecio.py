@@ -65,6 +65,41 @@ def test_non_finite_vectors_rejected():
         FeatureSet(np.array([[1.0, np.nan]], dtype=np.float32))
 
 
+def feature_bytes(dims) -> bytes:
+    """Records of the given dimensions, record i filled with the value i."""
+    return b"".join(np.int32(d).tobytes() + np.full(d, i, dtype="<f4").tobytes()
+                    for i, d in enumerate(dims))
+
+
+@pytest.mark.parametrize("buf, message", [
+    (feature_bytes([3, 3, 2, 3]), "record 2 has dim 2, expected 3"),
+    (feature_bytes([3, 3, 5]), "record 2 has dim 5, expected 3"),
+    (feature_bytes([3, 3, 1]), "record 2 has dim 1, expected 3"),
+    (feature_bytes([3, 0, 3]), "record 1 has dim 0, expected 3"),
+    (feature_bytes([0, 3]), "record 0: bad length 0"),
+    (feature_bytes([3, 3, 3])[:-2], "record 2: truncated payload"),
+    (feature_bytes([3, 3])[:-16] + b"\x03\x00", "record 1: truncated header"),
+    (b"", "no records"),
+], ids=["short-mid", "long-last", "short-last", "zero-mid", "zero-first", "cut-payload",
+        "cut-header", "empty"])
+def test_malformed_feature_file_names_first_bad_record(tmp_path, buf, message):
+    path = tmp_path / "bad.fvecs"
+    path.write_bytes(buf)
+    with pytest.raises(DataError, match=message):
+        vecio.read_feature_file(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row, col", [(0, 0), (2, 1), (4, 2)])
+def test_non_finite_value_in_feature_file_rejected(tmp_path, value, row, col):
+    vectors = np.arange(15, dtype="<f4").reshape(5, 3)
+    vectors[row, col] = value
+    path = tmp_path / "nan.fvecs"
+    path.write_bytes(b"".join(np.int32(3).tobytes() + v.tobytes() for v in vectors))
+    with pytest.raises(DataError, match="finite"):
+        vecio.read_feature_file(path)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(1, 20),
