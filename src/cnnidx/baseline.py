@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invindex import CHUNK_BYTES
-from .vecio import FeatureSet
+from .vecio import CHUNK_BYTES, FeatureSet
 
 
 @dataclass
@@ -57,11 +56,19 @@ def _sq_dists(vectors: np.ndarray, q) -> np.ndarray:
 
 def _hash_keys(vectors: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """Bucket key per (vector, table): sign bits of the hyperplane projections."""
-    # (T, B, D) x (N, D) -> signs (N, T, B)
-    proj = np.einsum("tbd,nd->ntb", planes, np.asarray(vectors, dtype=np.float64))
-    bits = proj >= 0
-    weights = 1 << np.arange(planes.shape[1], dtype=np.int64)
-    return bits @ weights  # (N, T)
+    tables, bits, d = planes.shape
+    weights = 1 << np.arange(bits, dtype=np.int64)
+    # rows are chunked so that their float64 copies and (T, B) projections,
+    # rows * (D + T*B) values, stay within CHUNK_BYTES
+    rows = max(1, CHUNK_BYTES // ((d + tables * bits) * 8))
+    keys = np.empty((len(vectors), tables), dtype=np.int64)
+    for lo in range(0, len(vectors), rows):
+        # (T, B, D) x (rows, D) -> signs (rows, T, B); the float64 copy of
+        # the chunk is freed before the next one is made
+        proj = np.einsum("tbd,nd->ntb", planes,
+                         np.asarray(vectors[lo : lo + rows], dtype=np.float64))
+        keys[lo : lo + rows] = (proj >= 0) @ weights
+    return keys
 
 
 def lsh_build(db: FeatureSet, cfg: LshConfig) -> LshIndex:

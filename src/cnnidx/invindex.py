@@ -56,7 +56,7 @@ from . import pq, tifc
 from .embed import code_bytes, pack_bits, segment_means
 from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
-from .vecio import DataError, FeatureSet
+from .vecio import CHUNK_BYTES, DataError, FeatureSet
 
 MAGIC = b"CNNIDX02"
 OLD_MAGIC = b"CNNIDX01"
@@ -66,24 +66,6 @@ SCHEME_IFC = "ifc"
 
 # Largest TIFC table of segment means, D * L, that build or load will draw.
 MAX_TABLE_ENTRIES = 1 << 24
-
-# Bytes of float64 working arrays per chunk of rows that `encode_chunks`
-# encodes, for the build and for batch queries alike, and per chunk of
-# database rows that brute force compares with a query. An encoded row takes
-# D + stage + count*L of them: its input, its word stage (D term frequencies
-# for TIFC, M*K segment distances for IFC) and the means of its `count`
-# words. Median seconds of the build's encoding loop over 9 runs (2 vCPUs),
-# by budget:
-#
-#   budget      2 MiB   4 MiB   8 MiB   16 MiB   64 MiB   S*L only
-#   tifc-wide   0.57    0.58    0.47    0.55     0.83     0.98
-#   ifc-hard    0.55    0.47    0.45    0.45     0.50     0.48
-#
-# The last column sizes chunks by the S*L means alone at 64 MiB (819 and
-# 6,553 rows; IFC then merged 1,024 rows at a time). That leaves a row's
-# input and stage unbounded: at S = 2, L = 8 a 20,000 x 512 TIFC build goes
-# in one chunk and peaks at 244.5 MiB, against 12.7 MiB under this budget.
-CHUNK_BYTES = 8 << 20
 
 
 @dataclass
@@ -202,14 +184,21 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     if s > word_count:
         raise DataError(f"link count {s} exceeds word count {word_count}")
 
-    parts = list(encode_chunks(quantizer, db.vectors, s, cfg.code_length))
-    ids = np.repeat(np.arange(n, dtype=np.int32), s)
-    wids = np.concatenate([w for w, _ in parts]).ravel()
-    codes = np.concatenate([c for _, c in parts]).reshape(n * s, -1)
-    # ids ascend already, so a stable sort on the word (a radix sort for
-    # word counts up to 2^16) groups the lists in (word, id) order
+    # every row's S words and codes, filled in place chunk by chunk
+    wids = np.empty((n, s), dtype=np.int64)
+    codes = np.empty((n, s, code_bytes(cfg.code_length)), dtype=np.uint8)
+    lo = 0
+    for chunk_wids, chunk_codes in encode_chunks(quantizer, db.vectors, s, cfg.code_length):
+        wids[lo : lo + len(chunk_wids)] = chunk_wids
+        codes[lo : lo + len(chunk_wids)] = chunk_codes
+        lo += len(chunk_wids)
+    # entry e belongs to row e // S, so ids ascend already, and a stable sort
+    # on the word (a radix sort for word counts up to 2^16) groups the lists
+    # in (word, id) order
+    wids = wids.ravel()
     order = np.argsort(wids.astype(np.min_scalar_type(word_count - 1)), kind="stable")
-    ids, wids, codes = ids[order], wids[order], codes[order]
+    ids = (order // s).astype(np.int32)
+    wids, codes = wids[order], codes.reshape(n * s, -1)[order]
     starts = np.flatnonzero(np.diff(wids, prepend=-1))
 
     return InvertedIndex(

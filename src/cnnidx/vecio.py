@@ -7,13 +7,40 @@ File formats:
 * Integer-list files: same layout with int32 payloads, record lengths may vary.
 * Ground truth: UTF-8 text, one query per line, ``qid: id1 id2 ...``,
   ``#`` starts a comment.
+
+Feature files are read and written in chunks of whole records through one
+reused (rows, 1 + D) int32 buffer of at most `CHUNK_BYTES`. A read allocates
+the (N, D) float32 result once, from the file's size, and fills it chunk by
+chunk after checking each chunk's headers; a write fills the buffer's
+payload columns from the matrix. Neither holds a second copy of the vectors.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# Bytes of working buffer per chunk of rows, the one budget of every pass
+# over rows: a feature file's read and write here (int32 records),
+# `invindex.encode_chunks` for the build and for batch queries alike, and
+# `baseline`'s brute force and LSH hashing (float64 working arrays). A row
+# that `encode_chunks` encodes takes D + stage + count*L float64 values: its
+# input, its word stage (D term frequencies for TIFC, M*K segment distances
+# for IFC) and the means of its `count` words. Median seconds of the build's
+# encoding loop over 9 runs (2 vCPUs), by budget:
+#
+#   budget      2 MiB   4 MiB   8 MiB   16 MiB   64 MiB   S*L only
+#   tifc-wide   0.57    0.58    0.47    0.55     0.83     0.98
+#   ifc-hard    0.55    0.47    0.45    0.45     0.50     0.48
+#
+# The last column sizes chunks by the S*L means alone at 64 MiB (819 and
+# 6,553 rows; IFC then merged 1,024 rows at a time). That leaves a row's
+# input and stage unbounded: at S = 2, L = 8 a 20,000 x 512 TIFC build goes
+# in one chunk and peaks at 244.5 MiB, against 12.7 MiB under this budget.
+CHUNK_BYTES = 8 << 20
 
 
 class DataError(Exception):
@@ -78,31 +105,56 @@ _CENTER_SCALE = 10.0
 def read_feature_file(path) -> FeatureSet:
     """Read a binary feature file into a FeatureSet, preserving record order.
 
-    Every record must have the first record's dimension D, so the bytes are
-    viewed as (n, 1 + D) int32 records and all headers are checked in one
-    comparison; the first record that breaks the layout is named."""
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size == 0:
-        raise DataError(f"{path}: no records")
-    if raw.size < 4:
-        raise DataError(f"{path}: record 0: truncated header")
-    dim = int(raw[:4].view("<i4")[0])
-    if dim <= 0:
-        raise DataError(f"{path}: record 0: bad length {dim}")
-    n, rest = divmod(raw.size, 4 * (1 + dim))
-    records = raw[: raw.size - rest].view("<i4").reshape(n, 1 + dim)
-    # a record of another dimension shifts every later header out of place,
-    # so the first header that differs from dim is the first bad record; a
-    # cut last record's header, when whole, is checked too
-    heads = records[:, 0]
-    if rest >= 4:
-        heads = np.append(heads, raw[raw.size - rest:][:4].view("<i4"))
+    Every record must have the first record's dimension D, so the file is
+    read as (rows, 1 + D) int32 records, a chunk at a time, and each chunk's
+    headers are checked in one comparison; the first record that breaks the
+    layout is named by its index in the file."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size == 0:
+            raise DataError(f"{path}: no records")
+        head = f.read(4)
+        if len(head) < 4:
+            raise DataError(f"{path}: record 0: truncated header")
+        dim = int(np.frombuffer(head, dtype="<i4")[0])
+        if dim <= 0:
+            raise DataError(f"{path}: record 0: bad length {dim}")
+        width = 4 * (1 + dim)
+        n, rest = divmod(size, width)
+        out = np.empty((n, dim), dtype=np.float32)
+        rows = max(1, CHUNK_BYTES // width)
+        buf = np.empty((min(rows, n), 1 + dim), dtype="<i4")
+        f.seek(0)
+        for lo in range(0, n, rows):
+            chunk = buf[: min(rows, n - lo)]
+            got = f.readinto(chunk)
+            if got < chunk.nbytes:  # the file shrank since its size was read
+                raise _truncated(path, lo + got // width, got % width)
+            _check_heads(path, lo, chunk[:, 0], dim)
+            out[lo : lo + len(chunk)] = chunk[:, 1:].view("<f4")
+        if rest:
+            # a cut last record's header, when whole, is checked too
+            tail = f.read(rest)
+            if len(tail) >= 4:
+                _check_heads(path, n, np.frombuffer(tail, dtype="<i4", count=1), dim)
+            raise _truncated(path, n, len(tail))
+    return FeatureSet(out)
+
+
+def _check_heads(path, first: int, heads: np.ndarray, dim: int) -> None:
+    """Name the first of the records numbered from `first` whose header is
+    not dim. A record of another dimension shifts every later header out of
+    place, so that record is the file's first bad one."""
     bad = np.flatnonzero(heads != dim)
     if len(bad):
-        raise DataError(f"{path}: record {bad[0]} has dim {heads[bad[0]]}, expected {dim}")
-    if rest:
-        raise DataError(f"{path}: record {n}: truncated {'payload' if rest >= 4 else 'header'}")
-    return FeatureSet(records[:, 1:].view("<f4"))
+        raise DataError(f"{path}: record {first + bad[0]} has dim {heads[bad[0]]}, "
+                        f"expected {dim}")
+
+
+def _truncated(path, record: int, nbytes: int) -> DataError:
+    """The error for a file that ends `nbytes` into a record."""
+    part = "payload" if nbytes >= 4 else "header"
+    return DataError(f"{path}: record {record}: truncated {part}")
 
 
 def l2_normalize(fs: FeatureSet) -> FeatureSet:
@@ -163,10 +215,14 @@ def _parse_records(raw: np.ndarray, dtype, path) -> list[np.ndarray]:
 
 def _write_records(matrix: np.ndarray, path) -> None:
     n, dim = matrix.shape
-    header = np.full((n, 1), dim, dtype="<i4")
-    body = matrix.astype("<f4").view(np.uint8).reshape(n, -1)
-    out = np.hstack([header.view(np.uint8).reshape(n, 4), body])
-    out.tofile(path)
+    rows = max(1, CHUNK_BYTES // (4 * (1 + dim)))
+    buf = np.empty((min(rows, n), 1 + dim), dtype="<i4")
+    buf[:, 0] = dim
+    with open(path, "wb") as f:
+        for lo in range(0, n, rows):
+            chunk = buf[: min(rows, n - lo)]
+            chunk[:, 1:].view("<f4")[...] = matrix[lo : lo + len(chunk)]
+            f.write(chunk)
 
 
 def read_ground_truth(path, n: int | None = None) -> dict[int, set[int]]:

@@ -110,6 +110,36 @@ class TestLsh:
         r = [recall(t) for t in (1, 4, 16)]
         assert r[0] <= r[1] + 0.05 and r[1] <= r[2] + 0.05
 
+    @pytest.mark.parametrize("rows", [1, 7, 64, 1_000])
+    def test_keys_independent_of_chunking(self, rows, monkeypatch):
+        rng = np.random.default_rng(11)
+        vectors = rng.standard_normal((300, 48), dtype=np.float32)
+        planes = rng.standard_normal((5, 12, 48))
+        whole = baseline._hash_keys(vectors, planes)
+        # rows of float64 (D + T*B) per chunk
+        monkeypatch.setattr(baseline, "CHUNK_BYTES", rows * (48 + 5 * 12) * 8)
+        chunked = baseline._hash_keys(vectors, planes)
+        np.testing.assert_array_equal(chunked, whole)
+        weights = 1 << np.arange(12)
+        ref = np.stack([(vectors.astype(np.float64) @ planes[t].T >= 0) @ weights
+                        for t in range(5)], axis=1)
+        np.testing.assert_array_equal(chunked, ref)
+
+    def test_build_peak_bounded_on_wide_rows(self):
+        """4,000 x 2,048 with 8 tables of 16 bits: the rows are hashed in
+        chunks of float64 rows and projections (68.4 MiB traced when the
+        whole database was cast and projected at once)."""
+        rng = np.random.default_rng(12)
+        db = FeatureSet(rng.standard_normal((4_000, 2_048), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            ix = baseline.lsh_build(db, LshConfig(tables=8, bits_per_table=16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(ids) for ids in ix.buckets[0].values()) == db.n
+        assert peak < 32 << 20
+
     def test_build_determinism(self):
         rng = np.random.default_rng(3)
         db = FeatureSet(rng.standard_normal((50, 8)).astype(np.float32))

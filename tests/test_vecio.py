@@ -1,3 +1,7 @@
+import os
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +93,99 @@ def test_malformed_feature_file_names_first_bad_record(tmp_path, buf, message):
         vecio.read_feature_file(path)
 
 
+def record_bytes(matrix) -> bytes:
+    """The feature-file bytes of a float32 matrix, built whole: every row's
+    int32 dimension, then its float32 values."""
+    n, dim = matrix.shape
+    header = np.full((n, 1), dim, dtype="<i4").view(np.uint8)
+    return np.hstack([header, matrix.astype("<f4").view(np.uint8)]).tobytes()
+
+
+# two records of dimension 3 (16 bytes each) per chunk
+TWO_RECORDS = 2 * 4 * (1 + 3)
+
+
+@pytest.mark.parametrize("buf, message", [
+    (feature_bytes([3] * 5 + [2, 3]), "record 5 has dim 2, expected 3"),
+    (feature_bytes([3] * 7)[:-2], "record 6: truncated payload"),
+    (feature_bytes([3] * 6) + np.int32(5).tobytes(), "record 6 has dim 5, expected 3"),
+    (feature_bytes([3] * 6) + b"\x03\x00", "record 6: truncated header"),
+    (record_bytes(np.where(np.arange(21).reshape(7, 3) == 16, np.nan, 0).astype("<f4")),
+     "finite"),
+], ids=["short-in-later-chunk", "cut-after-whole-chunks", "bad-trailing-header",
+        "cut-header-after-whole-chunks", "nan-in-later-chunk"])
+def test_malformed_feature_file_across_chunks(tmp_path, monkeypatch, buf, message):
+    """Records numbered by their index in the file, not in their chunk, and
+    NaN found in a chunk after the first (record 5, value 1)."""
+    monkeypatch.setattr(vecio, "CHUNK_BYTES", TWO_RECORDS)
+    path = tmp_path / "bad.fvecs"
+    path.write_bytes(buf)
+    with pytest.raises(DataError, match=message):
+        vecio.read_feature_file(path)
+
+
+def test_short_read_reported_as_truncated(tmp_path, monkeypatch):
+    """A file that shrinks after its size is taken ends in a short read."""
+    path = tmp_path / "shrunk.fvecs"
+    path.write_bytes(feature_bytes([3] * 4)[:-6])
+    fstat = os.fstat
+    monkeypatch.setattr(vecio.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 6))
+    with pytest.raises(DataError, match="record 3: truncated payload"):
+        vecio.read_feature_file(path)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_write_and_read_across_chunks(tmp_path, monkeypatch, rows):
+    """The bytes of 7 records do not depend on how many go per chunk."""
+    monkeypatch.setattr(vecio, "CHUNK_BYTES", rows * 4 * (1 + 3))
+    vectors = np.arange(21, dtype="<f4").reshape(7, 3) - 10.5
+    path = tmp_path / "chunked.fvecs"
+    vecio.write_feature_file(FeatureSet(vectors), path)
+    assert path.read_bytes() == b"".join(np.int32(3).tobytes() + v.tobytes() for v in vectors)
+    np.testing.assert_array_equal(vecio.read_feature_file(path).vectors, vectors)
+
+
+class TestFileMemory:
+    """A 4,000 x 2,048 feature file (31.25 MiB of float32 payload) is read
+    and written through one reused buffer of at most CHUNK_BYTES (8 MiB)."""
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        rng = np.random.default_rng(9)
+        fs = FeatureSet(rng.standard_normal((4_000, 2_048), dtype=np.float32))
+        path = tmp_path_factory.mktemp("wide") / "wide.fvecs"
+        path.write_bytes(record_bytes(fs.vectors))
+        return fs, path
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_read_holds_one_copy(self, wide):
+        """The result plus the buffer, 39.3 MiB; holding the file's bytes
+        beside their float32 copy took 62.5 MiB."""
+        fs, path = wide
+        back, peak = self.traced_peak(lambda: vecio.read_feature_file(path))
+        np.testing.assert_array_equal(back.vectors, fs.vectors)
+        assert peak < 48 << 20
+
+    def test_write_holds_no_copy(self, wide, tmp_path):
+        """The buffer alone, 8 MiB; a cast and a stacked copy of the whole
+        matrix took 62.5 MiB."""
+        fs, path = wide
+        out = tmp_path / "again.fvecs"
+        _, peak = self.traced_peak(lambda: vecio.write_feature_file(fs, out))
+        assert out.read_bytes() == path.read_bytes()
+        assert peak < 16 << 20
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("row, col", [(0, 0), (2, 1), (4, 2)])
 def test_non_finite_value_in_feature_file_rejected(tmp_path, value, row, col):
@@ -111,6 +208,7 @@ def test_round_trip_property(tmp_path_factory, n, dim, seed):
     fs = FeatureSet(rng.standard_normal((n, dim)).astype(np.float32))
     path = tmp_path_factory.mktemp("rt") / "fs.fvecs"
     vecio.write_feature_file(fs, path)
+    assert path.read_bytes() == record_bytes(fs.vectors)
     np.testing.assert_array_equal(vecio.read_feature_file(path).vectors, fs.vectors)
 
 
