@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Median time per single query of each stage of `search.query`, on an
+index shaped like each benchmark workload.
+
+    PYTHONPATH=src python3 scripts/bench_query_stages.py [--seed 1] [--queries 300] [--passes 5]
+
+Two indexes are built from `perfbench/datagen.hard_vectors`: `ifc-hard`
+(15,000 x 64, IFC with K = 64, M = 2, L = 32, S = W = 40, T = 11) and
+`tifc-wide` (10,000 x 2,048, TIFC with L = 256, S = W = 40, T = 90). After one
+warm pass, `--passes` passes run every query through the stages of `query`
+one after another, and the table gives each stage's median in us:
+
+- check: `search._check_config` and `search._check_queries`;
+- scores: the word stage's scores, `pq.segment_distances_batch` (IFC) or
+  `tifc.softmax_rows` (TIFC);
+- words: the choice of the W words from those scores, `pq._nearest` (IFC)
+  or `tifc.top_words_rows` (TIFC);
+- encode: `invindex.encode_rows`, the query's codes against its words;
+- scan: `search._scan`, the list scan, votes and ranking.
+
+`query` is the median of whole `search.query` calls, timed in the same
+passes. Every staged answer is checked equal to `query`'s.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import datagen  # noqa: E402
+
+from cnnidx import invindex, pq, search, tifc  # noqa: E402
+from cnnidx.invindex import BuildConfig  # noqa: E402
+from cnnidx.pq import PqConfig, PqCodebook  # noqa: E402
+from cnnidx.vecio import FeatureSet  # noqa: E402
+
+STAGES = ("check", "scores", "words", "encode", "scan", "query")
+
+WORKLOADS = {
+    "ifc-hard": dict(n=15_000, dim=64, build=BuildConfig(
+        scheme="ifc", link_count=40, code_length=32,
+        pq=PqConfig(segments=2, words_per_segment=64)), T=11),
+    "tifc-wide": dict(n=10_000, dim=2_048, build=BuildConfig(
+        scheme="tifc", link_count=40, code_length=256), T=90),
+}
+
+
+def staged_query(ix, q, cfg) -> tuple[list[float], search.RankedResult]:
+    """`search.query` split into its stages: the perf_counter reading after
+    each, and the result."""
+    quantizer, w = ix.quantizer, cfg.assignment_count
+    t = [time.perf_counter()]
+    search._check_config(ix, cfg)
+    xs = np.asarray(search._check_queries(ix, np.asarray(q)[None], w), dtype=np.float64)
+    t.append(time.perf_counter())
+    if isinstance(quantizer, PqCodebook):
+        scores = pq.segment_distances_batch(xs, quantizer)
+        t.append(time.perf_counter())
+        wids = pq._nearest(scores, quantizer.config.words_per_segment, w)[0]
+    else:
+        scores = tifc.softmax_rows(xs)
+        t.append(time.perf_counter())
+        wids = tifc.top_words_rows(scores, w)
+    t.append(time.perf_counter())
+    codes = invindex.encode_rows(quantizer, xs, wids, ix.code_length)
+    t.append(time.perf_counter())
+    result = search._scan(ix, wids[0], codes[0], cfg, count_candidates=False)
+    t.append(time.perf_counter())
+    return t, result
+
+
+def stage_medians(ix, queries, cfg, passes: int) -> dict[str, float]:
+    """Median seconds per query of each stage over `passes` passes, after
+    one warm pass; raises if a staged answer differs from `search.query`'s."""
+    times = {s: [] for s in STAGES}
+    for p in range(passes + 1):
+        for q in queries:
+            t, staged = staged_query(ix, q, cfg)
+            t0 = time.perf_counter()
+            ref = search.query(ix, q, cfg)
+            t1 = time.perf_counter()
+            if staged.entries != ref.entries:
+                raise AssertionError("the staged query disagrees with search.query")
+            if p == 0:
+                continue
+            for stage, a, b in zip(STAGES, t, t[1:]):
+                times[stage].append(b - a)
+            times["query"].append(t1 - t0)
+    return {s: float(np.median(v)) for s, v in times.items()}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--queries", type=int, default=300)
+    ap.add_argument("--passes", type=int, default=5)
+    args = ap.parse_args()
+
+    print("us per query | " + " | ".join(STAGES))
+    for name, spec in WORKLOADS.items():
+        db, queries = datagen.hard_vectors(args.seed, spec["n"], args.queries, spec["dim"])
+        ix = invindex.build(FeatureSet(db), spec["build"])
+        del db
+        cfg = search.QueryConfig(assignment_count=spec["build"].link_count,
+                                 hamming_threshold=spec["T"], top_k=10)
+        med = stage_medians(ix, queries, cfg, args.passes)
+        print(f"{name} | " + " | ".join(f"{med[s] * 1e6:.1f}" for s in STAGES), flush=True)
+
+
+if __name__ == "__main__":
+    main()

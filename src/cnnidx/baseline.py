@@ -40,8 +40,9 @@ def brute_force(db: FeatureSet, q, top_k: int) -> list[int]:
 
 
 def _sq_dists(vectors: np.ndarray, q) -> np.ndarray:
-    # rows are chunked so that their float64 copies and differences, rows * 2D
-    # values, stay within CHUNK_BYTES
+    # rows are chunked so that their float64 copies, rows * D values, stay
+    # within half of CHUNK_BYTES: the query is subtracted in place, and each
+    # chunk's copy is freed before the next one is made
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (vectors.shape[1],):
         raise ValueError(f"query dim {q.shape} does not match database {vectors.shape}")
@@ -49,8 +50,10 @@ def _sq_dists(vectors: np.ndarray, q) -> np.ndarray:
     chunk = max(1, CHUNK_BYTES // (2 * len(q) * 8))
     out = np.empty(n)
     for lo in range(0, n, chunk):
-        diff = vectors[lo : lo + chunk].astype(np.float64) - q
+        diff = vectors[lo : lo + chunk].astype(np.float64)
+        diff -= q
         out[lo : lo + chunk] = np.einsum("ij,ij->i", diff, diff)
+        del diff
     return out
 
 

@@ -34,8 +34,10 @@ from a D x D bank, and the table drawn now differs, so rebuild them too.
 Build and query share one encoding stage. `assign_words` gives a matrix of
 rows their words (TIFC: the top softmax bins; IFC: the exact nearest product
 words) and `encode_rows` packs each row's codes against those words' segment
-means. A row's words and codes depend on that row alone, so a database
-vector queried with itself gets exactly its S links and their codes.
+means. IFC reads those means from the codebook's per-segment tables when M
+divides L, built once per code length, and reconstructs the words otherwise.
+A row's words and codes depend on that row alone, so a database vector
+queried with itself gets exactly its S links and their codes.
 
 A TIFC table holds D * L float64 means. `build` and `load` reject any table
 of more than `MAX_TABLE_ENTRIES` = 2^24 entries (128 MiB; D = L = 4,096 still
@@ -125,15 +127,30 @@ def assign_words(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray,
 def encode_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: np.ndarray,
                 code_length: int) -> np.ndarray:
     """Each row's packed codes against the segment means of its words,
-    (N, count, B) for (N, count) word ids."""
+    (N, count, B) for (N, count) word ids.
+
+    TIFC reads the words' rows of its (D, L) table. IFC with M dividing L
+    compares each segment's slice of the row means with the codebook's
+    `mean_table` rows of the words' sub-ids, straight into the bit array, so
+    no (N, count, L) float64 array of word means is made. With L % M != 0 a
+    code segment straddles two sub-centroids, and the distinct words are
+    reconstructed and averaged: the codes' definition, taken literally."""
     if isinstance(quantizer, VirtualWordBank):
         c_means = quantizer.means[wids]
-    else:
-        # each distinct word of the rows is reconstructed once
+        return pack_bits(segment_means(xs, code_length)[:, None, :] >= c_means)
+    x_means = segment_means(xs, code_length)
+    m, k = quantizer.config.segments, quantizer.config.words_per_segment
+    if code_length % m:
         uniq, inverse = np.unique(wids, return_inverse=True)
         uniq_means = segment_means(pq.reconstruct_batch(uniq, quantizer), code_length)
-        c_means = uniq_means[inverse.reshape(wids.shape)]
-    return pack_bits(segment_means(xs, code_length)[:, None, :] >= c_means)
+        return pack_bits(x_means[:, None, :] >= uniq_means[inverse.reshape(wids.shape)])
+    table = quantizer.mean_table(code_length)
+    width = code_length // m
+    bits = np.empty(wids.shape + (code_length,), dtype=bool)
+    for s, sub in enumerate(pq.decode_words(wids, k, m)):
+        seg = slice(s * width, (s + 1) * width)
+        np.greater_equal(x_means[:, None, seg], table[s][sub], out=bits[..., seg])
+    return pack_bits(bits)
 
 
 def encode_chunks(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,

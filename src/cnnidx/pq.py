@@ -11,20 +11,27 @@ a lower bound on the words the merge left out; a row whose bound does not
 clear its S-th distance is answered by an exact multi-sequence heap merge
 (Babenko & Lempitsky, "The Inverted Multi-Index", CVPR 2012).
 
+Each merge step's layout depends only on (count, prefix count, K), and
+`_pairs` memoises it as read-only arrays.
+
 `segment_distances_batch` is the one kernel that word assignment uses, on
 the build side and the query side alike. Its `einsum` contractions cover all
 M segments at once with no BLAS call, and sum each distance in an order that
 does not depend on the other rows, so a row gets bit-identical distances,
-and so the same words, alone or in any batch. K-means training
-keeps its own matmul form (`_sq_dists`)."""
+and so the same words, alone or in any batch. Its centroid terms, like the
+tables of sub-centroid means that codes compare against, are computed once
+per codebook (see `PqCodebook`). K-means training keeps its own matmul form
+(`_sq_dists`)."""
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .embed import segment_means
 from .vecio import FeatureSet
 
 
@@ -51,10 +58,39 @@ class PqCodebook:
 
     Product word id w encodes sub-word ids (w_1..w_M) in mixed-radix base K
     with segment 1 most significant.
+
+    Construction derives the constants that every word assignment reads:
+    `centroids`, the sub-codebooks cast to float64, and `sq_norms`, their
+    (M, K) squared norms by `einsum`. `mean_table` builds each code length's
+    table of sub-centroid segment means on first use and keeps it. All of
+    them are read-only, and `sub_codebooks` must not change after
+    construction.
     """
 
     sub_codebooks: np.ndarray  # (M, K, D/M) float32
     config: PqConfig
+    centroids: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _mean_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        c = self.sub_codebooks.astype(np.float64)
+        self.centroids = _read_only(c)
+        self.sq_norms = _read_only(np.einsum("mkd,mkd->mk", c, c))
+
+    def mean_table(self, code_length: int) -> np.ndarray:
+        """Segment means of every sub-centroid for L-bit codes, (M, K, L/M)
+        float64, where M divides L: row w of table s is
+        `segment_means(sub_codebooks[s][w], L/M)`, the same values averaged in
+        the same order as those segments of the reconstructed word's means."""
+        table = self._mean_tables.get(code_length)
+        if table is None:
+            m = self.config.segments
+            if code_length % m:
+                raise ValueError(f"code length {code_length} not divisible by {m} segments")
+            table = _read_only(segment_means(self.sub_codebooks, code_length // m))
+            self._mean_tables[code_length] = table
+        return table
 
     @property
     def dim(self) -> int:
@@ -63,6 +99,11 @@ class PqCodebook:
     @property
     def word_count(self) -> int:
         return self.config.words_per_segment ** self.config.segments
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def encode_word(sub_ids, k: int) -> int:
@@ -82,6 +123,17 @@ def decode_word(wid: int, k: int, m: int) -> tuple[int, ...]:
         out.append(wid % k)
         wid //= k
     return tuple(reversed(out))
+
+
+def decode_words(wids, k: int, m: int) -> list[np.ndarray]:
+    """Mixed-radix decode of an array of product word ids: M arrays of
+    sub-word ids, segment 1 first, each of the shape of wids."""
+    rem = np.asarray(wids, dtype=np.int64)
+    out = []
+    for _ in range(m):
+        out.append(rem % k)
+        rem = rem // k
+    return out[::-1]
 
 
 def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
@@ -133,7 +185,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
-            idx = rng.choice(n, p=d2 / total)
+            idx = _draw(rng, d2 / total)
         else:
             idx = rng.integers(n)
         centroids[j] = pts[idx]
@@ -166,6 +218,15 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
         _sq_dists(pts, pts_sq, centroids, dists)
     wcss = float(dists.min(axis=1).sum())
     return centroids, wcss
+
+
+def _draw(rng, p: np.ndarray) -> int:
+    """An index drawn with the probabilities p (summing to 1 up to rounding)
+    by the steps `rng.choice(len(p), p=p)` takes: the same index, and the
+    generator left in the same state, without `choice`'s checks of p."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _sq_dist_to(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -204,18 +265,18 @@ def segment_distances_batch(xs: np.ndarray, cb: PqCodebook) -> np.ndarray:
     """Per-segment squared distances for a batch, shape (N, M, K), clamped
     at 0: ||x_s||^2 - 2 x_s . c + ||c||^2 for every segment s of every row.
 
-    The three terms are `einsum` contractions over (rows, M, D/M), which sum
+    The row terms are `einsum` contractions over (rows, M, D/M), which sum
     each value along D/M alone; unlike a matmul, which picks its BLAS routine
     by the row count, a row's values do not depend on the batch around it.
+    The centroid terms are the codebook's cached `centroids` and `sq_norms`.
     """
     xs = np.asarray(xs, dtype=np.float64)
     m, k, seg_dim = cb.sub_codebooks.shape
     xr = xs.reshape(xs.shape[0], m, seg_dim)
-    c = cb.sub_codebooks.astype(np.float64)
-    out = np.einsum("nmd,mkd->nmk", xr, c)
+    out = np.einsum("nmd,mkd->nmk", xr, cb.centroids)
     out *= -2.0
     out += np.einsum("nmd,nmd->nm", xr, xr)[..., None]
-    out += np.einsum("mkd,mkd->mk", c, c)
+    out += cb.sq_norms
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -253,34 +314,42 @@ def _nearest(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"count must be in [1, {k**m}], got {count}")
     order = np.argsort(dists, axis=2, kind="stable")
     sorted_d = np.take_along_axis(dists, order, axis=2)
-    keep = min(count, k)
+    row = np.arange(rows)[:, None]
     totals = np.zeros((rows, 1))
     wids = np.zeros((rows, 1), dtype=np.int64)
     # lower bound on the summed distance of every word left out so far
     bound = np.full(rows, np.inf)
     for s in range(m):
-        n_pre = totals.shape[1]
-        # first sub-word rank left out after each prefix rank
-        edge = count // np.arange(1, n_pre + 1)
-        pre, sub = np.nonzero(edge[:, None] > np.arange(keep))
+        pre, sub, cut, cut_edge = _pairs(count, totals.shape[1], k)
         cand = totals[:, pre] + sorted_d[:, s, sub]
         cand_w = wids[:, pre] * k + order[:, s, sub]
         bound += sorted_d[:, s, 0]
-        cut = edge < k
-        if cut.any():
-            bound = np.minimum(bound, (totals[:, cut] + sorted_d[:, s, edge[cut]]).min(axis=1))
+        if len(cut):
+            bound = np.minimum(bound, (totals[:, cut] + sorted_d[:, s, cut_edge]).min(axis=1))
         sel = np.lexsort((cand_w, cand), axis=1)
         if s < m - 1 and cand.shape[1] > count:
-            bound = np.minimum(bound, np.take_along_axis(cand, sel[:, count:count + 1],
-                                                         axis=1)[:, 0])
+            bound = np.minimum(bound, cand[row[:, 0], sel[:, count]])
         sel = sel[:, :count]
-        totals = np.take_along_axis(cand, sel, axis=1)
-        wids = np.take_along_axis(cand_w, sel, axis=1)
+        totals = cand[row, sel]
+        wids = cand_w[row, sel]
     for r in np.flatnonzero(~(bound > totals[:, -1])):
         found = _merge_nearest(dists[r], k, count)
         wids[r] = [w for w, _ in found]
         totals[r] = [t for _, t in found]
     return wids, totals
+
+
+@lru_cache(maxsize=256)
+def _pairs(count: int, n_pre: int, k: int) -> tuple[np.ndarray, ...]:
+    """The layout of one merge step over `n_pre` prefixes, as read-only
+    arrays: the prefix rank and sub-word rank of every pair the step scores,
+    (i+1)(j+1) <= count with j < K, and the prefix ranks whose pairs stop
+    short of K with the first sub-word rank each leaves out."""
+    # first sub-word rank left out after each prefix rank
+    edge = count // np.arange(1, n_pre + 1)
+    pre, sub = np.nonzero(edge[:, None] > np.arange(min(count, k)))
+    cut = np.flatnonzero(edge < k)
+    return tuple(_read_only(a) for a in (pre, sub, cut, edge[cut]))
 
 
 def _merge_nearest(dists: np.ndarray, k: int, count: int) -> list[tuple[int, float]]:
@@ -336,8 +405,6 @@ def reconstruct_batch(wids: np.ndarray, cb: PqCodebook) -> np.ndarray:
     m, k, seg_dim = cb.sub_codebooks.shape
     wids = np.asarray(wids, dtype=np.int64)
     out = np.empty((wids.size, m * seg_dim), dtype=np.float32)
-    rem = wids.copy()
-    for s in reversed(range(m)):
-        out[:, s * seg_dim : (s + 1) * seg_dim] = cb.sub_codebooks[s][rem % k]
-        rem //= k
+    for s, sub in enumerate(decode_words(wids, k, m)):
+        out[:, s * seg_dim : (s + 1) * seg_dim] = cb.sub_codebooks[s][sub]
     return out

@@ -5,7 +5,7 @@ import pytest
 
 from cnnidx import baseline
 from cnnidx.baseline import LshConfig
-from cnnidx.vecio import FeatureSet, SynthSpec, generate_synthetic
+from cnnidx.vecio import CHUNK_BYTES, FeatureSet, SynthSpec, generate_synthetic
 
 
 class TestBruteForce:
@@ -49,6 +49,23 @@ class TestBruteForce:
             tracemalloc.stop()
         assert top[0] == 5
         assert peak < 32 << 20
+
+    def test_peak_within_chunk_budget(self):
+        """1,000 x 2,048 in 256-row chunks of 4 MiB float64: each chunk's
+        copy takes the query's difference in place and is freed before the
+        next, so the query stays within CHUNK_BYTES (12 MiB traced when the
+        last chunk's difference outlived the next chunk's copy)."""
+        rng = np.random.default_rng(13)
+        db = FeatureSet(rng.standard_normal((1_000, 2_048), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            dists = baseline._sq_dists(db.vectors, db.vectors[7])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        diff = db.vectors.astype(np.float64) - db.vectors[7].astype(np.float64)
+        np.testing.assert_array_equal(dists, np.einsum("ij,ij->i", diff, diff))
+        assert peak < CHUNK_BYTES
 
 
 class TestLsh:

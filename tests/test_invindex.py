@@ -243,6 +243,88 @@ class TestBuildMemory:
         assert self.build_peak(db, cfg) < 22 << 20
 
 
+class TestEncodeRows:
+    """IFC codes against the codes' definition: the bits of the row's segment
+    means >= the segment means of the reconstructed word. With M | L they come
+    from the codebook's per-segment mean tables, otherwise from the words."""
+
+    @staticmethod
+    def codebook(dim, m, integer, seed):
+        rng = np.random.default_rng(seed)
+        shape = (m, 5, dim // m)
+        sub = (rng.integers(0, 3, shape) if integer else rng.standard_normal(shape))
+        return pq.PqCodebook(sub_codebooks=sub.astype(np.float32),
+                             config=PqConfig(segments=m, words_per_segment=5))
+
+    @staticmethod
+    def oracle(cb, xs, wids, length):
+        means = embed.segment_means(pq.reconstruct_batch(wids.ravel(), cb), length)
+        return embed.pack_bits(embed.segment_means(xs, length)[:, None, :]
+                               >= means.reshape(*wids.shape, length))
+
+    # (M, L) on 96-d rows: D/L from 1 to 24 values per segment mean
+    @pytest.mark.parametrize("m, length", [
+        (1, 8), (2, 8), (4, 8), (4, 4), (2, 32), (4, 96), (3, 12),  # M | L: tables
+        (3, 8), (2, 3), (4, 6),  # a code segment straddles two sub-centroids
+    ])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_codes_equal_reconstructed_means(self, monkeypatch, m, length, integer):
+        """Integer rows and centroids make row means equal word means, so the
+        >= in the tie is checked too. Rows encoded 1, 3 or all at a time get
+        the same codes."""
+        cb = self.codebook(96, m, integer, seed=10 * m + length)
+        rng = np.random.default_rng(length)
+        xs = (rng.integers(0, 3, (20, 96)) if integer
+              else rng.standard_normal((20, 96))).astype(np.float64)
+        wids = rng.integers(0, cb.word_count, (20, 7))
+        wids[:, 1] = wids[:, 0]  # a word twice in a row
+        want = self.oracle(cb, xs, wids, length)
+        if integer:
+            bits = np.unpackbits(want, axis=-1, bitorder="little")[..., :length]
+            x_means = embed.segment_means(xs, length)[:, None, :]
+            ties = x_means == embed.segment_means(
+                pq.reconstruct_batch(wids.ravel(), cb), length).reshape(20, 7, length)
+            assert ties.any() and bits[ties].all()
+        if length % m == 0:
+            # the tables alone: reconstructing a word would be the other path
+            monkeypatch.setattr(pq, "reconstruct_batch", None)
+        for size in (1, 3, len(xs)):
+            got = np.concatenate([invindex.encode_rows(cb, xs[lo:lo + size],
+                                                       wids[lo:lo + size], length)
+                                  for lo in range(0, len(xs), size)])
+            np.testing.assert_array_equal(got, want, err_msg=f"chunks of {size}")
+
+    def test_reloaded_codebook_gives_equal_codes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        db = FeatureSet(rng.standard_normal((300, 16)).astype(np.float32))
+        cfg = BuildConfig(scheme="ifc", link_count=3, code_length=8,
+                          pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=8))
+        ix = invindex.build(db, cfg)
+        invindex.save(ix, tmp_path / "i.idx")
+        back = invindex.load(tmp_path / "i.idx").quantizer
+        xs = rng.standard_normal((40, 16))
+        wids = pq.nearest_words_batch(xs, ix.quantizer, 3)
+        np.testing.assert_array_equal(pq.nearest_words_batch(xs, back, 3), wids)
+        np.testing.assert_array_equal(invindex.encode_rows(back, xs, wids, 8),
+                                      invindex.encode_rows(ix.quantizer, xs, wids, 8))
+        np.testing.assert_array_equal(back.centroids, ix.quantizer.centroids)
+        np.testing.assert_array_equal(back.sq_norms, ix.quantizer.sq_norms)
+
+    def test_cached_constants_read_only(self):
+        cb = self.codebook(96, 2, False, seed=9)
+        c = cb.sub_codebooks.astype(np.float64)
+        np.testing.assert_array_equal(cb.centroids, c)
+        np.testing.assert_array_equal(cb.sq_norms, np.einsum("mkd,mkd->mk", c, c))
+        table = cb.mean_table(8)
+        assert table.shape == (2, 5, 4) and cb.mean_table(8) is table
+        for a in (cb.centroids, cb.sq_norms, table):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        with pytest.raises(ValueError, match="not divisible by 2 segments"):
+            cb.mean_table(3)
+
+
 class TestPersistence:
     def test_tifc_round_trip_search_equality(self, tifc_index, small_dataset, tmp_path):
         queries = small_dataset[1]

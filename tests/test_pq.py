@@ -53,6 +53,15 @@ class TestWordCodec:
         with pytest.raises(ValueError):
             pq.decode_word(16, 4, 2)
 
+    @pytest.mark.parametrize("k, m", [(1, 3), (5, 1), (4, 3), (64, 2)])
+    def test_array_decode_matches_single(self, k, m):
+        wids = np.arange(k**m).reshape(-1, 1)
+        subs = pq.decode_words(wids, k, m)
+        assert len(subs) == m and all(sub.shape == wids.shape for sub in subs)
+        got = np.stack([sub[:, 0] for sub in subs], axis=1)
+        assert [tuple(row) for row in got.tolist()] == [pq.decode_word(w, k, m)
+                                                       for w in range(k**m)]
+
 
 class TestTrain:
     def test_k1_gives_segment_means(self):
@@ -169,7 +178,9 @@ def kmeans_points(kind, n, seg_dim, seed):
 
 
 class ScriptedRng:
-    """Stands in for the generator: k-means++ seeds at the listed rows."""
+    """Stands in for the generator: k-means++ seeds at the listed rows. The
+    seeds may have zero probability, which no uniform draw by CDF reaches, so
+    a test that runs `pq._kmeans` with it routes `pq._draw` to `choice`."""
 
     def __init__(self, rows):
         self.rows = iter(rows)
@@ -218,10 +229,11 @@ class TestKmeansOracle:
         assert got_wcss == want_wcss
 
     @pytest.mark.parametrize("iters", [1, 25])
-    def test_empty_cluster_takes_worst_point(self, iters):
+    def test_empty_cluster_takes_worst_point(self, iters, monkeypatch):
         # seeds 0, 10, 10: the second 10 wins no point (ties go to the
         # smaller index), so its cluster is empty after the first assignment
         # and takes 2, the point farthest from its own centroid
+        monkeypatch.setattr(pq, "_draw", lambda rng, p: rng.choice(len(p), p=p))
         pts = np.array([[0.0], [1.0], [2.0], [10.0]])
         got, got_wcss = pq._kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
         want, want_wcss = reference_kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
@@ -239,6 +251,27 @@ class TestKmeansOracle:
         for s in range(2):
             pts = data.vectors[:, 5 * s : 5 * s + 5].astype(np.float64)
             runs = [reference_kmeans(pts, 8, 25, ref_rng) for _ in range(3)]
+            best = min(range(3), key=lambda r: (runs[r][1], r))
+            want.append(runs[best][0].astype(np.float32))
+        np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
+
+    @pytest.mark.parametrize("n, dim, m, k, seed", [
+        (1_500, 12, 3, 16, 47), (2_000, 8, 1, 64, 48), (400, 16, 4, 5, 49),
+    ])
+    def test_train_matches_choice_seeding(self, n, dim, m, k, seed):
+        """Seeds drawn by CDF, as `pq._draw` draws them, give the codebooks
+        that `rng.choice(n, p=...)` seeding gives, and leave the generator
+        where it does: the reference draws every restart of every segment
+        from one generator with `choice`."""
+        rng = np.random.default_rng(seed - 1)
+        data = FeatureSet(np.abs(rng.standard_normal((n, dim))).astype(np.float32))
+        cfg = PqConfig(segments=m, words_per_segment=k, kmeans_seed=seed)
+        ref_rng = np.random.default_rng(seed)
+        seg_dim = dim // m
+        want = []
+        for s in range(m):
+            pts = data.vectors[:, seg_dim * s : seg_dim * (s + 1)].astype(np.float64)
+            runs = [reference_kmeans(pts, k, 25, ref_rng) for _ in range(3)]
             best = min(range(3), key=lambda r: (runs[r][1], r))
             want.append(runs[best][0].astype(np.float32))
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
@@ -462,6 +495,38 @@ class TestPrunedMerge:
         monkeypatch.setattr(pq, "_merge_nearest", None)
         ids = pq.nearest_words_batch(xs, cb, 40)
         assert ids.shape == (500, 40)
+
+
+class TestMergeLayoutCache:
+    """`_nearest` reads each step's pair layout from `_pairs`, memoised by
+    (count, prefix count, K); calls with other counts in between must not
+    see a stale layout."""
+
+    @pytest.mark.parametrize("k, m", [(16, 1), (16, 2), (8, 3)])
+    def test_alternating_counts_match_oracle(self, k, m):
+        cb = random_codebook(k=k, m=m, seg_dim=2, seed=50 + m)
+        xs = np.random.default_rng(60 + m).standard_normal((4, cb.dim))
+        oracle = np.array([[w for _, w in exhaustive_ranking(x, cb)] for x in xs])
+        counts = [c for c in (1, 5, k, 40, k + 3) if c <= k**m]
+        pq._pairs.cache_clear()
+        for count in counts + counts[::-1] + counts:
+            want = oracle[:, :count]
+            got, _ = pq._nearest(pq.segment_distances_batch(xs, cb), k, count)
+            np.testing.assert_array_equal(got, want, err_msg=f"count {count}")
+            np.testing.assert_array_equal(pq.nearest_words_batch(xs, cb, count), want)
+            single = [w for w, _ in pq.nearest_words(xs[0], cb, count)]
+            assert single == want[0].tolist()
+        assert pq._pairs.cache_info().hits > 0
+
+    def test_memoised_arrays_read_only(self):
+        first = pq._pairs(40, 40, 64)
+        assert pq._pairs(40, 40, 64) is first
+        pre, sub, cut, cut_edge = first
+        assert len(pre) == len(sub) > 0 and len(cut) == len(cut_edge) > 0
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestReconstruct:
