@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Median time of each stage of `invindex.load`, on an index file shaped like
+each benchmark workload.
+
+    PYTHONPATH=src python3 scripts/bench_load.py [--seed 1] [--loads 40]
+
+Two indexes are built from `perfbench/datagen.hard_vectors` and saved to a
+temporary directory: `ifc-hard` (15,000 x 64, IFC with K = 64, M = 2,
+L = 32, S = 40) and `tifc-wide` (10,000 x 2,048, TIFC with L = 256, S = 40).
+Each of `--loads` rounds, after one warm round, runs the stages of `load` one
+after another and then one whole `invindex.load`; the table gives each
+stage's median in ms:
+
+- read: the magic, the header and every section read into its array
+  (`readinto`), the posting integers at their file widths;
+- crc: the CRC32 of the sections, checked against the trailer;
+- widen: the word ids, posting ids and list offsets at their in-memory
+  dtypes (int64, int32, int64);
+- checks: the list-length rule and `invindex._check_postings`;
+- quantizer: the IFC codebook (its float64 constants) or the TIFC table draw.
+
+`load` is the median of whole `invindex.load` calls. Every staged index is
+checked equal to `load`'s. The file size of each index is printed too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import struct
+import sys
+import tempfile
+import time
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import datagen  # noqa: E402
+
+from cnnidx import invindex, tifc  # noqa: E402
+from cnnidx.embed import code_bytes  # noqa: E402
+from cnnidx.invindex import BuildConfig  # noqa: E402
+from cnnidx.pq import PqCodebook, PqConfig  # noqa: E402
+from cnnidx.vecio import FeatureSet  # noqa: E402
+
+STAGES = ("read", "crc", "widen", "checks", "quantizer", "load")
+
+WORKLOADS = {
+    "ifc-hard": dict(n=15_000, dim=64, build=BuildConfig(
+        scheme="ifc", link_count=40, code_length=32,
+        pq=PqConfig(segments=2, words_per_segment=64))),
+    "tifc-wide": dict(n=10_000, dim=2_048, build=BuildConfig(
+        scheme="tifc", link_count=40, code_length=256)),
+}
+
+
+def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
+    """`invindex.load` split into its stages, for a well-formed file: the
+    perf_counter reading after each, and the index."""
+    t = [time.perf_counter()]
+    with open(path, "rb") as f:
+        f.read(len(invindex.MAGIC))
+        head = f.read(4)
+        raw_header = f.read(struct.unpack("<I", head)[0])
+        header, cfg, dim = invindex._read_header(path, raw_header)
+        sections = [head, raw_header]
+
+        def array(count, dtype):
+            out = np.empty(count, dtype=dtype)
+            f.readinto(out)
+            sections.append(out)
+            return out
+
+        if cfg is not None:
+            seg_dim = dim // cfg.segments
+            cents = array(cfg.segments * cfg.words_per_segment * seg_dim, "<f4")
+        total = header["indexed_count"] * header["link_count"]
+        b = code_bytes(header["code_length"])
+        wid_t, len_t, id_t = invindex.posting_dtypes(header["word_count"], header["indexed_count"])
+        nlists = int(array(1, "<u8")[0])
+        wids = array(nlists, wid_t)
+        lengths = array(nlists, len_t)
+        ids = array(total, id_t)
+        codes = array(total * b, np.uint8).reshape(total, b)
+        (stored,) = struct.unpack("<I", f.read(4))
+    t.append(time.perf_counter())
+    crc = 0
+    for sec in sections:
+        crc = zlib.crc32(sec, crc)
+    if crc != stored:
+        raise AssertionError(f"{path}: checksum mismatch")
+    t.append(time.perf_counter())
+    offsets = np.zeros(nlists + 1, dtype=np.int64)
+    np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
+    wids, ids = wids.astype(np.int64), ids.astype(np.int32)
+    t.append(time.perf_counter())
+    if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
+        raise AssertionError(f"{path}: bad list lengths")
+    ix = invindex.InvertedIndex(
+        scheme=header["scheme"], word_count=header["word_count"],
+        link_count=header["link_count"], code_length=header["code_length"],
+        indexed_count=header["indexed_count"], wids=wids, offsets=offsets, ids=ids,
+        codes=codes, quantizer=None)
+    invindex._check_postings(path, ix)
+    t.append(time.perf_counter())
+    if cfg is not None:
+        ix.quantizer = PqCodebook(
+            sub_codebooks=cents.reshape(cfg.segments, cfg.words_per_segment, seg_dim),
+            config=cfg)
+    else:
+        ix.quantizer = tifc.make_virtual_words(dim, header["seed"], header["code_length"])
+    t.append(time.perf_counter())
+    return t, ix
+
+
+def stage_medians(path, loads: int) -> dict[str, float]:
+    """Median seconds of each stage over `loads` rounds, after one warm
+    round; raises if a staged index differs from `invindex.load`'s."""
+    times = {s: [] for s in STAGES}
+    for r in range(loads + 1):
+        t, staged = staged_load(path)
+        t0 = time.perf_counter()
+        ref = invindex.load(path)
+        t1 = time.perf_counter()
+        for name in ("wids", "offsets", "ids", "codes"):
+            a, b = getattr(staged, name), getattr(ref, name)
+            if a.dtype != b.dtype or not np.array_equal(a, b):
+                raise AssertionError(f"the staged load's {name} differ from invindex.load's")
+        if r == 0:
+            continue
+        for stage, a, b in zip(STAGES, t, t[1:]):
+            times[stage].append(b - a)
+        times["load"].append(t1 - t0)
+    return {s: float(np.median(v)) for s, v in times.items()}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--loads", type=int, default=40)
+    args = ap.parse_args()
+
+    print("ms per load | bytes | " + " | ".join(STAGES))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in WORKLOADS.items():
+            db, _ = datagen.hard_vectors(args.seed, spec["n"], 0, spec["dim"])
+            path = Path(tmp) / f"{name}.idx"
+            invindex.save(invindex.build(FeatureSet(db), spec["build"]), path)
+            del db
+            med = stage_medians(path, args.loads)
+            print(f"{name} | {path.stat().st_size:,} | "
+                  + " | ".join(f"{med[s] * 1e3:.2f}" for s in STAGES), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -2,14 +2,14 @@
 (multiple link) and each posting entry carries the vector's binary code
 relative to that word.
 
-In memory and on disk the posting lists are four arrays: the occupied word
-ids `wids` (ascending), the list boundaries, the image ids `ids` (int32,
-ascending within each list) and the packed codes `codes` (n*S, B). List j
-belongs to word wids[j] and holds the entries offsets[j]:offsets[j + 1].
+In memory the posting lists are four arrays: the occupied word ids `wids`
+(int64, ascending), the list boundaries `offsets` (int64), the image ids `ids`
+(int32, ascending within each list) and the packed codes `codes` (n*S, B).
+List j belongs to word wids[j] and holds the entries offsets[j]:offsets[j + 1].
 
 Index file layout (all integers little-endian):
 
-    magic   8 bytes  b"CNNIDX02"
+    magic   8 bytes  b"CNNIDX03"
     hlen    uint32   length of the JSON header
     header  bytes    JSON: scheme, word_count, link_count, code_length,
                      indexed_count, quantizer parameters (kind "pq" for IFC,
@@ -19,17 +19,25 @@ Index file layout (all integers little-endian):
                      words' segment means is redrawn from dim, code_length
                      and seed)
     nlists  uint64   number of non-empty posting lists
-    wids    int64 x nlists, strictly increasing
-    lengths int64 x nlists, each >= 1, summing to indexed_count * S
-    ids     int32 x (indexed_count * S), list after list
+    wids    uW x nlists, strictly increasing
+    lengths uN x nlists, each >= 1, summing to indexed_count * S
+    ids     uI x (indexed_count * S), list after list
     codes   uint8 x (indexed_count * S * code_bytes), one code per id
     crc     uint32   CRC32 of every byte after the magic
 
-`load` rejects with `DataError` every file that breaks one of these rules,
-so a query never meets an id outside [0, indexed_count) or an image twice in
-one list. `CNNIDX01` files (one record per list) are not read; rebuild them.
-Nor are TIFC files with quantizer kind "virtual": their table of means came
-from a D x D bank, and the table drawn now differs, so rebuild them too.
+The posting integers take the narrowest unsigned width of 8, 16, 32 or 64
+bits that holds every value the header allows (`posting_dtypes`): uW holds
+word_count - 1, uN holds indexed_count and uI holds indexed_count - 1. So no
+header field names a width, and the ids of an index of up to 65,536 vectors
+take two bytes.
+
+`load` reads each section straight into its array and rejects with
+`DataError` every file that breaks one of these rules, so a query never meets
+an id outside [0, indexed_count) or an image twice in one list. `CNNIDX01`
+(one record per list) and `CNNIDX02` (int64 word ids and lengths, int32 ids)
+files are not read; rebuild them. Nor are TIFC files with quantizer kind
+"virtual": their table of means came from a D x D bank, and the table drawn
+now differs, so rebuild them too.
 
 Build and query share one encoding stage. `assign_words` gives a matrix of
 rows their words (TIFC: the top softmax bins; IFC: the exact nearest product
@@ -47,6 +55,7 @@ fits) before drawing it, so a small file cannot ask for gigabytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from collections import Counter
@@ -60,8 +69,8 @@ from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import CHUNK_BYTES, DataError, FeatureSet
 
-MAGIC = b"CNNIDX02"
-OLD_MAGIC = b"CNNIDX01"
+MAGIC = b"CNNIDX03"
+OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02")
 
 SCHEME_TIFC = "tifc"
 SCHEME_IFC = "ifc"
@@ -232,21 +241,30 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     )
 
 
+def posting_dtypes(word_count: int, indexed_count: int) -> tuple[np.dtype, np.dtype, np.dtype]:
+    """The file dtypes of the word ids, the list lengths and the posting ids:
+    the narrowest little-endian unsigned integers that hold word_count - 1,
+    indexed_count and indexed_count - 1."""
+    return tuple(np.min_scalar_type(v).newbyteorder("<")
+                 for v in (word_count - 1, indexed_count, indexed_count - 1))
+
+
 def stats(ix: InvertedIndex) -> IndexStats:
     """Entry counts, list-length histogram and byte sizes, all read from the
-    arrays that `save` writes."""
+    sections that `save` writes."""
     lengths = np.diff(ix.offsets)
     hist = Counter(lengths.tolist())
     hist[0] += ix.word_count - len(ix.wids)
     qbytes = ix.quantizer.sub_codebooks.nbytes if isinstance(ix.quantizer, PqCodebook) else 0
+    sizes = [memoryview(sec).nbytes for sec in _sections(ix)]
     return IndexStats(
         word_count=ix.word_count,
         total_entries=len(ix.ids),
-        posting_bytes=ix.wids.nbytes + lengths.nbytes + ix.ids.nbytes,
+        posting_bytes=sum(sizes[-4:-1]),  # wids, lengths and ids
         code_bytes=ix.codes.nbytes,
         quantizer_bytes=qbytes,
         list_length_histogram=hist,
-        estimated_file_bytes=len(MAGIC) + sum(memoryview(sec).nbytes for sec in _sections(ix)) + 4,
+        estimated_file_bytes=len(MAGIC) + sum(sizes) + 4,
     )
 
 
@@ -284,11 +302,12 @@ def _sections(ix: InvertedIndex) -> list:
     out = [struct.pack("<I", len(header)), header]
     if isinstance(ix.quantizer, PqCodebook):
         out.append(np.ascontiguousarray(ix.quantizer.sub_codebooks, dtype="<f4"))
+    wid_t, len_t, id_t = posting_dtypes(ix.word_count, ix.indexed_count)
     out += [
         struct.pack("<Q", len(ix.wids)),
-        np.ascontiguousarray(ix.wids, dtype="<i8"),
-        np.ascontiguousarray(np.diff(ix.offsets), dtype="<i8"),
-        np.ascontiguousarray(ix.ids, dtype="<i4"),
+        np.ascontiguousarray(ix.wids, dtype=wid_t),
+        np.ascontiguousarray(np.diff(ix.offsets), dtype=len_t),
+        np.ascontiguousarray(ix.ids, dtype=id_t),
         np.ascontiguousarray(ix.codes, dtype=np.uint8),
     ]
     return out
@@ -392,60 +411,73 @@ def _check_postings(path, ix: InvertedIndex) -> None:
 
 
 def load(path) -> InvertedIndex:
-    """Read and validate an index file; any malformed file raises DataError."""
+    """Read and validate an index file; any malformed file raises DataError.
+
+    The file is read section by section, each straight into its array (the
+    narrow posting integers into a buffer of their file width, widened with
+    one `astype`), and the CRC is updated as each section arrives. No array
+    is allocated before its byte count is checked against the bytes left in
+    the file, and after `nlists` those bytes must match the header's sizes
+    exactly. The CRC is checked before the posting rules and the TIFC table
+    draw."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[: len(OLD_MAGIC)] == OLD_MAGIC:
-        raise DataError(f"{path}: index file in the old CNNIDX01 format; "
-                        "rebuild the index with `cnnidx build`")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: bad magic bytes (not an index file)")
-    if len(blob) < len(MAGIC) + 8:
-        raise DataError(f"{path}: truncated index file")
-    body, trailer = memoryview(blob)[len(MAGIC) : -4], blob[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", trailer)[0]:
-        raise DataError(f"{path}: checksum mismatch (corrupt index file)")
+        magic = f.read(len(MAGIC))
+        if magic in OLD_MAGICS:
+            raise DataError(f"{path}: index file in the old {magic.decode()} format; "
+                            "rebuild the index with `cnnidx build`")
+        if magic != MAGIC:
+            raise DataError(f"{path}: bad magic bytes (not an index file)")
+        left = os.fstat(f.fileno()).st_size - len(MAGIC) - 4  # bytes before the CRC
+        crc = 0
 
-    off = 0
+        def array(count: int, dtype) -> np.ndarray:
+            nonlocal crc, left
+            nbytes = count * np.dtype(dtype).itemsize
+            if nbytes > left:
+                raise DataError(f"{path}: truncated index file")
+            out = np.empty(count, dtype=dtype)
+            if f.readinto(out) != nbytes:
+                raise DataError(f"{path}: truncated index file")
+            crc = zlib.crc32(out, crc)
+            left -= nbytes
+            return out
 
-    def take(nbytes: int) -> memoryview:
-        nonlocal off
-        if off + nbytes > len(body):
+        (hlen,) = struct.unpack("<I", array(4, np.uint8))
+        header, cfg, dim = _read_header(path, array(hlen, np.uint8))
+        if cfg is not None:
+            seg_dim = dim // cfg.segments
+            cents = array(cfg.segments * cfg.words_per_segment * seg_dim, "<f4")
+        total = header["indexed_count"] * header["link_count"]
+        b = code_bytes(header["code_length"])
+        wid_t, len_t, id_t = posting_dtypes(header["word_count"], header["indexed_count"])
+        nlists = int(array(1, "<u8")[0])
+        need = nlists * (wid_t.itemsize + len_t.itemsize) + total * (id_t.itemsize + b)
+        if need > left:
             raise DataError(f"{path}: truncated index file")
-        chunk = body[off : off + nbytes]
-        off += nbytes
-        return chunk
+        if need < left:
+            raise DataError(f"{path}: {left - need} trailing bytes after posting lists")
+        wids = array(nlists, wid_t)
+        lengths = array(nlists, len_t)
+        ids = array(total, id_t)
+        codes = array(total * b, np.uint8).reshape(total, b)
+        trailer = f.read(4)
+        if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
+            raise DataError(f"{path}: checksum mismatch (corrupt index file)")
 
-    def array(count: int, dtype, native) -> np.ndarray:
-        # astype copies: the array is aligned and does not keep the blob alive
-        raw = take(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).astype(native)
-
-    (hlen,) = struct.unpack("<I", take(4))
-    header, cfg, dim = _read_header(path, take(hlen))
+    # total fits the file, so a sum of lengths in [1, total] cannot overflow
+    if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
+        raise DataError(f"{path}: list lengths are not all >= 1 with sum "
+                        f"indexed_count * link_count = {total}")
+    offsets = np.zeros(nlists + 1, dtype=np.int64)
+    np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
     if cfg is not None:
-        seg_dim = dim // cfg.segments
-        cents = array(cfg.segments * cfg.words_per_segment * seg_dim, "<f4", np.float32)
         quantizer = PqCodebook(
-            sub_codebooks=cents.reshape(cfg.segments, cfg.words_per_segment, seg_dim),
+            sub_codebooks=cents.astype(np.float32, copy=False).reshape(
+                cfg.segments, cfg.words_per_segment, seg_dim),
             config=cfg,
         )
     else:
         quantizer = tifc.make_virtual_words(dim, header["seed"], header["code_length"])
-
-    total = header["indexed_count"] * header["link_count"]
-    (nlists,) = struct.unpack("<Q", take(8))
-    wids = array(nlists, "<i8", np.int64)
-    lengths = array(nlists, "<i8", np.int64)
-    ids = array(total, "<i4", np.int32)
-    b = code_bytes(header["code_length"])
-    codes = array(total * b, np.uint8, np.uint8).reshape(total, b)
-    if off != len(body):
-        raise DataError(f"{path}: {len(body) - off} trailing bytes after posting lists")
-    # total fits the file here, so a sum of lengths in [1, total] cannot overflow
-    if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
-        raise DataError(f"{path}: list lengths are not all >= 1 with sum "
-                        f"indexed_count * link_count = {total}")
 
     ix = InvertedIndex(
         scheme=header["scheme"],
@@ -453,9 +485,9 @@ def load(path) -> InvertedIndex:
         link_count=header["link_count"],
         code_length=header["code_length"],
         indexed_count=header["indexed_count"],
-        wids=wids,
-        offsets=np.concatenate(([0], np.cumsum(lengths))),
-        ids=ids,
+        wids=wids.astype(np.int64),
+        offsets=offsets,
+        ids=ids.astype(np.int32),
         codes=codes,
         quantizer=quantizer,
     )

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .embed import segment_means
-from .vecio import FeatureSet
+from .vecio import CHUNK_BYTES, FeatureSet
 
 
 @dataclass
@@ -230,8 +230,19 @@ def _draw(rng, p: np.ndarray) -> int:
 
 
 def _sq_dist_to(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
-    diff = pts - c
-    return np.einsum("ij,ij->i", diff, diff)
+    """Squared distances, float64, of the rows of pts (n, d) to c (d,). The
+    differences are made in row blocks of at most `CHUNK_BYTES`, in one
+    reused buffer; a row's sum does not depend on its block, so the
+    distances equal those of one whole (n, d) difference."""
+    n, d = pts.shape
+    rows = max(1, min(n, CHUNK_BYTES // (8 * d)))
+    diff = np.empty((rows, d))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        block = diff[: min(rows, n - lo)]
+        np.subtract(pts[lo : lo + len(block)], c, out=block)
+        np.einsum("ij,ij->i", block, block, out=out[lo : lo + len(block)])
+    return out
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:

@@ -385,6 +385,11 @@ def split_file(path):
     return json.loads(blob[12:12 + hlen]), blob[12 + hlen:-4]
 
 
+def payload_of(ix):
+    """The bytes after the header of ix's index file."""
+    return b"".join(bytes(sec) for sec in invindex._sections(ix)[2:])
+
+
 def write_file(path, header, payload):
     """An index file from a header and the bytes after it, with a valid CRC."""
     head = json.dumps(header).encode()
@@ -476,14 +481,15 @@ class TestLoadValidation:
                 invindex.load(path)
 
     def test_wide_tifc_header_loads_in_bounded_memory(self, tiny_index, tmp_path):
-        """A 260-byte file that declares dim 4,096 loads without the
+        """A file of about 200 bytes that declares dim 4,096 loads without the
         134 MB D x D virtual-word bank: only the (D, L) means table."""
         path = tmp_path / "wide.idx"
         invindex.save(tiny_index, path)
-        header, payload = split_file(path)
+        header, _ = split_file(path)
         header.update(word_count=4096, code_length=16)
         header["quantizer"]["dim"] = 4096
-        write_file(path, header, payload)
+        # 4,096 words widen the file's word ids to 16 bits
+        write_file(path, header, payload_of(dataclasses.replace(tiny_index, word_count=4096)))
         tracemalloc.start()
         try:
             ix = invindex.load(path)
@@ -528,6 +534,185 @@ class TestLoadValidation:
         body = struct.pack("<I", 3) + b"\xff{]" + payload
         path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(DataError, match="unreadable index header"):
+            invindex.load(path)
+
+
+class TestPostingWidths:
+    """Posting integers are stored at the narrowest unsigned width that the
+    header allows, and load back at their in-memory dtypes."""
+
+    @pytest.mark.parametrize("n, dim, widths", [
+        # TIFC with S = D = 2 puts every vector in both lists, so the list
+        # lengths equal indexed_count and the ids reach indexed_count - 1
+        (256, 2, ("u1", "u2", "u1")),
+        (257, 2, ("u1", "u2", "u2")),
+        (65_536, 2, ("u1", "u4", "u2")),
+        (65_537, 2, ("u1", "u4", "u4")),
+        (40, 256, ("u1", "u1", "u1")),
+        (40, 257, ("u2", "u1", "u1")),
+    ])
+    def test_round_trip_at_width_boundaries(self, n, dim, widths, tmp_path):
+        rng = np.random.default_rng(n + dim)
+        db = FeatureSet(rng.standard_normal((n, dim)).astype(np.float32))
+        ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=1))
+        wid_t, len_t, id_t = (np.dtype("<" + w) for w in widths)
+        assert invindex.posting_dtypes(ix.word_count, ix.indexed_count) == (wid_t, len_t, id_t)
+        path = tmp_path / "w.idx"
+        invindex.save(ix, path)
+        st = invindex.stats(ix)
+        assert st.estimated_file_bytes == path.stat().st_size
+
+        # the sections, read at the expected widths, hold the arrays and
+        # every byte of the payload
+        _, payload = split_file(path)
+        (nlists,) = struct.unpack_from("<Q", payload)
+        off = 8
+        for dtype, count, want in ((wid_t, nlists, ix.wids),
+                                   (len_t, nlists, np.diff(ix.offsets)),
+                                   (id_t, len(ix.ids), ix.ids),
+                                   (np.uint8, ix.codes.size, ix.codes.ravel())):
+            got = np.frombuffer(payload, dtype=dtype, count=count, offset=off)
+            np.testing.assert_array_equal(got, want)
+            off += got.nbytes
+        assert off == len(payload)
+        assert st.posting_bytes == off - 8 - ix.codes.size
+
+        back = invindex.load(path)
+        for name in ("wids", "offsets", "ids", "codes"):
+            assert getattr(back, name).dtype == getattr(ix, name).dtype
+            np.testing.assert_array_equal(getattr(back, name), getattr(ix, name))
+
+
+def section_bounds(ix):
+    """The byte offsets in ix's index file where the magic, each section of
+    `_sections` and the CRC begin, and the file size."""
+    sizes = [len(invindex.MAGIC)] + [memoryview(s).nbytes for s in invindex._sections(ix)] + [4]
+    return [0] + np.cumsum(sizes).tolist()
+
+
+def with_crc(raw):
+    """raw with its CRC trailer recomputed."""
+    return bytes(raw[:-4]) + struct.pack("<I", zlib.crc32(bytes(raw[8:-4])))
+
+
+def load_or_none(path, raw):
+    """`invindex.load` of the bytes raw, or None on DataError. Any other
+    exception fails the test."""
+    path.write_bytes(bytes(raw))
+    try:
+        return invindex.load(path)
+    except DataError:
+        return None
+
+
+def declare_many_words(header):
+    """Edit an index header to declare 2^24 TIFC words and as many links per
+    vector, or 2^20 IFC words per segment."""
+    if header["scheme"] == "tifc":
+        header.update(word_count=1 << 24, link_count=1 << 24, code_length=1)
+        header["quantizer"]["dim"] = 1 << 24
+    else:
+        header["quantizer"]["words_per_segment"] = 1 << 20
+        header["word_count"] = 1 << 40
+
+
+@pytest.fixture(params=["tifc", "ifc"])
+def fuzz_case(request, tifc_index, ifc_index, tmp_path):
+    """(index, its file's bytes) for the small TIFC and IFC indexes."""
+    ix = tifc_index if request.param == "tifc" else ifc_index
+    invindex.save(ix, tmp_path / "orig.idx")
+    return ix, (tmp_path / "orig.idx").read_bytes()
+
+
+class TestLoaderFuzz:
+    """Damaged and hostile files end in DataError; no other exception."""
+
+    def test_truncation_at_section_boundaries(self, fuzz_case, tmp_path):
+        ix, raw = fuzz_case
+        cuts = {q for b in section_bounds(ix) for q in (b - 1, b, b + 1) if 0 <= q < len(raw)}
+        for q in sorted(cuts):
+            assert load_or_none(tmp_path / "cut.idx", raw[:q]) is None, q
+        assert load_or_none(tmp_path / "long.idx", raw + b"\0") is None
+
+    def test_random_bit_flips_fail(self, fuzz_case, tmp_path):
+        _, raw = fuzz_case
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            bad = bytearray(raw)
+            for bit in rng.choice(len(raw) * 8, size=rng.integers(1, 9), replace=False):
+                bad[bit // 8] ^= 1 << (bit % 8)
+            assert load_or_none(tmp_path / "flip.idx", bad) is None
+
+    def test_crc_fixed_flips_in_header_and_postings(self, fuzz_case, small_dataset, tmp_path):
+        """A flip under a valid CRC gives DataError or a file that loads as
+        what it says. Most flips break a rule; the rest (a seed in the
+        header, an image id or word id moved to another valid value) give
+        an index that saves back to the same bytes and answers a query.
+        Flips that leave the posting arrays whole load equal to them."""
+        ix, raw = fuzz_case
+        b = section_bounds(ix)
+        # hlen and header; nlists, wids, lengths and ids
+        spans = list(range(b[1] * 8, b[3] * 8)) + list(range(b[-7] * 8, b[-3] * 8))
+        rng = np.random.default_rng(17)
+        query = small_dataset[1].vectors[0]
+        cfg = QueryConfig(assignment_count=3, hamming_threshold=5, top_k=10)
+        rejected = 0
+        for bit in rng.choice(spans, size=400, replace=False):
+            bad = bytearray(raw)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            bad = with_crc(bad)
+            back = load_or_none(tmp_path / "flip.idx", bad)
+            if back is None:
+                rejected += 1
+                continue
+            invindex.save(back, tmp_path / "again.idx")
+            assert (tmp_path / "again.idx").read_bytes() == bad
+            search.query(back, query, cfg)
+            if bit < b[3] * 8:
+                for name in ("wids", "offsets", "ids", "codes"):
+                    np.testing.assert_array_equal(getattr(back, name), getattr(ix, name))
+        assert rejected > 300
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(indexed_count=2**31 - 1),
+        lambda h: h.update(indexed_count=2**31 - 1, link_count=h["word_count"]),
+        declare_many_words,
+    ])
+    def test_huge_declared_sizes_rejected_before_allocating(self, fuzz_case, edit, tmp_path):
+        _, raw = fuzz_case
+        path = tmp_path / "huge.idx"
+        path.write_bytes(raw)
+        header, payload = split_file(path)
+        edit(header)
+        write_file(path, header, payload)
+        self.assert_truncated_in_bounded_memory(path)
+
+    @pytest.mark.parametrize("nlists", [2**64 - 1, 2**63, 2**40, 10**6])
+    def test_huge_nlists_rejected_before_allocating(self, fuzz_case, nlists, tmp_path):
+        ix, raw = fuzz_case
+        at = section_bounds(ix)[-7]
+        bad = bytearray(raw)
+        bad[at:at + 8] = struct.pack("<Q", nlists)
+        path = tmp_path / "huge.idx"
+        path.write_bytes(with_crc(bad))
+        self.assert_truncated_in_bounded_memory(path)
+
+    @staticmethod
+    def assert_truncated_in_bounded_memory(path):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated index file"):
+                invindex.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_previous_format_asks_for_rebuild(self, fuzz_case, tmp_path):
+        _, raw = fuzz_case
+        path = tmp_path / "old.idx"
+        path.write_bytes(b"CNNIDX02" + raw[8:])
+        with pytest.raises(DataError, match="CNNIDX02.*rebuild"):
             invindex.load(path)
 
 

@@ -255,6 +255,25 @@ class TestKmeansOracle:
             want.append(runs[best][0].astype(np.float32))
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_seeding_in_row_blocks_matches_reference(self, block_rows, monkeypatch):
+        """With `CHUNK_BYTES` cut to a few rows, k-means++ seeding makes its
+        distances in many blocks (the last one short), and the distances and
+        codebooks equal those of one whole difference."""
+        rng = np.random.default_rng(50)
+        data = FeatureSet(rng.standard_normal((300, 12)).astype(np.float32))
+        cfg = PqConfig(segments=2, words_per_segment=8, kmeans_seed=51)
+        want = pq.train(data, cfg).sub_codebooks
+        monkeypatch.setattr(pq, "CHUNK_BYTES", block_rows * 6 * 8)
+        pts = data.vectors[:, :6].astype(np.float64)
+        for c in (pts[0], pts[299], np.zeros(6)):
+            np.testing.assert_array_equal(pq._sq_dist_to(pts, c), reference_sq_dist_to(pts, c))
+        got, got_wcss = pq._kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
+        ref, ref_wcss = reference_kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
+        np.testing.assert_array_equal(got, ref)
+        assert got_wcss == ref_wcss
+        np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, want)
+
     @pytest.mark.parametrize("n, dim, m, k, seed", [
         (1_500, 12, 3, 16, 47), (2_000, 8, 1, 64, 48), (400, 16, 4, 5, 49),
     ])
