@@ -17,7 +17,8 @@ stage's median in ms:
 - widen: the word ids, posting ids and list offsets at their in-memory
   dtypes (int64, int32, int64);
 - checks: the list-length rule and `invindex._check_postings`;
-- quantizer: the IFC codebook (its float64 constants) or the TIFC table draw.
+- quantizer: the maker from `invindex._read_header` run on the payload: the
+  IFC codebook (its float64 constants) or the TIFC table draw.
 
 `load` is the median of whole `invindex.load` calls. Every staged index is
 checked equal to `load`'s. The file size of each index is printed too.
@@ -40,10 +41,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import datagen  # noqa: E402
 
-from cnnidx import invindex, tifc  # noqa: E402
+from cnnidx import invindex  # noqa: E402
 from cnnidx.embed import code_bytes  # noqa: E402
 from cnnidx.invindex import BuildConfig  # noqa: E402
-from cnnidx.pq import PqCodebook, PqConfig  # noqa: E402
+from cnnidx.pq import PqConfig  # noqa: E402
 from cnnidx.vecio import FeatureSet  # noqa: E402
 
 STAGES = ("read", "crc", "widen", "checks", "quantizer", "load")
@@ -65,7 +66,7 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
         f.read(len(invindex.MAGIC))
         head = f.read(4)
         raw_header = f.read(struct.unpack("<I", head)[0])
-        header, cfg, dim = invindex._read_header(path, raw_header)
+        header, payload_count, make_quantizer = invindex._read_header(path, raw_header)
         sections = [head, raw_header]
 
         def array(count, dtype):
@@ -74,9 +75,7 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
             sections.append(out)
             return out
 
-        if cfg is not None:
-            seg_dim = dim // cfg.segments
-            cents = array(cfg.segments * cfg.words_per_segment * seg_dim, "<f4")
+        payload = array(payload_count, "<f4")
         total = header["indexed_count"] * header["link_count"]
         b = code_bytes(header["code_length"])
         wid_t, len_t, id_t = invindex.posting_dtypes(header["word_count"], header["indexed_count"])
@@ -106,12 +105,7 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
         codes=codes, quantizer=None)
     invindex._check_postings(path, ix)
     t.append(time.perf_counter())
-    if cfg is not None:
-        ix.quantizer = PqCodebook(
-            sub_codebooks=cents.reshape(cfg.segments, cfg.words_per_segment, seg_dim),
-            config=cfg)
-    else:
-        ix.quantizer = tifc.make_virtual_words(dim, header["seed"], header["code_length"])
+    ix.quantizer = make_quantizer(payload)
     t.append(time.perf_counter())
     return t, ix
 

@@ -15,7 +15,7 @@ one after another, and the table gives each stage's median in us:
   `tifc.softmax_rows` (TIFC);
 - words: the choice of the W words from those scores, `pq._nearest` (IFC)
   or `tifc.top_words_rows` (TIFC);
-- encode: `invindex.encode_rows`, the query's codes against its words;
+- encode: the quantizer's `codes`, the query's codes against its words;
 - scan: `search._scan`, the list scan, votes and ranking.
 
 `query` is the median of whole `search.query` calls, timed in the same
@@ -69,7 +69,7 @@ def staged_query(ix, q, cfg) -> tuple[list[float], search.RankedResult]:
         t.append(time.perf_counter())
         wids = tifc.top_words_rows(scores, w)
     t.append(time.perf_counter())
-    codes = invindex.encode_rows(quantizer, xs, wids, ix.code_length)
+    codes = quantizer.codes(xs, wids, ix.code_length)
     t.append(time.perf_counter())
     result = search._scan(ix, wids[0], codes[0], cfg, count_candidates=False)
     t.append(time.perf_counter())

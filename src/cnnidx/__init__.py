@@ -11,7 +11,7 @@ from .baseline import LshConfig, brute_force, lsh_build, lsh_query
 from .embed import EmbedConfig, encode, hamming
 from .evaluation import EvalReport, SweepSpec, average_precision, evaluate, sweep
 from .invindex import BuildConfig, InvertedIndex, build, load, save, stats
-from .pq import PqCodebook, PqConfig, assign, nearest_words, reconstruct, train
+from .pq import PqCodebook, PqConfig, assign, nearest_words, train
 from .search import QueryConfig, RankedResult, batch_query, candidate_set, query
 from .tifc import VirtualWordBank, make_virtual_words, softmax, top_words
 from .vecio import (
@@ -33,8 +33,7 @@ __all__ = [
     "assign", "average_precision", "batch_query", "brute_force", "build",
     "candidate_set", "encode", "evaluate", "generate_synthetic", "hamming",
     "l2_normalize", "load", "lsh_build", "lsh_query", "make_virtual_words",
-    "nearest_words",
-    "query", "read_feature_file", "read_ground_truth", "reconstruct", "save",
+    "nearest_words", "query", "read_feature_file", "read_ground_truth", "save",
     "softmax", "stats", "sweep", "top_words", "train", "write_feature_file",
     "write_ground_truth",
 ]

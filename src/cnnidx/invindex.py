@@ -39,13 +39,15 @@ files are not read; rebuild them. Nor are TIFC files with quantizer kind
 "virtual": their table of means came from a D x D bank, and the table drawn
 now differs, so rebuild them too.
 
-Build and query share one encoding stage. `assign_words` gives a matrix of
-rows their words (TIFC: the top softmax bins; IFC: the exact nearest product
-words) and `encode_rows` packs each row's codes against those words' segment
-means. IFC reads those means from the codebook's per-segment tables when M
-divides L, built once per code length, and reconstructs the words otherwise.
-A row's words and codes depend on that row alone, so a database vector
-queried with itself gets exactly its S links and their codes.
+Build and query share one encoding stage, `encode_chunks`, and the
+quantizer does the work. `tifc.VirtualWordBank` and `pq.PqCodebook` have the
+same members: `words` gives a matrix of rows their words (TIFC: the top
+softmax bins; IFC: the exact nearest product words), `codes` packs each row's
+codes against those words' segment means, `stage_width` is the word stage's
+float64 values per row, and `header` and `payload` are the quantizer's part
+of the file. Only `_read_header` tells the two kinds apart, by the header's
+quantizer kind. A row's words and codes depend on that row alone, so a
+database vector queried with itself gets exactly its S links and their codes.
 
 A TIFC table holds D * L float64 means. `build` and `load` reject any table
 of more than `MAX_TABLE_ENTRIES` = 2^24 entries (128 MiB; D = L = 4,096 still
@@ -59,12 +61,13 @@ import os
 import struct
 import zlib
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pq, tifc
-from .embed import code_bytes, pack_bits, segment_means
+from .embed import code_bytes
 from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import CHUNK_BYTES, DataError, FeatureSet
@@ -123,58 +126,18 @@ class IndexStats:
     estimated_file_bytes: int = 0
 
 
-def assign_words(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray,
-                 count: int) -> np.ndarray:
-    """The `count` words of each row of xs, (N, count) int64, in selection
-    order: TIFC takes the largest softmax bins in (-tf, id) order, IFC the
-    nearest product words in (distance, word id) order."""
-    if isinstance(quantizer, VirtualWordBank):
-        return tifc.top_words_rows(tifc.softmax_rows(xs), count)
-    return pq.nearest_words_batch(xs, quantizer, count)
-
-
-def encode_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: np.ndarray,
-                code_length: int) -> np.ndarray:
-    """Each row's packed codes against the segment means of its words,
-    (N, count, B) for (N, count) word ids.
-
-    TIFC reads the words' rows of its (D, L) table. IFC with M dividing L
-    compares each segment's slice of the row means with the codebook's
-    `mean_table` rows of the words' sub-ids, straight into the bit array, so
-    no (N, count, L) float64 array of word means is made. With L % M != 0 a
-    code segment straddles two sub-centroids, and the distinct words are
-    reconstructed and averaged: the codes' definition, taken literally."""
-    if isinstance(quantizer, VirtualWordBank):
-        c_means = quantizer.means[wids]
-        return pack_bits(segment_means(xs, code_length)[:, None, :] >= c_means)
-    x_means = segment_means(xs, code_length)
-    m, k = quantizer.config.segments, quantizer.config.words_per_segment
-    if code_length % m:
-        uniq, inverse = np.unique(wids, return_inverse=True)
-        uniq_means = segment_means(pq.reconstruct_batch(uniq, quantizer), code_length)
-        return pack_bits(x_means[:, None, :] >= uniq_means[inverse.reshape(wids.shape)])
-    table = quantizer.mean_table(code_length)
-    width = code_length // m
-    bits = np.empty(wids.shape + (code_length,), dtype=bool)
-    for s, sub in enumerate(pq.decode_words(wids, k, m)):
-        seg = slice(s * width, (s + 1) * width)
-        np.greater_equal(x_means[:, None, seg], table[s][sub], out=bits[..., seg])
-    return pack_bits(bits)
-
-
 def encode_chunks(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
                   code_length: int):
-    """Yield `assign_words`' (rows, count) words and `encode_rows`' codes for
-    the rows of xs, chunk after chunk. Each chunk is cast to float64 once, and
-    its rows * (D + stage + count * L) float64 values stay within `CHUNK_BYTES`."""
-    d = xs.shape[1]
-    # the word stage's row: D term frequencies (TIFC), M*K segment distances (IFC)
-    stage = d if isinstance(quantizer, VirtualWordBank) else quantizer.sub_codebooks[..., 0].size
-    rows = max(1, CHUNK_BYTES // ((d + stage + count * code_length) * 8))
+    """Yield the quantizer's (rows, count) words and their codes for the rows
+    of xs, chunk after chunk. Each chunk is cast to float64 once, and its
+    rows * (D + stage_width + count * L) float64 values stay within
+    `CHUNK_BYTES`."""
+    width = xs.shape[1] + quantizer.stage_width + count * code_length
+    rows = max(1, CHUNK_BYTES // (width * 8))
     for lo in range(0, len(xs), rows):
         chunk = np.asarray(xs[lo:lo + rows], dtype=np.float64)
-        wids = assign_words(quantizer, chunk, count)
-        yield wids, encode_rows(quantizer, chunk, wids, code_length)
+        wids = quantizer.words(chunk, count)
+        yield wids, quantizer.codes(chunk, wids, code_length)
 
 
 def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) -> InvertedIndex:
@@ -191,10 +154,13 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     if d % cfg.code_length != 0:
         raise DataError(f"dimension {d} not divisible by code length {cfg.code_length}")
 
+    word_count = d if cfg.scheme == SCHEME_TIFC else cfg.pq.words_per_segment ** cfg.pq.segments
+    if s > word_count:
+        raise DataError(f"link count {s} exceeds word count {word_count}")
+
     if cfg.scheme == SCHEME_TIFC:
         _check_table(d, cfg.code_length, "database")
         quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
-        word_count = d
     else:
         training = training if training is not None else db
         m, k = cfg.pq.segments, cfg.pq.words_per_segment
@@ -205,10 +171,6 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         if training.n < k:
             raise DataError(f"need at least {k} training vectors, got {training.n}")
         quantizer = pq.train(training, cfg.pq)
-        word_count = k**m
-
-    if s > word_count:
-        raise DataError(f"link count {s} exceeds word count {word_count}")
 
     # every row's S words and codes, filled in place chunk by chunk
     wids = np.empty((n, s), dtype=np.int64)
@@ -255,14 +217,13 @@ def stats(ix: InvertedIndex) -> IndexStats:
     lengths = np.diff(ix.offsets)
     hist = Counter(lengths.tolist())
     hist[0] += ix.word_count - len(ix.wids)
-    qbytes = ix.quantizer.sub_codebooks.nbytes if isinstance(ix.quantizer, PqCodebook) else 0
     sizes = [memoryview(sec).nbytes for sec in _sections(ix)]
     return IndexStats(
         word_count=ix.word_count,
         total_entries=len(ix.ids),
         posting_bytes=sum(sizes[-4:-1]),  # wids, lengths and ids
         code_bytes=ix.codes.nbytes,
-        quantizer_bytes=qbytes,
+        quantizer_bytes=sizes[2],  # the quantizer payload
         list_length_histogram=hist,
         estimated_file_bytes=len(MAGIC) + sum(sizes) + 4,
     )
@@ -275,42 +236,25 @@ def _header_json(ix: InvertedIndex) -> bytes:
         "link_count": ix.link_count,
         "code_length": ix.code_length,
         "indexed_count": ix.indexed_count,
+        "quantizer": ix.quantizer.header(),
     }
-    if isinstance(ix.quantizer, PqCodebook):
-        cfg = ix.quantizer.config
-        header["quantizer"] = {
-            "kind": "pq",
-            "dim": ix.quantizer.dim,
-            "segments": cfg.segments,
-            "words_per_segment": cfg.words_per_segment,
-            "kmeans_iters": cfg.kmeans_iters,
-            "kmeans_seed": cfg.kmeans_seed,
-            "kmeans_restarts": cfg.kmeans_restarts,
-        }
-    else:
-        header["quantizer"] = {
-            "kind": "means",
-            "dim": ix.quantizer.dim,
-            "seed": ix.quantizer.seed,
-        }
     return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
 def _sections(ix: InvertedIndex) -> list:
     """The file's byte sections between the magic and the CRC, in order."""
     header = _header_json(ix)
-    out = [struct.pack("<I", len(header)), header]
-    if isinstance(ix.quantizer, PqCodebook):
-        out.append(np.ascontiguousarray(ix.quantizer.sub_codebooks, dtype="<f4"))
     wid_t, len_t, id_t = posting_dtypes(ix.word_count, ix.indexed_count)
-    out += [
+    return [
+        struct.pack("<I", len(header)),
+        header,
+        ix.quantizer.payload(),
         struct.pack("<Q", len(ix.wids)),
         np.ascontiguousarray(ix.wids, dtype=wid_t),
         np.ascontiguousarray(np.diff(ix.offsets), dtype=len_t),
         np.ascontiguousarray(ix.ids, dtype=id_t),
         np.ascontiguousarray(ix.codes, dtype=np.uint8),
     ]
-    return out
 
 
 def save(ix: InvertedIndex, path) -> None:
@@ -333,9 +277,11 @@ def _field(path, obj: dict, key: str, kind: type, minimum: int | None = None):
     return value
 
 
-def _read_header(path, raw) -> tuple[dict, PqConfig | None, int]:
-    """The checked header fields, the quantizer config (a PqConfig, or None
-    for TIFC) and the quantizer's dimension."""
+def _read_header(path, raw) -> tuple[
+        dict, int, Callable[[np.ndarray], VirtualWordBank | PqCodebook]]:
+    """The checked header fields, the float32 count of the quantizer payload
+    and a function that makes the quantizer from that payload. This is the
+    one place that tells the quantizer kinds apart."""
     try:
         header = json.loads(bytes(raw).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -365,13 +311,21 @@ def _read_header(path, raw) -> tuple[dict, PqConfig | None, int]:
         words = cfg.words_per_segment ** cfg.segments
         if dim % cfg.segments:
             raise DataError(f"{path}: dim {dim} not divisible by {cfg.segments} segments")
+        payload_count = cfg.words_per_segment * dim
+
+        def make(payload: np.ndarray) -> PqCodebook:
+            sub = payload.astype(np.float32, copy=False)
+            return PqCodebook(sub.reshape(cfg.segments, cfg.words_per_segment, -1), cfg)
     elif (scheme, kind) == (SCHEME_TIFC, "virtual"):
         raise DataError(f"{path}: TIFC index with the old virtual-word table "
                         "(quantizer kind 'virtual'); rebuild the index with `cnnidx build`")
     elif (scheme, kind) == (SCHEME_TIFC, "means"):
-        cfg = None
-        out["seed"] = _field(path, q, "seed", int, 0)
-        words = dim
+        seed = _field(path, q, "seed", int, 0)
+        _check_table(dim, out["code_length"], path)
+        words, payload_count = dim, 0
+
+        def make(payload: np.ndarray) -> VirtualWordBank:
+            return tifc.make_virtual_words(dim, seed, out["code_length"])
     else:
         raise DataError(f"{path}: scheme {scheme!r} with quantizer kind {kind!r}")
     if out["word_count"] != words:
@@ -382,9 +336,7 @@ def _read_header(path, raw) -> tuple[dict, PqConfig | None, int]:
         raise DataError(f"{path}: dim {dim} not divisible by code length {out['code_length']}")
     if out["indexed_count"] > np.iinfo(np.int32).max:
         raise DataError(f"{path}: indexed_count {out['indexed_count']} exceeds int32 ids")
-    if cfg is None:
-        _check_table(dim, out["code_length"], path)
-    return out, cfg, dim
+    return out, payload_count, make
 
 
 def _check_table(dim: int, code_length: int, where) -> None:
@@ -443,10 +395,8 @@ def load(path) -> InvertedIndex:
             return out
 
         (hlen,) = struct.unpack("<I", array(4, np.uint8))
-        header, cfg, dim = _read_header(path, array(hlen, np.uint8))
-        if cfg is not None:
-            seg_dim = dim // cfg.segments
-            cents = array(cfg.segments * cfg.words_per_segment * seg_dim, "<f4")
+        header, payload_count, make_quantizer = _read_header(path, array(hlen, np.uint8))
+        payload = array(payload_count, "<f4")
         total = header["indexed_count"] * header["link_count"]
         b = code_bytes(header["code_length"])
         wid_t, len_t, id_t = posting_dtypes(header["word_count"], header["indexed_count"])
@@ -470,15 +420,6 @@ def load(path) -> InvertedIndex:
                         f"indexed_count * link_count = {total}")
     offsets = np.zeros(nlists + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
-    if cfg is not None:
-        quantizer = PqCodebook(
-            sub_codebooks=cents.astype(np.float32, copy=False).reshape(
-                cfg.segments, cfg.words_per_segment, seg_dim),
-            config=cfg,
-        )
-    else:
-        quantizer = tifc.make_virtual_words(dim, header["seed"], header["code_length"])
-
     ix = InvertedIndex(
         scheme=header["scheme"],
         word_count=header["word_count"],
@@ -489,7 +430,7 @@ def load(path) -> InvertedIndex:
         offsets=offsets,
         ids=ids.astype(np.int32),
         codes=codes,
-        quantizer=quantizer,
+        quantizer=make_quantizer(payload),
     )
     _check_postings(path, ix)
     return ix

@@ -26,12 +26,12 @@ per codebook (see `PqCodebook`). K-means training keeps its own matmul form
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .embed import segment_means
+from .embed import pack_bits, segment_means
 from .vecio import CHUNK_BYTES, FeatureSet
 
 
@@ -99,6 +99,42 @@ class PqCodebook:
     @property
     def word_count(self) -> int:
         return self.config.words_per_segment ** self.config.segments
+
+    @property
+    def stage_width(self) -> int:
+        """Float64 values per row of the word stage: M * K segment distances."""
+        return self.config.segments * self.config.words_per_segment
+
+    def words(self, xs: np.ndarray, count: int) -> np.ndarray:
+        """Each row's `count` nearest product words, (N, count), in (distance, id) order."""
+        return nearest_words_batch(xs, self, count)
+
+    def codes(self, xs: np.ndarray, wids: np.ndarray, code_length: int) -> np.ndarray:
+        """Each row's packed codes against its words' segment means: (N, count, B)
+        for (N, count) word ids. With M | L each segment's slice of the row
+        means meets the `mean_table` rows of the words' sub-ids straight in the
+        bit array, with no (N, count, L) array of word means. With L % M != 0
+        a code segment straddles two sub-centroids, so the distinct words are
+        reconstructed and averaged: the codes' definition, taken literally."""
+        x_means = segment_means(xs, code_length)
+        m, k = self.config.segments, self.config.words_per_segment
+        if code_length % m:
+            uniq, inverse = np.unique(wids, return_inverse=True)
+            uniq_means = segment_means(reconstruct_batch(uniq, self), code_length)
+            return pack_bits(x_means[:, None, :] >= uniq_means[inverse.reshape(wids.shape)])
+        table = self.mean_table(code_length)
+        width = code_length // m
+        bits = np.empty(wids.shape + (code_length,), dtype=bool)
+        for s, sub in enumerate(decode_words(wids, k, m)):
+            seg = slice(s * width, (s + 1) * width)
+            np.greater_equal(x_means[:, None, seg], table[s][sub], out=bits[..., seg])
+        return pack_bits(bits)
+
+    def header(self) -> dict:
+        return {"kind": "pq", "dim": self.dim, **asdict(self.config)}
+
+    def payload(self) -> np.ndarray:
+        return np.ascontiguousarray(self.sub_codebooks, dtype="<f4")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -404,15 +440,9 @@ def _merge_nearest(dists: np.ndarray, k: int, count: int) -> list[tuple[int, flo
     return [(wid, total) for total, wid in popped[:count]]
 
 
-def reconstruct(wid: int, cb: PqCodebook) -> np.ndarray:
-    """Concatenation of the M sub-centroids encoded by a product word id."""
-    if not 0 <= wid < cb.word_count:
-        raise ValueError(f"word id {wid} out of range [0, {cb.word_count})")
-    return reconstruct_batch([wid], cb)[0]
-
-
 def reconstruct_batch(wids: np.ndarray, cb: PqCodebook) -> np.ndarray:
-    """Reconstructed centroids for an array of word ids, shape (len, D)."""
+    """Reconstructed centroids for an array of word ids, shape (len, D): the
+    concatenation of the M sub-centroids each word id encodes."""
     m, k, seg_dim = cb.sub_codebooks.shape
     wids = np.asarray(wids, dtype=np.int64)
     out = np.empty((wids.size, m * seg_dim), dtype=np.float32)

@@ -3,11 +3,11 @@ each probed posting list by Hamming distance < T against the query's binary
 code for that word, then rank candidates by vote count.
 
 It runs in two stages. The first takes a matrix of queries: it checks the
-rows, then assigns each its W words and packs its codes against them with
-`invindex.assign_words` and `invindex.encode_rows`, the encoding stage that
-the build uses too. The second scans one query's lists at a time. `query` is
-the one-row case of both, and `batch_query` runs the first stage through
-`invindex.encode_chunks`, in chunks sized as the build's are."""
+rows, then the index's quantizer assigns each its W words (`words`) and packs
+its codes against them (`codes`), as it does for the build. The second scans
+one query's lists at a time. `query` is the one-row case of both, and
+`batch_query` runs the first stage through `invindex.encode_chunks`, in
+chunks sized as the build's are."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import hamming_to_many
-from .invindex import InvertedIndex, assign_words, encode_chunks, encode_rows
+from .invindex import InvertedIndex, encode_chunks
 from .vecio import write_int_lists
 
 
@@ -80,7 +80,7 @@ def _check_queries(ix: InvertedIndex, qs, count: int) -> np.ndarray:
 def select_words(ix: InvertedIndex, q, count: int) -> np.ndarray:
     """The W words a query is assigned to, in selection order, as an int64
     array: the one-row case of the batch word assignment."""
-    return assign_words(ix.quantizer, _check_queries(ix, np.asarray(q)[None], count), count)[0]
+    return ix.quantizer.words(_check_queries(ix, np.asarray(q)[None], count), count)[0]
 
 
 def _probe(ix: InvertedIndex, wids) -> tuple[np.ndarray, np.ndarray, list[slice]]:
@@ -166,7 +166,7 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig,
     _check_config(ix, cfg)
     q = np.asarray(q, dtype=np.float64)
     wids = select_words(ix, q, cfg.assignment_count)
-    q_codes = encode_rows(ix.quantizer, q[None], wids[None], ix.code_length)[0]
+    q_codes = ix.quantizer.codes(q[None], wids[None], ix.code_length)[0]
     return _scan(ix, wids, q_codes, cfg, count_candidates)
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .embed import pack_bits, segment_means
+
 
 def softmax(x) -> np.ndarray:
     """Term-frequency vector of x: probs[i] = e^{x_i} / sum_j e^{x_j}.
@@ -76,7 +78,7 @@ class VirtualWordBank:
     * sqrt(code_length / dim)`: the law of the segment means of D random
     N(0, 1) words, drawn at O(D * L) cost. The table is regenerated
     deterministically from (dim, seed, code_length), so only those are
-    persisted.
+    persisted, and the payload is empty.
     """
 
     dim: int
@@ -92,6 +94,30 @@ class VirtualWordBank:
             raise ValueError(f"code_length {length} does not divide dim {d}")
         self.means = np.random.default_rng(self.seed).standard_normal((d, length))
         self.means *= np.sqrt(length / d)
+
+    @property
+    def word_count(self) -> int:
+        return self.dim
+
+    @property
+    def stage_width(self) -> int:
+        """Float64 values per row of the word stage: D term frequencies."""
+        return self.dim
+
+    def words(self, xs: np.ndarray, count: int) -> np.ndarray:
+        """Each row's `count` largest softmax bins, (N, count), in (-tf, id) order."""
+        return top_words_rows(softmax_rows(xs), count)
+
+    def codes(self, xs: np.ndarray, wids: np.ndarray, code_length: int) -> np.ndarray:
+        """Each row's packed codes against its words' rows of the table,
+        (N, count, B) for (N, count) word ids."""
+        return pack_bits(segment_means(xs, code_length)[:, None, :] >= self.means[wids])
+
+    def header(self) -> dict:
+        return {"kind": "means", "dim": self.dim, "seed": self.seed}
+
+    def payload(self) -> np.ndarray:
+        return np.empty(0, dtype="<f4")
 
 
 def make_virtual_words(dim: int, seed: int, code_length: int) -> VirtualWordBank:

@@ -70,9 +70,17 @@ class TestBuild:
             np.testing.assert_array_equal(codes[ids == 0], codes[ids == 2])
 
     def test_link_count_exceeding_words_rejected(self, small_dataset):
+        """TIFC has D = 16 words and IFC K^M = 4: the word count comes from
+        the config, so the IFC build stops before training a codebook."""
         db = small_dataset[0]
-        with pytest.raises(DataError, match="exceeds word count"):
+        with pytest.raises(DataError, match="link count 17 exceeds word count 16"):
             invindex.build(db, BuildConfig(scheme="tifc", link_count=17, code_length=8))
+        cfg = BuildConfig(scheme="ifc", link_count=5, code_length=8,
+                          pq=PqConfig(segments=2, words_per_segment=2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pq, "train", lambda *a, **k: pytest.fail("trained a codebook"))
+            with pytest.raises(DataError, match="link count 5 exceeds word count 4"):
+                invindex.build(db, cfg)
 
     @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
     def test_empty_database_rejected(self, scheme):
@@ -137,7 +145,8 @@ class TestBuild:
             chunks.append(len(bits))
             return embed.pack_bits(bits)
 
-        monkeypatch.setattr(invindex, "pack_bits", counting_pack_bits)
+        for module in (tifc, pq):  # each quantizer packs its own codes
+            monkeypatch.setattr(module, "pack_bits", counting_pack_bits)
         # 3 rows of float64 (D + stage + S*L): stage is D for TIFC, M*K for IFC
         monkeypatch.setattr(invindex, "CHUNK_BYTES",
                             3 * (16 + (16 if scheme == "tifc" else 2 * 4) + 3 * 8) * 8)
@@ -244,9 +253,10 @@ class TestBuildMemory:
 
 
 class TestEncodeRows:
-    """IFC codes against the codes' definition: the bits of the row's segment
-    means >= the segment means of the reconstructed word. With M | L they come
-    from the codebook's per-segment mean tables, otherwise from the words."""
+    """IFC codes (`PqCodebook.codes`) against the codes' definition: the bits
+    of the row's segment means >= the segment means of the reconstructed
+    word. With M | L they come from the codebook's per-segment mean tables,
+    otherwise from the words."""
 
     @staticmethod
     def codebook(dim, m, integer, seed):
@@ -289,8 +299,7 @@ class TestEncodeRows:
             # the tables alone: reconstructing a word would be the other path
             monkeypatch.setattr(pq, "reconstruct_batch", None)
         for size in (1, 3, len(xs)):
-            got = np.concatenate([invindex.encode_rows(cb, xs[lo:lo + size],
-                                                       wids[lo:lo + size], length)
+            got = np.concatenate([cb.codes(xs[lo:lo + size], wids[lo:lo + size], length)
                                   for lo in range(0, len(xs), size)])
             np.testing.assert_array_equal(got, want, err_msg=f"chunks of {size}")
 
@@ -305,8 +314,8 @@ class TestEncodeRows:
         xs = rng.standard_normal((40, 16))
         wids = pq.nearest_words_batch(xs, ix.quantizer, 3)
         np.testing.assert_array_equal(pq.nearest_words_batch(xs, back, 3), wids)
-        np.testing.assert_array_equal(invindex.encode_rows(back, xs, wids, 8),
-                                      invindex.encode_rows(ix.quantizer, xs, wids, 8))
+        np.testing.assert_array_equal(back.codes(xs, wids, 8),
+                                      ix.quantizer.codes(xs, wids, 8))
         np.testing.assert_array_equal(back.centroids, ix.quantizer.centroids)
         np.testing.assert_array_equal(back.sq_norms, ix.quantizer.sq_norms)
 
@@ -323,6 +332,37 @@ class TestEncodeRows:
                 a[0] = 0.0
         with pytest.raises(ValueError, match="not divisible by 2 segments"):
             cb.mean_table(3)
+
+
+@pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+class TestQuantizerContract:
+    """Both quantizers have the same members, and what `save` writes of one
+    (`header` and `payload`) remakes it through `_read_header`'s maker."""
+
+    def test_header_and_payload_remake_the_quantizer(self, scheme, tifc_index, ifc_index):
+        ix = tifc_index if scheme == "tifc" else ifc_index
+        q = ix.quantizer
+        assert (q.word_count, q.stage_width) == {"tifc": (16, 16), "ifc": (16, 8)}[scheme]
+        payload = q.payload()
+        header, count, make = invindex._read_header("contract.idx", invindex._header_json(ix))
+        assert header["scheme"] == scheme and count == payload.size
+        back = make(np.frombuffer(payload.tobytes(), dtype="<f4"))
+        assert type(back) is type(q)
+        assert (back.word_count, back.stage_width) == (q.word_count, q.stage_width)
+        assert back.header() == q.header()
+        xs = np.random.default_rng(11).standard_normal((30, q.dim))
+        for count in (1, ix.link_count, ix.word_count):
+            wids = q.words(xs, count)
+            assert wids.shape == (30, count)
+            np.testing.assert_array_equal(back.words(xs, count), wids)
+            np.testing.assert_array_equal(back.codes(xs, wids, ix.code_length),
+                                          q.codes(xs, wids, ix.code_length))
+
+    def test_quantizer_bytes_is_payload_size(self, scheme, tifc_index, ifc_index):
+        """IFC stores M * K * (D/M) float32 centroids; TIFC redraws its table."""
+        ix = tifc_index if scheme == "tifc" else ifc_index
+        expected = {"tifc": 0, "ifc": 2 * 4 * (16 // 2) * 4}[scheme]
+        assert invindex.stats(ix).quantizer_bytes == ix.quantizer.payload().nbytes == expected
 
 
 class TestPersistence:

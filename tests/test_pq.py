@@ -552,23 +552,21 @@ class TestReconstruct:
     def test_word_zero(self):
         cb = random_codebook(k=3, m=2, seg_dim=2, seed=21)
         expected = np.concatenate([cb.sub_codebooks[0][0], cb.sub_codebooks[1][0]])
-        np.testing.assert_array_equal(pq.reconstruct(0, cb), expected)
+        np.testing.assert_array_equal(pq.reconstruct_batch([0], cb)[0], expected)
 
     def test_assign_reconstruct_fixed_point(self):
         cb = random_codebook(k=4, m=2, seg_dim=3, seed=22)
-        for wid in range(16):
-            c = pq.reconstruct(wid, cb)
+        for wid, c in enumerate(pq.reconstruct_batch(np.arange(16), cb)):
             assert pq.assign(c, cb) == wid
-            np.testing.assert_array_equal(pq.reconstruct(pq.assign(c, cb), cb), c)
+            np.testing.assert_array_equal(pq.reconstruct_batch([pq.assign(c, cb)], cb)[0], c)
 
     def test_batch_matches_single(self):
+        """Each row is the concatenation of the sub-centroids that the scalar
+        `decode_word` names."""
         cb = random_codebook(k=5, m=3, seg_dim=2, seed=23)
         wids = np.arange(125)
         batch = pq.reconstruct_batch(wids, cb)
         for wid in wids:
-            np.testing.assert_array_equal(batch[wid], pq.reconstruct(int(wid), cb))
-
-    def test_out_of_range(self):
-        cb = random_codebook(k=2, m=2, seg_dim=1)
-        with pytest.raises(ValueError):
-            pq.reconstruct(4, cb)
+            subs = pq.decode_word(int(wid), 5, 3)
+            expected = np.concatenate([cb.sub_codebooks[s][w] for s, w in enumerate(subs)])
+            np.testing.assert_array_equal(batch[wid], expected)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnidx import embed, invindex, pq, search
+from cnnidx import embed, invindex, pq, search, tifc
 from cnnidx.embed import EmbedConfig
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
@@ -36,7 +36,7 @@ def pipeline_oracle(ix, q, cfg):
         if ix.scheme == invindex.SCHEME_TIFC:
             q_code = embed.pack_bits(embed.segment_means(q, length) >= table[wid])
         else:
-            q_code = embed.encode(q, pq.reconstruct(wid, ix.quantizer), ecfg)
+            q_code = embed.encode(q, pq.reconstruct_batch([wid], ix.quantizer)[0], ecfg)
         ids, codes = lists.get(wid, (np.array([], dtype=np.int32), None))
         for row, image_id in enumerate(ids):
             d = embed.hamming(q_code, codes[row])
@@ -290,7 +290,7 @@ class TestBatchWords:
         count = 40
         expected = [[w for _, w in exhaustive_ranking(x, cb)[:count]] for x in xs]
         for chunk in (1, 2, 16, 64):
-            got = np.concatenate([invindex.assign_words(cb, xs[lo:lo + chunk], count)
+            got = np.concatenate([cb.words(xs[lo:lo + chunk], count)
                                   for lo in range(0, len(xs), chunk)])
             assert got.tolist() == expected, f"chunk {chunk}"
             for i in (0, 69):
@@ -333,16 +333,18 @@ class TestBatchWords:
         cfg = BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg,
                           virtual_word_seed=seed % 89)
         built = []
-        assign_words = invindex.assign_words
 
-        def recording(quantizer, xs, count):
-            built.append(assign_words(quantizer, xs, count))
-            return built[-1]
+        def recording(words):
+            def wrapper(quantizer, xs, count):
+                built.append(words(quantizer, xs, count))
+                return built[-1]
+            return wrapper
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(invindex, "CHUNK_BYTES", chunk_rows * 8 * (
                 dim + (dim if scheme == "tifc" else 2 * k) + s * length))
-            mp.setattr(invindex, "assign_words", recording)
+            for cls in (tifc.VirtualWordBank, pq.PqCodebook):
+                mp.setattr(cls, "words", recording(cls.words))
             ix = invindex.build(FeatureSet(vectors), cfg, training=training)
         links = np.concatenate(built)
         assert links.shape == (n, s)
