@@ -11,10 +11,10 @@ warm pass, `--passes` passes run every query through the stages of `query`
 one after another, and the table gives each stage's median in us:
 
 - check: `search._check_config` and `search._check_queries`;
-- scores: the word stage's scores, `pq.segment_distances_batch` (IFC) or
-  `tifc.softmax_rows` (TIFC);
+- scores: the word stage's scores, `pq.segment_distances_batch` (IFC); a
+  TIFC query ranks its activations themselves, so this stage is empty;
 - words: the choice of the W words from those scores, `pq._nearest` (IFC)
-  or `tifc.top_words_rows` (TIFC);
+  or `VirtualWordBank.words` (TIFC);
 - encode: the quantizer's `codes`, the query's codes against its words;
 - scan: `search._scan`, the list scan, votes and ranking.
 
@@ -36,7 +36,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import datagen  # noqa: E402
 
-from cnnidx import invindex, pq, search, tifc  # noqa: E402
+from cnnidx import invindex, pq, search  # noqa: E402
 from cnnidx.invindex import BuildConfig  # noqa: E402
 from cnnidx.pq import PqConfig, PqCodebook  # noqa: E402
 from cnnidx.vecio import FeatureSet  # noqa: E402
@@ -65,9 +65,8 @@ def staged_query(ix, q, cfg) -> tuple[list[float], search.RankedResult]:
         t.append(time.perf_counter())
         wids = pq._nearest(scores, quantizer.config.words_per_segment, w)[0]
     else:
-        scores = tifc.softmax_rows(xs)
         t.append(time.perf_counter())
-        wids = tifc.top_words_rows(scores, w)
+        wids = quantizer.words(xs, w)
     t.append(time.perf_counter())
     codes = quantizer.codes(xs, wids, ix.code_length)
     t.append(time.perf_counter())

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pq import sq_dist_to
 from .vecio import CHUNK_BYTES, FeatureSet
 
 
@@ -34,27 +35,16 @@ class LshIndex:
 
 def brute_force(db: FeatureSet, q, top_k: int) -> list[int]:
     """Exact top_k nearest database ids, ties broken by smaller id."""
-    dists = _sq_dists(db.vectors, q)
+    dists = sq_dist_to(db.vectors, _check_query(db.vectors, q))
     order = np.lexsort((np.arange(db.n), dists))
     return [int(i) for i in order[:top_k]]
 
 
-def _sq_dists(vectors: np.ndarray, q) -> np.ndarray:
-    # rows are chunked so that their float64 copies, rows * D values, stay
-    # within half of CHUNK_BYTES: the query is subtracted in place, and each
-    # chunk's copy is freed before the next one is made
+def _check_query(vectors: np.ndarray, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (vectors.shape[1],):
         raise ValueError(f"query dim {q.shape} does not match database {vectors.shape}")
-    n = vectors.shape[0]
-    chunk = max(1, CHUNK_BYTES // (2 * len(q) * 8))
-    out = np.empty(n)
-    for lo in range(0, n, chunk):
-        diff = vectors[lo : lo + chunk].astype(np.float64)
-        diff -= q
-        out[lo : lo + chunk] = np.einsum("ij,ij->i", diff, diff)
-        del diff
-    return out
+    return q
 
 
 def _hash_keys(vectors: np.ndarray, planes: np.ndarray) -> np.ndarray:
@@ -98,7 +88,8 @@ def lsh_query(ix: LshIndex, q, top_k: int) -> tuple[list[int], int]:
     database vectors the query scanned. May return fewer than top_k ids when
     the buckets are sparse.
     """
-    keys = _hash_keys(np.asarray(q, dtype=np.float64)[None, :], ix.planes)[0]
+    q = _check_query(ix.db.vectors, q)
+    keys = _hash_keys(q[None, :], ix.planes)[0]
     cand: set[int] = set()
     for t, key in enumerate(keys):
         hit = ix.buckets[t].get(int(key))
@@ -107,6 +98,6 @@ def lsh_query(ix: LshIndex, q, top_k: int) -> tuple[list[int], int]:
     if not cand:
         return [], 0
     ids = np.fromiter(cand, dtype=np.int64)
-    dists = _sq_dists(ix.db.vectors[ids], q)
+    dists = sq_dist_to(ix.db.vectors[ids], q)
     order = np.lexsort((ids, dists))
     return [int(ids[i]) for i in order[:top_k]], len(ids)

@@ -1,25 +1,19 @@
 """Binary embedding codes: a vector and its assigned word's vector are split
 into L equal segments; bit i is 1 iff the vector's segment mean is >= the
 word's segment mean. Codes are packed little-endian (bit i of the code is bit
-i mod 8 of byte i div 8) and compared by Hamming distance."""
+i mod 8 of byte i div 8) and compared by Hamming distance.
+
+`hamming_to_many` is the posting scan's kernel. It takes popcounts on the
+widest unsigned word that divides a code, and sums the words of a wider code
+in one float32 matrix-vector product, whatever the code width or the number
+of rows: every partial sum is a whole number of at most 2^24, so float32
+holds it exactly in any order of addition."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-# hamming_to_many adds up the word popcounts of a code one word column at a
-# time only where that was measured to beat numpy's row sum: codes of 2 to
-# COLUMN_SUM_MAX_WORDS words over at least COLUMN_SUM_MIN_ROWS rows. Four words
-# is the widest code a benchmark workload scans (tifc-wide, L = 256). Each
-# column pass costs about a microsecond whatever the row count, so the loop
-# loses on short scans and on wider codes. Measured as scripts/bench_hamming.py
-# does (numpy 2.4.6, 2 vCPUs; median us, column loop / row sum): 4 words on
-# 100, 200 and 8,000 rows 11.0 / 10.5, 8.7 / 10.2 and 57 / 198; 8 words on
-# 300 rows 14.6 / 14.0.
-COLUMN_SUM_MAX_WORDS = 4
-COLUMN_SUM_MIN_ROWS = 200
 
 
 @dataclass
@@ -71,42 +65,27 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
-def word_popcounts(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Popcounts of the XOR of packed codes, one per word: (..., words) uint8.
+def hamming_to_many(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Hamming distances from packed codes to each row of a code matrix.
 
     `code` is one code (B,) for every row, or one code per row (N, B). The
-    XOR is taken on the widest unsigned word that divides B bytes (8, 4, 2
-    or 1).
+    XOR is popcounted on the widest unsigned word that divides B bytes (8, 4,
+    2 or 1). A code of one word (at most 64 bits) takes no sum and gives its
+    uint8 counts. A code of several words gives int64 sums, made as the
+    product of the float32 word counts with a vector of ones: one BLAS call
+    for every row and width, exact while a code has at most 2^24 bits, so
+    longer codes (more than 2^21 bytes) raise ValueError.
     """
     code = np.ascontiguousarray(code, dtype=np.uint8)
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
     nbytes = codes.shape[-1]
     if code.shape[-1] != nbytes:
         raise ValueError(f"code length mismatch: {codes.shape} vs {code.shape}")
+    if nbytes > 1 << 21:
+        raise ValueError(f"codes of {nbytes} bytes exceed the 2^24 bits a float32 sum holds")
     word = np.dtype(f"u{next(w for w in (8, 4, 2, 1) if nbytes % w == 0)}")
-    return np.bitwise_count(codes.view(word) ^ code.view(word))
-
-
-def hamming_to_many(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Hamming distances from packed codes to each row of a code matrix.
-
-    `code` is one code (B,) for every row, or one code per row (N, B); the
-    per-word popcounts come from `word_popcounts`. A code of one word (at
-    most 64 bits) takes no sum and gives its uint8 counts. A code of several
-    words gives int64 sums. numpy's `sum(axis=-1)` reduces each short row on
-    its own and pays a cost per row, so at 2 to `COLUMN_SUM_MAX_WORDS` words
-    and at least `COLUMN_SUM_MIN_ROWS` rows the sum runs one word column at a
-    time instead: one vectorised pass over the rows per word, about 3.5
-    times as fast at 4 words on 8,000 rows. Wider codes and shorter scans
-    keep the row sum, where the column passes' fixed cost makes them slower.
-    """
-    counts = word_popcounts(code, codes)
+    counts = np.bitwise_count(codes.view(word) ^ code.view(word))
     words = counts.shape[-1]
     if words == 1:
         return counts[..., 0]
-    if words > COLUMN_SUM_MAX_WORDS or counts.size < COLUMN_SUM_MIN_ROWS * words:
-        return counts.sum(axis=-1, dtype=np.int64)
-    out = np.add(counts[..., 0], counts[..., 1], dtype=np.int64)
-    for j in range(2, words):
-        out += counts[..., j]
-    return out
+    return (counts.astype(np.float32) @ np.ones(words, dtype=np.float32)).astype(np.int64)

@@ -217,7 +217,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
     n = pts.shape[0]
     centroids = np.empty((k, pts.shape[1]))
     centroids[0] = pts[rng.integers(n)]
-    d2 = _sq_dist_to(pts, centroids[0])
+    d2 = sq_dist_to(pts, centroids[0])
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -225,7 +225,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
         else:
             idx = rng.integers(n)
         centroids[j] = pts[idx]
-        np.minimum(d2, _sq_dist_to(pts, centroids[j]), out=d2)
+        np.minimum(d2, sq_dist_to(pts, centroids[j]), out=d2)
 
     pts_sq = _sq_norms(pts)
     dists = np.empty((n, k))
@@ -265,13 +265,14 @@ def _draw(rng, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _sq_dist_to(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distances, float64, of the rows of pts (n, d) to c (d,). The
-    differences are made in row blocks of at most `CHUNK_BYTES`, in one
-    reused buffer; a row's sum does not depend on its block, so the
-    distances equal those of one whole (n, d) difference."""
+def sq_dist_to(pts: np.ndarray, c) -> np.ndarray:
+    """Squared distances, float64, of the rows of pts (n, d) to the point c
+    (d,). The differences are made in float64 in row blocks of at most half
+    of `CHUNK_BYTES`, in one reused buffer; a row's sum does not depend on its
+    block, so the distances equal those of one whole (n, d) difference."""
     n, d = pts.shape
-    rows = max(1, min(n, CHUNK_BYTES // (8 * d)))
+    c = np.asarray(c, dtype=np.float64)
+    rows = max(1, min(n, CHUNK_BYTES // (16 * d)))
     diff = np.empty((rows, d))
     out = np.empty(n)
     for lo in range(0, n, rows):

@@ -1,6 +1,9 @@
 """Term-frequency quantization: each vector dimension is a virtual concept
 word; the softmax of a feature vector gives word probabilities, and the top-S
-bins select the words the vector is linked to.
+bins select the words the vector is linked to. Softmax is strictly increasing
+within a row, so those bins are the row's S largest activations, and the word
+stage ranks the activations themselves: no rounding of `exp` can tie or
+underflow distinct values.
 
 The virtual words are D random N(0, 1) vectors that only ever enter through
 their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
@@ -101,12 +104,13 @@ class VirtualWordBank:
 
     @property
     def stage_width(self) -> int:
-        """Float64 values per row of the word stage: D term frequencies."""
+        """Float64 values per row of the word stage: D negated activations."""
         return self.dim
 
     def words(self, xs: np.ndarray, count: int) -> np.ndarray:
-        """Each row's `count` largest softmax bins, (N, count), in (-tf, id) order."""
-        return top_words_rows(softmax_rows(xs), count)
+        """Each row's `count` largest activations, (N, count), in (-x, id)
+        order: its largest softmax bins, ranked without rounding by `exp`."""
+        return top_words_rows(np.asarray(xs, dtype=np.float64), count)
 
     def codes(self, xs: np.ndarray, wids: np.ndarray, code_length: int) -> np.ndarray:
         """Each row's packed codes against its words' rows of the table,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cnnidx import baseline
+from cnnidx import baseline, pq
 from cnnidx.baseline import LshConfig
 from cnnidx.vecio import CHUNK_BYTES, FeatureSet, SynthSpec, generate_synthetic
 
@@ -51,15 +51,13 @@ class TestBruteForce:
         assert peak < 32 << 20
 
     def test_peak_within_chunk_budget(self):
-        """1,000 x 2,048 in 256-row chunks of 4 MiB float64: each chunk's
-        copy takes the query's difference in place and is freed before the
-        next, so the query stays within CHUNK_BYTES (12 MiB traced when the
-        last chunk's difference outlived the next chunk's copy)."""
+        """1,000 x 2,048 in 256-row blocks of 4 MiB float64, made in one
+        reused buffer, so the distances to a query stay within CHUNK_BYTES."""
         rng = np.random.default_rng(13)
         db = FeatureSet(rng.standard_normal((1_000, 2_048), dtype=np.float32))
         tracemalloc.start()
         try:
-            dists = baseline._sq_dists(db.vectors, db.vectors[7])
+            dists = pq.sq_dist_to(db.vectors, db.vectors[7])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -79,6 +77,13 @@ class TestLsh:
         assert LshConfig(tables=1, bits_per_table=64).bits_per_table == 64
         with pytest.raises(ValueError, match="<= 64"):
             LshConfig(tables=1, bits_per_table=65)
+
+    def test_dim_mismatch(self):
+        """The query's shape is checked before it is hashed."""
+        db = FeatureSet(np.ones((20, 8), dtype=np.float32))
+        ix = baseline.lsh_build(db, LshConfig(tables=2, bits_per_table=4))
+        with pytest.raises(ValueError, match="does not match database"):
+            baseline.lsh_query(ix, np.zeros(5), 3)
 
     def test_exact_duplicate_always_candidate(self):
         rng = np.random.default_rng(1)

@@ -115,36 +115,45 @@ class TestHamming:
 
 def test_hamming_to_many_matches_hamming_across_widths():
     """Codes of 1 to 520 bytes: u1, u2, u4 and u8 words, with u8 codes of 1 to
-    65 words. 0, 1 and 37 rows, and for codes of up to one word past
-    `COLUMN_SUM_MAX_WORDS` also one row either side of `COLUMN_SUM_MIN_ROWS`,
-    so that both of the kernel's sums run on both sides of each cut. One
-    code for all rows or one per row. Every third row differs from its query
-    code in every bit, so distances of 256 and 4,096 occur, where an 8-bit
+    65 words, on 0, 1 and 37 rows; and scans of 8,192 rows at 2, 4, 8 and 16
+    words, long enough for BLAS to split the sum across threads. One code for
+    all rows or one per row. Every third row differs from its query code in
+    every bit, so distances of 256 and 4,096 occur, where an 8-bit
     accumulator would wrap to 0."""
     rng = np.random.default_rng(17)
-    max_words, min_rows = embed.COLUMN_SUM_MAX_WORDS, embed.COLUMN_SUM_MIN_ROWS
+    cases = [(nbytes, rows) for nbytes in range(1, 521) for rows in (0, 1, 37)]
+    cases += [(8 * words, 8192) for words in (2, 4, 8, 16)]
     seen = set()
-    for nbytes in range(1, 521):
+    for nbytes, rows in cases:
         word = next(w for w in (8, 4, 2, 1) if nbytes % w == 0)
-        row_counts = [0, 1, 37]
-        if nbytes <= 8 * (max_words + 1):
-            row_counts += [min_rows - 1, min_rows]
-        for rows in row_counts:
-            codes = rng.integers(0, 256, (rows, nbytes), dtype=np.uint8)
-            code = rng.integers(0, 256, nbytes, dtype=np.uint8)
-            per_row = rng.integers(0, 256, (rows, nbytes), dtype=np.uint8)
-            codes[::3] = ~code
-            per_row[1::3] = ~codes[1::3]
-            for query in (code, per_row):
-                got = embed.hamming_to_many(query, codes)
-                expected = [embed.hamming(a, c)
-                            for a, c in zip(np.broadcast_to(query, codes.shape), codes)]
-                assert got.shape == (rows,)
-                assert got.dtype == (np.int64 if nbytes > word else np.uint8)
-                np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64),
-                                              err_msg=f"{nbytes} bytes, {rows} rows")
-                seen.update(got.tolist())
+        codes = rng.integers(0, 256, (rows, nbytes), dtype=np.uint8)
+        code = rng.integers(0, 256, nbytes, dtype=np.uint8)
+        per_row = rng.integers(0, 256, (rows, nbytes), dtype=np.uint8)
+        codes[::3] = ~code
+        per_row[1::3] = ~codes[1::3]
+        for query in (code, per_row):
+            got = embed.hamming_to_many(query, codes)
+            expected = [embed.hamming(a, c)
+                        for a, c in zip(np.broadcast_to(query, codes.shape), codes)]
+            assert got.shape == (rows,)
+            assert got.dtype == (np.int64 if nbytes > word else np.uint8)
+            np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64),
+                                          err_msg=f"{nbytes} bytes, {rows} rows")
+            seen.update(got.tolist())
     assert {256, 4096} <= seen
+
+
+def test_hamming_to_many_exact_up_to_2_24_bits():
+    """Codes of 2^21 bytes that differ in every bit give exactly 2^24, the
+    most a float32 sum of popcounts holds exactly; one byte more raises."""
+    nbytes = 1 << 21
+    code = np.zeros(nbytes, dtype=np.uint8)
+    got = embed.hamming_to_many(code, np.full((2, nbytes), 255, dtype=np.uint8))
+    assert got.dtype == np.int64
+    assert got.tolist() == [1 << 24, 1 << 24]
+    with pytest.raises(ValueError, match="2\\^24"):
+        embed.hamming_to_many(np.zeros(nbytes + 1, dtype=np.uint8),
+                              np.full((1, nbytes + 1), 255, dtype=np.uint8))
 
 
 def test_locality_of_codes():

@@ -264,10 +264,10 @@ class TestKmeansOracle:
         data = FeatureSet(rng.standard_normal((300, 12)).astype(np.float32))
         cfg = PqConfig(segments=2, words_per_segment=8, kmeans_seed=51)
         want = pq.train(data, cfg).sub_codebooks
-        monkeypatch.setattr(pq, "CHUNK_BYTES", block_rows * 6 * 8)
+        monkeypatch.setattr(pq, "CHUNK_BYTES", block_rows * 6 * 16)
         pts = data.vectors[:, :6].astype(np.float64)
         for c in (pts[0], pts[299], np.zeros(6)):
-            np.testing.assert_array_equal(pq._sq_dist_to(pts, c), reference_sq_dist_to(pts, c))
+            np.testing.assert_array_equal(pq.sq_dist_to(pts, c), reference_sq_dist_to(pts, c))
         got, got_wcss = pq._kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
         ref, ref_wcss = reference_kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
         np.testing.assert_array_equal(got, ref)

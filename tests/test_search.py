@@ -223,9 +223,7 @@ class TestVotingOracle:
 
     The wide-code tests draw codes of 128, 192 and 384 bits (2, 3 and 6 u8
     words) on 384-d vectors, with their own example budget, so the short codes
-    keep theirs. Their scans are far shorter than
-    `embed.COLUMN_SUM_MIN_ROWS`, so they lower it to one row: the 2- and
-    3-word codes then take the column sum, and the 6-word codes the row sum."""
+    keep theirs."""
 
     @settings(max_examples=200, deadline=None)
     @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
@@ -239,9 +237,7 @@ class TestVotingOracle:
            n=st.integers(1, 12), length=st.sampled_from([128, 192, 384]),
            data=st.data())
     def test_query_matches_oracle_wide_codes(self, scheme, seed, n, length, data):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embed, "COLUMN_SUM_MIN_ROWS", 1)
-            check_query_against_oracle(scheme, seed, n, length, data)
+        check_query_against_oracle(scheme, seed, n, length, data)
 
     @settings(max_examples=150, deadline=None)
     @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
@@ -255,9 +251,7 @@ class TestVotingOracle:
            n=st.integers(1, 12), length=st.sampled_from([128, 192, 384]),
            data=st.data())
     def test_batch_matches_query_and_oracle_wide_codes(self, scheme, seed, n, length, data):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embed, "COLUMN_SUM_MIN_ROWS", 1)
-            check_batch_against_query_and_oracle(scheme, seed, n, length, data)
+        check_batch_against_query_and_oracle(scheme, seed, n, length, data)
 
 
 class TestBatchWords:

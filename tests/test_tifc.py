@@ -154,6 +154,14 @@ class TestVirtualWordBank:
         with pytest.raises(ValueError):
             tifc.make_virtual_words(0, seed=0, code_length=1)
 
+    def test_words_rank_activations_where_exp_underflows(self):
+        """exp(-800) and exp(-900) are both 0 in float64, so the softmax bins
+        of words 1 and 2 tie and would rank by word id; the activations
+        themselves put word 2 (-800) before word 1 (-900)."""
+        bank = tifc.make_virtual_words(6, seed=0, code_length=3)
+        row = np.array([[0.0, -900.0, -800.0, -1000.0, -950.0, -1200.0]])
+        np.testing.assert_array_equal(bank.words(row, 3), [[0, 2, 1]])
+
     def test_code_length_must_divide_dim(self):
         with pytest.raises(ValueError, match="does not divide"):
             tifc.make_virtual_words(12, seed=0, code_length=5)
