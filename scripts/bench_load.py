@@ -4,12 +4,13 @@ each benchmark workload.
 
     PYTHONPATH=src python3 scripts/bench_load.py [--seed 1] [--loads 40]
 
-Two indexes are built from `perfbench/datagen.hard_vectors` and saved to a
-temporary directory: `ifc-hard` (15,000 x 64, IFC with K = 64, M = 2,
-L = 32, S = 40) and `tifc-wide` (10,000 x 2,048, TIFC with L = 256, S = 40).
-Each of `--loads` rounds, after one warm round, runs the stages of `load` one
-after another and then one whole `invindex.load`; the table gives each
-stage's median in ms:
+One index per workload that `BENCHMARK.json` runs (`ifc-hard` and
+`tifc-wide`) is built from `perfbench/datagen.hard_vectors` with the shape
+and build parameters of `perfbench/run.py`'s `WORKLOADS`, through
+`invindex.build_config`, and saved to a temporary directory. Each of
+`--loads` rounds, after one warm round, runs the stages of `load` one after
+another and then one whole `invindex.load`; the table gives each stage's
+median in ms:
 
 - read: the magic, the header and every section read into its array
   (`readinto`), the posting integers at their file widths;
@@ -27,6 +28,7 @@ checked equal to `load`'s. The file size of each index is printed too.
 from __future__ import annotations
 
 import argparse
+import json
 import struct
 import sys
 import tempfile
@@ -41,21 +43,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import datagen  # noqa: E402
 
+from run import WORKLOADS  # noqa: E402
+
 from cnnidx import invindex  # noqa: E402
 from cnnidx.embed import code_bytes  # noqa: E402
-from cnnidx.invindex import BuildConfig  # noqa: E402
-from cnnidx.pq import PqConfig  # noqa: E402
 from cnnidx.vecio import FeatureSet  # noqa: E402
 
 STAGES = ("read", "crc", "widen", "checks", "quantizer", "load")
-
-WORKLOADS = {
-    "ifc-hard": dict(n=15_000, dim=64, build=BuildConfig(
-        scheme="ifc", link_count=40, code_length=32,
-        pq=PqConfig(segments=2, words_per_segment=64))),
-    "tifc-wide": dict(n=10_000, dim=2_048, build=BuildConfig(
-        scheme="tifc", link_count=40, code_length=256)),
-}
+BENCH_WORKLOADS = [w["name"] for w in
+                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
@@ -139,10 +135,12 @@ def main() -> None:
 
     print("ms per load | bytes | " + " | ".join(STAGES))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec in WORKLOADS.items():
+        for name in BENCH_WORKLOADS:
+            spec = WORKLOADS[name]
             db, _ = datagen.hard_vectors(args.seed, spec["n"], 0, spec["dim"])
             path = Path(tmp) / f"{name}.idx"
-            invindex.save(invindex.build(FeatureSet(db), spec["build"]), path)
+            cfg = invindex.build_config(spec["scheme"], spec)
+            invindex.save(invindex.build(FeatureSet(db), cfg), path)
             del db
             med = stage_medians(path, args.loads)
             print(f"{name} | {path.stat().st_size:,} | "

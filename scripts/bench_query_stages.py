@@ -4,11 +4,12 @@ index shaped like each benchmark workload.
 
     PYTHONPATH=src python3 scripts/bench_query_stages.py [--seed 1] [--queries 300] [--passes 5]
 
-Two indexes are built from `perfbench/datagen.hard_vectors`: `ifc-hard`
-(15,000 x 64, IFC with K = 64, M = 2, L = 32, S = W = 40, T = 11) and
-`tifc-wide` (10,000 x 2,048, TIFC with L = 256, S = W = 40, T = 90). After one
-warm pass, `--passes` passes run every query through the stages of `query`
-one after another, and the table gives each stage's median in us:
+One index per workload that `BENCHMARK.json` runs (`ifc-hard` and
+`tifc-wide`) is built from `perfbench/datagen.hard_vectors` with the shape
+and build parameters of `perfbench/run.py`'s `WORKLOADS`, through
+`invindex.build_config`, and queried with that workload's W, T and top-k.
+After one warm pass, `--passes` passes run every query through the stages of
+`query` one after another, and the table gives each stage's median in us:
 
 - check: `search._check_config` and `search._check_queries`;
 - scores: the word stage's scores, `pq.segment_distances_batch` (IFC); a
@@ -25,6 +26,7 @@ passes. Every staged answer is checked equal to `query`'s.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -36,20 +38,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import datagen  # noqa: E402
 
+from run import WORKLOADS  # noqa: E402
+
 from cnnidx import invindex, pq, search  # noqa: E402
-from cnnidx.invindex import BuildConfig  # noqa: E402
-from cnnidx.pq import PqConfig, PqCodebook  # noqa: E402
+from cnnidx.pq import PqCodebook  # noqa: E402
 from cnnidx.vecio import FeatureSet  # noqa: E402
 
 STAGES = ("check", "scores", "words", "encode", "scan", "query")
-
-WORKLOADS = {
-    "ifc-hard": dict(n=15_000, dim=64, build=BuildConfig(
-        scheme="ifc", link_count=40, code_length=32,
-        pq=PqConfig(segments=2, words_per_segment=64)), T=11),
-    "tifc-wide": dict(n=10_000, dim=2_048, build=BuildConfig(
-        scheme="tifc", link_count=40, code_length=256), T=90),
-}
+BENCH_WORKLOADS = [w["name"] for w in
+                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def staged_query(ix, q, cfg) -> tuple[list[float], search.RankedResult]:
@@ -103,12 +100,13 @@ def main() -> None:
     args = ap.parse_args()
 
     print("us per query | " + " | ".join(STAGES))
-    for name, spec in WORKLOADS.items():
+    for name in BENCH_WORKLOADS:
+        spec = WORKLOADS[name]
         db, queries = datagen.hard_vectors(args.seed, spec["n"], args.queries, spec["dim"])
-        ix = invindex.build(FeatureSet(db), spec["build"])
+        ix = invindex.build(FeatureSet(db), invindex.build_config(spec["scheme"], spec))
         del db
-        cfg = search.QueryConfig(assignment_count=spec["build"].link_count,
-                                 hamming_threshold=spec["T"], top_k=10)
+        cfg = search.QueryConfig(assignment_count=spec["W"], hamming_threshold=spec["T"],
+                                 top_k=spec["top_k"])
         med = stage_medians(ix, queries, cfg, args.passes)
         print(f"{name} | " + " | ".join(f"{med[s] * 1e6:.1f}" for s in STAGES), flush=True)
 

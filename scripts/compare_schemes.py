@@ -7,8 +7,7 @@ import time
 
 from cnnidx import baseline, evaluation, invindex, search, vecio
 from cnnidx.baseline import LshConfig
-from cnnidx.invindex import BuildConfig
-from cnnidx.pq import PqConfig
+from cnnidx.invindex import build_config
 from cnnidx.search import QueryConfig
 from cnnidx.vecio import SynthSpec
 
@@ -66,11 +65,8 @@ def main():
 
     # TIFC and IFC
     for name, cfg in (
-        ("TIFC", BuildConfig(scheme="tifc", link_count=min(args.S, args.dim),
-                             code_length=args.L)),
-        ("IFC", BuildConfig(scheme="ifc", link_count=args.S, code_length=args.L,
-                            pq=PqConfig(segments=args.M, words_per_segment=args.K,
-                                        kmeans_seed=0))),
+        ("TIFC", build_config("tifc", {**vars(args), "S": min(args.S, args.dim)})),
+        ("IFC", build_config("ifc", vars(args))),
     ):
         ix = invindex.build(db, cfg)
         wcfg = QueryConfig(assignment_count=min(args.W, ix.word_count),

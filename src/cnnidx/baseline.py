@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pq import sq_dist_to
-from .vecio import CHUNK_BYTES, FeatureSet
+from .vecio import FeatureSet, chunk_rows
 
 
 @dataclass
@@ -53,7 +53,7 @@ def _hash_keys(vectors: np.ndarray, planes: np.ndarray) -> np.ndarray:
     weights = 1 << np.arange(bits, dtype=np.int64)
     # rows are chunked so that their float64 copies and (T, B) projections,
     # rows * (D + T*B) values, stay within CHUNK_BYTES
-    rows = max(1, CHUNK_BYTES // ((d + tables * bits) * 8))
+    rows = chunk_rows((d + tables * bits) * 8)
     keys = np.empty((len(vectors), tables), dtype=np.int64)
     for lo in range(0, len(vectors), rows):
         # (T, B, D) x (rows, D) -> signs (rows, T, B); the float64 copy of

@@ -13,8 +13,6 @@ import time
 
 from . import baseline as bl
 from . import evaluation, invindex, search, vecio
-from .invindex import BuildConfig
-from .pq import PqConfig
 from .search import QueryConfig
 from .vecio import DataError, SynthSpec
 
@@ -131,34 +129,12 @@ def _cmd_build(args) -> int:
     db = vecio.read_feature_file(args.features)
     if args.normalize:
         db = vecio.l2_normalize(db)
-    pq_cfg = None
-    if args.scheme == "ifc":
-        pq_cfg = PqConfig(
-            segments=args.M,
-            words_per_segment=args.K,
-            kmeans_iters=args.kmeans_iters,
-            kmeans_seed=args.kmeans_seed,
-            kmeans_restarts=args.kmeans_restarts,
-        )
-    cfg = BuildConfig(
-        scheme=args.scheme,
-        link_count=args.S,
-        code_length=args.L,
-        pq=pq_cfg,
-        virtual_word_seed=args.virtual_seed,
-    )
-    resolved = {
-        "scheme": args.scheme, "S": args.S, "L": args.L,
-        "features": args.features, "out": args.out,
-        "normalize": args.normalize,
-    }
-    if pq_cfg is not None:
-        resolved.update(K=args.K, M=args.M, kmeans_seed=args.kmeans_seed,
-                        kmeans_iters=args.kmeans_iters,
-                        kmeans_restarts=args.kmeans_restarts,
-                        train_features=args.train_features)
-    else:
-        resolved["virtual_seed"] = args.virtual_seed
+    cfg = invindex.build_config(args.scheme, vars(args))
+    resolved = {k: getattr(args, k) for k in invindex.BUILD_KEYS[args.scheme]}
+    resolved.update(scheme=args.scheme, features=args.features, out=args.out,
+                    normalize=args.normalize)
+    if cfg.pq is not None:
+        resolved["train_features"] = args.train_features
     _echo_config("build", resolved)
     training = vecio.read_feature_file(args.train_features) if args.train_features else None
     if training is not None and args.normalize:

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import invindex, search
-from .invindex import BuildConfig, InvertedIndex
-from .pq import PqConfig
+from .invindex import InvertedIndex
 from .search import QueryConfig
 from .vecio import DataError, FeatureSet
 
@@ -104,7 +103,9 @@ class SweepSpec:
     """A grid over any of L/T/S/W/K/M; everything else fixed in ``base``.
 
     ``base`` carries scheme, top_k, defaults for non-swept parameters and
-    optional seeds (kmeans_seed, virtual_seed).
+    the optional build settings of `invindex.BUILD_KEYS`: virtual_seed for
+    TIFC; kmeans_seed, kmeans_iters and kmeans_restarts for IFC. A setting
+    left out keeps its default, as in `cnnidx build`.
     """
 
     grid: dict[str, list]
@@ -116,25 +117,6 @@ class SweepSpec:
         unknown = set(self.grid) - set(SWEEPABLE)
         if unknown:
             raise ValueError(f"cannot sweep over {sorted(unknown)}")
-
-
-def _build_for(db: FeatureSet, params: dict, training: FeatureSet | None) -> InvertedIndex:
-    scheme = params["scheme"]
-    pq_cfg = None
-    if scheme == "ifc":
-        pq_cfg = PqConfig(
-            segments=int(params["M"]),
-            words_per_segment=int(params["K"]),
-            kmeans_seed=int(params.get("kmeans_seed", 0)),
-        )
-    cfg = BuildConfig(
-        scheme=scheme,
-        link_count=int(params["S"]),
-        code_length=int(params["L"]),
-        pq=pq_cfg,
-        virtual_word_seed=int(params.get("virtual_seed", 0)),
-    )
-    return invindex.build(db, cfg, training=training)
 
 
 def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,
@@ -153,12 +135,11 @@ def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,
         row = {k: point.get(k) for k in SWEEPABLE if k in point or k in keys}
         row["scheme"] = point.get("scheme")
         try:
-            build_key = tuple(point.get(k) for k in
-                              ("scheme", "L", "S", "K", "M", "kmeans_seed", "virtual_seed"))
+            cfg = invindex.build_config(point.get("scheme"), point)
+            build_key = (cfg.scheme, *(point.get(k) for k in invindex.BUILD_KEYS[cfg.scheme]))
             ix = index_cache.get(build_key)
             if ix is None:
-                ix = _build_for(db, point, training)
-                index_cache[build_key] = ix
+                ix = index_cache[build_key] = invindex.build(db, cfg, training=training)
             qcfg = QueryConfig(
                 assignment_count=int(point["W"]),
                 hamming_threshold=int(point["T"]),

@@ -70,7 +70,7 @@ from . import pq, tifc
 from .embed import code_bytes
 from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
-from .vecio import CHUNK_BYTES, DataError, FeatureSet
+from .vecio import DataError, FeatureSet, chunk_rows
 
 MAGIC = b"CNNIDX03"
 OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02")
@@ -99,6 +99,35 @@ class BuildConfig:
             raise ValueError("code_length must be >= 1")
         if self.scheme == SCHEME_IFC and self.pq is None:
             raise ValueError("IFC build requires a PqConfig")
+
+
+# The paper's build parameters that each scheme reads, by the names the CLI
+# and a sweep spec use: S links per vector and L-bit codes; for TIFC the seed
+# of its table of means, for IFC the K x M product codebook and its k-means.
+BUILD_KEYS = {
+    SCHEME_TIFC: ("S", "L", "virtual_seed"),
+    SCHEME_IFC: ("S", "L", "K", "M", "kmeans_seed", "kmeans_iters", "kmeans_restarts"),
+}
+_REQUIRED_KEYS = ("S", "L", "K", "M")
+_FIELD_NAMES = {"S": "link_count", "L": "code_length", "virtual_seed": "virtual_word_seed",
+                "K": "words_per_segment", "M": "segments"}
+_PQ_FIELDS = ("segments", "words_per_segment", "kmeans_seed", "kmeans_iters",
+              "kmeans_restarts")
+
+
+def build_config(scheme: str, params: dict) -> BuildConfig:
+    """The BuildConfig that the keys `BUILD_KEYS[scheme]` of params give, each
+    read as an int. S and L, and for IFC K and M, must be present (KeyError);
+    a seed or k-means setting left out keeps its default, and keys of the
+    other scheme or of no build parameter are ignored."""
+    if scheme not in BUILD_KEYS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    fields = {_FIELD_NAMES.get(k, k): int(params[k]) for k in BUILD_KEYS[scheme]
+              if k in params or k in _REQUIRED_KEYS}
+    pq_cfg = None
+    if scheme == SCHEME_IFC:
+        pq_cfg = PqConfig(**{k: fields.pop(k) for k in _PQ_FIELDS if k in fields})
+    return BuildConfig(scheme=scheme, pq=pq_cfg, **fields)
 
 
 @dataclass
@@ -133,7 +162,7 @@ def encode_chunks(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count
     rows * (D + stage_width + count * L) float64 values stay within
     `CHUNK_BYTES`."""
     width = xs.shape[1] + quantizer.stage_width + count * code_length
-    rows = max(1, CHUNK_BYTES // (width * 8))
+    rows = chunk_rows(width * 8)
     for lo in range(0, len(xs), rows):
         chunk = np.asarray(xs[lo:lo + rows], dtype=np.float64)
         wids = quantizer.words(chunk, count)

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .embed import pack_bits, segment_means
-from .vecio import CHUNK_BYTES, FeatureSet
+from .vecio import FeatureSet, chunk_rows
 
 
 @dataclass
@@ -272,8 +272,8 @@ def sq_dist_to(pts: np.ndarray, c) -> np.ndarray:
     block, so the distances equal those of one whole (n, d) difference."""
     n, d = pts.shape
     c = np.asarray(c, dtype=np.float64)
-    rows = max(1, min(n, CHUNK_BYTES // (16 * d)))
-    diff = np.empty((rows, d))
+    rows = chunk_rows(16 * d)
+    diff = np.empty((min(rows, n), d))
     out = np.empty(n)
     for lo in range(0, n, rows):
         block = diff[: min(rows, n - lo)]

@@ -4,7 +4,8 @@ File formats:
 
 * Feature files: per-record ``[int32 LE dim][dim x float32 LE]``, records
   concatenated. All records must share the same dimension.
-* Integer-list files: same layout with int32 payloads, record lengths may vary.
+* Integer-list files: same layout with int32 payloads, record lengths may vary
+  and may be 0 (a query with no result).
 * Ground truth: UTF-8 text, one query per line, ``qid: id1 id2 ...``,
   ``#`` starts a comment.
 
@@ -41,6 +42,12 @@ import numpy as np
 # input and stage unbounded: at S = 2, L = 8 a 20,000 x 512 TIFC build goes
 # in one chunk and peaks at 244.5 MiB, against 12.7 MiB under this budget.
 CHUNK_BYTES = 8 << 20
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk of rows that take `row_bytes` working bytes each: as
+    many as `CHUNK_BYTES`, read at call time, holds, and at least one."""
+    return max(1, CHUNK_BYTES // row_bytes)
 
 
 class DataError(Exception):
@@ -122,7 +129,7 @@ def read_feature_file(path) -> FeatureSet:
         width = 4 * (1 + dim)
         n, rest = divmod(size, width)
         out = np.empty((n, dim), dtype=np.float32)
-        rows = max(1, CHUNK_BYTES // width)
+        rows = chunk_rows(width)
         buf = np.empty((min(rows, n), 1 + dim), dtype="<i4")
         f.seek(0)
         for lo in range(0, n, rows):
@@ -179,7 +186,7 @@ def write_feature_file(fs: FeatureSet, path) -> None:
 
 
 def read_int_lists(path) -> list[np.ndarray]:
-    """Read an integer-list file; record lengths may differ."""
+    """Read an integer-list file; record lengths may differ and may be 0."""
     raw = np.fromfile(path, dtype=np.uint8)
     return _parse_records(raw, np.int32, path)
 
@@ -202,7 +209,7 @@ def _parse_records(raw: np.ndarray, dtype, path) -> list[np.ndarray]:
         if off + 4 > total:
             raise DataError(f"{path}: record {len(records)}: truncated header")
         count = int(raw[off : off + 4].view("<i4")[0])
-        if count <= 0:
+        if count < 0:
             raise DataError(f"{path}: record {len(records)}: bad length {count}")
         off += 4
         nbytes = count * itemsize
@@ -215,7 +222,7 @@ def _parse_records(raw: np.ndarray, dtype, path) -> list[np.ndarray]:
 
 def _write_records(matrix: np.ndarray, path) -> None:
     n, dim = matrix.shape
-    rows = max(1, CHUNK_BYTES // (4 * (1 + dim)))
+    rows = chunk_rows(4 * (1 + dim))
     buf = np.empty((min(rows, n), 1 + dim), dtype="<i4")
     buf[:, 0] = dim
     with open(path, "wb") as f:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cnnidx import baseline, pq
+from cnnidx import baseline, pq, vecio
 from cnnidx.baseline import LshConfig
 from cnnidx.vecio import CHUNK_BYTES, FeatureSet, SynthSpec, generate_synthetic
 
@@ -139,7 +139,7 @@ class TestLsh:
         planes = rng.standard_normal((5, 12, 48))
         whole = baseline._hash_keys(vectors, planes)
         # rows of float64 (D + T*B) per chunk
-        monkeypatch.setattr(baseline, "CHUNK_BYTES", rows * (48 + 5 * 12) * 8)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", rows * (48 + 5 * 12) * 8)
         chunked = baseline._hash_keys(vectors, planes)
         np.testing.assert_array_equal(chunked, whole)
         weights = 1 << np.arange(12)

@@ -249,6 +249,40 @@ def test_evaluate_perfect_prints_one(tmp_path, capsys):
     assert "MAP 1.000000" in capsys.readouterr().out
 
 
+def test_query_with_no_results_evaluates_to_zero(workspace, tmp_path, capsys):
+    # no entry has a Hamming distance below T = 0, so every record is empty
+    rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "tifc",
+              "--S", "3", "--L", "8", "--out", str(tmp_path / "t.idx")])
+    assert rc == EXIT_OK
+    rc = run(["query", "--index", str(tmp_path / "t.idx"),
+              "--queries", str(workspace / "q.fvecs"), "--T", "0",
+              "--out", str(tmp_path / "res")])
+    assert rc == EXIT_OK
+    assert [len(r) for r in vecio.read_int_lists(tmp_path / "res.ivecs")] == [0] * 5
+    rc = run(["evaluate", "--results", str(tmp_path / "res.ivecs"),
+              "--ground-truth", str(workspace / "gt.txt")])
+    assert rc == EXIT_OK
+    assert "MAP 0.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scheme, flags, echoed", [
+    ("tifc", ["--S", "4", "--L", "8", "--virtual-seed", "5"],
+     {"L": 8, "S": 4, "virtual_seed": 5}),
+    ("ifc", ["--S", "3", "--L", "8", "--K", "4", "--M", "2", "--kmeans-seed", "2",
+             "--kmeans-iters", "7", "--kmeans-restarts", "2"],
+     {"K": 4, "L": 8, "M": 2, "S": 3, "kmeans_iters": 7, "kmeans_restarts": 2,
+      "kmeans_seed": 2, "train_features": None}),
+])
+def test_build_echoes_its_scheme_parameters(workspace, tmp_path, capsys, scheme, flags,
+                                            echoed):
+    features, out = str(workspace / "db.fvecs"), str(tmp_path / "x.idx")
+    rc = run(["build", "--features", features, "--scheme", scheme, *flags, "--out", out])
+    assert rc == EXIT_OK
+    want = {"features": features, "normalize": False, "out": out, "scheme": scheme, **echoed}
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == "[build] config: " + json.dumps(want, sort_keys=True)
+
+
 def test_normalize_flag_pipeline(workspace, tmp_path):
     rc = run([
         "build", "--features", str(workspace / "db.fvecs"),

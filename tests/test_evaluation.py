@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cnnidx import baseline, evaluation, vecio
+from cnnidx import baseline, evaluation, pq, vecio
 from cnnidx.evaluation import SweepSpec, average_precision
+from cnnidx.pq import PqConfig
 from cnnidx.vecio import DataError, SynthSpec
 
 
@@ -129,6 +130,22 @@ class TestSweep:
         rows = evaluation.sweep(spec, db, queries, gt)
         assert "map" in rows[0]
         assert "error" in rows[1]
+
+    def test_base_build_settings_reach_training(self, data, monkeypatch):
+        db, queries, gt = data
+        trained, train = [], pq.train
+
+        def recording_train(training, cfg):
+            trained.append(cfg)
+            return train(training, cfg)
+
+        monkeypatch.setattr(pq, "train", recording_train)
+        base = dict(self.BASE, kmeans_seed=5, kmeans_iters=2, kmeans_restarts=1)
+        rows = evaluation.sweep(SweepSpec(grid={"W": [1, 3]}, base=base), db, queries, gt)
+        assert all("map" in row for row in rows)
+        # one build serves both points
+        assert trained == [PqConfig(segments=2, words_per_segment=4, kmeans_seed=5,
+                                    kmeans_iters=2, kmeans_restarts=1)]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

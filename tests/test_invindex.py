@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from cnnidx import embed, invindex, pq, search, tifc
+from cnnidx import embed, invindex, pq, search, tifc, vecio
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
 from cnnidx.search import QueryConfig
@@ -148,7 +148,7 @@ class TestBuild:
         for module in (tifc, pq):  # each quantizer packs its own codes
             monkeypatch.setattr(module, "pack_bits", counting_pack_bits)
         # 3 rows of float64 (D + stage + S*L): stage is D for TIFC, M*K for IFC
-        monkeypatch.setattr(invindex, "CHUNK_BYTES",
+        monkeypatch.setattr(vecio, "CHUNK_BYTES",
                             3 * (16 + (16 if scheme == "tifc" else 2 * 4) + 3 * 8) * 8)
         invindex.save(invindex.build(db, cfg), chunked)
         assert chunks == [3] * 16 + [2]
@@ -203,6 +203,43 @@ class TestBuild:
         invindex.save(invindex.build(db, cfg), a)
         invindex.save(invindex.build(db, cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBuildConfig:
+    """`build_config` maps the paper's names to a BuildConfig, reading only
+    the keys of `BUILD_KEYS[scheme]`."""
+
+    PARAMS = dict(S=3, L=8, K=4, M=2, kmeans_seed=5, kmeans_iters=2, kmeans_restarts=1,
+                  virtual_seed=9, T=4, W=3, scheme="tifc")
+
+    def test_ifc_names(self):
+        assert invindex.build_config("ifc", self.PARAMS) == BuildConfig(
+            scheme="ifc", link_count=3, code_length=8,
+            pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=5, kmeans_iters=2,
+                        kmeans_restarts=1))
+
+    def test_tifc_names(self):
+        assert invindex.build_config("tifc", self.PARAMS) == BuildConfig(
+            scheme="tifc", link_count=3, code_length=8, virtual_word_seed=9)
+
+    def test_left_out_settings_keep_defaults(self):
+        params = dict(S="3", L=8.0, K=4, M=2)  # read as ints, as a sweep spec's values
+        assert invindex.build_config("ifc", params) == BuildConfig(
+            scheme="ifc", link_count=3, code_length=8,
+            pq=PqConfig(segments=2, words_per_segment=4))
+        assert invindex.build_config("tifc", params) == BuildConfig(
+            scheme="tifc", link_count=3, code_length=8)
+
+    @pytest.mark.parametrize("scheme, missing", [
+        ("tifc", "S"), ("tifc", "L"), ("ifc", "S"), ("ifc", "K"), ("ifc", "M")])
+    def test_required_name_missing(self, scheme, missing):
+        params = {k: v for k, v in self.PARAMS.items() if k != missing}
+        with pytest.raises(KeyError, match=missing):
+            invindex.build_config(scheme, params)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme 'lsh'"):
+            invindex.build_config("lsh", self.PARAMS)
 
 
 class TestBuildMemory:

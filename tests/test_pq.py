@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnidx import pq
+from cnnidx import pq, vecio
 from cnnidx.pq import PqCodebook, PqConfig
 from cnnidx.vecio import FeatureSet
 
@@ -264,7 +264,7 @@ class TestKmeansOracle:
         data = FeatureSet(rng.standard_normal((300, 12)).astype(np.float32))
         cfg = PqConfig(segments=2, words_per_segment=8, kmeans_seed=51)
         want = pq.train(data, cfg).sub_codebooks
-        monkeypatch.setattr(pq, "CHUNK_BYTES", block_rows * 6 * 16)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", block_rows * 6 * 16)
         pts = data.vectors[:, :6].astype(np.float64)
         for c in (pts[0], pts[299], np.zeros(6)):
             np.testing.assert_array_equal(pq.sq_dist_to(pts, c), reference_sq_dist_to(pts, c))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnidx import embed, invindex, pq, search, tifc
+from cnnidx import embed, invindex, pq, search, tifc, vecio
 from cnnidx.embed import EmbedConfig
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
@@ -206,7 +206,7 @@ def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
     for chunk in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             # chunk rows of float64 (D + stage + W*L)
-            mp.setattr(invindex, "CHUNK_BYTES",
+            mp.setattr(vecio, "CHUNK_BYTES",
                        chunk * 8 * (d + stage + cfg.assignment_count * ix.code_length))
             results, summary = search.batch_query(ix, queries, cfg)
         assert [r.entries for r in results] == expected
@@ -335,7 +335,7 @@ class TestBatchWords:
             return wrapper
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(invindex, "CHUNK_BYTES", chunk_rows * 8 * (
+            mp.setattr(vecio, "CHUNK_BYTES", chunk_rows * 8 * (
                 dim + (dim if scheme == "tifc" else 2 * k) + s * length))
             for cls in (tifc.VirtualWordBank, pq.PqCodebook):
                 mp.setattr(cls, "words", recording(cls.words))
@@ -452,7 +452,7 @@ class TestBatch:
                                                    monkeypatch):
         queries = small_dataset[1]
         # 2 rows of float64 (D + stage + W*L) at D = 16, W = 3, L = 8
-        monkeypatch.setattr(invindex, "CHUNK_BYTES",
+        monkeypatch.setattr(vecio, "CHUNK_BYTES",
                             2 * 8 * (16 + (16 if index_pair.scheme == "tifc" else 2 * 4) + 3 * 8))
         cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
         t0 = time.perf_counter()

@@ -230,6 +230,21 @@ def test_int_lists_round_trip(tmp_path):
     np.testing.assert_array_equal(back[1], lists[1])
 
 
+def test_int_lists_empty_records_round_trip(tmp_path):
+    # a query with no result below T writes a zero-length record
+    path = tmp_path / "ids.ivecs"
+    vecio.write_int_lists([[], [3, 1], []], path)
+    assert path.stat().st_size == 4 + 12 + 4
+    assert [b.tolist() for b in vecio.read_int_lists(path)] == [[], [3, 1], []]
+
+
+def test_int_lists_negative_length_rejected(tmp_path):
+    path = tmp_path / "ids.ivecs"
+    path.write_bytes(np.array([1, 7, -1], dtype="<i4").tobytes())
+    with pytest.raises(DataError, match="record 1: bad length -1"):
+        vecio.read_int_lists(path)
+
+
 class TestGroundTruth:
     def test_basic_line(self, tmp_path):
         path = tmp_path / "gt.txt"
