@@ -1,6 +1,8 @@
 """Command-line surface: synth, build, query, baseline, evaluate, sweep.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error. A
+stdout whose reader has gone (`cnnidx build ... | head -1`) ends the command
+quietly with 0: what it wrote before is complete.
 Every run prints its resolved configuration so reported numbers are traceable.
 """
 
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -126,6 +129,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    if args.train_features and args.scheme != invindex.SCHEME_IFC:
+        print("cnnidx build: error: --train-features applies to --scheme ifc only",
+              file=sys.stderr)
+        return EXIT_USAGE
     db = vecio.read_feature_file(args.features)
     if args.normalize:
         db = vecio.l2_normalize(db)
@@ -279,6 +286,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        return EXIT_OK
     except (DataError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"cnnidx: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -288,7 +297,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send what is still buffered nowhere, so that the flush at exit does
+        # not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -242,11 +242,12 @@ def posting_dtypes(word_count: int, indexed_count: int) -> tuple[np.dtype, np.dt
 
 def stats(ix: InvertedIndex) -> IndexStats:
     """Entry counts, list-length histogram and byte sizes, all read from the
-    sections that `save` writes."""
+    sections that `save` writes: each array's length times its file width,
+    with no copy at that width."""
     lengths = np.diff(ix.offsets)
     hist = Counter(lengths.tolist())
     hist[0] += ix.word_count - len(ix.wids)
-    sizes = [memoryview(sec).nbytes for sec in _sections(ix)]
+    sizes = [values.size * dtype.itemsize for values, dtype in _sections(ix)]
     return IndexStats(
         word_count=ix.word_count,
         total_entries=len(ix.ids),
@@ -270,29 +271,38 @@ def _header_json(ix: InvertedIndex) -> bytes:
     return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
-def _sections(ix: InvertedIndex) -> list:
-    """The file's byte sections between the magic and the CRC, in order."""
+def _sections(ix: InvertedIndex) -> list[tuple[np.ndarray, np.dtype]]:
+    """The file's sections between the magic and the CRC, in order, each as
+    an array and the little-endian dtype its values are written at: the
+    posting integers at `posting_dtypes`, the rest at their own."""
     header = _header_json(ix)
+    payload = ix.quantizer.payload()
     wid_t, len_t, id_t = posting_dtypes(ix.word_count, ix.indexed_count)
     return [
-        struct.pack("<I", len(header)),
-        header,
-        ix.quantizer.payload(),
-        struct.pack("<Q", len(ix.wids)),
-        np.ascontiguousarray(ix.wids, dtype=wid_t),
-        np.ascontiguousarray(np.diff(ix.offsets), dtype=len_t),
-        np.ascontiguousarray(ix.ids, dtype=id_t),
-        np.ascontiguousarray(ix.codes, dtype=np.uint8),
+        (np.array([len(header)]), np.dtype("<u4")),
+        (np.frombuffer(header, dtype=np.uint8), np.dtype(np.uint8)),
+        (payload, payload.dtype),
+        (np.array([len(ix.wids)]), np.dtype("<u8")),
+        (ix.wids, wid_t),
+        (np.diff(ix.offsets), len_t),
+        (ix.ids, id_t),
+        (ix.codes, np.dtype(np.uint8)),
     ]
 
 
 def save(ix: InvertedIndex, path) -> None:
+    """Write the index file. Each section is cast to its file dtype in
+    pieces of `chunk_rows` rows, so no whole narrow copy of the postings is
+    held."""
     crc = 0
     with open(path, "wb") as f:
         f.write(MAGIC)
-        for section in _sections(ix):
-            crc = zlib.crc32(section, crc)
-            f.write(section)
+        for values, dtype in _sections(ix):
+            rows = chunk_rows(max(1, values[:1].nbytes))
+            for lo in range(0, len(values), rows):
+                piece = np.ascontiguousarray(values[lo:lo + rows], dtype=dtype)
+                crc = zlib.crc32(piece, crc)
+                f.write(piece)
         f.write(struct.pack("<I", crc))
 
 

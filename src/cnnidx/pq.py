@@ -11,8 +11,12 @@ a lower bound on the words the merge left out; a row whose bound does not
 clear its S-th distance is answered by an exact multi-sequence heap merge
 (Babenko & Lempitsky, "The Inverted Multi-Index", CVPR 2012).
 
-Each merge step's layout depends only on (count, prefix count, K), and
-`_pairs` memoises it as read-only arrays.
+Segment 1 alone gives the first prefixes, already in (distance, id) order.
+Each later step keeps its first S pairs by a partition and sorts only those;
+a row whose S-th distance ties a pair left out sorts all its pairs, so the
+(distance, word id) order still decides, as in `tifc.top_words_rows`. Each
+merge step's layout depends only on (count, prefix count, K), and `_pairs`
+memoises it as read-only arrays.
 
 `segment_distances_batch` is the one kernel that word assignment uses, on
 the build side and the query side alike. Its `einsum` contractions cover all
@@ -21,7 +25,8 @@ does not depend on the other rows, so a row gets bit-identical distances,
 and so the same words, alone or in any batch. Its centroid terms, like the
 tables of sub-centroid means that codes compare against, are computed once
 per codebook (see `PqCodebook`). K-means training keeps its own matmul form
-(`_sq_dists`)."""
+(`_sq_dists`), and its Lloyd update gives every centroid the bits of numpy's
+`mean` of its members without grouping the rows (see `_kmeans`)."""
 
 from __future__ import annotations
 
@@ -179,7 +184,8 @@ def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
     sum of squares (a tie keeps the earlier run). Every restart of every
     segment draws from one generator seeded by kmeans_seed, so the codebook
     is deterministic for a fixed seed. The segment's points are cast to
-    float64 once and shared by its restarts.
+    float64 and transposed to (D/M, n) once each, and its restarts share
+    both.
     """
     m, k = cfg.segments, cfg.words_per_segment
     n, d = training.n, training.dim
@@ -192,30 +198,37 @@ def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
     sub = np.empty((m, k, seg_dim), dtype=np.float32)
     for s in range(m):
         pts = training.vectors[:, s * seg_dim : (s + 1) * seg_dim].astype(np.float64)
+        columns = np.ascontiguousarray(pts.T)
         best = None
         best_wcss = np.inf
         for _ in range(cfg.kmeans_restarts):
-            centroids, wcss = _kmeans(pts, k, cfg.kmeans_iters, rng)
+            centroids, wcss = _kmeans(pts, k, cfg.kmeans_iters, rng, columns)
             if wcss < best_wcss:
                 best, best_wcss = centroids, wcss
         sub[s] = best.astype(np.float32)
     return PqCodebook(sub_codebooks=sub, config=cfg)
 
 
-def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, float]:
+def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng,
+            columns: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """One Lloyd run with k-means++ seeding; stops when assignments stabilize.
 
     Returns the (k, d) float64 centroids and their within-cluster sum of
     squares. Each iteration assigns every point to its nearest centroid (ties
-    to the smaller index) and moves each centroid to the mean of its members
-    in ascending row order, read from one stable sort of the rows by cluster.
+    to the smaller index, see `_nearest_centroid`) and moves each centroid to
+    the mean of its members, the values numpy's `mean` of the member rows
+    gives. For d > 1 that mean sums in ascending row order, so each column's
+    sums come from one `np.bincount` over `columns`, the points transposed
+    to (d, n) in C order (made here when not given). For d = 1 numpy sums a
+    (members, 1) block pairwise, so there the members are grouped by one
+    stable sort and meaned.
     Every centroid left without members takes the same point: the one
     farthest from its nearest centroid before the update. The iterations
     share one (n, k) distance buffer and the points' squared norms, and a
     run that converges takes its WCSS from the last assignment's distances.
     """
-    n = pts.shape[0]
-    centroids = np.empty((k, pts.shape[1]))
+    n, d = pts.shape
+    centroids = np.empty((k, d))
     centroids[0] = pts[rng.integers(n)]
     d2 = sq_dist_to(pts, centroids[0])
     for j in range(1, k):
@@ -229,31 +242,47 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
 
     pts_sq = _sq_norms(pts)
     dists = np.empty((n, k))
+    if columns is None:
+        columns = np.ascontiguousarray(pts.T)
     assign = None
     for _ in range(max_iters):
         _sq_dists(pts, pts_sq, centroids, dists)
-        new_assign = dists.argmin(axis=1)
+        new_assign, mins = _nearest_centroid(dists)
         if assign is not None and np.array_equal(assign, new_assign):
             break  # the centroids did not move, so dists is still theirs
         assign = new_assign
-        # a stable sort is unique; on the narrowest dtype numpy radix-sorts it
-        order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
-        grouped = pts[order]
-        edges = np.searchsorted(assign[order], np.arange(k + 1)).tolist()
-        worst = None
-        for j in range(k):
-            lo, hi = edges[j], edges[j + 1]
-            if hi > lo:
-                centroids[j] = grouped[lo:hi].mean(axis=0)
-            else:
-                # steal the point currently worst-represented
-                if worst is None:
-                    worst = pts[int(dists.min(axis=1).argmax())]
-                centroids[j] = worst
+        counts = np.bincount(assign, minlength=k)
+        if d > 1:
+            for j, column in enumerate(columns):
+                centroids[:, j] = np.bincount(assign, weights=column, minlength=k)
+            centroids /= np.maximum(counts, 1)[:, None]
+        else:
+            # a stable sort is unique; on the narrowest dtype numpy radix-sorts it
+            grouped = pts[np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")]
+            edges = np.cumsum(counts).tolist()
+            for j in np.flatnonzero(counts).tolist():
+                centroids[j] = grouped[edges[j] - counts[j]:edges[j]].mean(axis=0)
+        empty = counts == 0
+        if empty.any():
+            # steal the point currently worst-represented
+            centroids[empty] = pts[int(mins.argmax())]
     else:
         _sq_dists(pts, pts_sq, centroids, dists)
-    wcss = float(dists.min(axis=1).sum())
-    return centroids, wcss
+        mins = _nearest_centroid(dists)[1]
+    return centroids, float(mins.sum())
+
+
+def _nearest_centroid(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest column of the (n, k) distances and that distance,
+    as the argmin and min of the distances clamped at 0 give them: a row
+    whose minimum is <= 0 takes its first column <= 0, at distance 0."""
+    assign = dists.argmin(axis=1)
+    mins = np.take_along_axis(dists, assign[:, None], axis=1)[:, 0]
+    low = np.flatnonzero(mins <= 0)
+    if len(low):
+        assign[low] = (dists[low] <= 0).argmax(axis=1)
+        mins[low] = 0.0
+    return assign, mins
 
 
 def _draw(rng, p: np.ndarray) -> int:
@@ -289,15 +318,14 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 def _sq_dists(x: np.ndarray, x_sq: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of x (n, d) and c (k, d),
-    all float64, written into out (n, k) and clamped at 0; x_sq is
-    `_sq_norms(x)`. The steps give exactly the values of
-    x_sq - 2.0 * (x @ c.T) + cc: scaling by -2 is exact and addition
-    commutes."""
+    all float64, written into out (n, k); x_sq is `_sq_norms(x)`. The steps
+    give exactly the values of x_sq - 2.0 * (x @ c.T) + cc: scaling by -2 is
+    exact and addition commutes. Rounding can leave a value below 0, which
+    `_nearest_centroid` reads as 0, so no pass clamps them."""
     np.matmul(x, c.T, out=out)
     out *= -2.0
     out += x_sq
     out += (c * c).sum(axis=1)
-    np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -356,6 +384,12 @@ def _nearest(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np.ndar
     Returns the word ids and summed distances of the `count` nearest product
     words per row, both (rows, count), ascending by (distance, word id). Sums
     are added left to right in float64, as `_merge_nearest` adds them.
+    Segment 1's first `count` sub-words are the first prefixes, in the order
+    the stable sort gives them. A later step keeps each row's first `count`
+    pairs by `np.argpartition` and sorts only those by (distance, word id);
+    a row whose count-th distance equals the (count+1)-th, where the word id
+    decides which pair is kept, sorts all its pairs instead. The
+    (count+1)-th distance of a middle step joins the lower bound.
     """
     rows, m, _ = dists.shape
     if not 1 <= count <= k**m:
@@ -363,21 +397,34 @@ def _nearest(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np.ndar
     order = np.argsort(dists, axis=2, kind="stable")
     sorted_d = np.take_along_axis(dists, order, axis=2)
     row = np.arange(rows)[:, None]
-    totals = np.zeros((rows, 1))
-    wids = np.zeros((rows, 1), dtype=np.int64)
+    # segment 1 alone: its first sub-words are the prefixes, already in
+    # (distance, id) order, and the first one left out bounds the rest
+    _, sub, cut, cut_edge = _pairs(count, 1, k)
+    totals = sorted_d[:, 0, :len(sub)]
+    wids = order[:, 0, :len(sub)]
     # lower bound on the summed distance of every word left out so far
-    bound = np.full(rows, np.inf)
-    for s in range(m):
+    bound = sorted_d[:, 0, cut_edge[0]] if len(cut) else np.full(rows, np.inf)
+    for s in range(1, m):
         pre, sub, cut, cut_edge = _pairs(count, totals.shape[1], k)
         cand = totals[:, pre] + sorted_d[:, s, sub]
         cand_w = wids[:, pre] * k + order[:, s, sub]
-        bound += sorted_d[:, s, 0]
+        bound = bound + sorted_d[:, s, 0]
         if len(cut):
             bound = np.minimum(bound, (totals[:, cut] + sorted_d[:, s, cut_edge]).min(axis=1))
-        sel = np.lexsort((cand_w, cand), axis=1)
-        if s < m - 1 and cand.shape[1] > count:
-            bound = np.minimum(bound, cand[row[:, 0], sel[:, count]])
-        sel = sel[:, :count]
+        if cand.shape[1] > count:
+            # the first `count` by distance, in (distance, id) order; a row
+            # whose count-th distance ties a left-out one sorts all its pairs
+            part = np.argpartition(cand, count, axis=1)
+            sel = part[:, :count]
+            first = cand[row, sel]
+            sel = sel[row, np.lexsort((cand_w[row, sel], first), axis=1)]
+            kth = cand[row[:, 0], part[:, count]]
+            for r in np.flatnonzero(first.max(axis=1) == kth):
+                sel[r] = np.lexsort((cand_w[r], cand[r]))[:count]
+            if s < m - 1:
+                bound = np.minimum(bound, kth)
+        else:
+            sel = np.lexsort((cand_w, cand), axis=1)
         totals = cand[row, sel]
         wids = cand_w[row, sel]
     for r in np.flatnonzero(~(bound > totals[:, -1])):

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,66 @@ def test_unknown_flag_is_usage_error(workspace, capsys):
     rc = run(["build", "--bogus", "1"])
     assert rc == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_train_features_with_tifc_is_usage_error(tmp_path, capsys):
+    # a TIFC build uses no training set: the flag is refused before any file
+    # is opened, so the missing file gives no data error
+    rc = run([
+        "build", "--features", str(tmp_path / "db.fvecs"), "--scheme", "tifc",
+        "--train-features", str(tmp_path / "nope.fvecs"), "--out", str(tmp_path / "x.idx"),
+    ])
+    assert rc == EXIT_USAGE
+    assert "--train-features applies to --scheme ifc only" in capsys.readouterr().err
+    assert not (tmp_path / "x.idx").exists()
+
+
+class HeadOne:
+    """A stdout read by `head -1`: the first line is taken, and every write
+    after it raises BrokenPipeError."""
+
+    def __init__(self):
+        self.text = ""
+
+    def write(self, s):
+        if "\n" in self.text:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.text += s
+        return len(s)
+
+    def flush(self):
+        if "\n" in self.text:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly(workspace, tmp_path, monkeypatch, capsys):
+    out = HeadOne()
+    monkeypatch.setattr(sys, "stdout", out)
+    rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "tifc",
+              "--S", "3", "--L", "8", "--out", str(tmp_path / "t.idx")])
+    assert rc == EXIT_OK
+    assert out.text.startswith("[build] config: ")
+    assert capsys.readouterr().err == ""
+    assert invindex.load(tmp_path / "t.idx").indexed_count == 100
+
+
+def test_closed_stdout_pipe_exits_zero(workspace, tmp_path):
+    """The process behind `cnnidx build ... | head -1`, with the reader gone
+    before the first write: exit 0 and nothing on stderr. Its stdout is
+    block-buffered, so the first write is the flush after the build."""
+    src = str(Path(invindex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cnnidx.cli", "build", "--features", str(workspace / "db.fvecs"),
+         "--scheme", "tifc", "--S", "3", "--L", "8", "--out", str(tmp_path / "t.idx")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""
+    assert (tmp_path / "t.idx").exists()
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):

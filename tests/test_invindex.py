@@ -464,7 +464,8 @@ def split_file(path):
 
 def payload_of(ix):
     """The bytes after the header of ix's index file."""
-    return b"".join(bytes(sec) for sec in invindex._sections(ix)[2:])
+    return b"".join(np.ascontiguousarray(values, dtype=dtype).tobytes()
+                    for values, dtype in invindex._sections(ix)[2:])
 
 
 def write_file(path, header, payload):
@@ -663,7 +664,8 @@ class TestPostingWidths:
 def section_bounds(ix):
     """The byte offsets in ix's index file where the magic, each section of
     `_sections` and the CRC begin, and the file size."""
-    sizes = [len(invindex.MAGIC)] + [memoryview(s).nbytes for s in invindex._sections(ix)] + [4]
+    sizes = ([len(invindex.MAGIC)] + [values.size * dtype.itemsize
+                                      for values, dtype in invindex._sections(ix)] + [4])
     return [0] + np.cumsum(sizes).tolist()
 
 
@@ -815,3 +817,48 @@ class TestStats:
             est = invindex.stats(ix).estimated_file_bytes
             actual = path.stat().st_size
             assert est == actual
+
+
+class TestNarrowSections:
+    """`stats` sizes the posting sections from their file widths, and `save`
+    casts them to those widths a `chunk_rows` piece at a time: neither holds
+    a whole narrow copy, and the file does not depend on the piece size."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.fixture(scope="class")
+    def wide_ids(self):
+        """20,000 vectors at S = 4: 80,000 int32 ids, 160,000 bytes at u2."""
+        rng = np.random.default_rng(71)
+        db = FeatureSet(rng.standard_normal((20_000, 8)).astype(np.float32))
+        return invindex.build(db, BuildConfig(scheme="tifc", link_count=4, code_length=8))
+
+    def test_no_narrow_copy(self, wide_ids, tmp_path, monkeypatch):
+        narrow = len(wide_ids.ids) * invindex.posting_dtypes(
+            wide_ids.word_count, wide_ids.indexed_count)[2].itemsize
+        assert narrow == 160_000
+        assert self.traced_peak(lambda: invindex.stats(wide_ids)) < narrow // 4
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 16 << 10)
+        path = tmp_path / "w.idx"
+        assert self.traced_peak(lambda: invindex.save(wide_ids, path)) < narrow // 4
+        assert invindex.stats(wide_ids).estimated_file_bytes == path.stat().st_size
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 4096])
+    def test_file_independent_of_piece_size(self, chunk_bytes, tifc_index, ifc_index,
+                                            wide_ids, tmp_path, monkeypatch):
+        for name, ix in (("t", tifc_index), ("i", ifc_index), ("w", wide_ids)):
+            whole, pieces = tmp_path / f"{name}.idx", tmp_path / f"{name}-pieces.idx"
+            invindex.save(ix, whole)
+            with monkeypatch.context() as mp:
+                mp.setattr(vecio, "CHUNK_BYTES", chunk_bytes)
+                invindex.save(ix, pieces)
+            assert pieces.read_bytes() == whole.read_bytes()
+            assert invindex.stats(ix).estimated_file_bytes == pieces.stat().st_size

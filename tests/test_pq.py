@@ -315,6 +315,124 @@ class TestKmeansOracle:
         assert pq.segment_distances_batch(near, cb).min() >= 0.0
 
 
+class TestLloydExactness:
+    """The traps of the Lloyd update that sums each column with one
+    `np.bincount` and reads the unclamped distances, against the reference
+    run, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_width_one_segments_match_reference(self, seed):
+        """Hundreds of members per cluster: numpy means a (members, 1) block
+        by a pairwise sum, which a row-order sum does not reproduce."""
+        rng = np.random.default_rng(70 + seed)
+        pts = rng.standard_normal((900, 1)) * 1e3 + rng.standard_normal((900, 1))
+        want, want_wcss = reference_kmeans(pts.copy(), 3, 25, np.random.default_rng(seed))
+        got, got_wcss = pq._kmeans(pts.copy(), 3, 25, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+        # the trap is live: a row-order mean of some cluster differs
+        assign = reference_pairwise_sq_dists(pts, want).argmin(axis=1)
+        row_order = [np.cumsum(pts[assign == j, 0])[-1] / np.sum(assign == j)
+                     for j in range(3)]
+        means = [pts[assign == j].mean(axis=0)[0] for j in range(3)]
+        assert min(np.bincount(assign)) > 100 and row_order != means
+
+    @pytest.mark.parametrize("iters", [1, 2, 25])
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_negative_minimum_rows_match_reference(self, iters, seed, monkeypatch):
+        """Rows repeated at the 1e3 scale: the expanded distance to a
+        centroid on the row rounds below 0, and with more clusters than
+        distinct rows several columns of a row tie at 0 once clamped."""
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((5, 3)) * 1e3
+        pts = base[rng.integers(0, len(base), 400)]
+        traps = []
+        sq_dists = pq._sq_dists
+
+        def recording(*args):
+            out = sq_dists(*args)
+            traps.append(int(((out.min(axis=1) < 0) & ((out <= 0).sum(axis=1) > 1)).sum()))
+            return out
+
+        monkeypatch.setattr(pq, "_sq_dists", recording)
+        got, got_wcss = pq._kmeans(pts.copy(), 8, iters, np.random.default_rng(seed))
+        want, want_wcss = reference_kmeans(pts.copy(), 8, iters, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+        assert sum(traps) > 0
+
+    def test_nearest_centroid_reads_negatives_as_zero(self):
+        rng = np.random.default_rng(8)
+        dists = rng.choice([-1.0, -1e-12, -0.0, 0.0, 1e-12, 1.0, 2.0], (500, 6))
+        dists[0] = [3.0, -1e-9, 0.0, -2.0, 1.0, 0.5]
+        assign, mins = pq._nearest_centroid(dists.copy())
+        clamped = np.maximum(dists, 0.0)
+        np.testing.assert_array_equal(assign, clamped.argmin(axis=1))
+        np.testing.assert_array_equal(mins, clamped.min(axis=1))
+        assert assign[0] == 1 and mins[0] == 0.0
+        assert (dists.argmin(axis=1) != assign).sum() > 50
+
+    def test_benchmark_shaped_run_matches_reference(self, monkeypatch):
+        """5,000 rows of width 32 into K = 64 for all 25 iterations, as the
+        segments of the benchmark's IFC build run."""
+        pts = np.random.default_rng(62).standard_normal((5_000, 32))
+        calls = []
+        sq_dists = pq._sq_dists
+
+        def counting(*args):
+            calls.append(1)
+            return sq_dists(*args)
+
+        monkeypatch.setattr(pq, "_sq_dists", counting)
+        got, got_wcss = pq._kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
+        assert len(calls) == 26  # no early stop: 25 iterations and the final WCSS
+        want, want_wcss = reference_kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+
+
+class TestMergeCutTies:
+    """`_nearest` keeps each step's first `count` pairs by a partition, so a
+    row whose count-th distance ties a left-out pair must still choose by
+    word id. Integer distances tie often; the oracle ranks all K^M words."""
+
+    @staticmethod
+    def exhaustive(dists):
+        """Every word's sum (added left to right) and the words of each row in
+        (distance, word id) order."""
+        rows, m, k = dists.shape
+        totals = dists[:, 0]
+        for s in range(1, m):
+            totals = (totals[:, :, None] + dists[:, s, None, :]).reshape(rows, -1)
+        wids = np.broadcast_to(np.arange(k**m), totals.shape)
+        order = np.lexsort((wids, totals), axis=1)
+        return np.take_along_axis(totals, order, axis=1), order
+
+    @pytest.mark.parametrize("m, k", [(2, 6), (3, 4)])
+    def test_integer_rows_match_exhaustive(self, m, k):
+        dists = np.random.default_rng(m).integers(0, 3, (120, m, k)).astype(np.float64)
+        totals, wids = self.exhaustive(dists)
+        prefixes = np.sort((dists[:, 0, :, None] + dists[:, 1, None, :]).reshape(len(dists), -1))
+        cut_ties = {"middle": 0, "last": 0}
+        for count in range(1, k**m):
+            got_wids, got_totals = pq._nearest(dists, k, count)
+            np.testing.assert_array_equal(got_wids, wids[:, :count], err_msg=f"count {count}")
+            np.testing.assert_array_equal(got_totals, totals[:, :count])
+            cut_ties["last"] += (totals[:, count - 1] == totals[:, count]).sum()
+            if m == 3 and count < k * k:
+                cut_ties["middle"] += (prefixes[:, count - 1] == prefixes[:, count]).sum()
+        assert cut_ties["last"] > 0 and (m == 2 or cut_ties["middle"] > 0)
+
+    def test_one_row_matches_batch(self):
+        dists = np.random.default_rng(9).integers(0, 3, (50, 3, 4)).astype(np.float64)
+        for count in (1, 5, 16, 17, 40):
+            batch = pq._nearest(dists, 4, count)
+            for r in range(len(dists)):
+                one = pq._nearest(dists[r:r + 1], 4, count)
+                np.testing.assert_array_equal(one[0][0], batch[0][r])
+                np.testing.assert_array_equal(one[1][0], batch[1][r])
+
+
 class TestAssign:
     def test_exact_product_centroid(self):
         cb = random_codebook(k=8, m=2, seg_dim=3, seed=6)
