@@ -11,14 +11,18 @@ each, then `--pairs` pairs of batch runs alternate which index goes first.
 Each pair's factor is the criterion's: the ratio of the two batches'
 `BatchSummary.mean_query_time`. The criterion passes below 5.0; it times the
 first batch of its process, so judge a change by the warm median here and by
-full tier-1 runs, not by isolated runs of the test.
+full tier-1 runs, not by isolated runs of the test. Each batch run is also
+divided by its host factor (`scripts/hostfactor.py`), and each pair's factor
+and the summary are printed raw and, in brackets or on their own line,
+host-corrected.
 
 The table splits one warm pass over the queries into the stages of
 `search._scan`, timed one after another per query, in ms per query: encode
 (`invindex.encode_chunks`, words and codes), probe (list lookup and id
 copy), Hamming (code copy and distances), `add.at` (votes), `minimum.at`
 (minimum Hamming), rank (key, partition and sort) and count (the candidate
-count). Its answers are checked equal to `_scan`'s.
+count). Its answers are checked equal to `_scan`'s. Each cell gives the raw
+time and, after a slash, the time divided by the pass's host factor.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "scripts")]
 
+from hostfactor import PassFactors  # noqa: E402
 from test_acceptance import IFC_CFG, PQ_CFG, QUERY_CFG, SPEC_100K, SPEC_10K  # noqa: E402
 
 from cnnidx import invindex, search, vecio  # noqa: E402
@@ -48,9 +53,11 @@ def batch_time(ix, queries) -> float:
     return summary.mean_query_time
 
 
-def stage_times(ix, queries) -> tuple[dict[str, float], int, int]:
-    """Mean seconds per query of each stage, and the mean entries scanned and
-    kept per query, from one pass that mirrors `search._scan`."""
+def stage_times(ix, queries) -> tuple[dict[str, tuple[float, float]], int, int]:
+    """Mean seconds per query of each stage, raw and host-corrected, and the
+    mean entries scanned and kept per query, from one pass that mirrors
+    `search._scan`."""
+    factors = PassFactors()
     cfg = QUERY_CFG
     n, length, w = ix.indexed_count, ix.code_length, cfg.assignment_count
     total = dict.fromkeys(STAGES, 0.0)
@@ -92,8 +99,9 @@ def stage_times(ix, queries) -> tuple[dict[str, float], int, int]:
             ref = search._scan(ix, wq, cq, cfg, count_candidates=True)
             if (entries, candidates) != (ref.entries, ref.candidates):
                 raise AssertionError("the staged scan disagrees with search._scan")
+    factor = factors.next()
     q = queries.n
-    return {k: v / q for k, v in total.items()}, scanned // q, kept // q
+    return {k: (v / q, v / q / factor) for k, v in total.items()}, scanned // q, kept // q
 
 
 def main() -> None:
@@ -113,21 +121,32 @@ def main() -> None:
         for ix in indexes.values():
             batch_time(ix, queries)
 
-    factors = []
+    factors = PassFactors()
+    ratios = {"raw": [], "host-corrected": []}
     for p in range(args.pairs):
         order = ("10k", "100k") if p % 2 == 0 else ("100k", "10k")
-        times = {name: batch_time(indexes[name], queries) for name in order}
-        factors.append(times["100k"] / times["10k"])
-        print(f"pair {p + 1:2d} ({order[0]} first): 10k {times['10k'] * 1e3:.3f} ms, "
-              f"100k {times['100k'] * 1e3:.3f} ms, x{factors[-1]:.2f}", flush=True)
-    q1, med, q3 = np.percentile(factors, [25, 50, 75])
-    print(f"factor over {args.pairs} warm pairs: median x{med:.2f} (quartiles x{q1:.2f}-"
-          f"x{q3:.2f}), {sum(f >= 5.0 for f in factors)} of {args.pairs} at or over x5.00")
+        times = {}
+        for name in order:
+            t = batch_time(indexes[name], queries)
+            times[name] = (t, t / factors.next())
+        for col, label in enumerate(ratios):
+            ratios[label].append(times["100k"][col] / times["10k"][col])
+        print(f"pair {p + 1:2d} ({order[0]} first): 10k {times['10k'][0] * 1e3:.3f} ms "
+              f"[{times['10k'][1] * 1e3:.3f}], 100k {times['100k'][0] * 1e3:.3f} ms "
+              f"[{times['100k'][1] * 1e3:.3f}], x{ratios['raw'][-1]:.2f} "
+              f"[x{ratios['host-corrected'][-1]:.2f}]", flush=True)
+    for label, values in ratios.items():
+        q1, med, q3 = np.percentile(values, [25, 50, 75])
+        print(f"{label} factor over {args.pairs} warm pairs: median x{med:.2f} (quartiles "
+              f"x{q1:.2f}-x{q3:.2f}), {sum(f >= 5.0 for f in values)} of {args.pairs} "
+              "at or over x5.00")
 
-    print("\nms per query | " + " | ".join(STAGES) + " | entries / kept")
+    print("\nms per query, raw / host-corrected | " + " | ".join(STAGES)
+          + " | entries / kept")
     for name, ix in indexes.items():
         stages, scanned, kept = stage_times(ix, queries)
-        cells = " | ".join(f"{stages[s] * 1e3:.3f}" for s in STAGES)
+        cells = " | ".join(f"{stages[s][0] * 1e3:.3f} / {stages[s][1] * 1e3:.3f}"
+                           for s in STAGES)
         print(f"{name} | {cells} | {scanned:,} / {kept:,}")
 
 

@@ -22,7 +22,10 @@ median in ms:
   IFC codebook (its float64 constants) or the TIFC table draw.
 
 `load` is the median of whole `invindex.load` calls. Every staged index is
-checked equal to `load`'s. The file size of each index is printed too.
+checked equal to `load`'s. The file size of each index is printed too. Each
+cell gives the raw median and, after a slash, the median of the timings
+divided by their round's host factor (`scripts/hostfactor.py`), which reads
+the same on a slower or busier host.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
 import datagen  # noqa: E402
+from hostfactor import PassFactors  # noqa: E402
 
 from run import WORKLOADS  # noqa: E402
 
@@ -106,25 +110,30 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
     return t, ix
 
 
-def stage_medians(path, loads: int) -> dict[str, float]:
+def stage_medians(path, loads: int) -> dict[str, tuple[float, float]]:
     """Median seconds of each stage over `loads` rounds, after one warm
-    round; raises if a staged index differs from `invindex.load`'s."""
-    times = {s: [] for s in STAGES}
+    round, raw and host-corrected; raises if a staged index differs from
+    `invindex.load`'s."""
+    raw = {s: [] for s in STAGES}
+    corrected = {s: [] for s in STAGES}
+    factors = PassFactors()
     for r in range(loads + 1):
         t, staged = staged_load(path)
         t0 = time.perf_counter()
         ref = invindex.load(path)
         t1 = time.perf_counter()
+        factor = factors.next()
         for name in ("wids", "offsets", "ids", "codes"):
             a, b = getattr(staged, name), getattr(ref, name)
             if a.dtype != b.dtype or not np.array_equal(a, b):
                 raise AssertionError(f"the staged load's {name} differ from invindex.load's")
         if r == 0:
             continue
-        for stage, a, b in zip(STAGES, t, t[1:]):
-            times[stage].append(b - a)
-        times["load"].append(t1 - t0)
-    return {s: float(np.median(v)) for s, v in times.items()}
+        times = [b - a for a, b in zip(t, t[1:])] + [t1 - t0]
+        for stage, seconds in zip(STAGES, times):
+            raw[stage].append(seconds)
+            corrected[stage].append(seconds / factor)
+    return {s: (float(np.median(raw[s])), float(np.median(corrected[s]))) for s in STAGES}
 
 
 def main() -> None:
@@ -133,7 +142,7 @@ def main() -> None:
     ap.add_argument("--loads", type=int, default=40)
     args = ap.parse_args()
 
-    print("ms per load | bytes | " + " | ".join(STAGES))
+    print("ms per load, raw / host-corrected | bytes | " + " | ".join(STAGES))
     with tempfile.TemporaryDirectory() as tmp:
         for name in BENCH_WORKLOADS:
             spec = WORKLOADS[name]
@@ -144,7 +153,8 @@ def main() -> None:
             del db
             med = stage_medians(path, args.loads)
             print(f"{name} | {path.stat().st_size:,} | "
-                  + " | ".join(f"{med[s] * 1e3:.2f}" for s in STAGES), flush=True)
+                  + " | ".join(f"{med[s][0] * 1e3:.2f} / {med[s][1] * 1e3:.2f}" for s in STAGES),
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,10 @@ After one warm pass, `--passes` passes run every query through the stages of
 - scan: `search._scan`, the list scan, votes and ranking.
 
 `query` is the median of whole `search.query` calls, timed in the same
-passes. Every staged answer is checked equal to `query`'s.
+passes. Every staged answer is checked equal to `query`'s. Each cell gives
+the raw median and, after a slash, the median of the timings divided by
+their pass's host factor (`scripts/hostfactor.py`), which reads the same
+on a slower or busier host.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
 import datagen  # noqa: E402
+from hostfactor import PassFactors  # noqa: E402
 
 from run import WORKLOADS  # noqa: E402
 
@@ -72,11 +76,15 @@ def staged_query(ix, q, cfg) -> tuple[list[float], search.RankedResult]:
     return t, result
 
 
-def stage_medians(ix, queries, cfg, passes: int) -> dict[str, float]:
+def stage_medians(ix, queries, cfg, passes: int) -> dict[str, tuple[float, float]]:
     """Median seconds per query of each stage over `passes` passes, after
-    one warm pass; raises if a staged answer differs from `search.query`'s."""
-    times = {s: [] for s in STAGES}
+    one warm pass, raw and host-corrected; raises if a staged answer differs
+    from `search.query`'s."""
+    raw = {s: [] for s in STAGES}
+    corrected = {s: [] for s in STAGES}
+    factors = PassFactors()
     for p in range(passes + 1):
+        times = {s: [] for s in STAGES}
         for q in queries:
             t, staged = staged_query(ix, q, cfg)
             t0 = time.perf_counter()
@@ -84,12 +92,16 @@ def stage_medians(ix, queries, cfg, passes: int) -> dict[str, float]:
             t1 = time.perf_counter()
             if staged.entries != ref.entries:
                 raise AssertionError("the staged query disagrees with search.query")
-            if p == 0:
-                continue
             for stage, a, b in zip(STAGES, t, t[1:]):
                 times[stage].append(b - a)
             times["query"].append(t1 - t0)
-    return {s: float(np.median(v)) for s, v in times.items()}
+        factor = factors.next()
+        if p == 0:
+            continue
+        for stage, seconds in times.items():
+            raw[stage] += seconds
+            corrected[stage] += [x / factor for x in seconds]
+    return {s: (float(np.median(raw[s])), float(np.median(corrected[s]))) for s in STAGES}
 
 
 def main() -> None:
@@ -99,7 +111,7 @@ def main() -> None:
     ap.add_argument("--passes", type=int, default=5)
     args = ap.parse_args()
 
-    print("us per query | " + " | ".join(STAGES))
+    print("us per query, raw / host-corrected | " + " | ".join(STAGES))
     for name in BENCH_WORKLOADS:
         spec = WORKLOADS[name]
         db, queries = datagen.hard_vectors(args.seed, spec["n"], args.queries, spec["dim"])
@@ -108,7 +120,8 @@ def main() -> None:
         cfg = search.QueryConfig(assignment_count=spec["W"], hamming_threshold=spec["T"],
                                  top_k=spec["top_k"])
         med = stage_medians(ix, queries, cfg, args.passes)
-        print(f"{name} | " + " | ".join(f"{med[s] * 1e6:.1f}" for s in STAGES), flush=True)
+        print(f"{name} | " + " | ".join(f"{med[s][0] * 1e6:.1f} / {med[s][1] * 1e6:.1f}"
+                                        for s in STAGES), flush=True)
 
 
 if __name__ == "__main__":

@@ -98,6 +98,6 @@ def lsh_query(ix: LshIndex, q, top_k: int) -> tuple[list[int], int]:
     if not cand:
         return [], 0
     ids = np.fromiter(cand, dtype=np.int64)
-    dists = sq_dist_to(ix.db.vectors[ids], q)
+    dists = sq_dist_to(ix.db.vectors, q, ids)
     order = np.lexsort((ids, dists))
     return [int(ids[i]) for i in order[:top_k]], len(ids)

@@ -133,10 +133,14 @@ def _cmd_build(args) -> int:
         print("cnnidx build: error: --train-features applies to --scheme ifc only",
               file=sys.stderr)
         return EXIT_USAGE
+    try:
+        cfg = invindex.build_config(args.scheme, vars(args))
+    except ValueError as exc:
+        print(f"cnnidx build: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     db = vecio.read_feature_file(args.features)
     if args.normalize:
         db = vecio.l2_normalize(db)
-    cfg = invindex.build_config(args.scheme, vars(args))
     resolved = {k: getattr(args, k) for k in invindex.BUILD_KEYS[args.scheme]}
     resolved.update(scheme=args.scheme, features=args.features, out=args.out,
                     normalize=args.normalize)

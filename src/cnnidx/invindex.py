@@ -94,9 +94,11 @@ class BuildConfig:
         if self.scheme not in (SCHEME_TIFC, SCHEME_IFC):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.link_count < 1:
-            raise ValueError("link_count must be >= 1")
+            raise ValueError(f"link_count must be >= 1, got {self.link_count}")
         if self.code_length < 1:
-            raise ValueError("code_length must be >= 1")
+            raise ValueError(f"code_length must be >= 1, got {self.code_length}")
+        if self.virtual_word_seed < 0:
+            raise ValueError(f"virtual_word_seed must be >= 0, got {self.virtual_word_seed}")
         if self.scheme == SCHEME_IFC and self.pq is None:
             raise ValueError("IFC build requires a PqConfig")
 

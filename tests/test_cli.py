@@ -266,15 +266,36 @@ def test_missing_file_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
 @pytest.mark.parametrize("length", ["0", "-4"])
-def test_build_code_length_below_one_is_data_error(workspace, tmp_path, capsys,
-                                                   scheme, length):
+def test_build_code_length_below_one_is_usage_error(workspace, tmp_path, capsys,
+                                                    scheme, length):
     rc = run([
         "build", "--features", str(workspace / "db.fvecs"), "--scheme", scheme,
         "--S", "3", "--L", length, "--K", "4", "--M", "2",
         "--out", str(tmp_path / "x.idx"),
     ])
-    assert rc == EXIT_DATA
-    assert "code_length must be >= 1" in capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert f"code_length must be >= 1, got {length}" in capsys.readouterr().err
+    assert not (tmp_path / "x.idx").exists()
+
+
+@pytest.mark.parametrize("scheme, flag, value, message", [
+    ("ifc", "--kmeans-seed", "-1", "kmeans_seed must be >= 0, got -1"),
+    ("tifc", "--virtual-seed", "-1", "virtual_word_seed must be >= 0, got -1"),
+    ("ifc", "--S", "0", "link_count must be >= 1, got 0"),
+    ("ifc", "--K", "0", "words_per_segment must be >= 1, got 0"),
+    ("ifc", "--kmeans-iters", "0", "kmeans_iters must be >= 1, got 0"),
+], ids=["kmeans-seed", "virtual-seed", "S", "K", "kmeans-iters"])
+def test_build_bad_parameter_is_usage_error_before_any_read(tmp_path, capsys, scheme, flag,
+                                                            value, message):
+    # the features file does not exist: the parameters are refused before it
+    # is opened, so its absence gives no data error
+    rc = run([
+        "build", "--features", str(tmp_path / "nope.fvecs"), "--scheme", scheme,
+        "--S", "3", "--L", "8", "--K", "4", "--M", "2", flag, value,
+        "--out", str(tmp_path / "x.idx"),
+    ])
+    assert rc == EXIT_USAGE
+    assert f"cnnidx build: error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x.idx").exists()
 
 

@@ -241,6 +241,16 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="unknown scheme 'lsh'"):
             invindex.build_config("lsh", self.PARAMS)
 
+    @pytest.mark.parametrize("scheme, key, message", [
+        ("ifc", "kmeans_seed", "kmeans_seed must be >= 0, got -1"),
+        ("tifc", "virtual_seed", "virtual_word_seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_rejected(self, scheme, key, message):
+        """A negative seed is refused with the config, as the loader refuses
+        one in an index header, not later by numpy's generator."""
+        with pytest.raises(ValueError, match=message):
+            invindex.build_config(scheme, {**self.PARAMS, key: -1})
+
 
 class TestBuildMemory:
     """The build's traced peak stays bounded as n grows: rows are chunked by

@@ -172,6 +172,12 @@ def kmeans_points(kind, n, seg_dim, seed):
         return rng.standard_normal((n, seg_dim))
     if kind == "integer":
         return rng.integers(0, 3, (n, seg_dim)).astype(np.float64)
+    if kind == "offset":
+        # a few distinct rows near 1e6, each repeated: once every one is a
+        # seed all d2 are 0, while a row's expanded distance to its own copy
+        # rounds away from 0
+        base = rng.standard_normal((1 + n // 8, seg_dim)) + 1e6
+        return base[rng.integers(0, len(base), n)]
     # a few distinct rows, each repeated, far from the origin
     base = rng.standard_normal((max(1, n // 3), seg_dim)) * 1e3
     return base[rng.integers(0, len(base), n)]
@@ -389,6 +395,155 @@ class TestLloydExactness:
         want, want_wcss = reference_kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
         np.testing.assert_array_equal(got, want)
         assert got_wcss == want_wcss
+
+
+class CountingRng:
+    """A generator that counts its uniform integer draws: k-means++ takes one
+    for its first seed and one for each seed drawn once every d2 is 0."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.integer_draws = 0
+
+    def integers(self, n):
+        self.integer_draws += 1
+        return self.gen.integers(n)
+
+    def random(self):
+        return self.gen.random()
+
+
+def recording_sq_dist_to(monkeypatch):
+    """Route `pq.sq_dist_to` through a spy; returns the list of the `rows`
+    argument of its calls: None for a call on every row."""
+    calls = []
+    sq_dist_to = pq.sq_dist_to
+
+    def spy(pts, c, rows=None):
+        calls.append(None if rows is None else rows.copy())
+        return sq_dist_to(pts, c, rows)
+
+    monkeypatch.setattr(pq, "sq_dist_to", spy)
+    return calls
+
+
+class TestSeedingScreen:
+    """k-means++ seeding computes the exact distances only of the rows that
+    `pq._screen` cannot certify, so every seed must stay bit-identical to
+    the reference's full passes, and the screen must bound both forms."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seg_dim=st.sampled_from([1, 2, 3, 32]), n=st.integers(2, 40),
+           extra=st.integers(1, 10), iters=st.sampled_from([1, 25]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_offset_rows_reach_uniform_draws(self, seg_dim, n, extra, iters, seed):
+        pts = kmeans_points("offset", n, seg_dim, seed)
+        k = min(n, 1 + n // 8 + extra)  # more seeds than distinct rows
+        rng = CountingRng(seed)
+        got, got_wcss = pq._kmeans(pts.copy(), k, iters, rng)
+        want, want_wcss = reference_kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+        distinct = len(np.unique(pts, axis=0))
+        assert rng.integer_draws == 1 + (k - distinct)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_offset_rows_expanded_form_is_not_zero(self, seed, monkeypatch):
+        """The trap is live: at 1e6 the expanded distance of some row to a copy
+        of itself is not 0 where `sq_dist_to`'s is, and seeding still matches."""
+        pts = kmeans_points("offset", 200, 32, seed)
+        x_sq = pq._sq_norms(pts)
+        expanded = x_sq - 2.0 * (pts @ pts.T) + x_sq.T
+        same = (pts[:, None, :] == pts[None, :, :]).all(axis=2)
+        assert (expanded[same] != 0).any() and (pq.sq_dist_to(pts, pts[0])[same[0]] == 0).all()
+        calls = recording_sq_dist_to(monkeypatch)
+        rng = CountingRng(seed)
+        got, got_wcss = pq._kmeans(pts.copy(), 40, 25, rng)
+        want, want_wcss = reference_kmeans(pts.copy(), 40, 25, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+        assert rng.integer_draws > 1 and len(calls) == 39  # the last seed's are not needed
+        # once every distinct row is a seed, every d2 is 0 and no row is recomputed
+        assert len(calls[-1]) == 0
+
+    @pytest.mark.parametrize("iters", [1, 25])
+    @pytest.mark.parametrize("offset, seg_dim", [(1e154, 4), (5e153, 1)])
+    def test_overflowing_norms_fall_back_to_exact(self, offset, seg_dim, iters, monkeypatch):
+        """Rows far from the origin spread at the 1e150 scale: their squared
+        norms overflow (at 1e154) or exceed 1/8 of the float64 maximum (at
+        5e153), so the screen certifies no row and every step sends all of
+        them to `sq_dist_to`, whose differences stay finite."""
+        rng = np.random.default_rng(90)
+        pts = offset + 1e150 * rng.standard_normal((40, seg_dim))
+        calls = recording_sq_dist_to(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (pq._sq_norms(pts) > np.finfo(np.float64).max / 8).all()
+            got, got_wcss = pq._kmeans(pts.copy(), 6, iters, np.random.default_rng(91))
+            want, want_wcss = reference_kmeans(pts.copy(), 6, iters, np.random.default_rng(91))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_wcss, want_wcss)
+        assert calls[0] is None and [len(rows) for rows in calls[1:]] == [40] * 4
+
+    def test_rows_above_norm_cap_are_never_certified(self, monkeypatch):
+        """Two rows at 5e153 among gaussian rows: their squared norms exceed
+        1/8 of the float64 maximum, so every screened step recomputes them,
+        even after a seed near the origin."""
+        rng = np.random.default_rng(92)
+        pts = np.concatenate([5e153 + 1e150 * rng.standard_normal((2, 1)),
+                              rng.standard_normal((38, 1))])
+        calls = recording_sq_dist_to(monkeypatch)
+        got, got_wcss = pq._kmeans(pts.copy(), 8, 25, np.random.default_rng(93))
+        want, want_wcss = reference_kmeans(pts.copy(), 8, 25, np.random.default_rng(93))
+        np.testing.assert_array_equal(got, want)
+        assert got_wcss == want_wcss
+        assert all({0, 1} <= set(rows.tolist()) for rows in calls[1:])
+        assert min(len(rows) for rows in calls[1:]) < 40
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from([1, 3, 32, 2048]), log_scale=st.floats(-3.0, 6.0),
+           near=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_expanded_form_within_bound(self, d, log_scale, near, seed):
+        """The expanded distance, summed in several orders, is within the
+        bound of `sq_dist_to`'s; the screen is below it, and close enough to
+        certify a row whose distance clears d2 by twice the bound."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        c = rng.standard_normal(d) * scale
+        pts = rng.standard_normal((30, d)) * scale
+        if near:  # rows next to c, where the expanded form cancels
+            pts = c + 1e-6 * pts
+        exact = pq.sq_dist_to(pts, c)
+        x_sq = pq._sq_norms(pts)[:, 0]
+        cc = float(c @ c)
+        s = pq._screen_slack(d)
+        bound = s / 2 * (x_sq + cc + np.finfo(np.float64).tiny)
+        dots = (pts @ c, np.einsum("ij,j->i", pts, c), (pts[:, ::-1] * c[::-1]).sum(axis=1))
+        for dot in dots:
+            for expanded in (x_sq - 2.0 * dot + cc, (x_sq + cc) - 2.0 * dot):
+                assert (np.abs(expanded - exact) <= bound).all()
+        screen = pq._screen(pts, pq._screen_lows(x_sq, d), c, np.empty(len(pts)))
+        assert (screen <= exact).all()
+        assert (exact - screen <= 4 * bound).all()
+
+    def test_fast_path_stays_live(self, monkeypatch):
+        """The benchmark-shaped run (5,000 rows of width 32 into K = 64)
+        computes at most 15% of its screened row-steps exactly."""
+        pts = np.random.default_rng(62).standard_normal((5_000, 32))
+        calls = recording_sq_dist_to(monkeypatch)
+        pq._kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
+        assert calls[0] is None and len(calls) == 63
+        assert sum(len(rows) for rows in calls[1:]) <= 0.15 * 5_000 * 62
+
+    @pytest.mark.parametrize("kind", ["gaussian", "integer", "repeated"])
+    @pytest.mark.parametrize("seg_dim", [1, 3, 32])
+    def test_sq_dists_matches_expanded_formula(self, kind, seg_dim):
+        """The -2 folded into the matmul operand leaves every bit of
+        x_sq - 2 (x @ c.T) + cc."""
+        x = kmeans_points(kind, 300, seg_dim, seg_dim)
+        c = x[np.random.default_rng(seg_dim).choice(300, 16, replace=False)] + 0.5
+        x_sq = pq._sq_norms(x)
+        got = pq._sq_dists(x, x_sq, c, np.empty((300, 16)))
+        assert np.array_equal(got, x_sq - 2.0 * (x @ c.T) + (c * c).sum(axis=1))
 
 
 class TestMergeCutTies:
