@@ -69,7 +69,7 @@ def stage_times(ix, queries) -> tuple[dict[str, tuple[float, float]], int, int]:
         for wq, cq in zip(wids, codes):
             t = [time.perf_counter()]
             slots, lengths, spans = search._probe(ix, wq)
-            ids = search._gather(ix.ids, spans)
+            ids = search._gather(ix.ids, spans, np.intp)
             t.append(time.perf_counter())
             dists = hamming_to_many(np.repeat(cq[slots], lengths, axis=0),
                                     search._gather(ix.codes, spans))

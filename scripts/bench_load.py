@@ -13,11 +13,11 @@ another and then one whole `invindex.load`; the table gives each stage's
 median in ms:
 
 - read: the magic, the header and every section read into its array
-  (`readinto`), the posting integers at their file widths;
+  (`readinto`), the posting integers at their file widths, which the index
+  keeps;
 - crc: the CRC32 of the sections, checked against the trailer;
-- widen: the word ids, posting ids and list offsets at their in-memory
-  dtypes (int64, int32, int64);
-- checks: the list-length rule and `invindex._check_postings`;
+- checks: the list-length rule, the list offsets (int64) and
+  `invindex._check_postings`;
 - quantizer: the maker from `invindex._read_header` run on the payload: the
   IFC codebook (its float64 constants) or the TIFC table draw.
 
@@ -53,7 +53,7 @@ from cnnidx import invindex  # noqa: E402
 from cnnidx.embed import code_bytes  # noqa: E402
 from cnnidx.vecio import FeatureSet  # noqa: E402
 
-STAGES = ("read", "crc", "widen", "checks", "quantizer", "load")
+STAGES = ("read", "crc", "checks", "quantizer", "load")
 BENCH_WORKLOADS = [w["name"] for w in
                    json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
@@ -92,12 +92,10 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
     if crc != stored:
         raise AssertionError(f"{path}: checksum mismatch")
     t.append(time.perf_counter())
-    offsets = np.zeros(nlists + 1, dtype=np.int64)
-    np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
-    wids, ids = wids.astype(np.int64), ids.astype(np.int32)
-    t.append(time.perf_counter())
     if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
         raise AssertionError(f"{path}: bad list lengths")
+    offsets = np.zeros(nlists + 1, dtype=np.int64)
+    np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
     ix = invindex.InvertedIndex(
         scheme=header["scheme"], word_count=header["word_count"],
         link_count=header["link_count"], code_length=header["code_length"],

@@ -34,13 +34,15 @@ class LshIndex:
 
 
 def brute_force(db: FeatureSet, q, top_k: int) -> list[int]:
-    """Exact top_k nearest database ids, ties broken by smaller id."""
-    dists = sq_dist_to(db.vectors, _check_query(db.vectors, q))
+    """Exact top_k (>= 1) nearest database ids, ties broken by smaller id."""
+    dists = sq_dist_to(db.vectors, _check_query(db.vectors, q, top_k))
     order = np.lexsort((np.arange(db.n), dists))
     return [int(i) for i in order[:top_k]]
 
 
-def _check_query(vectors: np.ndarray, q) -> np.ndarray:
+def _check_query(vectors: np.ndarray, q, top_k: int) -> np.ndarray:
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (vectors.shape[1],):
         raise ValueError(f"query dim {q.shape} does not match database {vectors.shape}")
@@ -86,9 +88,9 @@ def lsh_query(ix: LshIndex, q, top_k: int) -> tuple[list[int], int]:
 
     Returns the top_k ids and the size of the union, which is the number of
     database vectors the query scanned. May return fewer than top_k ids when
-    the buckets are sparse.
+    the buckets are sparse. top_k below 1 is a ValueError.
     """
-    q = _check_query(ix.db.vectors, q)
+    q = _check_query(ix.db.vectors, q, top_k)
     keys = _hash_keys(q[None, :], ix.planes)[0]
     cand: set[int] = set()
     for t, key in enumerate(keys):

@@ -3,9 +3,10 @@
 relative to that word.
 
 In memory the posting lists are four arrays: the occupied word ids `wids`
-(int64, ascending), the list boundaries `offsets` (int64), the image ids `ids`
-(int32, ascending within each list) and the packed codes `codes` (n*S, B).
-List j belongs to word wids[j] and holds the entries offsets[j]:offsets[j + 1].
+(ascending) and the image ids `ids` (ascending within each list), both at
+their file widths (`posting_dtypes`), the list boundaries `offsets` (int64)
+and the packed codes `codes` (n*S, B). List j belongs to word wids[j] and
+holds the entries offsets[j]:offsets[j + 1].
 
 Index file layout (all integers little-endian):
 
@@ -139,9 +140,9 @@ class InvertedIndex:
     link_count: int
     code_length: int
     indexed_count: int
-    wids: np.ndarray  # (nlists,) int64, occupied word ids, strictly increasing
+    wids: np.ndarray  # (nlists,) at posting_dtypes, occupied word ids, strictly increasing
     offsets: np.ndarray  # (nlists + 1,) int64, list j is offsets[j]:offsets[j + 1]
-    ids: np.ndarray  # (n * S,) int32, strictly increasing within each list
+    ids: np.ndarray  # (n * S,) at posting_dtypes, strictly increasing within each list
     codes: np.ndarray  # (n * S, B) uint8, packed code of each entry
     quantizer: VirtualWordBank | PqCodebook
 
@@ -203,8 +204,10 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
             raise DataError(f"need at least {k} training vectors, got {training.n}")
         quantizer = pq.train(training, cfg.pq)
 
-    # every row's S words and codes, filled in place chunk by chunk
-    wids = np.empty((n, s), dtype=np.int64)
+    # every row's S words (at their file width, as every word id is below
+    # word_count) and codes, filled in place chunk by chunk
+    wid_t, _, id_t = posting_dtypes(word_count, n)
+    wids = np.empty((n, s), dtype=wid_t)
     codes = np.empty((n, s, code_bytes(cfg.code_length)), dtype=np.uint8)
     lo = 0
     for chunk_wids, chunk_codes in encode_chunks(quantizer, db.vectors, s, cfg.code_length):
@@ -215,10 +218,11 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     # on the word (a radix sort for word counts up to 2^16) groups the lists
     # in (word, id) order
     wids = wids.ravel()
-    order = np.argsort(wids.astype(np.min_scalar_type(word_count - 1)), kind="stable")
-    ids = (order // s).astype(np.int32)
+    order = np.argsort(wids, kind="stable")
+    ids = (order // s).astype(id_t)
     wids, codes = wids[order], codes.reshape(n * s, -1)[order]
-    starts = np.flatnonzero(np.diff(wids, prepend=-1))
+    # neighbours compared, not differenced: the word ids are unsigned
+    starts = np.flatnonzero(np.concatenate(([True], wids[1:] != wids[:-1])))
 
     return InvertedIndex(
         scheme=cfg.scheme,
@@ -293,18 +297,15 @@ def _sections(ix: InvertedIndex) -> list[tuple[np.ndarray, np.dtype]]:
 
 
 def save(ix: InvertedIndex, path) -> None:
-    """Write the index file. Each section is cast to its file dtype in
-    pieces of `chunk_rows` rows, so no whole narrow copy of the postings is
-    held."""
+    """Write the index file, each section as one array at its file dtype: no
+    copy for a built or loaded index, which holds its postings at those."""
     crc = 0
     with open(path, "wb") as f:
         f.write(MAGIC)
         for values, dtype in _sections(ix):
-            rows = chunk_rows(max(1, values[:1].nbytes))
-            for lo in range(0, len(values), rows):
-                piece = np.ascontiguousarray(values[lo:lo + rows], dtype=dtype)
-                crc = zlib.crc32(piece, crc)
-                f.write(piece)
+            values = np.ascontiguousarray(values, dtype=dtype)
+            crc = zlib.crc32(values, crc)
+            f.write(values)
         f.write(struct.pack("<I", crc))
 
 
@@ -375,8 +376,9 @@ def _read_header(path, raw) -> tuple[
         raise DataError(f"{path}: link_count {out['link_count']} exceeds word count {words}")
     if dim % out["code_length"]:
         raise DataError(f"{path}: dim {dim} not divisible by code length {out['code_length']}")
+    # the result records of `vecio.write_int_lists` hold image ids as int32
     if out["indexed_count"] > np.iinfo(np.int32).max:
-        raise DataError(f"{path}: indexed_count {out['indexed_count']} exceeds int32 ids")
+        raise DataError(f"{path}: indexed_count {out['indexed_count']} exceeds int32 result ids")
     return out, payload_count, make
 
 
@@ -389,12 +391,12 @@ def _check_table(dim: int, code_length: int, where) -> None:
 def _check_postings(path, ix: InvertedIndex) -> None:
     """Reject posting arrays that break the layout's invariants; the lengths
     are checked already, so there is at least one list and one entry."""
-    wids, ids = ix.wids, ix.ids
-    if wids[0] < 0 or wids[-1] >= ix.word_count or np.any(np.diff(wids) <= 0):
+    wids, ids = ix.wids, ix.ids  # unsigned, so never below 0
+    if wids[-1] >= ix.word_count or np.any(wids[1:] <= wids[:-1]):
         raise DataError(f"{path}: word ids not strictly increasing in [0, {ix.word_count})")
-    if ids.min() < 0 or ids.max() >= ix.indexed_count:
+    if ids.max() >= ix.indexed_count:
         raise DataError(f"{path}: posting ids outside [0, {ix.indexed_count})")
-    rising = np.diff(ids) > 0
+    rising = ids[1:] > ids[:-1]
     rising[ix.offsets[1:-1] - 1] = True  # list boundaries may step down
     if not rising.all():
         raise DataError(f"{path}: posting ids not strictly increasing within a list")
@@ -406,13 +408,12 @@ def _check_postings(path, ix: InvertedIndex) -> None:
 def load(path) -> InvertedIndex:
     """Read and validate an index file; any malformed file raises DataError.
 
-    The file is read section by section, each straight into its array (the
-    narrow posting integers into a buffer of their file width, widened with
-    one `astype`), and the CRC is updated as each section arrives. No array
-    is allocated before its byte count is checked against the bytes left in
-    the file, and after `nlists` those bytes must match the header's sizes
-    exactly. The CRC is checked before the posting rules and the TIFC table
-    draw."""
+    The file is read section by section, each straight into the array the
+    index keeps (the posting integers at their file widths), and the CRC is
+    updated as each section arrives. No array is allocated before its byte
+    count is checked against the bytes left in the file, and after `nlists`
+    those bytes must match the header's sizes exactly. The CRC is checked
+    before the posting rules and the TIFC table draw."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic in OLD_MAGICS:
@@ -467,9 +468,9 @@ def load(path) -> InvertedIndex:
         link_count=header["link_count"],
         code_length=header["code_length"],
         indexed_count=header["indexed_count"],
-        wids=wids.astype(np.int64),
+        wids=wids,
         offsets=offsets,
-        ids=ids.astype(np.int32),
+        ids=ids,
         codes=codes,
         quantizer=make_quantizer(payload),
     )

@@ -429,9 +429,8 @@ def segment_distances_batch(xs: np.ndarray, cb: PqCodebook) -> np.ndarray:
 
 
 def assign(x, cb: PqCodebook) -> int:
-    """Nearest product word: per-segment argmin, ties to the smaller sub-id."""
-    dists = segment_distances(x, cb)
-    return encode_word(dists.argmin(axis=1), cb.config.words_per_segment)
+    """Nearest product word: the one-word case of `nearest_words`."""
+    return nearest_words(x, cb, 1)[0][0]
 
 
 def nearest_words(x, cb: PqCodebook, count: int) -> list[tuple[int, float]]:

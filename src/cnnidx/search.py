@@ -86,8 +86,9 @@ def select_words(ix: InvertedIndex, q, count: int) -> np.ndarray:
 def _probe(ix: InvertedIndex, wids) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     """The posting lists of the given words: the positions in `wids` of the
     words that have a list, the lengths of those lists, and their slices of
-    `ix.ids`/`ix.codes`, list after list."""
-    wids = np.asarray(wids, dtype=np.int64)
+    `ix.ids`/`ix.codes`, list after list. The words go to `ix.wids`' dtype,
+    so `searchsorted` does not convert the index's array."""
+    wids = np.asarray(wids, dtype=ix.wids.dtype)
     pos = np.searchsorted(ix.wids, wids)
     slots = np.flatnonzero(ix.wids.take(pos, mode="clip") == wids)
     starts = ix.offsets[pos[slots]]
@@ -95,12 +96,12 @@ def _probe(ix: InvertedIndex, wids) -> tuple[np.ndarray, np.ndarray, list[slice]
     return slots, ends - starts, [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
-def _gather(a: np.ndarray, spans: list[slice]) -> np.ndarray:
-    """The rows of `a` in the given slices, one after another. Each list is
-    contiguous, so copying it slice by slice costs a fraction of a row-index
-    gather per entry: the 73,477 ids of a query at 100k vectors (W = 40) in
-    0.035 against 0.126 ms on 2 vCPUs."""
-    return np.concatenate([a[s] for s in spans] or [a[:0]])
+def _gather(a: np.ndarray, spans: list[slice], dtype=None) -> np.ndarray:
+    """The rows of `a` in the given slices, one after another, at `dtype` if
+    given. Each list is contiguous, so copying it slice by slice costs a
+    fraction of a row-index gather per entry: the 73,477 ids of a query at
+    100k vectors (W = 40) in 0.035 against 0.126 ms on 2 vCPUs."""
+    return np.concatenate([a[s] for s in spans] or [a[:0]], dtype=dtype)
 
 
 def _check_config(ix: InvertedIndex, cfg: QueryConfig) -> None:
@@ -130,7 +131,8 @@ def _scan(ix: InvertedIndex, wids: np.ndarray, q_codes: np.ndarray, cfg: QueryCo
     """
     n, length, w = ix.indexed_count, ix.code_length, cfg.assignment_count
     slots, lengths, spans = _probe(ix, wids)
-    ids = _gather(ix.ids, spans)
+    # cast in the copy: `ufunc.at` would cast narrower ids to intp twice
+    ids = _gather(ix.ids, spans, np.intp)
     dists = hamming_to_many(np.repeat(q_codes[slots], lengths, axis=0),
                             _gather(ix.codes, spans))
     votes = np.zeros(n, dtype=np.min_scalar_type(w))

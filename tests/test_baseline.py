@@ -35,6 +35,13 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             baseline.brute_force(db, np.zeros(3), 1)
 
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_top_k_below_one_rejected(self, top_k):
+        """A slice `order[:-2]` would give all but two ids, and `[:0]` none."""
+        db = FeatureSet(np.eye(3, dtype=np.float32))
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            baseline.brute_force(db, np.zeros(3), top_k)
+
     def test_peak_bounded_on_wide_rows(self):
         """One query over 10,000 x 2,048: the float64 rows and differences
         are chunked by bytes, not by a row count that ignores D (328 MB of
@@ -84,6 +91,13 @@ class TestLsh:
         ix = baseline.lsh_build(db, LshConfig(tables=2, bits_per_table=4))
         with pytest.raises(ValueError, match="does not match database"):
             baseline.lsh_query(ix, np.zeros(5), 3)
+
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_top_k_below_one_rejected(self, top_k):
+        db = FeatureSet(np.ones((20, 8), dtype=np.float32))
+        ix = baseline.lsh_build(db, LshConfig(tables=2, bits_per_table=4))
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            baseline.lsh_query(ix, db.vectors[0], top_k)
 
     def test_exact_duplicate_always_candidate(self):
         rng = np.random.default_rng(1)

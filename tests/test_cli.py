@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cnnidx import invindex, vecio
@@ -310,11 +311,26 @@ def test_baseline_lsh_bits_beyond_a_bucket_key_is_data_error(workspace, tmp_path
     assert "bits_per_table must be <= 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["bf", "lsh"])
+@pytest.mark.parametrize("topk", ["0", "-2"])
+def test_baseline_topk_below_one_is_data_error(workspace, tmp_path, capsys, method, topk):
+    rc = run([
+        "baseline", "--method", method,
+        "--features", str(workspace / "db.fvecs"),
+        "--queries", str(workspace / "q.fvecs"),
+        "--topk", topk, "--out", str(tmp_path / "b"),
+    ])
+    assert rc == EXIT_DATA
+    assert "top_k must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "b.ivecs").exists()
+
+
 def test_query_on_malformed_index_is_data_error(workspace, tmp_path, capsys):
-    # a CRC-valid file whose first posting id is -1
+    # a CRC-valid file whose first posting id is -1, written at the ids' file
+    # width (so as its largest value, outside [0, indexed_count))
     db = vecio.read_feature_file(workspace / "db.fvecs")
     ix = invindex.build(db, invindex.BuildConfig(scheme="tifc", link_count=3, code_length=8))
-    ids = ix.ids.copy()
+    ids = ix.ids.astype(np.int64)
     ids[0] = -1
     invindex.save(dataclasses.replace(ix, ids=ids), tmp_path / "bad.idx")
     rc = run([

@@ -543,6 +543,7 @@ class TestLoadValidation:
         (lambda h: h.update(scheme="ifc"), "quantizer kind 'means'"),
         (lambda h: h.update(word_count=13), "word_count 13"),
         (lambda h: h.update(link_count=13), "exceeds word count"),
+        (lambda h: h.update(indexed_count=2**31), "exceeds int32 result ids"),
         (lambda h: h.update(code_length=5), "not divisible by code length"),
     ])
     def test_malformed_header_rejected(self, tiny_index, tmp_path, edit, message):
@@ -627,7 +628,7 @@ class TestLoadValidation:
 
 class TestPostingWidths:
     """Posting integers are stored at the narrowest unsigned width that the
-    header allows, and load back at their in-memory dtypes."""
+    header allows, and held at that width in memory, built or loaded."""
 
     @pytest.mark.parametrize("n, dim, widths", [
         # TIFC with S = D = 2 puts every vector in both lists, so the list
@@ -645,6 +646,7 @@ class TestPostingWidths:
         ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=1))
         wid_t, len_t, id_t = (np.dtype("<" + w) for w in widths)
         assert invindex.posting_dtypes(ix.word_count, ix.indexed_count) == (wid_t, len_t, id_t)
+        assert (ix.wids.dtype, ix.ids.dtype) == (wid_t, id_t)
         path = tmp_path / "w.idx"
         invindex.save(ix, path)
         st = invindex.stats(ix)
@@ -666,6 +668,7 @@ class TestPostingWidths:
         assert st.posting_bytes == off - 8 - ix.codes.size
 
         back = invindex.load(path)
+        assert (back.wids.dtype, back.ids.dtype) == (wid_t, id_t)
         for name in ("wids", "offsets", "ids", "codes"):
             assert getattr(back, name).dtype == getattr(ix, name).dtype
             np.testing.assert_array_equal(getattr(back, name), getattr(ix, name))
@@ -831,8 +834,8 @@ class TestStats:
 
 class TestNarrowSections:
     """`stats` sizes the posting sections from their file widths, and `save`
-    casts them to those widths a `chunk_rows` piece at a time: neither holds
-    a whole narrow copy, and the file does not depend on the piece size."""
+    writes the posting arrays as they are held: neither makes a copy of
+    them."""
 
     @staticmethod
     def traced_peak(fn):
@@ -846,29 +849,25 @@ class TestNarrowSections:
 
     @pytest.fixture(scope="class")
     def wide_ids(self):
-        """20,000 vectors at S = 4: 80,000 int32 ids, 160,000 bytes at u2."""
+        """20,000 vectors at S = 4: 80,000 ids, 160,000 bytes at u2."""
         rng = np.random.default_rng(71)
         db = FeatureSet(rng.standard_normal((20_000, 8)).astype(np.float32))
         return invindex.build(db, BuildConfig(scheme="tifc", link_count=4, code_length=8))
 
-    def test_no_narrow_copy(self, wide_ids, tmp_path, monkeypatch):
+    def test_no_narrow_copy(self, wide_ids, tmp_path):
         narrow = len(wide_ids.ids) * invindex.posting_dtypes(
             wide_ids.word_count, wide_ids.indexed_count)[2].itemsize
         assert narrow == 160_000
         assert self.traced_peak(lambda: invindex.stats(wide_ids)) < narrow // 4
-        monkeypatch.setattr(vecio, "CHUNK_BYTES", 16 << 10)
         path = tmp_path / "w.idx"
         assert self.traced_peak(lambda: invindex.save(wide_ids, path)) < narrow // 4
         assert invindex.stats(wide_ids).estimated_file_bytes == path.stat().st_size
 
-    @pytest.mark.parametrize("chunk_bytes", [1, 7, 4096])
-    def test_file_independent_of_piece_size(self, chunk_bytes, tifc_index, ifc_index,
-                                            wide_ids, tmp_path, monkeypatch):
-        for name, ix in (("t", tifc_index), ("i", ifc_index), ("w", wide_ids)):
-            whole, pieces = tmp_path / f"{name}.idx", tmp_path / f"{name}-pieces.idx"
-            invindex.save(ix, whole)
-            with monkeypatch.context() as mp:
-                mp.setattr(vecio, "CHUNK_BYTES", chunk_bytes)
-                invindex.save(ix, pieces)
-            assert pieces.read_bytes() == whole.read_bytes()
-            assert invindex.stats(ix).estimated_file_bytes == pieces.stat().st_size
+    def test_load_keeps_file_widths(self, wide_ids, tmp_path):
+        """`load` holds the arrays it reads: its peak is the file's bytes and
+        the posting check's one-byte mask per id, with no widened copy of the
+        ids (four bytes per id at int32) on top."""
+        path = tmp_path / "w.idx"
+        invindex.save(wide_ids, path)
+        peak = self.traced_peak(lambda: invindex.load(path))
+        assert peak < path.stat().st_size + 2 * len(wide_ids.ids)

@@ -620,6 +620,21 @@ class TestAssign:
         with pytest.raises(ValueError):
             pq.assign(np.zeros(5), cb)
 
+    def test_rounding_tie_goes_to_smaller_word(self):
+        """Words 0 = (0, 0) and 2 = (1, 0) sum to the same float64 distance,
+        although sub-word 1 of segment 0 is strictly nearer: `assign` agrees
+        with `nearest_words`, the codebook's `words` and the build (word 0),
+        where a per-segment argmin gives 2."""
+        sub = np.array([[[1 + 2.0**-23], [1.0]],
+                        [[np.float32(2**16.5)], [3e5]]], dtype=np.float32)
+        cb = PqCodebook(sub_codebooks=sub, config=PqConfig(segments=2, words_per_segment=2))
+        x = np.zeros(2)
+        dists = pq.segment_distances(x, cb)
+        assert dists[0, 1] < dists[0, 0]
+        ranked = pq.nearest_words(x, cb, 2)
+        assert [w for w, _ in ranked] == [0, 2] and ranked[0][1] == ranked[1][1]
+        assert pq.assign(x, cb) == 0 == cb.words(x[None], 1)[0, 0]
+
 
 class TestNearestWords:
     def test_s1_consistent_with_assign(self):
