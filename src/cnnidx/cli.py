@@ -238,7 +238,10 @@ def _cmd_evaluate(args) -> int:
     times = None
     if args.timing:
         with open(args.timing, "r", encoding="utf-8") as f:
-            times = json.load(f)["query_times_s"]
+            timing = json.load(f)
+        times = timing.get("query_times_s") if isinstance(timing, dict) else None
+        if not isinstance(times, list) or any(type(t) not in (int, float) for t in times):
+            raise DataError(f"{args.timing}: query_times_s must be a list of numbers")
     self_ids = {qid: qid for qid in gt} if args.exclude_self else None
     report = evaluation.evaluate(results, gt, query_times=times,
                                  config=resolved, self_ids=self_ids)
@@ -253,6 +256,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as f:
         raw = json.load(f)
+    if not isinstance(raw, dict) or not isinstance(raw.get("datasets"), dict):
+        raise DataError(f"{args.spec}: a spec is a JSON object with a datasets object")
     spec = evaluation.SweepSpec(grid=raw["grid"], base=raw.get("base", {}))
     ds = raw["datasets"]
     _echo_config("sweep", {"spec": args.spec, "grid": raw["grid"],

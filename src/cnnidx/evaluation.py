@@ -112,8 +112,9 @@ class SweepSpec:
     base: dict
 
     def __post_init__(self):
-        if not self.grid or any(len(v) == 0 for v in self.grid.values()):
-            raise ValueError("sweep grid must be non-empty")
+        if not (isinstance(self.grid, dict) and self.grid and isinstance(self.base, dict)
+                and all(isinstance(v, (list, tuple)) and v for v in self.grid.values())):
+            raise ValueError("a sweep needs a grid of non-empty value lists and a base object")
         unknown = set(self.grid) - set(SWEEPABLE)
         if unknown:
             raise ValueError(f"cannot sweep over {sorted(unknown)}")

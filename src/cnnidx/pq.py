@@ -11,12 +11,9 @@ a lower bound on the words the merge left out; a row whose bound does not
 clear its S-th distance is answered by an exact multi-sequence heap merge
 (Babenko & Lempitsky, "The Inverted Multi-Index", CVPR 2012).
 
-Segment 1 alone gives the first prefixes, already in (distance, id) order.
-Each later step keeps its first S pairs by a partition and sorts only those;
-a row whose S-th distance ties a pair left out sorts all its pairs, so the
-(distance, word id) order still decides, as in `tifc.top_words_rows`. Each
-merge step's layout depends only on (count, prefix count, K), and `_pairs`
-memoises it as read-only arrays.
+Each merge step keeps its first S pairs by `first_in_order`, the selection
+that `tifc.top_words_rows` makes too; a step's layout depends only on (count,
+prefix count, K), and `_pairs` memoises it as read-only arrays.
 
 `segment_distances_batch` is the one kernel that word assignment uses, on
 the build side and the query side alike. Its `einsum` contractions cover all
@@ -456,10 +453,8 @@ def _nearest(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np.ndar
     are added left to right in float64, as `_merge_nearest` adds them.
     Segment 1's first `count` sub-words are the first prefixes, in the order
     the stable sort gives them. A later step keeps each row's first `count`
-    pairs by `np.argpartition` and sorts only those by (distance, word id);
-    a row whose count-th distance equals the (count+1)-th, where the word id
-    decides which pair is kept, sorts all its pairs instead. The
-    (count+1)-th distance of a middle step joins the lower bound.
+    pairs by `first_in_order`, and the (count+1)-th distance it returns for a
+    middle step joins the lower bound.
     """
     rows, m, _ = dists.shape
     if not 1 <= count <= k**m:
@@ -481,27 +476,39 @@ def _nearest(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np.ndar
         bound = bound + sorted_d[:, s, 0]
         if len(cut):
             bound = np.minimum(bound, (totals[:, cut] + sorted_d[:, s, cut_edge]).min(axis=1))
-        if cand.shape[1] > count:
-            # the first `count` by distance, in (distance, id) order; a row
-            # whose count-th distance ties a left-out one sorts all its pairs
-            part = np.argpartition(cand, count, axis=1)
-            sel = part[:, :count]
-            first = cand[row, sel]
-            sel = sel[row, np.lexsort((cand_w[row, sel], first), axis=1)]
-            kth = cand[row[:, 0], part[:, count]]
-            for r in np.flatnonzero(first.max(axis=1) == kth):
-                sel[r] = np.lexsort((cand_w[r], cand[r]))[:count]
-            if s < m - 1:
-                bound = np.minimum(bound, kth)
-        else:
-            sel = np.lexsort((cand_w, cand), axis=1)
+        sel, kth = first_in_order(cand, count, cand_w)
+        if s < m - 1:
+            bound = np.minimum(bound, kth)
         totals = cand[row, sel]
         wids = cand_w[row, sel]
     for r in np.flatnonzero(~(bound > totals[:, -1])):
-        found = _merge_nearest(dists[r], k, count)
-        wids[r] = [w for w, _ in found]
-        totals[r] = [t for _, t in found]
+        wids[r], totals[r] = zip(*_merge_nearest(dists[r], k, count))
     return wids, totals
+
+
+def first_in_order(values: np.ndarray, count: int,
+                   keys: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first `count` columns of the (rows, n) values in (value, key)
+    order, keys (rows, n) defaulting to the column indices, and its (count+1)-th
+    smallest value, or inf where count >= n: the one exact first-S selection of
+    both quantizers. A partition keeps the `count` smallest values and sorts
+    only those; a row whose count-th value ties the (count+1)-th, or that holds
+    a NaN, is sorted whole, all such rows in one `lexsort`."""
+    rows, n = values.shape
+    row = np.arange(rows)[:, None]
+    if count < n:
+        part = np.argpartition(values, count, axis=1)
+        sel = part[:, :count]
+        first = values[row, sel]
+        kth = values[row[:, 0], part[:, count]]
+        sel = sel[row, np.lexsort((sel if keys is None else keys[row, sel], first), axis=1)]
+        ties = np.flatnonzero(~(first.max(axis=1) < kth))
+    else:
+        sel, kth, ties = np.empty((rows, n), dtype=np.intp), np.full(rows, np.inf), row[:, 0]
+    if len(ties):
+        keys = np.broadcast_to(np.arange(n), values.shape) if keys is None else keys
+        sel[ties] = np.lexsort((keys[ties], values[ties]), axis=1)[:, :count]
+    return sel, kth
 
 
 @lru_cache(maxsize=256)
@@ -519,14 +526,13 @@ def _pairs(count: int, n_pre: int, k: int) -> tuple[np.ndarray, ...]:
 
 def _merge_nearest(dists: np.ndarray, k: int, count: int) -> list[tuple[int, float]]:
     """Multi-sequence heap merge over one row's per-segment sorted distance
-    lists: the exact answer for rows `_nearest` cannot certify.
+    lists: the exact answer for the rows `_nearest` cannot certify, at the
+    count it checked.
 
     Explores product words in nondecreasing summed distance, so at most
     O(count * M) heap operations; K^M candidates are never enumerated.
     """
     m = dists.shape[0]
-    if not 1 <= count <= k**m:
-        raise ValueError(f"count must be in [1, {k**m}], got {count}")
     orders = np.argsort(dists, axis=1, kind="stable")
     sorted_d = np.take_along_axis(dists, orders, axis=1)
 
@@ -539,13 +545,15 @@ def _merge_nearest(dists: np.ndarray, k: int, count: int) -> list[tuple[int, flo
     heap = [entry(start)]
     seen = {start}
     popped: list[tuple[float, int]] = []
-    # keep popping past `count` while equal-distance candidates may remain,
-    # so the (distance, word id) tie-break is globally correct
+    # Totals pop in nondecreasing order: float addition rounds monotonically,
+    # so a successor's total is never below that of the entry whose pop
+    # pushed it, and the heap pops its least. So the count-th pop holds the
+    # count-th total. Keep popping while equal totals may remain, so the
+    # (distance, word id) tie-break is globally correct; equal totals can pop
+    # out of word id order, hence the final sort.
     while heap:
-        if len(popped) >= count:
-            kth = sorted(popped)[count - 1][0]
-            if heap[0][0] > kth:
-                break
+        if len(popped) >= count and heap[0][0] > popped[count - 1][0]:
+            break
         total, wid, pos = heapq.heappop(heap)
         popped.append((total, wid))
         for s in range(m):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import pack_bits, segment_means
+from .pq import first_in_order
 
 
 def softmax(x) -> np.ndarray:
@@ -44,33 +45,16 @@ def top_words(tf: np.ndarray, count: int) -> list[tuple[int, float]]:
     """The `count` largest bins of a term-frequency vector, descending;
     ties broken by smaller word id."""
     tf = np.asarray(tf)
-    if not 1 <= count <= tf.size:
-        raise ValueError(f"count must be in [1, {tf.size}], got {count}")
     return [(int(i), float(tf[i])) for i in top_words_rows(tf[None], count)[0]]
 
 
 def top_words_rows(tf: np.ndarray, count: int) -> np.ndarray:
     """Row-wise word ids of the top-`count` bins, shape (N, count), in
-    (-tf, id) order: the first `count` of a stable argsort of -tf.
-
-    A partition picks each row's `count` largest bins in O(D); only those are
-    sorted. A row whose `count`-th value ties with a bin outside the set could
-    have picked the wrong ids among the ties, so it takes the full stable
-    argsort instead.
-    """
+    (-tf, id) order, the first `count` of a stable argsort of -tf: the
+    selection `pq.first_in_order` makes of -tf."""
     if not 1 <= count <= tf.shape[1]:
         raise ValueError(f"count must be in [1, {tf.shape[1]}], got {count}")
-    neg = -tf
-    top = np.argpartition(neg, count - 1, axis=1)[:, :count]
-    cut = np.take_along_axis(neg, top, axis=1).max(axis=1, keepdims=True)
-    # exactly `count` bins at or above the cut, or a tie straddles it (or NaN)
-    exact = np.count_nonzero(neg <= cut, axis=1) == count
-    top.sort(axis=1)
-    order = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
-    top = np.take_along_axis(top, order, axis=1)
-    if not exact.all():
-        top[~exact] = np.argsort(neg[~exact], axis=1, kind="stable")[:, :count]
-    return top
+    return first_in_order(-tf, count)[0]
 
 
 @dataclass

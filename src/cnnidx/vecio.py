@@ -233,10 +233,9 @@ def _write_records(matrix: np.ndarray, path) -> None:
 
 
 def read_ground_truth(path, n: int | None = None) -> dict[int, set[int]]:
-    """Read ground truth mapping query id -> set of relevant database ids.
-
-    If ``n`` is given, relevant ids are validated against it.
-    """
+    """Read ground truth mapping query id -> set of relevant database ids. A
+    query id may appear once; relevant ids must be >= 0, and below ``n`` if
+    it is given."""
     entries: dict[int, set[int]] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -257,8 +256,11 @@ def read_ground_truth(path, n: int | None = None) -> dict[int, set[int]]:
                 relevant = {int(s) for s in ids}
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer relevant id") from None
-            if n is not None and any(r < 0 or r >= n for r in relevant):
-                raise DataError(f"{path}:{lineno}: relevant id out of range [0, {n})")
+            limit = np.inf if n is None else n
+            if not 0 <= min(relevant) <= max(relevant) < limit:
+                raise DataError(f"{path}:{lineno}: relevant id out of range [0, {limit})")
+            if qid in entries:
+                raise DataError(f"{path}:{lineno}: repeated query id {qid}")
             entries[qid] = relevant
     if not entries:
         raise DataError(f"{path}: no ground-truth entries")

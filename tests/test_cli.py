@@ -190,6 +190,30 @@ def test_sweep_command(workspace, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("change", [
+    {"grid": ["W"]},
+    {"grid": {"W": 3}},
+    {"base": []},
+    {"datasets": []},
+    None,
+], ids=["grid-list", "grid-value-int", "base-list", "datasets-list", "top-level-list"])
+def test_malformed_sweep_spec_is_data_error(workspace, tmp_path, capsys, change):
+    spec = {
+        "grid": {"W": [1]},
+        "base": {"scheme": "tifc", "L": 8, "S": 3, "T": 4},
+        "datasets": {"features": str(workspace / "db.fvecs"),
+                     "queries": str(workspace / "q.fvecs"),
+                     "ground_truth": str(workspace / "gt.txt")},
+    }
+    spec = [spec] if change is None else {**spec, **change}
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    rc = run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+              "--out-prefix", str(tmp_path / "sw")])
+    assert rc == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "sw.csv").exists()
+
+
 def test_unknown_flag_is_usage_error(workspace, capsys):
     rc = run(["build", "--bogus", "1"])
     assert rc == EXIT_USAGE
@@ -348,6 +372,21 @@ def test_evaluate_perfect_prints_one(tmp_path, capsys):
               "--ground-truth", str(tmp_path / "gt.txt")])
     assert rc == EXIT_OK
     assert "MAP 1.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("timing", [
+    [0.1, 0.2],
+    {"query_times_s": "0.1"},
+    {"query_times_s": [0.1, "0.2"]},
+], ids=["top-level-list", "times-string", "times-hold-string"])
+def test_malformed_timing_file_is_data_error(tmp_path, capsys, timing):
+    vecio.write_int_lists([[0, 1], [2, 3]], tmp_path / "r.ivecs")
+    (tmp_path / "gt.txt").write_text("0: 0 1\n1: 2 3\n")
+    (tmp_path / "t.json").write_text(json.dumps(timing))
+    rc = run(["evaluate", "--results", str(tmp_path / "r.ivecs"),
+              "--ground-truth", str(tmp_path / "gt.txt"), "--timing", str(tmp_path / "t.json")])
+    assert rc == EXIT_DATA
+    assert "query_times_s must be a list of numbers" in capsys.readouterr().err
 
 
 def test_query_with_no_results_evaluates_to_zero(workspace, tmp_path, capsys):

@@ -588,6 +588,32 @@ class TestMergeCutTies:
                 np.testing.assert_array_equal(one[1][0], batch[1][r])
 
 
+class TestFirstInOrder:
+    """`first_in_order` against a full lexsort of every row. Values in
+    {0, 1, 2} tie at the cut in some rows of a call and not in others, so the
+    whole-row sort of the tie rows and the partition of the rest both run."""
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["column-keys", "permuted-keys"])
+    def test_matches_full_lexsort_every_count(self, permuted):
+        rng = np.random.default_rng(71 + permuted)
+        rows, n = 60, 12
+        values = rng.integers(0, 3, (rows, n)).astype(np.float64)
+        values[0] = 1.0  # one row of equal values
+        keys = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1) if permuted else None
+        columns = np.broadcast_to(np.arange(n), values.shape)
+        full = np.lexsort((columns if keys is None else keys, values), axis=1)
+        ordered = np.take_along_axis(values, full, axis=1)
+        for count in range(1, n + 1):
+            sel, kth = pq.first_in_order(values, count, keys)
+            np.testing.assert_array_equal(sel, full[:, :count], err_msg=f"count {count}")
+            if count < n:
+                np.testing.assert_array_equal(kth, ordered[:, count])
+                ties = np.count_nonzero(ordered[:, count - 1] == ordered[:, count])
+                assert 1 < ties < rows
+            else:
+                assert np.all(kth == np.inf)
+
+
 class TestAssign:
     def test_exact_product_centroid(self):
         cb = random_codebook(k=8, m=2, seg_dim=3, seed=6)

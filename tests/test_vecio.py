@@ -274,6 +274,21 @@ class TestGroundTruth:
         with pytest.raises(DataError, match="out of range"):
             vecio.read_ground_truth(path, n=10)
 
+    @pytest.mark.parametrize("n", [None, 10])
+    def test_negative_relevant_id_rejected(self, tmp_path, n):
+        path = tmp_path / "gt.txt"
+        path.write_text("0: -1 0\n")
+        with pytest.raises(DataError, match="out of range"):
+            vecio.read_ground_truth(path, n=n)
+
+    @pytest.mark.parametrize("n", [None, 10])
+    def test_repeated_query_id_rejected(self, tmp_path, n):
+        # a second line for query 0 would silently replace its relevant set
+        path = tmp_path / "gt.txt"
+        path.write_text("0: 0 1 2 3\n1: 4\n0: 5\n")
+        with pytest.raises(DataError, match="gt.txt:3: repeated query id 0"):
+            vecio.read_ground_truth(path, n=n)
+
     def test_write_read_round_trip(self, tmp_path):
         gt = {0: {1, 2}, 3: {0, 5, 9}}
         path = tmp_path / "gt.txt"
