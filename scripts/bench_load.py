@@ -16,10 +16,11 @@ median in ms:
   (`readinto`), the posting integers at their file widths, which the index
   keeps;
 - crc: the CRC32 of the sections, checked against the trailer;
-- checks: the list-length rule, the list offsets (int64) and
-  `invindex._check_postings`;
-- quantizer: the maker from `invindex._read_header` run on the payload: the
-  IFC codebook (its float64 constants) or the TIFC table draw.
+- checks: the finite payload, the list-length rule, the list offsets
+  (int64) and `invindex._check_postings`;
+- quantizer: the quantizer made, as `load` makes it, from the payload and
+  the `BuildConfig` and D that `invindex._read_header` gives: the IFC
+  codebook (its float64 constants) or the TIFC table draw.
 
 `load` is the median of whole `invindex.load` calls. Every staged index is
 checked equal to `load`'s. The file size of each index is printed too. Each
@@ -49,7 +50,7 @@ from hostfactor import PassFactors  # noqa: E402
 
 from run import WORKLOADS  # noqa: E402
 
-from cnnidx import invindex  # noqa: E402
+from cnnidx import invindex, tifc  # noqa: E402
 from cnnidx.embed import code_bytes  # noqa: E402
 from cnnidx.vecio import FeatureSet  # noqa: E402
 
@@ -66,7 +67,7 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
         f.read(len(invindex.MAGIC))
         head = f.read(4)
         raw_header = f.read(struct.unpack("<I", head)[0])
-        header, payload_count, make_quantizer = invindex._read_header(path, raw_header)
+        cfg, dim, word_count, indexed_count = invindex._read_header(path, raw_header)
         sections = [head, raw_header]
 
         def array(count, dtype):
@@ -75,10 +76,10 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
             sections.append(out)
             return out
 
-        payload = array(payload_count, "<f4")
-        total = header["indexed_count"] * header["link_count"]
-        b = code_bytes(header["code_length"])
-        wid_t, len_t, id_t = invindex.posting_dtypes(header["word_count"], header["indexed_count"])
+        payload = array(cfg.pq.words_per_segment * dim if cfg.pq else 0, "<f4")
+        total = indexed_count * cfg.link_count
+        b = code_bytes(cfg.code_length)
+        wid_t, len_t, id_t = invindex.posting_dtypes(word_count, indexed_count)
         nlists = int(array(1, "<u8")[0])
         wids = array(nlists, wid_t)
         lengths = array(nlists, len_t)
@@ -92,18 +93,23 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
     if crc != stored:
         raise AssertionError(f"{path}: checksum mismatch")
     t.append(time.perf_counter())
+    if not np.isfinite(payload).all():
+        raise AssertionError(f"{path}: non-finite centroids")
     if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
         raise AssertionError(f"{path}: bad list lengths")
     offsets = np.zeros(nlists + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
     ix = invindex.InvertedIndex(
-        scheme=header["scheme"], word_count=header["word_count"],
-        link_count=header["link_count"], code_length=header["code_length"],
-        indexed_count=header["indexed_count"], wids=wids, offsets=offsets, ids=ids,
-        codes=codes, quantizer=None)
+        scheme=cfg.scheme, word_count=word_count, link_count=cfg.link_count,
+        code_length=cfg.code_length, indexed_count=indexed_count, wids=wids,
+        offsets=offsets, ids=ids, codes=codes, quantizer=None)
     invindex._check_postings(path, ix)
     t.append(time.perf_counter())
-    ix.quantizer = make_quantizer(payload)
+    if cfg.pq:
+        ix.quantizer = invindex.PqCodebook(
+            payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1), cfg.pq)
+    else:
+        ix.quantizer = tifc.make_virtual_words(dim, cfg.virtual_word_seed, cfg.code_length)
     t.append(time.perf_counter())
     return t, ix
 

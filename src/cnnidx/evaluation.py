@@ -62,9 +62,10 @@ def evaluate(results: dict[int, list[int]], gt: dict[int, set[int]],
     """Aggregate per-query AP into MAP plus efficiency figures.
 
     ``results`` maps query id to its ranked id list; every ground-truth query
-    must be present. ``self_ids`` optionally names, per query, a database id
-    to exclude from both ranking and relevant set (query-in-database
-    conventions keep self matches by default).
+    must be present, and a ranking that repeats an id is a DataError (AP
+    would count the id at each rank). ``self_ids`` optionally names, per
+    query, a database id to exclude from both ranking and relevant set
+    (query-in-database conventions keep self matches by default).
     """
     missing = sorted(set(gt) - set(results))
     if missing:
@@ -72,6 +73,8 @@ def evaluate(results: dict[int, list[int]], gt: dict[int, set[int]],
     per_ap: dict[int, float] = {}
     for qid, relevant in gt.items():
         ranked = results[qid]
+        if len(set(ranked)) != len(ranked):
+            raise DataError(f"the ranking of query {qid} repeats an id")
         if self_ids and qid in self_ids:
             drop = self_ids[qid]
             ranked = [r for r in ranked if r != drop]

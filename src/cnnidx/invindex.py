@@ -46,13 +46,15 @@ same members: `words` gives a matrix of rows their words (TIFC: the top
 softmax bins; IFC: the exact nearest product words), `codes` packs each row's
 codes against those words' segment means, `stage_width` is the word stage's
 float64 values per row, and `header` and `payload` are the quantizer's part
-of the file. Only `_read_header` tells the two kinds apart, by the header's
-quantizer kind. A row's words and codes depend on that row alone, so a
+of the file. A row's words and codes depend on that row alone, so a
 database vector queried with itself gets exactly its S links and their codes.
 
-A TIFC table holds D * L float64 means. `build` and `load` reject any table
-of more than `MAX_TABLE_ENTRIES` = 2^24 entries (128 MiB; D = L = 4,096 still
-fits) before drawing it, so a small file cannot ask for gigabytes.
+`BuildConfig.word_count` holds the shape rules for vectors of width D: L
+divides D, M divides D (IFC), S is at most the word count, and a TIFC table
+of D * L float64 means holds at most `MAX_TABLE_ENTRIES` = 2^24 entries
+(128 MiB), so a small file cannot ask for gigabytes. `build` checks the
+database's D by it, before any training or table draw, and `load` the D of
+the `BuildConfig` that `_read_header` rebuilds from the header.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ import os
 import struct
 import zlib
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,6 +104,28 @@ class BuildConfig:
         if self.scheme == SCHEME_IFC and self.pq is None:
             raise ValueError("IFC build requires a PqConfig")
 
+    def word_count(self, dim: int, where) -> int:
+        """D for TIFC, K^M for IFC: the word count over vectors of width dim
+        >= 1 that pass the shape rules; otherwise DataError naming `where`."""
+        if dim < 1:
+            raise DataError(f"{where}: dimension {dim} below 1")
+        if dim % self.code_length:
+            raise DataError(f"{where}: dimension {dim} not divisible by code length "
+                            f"{self.code_length}")
+        if self.scheme == SCHEME_TIFC:
+            if dim * self.code_length > MAX_TABLE_ENTRIES:
+                raise DataError(f"{where}: TIFC table of {dim} x {self.code_length} means "
+                                f"exceeds {MAX_TABLE_ENTRIES} entries")
+            words = dim
+        else:
+            if dim % self.pq.segments:
+                raise DataError(f"{where}: dimension {dim} not divisible by "
+                                f"{self.pq.segments} segments")
+            words = self.pq.words_per_segment ** self.pq.segments
+        if self.link_count > words:
+            raise DataError(f"{where}: link count {self.link_count} exceeds word count {words}")
+        return words
+
 
 # The paper's build parameters that each scheme reads, by the names the CLI
 # and a sweep spec use: S links per vector and L-bit codes; for TIFC the seed
@@ -114,8 +137,7 @@ BUILD_KEYS = {
 _REQUIRED_KEYS = ("S", "L", "K", "M")
 _FIELD_NAMES = {"S": "link_count", "L": "code_length", "virtual_seed": "virtual_word_seed",
                 "K": "words_per_segment", "M": "segments"}
-_PQ_FIELDS = ("segments", "words_per_segment", "kmeans_seed", "kmeans_iters",
-              "kmeans_restarts")
+_PQ_FIELDS = tuple(f.name for f in fields(PqConfig))
 
 
 def build_config(scheme: str, params: dict) -> BuildConfig:
@@ -125,12 +147,12 @@ def build_config(scheme: str, params: dict) -> BuildConfig:
     other scheme or of no build parameter are ignored."""
     if scheme not in BUILD_KEYS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    fields = {_FIELD_NAMES.get(k, k): int(params[k]) for k in BUILD_KEYS[scheme]
+    values = {_FIELD_NAMES.get(k, k): int(params[k]) for k in BUILD_KEYS[scheme]
               if k in params or k in _REQUIRED_KEYS}
     pq_cfg = None
     if scheme == SCHEME_IFC:
-        pq_cfg = PqConfig(**{k: fields.pop(k) for k in _PQ_FIELDS if k in fields})
-    return BuildConfig(scheme=scheme, pq=pq_cfg, **fields)
+        pq_cfg = PqConfig(**{k: values.pop(k) for k in _PQ_FIELDS if k in values})
+    return BuildConfig(scheme=scheme, pq=pq_cfg, **values)
 
 
 @dataclass
@@ -176,32 +198,24 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     """Index a database under TIFC or IFC with multiple link S.
 
     For IFC the codebook is trained on `training` (default: the database
-    itself), whose dimension, row count and segment count are checked before
-    training. Every image lands in exactly S distinct posting lists. Rows go
-    through `encode_chunks`; the index does not depend on the chunk size.
+    itself). The configuration's shape, and the training set's dimension and
+    row count, are checked before any training. Every image lands in exactly
+    S distinct posting lists. Rows go through `encode_chunks`; the index does
+    not depend on the chunk size.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
         raise DataError("database has no vectors to index")
-    if d % cfg.code_length != 0:
-        raise DataError(f"dimension {d} not divisible by code length {cfg.code_length}")
-
-    word_count = d if cfg.scheme == SCHEME_TIFC else cfg.pq.words_per_segment ** cfg.pq.segments
-    if s > word_count:
-        raise DataError(f"link count {s} exceeds word count {word_count}")
-
+    word_count = cfg.word_count(d, "database")
     if cfg.scheme == SCHEME_TIFC:
-        _check_table(d, cfg.code_length, "database")
         quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
     else:
         training = training if training is not None else db
-        m, k = cfg.pq.segments, cfg.pq.words_per_segment
         if training.dim != d:
             raise DataError(f"training dim {training.dim} != database dim {d}")
-        if d % m != 0:
-            raise DataError(f"dimension {d} not divisible by {m} segments")
-        if training.n < k:
-            raise DataError(f"need at least {k} training vectors, got {training.n}")
+        if training.n < cfg.pq.words_per_segment:
+            raise DataError(f"need at least {cfg.pq.words_per_segment} training vectors, "
+                            f"got {training.n}")
         quantizer = pq.train(training, cfg.pq)
 
     # every row's S words (at their file width, as every word id is below
@@ -309,21 +323,18 @@ def save(ix: InvertedIndex, path) -> None:
         f.write(struct.pack("<I", crc))
 
 
-def _field(path, obj: dict, key: str, kind: type, minimum: int | None = None):
+def _field(path, obj: dict, key: str, kind: type):
     value = obj.get(key)
     # `type(...) is` rather than isinstance: JSON true/false are not ints here
     if type(value) is not kind:
         raise DataError(f"{path}: index header field {key!r} missing or not {kind.__name__}")
-    if minimum is not None and value < minimum:
-        raise DataError(f"{path}: index header field {key!r} is {value}, below {minimum}")
     return value
 
 
-def _read_header(path, raw) -> tuple[
-        dict, int, Callable[[np.ndarray], VirtualWordBank | PqCodebook]]:
-    """The checked header fields, the float32 count of the quantizer payload
-    and a function that makes the quantizer from that payload. This is the
-    one place that tells the quantizer kinds apart."""
+def _read_header(path, raw) -> tuple[BuildConfig, int, int, int]:
+    """The header's BuildConfig, vector width D, word count and indexed
+    count, held to the rules that `build` applies (the configs' own and
+    `BuildConfig.word_count`'s); every failure is a DataError."""
     try:
         header = json.loads(bytes(raw).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -331,61 +342,34 @@ def _read_header(path, raw) -> tuple[
     if type(header) is not dict:
         raise DataError(f"{path}: index header is not a JSON object")
     scheme = _field(path, header, "scheme", str)
-    out = {"scheme": scheme,
-           "word_count": _field(path, header, "word_count", int, 1),
-           "link_count": _field(path, header, "link_count", int, 1),
-           "code_length": _field(path, header, "code_length", int, 1),
-           "indexed_count": _field(path, header, "indexed_count", int, 1)}
+    word_count, link_count, code_length, indexed_count = (
+        _field(path, header, key, int)
+        for key in ("word_count", "link_count", "code_length", "indexed_count"))
     q = _field(path, header, "quantizer", dict)
     kind = _field(path, q, "kind", str)
-    dim = _field(path, q, "dim", int, 1)
-    if (scheme, kind) == (SCHEME_IFC, "pq"):
-        fields = {key: _field(path, q, key, int, minimum) for key, minimum in (
-            ("segments", 1), ("words_per_segment", 1), ("kmeans_iters", 1),
-            ("kmeans_seed", 0), ("kmeans_restarts", 1))}
-        # bounds K^M before PqConfig computes it
-        if fields["words_per_segment"] > 1 and fields["segments"] > 63:
-            raise DataError(f"{path}: K^M does not fit in a 64-bit word id")
-        try:
-            cfg = PqConfig(**fields)
-        except ValueError as exc:
-            raise DataError(f"{path}: bad quantizer in index header ({exc})") from None
-        words = cfg.words_per_segment ** cfg.segments
-        if dim % cfg.segments:
-            raise DataError(f"{path}: dim {dim} not divisible by {cfg.segments} segments")
-        payload_count = cfg.words_per_segment * dim
-
-        def make(payload: np.ndarray) -> PqCodebook:
-            sub = payload.astype(np.float32, copy=False)
-            return PqCodebook(sub.reshape(cfg.segments, cfg.words_per_segment, -1), cfg)
-    elif (scheme, kind) == (SCHEME_TIFC, "virtual"):
+    dim = _field(path, q, "dim", int)
+    if (scheme, kind) == (SCHEME_TIFC, "virtual"):
         raise DataError(f"{path}: TIFC index with the old virtual-word table "
                         "(quantizer kind 'virtual'); rebuild the index with `cnnidx build`")
-    elif (scheme, kind) == (SCHEME_TIFC, "means"):
-        seed = _field(path, q, "seed", int, 0)
-        _check_table(dim, out["code_length"], path)
-        words, payload_count = dim, 0
-
-        def make(payload: np.ndarray) -> VirtualWordBank:
-            return tifc.make_virtual_words(dim, seed, out["code_length"])
-    else:
+    if (scheme, kind) not in ((SCHEME_IFC, "pq"), (SCHEME_TIFC, "means")):
         raise DataError(f"{path}: scheme {scheme!r} with quantizer kind {kind!r}")
-    if out["word_count"] != words:
-        raise DataError(f"{path}: word_count {out['word_count']} != quantizer's {words}")
-    if out["link_count"] > words:
-        raise DataError(f"{path}: link_count {out['link_count']} exceeds word count {words}")
-    if dim % out["code_length"]:
-        raise DataError(f"{path}: dim {dim} not divisible by code length {out['code_length']}")
+    pq_cfg, seed = None, 0
+    try:
+        if scheme == SCHEME_IFC:
+            pq_cfg = PqConfig(**{key: _field(path, q, key, int) for key in _PQ_FIELDS})
+        else:
+            seed = _field(path, q, "seed", int)
+        cfg = BuildConfig(scheme, link_count, code_length, pq_cfg, seed)
+    except ValueError as exc:
+        raise DataError(f"{path}: bad configuration in index header ({exc})") from None
+    words = cfg.word_count(dim, path)
+    if word_count != words:
+        raise DataError(f"{path}: word_count {word_count} != quantizer's {words}")
     # the result records of `vecio.write_int_lists` hold image ids as int32
-    if out["indexed_count"] > np.iinfo(np.int32).max:
-        raise DataError(f"{path}: indexed_count {out['indexed_count']} exceeds int32 result ids")
-    return out, payload_count, make
-
-
-def _check_table(dim: int, code_length: int, where) -> None:
-    if dim * code_length > MAX_TABLE_ENTRIES:
-        raise DataError(f"{where}: TIFC table of {dim} x {code_length} means exceeds "
-                        f"{MAX_TABLE_ENTRIES} entries")
+    if not 0 < indexed_count <= np.iinfo(np.int32).max:
+        raise DataError(f"{path}: index header field 'indexed_count' is {indexed_count}, "
+                        "below 1 or exceeds int32 result ids")
+    return cfg, dim, word_count, indexed_count
 
 
 def _check_postings(path, ix: InvertedIndex) -> None:
@@ -413,7 +397,8 @@ def load(path) -> InvertedIndex:
     updated as each section arrives. No array is allocated before its byte
     count is checked against the bytes left in the file, and after `nlists`
     those bytes must match the header's sizes exactly. The CRC is checked
-    before the posting rules and the TIFC table draw."""
+    before the payload's values (finite centroids), the posting rules and
+    the quantizer: the IFC codebook or the TIFC table draw."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic in OLD_MAGICS:
@@ -437,11 +422,11 @@ def load(path) -> InvertedIndex:
             return out
 
         (hlen,) = struct.unpack("<I", array(4, np.uint8))
-        header, payload_count, make_quantizer = _read_header(path, array(hlen, np.uint8))
-        payload = array(payload_count, "<f4")
-        total = header["indexed_count"] * header["link_count"]
-        b = code_bytes(header["code_length"])
-        wid_t, len_t, id_t = posting_dtypes(header["word_count"], header["indexed_count"])
+        cfg, dim, word_count, indexed_count = _read_header(path, array(hlen, np.uint8))
+        payload = array(cfg.pq.words_per_segment * dim if cfg.pq else 0, "<f4")
+        total = indexed_count * cfg.link_count
+        b = code_bytes(cfg.code_length)
+        wid_t, len_t, id_t = posting_dtypes(word_count, indexed_count)
         nlists = int(array(1, "<u8")[0])
         need = nlists * (wid_t.itemsize + len_t.itemsize) + total * (id_t.itemsize + b)
         if need > left:
@@ -456,23 +441,30 @@ def load(path) -> InvertedIndex:
         if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
             raise DataError(f"{path}: checksum mismatch (corrupt index file)")
 
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: NaN or infinite centroid in the quantizer payload")
     # total fits the file, so a sum of lengths in [1, total] cannot overflow
     if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
         raise DataError(f"{path}: list lengths are not all >= 1 with sum "
                         f"indexed_count * link_count = {total}")
     offsets = np.zeros(nlists + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
+    if cfg.pq:
+        quantizer = PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1),
+                               cfg.pq)
+    else:
+        quantizer = tifc.make_virtual_words(dim, cfg.virtual_word_seed, cfg.code_length)
     ix = InvertedIndex(
-        scheme=header["scheme"],
-        word_count=header["word_count"],
-        link_count=header["link_count"],
-        code_length=header["code_length"],
-        indexed_count=header["indexed_count"],
+        scheme=cfg.scheme,
+        word_count=word_count,
+        link_count=cfg.link_count,
+        code_length=cfg.code_length,
+        indexed_count=indexed_count,
         wids=wids,
         offsets=offsets,
         ids=ids,
         codes=codes,
-        quantizer=make_quantizer(payload),
+        quantizer=quantizer,
     )
     _check_postings(path, ix)
     return ix

@@ -55,7 +55,10 @@ class PqConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kmeans_seed < 0:
             raise ValueError(f"kmeans_seed must be >= 0, got {self.kmeans_seed}")
-        if self.words_per_segment ** self.segments > 2**63 - 1:
+        # K >= 2 puts K^M at 2^64 or more past M = 63, so K^M is never
+        # computed for a huge M
+        if (self.words_per_segment > 1 and self.segments > 63
+                or self.words_per_segment ** self.segments > 2**63 - 1):
             raise ValueError("K^M does not fit in a 64-bit word id")
 
 

@@ -169,13 +169,21 @@ def l2_normalize(fs: FeatureSet) -> FeatureSet:
 
     Feature extraction pipelines differ on whether vectors arrive normalized,
     so indexing ingests them as-is and normalization stays opt-in. Zero
-    vectors are rejected rather than silently passed through.
+    vectors are rejected rather than silently passed through. Norms and
+    quotients are taken in float64, where no square of a float32 overflows
+    or underflows to 0, a `chunk_rows` block at a time.
     """
-    norms = np.linalg.norm(fs.vectors, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        bad = int(np.flatnonzero(norms[:, 0] == 0)[0])
-        raise DataError(f"record {bad} is a zero vector, cannot normalize")
-    return FeatureSet((fs.vectors / norms).astype(np.float32))
+    out = np.empty_like(fs.vectors)
+    rows = chunk_rows(fs.dim * 8)
+    for lo in range(0, fs.n, rows):
+        block = fs.vectors[lo:lo + rows].astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block))  # no (rows, D) temporary
+        if np.any(norms == 0):
+            bad = lo + int(np.flatnonzero(norms == 0)[0])
+            raise DataError(f"record {bad} is a zero vector, cannot normalize")
+        block /= norms[:, None]
+        out[lo:lo + rows] = block
+    return FeatureSet(out)
 
 
 def write_feature_file(fs: FeatureSet, path) -> None:

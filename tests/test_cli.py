@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,18 @@ def test_build_bad_parameter_is_usage_error_before_any_read(tmp_path, capsys, sc
     assert not (tmp_path / "x.idx").exists()
 
 
+def test_build_huge_segment_count_is_quick_usage_error(tmp_path, capsys):
+    """K^M for K = 1000, M = 10^7 would take minutes to compute; the config
+    refuses M first, before the features file is opened."""
+    t0 = time.perf_counter()
+    rc = run(["build", "--features", str(tmp_path / "nope.fvecs"), "--scheme", "ifc",
+              "--M", "10000000", "--out", str(tmp_path / "x.idx")])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == EXIT_USAGE
+    assert "cnnidx build: error: K^M does not fit in a 64-bit word id" in capsys.readouterr().err
+    assert not (tmp_path / "x.idx").exists()
+
+
 def test_baseline_lsh_bits_beyond_a_bucket_key_is_data_error(workspace, tmp_path, capsys):
     rc = run([
         "baseline", "--method", "lsh",
@@ -372,6 +385,17 @@ def test_evaluate_perfect_prints_one(tmp_path, capsys):
               "--ground-truth", str(tmp_path / "gt.txt")])
     assert rc == EXIT_OK
     assert "MAP 1.000000" in capsys.readouterr().out
+
+
+def test_evaluate_repeated_ranked_id_is_data_error(tmp_path, capsys):
+    vecio.write_int_lists([[1, 1, 1], [5, 2]], tmp_path / "r.ivecs")
+    (tmp_path / "gt.txt").write_text("0: 1\n1: 2\n")
+    rc = run(["evaluate", "--results", str(tmp_path / "r.ivecs"),
+              "--ground-truth", str(tmp_path / "gt.txt")])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "ranking of query 0 repeats an id" in captured.err
+    assert "MAP" not in captured.out
 
 
 @pytest.mark.parametrize("timing", [

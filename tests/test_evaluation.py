@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,13 @@ class TestEvaluate:
     def test_missing_query_rejected(self):
         with pytest.raises(DataError, match="missing results"):
             evaluation.evaluate({0: [1]}, {0: {1}, 1: {2}})
+
+    def test_repeated_ranked_id_rejected(self):
+        """Counted at each rank, a repeated relevant id would lift AP above 1."""
+        with pytest.raises(DataError, match="ranking of query 0 repeats an id"):
+            evaluation.evaluate({0: [1, 1, 1], 1: [5, 2]}, {0: {1}, 1: {2}})
+        with pytest.raises(DataError, match="ranking of query 1 repeats an id"):
+            evaluation.evaluate({0: [1], 1: [5, 2, 5]}, {0: {1}, 1: {2}})
 
     def test_bf_on_zero_noise_synth_has_source_at_rank_1(self):
         db, queries, gt = vecio.generate_synthetic(
@@ -130,6 +139,15 @@ class TestSweep:
         rows = evaluation.sweep(spec, db, queries, gt)
         assert "map" in rows[0]
         assert "error" in rows[1]
+
+    def test_huge_segment_count_is_a_row_error(self, data):
+        """K^M for M = 10^7 is never computed: the point fails at once."""
+        db, queries, gt = data
+        t0 = time.perf_counter()
+        (row,) = evaluation.sweep(SweepSpec(grid={"M": [10**7]}, base=self.BASE),
+                                  db, queries, gt)
+        assert time.perf_counter() - t0 < 1.0
+        assert "K^M does not fit in a 64-bit word id" in row["error"]
 
     def test_base_build_settings_reach_training(self, data, monkeypatch):
         db, queries, gt = data

@@ -384,17 +384,23 @@ class TestEncodeRows:
 @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
 class TestQuantizerContract:
     """Both quantizers have the same members, and what `save` writes of one
-    (`header` and `payload`) remakes it through `_read_header`'s maker."""
+    (`header` and `payload`) remakes it: `_read_header` gives the build
+    configuration and D, from which `load` makes the quantizer."""
 
-    def test_header_and_payload_remake_the_quantizer(self, scheme, tifc_index, ifc_index):
+    def test_header_and_payload_remake_the_quantizer(self, scheme, tifc_index, ifc_index,
+                                                     tmp_path):
         ix = tifc_index if scheme == "tifc" else ifc_index
         q = ix.quantizer
         assert (q.word_count, q.stage_width) == {"tifc": (16, 16), "ifc": (16, 8)}[scheme]
         payload = q.payload()
-        header, count, make = invindex._read_header("contract.idx", invindex._header_json(ix))
-        assert header["scheme"] == scheme and count == payload.size
-        back = make(np.frombuffer(payload.tobytes(), dtype="<f4"))
+        cfg, dim, words, n = invindex._read_header("contract.idx", invindex._header_json(ix))
+        assert (cfg.scheme, dim, words, n) == (scheme, q.dim, q.word_count, ix.indexed_count)
+        path = tmp_path / "contract.idx"
+        invindex.save(ix, path)
+        back = invindex.load(path).quantizer
         assert type(back) is type(q)
+        # the payload read back is the one written, at its full size
+        assert back.payload().tobytes() == payload.tobytes()
         assert (back.word_count, back.stage_width) == (q.word_count, q.stage_width)
         assert back.header() == q.header()
         xs = np.random.default_rng(11).standard_normal((30, q.dim))
@@ -559,7 +565,7 @@ class TestLoadValidation:
         path = tmp_path / "bad.idx"
         invindex.save(ifc_index, path)
         header, payload = split_file(path)
-        for key, value, message in (("kmeans_iters", 0, "below 1"),
+        for key, value, message in (("kmeans_iters", 0, "kmeans_iters must be >= 1, got 0"),
                                     ("segments", "2", "not int"),
                                     ("segments", 3, "not divisible by 3 segments"),
                                     ("segments", 64, "64-bit word id")):
@@ -568,6 +574,17 @@ class TestLoadValidation:
             write_file(path, edited, payload)
             with pytest.raises(DataError, match=message):
                 invindex.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centroid_rejected(self, ifc_index, tmp_path, value):
+        """A CRC-valid file whose first centroid is NaN or infinite would give
+        other words than the intact index; `load` rejects it."""
+        path = tmp_path / "bad.idx"
+        invindex.save(ifc_index, path)
+        header, payload = split_file(path)
+        write_file(path, header, struct.pack("<f", value) + payload[4:])
+        with pytest.raises(DataError, match="NaN or infinite centroid"):
+            invindex.load(path)
 
     def test_wide_tifc_header_loads_in_bounded_memory(self, tiny_index, tmp_path):
         """A file of about 200 bytes that declares dim 4,096 loads without the
@@ -623,6 +640,47 @@ class TestLoadValidation:
         body = struct.pack("<I", 3) + b"\xff{]" + payload
         path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(DataError, match="unreadable index header"):
+            invindex.load(path)
+
+
+_PQ = PqConfig(segments=2, words_per_segment=3, kmeans_iters=2)
+
+
+class TestConfigRules:
+    """Each shape rule of `BuildConfig.word_count` holds for a build and a
+    file alike: one bad configuration over 12-d vectors raises the same
+    DataError through `build` and through a CRC-valid header in `load`, and
+    neither trains a codebook or draws a TIFC table."""
+
+    @pytest.mark.parametrize("scheme, s, length, pq_cfg, table, message", [
+        ("tifc", 2, 5, None, None, "dimension 12 not divisible by code length 5"),
+        ("ifc", 2, 5, _PQ, None, "dimension 12 not divisible by code length 5"),
+        ("ifc", 2, 4, PqConfig(segments=5, words_per_segment=3), None,
+         "dimension 12 not divisible by 5 segments"),
+        ("tifc", 2, 4, None, 12 * 4 - 1, "TIFC table of 12 x 4 means exceeds 47 entries"),
+        ("tifc", 13, 4, None, None, "link count 13 exceeds word count 12"),
+        ("ifc", 10, 4, _PQ, None, "link count 10 exceeds word count 9"),
+    ])
+    def test_build_and_load_apply_one_rule(self, scheme, s, length, pq_cfg, table, message,
+                                           tmp_path, monkeypatch):
+        db = FeatureSet(np.random.default_rng(5).standard_normal((20, 12)).astype(np.float32))
+        good = BuildConfig(scheme=scheme, link_count=2, code_length=4,
+                           pq=_PQ if scheme == "ifc" else None)
+        path = tmp_path / "bad.idx"
+        invindex.save(invindex.build(db, good), path)
+        header, payload = split_file(path)
+        header.update(link_count=s, code_length=length)
+        if pq_cfg is not None:
+            header["quantizer"].update(dataclasses.asdict(pq_cfg))
+        write_file(path, header, payload)
+        bad = BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg)
+        if table is not None:
+            monkeypatch.setattr(invindex, "MAX_TABLE_ENTRIES", table)
+        for module, name in ((pq, "train"), (tifc, "make_virtual_words")):
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("drew a quantizer"))
+        with pytest.raises(DataError, match=message):
+            invindex.build(db, bad)
+        with pytest.raises(DataError, match=message):
             invindex.load(path)
 
 

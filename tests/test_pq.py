@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,24 @@ class TestWordCodec:
         got = np.stack([sub[:, 0] for sub in subs], axis=1)
         assert [tuple(row) for row in got.tolist()] == [pq.decode_word(w, k, m)
                                                        for w in range(k**m)]
+
+
+class TestPqConfig:
+    def test_huge_segment_count_rejected_quickly(self):
+        """K^M for K = 2, M = 10^7 has three million digits; the config
+        refuses M before computing it."""
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"K\^M does not fit in a 64-bit word id"):
+            PqConfig(segments=10**7, words_per_segment=2)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_word_id_bound(self):
+        PqConfig(segments=62, words_per_segment=2)  # 2^62 words
+        PqConfig(segments=10**7, words_per_segment=1)  # one word
+        with pytest.raises(ValueError, match="64-bit word id"):
+            PqConfig(segments=63, words_per_segment=2)
+        with pytest.raises(ValueError, match="64-bit word id"):
+            PqConfig(segments=2, words_per_segment=2**32)
 
 
 class TestTrain:

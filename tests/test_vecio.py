@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -347,6 +348,28 @@ class TestNormalize:
         once = vecio.l2_normalize(fs)
         twice = vecio.l2_normalize(once)
         np.testing.assert_allclose(once.vectors, twice.vectors, rtol=1e-6)
+
+    @pytest.mark.parametrize("row, want", [
+        ([3e19, 4e19], [0.6, 0.8]),  # the float32 square of 3e19 overflows
+        ([1e-30, 0.0], [1.0, 0.0]),  # and that of 1e-30 underflows to 0
+    ])
+    def test_norm_taken_in_float64(self, row, want):
+        fs = FeatureSet(np.array([row, [1.0, 2.0]], dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = vecio.l2_normalize(fs)
+        np.testing.assert_array_equal(out.vectors[0], np.array(want, dtype=np.float32))
+
+    def test_blocks_give_the_whole_matrix(self, monkeypatch):
+        """A block of one row gives the bits of one block of all rows; the
+        zero row is named by its index in the whole matrix."""
+        x = np.random.default_rng(9).standard_normal((7, 5)).astype(np.float32)
+        whole = vecio.l2_normalize(FeatureSet(x)).vectors
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 5 * 8)
+        np.testing.assert_array_equal(vecio.l2_normalize(FeatureSet(x)).vectors, whole)
+        x[4] = 0.0
+        with pytest.raises(DataError, match="record 4 is a zero vector"):
+            vecio.l2_normalize(FeatureSet(x))
 
     def test_zero_vector_rejected(self):
         fs = FeatureSet(np.array([[1.0, 2.0], [0.0, 0.0]], dtype=np.float32))
