@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pq import sq_dist_to
+from .pq import check_ints, sq_dist_to
 from .vecio import FeatureSet, chunk_rows
 
 
@@ -19,8 +19,7 @@ class LshConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tables < 1 or self.bits_per_table < 1:
-            raise ValueError("tables and bits_per_table must be >= 1")
+        check_ints(self, {"tables": 1, "bits_per_table": 1, "seed": 0})
         if self.bits_per_table > 64:
             raise ValueError("bits_per_table must be <= 64, the bits of a bucket key")
 

@@ -19,10 +19,14 @@ from .vecio import DataError, FeatureSet
 
 def average_precision(ranked, relevant) -> float:
     """AP of one ranking: mean over |relevant| of precision at each rank that
-    holds a relevant id; relevant items never retrieved contribute 0."""
-    relevant = set(relevant)
+    holds a relevant id; relevant items never retrieved contribute 0. A
+    ranking that repeats an id is a ValueError: AP would count the id at
+    each of its ranks."""
+    relevant, ranked = set(relevant), list(ranked)
     if not relevant:
         raise ValueError("relevant set must be non-empty")
+    if len(set(ranked)) != len(ranked):
+        raise ValueError("ranking repeats an id")
     hits = 0
     total = 0.0
     for rank, rid in enumerate(ranked, start=1):
@@ -62,10 +66,11 @@ def evaluate(results: dict[int, list[int]], gt: dict[int, set[int]],
     """Aggregate per-query AP into MAP plus efficiency figures.
 
     ``results`` maps query id to its ranked id list; every ground-truth query
-    must be present, and a ranking that repeats an id is a DataError (AP
-    would count the id at each rank). ``self_ids`` optionally names, per
-    query, a database id to exclude from both ranking and relevant set
-    (query-in-database conventions keep self matches by default).
+    must be present, and a query that `average_precision` rejects (a ranking
+    that repeats an id) is a DataError naming the query. ``self_ids``
+    optionally names, per query, a database id to exclude from both ranking
+    and relevant set before AP (query-in-database conventions keep self
+    matches by default).
     """
     missing = sorted(set(gt) - set(results))
     if missing:
@@ -73,15 +78,16 @@ def evaluate(results: dict[int, list[int]], gt: dict[int, set[int]],
     per_ap: dict[int, float] = {}
     for qid, relevant in gt.items():
         ranked = results[qid]
-        if len(set(ranked)) != len(ranked):
-            raise DataError(f"the ranking of query {qid} repeats an id")
         if self_ids and qid in self_ids:
             drop = self_ids[qid]
             ranked = [r for r in ranked if r != drop]
             relevant = relevant - {drop}
             if not relevant:
                 continue
-        per_ap[qid] = average_precision(ranked, relevant)
+        try:
+            per_ap[qid] = average_precision(ranked, relevant)
+        except ValueError as exc:
+            raise DataError(f"query {qid}: {exc}") from None
     map_score = float(np.mean(list(per_ap.values()))) if per_ap else 0.0
     mean_time = float(np.mean(query_times)) if query_times else None
     if candidate_counts and database_size:
@@ -145,9 +151,9 @@ def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,
             if ix is None:
                 ix = index_cache[build_key] = invindex.build(db, cfg, training=training)
             qcfg = QueryConfig(
-                assignment_count=int(point["W"]),
-                hamming_threshold=int(point["T"]),
-                top_k=int(point.get("top_k", 10)),
+                assignment_count=point["W"],
+                hamming_threshold=point["T"],
+                top_k=point.get("top_k", 10),
             )
             results, summary = search.batch_query(ix, queries, qcfg)
             report = evaluate(

@@ -10,11 +10,11 @@ holds the entries offsets[j]:offsets[j + 1].
 
 Index file layout (all integers little-endian):
 
-    magic   8 bytes  b"CNNIDX03"
+    magic   8 bytes  b"CNNIDX04"
     hlen    uint32   length of the JSON header
-    header  bytes    JSON: scheme, word_count, link_count, code_length,
-                     indexed_count, quantizer parameters (kind "pq" for IFC,
-                     "means" for TIFC)
+    header  bytes    JSON: the BuildConfig and n, nothing else: scheme,
+                     link_count, code_length, indexed_count, and quantizer
+                     (dim plus the PqConfig fields for IFC, seed for TIFC)
     quantizer payload: IFC -> sub-codebook centroids as float32, segments in
                      order; TIFC -> empty (the (D, L) table of the virtual
                      words' segment means is redrawn from dim, code_length
@@ -35,10 +35,9 @@ take two bytes.
 `load` reads each section straight into its array and rejects with
 `DataError` every file that breaks one of these rules, so a query never meets
 an id outside [0, indexed_count) or an image twice in one list. `CNNIDX01`
-(one record per list) and `CNNIDX02` (int64 word ids and lengths, int32 ids)
-files are not read; rebuild them. Nor are TIFC files with quantizer kind
-"virtual": their table of means came from a D x D bank, and the table drawn
-now differs, so rebuild them too.
+(one record per list), `CNNIDX02` (int64 word ids and lengths, int32 ids) and
+`CNNIDX03` (a header that also held the word count and a quantizer kind)
+files are not read; rebuild them.
 
 Build and query share one encoding stage, `encode_chunks`, and the
 quantizer does the work. `tifc.VirtualWordBank` and `pq.PqCodebook` have the
@@ -54,7 +53,9 @@ divides D, M divides D (IFC), S is at most the word count, and a TIFC table
 of D * L float64 means holds at most `MAX_TABLE_ENTRIES` = 2^24 entries
 (128 MiB), so a small file cannot ask for gigabytes. `build` checks the
 database's D by it, before any training or table draw, and `load` the D of
-the `BuildConfig` that `_read_header` rebuilds from the header.
+the `BuildConfig` that `_read_header` rebuilds from the header. The configs
+check that each integer field is an integer (`pq.check_ints`), so
+`_read_header` passes them the header's values as they are.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ import numpy as np
 
 from . import pq, tifc
 from .embed import code_bytes
-from .pq import PqCodebook, PqConfig
+from .pq import PqCodebook, PqConfig, check_ints
 from .tifc import VirtualWordBank
 from .vecio import DataError, FeatureSet, chunk_rows
 
-MAGIC = b"CNNIDX03"
-OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02")
+MAGIC = b"CNNIDX04"
+OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03")
 
 SCHEME_TIFC = "tifc"
 SCHEME_IFC = "ifc"
@@ -95,12 +96,7 @@ class BuildConfig:
     def __post_init__(self):
         if self.scheme not in (SCHEME_TIFC, SCHEME_IFC):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.link_count < 1:
-            raise ValueError(f"link_count must be >= 1, got {self.link_count}")
-        if self.code_length < 1:
-            raise ValueError(f"code_length must be >= 1, got {self.code_length}")
-        if self.virtual_word_seed < 0:
-            raise ValueError(f"virtual_word_seed must be >= 0, got {self.virtual_word_seed}")
+        check_ints(self, {"link_count": 1, "code_length": 1, "virtual_word_seed": 0})
         if self.scheme == SCHEME_IFC and self.pq is None:
             raise ValueError("IFC build requires a PqConfig")
 
@@ -141,13 +137,14 @@ _PQ_FIELDS = tuple(f.name for f in fields(PqConfig))
 
 
 def build_config(scheme: str, params: dict) -> BuildConfig:
-    """The BuildConfig that the keys `BUILD_KEYS[scheme]` of params give, each
-    read as an int. S and L, and for IFC K and M, must be present (KeyError);
-    a seed or k-means setting left out keeps its default, and keys of the
-    other scheme or of no build parameter are ignored."""
+    """The BuildConfig that the keys `BUILD_KEYS[scheme]` of params give, as
+    they are: a value that is not an integer is the configs' ValueError. S
+    and L, and for IFC K and M, must be present (KeyError); a seed or k-means
+    setting left out keeps its default, and keys of the other scheme or of no
+    build parameter are ignored."""
     if scheme not in BUILD_KEYS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    values = {_FIELD_NAMES.get(k, k): int(params[k]) for k in BUILD_KEYS[scheme]
+    values = {_FIELD_NAMES.get(k, k): params[k] for k in BUILD_KEYS[scheme]
               if k in params or k in _REQUIRED_KEYS}
     pq_cfg = None
     if scheme == SCHEME_IFC:
@@ -282,7 +279,6 @@ def stats(ix: InvertedIndex) -> IndexStats:
 def _header_json(ix: InvertedIndex) -> bytes:
     header = {
         "scheme": ix.scheme,
-        "word_count": ix.word_count,
         "link_count": ix.link_count,
         "code_length": ix.code_length,
         "indexed_count": ix.indexed_count,
@@ -333,38 +329,27 @@ def _field(path, obj: dict, key: str, kind: type):
 
 def _read_header(path, raw) -> tuple[BuildConfig, int, int, int]:
     """The header's BuildConfig, vector width D, word count and indexed
-    count, held to the rules that `build` applies (the configs' own and
-    `BuildConfig.word_count`'s); every failure is a DataError."""
+    count. The configuration's values go into the configs as they are, so
+    the rules that `build` applies (the configs' own, types included, and
+    `BuildConfig.word_count`'s) hold them; a field left out is None, which
+    no config takes. Every failure is a DataError."""
     try:
         header = json.loads(bytes(raw).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable index header ({exc})") from None
     if type(header) is not dict:
         raise DataError(f"{path}: index header is not a JSON object")
-    scheme = _field(path, header, "scheme", str)
-    word_count, link_count, code_length, indexed_count = (
-        _field(path, header, key, int)
-        for key in ("word_count", "link_count", "code_length", "indexed_count"))
     q = _field(path, header, "quantizer", dict)
-    kind = _field(path, q, "kind", str)
     dim = _field(path, q, "dim", int)
-    if (scheme, kind) == (SCHEME_TIFC, "virtual"):
-        raise DataError(f"{path}: TIFC index with the old virtual-word table "
-                        "(quantizer kind 'virtual'); rebuild the index with `cnnidx build`")
-    if (scheme, kind) not in ((SCHEME_IFC, "pq"), (SCHEME_TIFC, "means")):
-        raise DataError(f"{path}: scheme {scheme!r} with quantizer kind {kind!r}")
-    pq_cfg, seed = None, 0
+    indexed_count = _field(path, header, "indexed_count", int)
+    scheme = header.get("scheme")
     try:
-        if scheme == SCHEME_IFC:
-            pq_cfg = PqConfig(**{key: _field(path, q, key, int) for key in _PQ_FIELDS})
-        else:
-            seed = _field(path, q, "seed", int)
-        cfg = BuildConfig(scheme, link_count, code_length, pq_cfg, seed)
+        pq_cfg = PqConfig(**{k: q.get(k) for k in _PQ_FIELDS}) if scheme == SCHEME_IFC else None
+        cfg = BuildConfig(scheme, header.get("link_count"), header.get("code_length"), pq_cfg,
+                          q.get("seed") if scheme == SCHEME_TIFC else 0)
     except ValueError as exc:
         raise DataError(f"{path}: bad configuration in index header ({exc})") from None
-    words = cfg.word_count(dim, path)
-    if word_count != words:
-        raise DataError(f"{path}: word_count {word_count} != quantizer's {words}")
+    word_count = cfg.word_count(dim, path)
     # the result records of `vecio.write_int_lists` hold image ids as int32
     if not 0 < indexed_count <= np.iinfo(np.int32).max:
         raise DataError(f"{path}: index header field 'indexed_count' is {indexed_count}, "

@@ -41,6 +41,20 @@ from .embed import pack_bits, segment_means
 from .vecio import FeatureSet, chunk_rows
 
 
+def check_ints(config, minimums: dict[str, int]) -> None:
+    """Hold each named field of a config to be an integer at or above its
+    minimum, and store it as a Python int. A Python or numpy integer passes;
+    a bool, float, str or None is a ValueError that names the field, as is a
+    value below the minimum."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+        setattr(config, name, int(value))
+
+
 @dataclass
 class PqConfig:
     segments: int  # M
@@ -50,11 +64,8 @@ class PqConfig:
     kmeans_restarts: int = 3
 
     def __post_init__(self):
-        for name in ("segments", "words_per_segment", "kmeans_iters", "kmeans_restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.kmeans_seed < 0:
-            raise ValueError(f"kmeans_seed must be >= 0, got {self.kmeans_seed}")
+        check_ints(self, {"segments": 1, "words_per_segment": 1, "kmeans_iters": 1,
+                          "kmeans_seed": 0, "kmeans_restarts": 1})
         # K >= 2 puts K^M at 2^64 or more past M = 63, so K^M is never
         # computed for a huge M
         if (self.words_per_segment > 1 and self.segments > 63
@@ -141,7 +152,7 @@ class PqCodebook:
         return pack_bits(bits)
 
     def header(self) -> dict:
-        return {"kind": "pq", "dim": self.dim, **asdict(self.config)}
+        return {"dim": self.dim, **asdict(self.config)}
 
     def payload(self) -> np.ndarray:
         return np.ascontiguousarray(self.sub_codebooks, dtype="<f4")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .embed import hamming_to_many
 from .invindex import InvertedIndex, encode_chunks
+from .pq import check_ints
 from .vecio import write_int_lists
 
 
@@ -29,12 +30,7 @@ class QueryConfig:
     top_k: int = 10
 
     def __post_init__(self):
-        if self.assignment_count < 1:
-            raise ValueError("assignment_count must be >= 1")
-        if self.hamming_threshold < 0:
-            raise ValueError("hamming_threshold must be >= 0")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        check_ints(self, {"assignment_count": 1, "hamming_threshold": 0, "top_k": 1})
 
 
 @dataclass
@@ -42,8 +38,8 @@ class RankedResult:
     """Entries sorted by votes desc, then min Hamming asc, then image id."""
 
     entries: list[tuple[int, int, int]]  # (image_id, votes, min_hamming)
-    # distinct ids in the probed lists, before the Hamming filter; None when
-    # the query was not asked to count them
+    # distinct ids in the probed lists, before the Hamming filter; None for
+    # a single `query`, which does not count them
     candidates: int | None = None
 
     @property
@@ -152,15 +148,14 @@ def _scan(ix: InvertedIndex, wids: np.ndarray, q_codes: np.ndarray, cfg: QueryCo
     return RankedResult(entries=list(entries), candidates=candidates)
 
 
-def query(ix: InvertedIndex, q, cfg: QueryConfig,
-          count_candidates: bool = False) -> RankedResult:
+def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
     """Rank database images for one query vector.
 
     A posting entry votes when its code is at Hamming distance < T from the
     query's code against the shared word. Images are ranked by vote count,
-    minimum observed Hamming distance, then id. With `count_candidates`, the
-    result also counts the distinct ids in the probed lists, one pass over an
-    n-sized array that single queries, which do not report it, skip.
+    minimum observed Hamming distance, then id. The result does not count
+    the candidates, a pass over an n-sized array that only `batch_query`
+    reports.
 
     This is the one-row case of `batch_query`: the same word assignment and
     codes, then the same scan.
@@ -169,7 +164,7 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig,
     q = np.asarray(q, dtype=np.float64)
     wids = select_words(ix, q, cfg.assignment_count)
     q_codes = ix.quantizer.codes(q[None], wids[None], ix.code_length)[0]
-    return _scan(ix, wids, q_codes, cfg, count_candidates)
+    return _scan(ix, wids, q_codes, cfg, count_candidates=False)
 
 
 def candidate_set(ix: InvertedIndex, q, count: int) -> set[int]:

@@ -102,7 +102,7 @@ class VirtualWordBank:
         return pack_bits(segment_means(xs, code_length)[:, None, :] >= self.means[wids])
 
     def header(self) -> dict:
-        return {"kind": "means", "dim": self.dim, "seed": self.seed}
+        return {"dim": self.dim, "seed": self.seed}
 
     def payload(self) -> np.ndarray:
         return np.empty(0, dtype="<f4")

@@ -394,7 +394,7 @@ def test_evaluate_repeated_ranked_id_is_data_error(tmp_path, capsys):
               "--ground-truth", str(tmp_path / "gt.txt")])
     assert rc == EXIT_DATA
     captured = capsys.readouterr()
-    assert "ranking of query 0 repeats an id" in captured.err
+    assert "query 0: ranking repeats an id" in captured.err
     assert "MAP" not in captured.out
 
 

@@ -39,6 +39,13 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision([1], set())
 
+    def test_repeated_id_rejected(self):
+        """Counted at each of its ranks, [1, 1, 1] would score 3.0."""
+        with pytest.raises(ValueError, match="ranking repeats an id"):
+            average_precision([1, 1, 1], {1})
+        with pytest.raises(ValueError, match="ranking repeats an id"):
+            average_precision(iter([4, 2, 4]), {2})
+
     def test_matches_direct_definition_on_random_rankings(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
@@ -63,9 +70,9 @@ class TestEvaluate:
 
     def test_repeated_ranked_id_rejected(self):
         """Counted at each rank, a repeated relevant id would lift AP above 1."""
-        with pytest.raises(DataError, match="ranking of query 0 repeats an id"):
+        with pytest.raises(DataError, match="query 0: ranking repeats an id"):
             evaluation.evaluate({0: [1, 1, 1], 1: [5, 2]}, {0: {1}, 1: {2}})
-        with pytest.raises(DataError, match="ranking of query 1 repeats an id"):
+        with pytest.raises(DataError, match="query 1: ranking repeats an id"):
             evaluation.evaluate({0: [1], 1: [5, 2, 5]}, {0: {1}, 1: {2}})
 
     def test_bf_on_zero_noise_synth_has_source_at_rank_1(self):
@@ -139,6 +146,20 @@ class TestSweep:
         rows = evaluation.sweep(spec, db, queries, gt)
         assert "map" in rows[0]
         assert "error" in rows[1]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("T", 6.9, "hamming_threshold must be an integer, got 6.9"),
+        ("W", "3", "assignment_count must be an integer, got '3'"),
+        ("L", 8.9, "code_length must be an integer, got 8.9"),
+        ("K", True, "words_per_segment must be an integer, got True"),
+    ])
+    def test_non_integer_point_is_a_row_error(self, data, key, value, message):
+        """A value is never truncated: T = 6.9 does not run as T = 6."""
+        db, queries, gt = data
+        spec = SweepSpec(grid={key: [4, value]}, base=self.BASE)
+        good, bad = evaluation.sweep(spec, db, queries, gt)
+        assert "map" in good and "error" not in good
+        assert "map" not in bad and message in bad["error"]
 
     def test_huge_segment_count_is_a_row_error(self, data):
         """K^M for M = 10^7 is never computed: the point fails at once."""

@@ -223,7 +223,7 @@ class TestBuildConfig:
             scheme="tifc", link_count=3, code_length=8, virtual_word_seed=9)
 
     def test_left_out_settings_keep_defaults(self):
-        params = dict(S="3", L=8.0, K=4, M=2)  # read as ints, as a sweep spec's values
+        params = dict(S=3, L=8, K=4, M=2)
         assert invindex.build_config("ifc", params) == BuildConfig(
             scheme="ifc", link_count=3, code_length=8,
             pq=PqConfig(segments=2, words_per_segment=4))
@@ -240,6 +240,18 @@ class TestBuildConfig:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme 'lsh'"):
             invindex.build_config("lsh", self.PARAMS)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("S", "4", "link_count must be an integer, got '4'"),
+        ("L", True, "code_length must be an integer, got True"),
+        ("K", 4.0, "words_per_segment must be an integer, got 4.0"),
+        ("kmeans_iters", None, "kmeans_iters must be an integer, got None"),
+    ])
+    def test_non_integer_value_rejected(self, key, value, message):
+        """Values are passed as they are, never cast: "4" is not read as 4,
+        nor True as 1."""
+        with pytest.raises(ValueError, match=message):
+            invindex.build_config("ifc", {**self.PARAMS, key: value})
 
     @pytest.mark.parametrize("scheme, key, message", [
         ("ifc", "kmeans_seed", "kmeans_seed must be >= 0, got -1"),
@@ -466,9 +478,27 @@ class TestPersistence:
     def test_old_format_asks_for_rebuild(self, tifc_index, tmp_path):
         path = tmp_path / "old.idx"
         invindex.save(tifc_index, path)
-        path.write_bytes(b"CNNIDX01" + path.read_bytes()[8:])
-        with pytest.raises(DataError, match="CNNIDX01.*rebuild"):
-            invindex.load(path)
+        raw = path.read_bytes()
+        for magic in ("CNNIDX01", "CNNIDX03"):
+            path.write_bytes(magic.encode() + raw[8:])
+            with pytest.raises(DataError, match=f"{magic}.*rebuild"):
+                invindex.load(path)
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_header_holds_only_the_configuration(self, scheme, tifc_index, ifc_index,
+                                                 tmp_path):
+        """The header is the BuildConfig with D and n: no quantizer kind and
+        no word count, which the configuration fixes."""
+        ix = tifc_index if scheme == "tifc" else ifc_index
+        path = tmp_path / "h.idx"
+        invindex.save(ix, path)
+        header, _ = split_file(path)
+        q = ix.quantizer
+        quantizer = ({"dim": q.dim, "seed": q.seed} if scheme == "tifc"
+                     else {"dim": q.dim, **dataclasses.asdict(q.config)})
+        assert header == {"scheme": scheme, "link_count": ix.link_count,
+                          "code_length": ix.code_length, "indexed_count": ix.indexed_count,
+                          "quantizer": quantizer}
 
 
 def split_file(path):
@@ -538,16 +568,14 @@ class TestLoadValidation:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda h: h.pop("indexed_count"), "'indexed_count' missing"),
-        (lambda h: h.update(word_count="12"), "'word_count' missing or not int"),
-        (lambda h: h.update(link_count=True), "'link_count' missing or not int"),
-        (lambda h: h.update(code_length=12.0), "'code_length' missing or not int"),
+        (lambda h: h.pop("link_count"), "link_count must be an integer, got None"),
+        (lambda h: h.update(link_count=True), "link_count must be an integer, got True"),
+        (lambda h: h.update(code_length=12.0), "code_length must be an integer, got 12.0"),
         (lambda h: h.update(indexed_count=0), "'indexed_count' is 0"),
-        (lambda h: h.update(scheme=["tifc"]), "'scheme' missing or not str"),
+        (lambda h: h.update(scheme=5), "unknown scheme 5"),
         (lambda h: h.update(quantizer=[]), "'quantizer' missing or not dict"),
-        (lambda h: h["quantizer"].pop("seed"), "'seed' missing"),
         (lambda h: h["quantizer"].update(dim="12"), "'dim' missing or not int"),
-        (lambda h: h.update(scheme="ifc"), "quantizer kind 'means'"),
-        (lambda h: h.update(word_count=13), "word_count 13"),
+        (lambda h: h.update(scheme="ifc"), "segments must be an integer, got None"),
         (lambda h: h.update(link_count=13), "exceeds word count"),
         (lambda h: h.update(indexed_count=2**31), "exceeds int32 result ids"),
         (lambda h: h.update(code_length=5), "not divisible by code length"),
@@ -566,7 +594,7 @@ class TestLoadValidation:
         invindex.save(ifc_index, path)
         header, payload = split_file(path)
         for key, value, message in (("kmeans_iters", 0, "kmeans_iters must be >= 1, got 0"),
-                                    ("segments", "2", "not int"),
+                                    ("segments", "2", "segments must be an integer, got '2'"),
                                     ("segments", 3, "not divisible by 3 segments"),
                                     ("segments", 64, "64-bit word id")):
             edited = json.loads(json.dumps(header))
@@ -574,6 +602,22 @@ class TestLoadValidation:
             write_file(path, edited, payload)
             with pytest.raises(DataError, match=message):
                 invindex.load(path)
+
+    @pytest.mark.parametrize("scheme, key, message", [
+        ("tifc", "seed", "virtual_word_seed must be an integer, got None"),
+        ("ifc", "kmeans_seed", "kmeans_seed must be an integer, got None"),
+    ])
+    def test_missing_seed_rejected(self, scheme, key, message, tifc_index, ifc_index,
+                                   tmp_path):
+        """No header field has a default: a file without its seed is not read
+        as seed 0."""
+        path = tmp_path / "bad.idx"
+        invindex.save(tifc_index if scheme == "tifc" else ifc_index, path)
+        header, payload = split_file(path)
+        del header["quantizer"][key]
+        write_file(path, header, payload)
+        with pytest.raises(DataError, match=f"bad configuration in index header \\({message}\\)"):
+            invindex.load(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_centroid_rejected(self, ifc_index, tmp_path, value):
@@ -592,7 +636,7 @@ class TestLoadValidation:
         path = tmp_path / "wide.idx"
         invindex.save(tiny_index, path)
         header, _ = split_file(path)
-        header.update(word_count=4096, code_length=16)
+        header["code_length"] = 16
         header["quantizer"]["dim"] = 4096
         # 4,096 words widen the file's word ids to 16 bits
         write_file(path, header, payload_of(dataclasses.replace(tiny_index, word_count=4096)))
@@ -611,7 +655,7 @@ class TestLoadValidation:
         path = tmp_path / "huge.idx"
         invindex.save(tiny_index, path)
         header, payload = split_file(path)
-        header.update(word_count=1 << 20, code_length=1 << 10)
+        header["code_length"] = 1 << 10
         header["quantizer"]["dim"] = 1 << 20
         write_file(path, header, payload)
         tracemalloc.start()
@@ -624,13 +668,17 @@ class TestLoadValidation:
         assert peak < 16 << 20
 
     def test_old_virtual_kind_asks_for_rebuild(self, tiny_index, tmp_path):
+        """A TIFC file whose table came from the old D x D bank (quantizer
+        kind "virtual", beside a word_count) has a CNNIDX03 magic at the
+        latest, which asks for the rebuild."""
         path = tmp_path / "old.idx"
         invindex.save(tiny_index, path)
         header, payload = split_file(path)
-        assert header["quantizer"]["kind"] == "means"
+        header["word_count"] = 12
         header["quantizer"]["kind"] = "virtual"
         write_file(path, header, payload)
-        with pytest.raises(DataError, match="kind 'virtual'.*rebuild"):
+        path.write_bytes(b"CNNIDX03" + path.read_bytes()[8:])
+        with pytest.raises(DataError, match="CNNIDX03.*rebuild"):
             invindex.load(path)
 
     def test_unreadable_header_rejected(self, tiny_index, tmp_path):
@@ -756,14 +804,19 @@ def load_or_none(path, raw):
 
 
 def declare_many_words(header):
-    """Edit an index header to declare 2^24 TIFC words and as many links per
-    vector, or 2^20 IFC words per segment."""
+    """Edit an index header to declare 2^24 TIFC words (D) and as many links
+    per vector, or 2^20 IFC words per segment (K)."""
     if header["scheme"] == "tifc":
-        header.update(word_count=1 << 24, link_count=1 << 24, code_length=1)
+        header.update(link_count=1 << 24, code_length=1)
         header["quantizer"]["dim"] = 1 << 24
     else:
         header["quantizer"]["words_per_segment"] = 1 << 20
-        header["word_count"] = 1 << 40
+
+
+def declared_words(header):
+    """The word count that an index header declares: D or K^M."""
+    q = header["quantizer"]
+    return q["dim"] if header["scheme"] == "tifc" else q["words_per_segment"] ** q["segments"]
 
 
 @pytest.fixture(params=["tifc", "ifc"])
@@ -825,7 +878,7 @@ class TestLoaderFuzz:
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.update(indexed_count=2**31 - 1),
-        lambda h: h.update(indexed_count=2**31 - 1, link_count=h["word_count"]),
+        lambda h: h.update(indexed_count=2**31 - 1, link_count=declared_words(h)),
         declare_many_words,
     ])
     def test_huge_declared_sizes_rejected_before_allocating(self, fuzz_case, edit, tmp_path):
@@ -861,9 +914,10 @@ class TestLoaderFuzz:
     def test_previous_format_asks_for_rebuild(self, fuzz_case, tmp_path):
         _, raw = fuzz_case
         path = tmp_path / "old.idx"
-        path.write_bytes(b"CNNIDX02" + raw[8:])
-        with pytest.raises(DataError, match="CNNIDX02.*rebuild"):
-            invindex.load(path)
+        for magic in ("CNNIDX02", "CNNIDX03"):
+            path.write_bytes(magic.encode() + raw[8:])
+            with pytest.raises(DataError, match=f"{magic}.*rebuild"):
+                invindex.load(path)
 
 
 class TestStats:

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnidx import pq, vecio
+from cnnidx.baseline import LshConfig
+from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqCodebook, PqConfig
+from cnnidx.search import QueryConfig
 from cnnidx.vecio import FeatureSet
 
 
@@ -81,6 +85,43 @@ class TestPqConfig:
             PqConfig(segments=63, words_per_segment=2)
         with pytest.raises(ValueError, match="64-bit word id"):
             PqConfig(segments=2, words_per_segment=2**32)
+
+
+# each config by name: how to make it, and valid values of its integer fields
+CONFIGS = {
+    "PqConfig": (PqConfig, dict(segments=2, words_per_segment=4, kmeans_iters=3,
+                                kmeans_seed=0, kmeans_restarts=1)),
+    "BuildConfig": (lambda **kw: BuildConfig(scheme="tifc", **kw),
+                    dict(link_count=2, code_length=8, virtual_word_seed=0)),
+    "QueryConfig": (QueryConfig, dict(assignment_count=2, hamming_threshold=3, top_k=5)),
+    "LshConfig": (LshConfig, dict(tables=2, bits_per_table=8, seed=0)),
+}
+INT_FIELDS = [(config, name) for config, (_, values) in CONFIGS.items() for name in values]
+
+
+class TestIntegerFields:
+    """Every integer field of the four configs goes through `pq.check_ints`:
+    a numpy integer passes and is kept as a Python int, and a bool, float,
+    str or None is a ValueError that names the field."""
+
+    @pytest.mark.parametrize("value", [2.5, True, "4", None])
+    @pytest.mark.parametrize("config, name", INT_FIELDS)
+    def test_non_integer_rejected(self, config, name, value):
+        make, values = CONFIGS[config]
+        message = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(**{**values, name: value})
+
+    @pytest.mark.parametrize("config, name", INT_FIELDS)
+    def test_numpy_integer_kept_as_int(self, config, name):
+        make, values = CONFIGS[config]
+        cfg = make(**{**values, name: np.int64(4)})
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 4
+
+    def test_numpy_segments_do_not_wrap_the_word_bound(self):
+        """3^40 wraps in int64 arithmetic; the bound sees Python ints."""
+        with pytest.raises(ValueError, match="64-bit word id"):
+            PqConfig(segments=np.int64(40), words_per_segment=np.int64(3))
 
 
 class TestTrain:

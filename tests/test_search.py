@@ -182,13 +182,15 @@ def check_query_against_oracle(scheme, seed, n, length, data):
     w = cfg.assignment_count
     lists = {int(wid): set(ix.ids[lo:hi].tolist())
              for wid, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
-    for q in np.vstack([vectors[:2], rng.standard_normal((2, vectors.shape[1]))]):
-        res = search.query(ix, q, cfg, count_candidates=True)
+    queries = np.vstack([vectors[:2], rng.standard_normal((2, vectors.shape[1]))])
+    batch, _ = search.batch_query(ix, queries, cfg)
+    for q, counted in zip(queries, batch):
+        res = search.query(ix, q, cfg)
         assert res.entries == pipeline_oracle(ix, q, cfg)
         union = set().union(*(lists.get(wid, set())
                               for wid in search.select_words(ix, q, w)))
         assert search.candidate_set(ix, q, w) == union
-        assert res.candidates == len(union)
+        assert counted.candidates == len(union)
 
 
 def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
