@@ -59,11 +59,11 @@ def stage_times(ix, queries) -> tuple[dict[str, tuple[float, float]], int, int]:
     `search._scan`."""
     factors = PassFactors()
     cfg = QUERY_CFG
-    n, length, w = ix.indexed_count, ix.code_length, cfg.assignment_count
+    n, length, w = ix.indexed_count, ix.config.code_length, cfg.assignment_count
     total = dict.fromkeys(STAGES, 0.0)
     scanned = kept = 0
     t0 = time.perf_counter()
-    encoded = list(invindex.encode_chunks(ix.quantizer, queries.vectors, w, ix.code_length))
+    encoded = list(invindex.encode_chunks(ix.quantizer, queries.vectors, w, length))
     total["encode"] = time.perf_counter() - t0
     for wids, codes in encoded:
         for wq, cq in zip(wids, codes):

@@ -39,6 +39,7 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,10 +100,11 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
         raise AssertionError(f"{path}: bad list lengths")
     offsets = np.zeros(nlists + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
+    # the posting checks read only the quantizer's word count; the quantizer
+    # itself is made in the next stage
     ix = invindex.InvertedIndex(
-        scheme=cfg.scheme, word_count=word_count, link_count=cfg.link_count,
-        code_length=cfg.code_length, indexed_count=indexed_count, wids=wids,
-        offsets=offsets, ids=ids, codes=codes, quantizer=None)
+        config=cfg, indexed_count=indexed_count, wids=wids, offsets=offsets, ids=ids,
+        codes=codes, quantizer=SimpleNamespace(word_count=word_count))
     invindex._check_postings(path, ix)
     t.append(time.perf_counter())
     if cfg.pq:

@@ -69,7 +69,7 @@ def staged_query(ix, q, cfg) -> tuple[list[float], search.RankedResult]:
         t.append(time.perf_counter())
         wids = quantizer.words(xs, w)
     t.append(time.perf_counter())
-    codes = quantizer.codes(xs, wids, ix.code_length)
+    codes = quantizer.codes(xs, wids, ix.config.code_length)
     t.append(time.perf_counter())
     result = search._scan(ix, wids[0], codes[0], cfg, count_candidates=False)
     t.append(time.perf_counter())

@@ -69,7 +69,7 @@ def main():
         ("IFC", build_config("ifc", vars(args))),
     ):
         ix = invindex.build(db, cfg)
-        wcfg = QueryConfig(assignment_count=min(args.W, ix.word_count),
+        wcfg = QueryConfig(assignment_count=min(args.W, ix.quantizer.word_count),
                            hamming_threshold=t, top_k=args.topk)
         results, summary = search.batch_query(ix, queries, wcfg)
         add_row(name, {q: results[q].ids for q in range(queries.n)},

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pq import check_ints, sq_dist_to
-from .vecio import FeatureSet, chunk_rows
+from .pq import sq_dist_to
+from .vecio import FeatureSet, check_ints, chunk_rows
 
 
 @dataclass

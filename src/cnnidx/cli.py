@@ -163,12 +163,12 @@ def _cmd_query(args) -> int:
     queries = vecio.read_feature_file(args.queries)
     if args.normalize:
         queries = vecio.l2_normalize(queries)
-    w = args.W if args.W is not None else ix.link_count
-    t = args.T if args.T is not None else round(0.35 * ix.code_length)
+    w = args.W if args.W is not None else ix.config.link_count
+    t = args.T if args.T is not None else round(0.35 * ix.config.code_length)
     cfg = QueryConfig(assignment_count=w, hamming_threshold=t, top_k=args.topk)
     resolved = {"index": args.index, "queries": args.queries,
-                "W": w, "T": t, "topk": args.topk, "scheme": ix.scheme,
-                "L": ix.code_length, "S": ix.link_count,
+                "W": w, "T": t, "topk": args.topk, "scheme": ix.config.scheme,
+                "L": ix.config.code_length, "S": ix.config.link_count,
                 "normalize": args.normalize}
     _echo_config("query", resolved)
     results, summary = search.batch_query(ix, queries, cfg)
@@ -242,9 +242,8 @@ def _cmd_evaluate(args) -> int:
         times = timing.get("query_times_s") if isinstance(timing, dict) else None
         if not isinstance(times, list) or any(type(t) not in (int, float) for t in times):
             raise DataError(f"{args.timing}: query_times_s must be a list of numbers")
-    self_ids = {qid: qid for qid in gt} if args.exclude_self else None
     report = evaluation.evaluate(results, gt, query_times=times,
-                                 config=resolved, self_ids=self_ids)
+                                 config=resolved, exclude_self=args.exclude_self)
     print(f"MAP {report.map:.6f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

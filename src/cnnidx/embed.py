@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vecio import check_ints
+
 
 @dataclass
 class EmbedConfig:
     code_length: int  # L bits
 
     def __post_init__(self):
-        if self.code_length < 1:
-            raise ValueError("code_length must be >= 1")
+        check_ints(self, {"code_length": 1})
 
 
 def code_bytes(code_length: int) -> int:

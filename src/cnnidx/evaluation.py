@@ -62,15 +62,15 @@ class EvalReport:
 def evaluate(results: dict[int, list[int]], gt: dict[int, set[int]],
              query_times=None, candidate_counts=None, database_size: int = 0,
              index_bytes: int | None = None, config: dict | None = None,
-             self_ids: dict[int, int] | None = None) -> EvalReport:
+             exclude_self: bool = False) -> EvalReport:
     """Aggregate per-query AP into MAP plus efficiency figures.
 
     ``results`` maps query id to its ranked id list; every ground-truth query
     must be present, and a query that `average_precision` rejects (a ranking
-    that repeats an id) is a DataError naming the query. ``self_ids``
-    optionally names, per query, a database id to exclude from both ranking
-    and relevant set before AP (query-in-database conventions keep self
-    matches by default).
+    that repeats an id) is a DataError naming the query. With
+    ``exclude_self`` each query's own id is dropped from both its ranking and
+    its relevant set before AP, for queries that are database vectors
+    (query-in-database conventions keep self matches by default).
     """
     missing = sorted(set(gt) - set(results))
     if missing:
@@ -78,10 +78,9 @@ def evaluate(results: dict[int, list[int]], gt: dict[int, set[int]],
     per_ap: dict[int, float] = {}
     for qid, relevant in gt.items():
         ranked = results[qid]
-        if self_ids and qid in self_ids:
-            drop = self_ids[qid]
-            ranked = [r for r in ranked if r != drop]
-            relevant = relevant - {drop}
+        if exclude_self:
+            ranked = [r for r in ranked if r != qid]
+            relevant = relevant - {qid}
             if not relevant:
                 continue
         try:

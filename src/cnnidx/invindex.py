@@ -32,9 +32,11 @@ word_count - 1, uN holds indexed_count and uI holds indexed_count - 1. So no
 header field names a width, and the ids of an index of up to 65,536 vectors
 take two bytes.
 
-`load` reads each section straight into its array and rejects with
-`DataError` every file that breaks one of these rules, so a query never meets
-an id outside [0, indexed_count) or an image twice in one list. `CNNIDX01`
+Only `_header_json` writes the header, and a header loads only in its exact
+form, so a file that loads saves back to the same bytes. `load` reads each
+section straight into its array and rejects with `DataError` every file that
+breaks one of these rules, so a query never meets an id outside
+[0, indexed_count) or an image twice in one list. `CNNIDX01`
 (one record per list), `CNNIDX02` (int64 word ids and lengths, int32 ids) and
 `CNNIDX03` (a header that also held the word count and a quantizer kind)
 files are not read; rebuild them.
@@ -44,9 +46,10 @@ quantizer does the work. `tifc.VirtualWordBank` and `pq.PqCodebook` have the
 same members: `words` gives a matrix of rows their words (TIFC: the top
 softmax bins; IFC: the exact nearest product words), `codes` packs each row's
 codes against those words' segment means, `stage_width` is the word stage's
-float64 values per row, and `header` and `payload` are the quantizer's part
-of the file. A row's words and codes depend on that row alone, so a
-database vector queried with itself gets exactly its S links and their codes.
+float64 values per row, `word_count` counts the words, and `payload` is the
+quantizer's part of the file. A row's words and codes depend on that row
+alone, so a database vector queried with itself gets exactly its S links and
+their codes.
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -54,8 +57,9 @@ of D * L float64 means holds at most `MAX_TABLE_ENTRIES` = 2^24 entries
 (128 MiB), so a small file cannot ask for gigabytes. `build` checks the
 database's D by it, before any training or table draw, and `load` the D of
 the `BuildConfig` that `_read_header` rebuilds from the header. The configs
-check that each integer field is an integer (`pq.check_ints`), so
-`_read_header` passes them the header's values as they are.
+check that each integer field is an integer (`vecio.check_ints`), so
+`_read_header` passes them the header's values as they are. An index keeps
+that `BuildConfig` as `config`.
 """
 
 from __future__ import annotations
@@ -65,15 +69,15 @@ import os
 import struct
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import pq, tifc
 from .embed import code_bytes
-from .pq import PqCodebook, PqConfig, check_ints
+from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
-from .vecio import DataError, FeatureSet, chunk_rows
+from .vecio import DataError, FeatureSet, check_ints, chunk_rows
 
 MAGIC = b"CNNIDX04"
 OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03")
@@ -154,10 +158,7 @@ def build_config(scheme: str, params: dict) -> BuildConfig:
 
 @dataclass
 class InvertedIndex:
-    scheme: str
-    word_count: int
-    link_count: int
-    code_length: int
+    config: BuildConfig
     indexed_count: int
     wids: np.ndarray  # (nlists,) at posting_dtypes, occupied word ids, strictly increasing
     offsets: np.ndarray  # (nlists + 1,) int64, list j is offsets[j]:offsets[j + 1]
@@ -236,10 +237,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     starts = np.flatnonzero(np.concatenate(([True], wids[1:] != wids[:-1])))
 
     return InvertedIndex(
-        scheme=cfg.scheme,
-        word_count=word_count,
-        link_count=s,
-        code_length=cfg.code_length,
+        config=cfg,
         indexed_count=n,
         wids=wids[starts],
         offsets=np.append(starts, len(wids)),
@@ -263,10 +261,10 @@ def stats(ix: InvertedIndex) -> IndexStats:
     with no copy at that width."""
     lengths = np.diff(ix.offsets)
     hist = Counter(lengths.tolist())
-    hist[0] += ix.word_count - len(ix.wids)
+    hist[0] += ix.quantizer.word_count - len(ix.wids)
     sizes = [values.size * dtype.itemsize for values, dtype in _sections(ix)]
     return IndexStats(
-        word_count=ix.word_count,
+        word_count=ix.quantizer.word_count,
         total_entries=len(ix.ids),
         posting_bytes=sum(sizes[-4:-1]),  # wids, lengths and ids
         code_bytes=ix.codes.nbytes,
@@ -276,24 +274,13 @@ def stats(ix: InvertedIndex) -> IndexStats:
     )
 
 
-def _header_json(ix: InvertedIndex) -> bytes:
-    header = {
-        "scheme": ix.scheme,
-        "link_count": ix.link_count,
-        "code_length": ix.code_length,
-        "indexed_count": ix.indexed_count,
-        "quantizer": ix.quantizer.header(),
-    }
-    return json.dumps(header, sort_keys=True).encode("utf-8")
-
-
 def _sections(ix: InvertedIndex) -> list[tuple[np.ndarray, np.dtype]]:
     """The file's sections between the magic and the CRC, in order, each as
     an array and the little-endian dtype its values are written at: the
     posting integers at `posting_dtypes`, the rest at their own."""
-    header = _header_json(ix)
+    header = _header_json(ix.config, ix.quantizer.dim, ix.indexed_count)
     payload = ix.quantizer.payload()
-    wid_t, len_t, id_t = posting_dtypes(ix.word_count, ix.indexed_count)
+    wid_t, len_t, id_t = posting_dtypes(ix.quantizer.word_count, ix.indexed_count)
     return [
         (np.array([len(header)]), np.dtype("<u4")),
         (np.frombuffer(header, dtype=np.uint8), np.dtype(np.uint8)),
@@ -327,12 +314,25 @@ def _field(path, obj: dict, key: str, kind: type):
     return value
 
 
+def _header_json(cfg: BuildConfig, dim: int, indexed_count: int) -> bytes:
+    """The header that `save` writes, as sorted JSON: the configuration and
+    n, and a quantizer object of D and the `PqConfig` fields (IFC) or the
+    table's seed (TIFC). `_read_header` is its inverse."""
+    quantizer = ({"dim": dim, **asdict(cfg.pq)} if cfg.scheme == SCHEME_IFC
+                 else {"dim": dim, "seed": cfg.virtual_word_seed})
+    header = {"scheme": cfg.scheme, "link_count": cfg.link_count,
+              "code_length": cfg.code_length, "indexed_count": indexed_count,
+              "quantizer": quantizer}
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
 def _read_header(path, raw) -> tuple[BuildConfig, int, int, int]:
     """The header's BuildConfig, vector width D, word count and indexed
     count. The configuration's values go into the configs as they are, so
     the rules that `build` applies (the configs' own, types included, and
     `BuildConfig.word_count`'s) hold them; a field left out is None, which
-    no config takes. Every failure is a DataError."""
+    no config takes. Last, the bytes must be `_header_json`'s for what they
+    state: no other key, order or spacing. Every failure is a DataError."""
     try:
         header = json.loads(bytes(raw).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -354,6 +354,9 @@ def _read_header(path, raw) -> tuple[BuildConfig, int, int, int]:
     if not 0 < indexed_count <= np.iinfo(np.int32).max:
         raise DataError(f"{path}: index header field 'indexed_count' is {indexed_count}, "
                         "below 1 or exceeds int32 result ids")
+    if bytes(raw) != _header_json(cfg, dim, indexed_count):
+        raise DataError(f"{path}: index header is not the one `save` writes "
+                        "for its configuration")
     return cfg, dim, word_count, indexed_count
 
 
@@ -361,15 +364,16 @@ def _check_postings(path, ix: InvertedIndex) -> None:
     """Reject posting arrays that break the layout's invariants; the lengths
     are checked already, so there is at least one list and one entry."""
     wids, ids = ix.wids, ix.ids  # unsigned, so never below 0
-    if wids[-1] >= ix.word_count or np.any(wids[1:] <= wids[:-1]):
-        raise DataError(f"{path}: word ids not strictly increasing in [0, {ix.word_count})")
+    words = ix.quantizer.word_count
+    if wids[-1] >= words or np.any(wids[1:] <= wids[:-1]):
+        raise DataError(f"{path}: word ids not strictly increasing in [0, {words})")
     if ids.max() >= ix.indexed_count:
         raise DataError(f"{path}: posting ids outside [0, {ix.indexed_count})")
     rising = ids[1:] > ids[:-1]
     rising[ix.offsets[1:-1] - 1] = True  # list boundaries may step down
     if not rising.all():
         raise DataError(f"{path}: posting ids not strictly increasing within a list")
-    pad = ix.code_length % 8
+    pad = ix.config.code_length % 8
     if pad and np.any(ix.codes[:, -1] >> pad):
         raise DataError(f"{path}: nonzero pad bits in the codes")
 
@@ -440,10 +444,7 @@ def load(path) -> InvertedIndex:
     else:
         quantizer = tifc.make_virtual_words(dim, cfg.virtual_word_seed, cfg.code_length)
     ix = InvertedIndex(
-        scheme=cfg.scheme,
-        word_count=word_count,
-        link_count=cfg.link_count,
-        code_length=cfg.code_length,
+        config=cfg,
         indexed_count=indexed_count,
         wids=wids,
         offsets=offsets,

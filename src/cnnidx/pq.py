@@ -32,27 +32,13 @@ so every seed is the one that exact passes over all rows give."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .embed import pack_bits, segment_means
-from .vecio import FeatureSet, chunk_rows
-
-
-def check_ints(config, minimums: dict[str, int]) -> None:
-    """Hold each named field of a config to be an integer at or above its
-    minimum, and store it as a Python int. A Python or numpy integer passes;
-    a bool, float, str or None is a ValueError that names the field, as is a
-    value below the minimum."""
-    for name, low in minimums.items():
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-        setattr(config, name, int(value))
+from .vecio import FeatureSet, check_ints, chunk_rows
 
 
 @dataclass
@@ -150,9 +136,6 @@ class PqCodebook:
             seg = slice(s * width, (s + 1) * width)
             np.greater_equal(x_means[:, None, seg], table[s][sub], out=bits[..., seg])
         return pack_bits(bits)
-
-    def header(self) -> dict:
-        return {"dim": self.dim, **asdict(self.config)}
 
     def payload(self) -> np.ndarray:
         return np.ascontiguousarray(self.sub_codebooks, dtype="<f4")

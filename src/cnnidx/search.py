@@ -19,8 +19,7 @@ import numpy as np
 
 from .embed import hamming_to_many
 from .invindex import InvertedIndex, encode_chunks
-from .pq import check_ints
-from .vecio import write_int_lists
+from .vecio import check_ints, write_int_lists
 
 
 @dataclass
@@ -63,8 +62,8 @@ def _check_queries(ix: InvertedIndex, qs, count: int) -> np.ndarray:
     """The query rows, checked against the index but not cast: the right
     dimension, finite values and 1 <= count <= word count."""
     qs = np.asarray(qs)
-    if not 1 <= count <= ix.word_count:
-        raise ValueError(f"assignment count must be in [1, {ix.word_count}]")
+    if not 1 <= count <= ix.quantizer.word_count:
+        raise ValueError(f"assignment count must be in [1, {ix.quantizer.word_count}]")
     if qs.ndim != 2 or qs.shape[1] != ix.quantizer.dim:
         raise ValueError(f"query dim {qs.shape[1:]} does not match index dim "
                          f"{ix.quantizer.dim}")
@@ -101,7 +100,7 @@ def _gather(a: np.ndarray, spans: list[slice], dtype=None) -> np.ndarray:
 
 
 def _check_config(ix: InvertedIndex, cfg: QueryConfig) -> None:
-    length, n = ix.code_length, ix.indexed_count
+    length, n = ix.config.code_length, ix.indexed_count
     if cfg.hamming_threshold > length:
         raise ValueError(
             f"hamming_threshold {cfg.hamming_threshold} exceeds code length {length}")
@@ -125,7 +124,7 @@ def _scan(ix: InvertedIndex, wids: np.ndarray, q_codes: np.ndarray, cfg: QueryCo
     min Hamming, id) into one int64; ids strictly increasing within each list
     keep votes <= W.
     """
-    n, length, w = ix.indexed_count, ix.code_length, cfg.assignment_count
+    n, length, w = ix.indexed_count, ix.config.code_length, cfg.assignment_count
     slots, lengths, spans = _probe(ix, wids)
     # cast in the copy: `ufunc.at` would cast narrower ids to intp twice
     ids = _gather(ix.ids, spans, np.intp)
@@ -163,7 +162,7 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
     _check_config(ix, cfg)
     q = np.asarray(q, dtype=np.float64)
     wids = select_words(ix, q, cfg.assignment_count)
-    q_codes = ix.quantizer.codes(q[None], wids[None], ix.code_length)[0]
+    q_codes = ix.quantizer.codes(q[None], wids[None], ix.config.code_length)[0]
     return _scan(ix, wids, q_codes, cfg, count_candidates=False)
 
 
@@ -188,7 +187,7 @@ def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
     summary = BatchSummary()
     results = []
     t0 = time.perf_counter()
-    for wids, codes in encode_chunks(ix.quantizer, qs, w, ix.code_length):
+    for wids, codes in encode_chunks(ix.quantizer, qs, w, ix.config.code_length):
         chunk = [_scan(ix, wq, cq, cfg, count_candidates=True) for wq, cq in zip(wids, codes)]
         t1 = time.perf_counter()
         summary.query_times += [(t1 - t0) / len(chunk)] * len(chunk)

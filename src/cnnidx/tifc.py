@@ -101,9 +101,6 @@ class VirtualWordBank:
         (N, count, B) for (N, count) word ids."""
         return pack_bits(segment_means(xs, code_length)[:, None, :] >= self.means[wids])
 
-    def header(self) -> dict:
-        return {"dim": self.dim, "seed": self.seed}
-
     def payload(self) -> np.ndarray:
         return np.empty(0, dtype="<f4")
 

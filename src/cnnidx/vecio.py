@@ -54,6 +54,20 @@ class DataError(Exception):
     """Malformed or inconsistent input data (bad file, bad ids, bad shapes)."""
 
 
+def check_ints(config, minimums: dict[str, int]) -> None:
+    """Hold each named field of a config to be an integer at or above its
+    minimum, and store it as a Python int. A Python or numpy integer passes;
+    a bool, float, str or None is a ValueError that names the field, as is a
+    value below the minimum."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+        setattr(config, name, int(value))
+
+
 @dataclass
 class FeatureSet:
     """An ordered set of N vectors of uniform dimension D.
@@ -98,10 +112,9 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n_clusters < 1 or self.points_per_cluster < 1 or self.dim < 1:
-            raise DataError("n_clusters, points_per_cluster and dim must be >= 1")
+        check_ints(self, {"n_clusters": 1, "points_per_cluster": 1, "dim": 1, "seed": 0})
         if self.cluster_stddev < 0 or self.noise_stddev < 0:
-            raise DataError("stddevs must be >= 0")
+            raise ValueError("stddevs must be >= 0")
 
 
 # spread of cluster centers relative to unit within-cluster noise; keeps

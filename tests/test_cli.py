@@ -35,6 +35,21 @@ def test_synth_outputs(workspace):
     assert db.n == 100 and queries.n == 5 and len(gt) == 5
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--clusters", "0", "n_clusters must be >= 1, got 0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+])
+def test_synth_bad_spec_is_data_error(tmp_path, capsys, flag, value, message):
+    spec = {"--clusters": "2", "--per-cluster": "3", "--dim": "4", "--cluster-std": "1.0",
+            "--noise-std": "0.1", "--seed": "0", flag: value}
+    rc = run(["synth", *[x for kv in spec.items() for x in kv],
+              "--out-features", str(tmp_path / "db.fvecs"),
+              "--out-queries", str(tmp_path / "q.fvecs"), "--out-gt", str(tmp_path / "gt.txt")])
+    assert rc == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "db.fvecs").exists()
+
+
 def test_build_query_evaluate_pipeline(workspace, capsys):
     rc = run([
         "build", "--features", str(workspace / "db.fvecs"),

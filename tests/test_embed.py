@@ -29,6 +29,10 @@ class TestEncode:
         code = embed.encode(x, c, EmbedConfig(4))
         assert unpack(code, 4).tolist() == [1, 0, 1, 0]
 
+    def test_code_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^code_length must be >= 1, got 0$"):
+            EmbedConfig(0)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

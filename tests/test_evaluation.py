@@ -103,9 +103,21 @@ class TestEvaluate:
         results = {0: [0, 5, 6]}
         gt = {0: {0, 5}}
         keep = evaluation.evaluate(results, gt)
-        drop = evaluation.evaluate(results, gt, self_ids={0: 0})
+        drop = evaluation.evaluate(results, gt, exclude_self=True)
         assert keep.map == pytest.approx(1.0)
         assert drop.map == pytest.approx(1.0)  # 5 moves to rank 1 after drop
+
+    def test_exclude_self_drops_each_query_id(self):
+        """Each query's own id leaves its ranking and its relevant set; a
+        query relevant only to itself is not scored."""
+        results = {0: [0, 6, 5], 1: [2, 1, 0], 2: [2, 3]}
+        gt = {0: {0, 5}, 1: {1, 2}, 2: {2}}
+        keep = evaluation.evaluate(results, gt)
+        drop = evaluation.evaluate(results, gt, exclude_self=True)
+        assert keep.per_query_ap == pytest.approx({0: 5 / 6, 1: 1.0, 2: 1.0})
+        # query 0: [6, 5] against {5}; query 1: [2, 0] against {2}
+        assert drop.per_query_ap == pytest.approx({0: 0.5, 1: 1.0})
+        assert drop.map == pytest.approx(0.75)
 
     def test_map_in_unit_interval(self):
         rng = np.random.default_rng(1)

@@ -395,9 +395,10 @@ class TestEncodeRows:
 
 @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
 class TestQuantizerContract:
-    """Both quantizers have the same members, and what `save` writes of one
-    (`header` and `payload`) remakes it: `_read_header` gives the build
-    configuration and D, from which `load` makes the quantizer."""
+    """Both quantizers have the same members, and what `save` writes of an
+    index (the header of `_header_json` and the quantizer's `payload`) remakes
+    its quantizer: `_read_header` gives back the build configuration and D,
+    from which `load` makes the quantizer."""
 
     def test_header_and_payload_remake_the_quantizer(self, scheme, tifc_index, ifc_index,
                                                      tmp_path):
@@ -405,23 +406,27 @@ class TestQuantizerContract:
         q = ix.quantizer
         assert (q.word_count, q.stage_width) == {"tifc": (16, 16), "ifc": (16, 8)}[scheme]
         payload = q.payload()
-        cfg, dim, words, n = invindex._read_header("contract.idx", invindex._header_json(ix))
-        assert (cfg.scheme, dim, words, n) == (scheme, q.dim, q.word_count, ix.indexed_count)
+        header = invindex._header_json(ix.config, q.dim, ix.indexed_count)
+        cfg, dim, words, n = invindex._read_header("contract.idx", header)
+        assert (cfg, dim, words, n) == (ix.config, q.dim, q.word_count, ix.indexed_count)
         path = tmp_path / "contract.idx"
         invindex.save(ix, path)
-        back = invindex.load(path).quantizer
+        loaded = invindex.load(path)
+        back = loaded.quantizer
         assert type(back) is type(q)
+        assert loaded.config == ix.config
         # the payload read back is the one written, at its full size
         assert back.payload().tobytes() == payload.tobytes()
-        assert (back.word_count, back.stage_width) == (q.word_count, q.stage_width)
-        assert back.header() == q.header()
+        assert (back.dim, back.word_count, back.stage_width) == (q.dim, q.word_count,
+                                                                 q.stage_width)
+        length = ix.config.code_length
         xs = np.random.default_rng(11).standard_normal((30, q.dim))
-        for count in (1, ix.link_count, ix.word_count):
+        for count in (1, ix.config.link_count, q.word_count):
             wids = q.words(xs, count)
             assert wids.shape == (30, count)
             np.testing.assert_array_equal(back.words(xs, count), wids)
-            np.testing.assert_array_equal(back.codes(xs, wids, ix.code_length),
-                                          q.codes(xs, wids, ix.code_length))
+            np.testing.assert_array_equal(back.codes(xs, wids, length),
+                                          q.codes(xs, wids, length))
 
     def test_quantizer_bytes_is_payload_size(self, scheme, tifc_index, ifc_index):
         """IFC stores M * K * (D/M) float32 centroids; TIFC redraws its table."""
@@ -488,17 +493,37 @@ class TestPersistence:
     def test_header_holds_only_the_configuration(self, scheme, tifc_index, ifc_index,
                                                  tmp_path):
         """The header is the BuildConfig with D and n: no quantizer kind and
-        no word count, which the configuration fixes."""
+        no word count, which the configuration fixes. Its bytes are
+        `_header_json`'s, and a loaded file saves back to the same bytes."""
         ix = tifc_index if scheme == "tifc" else ifc_index
+        cfg, dim = ix.config, ix.quantizer.dim
         path = tmp_path / "h.idx"
         invindex.save(ix, path)
         header, _ = split_file(path)
-        q = ix.quantizer
-        quantizer = ({"dim": q.dim, "seed": q.seed} if scheme == "tifc"
-                     else {"dim": q.dim, **dataclasses.asdict(q.config)})
-        assert header == {"scheme": scheme, "link_count": ix.link_count,
-                          "code_length": ix.code_length, "indexed_count": ix.indexed_count,
+        quantizer = ({"dim": dim, "seed": cfg.virtual_word_seed} if scheme == "tifc"
+                     else {"dim": dim, **dataclasses.asdict(cfg.pq)})
+        assert header == {"scheme": scheme, "link_count": cfg.link_count,
+                          "code_length": cfg.code_length, "indexed_count": ix.indexed_count,
                           "quantizer": quantizer}
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        assert blob[12:12 + hlen] == invindex._header_json(cfg, dim, ix.indexed_count)
+        invindex.save(invindex.load(path), tmp_path / "again.idx")
+        assert (tmp_path / "again.idx").read_bytes() == blob
+
+    def test_header_bytes_are_the_cnnidx04_format(self):
+        """The header's keys, their order and their spacing are the ones
+        files were written with since `CNNIDX04`, so those files still load."""
+        tifc_cfg = BuildConfig(scheme="tifc", link_count=2, code_length=12, virtual_word_seed=9)
+        assert invindex._header_json(tifc_cfg, 12, 3) == (
+            b'{"code_length": 12, "indexed_count": 3, "link_count": 2, '
+            b'"quantizer": {"dim": 12, "seed": 9}, "scheme": "tifc"}')
+        ifc_cfg = BuildConfig(scheme="ifc", link_count=40, code_length=32,
+                              pq=PqConfig(segments=2, words_per_segment=64))
+        assert invindex._header_json(ifc_cfg, 64, 15000) == (
+            b'{"code_length": 32, "indexed_count": 15000, "link_count": 40, '
+            b'"quantizer": {"dim": 64, "kmeans_iters": 25, "kmeans_restarts": 3, '
+            b'"kmeans_seed": 0, "segments": 2, "words_per_segment": 64}, "scheme": "ifc"}')
 
 
 def split_file(path):
@@ -515,8 +540,10 @@ def payload_of(ix):
 
 
 def write_file(path, header, payload):
-    """An index file from a header and the bytes after it, with a valid CRC."""
-    head = json.dumps(header).encode()
+    """An index file from a header and the bytes after it, with a valid CRC.
+    A header dict is written with sorted keys, as `save` writes it; bytes
+    are written as they are."""
+    head = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
     body = struct.pack("<I", len(head)) + head + payload
     path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
 
@@ -639,7 +666,8 @@ class TestLoadValidation:
         header["code_length"] = 16
         header["quantizer"]["dim"] = 4096
         # 4,096 words widen the file's word ids to 16 bits
-        write_file(path, header, payload_of(dataclasses.replace(tiny_index, word_count=4096)))
+        wide = tifc.make_virtual_words(4096, 0, 16)
+        write_file(path, header, payload_of(dataclasses.replace(tiny_index, quantizer=wide)))
         tracemalloc.start()
         try:
             ix = invindex.load(path)
@@ -679,6 +707,33 @@ class TestLoadValidation:
         write_file(path, header, payload)
         path.write_bytes(b"CNNIDX03" + path.read_bytes()[8:])
         with pytest.raises(DataError, match="CNNIDX03.*rebuild"):
+            invindex.load(path)
+
+    @pytest.mark.parametrize("form", [
+        # a CNNIDX03-style TIFC header under the CNNIDX04 magic
+        lambda h: json.dumps({**h, "word_count": 999, "quantizer": {**h["quantizer"],
+                              "kind": "virtual"}}, sort_keys=True),
+        lambda h: json.dumps({**h, "extra": 1}, sort_keys=True),
+        lambda h: json.dumps({**h, "quantizer": {**h["quantizer"], "kind": "means"}},
+                             sort_keys=True),
+        lambda h: json.dumps(h, sort_keys=True).replace('"scheme": "tifc"',
+                                                        '"scheme": "tifc", "scheme": "tifc"'),
+        lambda h: json.dumps(dict(reversed(h.items()))),
+        lambda h: json.dumps(h, sort_keys=True, separators=(",", ":")),
+        lambda h: json.dumps(h, sort_keys=True, indent=1),
+        lambda h: json.dumps(h, sort_keys=True).replace('"tifc"', '"\\u0074ifc"'),
+    ], ids=["found-file", "unknown-key", "unknown-quantizer-key", "repeated-key", "unsorted",
+            "compact", "indented", "escaped"])
+    def test_header_not_in_saved_form_rejected(self, tiny_index, tmp_path, form):
+        """A header that states a valid configuration loads only in the
+        exact form `save` writes for it, so every file that loads saves back
+        to the same bytes: no other key, no repeat, order or spacing."""
+        path = tmp_path / "bad.idx"
+        invindex.save(tiny_index, path)
+        header, payload = split_file(path)
+        write_file(path, form(header).encode(), payload)
+        with pytest.raises(DataError, match="index header is not the one `save` writes "
+                                            "for its configuration"):
             invindex.load(path)
 
     def test_unreadable_header_rejected(self, tiny_index, tmp_path):
@@ -751,7 +806,8 @@ class TestPostingWidths:
         db = FeatureSet(rng.standard_normal((n, dim)).astype(np.float32))
         ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=1))
         wid_t, len_t, id_t = (np.dtype("<" + w) for w in widths)
-        assert invindex.posting_dtypes(ix.word_count, ix.indexed_count) == (wid_t, len_t, id_t)
+        assert invindex.posting_dtypes(ix.quantizer.word_count,
+                                       ix.indexed_count) == (wid_t, len_t, id_t)
         assert (ix.wids.dtype, ix.ids.dtype) == (wid_t, id_t)
         path = tmp_path / "w.idx"
         invindex.save(ix, path)
@@ -932,8 +988,8 @@ class TestStats:
     def test_histogram_counts_empty_lists(self, ifc_index):
         st = invindex.stats(ifc_index)
         occupied = len(posting_lists(ifc_index))
-        assert st.list_length_histogram[0] == ifc_index.word_count - occupied
-        assert sum(st.list_length_histogram.values()) == ifc_index.word_count
+        assert st.list_length_histogram[0] == ifc_index.quantizer.word_count - occupied
+        assert sum(st.list_length_histogram.values()) == ifc_index.quantizer.word_count
 
     def test_estimate_close_to_file_size(self, ifc_index, tifc_index, tmp_path):
         for name, ix in (("i", ifc_index), ("t", tifc_index)):
@@ -968,7 +1024,7 @@ class TestNarrowSections:
 
     def test_no_narrow_copy(self, wide_ids, tmp_path):
         narrow = len(wide_ids.ids) * invindex.posting_dtypes(
-            wide_ids.word_count, wide_ids.indexed_count)[2].itemsize
+            wide_ids.quantizer.word_count, wide_ids.indexed_count)[2].itemsize
         assert narrow == 160_000
         assert self.traced_peak(lambda: invindex.stats(wide_ids)) < narrow // 4
         path = tmp_path / "w.idx"

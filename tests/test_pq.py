@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from cnnidx import pq, vecio
 from cnnidx.baseline import LshConfig
+from cnnidx.embed import EmbedConfig
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqCodebook, PqConfig
 from cnnidx.search import QueryConfig
-from cnnidx.vecio import FeatureSet
+from cnnidx.vecio import FeatureSet, SynthSpec
 
 
 def random_codebook(k, m, seg_dim, seed=0):
@@ -95,12 +96,15 @@ CONFIGS = {
                     dict(link_count=2, code_length=8, virtual_word_seed=0)),
     "QueryConfig": (QueryConfig, dict(assignment_count=2, hamming_threshold=3, top_k=5)),
     "LshConfig": (LshConfig, dict(tables=2, bits_per_table=8, seed=0)),
+    "EmbedConfig": (EmbedConfig, dict(code_length=8)),
+    "SynthSpec": (lambda **kw: SynthSpec(cluster_stddev=1.0, noise_stddev=0.1, **kw),
+                  dict(n_clusters=2, points_per_cluster=3, dim=4, seed=0)),
 }
 INT_FIELDS = [(config, name) for config, (_, values) in CONFIGS.items() for name in values]
 
 
 class TestIntegerFields:
-    """Every integer field of the four configs goes through `pq.check_ints`:
+    """Every integer field of the six configs goes through `vecio.check_ints`:
     a numpy integer passes and is kept as a Python int, and a bool, float,
     str or None is a ValueError that names the field."""
 

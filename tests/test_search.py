@@ -24,16 +24,16 @@ def pipeline_oracle(ix, q, cfg):
     wids = search.select_words(ix, q, cfg.assignment_count)
     votes = {}
     min_h = {}
-    ecfg = EmbedConfig(ix.code_length)
+    ecfg = EmbedConfig(ix.config.code_length)
     lists = {int(w): (ix.ids[lo:hi], ix.codes[lo:hi])
              for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
-    length = ix.code_length
-    if ix.scheme == invindex.SCHEME_TIFC:
+    length = ix.config.code_length
+    if ix.config.scheme == invindex.SCHEME_TIFC:
         dim = ix.quantizer.dim
         table = (np.random.default_rng(ix.quantizer.seed).standard_normal((dim, length))
                  * math.sqrt(length / dim))
     for wid in wids:
-        if ix.scheme == invindex.SCHEME_TIFC:
+        if ix.config.scheme == invindex.SCHEME_TIFC:
             q_code = embed.pack_bits(embed.segment_means(q, length) >= table[wid])
         else:
             q_code = embed.encode(q, pq.reconstruct_batch([wid], ix.quantizer)[0], ecfg)
@@ -93,7 +93,7 @@ class TestQuery:
             cfg = QueryConfig(assignment_count=w, hamming_threshold=8, top_k=50)
             for q in small_dataset[1].vectors:
                 for _, votes, _ in search.query(ifc_index, q, cfg).entries:
-                    assert 1 <= votes <= min(ifc_index.link_count, w)
+                    assert 1 <= votes <= min(ifc_index.config.link_count, w)
 
     def test_ranking_order_invariants(self, ifc_index, small_dataset):
         cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=50)
@@ -209,7 +209,7 @@ def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
         with pytest.MonkeyPatch.context() as mp:
             # chunk rows of float64 (D + stage + W*L)
             mp.setattr(vecio, "CHUNK_BYTES",
-                       chunk * 8 * (d + stage + cfg.assignment_count * ix.code_length))
+                       chunk * 8 * (d + stage + cfg.assignment_count * ix.config.code_length))
             results, summary = search.batch_query(ix, queries, cfg)
         assert [r.entries for r in results] == expected
         assert summary.candidate_counts == counts
@@ -281,7 +281,7 @@ class TestBatchWords:
     def test_integer_codebook_words_match_exhaustive(self, ifc_index):
         """Exact distances with many ties: the (distance, word id) order."""
         cb = integer_codebook(k=16, m=2, seg_dim=2, seed=29)
-        ix = dataclasses.replace(ifc_index, quantizer=cb, word_count=cb.word_count)
+        ix = dataclasses.replace(ifc_index, quantizer=cb)
         xs = np.random.default_rng(7).integers(0, 3, (70, cb.dim)).astype(np.float64)
         count = 40
         expected = [[w for _, w in exhaustive_ranking(x, cb)[:count]] for x in xs]
@@ -416,7 +416,7 @@ class TestBatchMemory:
 class TestCandidateSet:
     def test_full_assignment_returns_everything(self, tifc_index, small_dataset):
         db, queries, _ = small_dataset
-        got = search.candidate_set(tifc_index, queries.vectors[0], tifc_index.word_count)
+        got = search.candidate_set(tifc_index, queries.vectors[0], tifc_index.quantizer.word_count)
         assert got == set(range(db.n))
 
     def test_monotone_in_w(self, index_pair, small_dataset):
@@ -432,7 +432,7 @@ class TestVoteMonotonicity:
     def test_votes_non_decreasing_in_t(self, index_pair, small_dataset):
         q = small_dataset[1].vectors[1]
         prev: dict[int, int] = {}
-        for t in range(0, index_pair.code_length + 1):
+        for t in range(0, index_pair.config.code_length + 1):
             cfg = QueryConfig(assignment_count=3, hamming_threshold=t, top_k=100)
             cur = {i: v for i, v, _ in search.query(index_pair, q, cfg).entries}
             for image_id, votes in prev.items():
@@ -454,8 +454,8 @@ class TestBatch:
                                                    monkeypatch):
         queries = small_dataset[1]
         # 2 rows of float64 (D + stage + W*L) at D = 16, W = 3, L = 8
-        monkeypatch.setattr(vecio, "CHUNK_BYTES",
-                            2 * 8 * (16 + (16 if index_pair.scheme == "tifc" else 2 * 4) + 3 * 8))
+        stage = 16 if index_pair.config.scheme == "tifc" else 2 * 4
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 2 * 8 * (16 + stage + 3 * 8))
         cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
         t0 = time.perf_counter()
         _, summary = search.batch_query(index_pair, queries, cfg)

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -324,10 +325,17 @@ class TestSynthetic:
             assert src in gt[qid]
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(DataError):
-            SynthSpec(0, 1, 4, 1.0, 0.1, 0)
-        with pytest.raises(DataError):
-            SynthSpec(1, 1, 4, -1.0, 0.1, 0)
+        """Each bad field is a ValueError that names it, before numpy sees it
+        (the integer fields' types: `test_pq.py::TestIntegerFields`)."""
+        for args, message in (
+            ((0, 1, 4, 1.0, 0.1, 0), "n_clusters must be >= 1, got 0"),
+            ((1, 0, 4, 1.0, 0.1, 0), "points_per_cluster must be >= 1, got 0"),
+            ((1, 1, 0, 1.0, 0.1, 0), "dim must be >= 1, got 0"),
+            ((1, 1, 4, 1.0, 0.1, -1), "seed must be >= 0, got -1"),
+            ((1, 1, 4, -1.0, 0.1, 0), "stddevs must be >= 0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SynthSpec(*args)
 
 
 class TestNormalize:
