@@ -16,11 +16,12 @@ median in ms:
   (`readinto`), the posting integers at their file widths, which the index
   keeps;
 - crc: the CRC32 of the sections, checked against the trailer;
-- checks: the finite payload, the list-length rule, the list offsets
-  (int64) and `invindex._check_postings`;
 - quantizer: the quantizer made, as `load` makes it, from the payload and
   the `BuildConfig` and D that `invindex._read_header` gives: the IFC
-  codebook (its float64 constants) or the TIFC table draw.
+  codebook (its float64 constants) or the TIFC table draw;
+- checks: the finite payload, the list-length rule, the list offsets
+  (int64), the index (whose construction checks the quantizer's shape) and
+  `invindex._check_postings`.
 
 `load` is the median of whole `invindex.load` calls. Every staged index is
 checked equal to `load`'s. The file size of each index is printed too. Each
@@ -39,7 +40,6 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from cnnidx import invindex, tifc  # noqa: E402
 from cnnidx.embed import code_bytes  # noqa: E402
 from cnnidx.vecio import FeatureSet  # noqa: E402
 
-STAGES = ("read", "crc", "checks", "quantizer", "load")
+STAGES = ("read", "crc", "quantizer", "checks", "load")
 BENCH_WORKLOADS = [w["name"] for w in
                    json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
@@ -94,24 +94,22 @@ def staged_load(path) -> tuple[list[float], invindex.InvertedIndex]:
     if crc != stored:
         raise AssertionError(f"{path}: checksum mismatch")
     t.append(time.perf_counter())
+    if cfg.pq:
+        quantizer = invindex.PqCodebook(
+            payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
+    else:
+        quantizer = tifc.make_virtual_words(dim, cfg.virtual_word_seed, cfg.code_length)
+    t.append(time.perf_counter())
     if not np.isfinite(payload).all():
         raise AssertionError(f"{path}: non-finite centroids")
     if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
         raise AssertionError(f"{path}: bad list lengths")
     offsets = np.zeros(nlists + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
-    # the posting checks read only the quantizer's word count; the quantizer
-    # itself is made in the next stage
     ix = invindex.InvertedIndex(
         config=cfg, indexed_count=indexed_count, wids=wids, offsets=offsets, ids=ids,
-        codes=codes, quantizer=SimpleNamespace(word_count=word_count))
+        codes=codes, quantizer=quantizer)
     invindex._check_postings(path, ix)
-    t.append(time.perf_counter())
-    if cfg.pq:
-        ix.quantizer = invindex.PqCodebook(
-            payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1), cfg.pq)
-    else:
-        ix.quantizer = tifc.make_virtual_words(dim, cfg.virtual_word_seed, cfg.code_length)
     t.append(time.perf_counter())
     return t, ix
 

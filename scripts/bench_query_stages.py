@@ -64,7 +64,7 @@ def staged_query(ix, q, cfg) -> tuple[list[float], search.RankedResult]:
     if isinstance(quantizer, PqCodebook):
         scores = pq.segment_distances_batch(xs, quantizer)
         t.append(time.perf_counter())
-        wids = pq._nearest(scores, quantizer.config.words_per_segment, w)[0]
+        wids = pq._nearest(scores, quantizer.sub_codebooks.shape[1], w)[0]
     else:
         t.append(time.perf_counter())
         wids = quantizer.words(xs, w)

@@ -261,6 +261,8 @@ def _cmd_sweep(args) -> int:
     ds = raw["datasets"]
     _echo_config("sweep", {"spec": args.spec, "grid": raw["grid"],
                            "base": raw.get("base", {}), "datasets": ds})
+    if ds.get("train_features") and spec.base.get("scheme") == invindex.SCHEME_TIFC:
+        raise DataError(f"{args.spec}: datasets.train_features applies to scheme ifc only")
     db = vecio.read_feature_file(ds["features"])
     queries = vecio.read_feature_file(ds["queries"])
     gt = vecio.read_ground_truth(ds["ground_truth"], n=db.n)

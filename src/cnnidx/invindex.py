@@ -47,9 +47,10 @@ same members: `words` gives a matrix of rows their words (TIFC: the top
 softmax bins; IFC: the exact nearest product words), `codes` packs each row's
 codes against those words' segment means, `stage_width` is the word stage's
 float64 values per row, `word_count` counts the words, and `payload` is the
-quantizer's part of the file. A row's words and codes depend on that row
-alone, so a database vector queried with itself gets exactly its S links and
-their codes.
+quantizer's part of the file. A quantizer holds only its arrays, and an index
+takes only the one its config makes. A row's words and codes depend on that
+row alone, so a database vector queried with itself gets exactly its S links
+and their codes.
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -101,8 +102,10 @@ class BuildConfig:
         if self.scheme not in (SCHEME_TIFC, SCHEME_IFC):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         check_ints(self, {"link_count": 1, "code_length": 1, "virtual_word_seed": 0})
-        if self.scheme == SCHEME_IFC and self.pq is None:
-            raise ValueError("IFC build requires a PqConfig")
+        if (self.pq is None) == (self.scheme == SCHEME_IFC):
+            raise ValueError("a PqConfig is given for an IFC build and for no other")
+        if self.scheme == SCHEME_IFC and self.virtual_word_seed:
+            raise ValueError("virtual_word_seed is a TIFC setting; an IFC build takes 0")
 
     def word_count(self, dim: int, where) -> int:
         """D for TIFC, K^M for IFC: the word count over vectors of width dim
@@ -166,6 +169,16 @@ class InvertedIndex:
     codes: np.ndarray  # (n * S, B) uint8, packed code of each entry
     quantizer: VirtualWordBank | PqCodebook
 
+    def __post_init__(self):
+        cfg, q = self.config, self.quantizer
+        if cfg.pq:
+            m, k = cfg.pq.segments, cfg.pq.words_per_segment
+            ok = isinstance(q, PqCodebook) and q.sub_codebooks.shape == (m, k, q.dim // m)
+        else:
+            ok = isinstance(q, VirtualWordBank) and q.means.shape == (q.dim, cfg.code_length)
+        if not ok:
+            raise ValueError(f"{cfg} does not make a quantizer of this type and shape")
+
 
 @dataclass
 class IndexStats:
@@ -196,16 +209,18 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     """Index a database under TIFC or IFC with multiple link S.
 
     For IFC the codebook is trained on `training` (default: the database
-    itself). The configuration's shape, and the training set's dimension and
-    row count, are checked before any training. Every image lands in exactly
-    S distinct posting lists. Rows go through `encode_chunks`; the index does
-    not depend on the chunk size.
+    itself; TIFC takes none). The configuration's shape, and the training
+    set's dimension and row count, are checked before any training. Every
+    image lands in exactly S distinct posting lists. Rows go through
+    `encode_chunks`; the index does not depend on the chunk size.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
         raise DataError("database has no vectors to index")
     word_count = cfg.word_count(d, "database")
     if cfg.scheme == SCHEME_TIFC:
+        if training is not None:
+            raise ValueError("a TIFC build takes no training set")
         quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
     else:
         training = training if training is not None else db
@@ -439,8 +454,7 @@ def load(path) -> InvertedIndex:
     offsets = np.zeros(nlists + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
     if cfg.pq:
-        quantizer = PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1),
-                               cfg.pq)
+        quantizer = PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
     else:
         quantizer = tifc.make_virtual_words(dim, cfg.virtual_word_seed, cfg.code_length)
     ix = InvertedIndex(

@@ -61,7 +61,7 @@ class PqConfig:
 
 @dataclass
 class PqCodebook:
-    """M sub-codebooks of K centroids each, dimension D/M.
+    """M sub-codebooks of K centroids each, dimension D/M: the shape of `sub_codebooks`.
 
     Product word id w encodes sub-word ids (w_1..w_M) in mixed-radix base K
     with segment 1 most significant.
@@ -75,7 +75,6 @@ class PqCodebook:
     """
 
     sub_codebooks: np.ndarray  # (M, K, D/M) float32
-    config: PqConfig
     centroids: np.ndarray = field(init=False, repr=False, compare=False)
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     _mean_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -92,7 +91,7 @@ class PqCodebook:
         the same order as those segments of the reconstructed word's means."""
         table = self._mean_tables.get(code_length)
         if table is None:
-            m = self.config.segments
+            m = len(self.sub_codebooks)
             if code_length % m:
                 raise ValueError(f"code length {code_length} not divisible by {m} segments")
             table = _read_only(segment_means(self.sub_codebooks, code_length // m))
@@ -105,12 +104,12 @@ class PqCodebook:
 
     @property
     def word_count(self) -> int:
-        return self.config.words_per_segment ** self.config.segments
+        return self.sub_codebooks.shape[1] ** len(self.sub_codebooks)
 
     @property
     def stage_width(self) -> int:
         """Float64 values per row of the word stage: M * K segment distances."""
-        return self.config.segments * self.config.words_per_segment
+        return self.sq_norms.size
 
     def words(self, xs: np.ndarray, count: int) -> np.ndarray:
         """Each row's `count` nearest product words, (N, count), in (distance, id) order."""
@@ -124,7 +123,7 @@ class PqCodebook:
         a code segment straddles two sub-centroids, so the distinct words are
         reconstructed and averaged: the codes' definition, taken literally."""
         x_means = segment_means(xs, code_length)
-        m, k = self.config.segments, self.config.words_per_segment
+        m, k, _ = self.sub_codebooks.shape
         if code_length % m:
             uniq, inverse = np.unique(wids, return_inverse=True)
             uniq_means = segment_means(reconstruct_batch(uniq, self), code_length)
@@ -205,7 +204,7 @@ def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
             if wcss < best_wcss:
                 best, best_wcss = centroids, wcss
         sub[s] = best.astype(np.float32)
-    return PqCodebook(sub_codebooks=sub, config=cfg)
+    return PqCodebook(sub)
 
 
 def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng,
@@ -430,8 +429,7 @@ def assign(x, cb: PqCodebook) -> int:
 def nearest_words(x, cb: PqCodebook, count: int) -> list[tuple[int, float]]:
     """The `count` product words nearest to x, ascending by summed segment
     distance, ties broken by smaller product word id."""
-    wids, totals = _nearest(segment_distances(x, cb)[None], cb.config.words_per_segment,
-                            count)
+    wids, totals = _nearest(segment_distances(x, cb)[None], cb.sub_codebooks.shape[1], count)
     return [(int(w), float(t)) for w, t in zip(wids[0], totals[0])]
 
 
@@ -439,7 +437,7 @@ def nearest_words_batch(xs: np.ndarray, cb: PqCodebook, count: int) -> np.ndarra
     """Word ids of each row's `count` nearest product words, (N, count), in
     (distance, word id) order and from that row alone. Callers bound N."""
     # all N rows at once: the distances and the merge's candidate arrays grow with N
-    return _nearest(segment_distances_batch(xs, cb), cb.config.words_per_segment, count)[0]
+    return _nearest(segment_distances_batch(xs, cb), cb.sub_codebooks.shape[1], count)[0]
 
 
 def _nearest(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,12 @@ underflow distinct values.
 
 The virtual words are D random N(0, 1) vectors that only ever enter through
 their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
-N(0, L/D): `VirtualWordBank` draws the (D, L) table of means directly, and no
-D x D bank exists."""
+N(0, L/D): `make_virtual_words` draws the (D, L) table of means directly, no
+D x D bank exists, and a `VirtualWordBank` is that table alone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,28 +59,15 @@ def top_words_rows(tf: np.ndarray, count: int) -> np.ndarray:
 
 @dataclass
 class VirtualWordBank:
-    """Reference segment means of the D virtual words, a (D, L) table.
+    """Reference segment means of the D virtual words, the (D, L) table that
+    `make_virtual_words` draws. A file stores the draw's seed, not the table,
+    so the payload is empty."""
 
-    `means` is `np.random.default_rng(seed).standard_normal((dim, code_length))
-    * sqrt(code_length / dim)`: the law of the segment means of D random
-    N(0, 1) words, drawn at O(D * L) cost. The table is regenerated
-    deterministically from (dim, seed, code_length), so only those are
-    persisted, and the payload is empty.
-    """
+    means: np.ndarray  # (D, L) float64
 
-    dim: int
-    seed: int
-    code_length: int
-    means: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        d, length = self.dim, self.code_length
-        if d < 1:
-            raise ValueError("dim must be >= 1")
-        if length < 1 or d % length:
-            raise ValueError(f"code_length {length} does not divide dim {d}")
-        self.means = np.random.default_rng(self.seed).standard_normal((d, length))
-        self.means *= np.sqrt(length / d)
+    @property
+    def dim(self) -> int:
+        return self.means.shape[0]
 
     @property
     def word_count(self) -> int:
@@ -106,4 +93,13 @@ class VirtualWordBank:
 
 
 def make_virtual_words(dim: int, seed: int, code_length: int) -> VirtualWordBank:
-    return VirtualWordBank(dim=dim, seed=seed, code_length=code_length)
+    """`np.random.default_rng(seed).standard_normal((dim, code_length)) *
+    sqrt(code_length / dim)`: the law of the segment means of D random
+    N(0, 1) words, drawn at O(D * L) cost."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if code_length < 1 or dim % code_length:
+        raise ValueError(f"code_length {code_length} does not divide dim {dim}")
+    means = np.random.default_rng(seed).standard_normal((dim, code_length))
+    means *= np.sqrt(code_length / dim)
+    return VirtualWordBank(means)

@@ -230,6 +230,26 @@ def test_malformed_sweep_spec_is_data_error(workspace, tmp_path, capsys, change)
     assert not (tmp_path / "sw.csv").exists()
 
 
+def test_tifc_sweep_with_train_features_is_data_error(workspace, tmp_path, capsys):
+    """A TIFC sweep reads no training set: a spec that names one is refused
+    before any file is read, so a missing path gives this error, not a
+    missing-file one."""
+    spec = {
+        "grid": {"W": [1]},
+        "base": {"scheme": "tifc", "L": 8, "S": 3, "T": 4},
+        "datasets": {"features": str(workspace / "db.fvecs"),
+                     "queries": str(workspace / "q.fvecs"),
+                     "ground_truth": str(workspace / "gt.txt"),
+                     "train_features": str(tmp_path / "nope.fvecs")},
+    }
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    rc = run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+              "--out-prefix", str(tmp_path / "sw")])
+    assert rc == EXIT_DATA
+    assert "datasets.train_features applies to scheme ifc only" in capsys.readouterr().err
+    assert not (tmp_path / "sw.csv").exists()
+
+
 def test_unknown_flag_is_usage_error(workspace, capsys):
     rc = run(["build", "--bogus", "1"])
     assert rc == EXIT_USAGE

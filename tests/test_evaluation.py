@@ -173,6 +173,15 @@ class TestSweep:
         assert "map" in good and "error" not in good
         assert "map" not in bad and message in bad["error"]
 
+    def test_tifc_training_set_is_a_row_error(self, data):
+        """A TIFC build reads no training set, so a sweep that gives one
+        reports the refusal in every row rather than ignoring the set."""
+        db, queries, gt = data
+        spec = SweepSpec(grid={"W": [1, 3]}, base={"scheme": "tifc", "L": 8, "S": 3, "T": 4})
+        rows = evaluation.sweep(spec, db, queries, gt, training=db)
+        assert [row["error"] for row in rows] == [
+            "ValueError: a TIFC build takes no training set"] * 2
+
     def test_huge_segment_count_is_a_row_error(self, data):
         """K^M for M = 10^7 is never computed: the point fails at once."""
         db, queries, gt = data

@@ -99,6 +99,17 @@ class TestBuild:
                 invindex.build(FeatureSet(np.zeros((0, 8), dtype=np.float32)), cfg,
                                training=training)
 
+    def test_tifc_training_set_rejected(self):
+        """A TIFC build reads no training set, so it refuses one, of any
+        dimension, before it draws its table."""
+        db = FeatureSet(np.random.default_rng(2).standard_normal((20, 16)).astype(np.float32))
+        training = FeatureSet(np.zeros((3, 5), dtype=np.float32))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tifc, "make_virtual_words", lambda *a: pytest.fail("drew a table"))
+            with pytest.raises(ValueError, match="a TIFC build takes no training set"):
+                invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=4),
+                               training=training)
+
     @pytest.mark.parametrize("db_rows, training_shape, segments, message", [
         (30, (20, 12), 2, "training dim 12 != database dim 8"),
         (30, (20, 8), 3, "dimension 8 not divisible by 3 segments"),
@@ -241,6 +252,20 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="unknown scheme 'lsh'"):
             invindex.build_config("lsh", self.PARAMS)
 
+    @pytest.mark.parametrize("scheme, settings, message", [
+        ("tifc", dict(pq=PqConfig(segments=2, words_per_segment=4)),
+         "a PqConfig is given for an IFC build and for no other"),
+        ("ifc", dict(), "a PqConfig is given for an IFC build and for no other"),
+        ("ifc", dict(pq=PqConfig(segments=2, words_per_segment=4), virtual_word_seed=7),
+         "virtual_word_seed is a TIFC setting; an IFC build takes 0"),
+    ])
+    def test_settings_the_scheme_does_not_read_rejected(self, scheme, settings, message):
+        """A setting that the scheme's build never reads would not survive
+        the header, so `load(save(ix)).config` would differ from the
+        config: it is refused instead."""
+        with pytest.raises(ValueError, match=message):
+            BuildConfig(scheme=scheme, link_count=2, code_length=4, **settings)
+
     @pytest.mark.parametrize("key, value, message", [
         ("S", "4", "link_count must be an integer, got '4'"),
         ("L", True, "code_length must be an integer, got True"),
@@ -322,8 +347,7 @@ class TestEncodeRows:
         rng = np.random.default_rng(seed)
         shape = (m, 5, dim // m)
         sub = (rng.integers(0, 3, shape) if integer else rng.standard_normal(shape))
-        return pq.PqCodebook(sub_codebooks=sub.astype(np.float32),
-                             config=PqConfig(segments=m, words_per_segment=5))
+        return pq.PqCodebook(sub_codebooks=sub.astype(np.float32))
 
     @staticmethod
     def oracle(cb, xs, wids, length):
@@ -433,6 +457,64 @@ class TestQuantizerContract:
         ix = tifc_index if scheme == "tifc" else ifc_index
         expected = {"tifc": 0, "ifc": 2 * 4 * (16 // 2) * 4}[scheme]
         assert invindex.stats(ix).quantizer_bytes == ix.quantizer.payload().nbytes == expected
+
+
+class TestQuantizerMatchesConfig:
+    """An index holds only a quantizer that its `BuildConfig` makes: an
+    (M, K, D/M) codebook for IFC, a (D, L) table for TIFC. Any other is
+    refused when the index is made, so `save` never writes a header that
+    misstates the quantizer."""
+
+    @pytest.fixture(scope="class")
+    def indexes(self):
+        db = FeatureSet(np.random.default_rng(24).standard_normal((200, 8)).astype(np.float32))
+        return {
+            "ifc": invindex.build(db, BuildConfig("ifc", 2, 4, PqConfig(2, 4, kmeans_seed=6))),
+            "tifc": invindex.build(db, BuildConfig("tifc", 2, 4, virtual_word_seed=5)),
+        }
+
+    @staticmethod
+    def codebook(m, k, seg_dim):
+        rng = np.random.default_rng(m * k)
+        return pq.PqCodebook(rng.standard_normal((m, k, seg_dim)).astype(np.float32))
+
+    @pytest.mark.parametrize("scheme, make", [
+        # M = 4, K = 4 under M = 2, K = 4: the payload has the same size
+        ("ifc", lambda: TestQuantizerMatchesConfig.codebook(4, 4, 2)),
+        ("ifc", lambda: TestQuantizerMatchesConfig.codebook(2, 8, 4)),  # K = 8 under K = 4
+        ("tifc", lambda: tifc.make_virtual_words(8, 5, 2)),  # L = 2 under L = 4
+        ("ifc", lambda: tifc.make_virtual_words(8, 0, 4)),
+        ("tifc", lambda: TestQuantizerMatchesConfig.codebook(2, 4, 4)),
+    ], ids=["ifc-m4-same-size", "ifc-k8", "tifc-l2", "ifc-table", "tifc-codebook"])
+    def test_other_quantizer_refused(self, indexes, scheme, make):
+        ix, quantizer = indexes[scheme], make()
+        assert quantizer.dim == ix.quantizer.dim
+        message = "does not make a quantizer of this type and shape"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ix, quantizer=quantizer)
+        fields = {f.name: getattr(ix, f.name) for f in dataclasses.fields(ix)}
+        with pytest.raises(ValueError, match=message):
+            invindex.InvertedIndex(**{**fields, "quantizer": quantizer})
+
+    def test_quantizers_hold_only_their_arrays(self):
+        assert [f.name for f in dataclasses.fields(pq.PqCodebook) if f.init] == ["sub_codebooks"]
+        assert [f.name for f in dataclasses.fields(tifc.VirtualWordBank)] == ["means"]
+
+    def test_same_size_codebook_payload(self, indexes):
+        """The refused M = 4 codebook would have saved under the M = 2 header
+        and loaded reshaped into another codebook."""
+        assert self.codebook(4, 4, 2).payload().size == indexes["ifc"].quantizer.payload().size
+
+    @pytest.mark.parametrize("scheme", ["ifc", "tifc"])
+    def test_round_trip_keeps_config_and_arrays(self, indexes, scheme, tmp_path):
+        ix = indexes[scheme]
+        invindex.save(ix, tmp_path / "x.idx")
+        back = invindex.load(tmp_path / "x.idx")
+        assert back.config == ix.config
+        name = "sub_codebooks" if scheme == "ifc" else "means"
+        a, b = getattr(back.quantizer, name), getattr(ix.quantizer, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
 
 class TestPersistence:
@@ -666,8 +748,9 @@ class TestLoadValidation:
         header["code_length"] = 16
         header["quantizer"]["dim"] = 4096
         # 4,096 words widen the file's word ids to 16 bits
-        wide = tifc.make_virtual_words(4096, 0, 16)
-        write_file(path, header, payload_of(dataclasses.replace(tiny_index, quantizer=wide)))
+        wide = dataclasses.replace(tiny_index, quantizer=tifc.make_virtual_words(4096, 0, 16),
+                                   config=dataclasses.replace(tiny_index.config, code_length=16))
+        write_file(path, header, payload_of(wide))
         tracemalloc.start()
         try:
             ix = invindex.load(path)

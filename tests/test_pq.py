@@ -19,13 +19,13 @@ def random_codebook(k, m, seg_dim, seed=0):
     """A codebook built directly from random centroids (no training)."""
     rng = np.random.default_rng(seed)
     sub = rng.standard_normal((m, k, seg_dim)).astype(np.float32)
-    return PqCodebook(sub_codebooks=sub, config=PqConfig(segments=m, words_per_segment=k))
+    return PqCodebook(sub_codebooks=sub)
 
 
 def exhaustive_ranking(x, cb):
     """Oracle: every product word scored by its summed segment distances,
     sorted by (distance, word id)."""
-    k, m = cb.config.words_per_segment, cb.config.segments
+    m, k, _ = cb.sub_codebooks.shape
     x = np.asarray(x, dtype=np.float64)
     seg_dim = cb.dim // m
     rows = []
@@ -703,7 +703,7 @@ class TestAssign:
     def test_tie_break_smaller_subword(self):
         # duplicate centroids with integer coordinates: distances are exact
         sub = np.array([[[2.0, 0.0], [1.0, 0.0], [1.0, 0.0]]], dtype=np.float32)
-        cb = PqCodebook(sub_codebooks=sub, config=PqConfig(segments=1, words_per_segment=3))
+        cb = PqCodebook(sub_codebooks=sub)
         assert pq.assign(np.array([0.0, 0.0]), cb) == 1
 
     def test_dimension_mismatch(self):
@@ -718,7 +718,7 @@ class TestAssign:
         where a per-segment argmin gives 2."""
         sub = np.array([[[1 + 2.0**-23], [1.0]],
                         [[np.float32(2**16.5)], [3e5]]], dtype=np.float32)
-        cb = PqCodebook(sub_codebooks=sub, config=PqConfig(segments=2, words_per_segment=2))
+        cb = PqCodebook(sub_codebooks=sub)
         x = np.zeros(2)
         dists = pq.segment_distances(x, cb)
         assert dists[0, 1] < dists[0, 0]
@@ -766,7 +766,7 @@ class TestNearestWords:
         sub = np.zeros((2, 2, 1), dtype=np.float32)
         sub[0, 0, 0] = 0.0
         sub[0, 1, 0] = 4.0
-        cb = PqCodebook(sub_codebooks=sub, config=PqConfig(segments=2, words_per_segment=2))
+        cb = PqCodebook(sub_codebooks=sub)
         got = [w for w, _ in pq.nearest_words(np.array([1.0, 0.0]), cb, 4)]
         assert got == [0, 1, 2, 3]
 
@@ -804,7 +804,7 @@ def integer_codebook(k, m, seg_dim, seed):
     are exact, and duplicate centroids and equal sums tie often."""
     rng = np.random.default_rng(seed)
     sub = rng.integers(0, 3, (m, k, seg_dim)).astype(np.float32)
-    return PqCodebook(sub_codebooks=sub, config=PqConfig(segments=m, words_per_segment=k))
+    return PqCodebook(sub_codebooks=sub)
 
 
 class TestPrunedMerge:
@@ -841,7 +841,7 @@ class TestPrunedMerge:
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_single_matches_batch_and_heap(self, case):
         cb, counts, integer = self.CASES[case]
-        k = cb.config.words_per_segment
+        k = cb.sub_codebooks.shape[1]
         xs = self.queries(cb.dim, integer, 100 + case)
         for s in list(counts)[::7] + [max(counts)]:
             batch = pq.nearest_words_batch(xs, cb, s)

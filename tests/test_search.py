@@ -30,7 +30,7 @@ def pipeline_oracle(ix, q, cfg):
     length = ix.config.code_length
     if ix.config.scheme == invindex.SCHEME_TIFC:
         dim = ix.quantizer.dim
-        table = (np.random.default_rng(ix.quantizer.seed).standard_normal((dim, length))
+        table = (np.random.default_rng(ix.config.virtual_word_seed).standard_normal((dim, length))
                  * math.sqrt(length / dim))
     for wid in wids:
         if ix.config.scheme == invindex.SCHEME_TIFC:
@@ -167,7 +167,8 @@ def random_index(scheme, seed, n, length, data):
     s = data.draw(st.integers(1, min(4, word_count)), label="S")
     ix = invindex.build(FeatureSet(vectors),
                         BuildConfig(scheme=scheme, link_count=s, code_length=length,
-                                    pq=pq_cfg, virtual_word_seed=seed % 89),
+                                    pq=pq_cfg,
+                                    virtual_word_seed=seed % 89 if scheme == "tifc" else 0),
                         training=training)
     w = data.draw(st.sampled_from([1, s, word_count]) | st.integers(1, word_count),
                   label="W")
@@ -204,7 +205,7 @@ def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
     assert expected == [pipeline_oracle(ix, q, cfg) for q in queries]
     counts = [len(search.candidate_set(ix, q, cfg.assignment_count)) for q in queries]
     d = vectors.shape[1]
-    stage = d if scheme == "tifc" else 2 * ix.quantizer.config.words_per_segment
+    stage = d if scheme == "tifc" else 2 * ix.quantizer.sub_codebooks.shape[1]
     for chunk in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             # chunk rows of float64 (D + stage + W*L)
@@ -281,7 +282,8 @@ class TestBatchWords:
     def test_integer_codebook_words_match_exhaustive(self, ifc_index):
         """Exact distances with many ties: the (distance, word id) order."""
         cb = integer_codebook(k=16, m=2, seg_dim=2, seed=29)
-        ix = dataclasses.replace(ifc_index, quantizer=cb)
+        cfg = dataclasses.replace(ifc_index.config, pq=PqConfig(segments=2, words_per_segment=16))
+        ix = dataclasses.replace(ifc_index, config=cfg, quantizer=cb)
         xs = np.random.default_rng(7).integers(0, 3, (70, cb.dim)).astype(np.float64)
         count = 40
         expected = [[w for _, w in exhaustive_ranking(x, cb)[:count]] for x in xs]
@@ -327,7 +329,7 @@ class TestBatchWords:
         s = data.draw(st.integers(1, min(6, word_count)), label="S")
         chunk_rows = data.draw(st.integers(1, n), label="build chunk rows")
         cfg = BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg,
-                          virtual_word_seed=seed % 89)
+                          virtual_word_seed=seed % 89 if scheme == "tifc" else 0)
         built = []
 
         def recording(words):
