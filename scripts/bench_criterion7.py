@@ -12,17 +12,19 @@ Each pair's factor is the criterion's: the ratio of the two batches'
 `BatchSummary.mean_query_time`. The criterion passes below 5.0; it times the
 first batch of its process, so judge a change by the warm median here and by
 full tier-1 runs, not by isolated runs of the test. Each batch run is also
-divided by its host factor (`scripts/hostfactor.py`), and each pair's factor
+divided by its host factor (`scripts/stagetimer.py`), and each pair's factor
 and the summary are printed raw and, in brackets or on their own line,
 host-corrected.
 
-The table splits one warm pass over the queries into the stages of
-`search._scan`, timed one after another per query, in ms per query: encode
-(`invindex.encode_chunks`, words and codes), probe (list lookup and id
-copy), Hamming (code copy and distances), `add.at` (votes), `minimum.at`
-(minimum Hamming), rank (key, partition and sort) and count (the candidate
-count). Its answers are checked equal to `_scan`'s. Each cell gives the raw
-time and, after a slash, the time divided by the pass's host factor.
+The table splits one warm `batch_query` pass into the self times of its
+calls, by a `stagetimer.StageTimer`, in ms per query: encode (the
+quantizer's `words` and `codes`), probe (`search._probe`), gather
+(`search._gather`, the ids and codes of the probed lists), Hamming
+(`embed.hamming_to_many`) and scan (the rest of `search._scan`: votes,
+minimum Hamming, rank and candidate count). Each cell gives the raw time
+and, after a slash, the time divided by the pass's host factor. The mean
+entries scanned and kept (at distance < T) per query are counted from
+`hamming_to_many`'s results, outside every stage's time.
 """
 
 from __future__ import annotations
@@ -37,15 +39,21 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "scripts")]
 
-from hostfactor import PassFactors  # noqa: E402
+from stagetimer import PassFactors, StageTimer  # noqa: E402
 from test_acceptance import IFC_CFG, PQ_CFG, QUERY_CFG, SPEC_100K, SPEC_10K  # noqa: E402
 
 from cnnidx import invindex, search, vecio  # noqa: E402
-from cnnidx.embed import hamming_to_many  # noqa: E402
 from cnnidx.invindex import BuildConfig  # noqa: E402
 from cnnidx.pq import PqConfig  # noqa: E402
 
-STAGES = ("encode", "probe", "Hamming", "add.at", "minimum.at", "rank", "count")
+STAGES = {
+    "encode": ("pq.PqCodebook.words", "pq.PqCodebook.codes",
+               "tifc.VirtualWordBank.words", "tifc.VirtualWordBank.codes"),
+    "probe": ("search._probe",),
+    "gather": ("search._gather",),
+    "Hamming": ("embed.hamming_to_many",),
+    "scan": ("search._scan",),
+}
 
 
 def batch_time(ix, queries) -> float:
@@ -53,55 +61,20 @@ def batch_time(ix, queries) -> float:
     return summary.mean_query_time
 
 
-def stage_times(ix, queries) -> tuple[dict[str, tuple[float, float]], int, int]:
+def scan_stages(ix, queries) -> tuple[dict[str, tuple[float, float]], int, int]:
     """Mean seconds per query of each stage, raw and host-corrected, and the
-    mean entries scanned and kept per query, from one pass that mirrors
-    `search._scan`."""
+    mean entries scanned and kept per query, from one `batch_query` pass."""
+    def scanned_kept(dists):
+        return np.array([len(dists), np.count_nonzero(dists < QUERY_CFG.hamming_threshold)])
+
+    timer = StageTimer(STAGES, counters={"embed.hamming_to_many": scanned_kept})
     factors = PassFactors()
-    cfg = QUERY_CFG
-    n, length, w = ix.indexed_count, ix.config.code_length, cfg.assignment_count
-    total = dict.fromkeys(STAGES, 0.0)
-    scanned = kept = 0
-    t0 = time.perf_counter()
-    encoded = list(invindex.encode_chunks(ix.quantizer, queries.vectors, w, length))
-    total["encode"] = time.perf_counter() - t0
-    for wids, codes in encoded:
-        for wq, cq in zip(wids, codes):
-            t = [time.perf_counter()]
-            slots, lengths, spans = search._probe(ix, wq)
-            ids = search._gather(ix.ids, spans, np.intp)
-            t.append(time.perf_counter())
-            dists = hamming_to_many(np.repeat(cq[slots], lengths, axis=0),
-                                    search._gather(ix.codes, spans))
-            keep = dists < cfg.hamming_threshold
-            t.append(time.perf_counter())
-            votes = np.zeros(n, dtype=np.min_scalar_type(w))
-            np.add.at(votes, ids, keep.view(np.uint8))
-            t.append(time.perf_counter())
-            min_h = np.full(n, length + 1, dtype=dists.dtype)
-            np.minimum.at(min_h, ids, dists)
-            t.append(time.perf_counter())
-            hit = np.flatnonzero(min_h < cfg.hamming_threshold)
-            key = ((w - votes[hit].astype(np.int64)) * (length + 1) + min_h[hit]) * n + hit
-            if len(key) > cfg.top_k:
-                key = np.partition(key, cfg.top_k - 1)[: cfg.top_k]
-            key.sort()
-            rest = key // n
-            entries = list(zip((key % n).tolist(), (w - rest // (length + 1)).tolist(),
-                               (rest % (length + 1)).tolist()))
-            t.append(time.perf_counter())
-            candidates = int(np.count_nonzero(min_h <= length))
-            t.append(time.perf_counter())
-            for stage, a, b in zip(STAGES[1:], t, t[1:]):
-                total[stage] += b - a
-            scanned += len(ids)
-            kept += int(np.count_nonzero(keep))
-            ref = search._scan(ix, wq, cq, cfg, count_candidates=True)
-            if (entries, candidates) != (ref.entries, ref.candidates):
-                raise AssertionError("the staged scan disagrees with search._scan")
+    with timer:
+        search.batch_query(ix, queries, QUERY_CFG)
     factor = factors.next()
     q = queries.n
-    return {k: (v / q, v / q / factor) for k, v in total.items()}, scanned // q, kept // q
+    scanned, kept = (timer.counts["embed.hamming_to_many"] // q).tolist()
+    return {k: (v / q, v / q / factor) for k, v in timer.take().items()}, scanned, kept
 
 
 def main() -> None:
@@ -144,7 +117,7 @@ def main() -> None:
     print("\nms per query, raw / host-corrected | " + " | ".join(STAGES)
           + " | entries / kept")
     for name, ix in indexes.items():
-        stages, scanned, kept = stage_times(ix, queries)
+        stages, scanned, kept = scan_stages(ix, queries)
         cells = " | ".join(f"{stages[s][0] * 1e3:.3f} / {stages[s][1] * 1e3:.3f}"
                            for s in STAGES)
         print(f"{name} | {cells} | {scanned:,} / {kept:,}")

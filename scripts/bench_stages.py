@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Median time of each stage of `invindex.load` and of `search.query`, on
+an index shaped like each benchmark workload.
+
+    PYTHONPATH=src python3 scripts/bench_stages.py [--seed 1] [--loads 40] [--queries 300] [--passes 5]
+
+One index per workload that `BENCHMARK.json` runs (`ifc-hard` and
+`tifc-wide`) is built from `perfbench/datagen.hard_vectors` with the shape
+and build parameters of `perfbench/run.py`'s `WORKLOADS`, through
+`invindex.build_config`, saved to a temporary directory and queried with
+that workload's W, T and top-k. The real `load` and `query` run, and a
+`stagetimer.StageTimer` splits their time into the self times of named
+calls. The stages of `load`, in ms per load:
+
+- header: `invindex._read_header`;
+- quantizer: the IFC codebook's constants (`PqCodebook.__post_init__`) or
+  the TIFC table draw (`tifc.make_virtual_words`);
+- postings: `invindex._check_postings`;
+- sections: the rest of `load`, chiefly its sections read into their
+  arrays with the CRC updated as each arrives, then the payload and list
+  length checks.
+
+The stages of `query`, in us per query:
+
+- check: `search._check_config` and `search._check_queries`;
+- scores: the word stage's scores, `pq.segment_distances_batch` (IFC); a
+  TIFC query ranks its activations themselves, so this stage reads 0;
+- words: the choice of the W words, `pq._nearest` (IFC) or
+  `tifc.top_words_rows` (TIFC);
+- encode: the quantizer's `codes`, the query's codes against its words;
+- scan: `search._scan`, the list scan, votes and ranking.
+
+`load` and `query` are whole calls. `--loads` rounds of one load each, and
+`--passes` passes over the queries, each follow one warm round or pass, and
+each cell gives the median per call, raw and, after a slash, of the
+timings divided by their round's or pass's host factor
+(`scripts/stagetimer.py`), which reads the same on a slower or busier host.
+The file size of each index is printed too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+
+import datagen  # noqa: E402
+from stagetimer import PassFactors, StageTimer  # noqa: E402
+
+from run import WORKLOADS  # noqa: E402
+
+from cnnidx import invindex, search  # noqa: E402
+from cnnidx.vecio import FeatureSet  # noqa: E402
+
+LOAD_STAGES = {
+    "header": ("invindex._read_header",),
+    "quantizer": ("pq.PqCodebook.__post_init__", "tifc.make_virtual_words"),
+    "postings": ("invindex._check_postings",),
+    "sections": ("invindex.load",),
+}
+QUERY_STAGES = {
+    "check": ("search._check_config", "search._check_queries"),
+    "scores": ("pq.segment_distances_batch",),
+    "words": ("pq._nearest", "tifc.top_words_rows"),
+    "encode": ("pq.PqCodebook.codes", "tifc.VirtualWordBank.codes"),
+    "scan": ("search._scan",),
+}
+BENCH_WORKLOADS = [w["name"] for w in
+                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def stage_medians(stages: dict, whole: str, calls: list, passes: int
+                  ) -> dict[str, tuple[float, float]]:
+    """Median seconds per call of each stage and of the `whole` call, raw
+    and host-corrected, over `passes` passes of every call in `calls` after
+    one warm pass."""
+    raw = {s: [] for s in [*stages, whole]}
+    corrected = {s: [] for s in raw}
+    timer = StageTimer(stages)
+    factors = PassFactors()
+    for p in range(passes + 1):
+        times = []
+        with timer:
+            for call in calls:
+                t0 = time.perf_counter()
+                call()
+                times.append({whole: time.perf_counter() - t0, **timer.take()})
+        factor = factors.next()
+        if p == 0:
+            continue
+        for t in times:
+            for stage, seconds in t.items():
+                raw[stage].append(seconds)
+                corrected[stage].append(seconds / factor)
+    return {s: (float(np.median(raw[s])), float(np.median(corrected[s]))) for s in raw}
+
+
+def row(name: str, medians: dict, scale: float, digits: int) -> str:
+    return f"{name} | " + " | ".join(f"{raw * scale:.{digits}f} / {corr * scale:.{digits}f}"
+                                     for raw, corr in medians.values())
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--loads", type=int, default=40)
+    ap.add_argument("--queries", type=int, default=300)
+    ap.add_argument("--passes", type=int, default=5)
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in BENCH_WORKLOADS:
+            spec = WORKLOADS[name]
+            db, queries = datagen.hard_vectors(args.seed, spec["n"], args.queries, spec["dim"])
+            path = Path(tmp) / f"{name}.idx"
+            invindex.save(invindex.build(FeatureSet(db), invindex.build_config(
+                spec["scheme"], spec)), path)
+            del db
+            ix = invindex.load(path)
+            cfg = search.QueryConfig(assignment_count=spec["W"], hamming_threshold=spec["T"],
+                                     top_k=spec["top_k"])
+            load = stage_medians(LOAD_STAGES, "load", [lambda: invindex.load(path)], args.loads)
+            query = stage_medians(QUERY_STAGES, "query",
+                                  [lambda q=q: search.query(ix, q, cfg) for q in queries],
+                                  args.passes)
+            print(f"{name}, {path.stat().st_size:,} bytes")
+            print("  ms per load, raw / host-corrected | " + " | ".join(load))
+            print("  " + row("load", load, 1e3, 2))
+            print("  us per query, raw / host-corrected | " + " | ".join(query))
+            print("  " + row("query", query, 1e6, 1), flush=True)
+
+
+if __name__ == "__main__":
+    main()

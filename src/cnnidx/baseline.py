@@ -33,7 +33,8 @@ class LshIndex:
 
 
 def brute_force(db: FeatureSet, q, top_k: int) -> list[int]:
-    """Exact top_k (>= 1) nearest database ids, ties broken by smaller id."""
+    """Exact top_k (>= 1) nearest database ids to a finite query, ties broken
+    by smaller id."""
     dists = sq_dist_to(db.vectors, _check_query(db.vectors, q, top_k))
     order = np.lexsort((np.arange(db.n), dists))
     return [int(i) for i in order[:top_k]]
@@ -45,6 +46,8 @@ def _check_query(vectors: np.ndarray, q, top_k: int) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (vectors.shape[1],):
         raise ValueError(f"query dim {q.shape} does not match database {vectors.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("query must be finite")
     return q
 
 
@@ -87,7 +90,8 @@ def lsh_query(ix: LshIndex, q, top_k: int) -> tuple[list[int], int]:
 
     Returns the top_k ids and the size of the union, which is the number of
     database vectors the query scanned. May return fewer than top_k ids when
-    the buckets are sparse. top_k below 1 is a ValueError.
+    the buckets are sparse. top_k below 1, or a query that is not finite, is
+    a ValueError.
     """
     q = _check_query(ix.db.vectors, q, top_k)
     keys = _hash_keys(q[None, :], ix.planes)[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -242,6 +243,12 @@ def _cmd_evaluate(args) -> int:
         times = timing.get("query_times_s") if isinstance(timing, dict) else None
         if not isinstance(times, list) or any(type(t) not in (int, float) for t in times):
             raise DataError(f"{args.timing}: query_times_s must be a list of numbers")
+        # `json.load` takes NaN and Infinity, and a NaN or infinite mean
+        # would make the report invalid JSON
+        finite = all(0 <= t <= sys.float_info.max for t in times)
+        if not (finite and math.isfinite(sum(map(float, times)))):
+            raise DataError(f"{args.timing}: query_times_s must be finite, >= 0 "
+                            "and of finite sum")
     report = evaluation.evaluate(results, gt, query_times=times,
                                  config=resolved, exclude_self=args.exclude_self)
     print(f"MAP {report.map:.6f}")

@@ -178,6 +178,10 @@ class InvertedIndex:
             ok = isinstance(q, VirtualWordBank) and q.means.shape == (q.dim, cfg.code_length)
         if not ok:
             raise ValueError(f"{cfg} does not make a quantizer of this type and shape")
+        # the values `save` writes, so the index computes with what loads
+        if cfg.pq and q.sub_codebooks.dtype.type is not np.float32:
+            raise ValueError(f"codebook dtype {q.sub_codebooks.dtype} is not float32, "
+                             "the dtype of the file's payload")
 
 
 @dataclass

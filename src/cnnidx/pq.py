@@ -394,10 +394,13 @@ def _sq_dists(x: np.ndarray, x_sq: np.ndarray, c: np.ndarray, out: np.ndarray) -
 
 
 def segment_distances(x, cb: PqCodebook) -> np.ndarray:
-    """Per-segment squared distances of one vector, shape (M, K)."""
+    """Per-segment squared distances of one finite vector, shape (M, K); a
+    NaN or infinite value is a ValueError, as for a `search` query."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cb.dim,):
         raise ValueError(f"vector dim {x.shape} does not match codebook dim {cb.dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("vector must be finite")
     return segment_distances_batch(x[None], cb)[0]
 
 

@@ -35,6 +35,13 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             baseline.brute_force(db, np.zeros(3), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        """A NaN distance would sort last and rank ids by id alone."""
+        db = FeatureSet(np.eye(8, dtype=np.float32))
+        with pytest.raises(ValueError, match="query must be finite"):
+            baseline.brute_force(db, [bad] * 8, 3)
+
     @pytest.mark.parametrize("top_k", [0, -2])
     def test_top_k_below_one_rejected(self, top_k):
         """A slice `order[:-2]` would give all but two ids, and `[:0]` none."""
@@ -91,6 +98,15 @@ class TestLsh:
         ix = baseline.lsh_build(db, LshConfig(tables=2, bits_per_table=4))
         with pytest.raises(ValueError, match="does not match database"):
             baseline.lsh_query(ix, np.zeros(5), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        db = FeatureSet(np.ones((20, 8), dtype=np.float32))
+        ix = baseline.lsh_build(db, LshConfig(tables=2, bits_per_table=4))
+        q = np.zeros(8)
+        q[3] = bad
+        with pytest.raises(ValueError, match="query must be finite"):
+            baseline.lsh_query(ix, q, 3)
 
     @pytest.mark.parametrize("top_k", [0, -2])
     def test_top_k_below_one_rejected(self, top_k):

@@ -448,6 +448,24 @@ def test_malformed_timing_file_is_data_error(tmp_path, capsys, timing):
     assert "query_times_s must be a list of numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", [
+    "[NaN, 1e308, -5]", "[0.1, NaN]", "[0.1, Infinity]", "[-Infinity]", "[0.1, -5]",
+    "[1e308, 1e308]", "[1e400]", "[1" + "0" * 400 + "]",
+], ids=["mixed", "nan", "inf", "minus-inf", "negative", "sum-overflows", "float-inf",
+        "huge-int"])
+def test_timing_values_not_finite_seconds_are_data_error(tmp_path, capsys, times):
+    """`json.load` reads NaN and Infinity, which a report must not hold."""
+    vecio.write_int_lists([[0, 1], [2, 3]], tmp_path / "r.ivecs")
+    (tmp_path / "gt.txt").write_text("0: 0 1\n1: 2 3\n")
+    (tmp_path / "t.json").write_text('{"query_times_s": %s}' % times)
+    rc = run(["evaluate", "--results", str(tmp_path / "r.ivecs"),
+              "--ground-truth", str(tmp_path / "gt.txt"), "--timing", str(tmp_path / "t.json"),
+              "--out", str(tmp_path / "report.json")])
+    assert rc == EXIT_DATA
+    assert "query_times_s must be finite, >= 0 and of finite sum" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_query_with_no_results_evaluates_to_zero(workspace, tmp_path, capsys):
     # no entry has a Hamming distance below T = 0, so every record is empty
     rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "tifc",

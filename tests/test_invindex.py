@@ -496,6 +496,20 @@ class TestQuantizerMatchesConfig:
         with pytest.raises(ValueError, match=message):
             invindex.InvertedIndex(**{**fields, "quantizer": quantizer})
 
+    def test_float64_codebook_refused(self, indexes):
+        """`save` writes the codebook as float32, so a float64 one (the
+        trained codebook plus 1e-9 noise) would answer otherwise in memory
+        than after a round trip."""
+        ix = indexes["ifc"]
+        sub = ix.quantizer.sub_codebooks.astype(np.float64) + 1e-9
+        fields = {f.name: getattr(ix, f.name) for f in dataclasses.fields(ix)}
+        for make in (lambda q: dataclasses.replace(ix, quantizer=q),
+                     lambda q: invindex.InvertedIndex(**{**fields, "quantizer": q})):
+            with pytest.raises(ValueError, match="codebook dtype float64 is not float32"):
+                make(pq.PqCodebook(sub))
+        # a big-endian float32 codebook holds the same values: accepted
+        dataclasses.replace(ix, quantizer=pq.PqCodebook(sub.astype(">f4")))
+
     def test_quantizers_hold_only_their_arrays(self):
         assert [f.name for f in dataclasses.fields(pq.PqCodebook) if f.init] == ["sub_codebooks"]
         assert [f.name for f in dataclasses.fields(tifc.VirtualWordBank)] == ["means"]

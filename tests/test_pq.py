@@ -711,6 +711,18 @@ class TestAssign:
         with pytest.raises(ValueError):
             pq.assign(np.zeros(5), cb)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["segment_distances", "assign", "nearest_words"])
+    def test_non_finite_vector_rejected(self, entry, bad):
+        """As `search` does for a query: NaN distances would rank words by
+        id alone."""
+        cb = random_codebook(k=4, m=2, seg_dim=2)
+        x = np.zeros(4)
+        x[1] = bad
+        args = (3,) if entry == "nearest_words" else ()
+        with pytest.raises(ValueError, match="vector must be finite"):
+            getattr(pq, entry)(x, cb, *args)
+
     def test_rounding_tie_goes_to_smaller_word(self):
         """Words 0 = (0, 0) and 2 = (1, 0) sum to the same float64 distance,
         although sub-word 1 of segment 0 is strictly nearer: `assign` agrees

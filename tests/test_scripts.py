@@ -1,21 +1,23 @@
-"""The stage scripts under `scripts/` copy `invindex.load`, `search.query`
-and `search._scan` stage by stage to time each stage. Each copy checks its
-answers against the real function and raises on a mismatch, so running them
-here on small indexes fails the suite when a copy drifts. Each timing comes
-raw and divided by its pass's host factor (`scripts/hostfactor.py`)."""
+"""The stage scripts under `scripts/` time the real `invindex.load`,
+`search.query` and `search.batch_query`, split into stages by the calls that
+`scripts/stagetimer.StageTimer` wraps. Running them here on small indexes
+fails the suite when a wrapped name leaves `cnnidx` or a stage stops being
+called. Each timing comes raw and divided by its pass's host factor."""
 
 import importlib.util
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cnnidx import invindex, vecio
+from cnnidx import invindex, search, vecio
 from cnnidx.search import QueryConfig
 from cnnidx.vecio import SynthSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+QUERY_CFG = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
 
 
 def load_script(name: str):
@@ -35,28 +37,40 @@ def index(request, tifc_index, ifc_index):
     return tifc_index if request.param == "tifc" else ifc_index
 
 
-def check_columns(timings, stages, factor=None):
-    """Every stage has a raw and a host-corrected timing, both positive, and
-    with a known factor the corrected one is the raw one over it."""
+def check_columns(timings, stages, empty=(), factor=None):
+    """Every stage has a raw and a host-corrected timing, positive but for
+    the stages in `empty`, which the run never called, and with a known
+    factor the corrected one is the raw one over it."""
     assert set(timings) == set(stages)
-    for raw, corrected in timings.values():
-        assert raw > 0 and corrected > 0
+    for stage, (raw, corrected) in timings.items():
+        assert (raw == corrected == 0) if stage in empty else (raw > 0 and corrected > 0)
         if factor is not None:
             assert corrected == pytest.approx(raw / factor, rel=1e-12)
 
 
+def load_medians(path, passes, factor=None):
+    bench = load_script("bench_stages")
+    medians = bench.stage_medians(bench.LOAD_STAGES, "load",
+                                  [lambda: invindex.load(path)], passes)
+    check_columns(medians, [*bench.LOAD_STAGES, "load"], factor=factor)
+
+
+def query_medians(ix, queries, passes, factor=None):
+    bench = load_script("bench_stages")
+    medians = bench.stage_medians(bench.QUERY_STAGES, "query",
+                                  [lambda q=q: search.query(ix, q, QUERY_CFG) for q in queries],
+                                  passes)
+    empty = () if ix.config.pq else ("scores",)  # TIFC has no word scores
+    check_columns(medians, [*bench.QUERY_STAGES, "query"], empty, factor)
+
+
 def test_bench_load_stages_match_load(index, tmp_path):
-    bench_load = load_script("bench_load")
-    path = tmp_path / "x.idx"
-    invindex.save(index, path)
-    check_columns(bench_load.stage_medians(path, loads=1), bench_load.STAGES)
+    invindex.save(index, tmp_path / "x.idx")
+    load_medians(tmp_path / "x.idx", passes=1)
 
 
 def test_bench_query_stages_match_query(index, small_dataset):
-    bench_query_stages = load_script("bench_query_stages")
-    cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
-    medians = bench_query_stages.stage_medians(index, small_dataset[1].vectors, cfg, passes=1)
-    check_columns(medians, bench_query_stages.STAGES)
+    query_medians(index, small_dataset[1].vectors, passes=1)
 
 
 def criterion7_case():
@@ -68,31 +82,66 @@ def criterion7_case():
 
 def test_bench_criterion7_stages_match_scan():
     bench_criterion7 = load_script("bench_criterion7")
-    stages, scanned, kept = bench_criterion7.stage_times(*criterion7_case())
+    stages, scanned, kept = bench_criterion7.scan_stages(*criterion7_case())
     check_columns(stages, bench_criterion7.STAGES)
-    assert scanned > 0
+    assert scanned >= kept > 0
+
+
+@pytest.mark.parametrize("script, table", [
+    ("bench_stages", "LOAD_STAGES"), ("bench_stages", "QUERY_STAGES"),
+    ("bench_criterion7", "STAGES")])
+def test_every_wrapped_name_exists(script, table):
+    """A timer refuses a name that `cnnidx` does not have, so a rename
+    under `src/` fails here instead of leaving a stage at 0."""
+    timer_cls = load_script("stagetimer").StageTimer
+    timer_cls(getattr(load_script(script), table))
+    with pytest.raises(LookupError, match="search._no_such_stage"):
+        timer_cls({"scan": ("search._scan", "search._no_such_stage")})
+
+
+def test_timer_changes_no_answer_and_restores(index, small_dataset, tmp_path):
+    queries = small_dataset[1]
+    path = tmp_path / "x.idx"
+    invindex.save(index, path)
+    originals = (invindex.load, search._scan, search.hamming_to_many,
+                 type(index.quantizer).codes)
+    ref_single = [search.query(index, q, QUERY_CFG).entries for q in queries.vectors]
+    ref_batch = search.batch_query(index, queries, QUERY_CFG)[0]
+    tables = [load_script("bench_stages").LOAD_STAGES, load_script("bench_stages").QUERY_STAGES,
+              load_script("bench_criterion7").STAGES]
+    # every name of the three tables, once: a stage name two tables share
+    # wraps the same calls in both, or a subset of them in the first
+    timer = load_script("stagetimer").StageTimer({k: v for t in tables for k, v in t.items()})
+    with timer:
+        t0 = time.perf_counter()
+        loaded = invindex.load(path)
+        whole = time.perf_counter() - t0
+        stages = timer.take()
+        single = [search.query(loaded, q, QUERY_CFG).entries for q in queries.vectors]
+        batch = search.batch_query(loaded, queries, QUERY_CFG)[0]
+    assert all(np.array_equal(getattr(loaded, a), getattr(index, a))
+               for a in ("wids", "offsets", "ids", "codes"))
+    assert single == ref_single and batch == ref_batch
+    # self times are disjoint, so the stages of `load` fit in the whole call
+    assert 0 < sum(stages.values()) <= whole
+    assert originals == (invindex.load, search._scan, search.hamming_to_many,
+                         type(index.quantizer).codes)
 
 
 def test_stage_scripts_divide_by_host_factor(ifc_index, small_dataset, tmp_path,
                                              monkeypatch):
     """With every host sample at twice `hostref.REF_QUERY_S`, each pass's
     factor is 2, and every corrected timing is its raw one halved."""
-    hostref = load_script("hostfactor").hostref
+    hostref = load_script("stagetimer").hostref
 
     def sample(self):
         self.times.append(time.perf_counter())
         self.seconds.append(2 * hostref.REF_QUERY_S)
 
     monkeypatch.setattr(hostref.HostRef, "sample", sample)
-    bench_load = load_script("bench_load")
-    path = tmp_path / "x.idx"
-    invindex.save(ifc_index, path)
-    check_columns(bench_load.stage_medians(path, loads=3), bench_load.STAGES, 2.0)
-    bench_query_stages = load_script("bench_query_stages")
-    cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
-    medians = bench_query_stages.stage_medians(ifc_index, small_dataset[1].vectors, cfg,
-                                               passes=2)
-    check_columns(medians, bench_query_stages.STAGES, 2.0)
+    invindex.save(ifc_index, tmp_path / "x.idx")
+    load_medians(tmp_path / "x.idx", passes=3, factor=2.0)
+    query_medians(ifc_index, small_dataset[1].vectors, passes=2, factor=2.0)
     bench_criterion7 = load_script("bench_criterion7")
-    stages = bench_criterion7.stage_times(*criterion7_case())[0]
-    check_columns(stages, bench_criterion7.STAGES, 2.0)
+    stages = bench_criterion7.scan_stages(*criterion7_case())[0]
+    check_columns(stages, bench_criterion7.STAGES, factor=2.0)
