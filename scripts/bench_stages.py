@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Median time of each stage of `invindex.load` and of `search.query`, on
-an index shaped like each benchmark workload.
+"""Median time of each stage of `invindex.build`, `invindex.load` and
+`search.query`, on an index shaped like each benchmark workload.
 
     PYTHONPATH=src python3 scripts/bench_stages.py [--seed 1] [--loads 40] [--queries 300] [--passes 5]
 
@@ -8,9 +8,24 @@ One index per workload that `BENCHMARK.json` runs (`ifc-hard` and
 `tifc-wide`) is built from `perfbench/datagen.hard_vectors` with the shape
 and build parameters of `perfbench/run.py`'s `WORKLOADS`, through
 `invindex.build_config`, saved to a temporary directory and queried with
-that workload's W, T and top-k. The real `load` and `query` run, and a
-`stagetimer.StageTimer` splits their time into the self times of named
-calls. The stages of `load`, in ms per load:
+that workload's W, T and top-k. The real `build`, `load` and `query` run,
+and a `stagetimer.StageTimer` splits their time into the self times of
+named calls. The stages of `build` and `save`, in ms per build:
+
+- train: the IFC codebook's training (`pq.train`) or the TIFC table draw
+  (`tifc.make_virtual_words`);
+- words: the quantizer's `words`, each chunk's words;
+- codes: the quantizer's `codes`, each chunk's codes against its words;
+- group + save: the rest of `build` and `save`: chiefly the grouping of
+  the postings into lists and the file, with the copies of the chunks'
+  results and the caller's wait for the helpers' last chunks.
+
+`build` encodes its chunks on the calling thread and one helper per further
+CPU, up to `invindex.MAX_THREADS`, so words and codes are busy time summed
+over threads, and the stages may add up to more than the whole `build` (and
+`save`) call beside them.
+
+The stages of `load`, in ms per load:
 
 - header: `invindex._read_header`;
 - quantizer: the IFC codebook's constants (`PqCodebook.__post_init__`) or
@@ -30,11 +45,12 @@ The stages of `query`, in us per query:
 - encode: the quantizer's `codes`, the query's codes against its words;
 - scan: `search._scan`, the list scan, votes and ranking.
 
-`load` and `query` are whole calls. `--loads` rounds of one load each, and
-`--passes` passes over the queries, each follow one warm round or pass, and
-each cell gives the median per call, raw and, after a slash, of the
-timings divided by their round's or pass's host factor
-(`scripts/stagetimer.py`), which reads the same on a slower or busier host.
+`build`, `load` and `query` are whole calls. `BUILDS` rounds of one build
+each, `--loads` rounds of one load each and `--passes` passes over the
+queries each follow one warm round or pass, and each cell gives the median
+per call, raw and, after a slash, of the timings divided by their round's
+or pass's host factor (`scripts/stagetimer.py`), which reads the same on a
+slower or busier host.
 The file size of each index is printed too.
 """
 
@@ -60,6 +76,13 @@ from run import WORKLOADS  # noqa: E402
 from cnnidx import invindex, search  # noqa: E402
 from cnnidx.vecio import FeatureSet  # noqa: E402
 
+BUILDS = 5  # timed builds per workload, after one warm build
+BUILD_STAGES = {
+    "train": ("pq.train", "tifc.make_virtual_words"),
+    "words": ("pq.PqCodebook.words", "tifc.VirtualWordBank.words"),
+    "codes": ("pq.PqCodebook.codes", "tifc.VirtualWordBank.codes"),
+    "group + save": ("invindex.build", "invindex.save"),
+}
 LOAD_STAGES = {
     "header": ("invindex._read_header",),
     "quantizer": ("pq.PqCodebook.__post_init__", "tifc.make_virtual_words"),
@@ -121,8 +144,10 @@ def main() -> None:
             spec = WORKLOADS[name]
             db, queries = datagen.hard_vectors(args.seed, spec["n"], args.queries, spec["dim"])
             path = Path(tmp) / f"{name}.idx"
-            invindex.save(invindex.build(FeatureSet(db), invindex.build_config(
-                spec["scheme"], spec)), path)
+            db, build_cfg = FeatureSet(db), invindex.build_config(spec["scheme"], spec)
+            build = stage_medians(BUILD_STAGES, "build",
+                                  [lambda: invindex.save(invindex.build(db, build_cfg), path)],
+                                  BUILDS)
             del db
             ix = invindex.load(path)
             cfg = search.QueryConfig(assignment_count=spec["W"], hamming_threshold=spec["T"],
@@ -132,6 +157,8 @@ def main() -> None:
                                   [lambda q=q: search.query(ix, q, cfg) for q in queries],
                                   args.passes)
             print(f"{name}, {path.stat().st_size:,} bytes")
+            print("  ms per build, raw / host-corrected | " + " | ".join(build))
+            print("  " + row("build", build, 1e3, 1))
             print("  ms per load, raw / host-corrected | " + " | ".join(load))
             print("  " + row("load", load, 1e3, 2))
             print("  us per query, raw / host-corrected | " + " | ".join(query))

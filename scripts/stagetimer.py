@@ -10,7 +10,11 @@ to it in a `cnnidx` module, because callers import some into their own
 namespace; a method is replaced on its class. Classes themselves are never
 replaced, as `InvertedIndex` checks its quantizer with `isinstance`. A
 stage's time is the self time of its calls: their wall time less that of the
-wrapped calls made inside them. A name that `cnnidx` does not have is a
+wrapped calls made inside them on the same thread: each thread keeps its
+own stack of open calls, so a build's helper threads add their calls' time
+to their stages and take none from the caller's. A stage's time is so the
+busy time of its calls summed over threads, and may exceed the wall time of
+the call that ran them. A name that `cnnidx` does not have is a
 `LookupError`, so a rename fails the scripts rather than dropping a stage.
 
 The stage scripts time their passes on shared hosts whose speed moves by
@@ -27,6 +31,7 @@ from __future__ import annotations
 import functools
 import importlib
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -35,8 +40,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import hostref  # noqa: E402
 
 
+class _Stacks(threading.local):
+    """One stack per thread: the wall time of the wrapped calls made inside
+    each of the thread's open calls."""
+
+    def __init__(self):
+        self.calls: list[float] = []
+
+
 class StageTimer:
-    """Self time of each stage, summed over the calls made while it is on.
+    """Self time of each stage, summed over the calls made while it is on,
+    on any thread.
 
     `counters` maps a wrapped name to a function of a call's result that
     returns counts; `counts[name]` sums them. Counting is in no stage's time.
@@ -45,7 +59,8 @@ class StageTimer:
     def __init__(self, stages: dict[str, tuple[str, ...]], counters: dict | None = None):
         counters = counters or {}
         self.counts = dict.fromkeys(counters, 0)
-        self._stack: list[float] = []  # wall time of the wrapped calls inside each open call
+        self._stacks = _Stacks()
+        self._lock = threading.Lock()  # the sums take calls from every thread
         self._times = dict.fromkeys(stages, 0.0)
         self._patches: list[tuple] = []  # (owner, attribute, original, wrapper)
         found, absent = [], []
@@ -71,10 +86,11 @@ class StageTimer:
                                   for a, v in vars(m).items() if v is fn]
 
     def _wrap(self, stage: str, fn, count, name: str):
-        times, stack, counts = self._times, self._stack, self.counts
+        times, stacks, counts, lock = self._times, self._stacks, self.counts, self._lock
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            stack = stacks.calls
             stack.append(0.0)
             t0 = time.perf_counter()
             try:
@@ -82,9 +98,10 @@ class StageTimer:
             finally:
                 t1 = time.perf_counter()
                 inner = stack.pop()
-            if count is not None:
-                counts[name] += count(result)
-            times[stage] += t1 - t0 - inner
+            with lock:
+                if count is not None:
+                    counts[name] += count(result)
+                times[stage] += t1 - t0 - inner
             if stack:
                 stack[-1] += time.perf_counter() - t0
             return result
@@ -102,8 +119,9 @@ class StageTimer:
 
     def take(self) -> dict[str, float]:
         """Each stage's seconds since the last `take`, and start again from 0."""
-        out = dict(self._times)
-        self._times.update(dict.fromkeys(out, 0.0))
+        with self._lock:
+            out = dict(self._times)
+            self._times.update(dict.fromkeys(out, 0.0))
         return out
 
 

@@ -41,16 +41,19 @@ breaks one of these rules, so a query never meets an id outside
 `CNNIDX03` (a header that also held the word count and a quantizer kind)
 files are not read; rebuild them.
 
-Build and query share one encoding stage, `encode_chunks`, and the
-quantizer does the work. `tifc.VirtualWordBank` and `pq.PqCodebook` have the
-same members: `words` gives a matrix of rows their words (TIFC: the top
-softmax bins; IFC: the exact nearest product words), `codes` packs each row's
-codes against those words' segment means, `stage_width` is the word stage's
+Build and query share one encoding stage, `encode_rows`, and the quantizer
+does the work. `tifc.VirtualWordBank` and `pq.PqCodebook` have the same
+members: `words` gives a matrix of rows their words (TIFC: the top softmax
+bins; IFC: the exact nearest product words), `codes` packs each row's codes
+against those words' segment means, `stage_width` is the word stage's
 float64 values per row, `word_count` counts the words, and `payload` is the
 quantizer's part of the file. A quantizer holds only its arrays, and an index
 takes only the one its config makes. A row's words and codes depend on that
 row alone, so a database vector queried with itself gets exactly its S links
-and their codes.
+and their codes. `batch_query` streams its chunks through `encode_chunks`;
+`build` encodes its chunks on the calling thread and one helper thread per
+further CPU, up to `MAX_THREADS` (`_fill_rows`), and its file does not depend
+on the thread count.
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -68,6 +71,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import threading
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -88,6 +92,12 @@ SCHEME_IFC = "ifc"
 
 # Largest TIFC table of segment means, D * L, that build or load will draw.
 MAX_TABLE_ENTRIES = 1 << 24
+
+# Most threads a build encodes on, the caller included. Two were measured (2
+# vCPUs), on 1 MiB chunks at the default budget; chunks of a few rows run
+# slower on two threads than on one (`vecio.CHUNK_BYTES`), and w threads take
+# chunks of a 4w-th of the budget, so more threads stay unmeasured.
+MAX_THREADS = 2
 
 
 @dataclass
@@ -195,18 +205,90 @@ class IndexStats:
     estimated_file_bytes: int = 0
 
 
+def encode_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
+                code_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The quantizer's (rows, count) words and their codes for a chunk of
+    rows, cast to float64 once."""
+    chunk = np.asarray(xs, dtype=np.float64)
+    wids = quantizer.words(chunk, count)
+    return wids, quantizer.codes(chunk, wids, code_length)
+
+
+def _row_bytes(quantizer: VirtualWordBank | PqCodebook, dim: int, count: int,
+               code_length: int) -> int:
+    """Working bytes of one row of `encode_rows`: D + stage_width + count * L
+    float64 values, its input, its word stage and the means of its words."""
+    return 8 * (dim + quantizer.stage_width + count * code_length)
+
+
 def encode_chunks(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
                   code_length: int):
-    """Yield the quantizer's (rows, count) words and their codes for the rows
-    of xs, chunk after chunk. Each chunk is cast to float64 once, and its
-    rows * (D + stage_width + count * L) float64 values stay within
-    `CHUNK_BYTES`."""
-    width = xs.shape[1] + quantizer.stage_width + count * code_length
-    rows = chunk_rows(width * 8)
+    """Yield `encode_rows` of the rows of xs, chunk after chunk, each chunk's
+    rows within `CHUNK_BYTES` by `_row_bytes`."""
+    rows = chunk_rows(_row_bytes(quantizer, xs.shape[1], count, code_length))
     for lo in range(0, len(xs), rows):
-        chunk = np.asarray(xs[lo:lo + rows], dtype=np.float64)
-        wids = quantizer.words(chunk, count)
-        yield wids, quantizer.codes(chunk, wids, code_length)
+        yield encode_rows(quantizer, xs[lo:lo + rows], count, code_length)
+
+
+def _cpus() -> int:
+    """CPUs in this process's affinity mask (a CPU quota is not seen)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _fill_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: np.ndarray,
+               codes: np.ndarray, code_length: int) -> None:
+    """Write `encode_rows` of every row of xs into that row of wids (n, S)
+    and codes (n, S, B), chunk by chunk, on w threads: the caller and one
+    helper per further CPU (`_cpus`), at most `MAX_THREADS` and no more than
+    there are chunks. Thread t takes chunks t, t + w, t + 2w, ... Numpy
+    releases the GIL in the large calls of a chunk, so the threads run side
+    by side.
+
+    On one CPU no thread starts and the chunks take `CHUNK_BYTES` each. With
+    w threads each chunk takes a 4w-th of it, so the chunks in flight stay
+    within a quarter of the budget: each helper's malloc arena keeps its
+    chunk's working set after the build. The first exception of any thread,
+    or one that reaches the caller while it waits for the helpers, stops
+    every thread before its next chunk. A thread's exception comes out of
+    this call once every helper has ended."""
+    n, count = wids.shape
+    threads = min(_cpus(), MAX_THREADS)
+    row_bytes = _row_bytes(quantizer, xs.shape[1], count, code_length)
+    rows = chunk_rows(row_bytes * 4 * threads if threads > 1 else row_bytes)
+    starts = range(0, n, rows)
+    workers = min(threads, len(starts))
+    errors = []  # non-empty once any thread has raised: every thread stops
+
+    def fill(first: int) -> None:
+        try:
+            for lo in starts[first::workers]:
+                if errors:
+                    return
+                part = slice(lo, lo + rows)
+                wids[part], codes[part] = encode_rows(quantizer, xs[part], count, code_length)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=fill, args=(first,))
+            thread.start()
+            helpers.append(thread)
+    except BaseException as exc:  # a thread that did not start: the others stop
+        errors.append(exc)
+    fill(0)
+    try:
+        for thread in helpers:
+            thread.join()
+    except BaseException as exc:  # an interrupt while waiting: the helpers stop
+        errors.append(exc)
+        raise
+    if errors:
+        raise errors[0]
 
 
 def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) -> InvertedIndex:
@@ -216,7 +298,11 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     itself; TIFC takes none). The configuration's shape, and the training
     set's dimension and row count, are checked before any training. Every
     image lands in exactly S distinct posting lists. Rows go through
-    `encode_chunks`; the index does not depend on the chunk size.
+    `encode_rows` a chunk at a time, on as many threads as the process has
+    CPUs, up to `MAX_THREADS` (`_fill_rows`); a row's words and codes come
+    from that row alone, with no BLAS call (IFC's distances are `einsum`
+    contractions), so the file does not depend on the chunk size or the
+    thread count.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
@@ -240,11 +326,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     wid_t, _, id_t = posting_dtypes(word_count, n)
     wids = np.empty((n, s), dtype=wid_t)
     codes = np.empty((n, s, code_bytes(cfg.code_length)), dtype=np.uint8)
-    lo = 0
-    for chunk_wids, chunk_codes in encode_chunks(quantizer, db.vectors, s, cfg.code_length):
-        wids[lo : lo + len(chunk_wids)] = chunk_wids
-        codes[lo : lo + len(chunk_wids)] = chunk_codes
-        lo += len(chunk_wids)
+    _fill_rows(quantizer, db.vectors, wids, codes, cfg.code_length)
     # entry e belongs to row e // S, so ids ascend already, and a stable sort
     # on the word (a radix sort for word counts up to 2^16) groups the lists
     # in (word, id) order

@@ -69,9 +69,9 @@ class PqCodebook:
     Construction derives the constants that every word assignment reads:
     `centroids`, the sub-codebooks cast to float64, and `sq_norms`, their
     (M, K) squared norms by `einsum`. `mean_table` builds each code length's
-    table of sub-centroid segment means on first use and keeps it. All of
-    them are read-only, and `sub_codebooks` must not change after
-    construction.
+    table of sub-centroid segment means on first use and keeps it, one table
+    for every thread that asks. All of them are read-only, and
+    `sub_codebooks` must not change after construction.
     """
 
     sub_codebooks: np.ndarray  # (M, K, D/M) float32
@@ -94,8 +94,9 @@ class PqCodebook:
             m = len(self.sub_codebooks)
             if code_length % m:
                 raise ValueError(f"code length {code_length} not divisible by {m} segments")
-            table = _read_only(segment_means(self.sub_codebooks, code_length // m))
-            self._mean_tables[code_length] = table
+            # two threads may make it at once; both return the one stored
+            table = self._mean_tables.setdefault(
+                code_length, _read_only(segment_means(self.sub_codebooks, code_length // m)))
         return table
 
     @property

@@ -26,12 +26,24 @@ import numpy as np
 
 # Bytes of working buffer per chunk of rows, the one budget of every pass
 # over rows: a feature file's read and write here (int32 records),
-# `invindex.encode_chunks` for the build and for batch queries alike, and
+# `invindex.encode_rows` for the build and for batch queries alike, and
 # `baseline`'s brute force and LSH hashing (float64 working arrays). A row
-# that `encode_chunks` encodes takes D + stage + count*L float64 values: its
+# that `encode_rows` encodes takes D + stage + count*L float64 values: its
 # input, its word stage (D term frequencies for TIFC, M*K segment distances
-# for IFC) and the means of its `count` words. Median seconds of the build's
-# encoding loop over 9 runs (2 vCPUs), by budget:
+# for IFC) and the means of its `count` words. A build on w > 1 CPUs encodes
+# on w threads (at most `invindex.MAX_THREADS`), each chunk at a 4w-th of
+# the budget, so the chunks in flight take a quarter of it: each helper
+# thread's malloc arena keeps its chunk's working set after the build. Median seconds of the build's encoding loop,
+# in process on the seed-1 benchmark data, interleaved, 7 runs (2 vCPUs):
+#
+#   threads, bytes per chunk   1, 8 MiB   2, 0.5 MiB   2, 1 MiB   2, 2 MiB
+#   tifc-wide                  0.41       0.41         0.29       0.23
+#   ifc-hard                   0.31       0.28         0.23       0.20
+#
+# Two threads at 4 MiB chunks took 0.23 and 0.19 s, but each helper's arena
+# then holds a whole chunk. Chunks of one or a few rows cost more on two
+# threads than on one, as the threads hand the GIL back and forth between
+# many small calls. Earlier, on one thread, by budget (medians of 9 runs):
 #
 #   budget      2 MiB   4 MiB   8 MiB   16 MiB   64 MiB   S*L only
 #   tifc-wide   0.57    0.58    0.47    0.55     0.83     0.98

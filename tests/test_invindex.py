@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import struct
+import sys
+import threading
 import tracemalloc
 import zlib
 
@@ -144,6 +146,9 @@ class TestBuild:
     @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
     def test_index_bytes_independent_of_chunk_size(self, scheme, small_dataset, tmp_path,
                                                    monkeypatch):
+        """On one CPU the chunks run in order on the calling thread, each of
+        `CHUNK_BYTES`; `TestThreadedFill` covers more threads."""
+        monkeypatch.setattr(invindex, "_cpus", lambda: 1)
         db = small_dataset[0]
         cfg = BuildConfig(scheme=scheme, link_count=3, code_length=8,
                           pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3)
@@ -214,6 +219,227 @@ class TestBuild:
         invindex.save(invindex.build(db, cfg), a)
         invindex.save(invindex.build(db, cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestThreadedFill:
+    """`build` encodes its chunks on the calling thread and one helper per
+    further CPU, up to `invindex.MAX_THREADS`; tests set the CPU count by
+    patching `invindex._cpus`, and raise `MAX_THREADS` to run more than two
+    threads. Rows of 16 values at S = 3, L = 8 take 8 * (16 + stage + 24)
+    bytes each."""
+
+    @staticmethod
+    def config(scheme):
+        return BuildConfig(scheme=scheme, link_count=3, code_length=8,
+                           pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3,
+                                       kmeans_iters=3) if scheme == "ifc" else None)
+
+    @staticmethod
+    def recording_words(monkeypatch, record):
+        """Patch both quantizers' `words` to call record(xs) first."""
+        for cls in (tifc.VirtualWordBank, pq.PqCodebook):
+            def words(self, xs, count, original=cls.words):
+                record(xs)
+                return original(self, xs, count)
+            monkeypatch.setattr(cls, "words", words)
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    @pytest.mark.parametrize("chunk_bytes", [1, 20_000, 200_000, 8 << 20])
+    def test_index_bytes_equal_for_any_worker_count(self, scheme, chunk_bytes, tmp_path,
+                                                    monkeypatch):
+        """Chunks of 1 row to the whole database, on 1, 2 or 3 threads: one
+        file. Every thread of the build encodes chunks: as many as there are
+        CPUs, or chunks when fewer."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((300, 16)).astype(np.float32)
+        x[200:] = x[:100]  # duplicate rows
+        db = FeatureSet(x)
+        threads = set()
+        self.recording_words(monkeypatch, lambda xs: threads.add(threading.current_thread()))
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(invindex, "MAX_THREADS", 3)
+        files = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(invindex, "_cpus", lambda w=workers: w)
+            threads.clear()
+            before = threading.active_count()
+            ix = invindex.build(db, self.config(scheme))
+            assert threading.active_count() == before
+            row_bytes = 8 * (16 + ix.quantizer.stage_width + 3 * 8)
+            rows = vecio.chunk_rows(row_bytes * (4 * workers if workers > 1 else 1))
+            assert len(threads) == min(workers, -(-300 // rows))
+            files.append(tmp_path / f"w{workers}.idx")
+            invindex.save(ix, files[-1])
+        assert files[1].read_bytes() == files[0].read_bytes() == files[2].read_bytes()
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_many_threads_switching_often(self, scheme, monkeypatch):
+        """Eight threads on 2-row chunks, the interpreter switching threads
+        every microsecond: the arrays equal a one-thread build's."""
+        x = np.random.default_rng(17).standard_normal((400, 16)).astype(np.float32)
+        monkeypatch.setattr(invindex, "_cpus", lambda: 1)
+        ref = invindex.build(FeatureSet(x), self.config(scheme))
+        monkeypatch.setattr(invindex, "_cpus", lambda: 8)
+        monkeypatch.setattr(invindex, "MAX_THREADS", 8)
+        row_bytes = 8 * (16 + ref.quantizer.stage_width + 3 * 8)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 2 * 4 * 8 * row_bytes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = invindex.build(FeatureSet(x), self.config(scheme))
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("wids", "offsets", "ids", "codes"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("workers", [1, 2, 64])
+    def test_chunk_budget(self, workers, monkeypatch):
+        """One CPU starts no thread and takes `CHUNK_BYTES` a chunk; two
+        share a quarter of it, an eighth each, and so do 64, which run no
+        more than `MAX_THREADS` = 2 threads."""
+        rows = []
+        self.recording_words(monkeypatch, lambda xs: rows.append(
+            (len(xs), threading.active_count())))
+        monkeypatch.setattr(invindex, "_cpus", lambda: workers)
+        row_bytes = 8 * (16 + 16 + 3 * 8)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 16 * row_bytes)
+        before = threading.active_count()
+        x = np.random.default_rng(13).standard_normal((100, 16)).astype(np.float32)
+        invindex.build(FeatureSet(x), self.config("tifc"))
+        if workers == 1:
+            assert rows == [(16, before)] * 6 + [(4, before)]
+        else:
+            assert sorted(r for r, _ in rows) == [2] * 50
+            assert all(active <= before + 1 for _, active in rows)
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "helper-1", "helper-2"])
+    def test_exception_in_a_chunk_stops_the_build(self, scheme, failing, monkeypatch):
+        """Three threads over 1-row chunks: chunk `failing` is the first of
+        its thread, and another thread's first chunk, if it starts before
+        the failure, waits until the failing thread has left its chunks (a
+        helper has ended, or the caller waits for the helpers), so the error
+        is recorded. The exception comes out of `build` as it was raised, no
+        thread starts a later chunk, and every helper has ended."""
+        n = 30
+        x = np.random.default_rng(14).standard_normal((n, 16)).astype(np.float32)
+        x[:, 0] = np.arange(n)  # a chunk's one row names it
+        boom = RuntimeError("chunk failed")
+        failed, joining = threading.Event(), threading.Event()
+        raiser, started = [], []
+
+        class Thread(threading.Thread):
+            def join(self, timeout=None):
+                joining.set()  # the caller has left its chunks, or a waiter
+                super().join(timeout)
+
+        def record(xs):
+            chunk = int(xs[0, 0])
+            started.append(chunk)
+            if chunk == failing:
+                raiser.append(threading.current_thread())
+                failed.set()
+                raise boom
+            assert failed.wait(timeout=30)
+            if isinstance(raiser[0], Thread):
+                raiser[0].join(timeout=30)
+            else:
+                assert joining.wait(timeout=30)
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 3)
+        monkeypatch.setattr(invindex, "MAX_THREADS", 3)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        before = threading.active_count()
+        self.recording_words(monkeypatch, record)
+        with pytest.raises(RuntimeError) as info:
+            invindex.build(FeatureSet(x), self.config(scheme))
+        assert info.value is boom
+        assert failing in started and set(started) <= {0, 1, 2}
+        assert len(set(started)) == len(started)
+        assert threading.active_count() == before
+
+    def test_interrupt_while_waiting_stops_the_helpers(self, monkeypatch):
+        """An exception that reaches the caller while it waits for a helper
+        comes out of `build`, and the helper starts no chunk after its
+        current one."""
+        x = np.random.default_rng(18).standard_normal((10, 16)).astype(np.float32)
+        x[:, 0] = np.arange(10)
+        interrupt = KeyboardInterrupt()
+        release = threading.Event()
+        helpers, started = [], []
+
+        class Thread(threading.Thread):
+            def start(self):
+                helpers.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                if not release.is_set():
+                    raise interrupt
+                super().join(timeout)
+
+        def record(xs):
+            started.append(int(xs[0, 0]))
+            if int(xs[0, 0]) == 1:  # the helper's first chunk
+                assert release.wait(timeout=30)
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        self.recording_words(monkeypatch, record)
+        with pytest.raises(KeyboardInterrupt) as info:
+            invindex.build(FeatureSet(x), self.config("tifc"))
+        assert info.value is interrupt
+        release.set()
+        helpers[0].join(timeout=30)
+        assert not helpers[0].is_alive()
+        assert sorted(started) == [0, 1, 2, 4, 6, 8]
+
+    def test_helper_exception_after_caller_finishes(self, monkeypatch):
+        """The caller's chunks all pass; a helper's last chunk raises, and
+        its exception still comes out of `build`."""
+        x = np.random.default_rng(15).standard_normal((10, 16)).astype(np.float32)
+        x[:, 0] = np.arange(10)
+        boom = ValueError("last helper chunk")
+
+        def record(xs):
+            if int(xs[0, 0]) == 9:
+                raise boom
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+        self.recording_words(monkeypatch, record)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as info:
+            invindex.build(FeatureSet(x), self.config("tifc"))
+        assert info.value is boom
+        assert threading.active_count() == before
+
+    def test_thread_that_cannot_start_stops_the_build(self, monkeypatch):
+        """With three CPUs the second helper fails to start: its error comes
+        out of `build`, and the first helper, already running, has ended."""
+        refused = RuntimeError("can't start new thread")
+
+        class Thread(threading.Thread):
+            made = 0
+
+            def start(self):
+                Thread.made += 1
+                if Thread.made == 2:
+                    raise refused
+                super().start()
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 3)
+        monkeypatch.setattr(invindex, "MAX_THREADS", 3)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        before = threading.active_count()
+        x = np.random.default_rng(16).standard_normal((30, 16)).astype(np.float32)
+        with pytest.raises(RuntimeError) as info:
+            invindex.build(FeatureSet(x), self.config("tifc"))
+        assert info.value is refused and Thread.made == 2
+        assert threading.active_count() == before
 
 
 class TestBuildConfig:
@@ -415,6 +641,31 @@ class TestEncodeRows:
                 a[0] = 0.0
         with pytest.raises(ValueError, match="not divisible by 2 segments"):
             cb.mean_table(3)
+
+    def test_mean_table_made_at_once_by_two_threads(self, monkeypatch):
+        """Two threads that ask for a new table together both make it (the
+        barrier holds each in `segment_means` until the other arrives), and
+        both get back the one table the codebook keeps."""
+        cb = self.codebook(96, 2, False, seed=9)
+        barrier = threading.Barrier(2, timeout=30)
+
+        def segment_means(x, length):
+            barrier.wait()
+            return embed.segment_means(x, length)
+
+        monkeypatch.setattr(pq, "segment_means", segment_means)
+        tables = [None, None]
+
+        def ask(i):
+            tables[i] = cb.mean_table(8)
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert tables[0] is tables[1] is cb.mean_table(8)
 
 
 @pytest.mark.parametrize("scheme", ["tifc", "ifc"])

@@ -1,8 +1,9 @@
-"""The stage scripts under `scripts/` time the real `invindex.load`,
-`search.query` and `search.batch_query`, split into stages by the calls that
-`scripts/stagetimer.StageTimer` wraps. Running them here on small indexes
-fails the suite when a wrapped name leaves `cnnidx` or a stage stops being
-called. Each timing comes raw and divided by its pass's host factor."""
+"""The stage scripts under `scripts/` time the real `invindex.build`,
+`invindex.load`, `search.query` and `search.batch_query`, split into stages
+by the calls that `scripts/stagetimer.StageTimer` wraps. Running them here
+on small indexes fails the suite when a wrapped name leaves `cnnidx` or a
+stage stops being called. Each timing comes raw and divided by its pass's
+host factor."""
 
 import importlib.util
 import sys
@@ -12,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnnidx import invindex, search, vecio
+from cnnidx import invindex, search, tifc, vecio
+from cnnidx.invindex import BuildConfig
+from cnnidx.pq import PqConfig
+from cnnidx.vecio import FeatureSet
 from cnnidx.search import QueryConfig
 from cnnidx.vecio import SynthSpec
 
@@ -48,6 +52,21 @@ def check_columns(timings, stages, empty=(), factor=None):
             assert corrected == pytest.approx(raw / factor, rel=1e-12)
 
 
+BUILD_CFGS = {
+    "tifc": BuildConfig(scheme="tifc", link_count=3, code_length=8, virtual_word_seed=7),
+    "ifc": BuildConfig(scheme="ifc", link_count=3, code_length=8,
+                       pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3)),
+}
+
+
+def build_medians(db, cfg, path, passes, factor=None):
+    bench = load_script("bench_stages")
+    medians = bench.stage_medians(bench.BUILD_STAGES, "build",
+                                  [lambda: invindex.save(invindex.build(db, cfg), path)],
+                                  passes)
+    check_columns(medians, [*bench.BUILD_STAGES, "build"], factor=factor)
+
+
 def load_medians(path, passes, factor=None):
     bench = load_script("bench_stages")
     medians = bench.stage_medians(bench.LOAD_STAGES, "load",
@@ -62,6 +81,64 @@ def query_medians(ix, queries, passes, factor=None):
                                   passes)
     empty = () if ix.config.pq else ("scores",)  # TIFC has no word scores
     check_columns(medians, [*bench.QUERY_STAGES, "query"], empty, factor)
+
+
+@pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+def test_bench_build_stages_match_build(scheme, small_dataset, tmp_path):
+    """Every build stage is called, and the timed builds write the file an
+    untimed build writes."""
+    db, cfg = small_dataset[0], BUILD_CFGS[scheme]
+    invindex.save(invindex.build(db, cfg), tmp_path / "ref.idx")
+    build_medians(db, cfg, tmp_path / "x.idx", passes=1)
+    assert (tmp_path / "x.idx").read_bytes() == (tmp_path / "ref.idx").read_bytes()
+
+
+def test_timer_keeps_one_stack_per_thread(monkeypatch):
+    """A TIFC build on two threads over two chunks, each chunk's `words`
+    held 50 ms: both threads' calls count in `words`, which so sums to at
+    least 100 ms of busy time, and only the caller's are taken from the
+    self time of `build`."""
+    def slow_words(self, xs, count, original=tifc.VirtualWordBank.words):
+        time.sleep(0.05)
+        return original(self, xs, count)
+
+    monkeypatch.setattr(tifc.VirtualWordBank, "words", slow_words)
+    monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+    # 8 rows of 8 * (16 + 16 + 3 * 8) bytes per chunk, an eighth of the budget
+    monkeypatch.setattr(vecio, "CHUNK_BYTES", 8 * 8 * 448)
+    db = FeatureSet(np.random.default_rng(3).standard_normal((16, 16)).astype(np.float32))
+    timer = load_script("stagetimer").StageTimer(
+        {"build": ("invindex.build",), "words": ("tifc.VirtualWordBank.words",)},
+        counters={"tifc.VirtualWordBank.words": len})
+    with timer:
+        t0 = time.perf_counter()
+        invindex.build(db, BUILD_CFGS["tifc"])
+        whole = time.perf_counter() - t0
+    stages = timer.take()
+    assert timer.counts["tifc.VirtualWordBank.words"] == 16  # rows of both threads
+    assert stages["words"] >= 0.1
+    assert 0 <= stages["build"] <= whole - 0.05
+
+
+def test_timer_sums_every_thread_switching_often(monkeypatch):
+    """Eight build threads over 1-row chunks, the interpreter switching
+    threads every microsecond: the counts of every thread's calls add up to
+    the rows, with none lost."""
+    monkeypatch.setattr(invindex, "_cpus", lambda: 8)
+    monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+    db = FeatureSet(np.random.default_rng(4).standard_normal((400, 16)).astype(np.float32))
+    timer = load_script("stagetimer").StageTimer(
+        {"words": ("tifc.VirtualWordBank.words",)},
+        counters={"tifc.VirtualWordBank.words": len})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with timer:
+            invindex.build(db, BUILD_CFGS["tifc"])
+    finally:
+        sys.setswitchinterval(interval)
+    assert timer.counts["tifc.VirtualWordBank.words"] == 400
+    assert timer.take()["words"] > 0
 
 
 def test_bench_load_stages_match_load(index, tmp_path):
@@ -88,7 +165,8 @@ def test_bench_criterion7_stages_match_scan():
 
 
 @pytest.mark.parametrize("script, table", [
-    ("bench_stages", "LOAD_STAGES"), ("bench_stages", "QUERY_STAGES"),
+    ("bench_stages", "BUILD_STAGES"), ("bench_stages", "LOAD_STAGES"),
+    ("bench_stages", "QUERY_STAGES"),
     ("bench_criterion7", "STAGES")])
 def test_every_wrapped_name_exists(script, table):
     """A timer refuses a name that `cnnidx` does not have, so a rename
@@ -139,6 +217,8 @@ def test_stage_scripts_divide_by_host_factor(ifc_index, small_dataset, tmp_path,
         self.seconds.append(2 * hostref.REF_QUERY_S)
 
     monkeypatch.setattr(hostref.HostRef, "sample", sample)
+    build_medians(small_dataset[0], BUILD_CFGS["ifc"], tmp_path / "b.idx", passes=2,
+                  factor=2.0)
     invindex.save(ifc_index, tmp_path / "x.idx")
     load_medians(tmp_path / "x.idx", passes=3, factor=2.0)
     query_medians(ifc_index, small_dataset[1].vectors, passes=2, factor=2.0)

@@ -339,6 +339,8 @@ class TestBatchWords:
             return wrapper
 
         with pytest.MonkeyPatch.context() as mp:
+            # one CPU: the build's chunks come in row order, on this thread
+            mp.setattr(invindex, "_cpus", lambda: 1)
             mp.setattr(vecio, "CHUNK_BYTES", chunk_rows * 8 * (
                 dim + (dim if scheme == "tifc" else 2 * k) + s * length))
             for cls in (tifc.VirtualWordBank, pq.PqCodebook):
