@@ -29,11 +29,17 @@ The stages of `load`, in ms per load:
 
 - header: `invindex._read_header`;
 - quantizer: the IFC codebook's constants (`PqCodebook.__post_init__`) or
-  the TIFC table draw (`tifc.make_virtual_words`);
+  the TIFC table draw (`tifc.make_virtual_words` and the `tifc.fill_means`
+  it runs, or on 2 or more CPUs the `tifc.fill_means` of `load`'s helper
+  thread);
 - postings: `invindex._check_postings`;
 - sections: the rest of `load`, chiefly its sections read into their
   arrays with the CRC updated as each arrives, then the payload and list
-  length checks.
+  length checks; on 2 or more CPUs also the wait for a TIFC load's helper.
+
+On 2 or more CPUs a TIFC load draws its table on a helper thread while the
+calling thread reads the sections, so the quantizer stage overlaps the
+others, and the stages may add up to more than the whole `load`.
 
 The stages of `query`, in us per query:
 
@@ -85,7 +91,8 @@ BUILD_STAGES = {
 }
 LOAD_STAGES = {
     "header": ("invindex._read_header",),
-    "quantizer": ("pq.PqCodebook.__post_init__", "tifc.make_virtual_words"),
+    "quantizer": ("pq.PqCodebook.__post_init__", "tifc.make_virtual_words",
+                  "tifc.fill_means"),
     "postings": ("invindex._check_postings",),
     "sections": ("invindex.load",),
 }

@@ -249,6 +249,9 @@ def _cmd_evaluate(args) -> int:
         if not (finite and math.isfinite(sum(map(float, times)))):
             raise DataError(f"{args.timing}: query_times_s must be finite, >= 0 "
                             "and of finite sum")
+        if len(times) != len(lists):
+            raise DataError(f"{args.timing}: {len(times)} query times for "
+                            f"{len(lists)} result records")
     report = evaluation.evaluate(results, gt, query_times=times,
                                  config=resolved, exclude_self=args.exclude_self)
     print(f"MAP {report.map:.6f}")

@@ -53,7 +53,10 @@ row alone, so a database vector queried with itself gets exactly its S links
 and their codes. `batch_query` streams its chunks through `encode_chunks`;
 `build` encodes its chunks on the calling thread and one helper thread per
 further CPU, up to `MAX_THREADS` (`_fill_rows`), and its file does not depend
-on the thread count.
+on the thread count. On 2 or more CPUs a TIFC `load` draws its table on one
+helper thread while the caller reads and checksums the posting sections
+(`_TableDraw`); the table is used only after the CRC has passed, and a
+load that fails stops the draw before its next block of rows.
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -96,7 +99,9 @@ MAX_TABLE_ENTRIES = 1 << 24
 # Most threads a build encodes on, the caller included. Two were measured (2
 # vCPUs), on 1 MiB chunks at the default budget; chunks of a few rows run
 # slower on two threads than on one (`vecio.CHUNK_BYTES`), and w threads take
-# chunks of a 4w-th of the budget, so more threads stay unmeasured.
+# chunks of a 4w-th of the budget, so more threads stay unmeasured. A TIFC
+# `load` draws its table on a helper thread when this and `_cpus` are both
+# above 1; it never starts more than that one.
 MAX_THREADS = 2
 
 
@@ -479,6 +484,37 @@ def _check_postings(path, ix: InvertedIndex) -> None:
         raise DataError(f"{path}: nonzero pad bits in the codes")
 
 
+class _TableDraw:
+    """The TIFC table of a load, drawn by `tifc.fill_means` on one helper
+    thread while the caller reads the sections. The caller allocates the
+    table, so the helper's malloc arena keeps nothing after the load."""
+
+    def __init__(self, dim: int, seed: int, code_length: int):
+        self.means = np.empty((dim, code_length))
+        self.stopped = threading.Event()
+        self.error = None
+        self.thread = threading.Thread(target=self._fill, args=(np.random.default_rng(seed),))
+        self.thread.start()
+
+    def _fill(self, rng: np.random.Generator) -> None:
+        try:
+            tifc.fill_means(self.means, rng, self.stopped)
+        except BaseException as exc:
+            self.error = exc
+
+    def bank(self) -> VirtualWordBank:
+        """Wait for the helper; its exception comes out here as raised."""
+        self.thread.join()
+        if self.error is not None:
+            raise self.error
+        return VirtualWordBank(self.means)
+
+    def stop(self) -> None:
+        """End the fill before its next block, and wait for the helper."""
+        self.stopped.set()
+        self.thread.join()
+
+
 def load(path) -> InvertedIndex:
     """Read and validate an index file; any malformed file raises DataError.
 
@@ -487,8 +523,20 @@ def load(path) -> InvertedIndex:
     updated as each section arrives. No array is allocated before its byte
     count is checked against the bytes left in the file, and after `nlists`
     those bytes must match the header's sizes exactly. The CRC is checked
-    before the payload's values (finite centroids), the posting rules and
-    the quantizer: the IFC codebook or the TIFC table draw."""
+    before any value is used: the payload's (finite centroids), the posting
+    rules and the quantizer, the IFC codebook or the TIFC table.
+
+    An IFC load, and a TIFC load on one CPU, start no thread and make the
+    quantizer after the CRC. On 2 or more CPUs (`_cpus`, at most
+    `MAX_THREADS`) a TIFC load draws its table on one helper thread
+    (`_TableDraw`) from the moment the file's size matches the header,
+    while the caller reads and checksums the posting sections, and waits
+    for it after the CRC: the table is drawn before the CRC is checked, but
+    used only after. Any exception on the caller, an interrupt while it
+    waits included, stops the fill before its next block of rows
+    (`tifc.fill_means`) and ends the helper before it comes out of `load`;
+    a helper's exception, or one from a helper that cannot start, comes out
+    of `load` as raised."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic in OLD_MAGICS:
@@ -523,13 +571,23 @@ def load(path) -> InvertedIndex:
             raise DataError(f"{path}: truncated index file")
         if need < left:
             raise DataError(f"{path}: {left - need} trailing bytes after posting lists")
-        wids = array(nlists, wid_t)
-        lengths = array(nlists, len_t)
-        ids = array(total, id_t)
-        codes = array(total * b, np.uint8).reshape(total, b)
-        trailer = f.read(4)
-        if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
-            raise DataError(f"{path}: checksum mismatch (corrupt index file)")
+        draw = None
+        if cfg.scheme == SCHEME_TIFC and min(_cpus(), MAX_THREADS) > 1:
+            draw = _TableDraw(dim, cfg.virtual_word_seed, cfg.code_length)
+        try:
+            wids = array(nlists, wid_t)
+            lengths = array(nlists, len_t)
+            ids = array(total, id_t)
+            codes = array(total * b, np.uint8).reshape(total, b)
+            trailer = f.read(4)
+            if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
+                raise DataError(f"{path}: checksum mismatch (corrupt index file)")
+            if draw:
+                quantizer = draw.bank()
+        except BaseException:
+            if draw:
+                draw.stop()
+            raise
 
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: NaN or infinite centroid in the quantizer payload")
@@ -541,7 +599,7 @@ def load(path) -> InvertedIndex:
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
     if cfg.pq:
         quantizer = PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
-    else:
+    elif not draw:
         quantizer = tifc.make_virtual_words(dim, cfg.virtual_word_seed, cfg.code_length)
     ix = InvertedIndex(
         config=cfg,

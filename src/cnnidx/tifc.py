@@ -8,7 +8,9 @@ underflow distinct values.
 The virtual words are D random N(0, 1) vectors that only ever enter through
 their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
 N(0, L/D): `make_virtual_words` draws the (D, L) table of means directly, no
-D x D bank exists, and a `VirtualWordBank` is that table alone."""
+D x D bank exists, and a `VirtualWordBank` is that table alone. The draw is
+`fill_means`, block by block, which a TIFC `invindex.load` also runs on a
+helper thread into a table it allocates."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from .embed import pack_bits, segment_means
 from .pq import first_in_order
+from .vecio import chunk_rows
 
 
 def softmax(x) -> np.ndarray:
@@ -92,14 +95,32 @@ class VirtualWordBank:
         return np.empty(0, dtype="<f4")
 
 
+def fill_means(means: np.ndarray, rng: np.random.Generator, stop=None) -> None:
+    """Fill a C-contiguous (D, L) float64 table with
+    `rng.standard_normal((D, L)) * sqrt(L / D)`, in blocks of
+    `chunk_rows(8 * L)` rows, each drawn from rng into the table and scaled
+    in place: the same values, bit for bit, as one draw of the whole table.
+    With a `threading.Event` as `stop`, the fill returns before its next
+    block once the event is set, leaving the later rows unfilled."""
+    dim, code_length = means.shape
+    rows = chunk_rows(8 * code_length)
+    scale = np.sqrt(code_length / dim)
+    for lo in range(0, dim, rows):
+        if stop is not None and stop.is_set():
+            return
+        block = means[lo:lo + rows]
+        rng.standard_normal(out=block)
+        block *= scale
+
+
 def make_virtual_words(dim: int, seed: int, code_length: int) -> VirtualWordBank:
     """`np.random.default_rng(seed).standard_normal((dim, code_length)) *
     sqrt(code_length / dim)`: the law of the segment means of D random
-    N(0, 1) words, drawn at O(D * L) cost."""
+    N(0, 1) words, drawn at O(D * L) cost by `fill_means`."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if code_length < 1 or dim % code_length:
         raise ValueError(f"code_length {code_length} does not divide dim {dim}")
-    means = np.random.default_rng(seed).standard_normal((dim, code_length))
-    means *= np.sqrt(code_length / dim)
+    means = np.empty((dim, code_length))
+    fill_means(means, np.random.default_rng(seed))
     return VirtualWordBank(means)

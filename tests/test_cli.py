@@ -466,6 +466,24 @@ def test_timing_values_not_finite_seconds_are_data_error(tmp_path, capsys, times
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("times", [[7.0], [0.1] * 6, []], ids=["fewer", "more", "none"])
+def test_timing_list_of_other_length_is_data_error(workspace, tmp_path, capsys, times):
+    """A timing file must hold one time per result record of the query run."""
+    rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "tifc",
+              "--S", "3", "--L", "8", "--out", str(tmp_path / "t.idx")])
+    assert rc == EXIT_OK
+    rc = run(["query", "--index", str(tmp_path / "t.idx"),
+              "--queries", str(workspace / "q.fvecs"), "--out", str(tmp_path / "r")])
+    assert rc == EXIT_OK
+    (tmp_path / "t.json").write_text(json.dumps({"query_times_s": times}))
+    rc = run(["evaluate", "--results", str(tmp_path / "r.ivecs"),
+              "--ground-truth", str(workspace / "gt.txt"), "--timing", str(tmp_path / "t.json"),
+              "--out", str(tmp_path / "report.json")])
+    assert rc == EXIT_DATA
+    assert f"{len(times)} query times for 5 result records" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_query_with_no_results_evaluates_to_zero(workspace, tmp_path, capsys):
     # no entry has a Hamming distance below T = 0, so every record is empty
     rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "tifc",

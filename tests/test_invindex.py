@@ -442,6 +442,199 @@ class TestThreadedFill:
         assert threading.active_count() == before
 
 
+class TestThreadedLoad:
+    """On 2 or more CPUs a TIFC `load` draws its table on one helper thread
+    while the caller reads the sections; tests set the CPU count by patching
+    `invindex._cpus`. The (16, 8) table of `tifc_index` takes 64 bytes a
+    row, so at a `CHUNK_BYTES` of 128 it is drawn in 8 blocks of 2 rows."""
+
+    @staticmethod
+    def counting_thread(monkeypatch, started, after_start=None):
+        """Patch `threading.Thread` to record each thread it starts, and to
+        call after_start() once the thread runs."""
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+                if after_start:
+                    after_start()
+
+        monkeypatch.setattr(threading, "Thread", Thread)
+
+    @staticmethod
+    def held_fill(monkeypatch, blocks, arrived=None):
+        """Patch `tifc.fill_means` to record the rows of each block it draws
+        in blocks; its first block waits at `arrived` (a barrier), then
+        until the fill's stop is set."""
+        fill = tifc.fill_means
+
+        def held(means, rng, stop=None):
+            class Rng:
+                def standard_normal(self, out):
+                    blocks.append(len(out))
+                    if len(blocks) == 1 and stop is not None:
+                        if arrived:
+                            arrived.wait()
+                        assert stop.wait(timeout=30)
+                    rng.standard_normal(out=out)
+
+            fill(means, Rng(), stop)
+
+        monkeypatch.setattr(tifc, "fill_means", held)
+
+    @pytest.mark.parametrize("chunk_bytes", [64, 128, 8 << 20])
+    def test_load_equal_for_any_cpu_count(self, tifc_index, chunk_bytes, tmp_path,
+                                          monkeypatch):
+        """1, 2 and 3 CPUs load the same arrays and table, and save the same
+        bytes; one CPU starts no thread, more start one helper."""
+        path = tmp_path / "x.idx"
+        invindex.save(tifc_index, path)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(invindex, "MAX_THREADS", 3)
+        started = []
+        self.counting_thread(monkeypatch, started)
+        loads = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(invindex, "_cpus", lambda c=cpus: c)
+            started.clear()
+            before = threading.active_count()
+            loads.append(invindex.load(path))
+            assert threading.active_count() == before
+            assert len(started) == (cpus > 1)
+            invindex.save(loads[-1], tmp_path / "back.idx")
+            assert (tmp_path / "back.idx").read_bytes() == path.read_bytes()
+        for ix in loads[1:]:
+            for name in ("wids", "offsets", "ids", "codes"):
+                np.testing.assert_array_equal(getattr(ix, name), getattr(loads[0], name))
+            np.testing.assert_array_equal(ix.quantizer.means, loads[0].quantizer.means)
+        np.testing.assert_array_equal(loads[0].quantizer.means, tifc_index.quantizer.means)
+
+    def test_ifc_load_starts_no_thread(self, ifc_index, tmp_path, monkeypatch):
+        path = tmp_path / "i.idx"
+        invindex.save(ifc_index, path)
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        started = []
+        self.counting_thread(monkeypatch, started)
+        invindex.load(path)
+        assert started == []
+
+    def test_one_cpu_draws_after_the_crc(self, tifc_index, tmp_path, monkeypatch):
+        """On one CPU a corrupt body fails its checksum before any draw."""
+        path = tmp_path / "x.idx"
+        invindex.save(tifc_index, path)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(raw)
+        monkeypatch.setattr(invindex, "_cpus", lambda: 1)
+        blocks = []
+        self.held_fill(monkeypatch, blocks)
+        with pytest.raises(DataError, match="checksum"):
+            invindex.load(path)
+        assert blocks == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 1])
+         + raw[len(raw) // 2 + 1:], "checksum"),
+        (lambda raw: raw[:-5], "truncated"),
+        (lambda raw: raw + b"\0", "trailing bytes"),
+    ], ids=["corrupt", "truncated", "trailing"])
+    def test_bad_file_ends_the_helper(self, tifc_index, edit, message, tmp_path, monkeypatch):
+        path = tmp_path / "x.idx"
+        invindex.save(tifc_index, path)
+        path.write_bytes(edit(path.read_bytes()))
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(DataError, match=message):
+            invindex.load(path)
+        assert threading.active_count() == before
+
+    def test_helper_exception_comes_out_as_raised(self, tifc_index, tmp_path, monkeypatch):
+        path = tmp_path / "x.idx"
+        invindex.save(tifc_index, path)
+        boom = RuntimeError("draw failed")
+
+        def fill(means, rng, stop=None):
+            raise boom
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(tifc, "fill_means", fill)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            invindex.load(path)
+        assert info.value is boom
+        assert threading.active_count() == before
+
+    def test_helper_that_cannot_start(self, tifc_index, tmp_path, monkeypatch):
+        path = tmp_path / "x.idx"
+        invindex.save(tifc_index, path)
+        refused = RuntimeError("can't start new thread")
+
+        class Thread(threading.Thread):
+            def start(self):
+                raise refused
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            invindex.load(path)
+        assert info.value is refused
+        assert threading.active_count() == before
+
+    def test_checksum_failure_stops_the_fill(self, tifc_index, tmp_path, monkeypatch):
+        """The caller goes on reading only once the helper is held in its
+        first block; its checksum failure stops the fill after that block,
+        before the last."""
+        path = tmp_path / "x.idx"
+        invindex.save(tifc_index, path)
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0x01  # the last code byte
+        path.write_bytes(raw)
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 128)
+        arrived = threading.Barrier(2, timeout=30)
+        blocks, started = [], []
+        self.counting_thread(monkeypatch, started, arrived.wait)
+        self.held_fill(monkeypatch, blocks, arrived)
+        with pytest.raises(DataError, match="checksum"):
+            invindex.load(path)
+        assert blocks == [2]
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_interrupt_in_the_join_stops_the_fill(self, tifc_index, tmp_path, monkeypatch):
+        """An interrupt while the caller waits for the helper comes out of
+        `load`, and the fill draws no block after its current one."""
+        path = tmp_path / "x.idx"
+        invindex.save(tifc_index, path)
+        interrupt = KeyboardInterrupt()
+        started, blocks = [], []
+
+        class Thread(threading.Thread):
+            interrupted = False
+
+            def start(self):
+                started.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                if not Thread.interrupted:
+                    Thread.interrupted = True
+                    raise interrupt
+                super().join(timeout)
+
+        monkeypatch.setattr(threading, "Thread", Thread)
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 128)
+        self.held_fill(monkeypatch, blocks)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt) as info:
+            invindex.load(path)
+        assert info.value is interrupt
+        assert len(blocks) <= 1
+        assert not started[0].is_alive()
+        assert threading.active_count() == before
+
+
 class TestBuildConfig:
     """`build_config` maps the paper's names to a BuildConfig, reading only
     the keys of `BUILD_KEYS[scheme]`."""

@@ -177,7 +177,9 @@ def test_every_wrapped_name_exists(script, table):
         timer_cls({"scan": ("search._scan", "search._no_such_stage")})
 
 
-def test_timer_changes_no_answer_and_restores(index, small_dataset, tmp_path):
+def test_timer_changes_no_answer_and_restores(index, small_dataset, tmp_path, monkeypatch):
+    """On one CPU `load` runs every stage on the calling thread."""
+    monkeypatch.setattr(invindex, "_cpus", lambda: 1)
     queries = small_dataset[1]
     path = tmp_path / "x.idx"
     invindex.save(index, path)
@@ -204,6 +206,26 @@ def test_timer_changes_no_answer_and_restores(index, small_dataset, tmp_path):
     assert 0 < sum(stages.values()) <= whole
     assert originals == (invindex.load, search._scan, search.hamming_to_many,
                          type(index.quantizer).codes)
+
+
+def test_two_cpu_tifc_load_caller_stages_fit(tifc_index, tmp_path, monkeypatch):
+    """On two CPUs a TIFC load draws its table on a helper thread: the draw
+    still counts in the quantizer stage, and the calling thread's stages,
+    disjoint self times, fit in the whole call."""
+    monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+    path = tmp_path / "x.idx"
+    invindex.save(tifc_index, path)
+    stages = load_script("bench_stages").LOAD_STAGES
+    timer = load_script("stagetimer").StageTimer(stages)
+    with timer:
+        for _ in range(3):
+            t0 = time.perf_counter()
+            loaded = invindex.load(path)
+            whole = time.perf_counter() - t0
+            took = timer.take()
+            assert took["quantizer"] > 0
+            assert 0 < took["header"] + took["postings"] + took["sections"] <= whole
+    np.testing.assert_array_equal(loaded.quantizer.means, tifc_index.quantizer.means)
 
 
 def test_stage_scripts_divide_by_host_factor(ifc_index, small_dataset, tmp_path,

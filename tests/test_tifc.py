@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cnnidx import tifc
+from cnnidx import tifc, vecio
 from cnnidx.embed import segment_means
 
 finite_vectors = hnp.arrays(
@@ -175,6 +176,43 @@ class TestVirtualWordBank:
             expected = (np.random.default_rng(11).standard_normal((dim, length))
                         * math.sqrt(length / dim))
             np.testing.assert_array_equal(table, expected)
+
+    @pytest.mark.parametrize("dim, length", [(12, 3), (384, 1), (96, 96), (2048, 256)])
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["one-row", "few-rows", "default"])
+    def test_blocked_fill_is_one_draw(self, dim, length, rows, monkeypatch):
+        """Filled in blocks of one row, of three rows, or at the default
+        `CHUNK_BYTES`, the table equals one draw of the whole table."""
+        if rows is not None:
+            monkeypatch.setattr(vecio, "CHUNK_BYTES", rows * 8 * length)
+        expected = (np.random.default_rng(23).standard_normal((dim, length))
+                    * math.sqrt(length / dim))
+        means = np.empty((dim, length))
+        tifc.fill_means(means, np.random.default_rng(23))
+        np.testing.assert_array_equal(means, expected)
+        np.testing.assert_array_equal(tifc.make_virtual_words(dim, 23, length).means, expected)
+
+    def test_fill_stops_before_its_next_block(self, monkeypatch):
+        """A set stop ends the fill before its next block: the rows drawn
+        before it keep their values, and later rows are not written."""
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 2 * 8 * 4)  # blocks of 2 rows
+        stop = threading.Event()
+        drawn = []
+
+        class Rng:
+            gen = np.random.default_rng(5)
+
+            def standard_normal(self, out):
+                drawn.append(len(out))
+                if len(drawn) == 2:
+                    stop.set()
+                self.gen.standard_normal(out=out)
+
+        means = np.full((8, 4), np.nan)
+        tifc.fill_means(means, Rng(), stop)
+        assert drawn == [2, 2]
+        expected = np.random.default_rng(5).standard_normal((4, 4)) * math.sqrt(4 / 8)
+        np.testing.assert_array_equal(means[:4], expected)
+        assert np.isnan(means[4:]).all()
 
     def test_table_has_the_law_of_bank_segment_means(self):
         """At D = 2,048 and L = 256 the table's entries have mean 0 and
