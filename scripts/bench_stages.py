@@ -14,16 +14,20 @@ named calls. The stages of `build` and `save`, in ms per build:
 
 - train: the IFC codebook's training (`pq.train`) or the TIFC table draw
   (`tifc.make_virtual_words`);
-- words: the quantizer's `words`, each chunk's words;
-- codes: the quantizer's `codes`, each chunk's codes against its words;
-- group + save: the rest of `build` and `save`: chiefly the grouping of
-  the postings into lists and the file, with the copies of the chunks'
-  results and the caller's wait for the helpers' last chunks.
+- words: the quantizer's `words`, each chunk's words in the build's
+  first pass;
+- codes: the quantizer's `codes`, each chunk's codes against its words in
+  the second pass;
+- group + save: the rest of `build` and `save`: chiefly the stable argsort
+  of the words, the slot array it gives and the ids and grouped words made
+  from it, the float64 casts and the writes into place of the caller's
+  chunks in both passes, its wait for the helpers' last chunks, and the
+  file.
 
-`build` encodes its chunks on the calling thread and one helper per further
-CPU, up to `invindex.MAX_THREADS`, so words and codes are busy time summed
-over threads, and the stages may add up to more than the whole `build` (and
-`save`) call beside them.
+`build` runs each pass's chunks on the calling thread and one helper per
+further CPU, up to `invindex.MAX_THREADS`, so words and codes are busy time
+summed over threads, and the stages may add up to more than the whole
+`build` (and `save`) call beside them.
 
 The stages of `load`, in ms per load:
 
@@ -57,7 +61,10 @@ queries each follow one warm round or pass, and each cell gives the median
 per call, raw and, after a slash, of the timings divided by their round's
 or pass's host factor (`scripts/stagetimer.py`), which reads the same on a
 slower or busier host.
-The file size of each index is printed too.
+The file size of each index is printed too, and the traced peak of one
+more, untimed build under `tracemalloc`, in MiB: the most memory the build's
+Python and numpy allocations held at once, which checks a memory change
+without a benchmark run.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +141,16 @@ def stage_medians(stages: dict, whole: str, calls: list, passes: int
     return {s: (float(np.median(raw[s])), float(np.median(corrected[s]))) for s in raw}
 
 
+def traced_build_peak(db: FeatureSet, cfg: invindex.BuildConfig) -> float:
+    """MiB that `tracemalloc` traces at the peak of one `invindex.build`."""
+    tracemalloc.start()
+    try:
+        invindex.build(db, cfg)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def row(name: str, medians: dict, scale: float, digits: int) -> str:
     return f"{name} | " + " | ".join(f"{raw * scale:.{digits}f} / {corr * scale:.{digits}f}"
                                      for raw, corr in medians.values())
@@ -155,6 +173,7 @@ def main() -> None:
             build = stage_medians(BUILD_STAGES, "build",
                                   [lambda: invindex.save(invindex.build(db, build_cfg), path)],
                                   BUILDS)
+            peak = traced_build_peak(db, build_cfg)
             del db
             ix = invindex.load(path)
             cfg = search.QueryConfig(assignment_count=spec["W"], hamming_threshold=spec["T"],
@@ -163,7 +182,7 @@ def main() -> None:
             query = stage_medians(QUERY_STAGES, "query",
                                   [lambda q=q: search.query(ix, q, cfg) for q in queries],
                                   args.passes)
-            print(f"{name}, {path.stat().st_size:,} bytes")
+            print(f"{name}, {path.stat().st_size:,} bytes, traced build peak {peak:.1f} MiB")
             print("  ms per build, raw / host-corrected | " + " | ".join(build))
             print("  " + row("build", build, 1e3, 1))
             print("  ms per load, raw / host-corrected | " + " | ".join(load))

@@ -41,8 +41,9 @@ breaks one of these rules, so a query never meets an id outside
 `CNNIDX03` (a header that also held the word count and a quantizer kind)
 files are not read; rebuild them.
 
-Build and query share one encoding stage, `encode_rows`, and the quantizer
-does the work. `tifc.VirtualWordBank` and `pq.PqCodebook` have the same
+Build and query share one encoding stage, the quantizer's `words` and then
+its `codes` over chunks of `_row_bytes` each: `encode_rows` runs both on a
+chunk of queries, and `build` runs them in two passes. `tifc.VirtualWordBank` and `pq.PqCodebook` have the same
 members: `words` gives a matrix of rows their words (TIFC: the top softmax
 bins; IFC: the exact nearest product words), `codes` packs each row's codes
 against those words' segment means, `stage_width` is the word stage's
@@ -50,10 +51,13 @@ float64 values per row, `word_count` counts the words, and `payload` is the
 quantizer's part of the file. A quantizer holds only its arrays, and an index
 takes only the one its config makes. A row's words and codes depend on that
 row alone, so a database vector queried with itself gets exactly its S links
-and their codes. `batch_query` streams its chunks through `encode_chunks`;
-`build` encodes its chunks on the calling thread and one helper thread per
-further CPU, up to `MAX_THREADS` (`_fill_rows`), and its file does not depend
-on the thread count. On 2 or more CPUs a TIFC `load` draws its table on one
+and their codes. `batch_query` streams its chunks through `encode_chunks`.
+`build` makes two passes over the rows, words and then codes, each on the
+calling thread and one helper thread per further CPU, up to `MAX_THREADS`
+(`_fill_rows`). Between them one stable sort of the words gives every link
+its slot in the grouped lists, and pass 2 writes each code straight into its
+slot, so the (n*S, B) codes are held once. The file does not depend on the
+thread count. On 2 or more CPUs a TIFC `load` draws its table on one
 helper thread while the caller reads and checksums the posting sections
 (`_TableDraw`); the table is used only after the CRC has passed, and a
 load that fails stops the draw before its next block of rows.
@@ -243,27 +247,29 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: np.ndarray,
-               codes: np.ndarray, code_length: int) -> None:
-    """Write `encode_rows` of every row of xs into that row of wids (n, S)
-    and codes (n, S, B), chunk by chunk, on w threads: the caller and one
-    helper per further CPU (`_cpus`), at most `MAX_THREADS` and no more than
-    there are chunks. Thread t takes chunks t, t + w, t + 2w, ... Numpy
-    releases the GIL in the large calls of a chunk, so the threads run side
-    by side.
+def _fill_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
+               code_length: int, write) -> None:
+    """Call write(part, chunk) on every chunk of rows of xs, with `part` the
+    chunk's slice of rows and `chunk` those rows cast to float64, on w
+    threads: the caller and one helper per further CPU (`_cpus`), at most
+    `MAX_THREADS` and no more than there are chunks. Thread t takes chunks
+    t, t + w, t + 2w, ..., so `write` must write only outputs of its own
+    chunk's rows, which no other chunk writes: `build`'s words rows in pass
+    1, the rows of the chunk's slots in pass 2. Numpy releases the GIL in
+    the large calls of a chunk, so the threads run side by side.
 
-    On one CPU no thread starts and the chunks take `CHUNK_BYTES` each. With
-    w threads each chunk takes a 4w-th of it, so the chunks in flight stay
-    within a quarter of the budget: each helper's malloc arena keeps its
-    chunk's working set after the build. The first exception of any thread,
-    or one that reaches the caller while it waits for the helpers, stops
-    every thread before its next chunk. A thread's exception comes out of
-    this call once every helper has ended."""
-    n, count = wids.shape
+    Chunks are sized by `_row_bytes`, the footprint of `encode_rows`, in
+    both of `build`'s passes. On one CPU no thread starts and the chunks
+    take `CHUNK_BYTES` each. With w threads each chunk takes a 4w-th of it,
+    so the chunks in flight stay within a quarter of the budget: each
+    helper's malloc arena keeps its chunk's working set after the build.
+    The first exception of any thread, or one that reaches the caller while
+    it waits for the helpers, stops every thread before its next chunk. A
+    thread's exception comes out of this call once every helper has ended."""
     threads = min(_cpus(), MAX_THREADS)
     row_bytes = _row_bytes(quantizer, xs.shape[1], count, code_length)
     rows = chunk_rows(row_bytes * 4 * threads if threads > 1 else row_bytes)
-    starts = range(0, n, rows)
+    starts = range(0, len(xs), rows)
     workers = min(threads, len(starts))
     errors = []  # non-empty once any thread has raised: every thread stops
 
@@ -273,7 +279,7 @@ def _fill_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: np
                 if errors:
                     return
                 part = slice(lo, lo + rows)
-                wids[part], codes[part] = encode_rows(quantizer, xs[part], count, code_length)
+                write(part, np.asarray(xs[part], dtype=np.float64))
         except BaseException as exc:
             errors.append(exc)
 
@@ -302,12 +308,20 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     For IFC the codebook is trained on `training` (default: the database
     itself; TIFC takes none). The configuration's shape, and the training
     set's dimension and row count, are checked before any training. Every
-    image lands in exactly S distinct posting lists. Rows go through
-    `encode_rows` a chunk at a time, on as many threads as the process has
-    CPUs, up to `MAX_THREADS` (`_fill_rows`); a row's words and codes come
-    from that row alone, with no BLAS call (IFC's distances are `einsum`
-    contractions), so the file does not depend on the chunk size or the
-    thread count.
+    image lands in exactly S distinct posting lists.
+
+    The postings are built in two passes over the rows, each a chunk at a
+    time on as many threads as the process has CPUs, up to `MAX_THREADS`
+    (`_fill_rows`). Pass 1 fills the (n, S) words. One stable argsort of
+    them lays out the lists, and its inverse, the slot array, gives each
+    link its row of the grouped (n*S, B) codes. Pass 2 casts each chunk
+    again, computes its codes against its words and writes each code into
+    its slot, so the codes are held once, never in row order beside the
+    grouped copy. The ids and the grouped words then come from the slots.
+    A row's words and codes come from that row alone, with no BLAS call
+    (IFC's distances are `einsum` contractions), so the file does not
+    depend on the chunk size or the thread count, and it equals the
+    grouping of `encode_rows` over all rows.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
@@ -326,27 +340,51 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
                             f"got {training.n}")
         quantizer = pq.train(training, cfg.pq)
 
-    # every row's S words (at their file width, as every word id is below
-    # word_count) and codes, filled in place chunk by chunk
+    # pass 1: every row's S words, at their file width (every word id is
+    # below word_count), filled in place chunk by chunk
     wid_t, _, id_t = posting_dtypes(word_count, n)
+    total, b = n * s, code_bytes(cfg.code_length)
     wids = np.empty((n, s), dtype=wid_t)
-    codes = np.empty((n, s, code_bytes(cfg.code_length)), dtype=np.uint8)
-    _fill_rows(quantizer, db.vectors, wids, codes, cfg.code_length)
-    # entry e belongs to row e // S, so ids ascend already, and a stable sort
-    # on the word (a radix sort for word counts up to 2^16) groups the lists
-    # in (word, id) order
-    wids = wids.ravel()
-    order = np.argsort(wids, kind="stable")
-    ids = (order // s).astype(id_t)
-    wids, codes = wids[order], codes.reshape(n * s, -1)[order]
+
+    def fill_words(part: slice, chunk: np.ndarray) -> None:
+        wids[part] = quantizer.words(chunk, s)
+
+    _fill_rows(quantizer, db.vectors, s, cfg.code_length, fill_words)
+    # the grouped codes, allocated before the layout's temporaries: where the
+    # heap holds memory freed by earlier work (a second build), the largest
+    # array then takes the largest free block before they split it
+    codes = np.empty((total, b), dtype=np.uint8)
+    # link e (row e // S) goes to list slot[e]: the links ascend by row
+    # already, so a stable sort on the word (a radix sort for word counts up
+    # to 2^16) lays the lists out in (word, id) order, and its inverse, at
+    # the narrowest width that holds n*S - 1, gives each link its slot
+    order = np.argsort(wids.ravel(), kind="stable")
+    slot = np.empty(total, dtype=np.min_scalar_type(total - 1))
+    slot[order] = np.arange(total, dtype=slot.dtype)
+    del order
+    slot = slot.reshape(n, s)
+
+    # pass 2: every row's codes against its words, each written straight
+    # into its slot; the slots are a permutation, so threads write disjoint rows
+    def fill_codes(part: slice, chunk: np.ndarray) -> None:
+        rows = quantizer.codes(chunk, wids[part], cfg.code_length)
+        codes[slot[part].ravel()] = rows.reshape(-1, b)
+
+    _fill_rows(quantizer, db.vectors, s, cfg.code_length, fill_codes)
+    slot = slot.ravel()
+    ids = np.empty(total, dtype=id_t)
+    ids[slot] = np.repeat(np.arange(n, dtype=id_t), s)
+    grouped = np.empty(total, dtype=wid_t)
+    grouped[slot] = wids.ravel()
+    del slot, wids
     # neighbours compared, not differenced: the word ids are unsigned
-    starts = np.flatnonzero(np.concatenate(([True], wids[1:] != wids[:-1])))
+    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
 
     return InvertedIndex(
         config=cfg,
         indexed_count=n,
-        wids=wids[starts],
-        offsets=np.append(starts, len(wids)),
+        wids=grouped[starts],
+        offsets=np.append(starts, total),
         ids=ids,
         codes=codes,
         quantizer=quantizer,

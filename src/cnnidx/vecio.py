@@ -26,14 +26,18 @@ import numpy as np
 
 # Bytes of working buffer per chunk of rows, the one budget of every pass
 # over rows: a feature file's read and write here (int32 records),
-# `invindex.encode_rows` for the build and for batch queries alike, and
-# `baseline`'s brute force and LSH hashing (float64 working arrays). A row
-# that `encode_rows` encodes takes D + stage + count*L float64 values: its
-# input, its word stage (D term frequencies for TIFC, M*K segment distances
-# for IFC) and the means of its `count` words. A build on w > 1 CPUs encodes
-# on w threads (at most `invindex.MAX_THREADS`), each chunk at a 4w-th of
-# the budget, so the chunks in flight take a quarter of it: each helper
-# thread's malloc arena keeps its chunk's working set after the build. Median seconds of the build's encoding loop,
+# `invindex.encode_rows` for batch queries, the build's two passes (words,
+# then codes) over the chunks of `encode_rows`, and `baseline`'s brute force
+# and LSH hashing (float64 working arrays). A row that `encode_rows` encodes
+# takes D + stage + count*L float64 values: its input, its word stage (D
+# term frequencies for TIFC, M*K segment distances for IFC) and the means of
+# its `count` words; both build passes size their chunks by that whole
+# footprint, though each uses only part of it, as IFC's word stage holds
+# temporaries beyond its M*K distances. A build on w > 1 CPUs encodes on w
+# threads (at most `invindex.MAX_THREADS`), each chunk at a 4w-th of the
+# budget, so the chunks in flight take a quarter of it: each helper thread's
+# malloc arena keeps its chunk's working set after the build. Median seconds
+# of the build's encoding loop, then one pass of words and codes together,
 # in process on the seed-1 benchmark data, interleaved, 7 runs (2 vCPUs):
 #
 #   threads, bytes per chunk   1, 8 MiB   2, 0.5 MiB   2, 1 MiB   2, 2 MiB

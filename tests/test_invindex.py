@@ -442,6 +442,51 @@ class TestThreadedFill:
         assert threading.active_count() == before
 
 
+class TestTwoPassBuild:
+    """`build` fills the words in one pass and writes each code straight into
+    its list slot in a second. The oracle is the one-pass grouping it
+    replaced: `encode_rows` over all rows, a stable argsort of the words,
+    then one gather of the ids and codes."""
+
+    CONFIGS = {
+        "tifc": BuildConfig(scheme="tifc", link_count=3, code_length=8),
+        "ifc": BuildConfig(scheme="ifc", link_count=3, code_length=8,
+                           pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3,
+                                       kmeans_iters=3)),
+        # L % M != 0: a code segment straddles two sub-centroids
+        "ifc-straddling": BuildConfig(scheme="ifc", link_count=4, code_length=8,
+                                      pq=PqConfig(segments=3, words_per_segment=3,
+                                                  kmeans_seed=4, kmeans_iters=3)),
+    }
+
+    @staticmethod
+    def one_pass(quantizer, x, s, length):
+        wids, codes = invindex.encode_rows(quantizer, x, s, length)
+        wids = wids.ravel()
+        order = np.argsort(wids, kind="stable")
+        wids = wids[order]
+        starts = np.flatnonzero(np.concatenate(([True], wids[1:] != wids[:-1])))
+        return {"wids": wids[starts], "offsets": np.append(starts, len(wids)),
+                "ids": order // s, "codes": codes.reshape(len(wids), -1)[order]}
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("chunk_bytes", [1, 20_000, 8 << 20])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_one_pass_grouping(self, name, chunk_bytes, workers, monkeypatch):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((150, 24)).astype(np.float32)
+        x[100:] = x[:50]  # duplicate rows share their words and codes
+        cfg = self.CONFIGS[name]
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(invindex, "MAX_THREADS", 3)
+        monkeypatch.setattr(invindex, "_cpus", lambda: workers)
+        ix = invindex.build(FeatureSet(x), cfg)
+        want = self.one_pass(ix.quantizer, x, cfg.link_count, cfg.code_length)
+        assert len(want["wids"]) < len(x) * cfg.link_count  # lists of several entries
+        for key, value in want.items():
+            np.testing.assert_array_equal(getattr(ix, key), value, err_msg=key)
+
+
 class TestThreadedLoad:
     """On 2 or more CPUs a TIFC `load` draws its table on one helper thread
     while the caller reads the sections; tests set the CPU count by patching
@@ -745,14 +790,25 @@ class TestBuildMemory:
                                       kmeans_restarts=1))
         assert self.build_peak(db, cfg, training) < self.LIMIT
 
-    def test_tifc_postings_filled_in_place(self):
-        """4,000 x 2,048 at S = 40, L = 256: the (n, S) words and (n, S, B)
-        codes (4.9 MiB) are filled in place and grouped by one gather, 18.6
-        MiB in all; a list of chunk results and its concatenations took 24.8."""
+    def postings_peak(self, cpus, monkeypatch):
+        """The traced peak of a TIFC build of 4,000 x 2,048 at S = 40,
+        L = 256 on `cpus` CPUs: its (n*S, B) codes take 4.9 MiB."""
+        monkeypatch.setattr(invindex, "_cpus", lambda: cpus)
         rng = np.random.default_rng(7)
         db = FeatureSet(rng.standard_normal((4_000, 2_048), dtype=np.float32))
-        cfg = BuildConfig(scheme="tifc", link_count=40, code_length=256)
-        assert self.build_peak(db, cfg) < 22 << 20
+        return self.build_peak(db, BuildConfig(scheme="tifc", link_count=40, code_length=256))
+
+    def test_tifc_postings_filled_in_place(self, monkeypatch):
+        """Pass 1 fills the (n, S) words in place and pass 2 writes each code
+        straight into its list slot, so the codes are held once: 11.8 MiB on
+        2 CPUs, where filling them in row order and grouping them by one
+        gather took 15.9."""
+        assert self.postings_peak(2, monkeypatch) < 14 << 20
+
+    def test_tifc_postings_peak_on_one_cpu(self, monkeypatch):
+        """On one CPU the 8 MiB chunk sets the peak: 17.6 MiB, and 17.0 with
+        the gather."""
+        assert self.postings_peak(1, monkeypatch) < 22 << 20
 
 
 class TestEncodeRows:

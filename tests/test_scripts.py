@@ -6,6 +6,7 @@ stage stops being called. Each timing comes raw and divided by its pass's
 host factor."""
 
 import importlib.util
+import re
 import sys
 import time
 from pathlib import Path
@@ -91,6 +92,27 @@ def test_bench_build_stages_match_build(scheme, small_dataset, tmp_path):
     invindex.save(invindex.build(db, cfg), tmp_path / "ref.idx")
     build_medians(db, cfg, tmp_path / "x.idx", passes=1)
     assert (tmp_path / "x.idx").read_bytes() == (tmp_path / "ref.idx").read_bytes()
+
+
+def test_bench_stages_prints_traced_build_peak(monkeypatch, capsys):
+    """The whole script on two small workloads, one build round each: every
+    workload's line gives its traced build peak, a positive MiB count."""
+    bench = load_script("bench_stages")
+    small = dict(n=200, dim=16, L=8, S=3, W=3, T=6, top_k=10)
+    monkeypatch.setattr(bench, "WORKLOADS", {
+        "tifc-small": dict(small, scheme="tifc", K=None, M=None),
+        "ifc-small": dict(small, scheme="ifc", K=4, M=2)})
+    monkeypatch.setattr(bench, "BENCH_WORKLOADS", ["tifc-small", "ifc-small"])
+    monkeypatch.setattr(bench, "BUILDS", 1)
+    monkeypatch.setattr(sys, "argv", ["bench_stages.py", "--loads", "1", "--queries", "5",
+                                      "--passes", "1"])
+    bench.main()
+    heads = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith(" ")]
+    assert [h.split(",")[0] for h in heads] == ["tifc-small", "ifc-small"]
+    for head in heads:
+        peak = re.fullmatch(r".*, traced build peak ([0-9.]+) MiB", head)
+        assert peak and float(peak[1]) > 0, head
 
 
 def test_timer_keeps_one_stack_per_thread(monkeypatch):
