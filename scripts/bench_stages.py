@@ -33,9 +33,8 @@ The stages of `load`, in ms per load:
 
 - header: `invindex._read_header`;
 - quantizer: the IFC codebook's constants (`PqCodebook.__post_init__`) or
-  the TIFC table draw (`tifc.make_virtual_words` and the `tifc.fill_means`
-  it runs, or on 2 or more CPUs the `tifc.fill_means` of `load`'s helper
-  thread);
+  the TIFC table draw (`tifc.fill_means`, on `load`'s helper thread on 2
+  or more CPUs and on the calling thread after the CRC on one);
 - postings: `invindex._check_postings`;
 - sections: the rest of `load`, chiefly its sections read into their
   arrays with the CRC updated as each arrives, then the payload and list
@@ -43,7 +42,10 @@ The stages of `load`, in ms per load:
 
 On 2 or more CPUs a TIFC load draws its table on a helper thread while the
 calling thread reads the sections, so the quantizer stage overlaps the
-others, and the stages may add up to more than the whole `load`.
+others, and the stages may add up to more than the whole `load`. Both
+`build` and `load` run their threads through `invindex._run_jobs`, on
+`invindex._threads()` threads at most, so each workload's first line gives
+that count beside its file size and traced build peak.
 
 The stages of `query`, in us per query:
 
@@ -99,8 +101,7 @@ BUILD_STAGES = {
 }
 LOAD_STAGES = {
     "header": ("invindex._read_header",),
-    "quantizer": ("pq.PqCodebook.__post_init__", "tifc.make_virtual_words",
-                  "tifc.fill_means"),
+    "quantizer": ("pq.PqCodebook.__post_init__", "tifc.fill_means"),
     "postings": ("invindex._check_postings",),
     "sections": ("invindex.load",),
 }
@@ -182,7 +183,8 @@ def main() -> None:
             query = stage_medians(QUERY_STAGES, "query",
                                   [lambda q=q: search.query(ix, q, cfg) for q in queries],
                                   args.passes)
-            print(f"{name}, {path.stat().st_size:,} bytes, traced build peak {peak:.1f} MiB")
+            print(f"{name}, {invindex._threads()} thread(s), {path.stat().st_size:,} bytes, "
+                  f"traced build peak {peak:.1f} MiB")
             print("  ms per build, raw / host-corrected | " + " | ".join(build))
             print("  " + row("build", build, 1e3, 1))
             print("  ms per load, raw / host-corrected | " + " | ".join(load))

@@ -308,7 +308,7 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return EXIT_OK
-    except (DataError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"cnnidx: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:

@@ -57,10 +57,10 @@ calling thread and one helper thread per further CPU, up to `MAX_THREADS`
 (`_fill_rows`). Between them one stable sort of the words gives every link
 its slot in the grouped lists, and pass 2 writes each code straight into its
 slot, so the (n*S, B) codes are held once. The file does not depend on the
-thread count. On 2 or more CPUs a TIFC `load` draws its table on one
-helper thread while the caller reads and checksums the posting sections
-(`_TableDraw`); the table is used only after the CRC has passed, and a
-load that fails stops the draw before its next block of rows.
+thread count. A TIFC `load` draws its table beside its reads of the posting
+sections (on a helper thread given 2 or more CPUs, after the CRC on one) and
+uses it only after the CRC. One runner, `_run_jobs`, starts, stops and joins
+every thread of both.
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -100,12 +100,12 @@ SCHEME_IFC = "ifc"
 # Largest TIFC table of segment means, D * L, that build or load will draw.
 MAX_TABLE_ENTRIES = 1 << 24
 
-# Most threads a build encodes on, the caller included. Two were measured (2
-# vCPUs), on 1 MiB chunks at the default budget; chunks of a few rows run
-# slower on two threads than on one (`vecio.CHUNK_BYTES`), and w threads take
-# chunks of a 4w-th of the budget, so more threads stay unmeasured. A TIFC
-# `load` draws its table on a helper thread when this and `_cpus` are both
-# above 1; it never starts more than that one.
+# Most threads `_run_jobs` runs on, the caller included: a build's encoding
+# and a TIFC load's reads and table draw. Two were measured (2 vCPUs), on
+# 1 MiB chunks at the default budget; chunks of a few rows run slower on two
+# threads than on one (`vecio.CHUNK_BYTES`), and w threads take chunks of a
+# 4w-th of the budget, so more threads stay unmeasured. A load has two jobs,
+# so it never starts more than one helper.
 MAX_THREADS = 2
 
 
@@ -247,59 +247,80 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _threads() -> int:
+    """Threads that `_run_jobs` runs on, the caller included."""
+    return min(_cpus(), MAX_THREADS)
+
+
+def _run_jobs(jobs: list) -> None:
+    """Call job(stop) for every job, `stop` one `threading.Event`: jobs 1 ..
+    `_threads()` - 1 on one helper thread each, job 0 and then the rest in
+    order on the caller. The first exception (a job's, a thread's that
+    cannot start, an interrupt while the caller waits) sets `stop`, at which
+    every job should return; the caller waits for every helper, then raises
+    it as it was raised."""
+    stop, threads = threading.Event(), _threads()
+    errors = []
+
+    def run(job) -> None:
+        try:
+            job(stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    helpers = []
+    try:
+        for job in jobs[1:threads]:
+            thread = threading.Thread(target=run, args=(job,))
+            thread.start()
+            helpers.append(thread)
+    except BaseException as exc:  # a thread that did not start
+        errors.append(exc)
+        stop.set()
+    for job in jobs[:1] + jobs[threads:]:
+        run(job)
+    try:
+        for thread in helpers:
+            thread.join()
+    except BaseException as exc:  # an interrupt while waiting: stop, wait again
+        errors.append(exc)
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _fill_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
                code_length: int, write) -> None:
-    """Call write(part, chunk) on every chunk of rows of xs, with `part` the
+    """Call write(part, chunk) on every chunk of rows of xs, `part` the
     chunk's slice of rows and `chunk` those rows cast to float64, on w
-    threads: the caller and one helper per further CPU (`_cpus`), at most
-    `MAX_THREADS` and no more than there are chunks. Thread t takes chunks
-    t, t + w, t + 2w, ..., so `write` must write only outputs of its own
-    chunk's rows, which no other chunk writes: `build`'s words rows in pass
-    1, the rows of the chunk's slots in pass 2. Numpy releases the GIL in
-    the large calls of a chunk, so the threads run side by side.
+    threads by `_run_jobs`, w no more than there are chunks. Thread t takes
+    chunks t, t + w, t + 2w, ..., so `write` must write only outputs of its
+    own chunk's rows, which no other chunk writes: `build`'s words rows in
+    pass 1, the rows of the chunk's slots in pass 2. Numpy releases the GIL
+    in the large calls of a chunk, so the threads run side by side.
 
-    Chunks are sized by `_row_bytes`, the footprint of `encode_rows`, in
-    both of `build`'s passes. On one CPU no thread starts and the chunks
-    take `CHUNK_BYTES` each. With w threads each chunk takes a 4w-th of it,
-    so the chunks in flight stay within a quarter of the budget: each
-    helper's malloc arena keeps its chunk's working set after the build.
-    The first exception of any thread, or one that reaches the caller while
-    it waits for the helpers, stops every thread before its next chunk. A
-    thread's exception comes out of this call once every helper has ended."""
-    threads = min(_cpus(), MAX_THREADS)
+    Chunks are sized by `_row_bytes`, the footprint of `encode_rows`. On one
+    CPU each takes `CHUNK_BYTES`; with w threads a 4w-th of it, so the
+    chunks in flight stay within a quarter of the budget: each helper's
+    malloc arena keeps its chunk's working set after the build. Any
+    exception stops every thread before its next chunk."""
+    threads = _threads()
     row_bytes = _row_bytes(quantizer, xs.shape[1], count, code_length)
     rows = chunk_rows(row_bytes * 4 * threads if threads > 1 else row_bytes)
     starts = range(0, len(xs), rows)
     workers = min(threads, len(starts))
-    errors = []  # non-empty once any thread has raised: every thread stops
 
-    def fill(first: int) -> None:
-        try:
-            for lo in starts[first::workers]:
-                if errors:
-                    return
-                part = slice(lo, lo + rows)
-                write(part, np.asarray(xs[part], dtype=np.float64))
-        except BaseException as exc:
-            errors.append(exc)
+    def fill(first: int, stop: threading.Event) -> None:
+        for lo in starts[first::workers]:
+            if stop.is_set():
+                return
+            part = slice(lo, lo + rows)
+            write(part, np.asarray(xs[part], dtype=np.float64))
 
-    helpers = []
-    try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=fill, args=(first,))
-            thread.start()
-            helpers.append(thread)
-    except BaseException as exc:  # a thread that did not start: the others stop
-        errors.append(exc)
-    fill(0)
-    try:
-        for thread in helpers:
-            thread.join()
-    except BaseException as exc:  # an interrupt while waiting: the helpers stop
-        errors.append(exc)
-        raise
-    if errors:
-        raise errors[0]
+    _run_jobs([lambda stop, t=t: fill(t, stop) for t in range(workers)])
 
 
 def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) -> InvertedIndex:
@@ -522,37 +543,6 @@ def _check_postings(path, ix: InvertedIndex) -> None:
         raise DataError(f"{path}: nonzero pad bits in the codes")
 
 
-class _TableDraw:
-    """The TIFC table of a load, drawn by `tifc.fill_means` on one helper
-    thread while the caller reads the sections. The caller allocates the
-    table, so the helper's malloc arena keeps nothing after the load."""
-
-    def __init__(self, dim: int, seed: int, code_length: int):
-        self.means = np.empty((dim, code_length))
-        self.stopped = threading.Event()
-        self.error = None
-        self.thread = threading.Thread(target=self._fill, args=(np.random.default_rng(seed),))
-        self.thread.start()
-
-    def _fill(self, rng: np.random.Generator) -> None:
-        try:
-            tifc.fill_means(self.means, rng, self.stopped)
-        except BaseException as exc:
-            self.error = exc
-
-    def bank(self) -> VirtualWordBank:
-        """Wait for the helper; its exception comes out here as raised."""
-        self.thread.join()
-        if self.error is not None:
-            raise self.error
-        return VirtualWordBank(self.means)
-
-    def stop(self) -> None:
-        """End the fill before its next block, and wait for the helper."""
-        self.stopped.set()
-        self.thread.join()
-
-
 def load(path) -> InvertedIndex:
     """Read and validate an index file; any malformed file raises DataError.
 
@@ -564,17 +554,12 @@ def load(path) -> InvertedIndex:
     before any value is used: the payload's (finite centroids), the posting
     rules and the quantizer, the IFC codebook or the TIFC table.
 
-    An IFC load, and a TIFC load on one CPU, start no thread and make the
-    quantizer after the CRC. On 2 or more CPUs (`_cpus`, at most
-    `MAX_THREADS`) a TIFC load draws its table on one helper thread
-    (`_TableDraw`) from the moment the file's size matches the header,
-    while the caller reads and checksums the posting sections, and waits
-    for it after the CRC: the table is drawn before the CRC is checked, but
-    used only after. Any exception on the caller, an interrupt while it
-    waits included, stops the fill before its next block of rows
-    (`tifc.fill_means`) and ends the helper before it comes out of `load`;
-    a helper's exception, or one from a helper that cannot start, comes out
-    of `load` as raised."""
+    The rest of the file is read by one job of `_run_jobs`; a TIFC load adds
+    a second, the table's draw (`tifc.fill_means`), which runs on a helper
+    thread beside the reads on 2 or more CPUs and after the CRC on one. Any
+    exception, an interrupt included, stops the draw before its next block
+    and comes out once the helper has ended, so on one CPU a file that fails
+    its CRC is never drawn."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic in OLD_MAGICS:
@@ -609,23 +594,22 @@ def load(path) -> InvertedIndex:
             raise DataError(f"{path}: truncated index file")
         if need < left:
             raise DataError(f"{path}: {left - need} trailing bytes after posting lists")
-        draw = None
-        if cfg.scheme == SCHEME_TIFC and min(_cpus(), MAX_THREADS) > 1:
-            draw = _TableDraw(dim, cfg.virtual_word_seed, cfg.code_length)
-        try:
-            wids = array(nlists, wid_t)
-            lengths = array(nlists, len_t)
-            ids = array(total, id_t)
-            codes = array(total * b, np.uint8).reshape(total, b)
+        sections = []
+
+        def read(stop: threading.Event) -> None:
+            sections.extend([array(nlists, wid_t), array(nlists, len_t), array(total, id_t),
+                             array(total * b, np.uint8).reshape(total, b)])
             trailer = f.read(4)
             if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
                 raise DataError(f"{path}: checksum mismatch (corrupt index file)")
-            if draw:
-                quantizer = draw.bank()
-        except BaseException:
-            if draw:
-                draw.stop()
-            raise
+
+        jobs = [read]
+        if cfg.scheme == SCHEME_TIFC:
+            means = np.empty((dim, cfg.code_length))
+            rng = np.random.default_rng(cfg.virtual_word_seed)
+            jobs.append(lambda stop: tifc.fill_means(means, rng, stop))
+        _run_jobs(jobs)
+        wids, lengths, ids, codes = sections
 
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: NaN or infinite centroid in the quantizer payload")
@@ -635,10 +619,8 @@ def load(path) -> InvertedIndex:
                         f"indexed_count * link_count = {total}")
     offsets = np.zeros(nlists + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
-    if cfg.pq:
-        quantizer = PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
-    elif not draw:
-        quantizer = tifc.make_virtual_words(dim, cfg.virtual_word_seed, cfg.code_length)
+    quantizer = (PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
+                 if cfg.pq else VirtualWordBank(means))
     ix = InvertedIndex(
         config=cfg,
         indexed_count=indexed_count,

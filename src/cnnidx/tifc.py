@@ -9,8 +9,8 @@ The virtual words are D random N(0, 1) vectors that only ever enter through
 their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
 N(0, L/D): `make_virtual_words` draws the (D, L) table of means directly, no
 D x D bank exists, and a `VirtualWordBank` is that table alone. The draw is
-`fill_means`, block by block, which a TIFC `invindex.load` also runs on a
-helper thread into a table it allocates."""
+`fill_means`, block by block, which a TIFC `invindex.load` also runs into a
+table it allocates: on a helper thread, or after the CRC on one CPU."""
 
 from __future__ import annotations
 
@@ -100,8 +100,9 @@ def fill_means(means: np.ndarray, rng: np.random.Generator, stop=None) -> None:
     `rng.standard_normal((D, L)) * sqrt(L / D)`, in blocks of
     `chunk_rows(8 * L)` rows, each drawn from rng into the table and scaled
     in place: the same values, bit for bit, as one draw of the whole table.
-    With a `threading.Event` as `stop`, the fill returns before its next
-    block once the event is set, leaving the later rows unfilled."""
+    With a `threading.Event` as `stop`, the fill returns before any block,
+    the first included, once the event is set, leaving the later rows
+    unfilled."""
     dim, code_length = means.shape
     rows = chunk_rows(8 * code_length)
     scale = np.sqrt(code_length / dim)

@@ -325,6 +325,32 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("build", "--features"), ("query", "--index"), ("query", "--queries"),
+    ("baseline", "--features"), ("evaluate", "--results")])
+def test_directory_for_an_input_file_is_data_error(workspace, tmp_path, capsys, command,
+                                                     flag):
+    """An input path that names a directory cannot be opened: exit 2, the
+    code of every file that cannot be read, not an internal error."""
+    invindex.save(invindex.build(vecio.read_feature_file(workspace / "db.fvecs"),
+                                 invindex.BuildConfig("tifc", link_count=3, code_length=8)),
+                  tmp_path / "t.idx")
+    args = {
+        "build": {"--features": workspace / "db.fvecs", "--scheme": "tifc",
+                  "--out": tmp_path / "x.idx"},
+        "query": {"--index": tmp_path / "t.idx", "--queries": workspace / "q.fvecs",
+                  "--out": tmp_path / "res"},
+        "baseline": {"--method": "bf", "--features": workspace / "db.fvecs",
+                     "--queries": workspace / "q.fvecs", "--out": tmp_path / "res"},
+        "evaluate": {"--results": tmp_path / "res.ivecs", "--ground-truth": workspace / "gt.txt"},
+    }[command]
+    args[flag] = tmp_path
+    rc = run([command, *[str(x) for kv in args.items() for x in kv]])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert "data error" in err and "IsADirectoryError" not in err
+
+
 @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
 @pytest.mark.parametrize("length", ["0", "-4"])
 def test_build_code_length_below_one_is_usage_error(workspace, tmp_path, capsys,

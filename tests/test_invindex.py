@@ -3,6 +3,7 @@ import json
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 import zlib
 
@@ -440,6 +441,102 @@ class TestThreadedFill:
             invindex.build(FeatureSet(x), self.config("tifc"))
         assert info.value is refused and Thread.made == 2
         assert threading.active_count() == before
+
+
+class TestRunJobs:
+    """`invindex._run_jobs` runs jobs 1 .. `_threads()` - 1 on helper
+    threads and the rest on the caller; tests set the CPU count by patching
+    `invindex._cpus`."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_jobs_beyond_the_threads_run_on_the_caller_in_order(self, cpus, monkeypatch):
+        """Five jobs: on one CPU all run on the caller in order; on two job 1
+        runs on the helper and the caller runs 0, 2, 3 and 4 in order."""
+        monkeypatch.setattr(invindex, "_cpus", lambda: cpus)
+        caller, ran = threading.current_thread(), []
+
+        def job(k):
+            return lambda stop: ran.append((k, threading.current_thread() is caller))
+
+        before = threading.active_count()
+        invindex._run_jobs([job(k) for k in range(5)])
+        assert threading.active_count() == before
+        on_caller = [k for k, mine in ran if mine]
+        assert on_caller == ([0, 1, 2, 3, 4] if cpus == 1 else [0, 2, 3, 4])
+        assert sorted(k for k, _ in ran) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])
+    def test_exception_sets_stop_before_the_next_step(self, failing, monkeypatch):
+        """Two CPUs, three jobs: 0 and then 2 on the caller, 1 on the helper.
+        Job `failing` raises; each other job takes its next step only once
+        the raise has left that job (the helper has ended, or the caller has
+        gone on to job 2), and finds `stop` set. The exception comes out as
+        it was raised, and the helper has ended."""
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        boom = RuntimeError("job failed")
+        raised, caller_moved_on = threading.Event(), threading.Event()
+        raiser, seen = [], {}
+
+        def job(k):
+            def run(stop):
+                if k == failing:
+                    raiser.append(threading.current_thread())
+                    raised.set()
+                    raise boom
+                if k == 0:  # the helper raised: wait for it to end
+                    assert raised.wait(timeout=30)
+                    raiser[0].join(timeout=30)
+                elif k == 1:  # the caller raised: wait for it to reach job 2
+                    assert caller_moved_on.wait(timeout=30)
+                else:
+                    caller_moved_on.set()
+                seen[k] = stop.is_set()
+            return run
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            invindex._run_jobs([job(k) for k in range(3)])
+        assert info.value is boom
+        assert seen == {k: True for k in range(3) if k != failing}
+        assert threading.active_count() == before
+
+    def test_build_interrupted_once_in_its_join_ends_its_helper(self, monkeypatch):
+        """An interrupt in the caller's first wait for the helper stops the
+        helper after its current chunk, and `build` raises it only once the
+        helper has ended: the helper, held in its first chunk until the
+        interrupt and for 0.1 s after it, is not alive when `build` raises."""
+        x = np.random.default_rng(19).standard_normal((10, 16)).astype(np.float32)
+        x[:, 0] = np.arange(10)
+        interrupt = KeyboardInterrupt()
+        interrupted = threading.Event()
+        helpers, started = [], []
+
+        class Thread(threading.Thread):
+            def start(self):
+                helpers.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                if not interrupted.is_set():
+                    interrupted.set()
+                    raise interrupt
+                super().join(timeout)
+
+        def record(xs):
+            started.append(int(xs[0, 0]))
+            if int(xs[0, 0]) == 1:  # the helper's first chunk
+                assert interrupted.wait(timeout=30)
+                time.sleep(0.1)
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        TestThreadedFill.recording_words(monkeypatch, record)
+        with pytest.raises(KeyboardInterrupt) as info:
+            invindex.build(FeatureSet(x), TestThreadedFill.config("tifc"))
+        assert not helpers[0].is_alive()
+        assert info.value is interrupt
+        assert sorted(started) == [0, 1, 2, 4, 6, 8]
 
 
 class TestTwoPassBuild:

@@ -96,7 +96,9 @@ def test_bench_build_stages_match_build(scheme, small_dataset, tmp_path):
 
 def test_bench_stages_prints_traced_build_peak(monkeypatch, capsys):
     """The whole script on two small workloads, one build round each: every
-    workload's line gives its traced build peak, a positive MiB count."""
+    workload's line gives the thread count of `invindex._threads()`, which
+    the stage split depends on, and its traced build peak, a positive MiB
+    count."""
     bench = load_script("bench_stages")
     small = dict(n=200, dim=16, L=8, S=3, W=3, T=6, top_k=10)
     monkeypatch.setattr(bench, "WORKLOADS", {
@@ -111,8 +113,9 @@ def test_bench_stages_prints_traced_build_peak(monkeypatch, capsys):
              if not line.startswith(" ")]
     assert [h.split(",")[0] for h in heads] == ["tifc-small", "ifc-small"]
     for head in heads:
-        peak = re.fullmatch(r".*, traced build peak ([0-9.]+) MiB", head)
-        assert peak and float(peak[1]) > 0, head
+        peak = re.fullmatch(r"[\w-]+, (\d+) thread\(s\), [\d,]+ bytes, "
+                            r"traced build peak ([0-9.]+) MiB", head)
+        assert peak and int(peak[1]) == invindex._threads() and float(peak[2]) > 0, head
 
 
 def test_timer_keeps_one_stack_per_thread(monkeypatch):
