@@ -4,20 +4,24 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error. A
 stdout whose reader has gone (`cnnidx build ... | head -1`) ends the command
 quietly with 0: what it wrote before is complete.
 Every run prints its resolved configuration so reported numbers are traceable.
+`query` and `baseline` write a run's ranked ids, summary and timings at the
+`--out` prefix through `search.write_run`; `evaluate --timing` reads the
+timings back through `search.read_query_times`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
 from . import baseline as bl
 from . import evaluation, invindex, search, vecio
-from .search import QueryConfig
+from .invindex import BuildConfig
+from .pq import PqConfig
+from .search import RUN_SUFFIXES, QueryConfig
 from .vecio import DataError, SynthSpec
 
 EXIT_OK = 0
@@ -61,10 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--M", type=int, default=2, help="segments (ifc)")
     bp.add_argument("--train-features", default=None,
                     help="codebook training set (default: the database)")
-    bp.add_argument("--kmeans-seed", type=int, default=0)
-    bp.add_argument("--kmeans-iters", type=int, default=25)
-    bp.add_argument("--kmeans-restarts", type=int, default=3)
-    bp.add_argument("--virtual-seed", type=int, default=0)
+    bp.add_argument("--kmeans-seed", type=int, default=PqConfig.kmeans_seed)
+    bp.add_argument("--kmeans-iters", type=int, default=PqConfig.kmeans_iters)
+    bp.add_argument("--kmeans-restarts", type=int, default=PqConfig.kmeans_restarts)
+    bp.add_argument("--virtual-seed", type=int, default=BuildConfig.virtual_word_seed)
     bp.add_argument("--normalize", action="store_true",
                     help="L2-normalize vectors before indexing")
     bp.add_argument("--out", required=True)
@@ -80,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--normalize", action="store_true",
                     help="L2-normalize query vectors (match a --normalize build)")
     qp.add_argument("--out", required=True,
-                    help="output prefix: writes .ivecs, .summary.json, .timing.json")
+                    help="output prefix: writes " + ", ".join(RUN_SUFFIXES))
 
     lp = sub.add_parser("baseline", help="brute-force or LSH search")
     lp.add_argument("--method", choices=["bf", "lsh"], required=True)
@@ -95,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--out", required=True, help="output prefix, as for query")
 
     ep = sub.add_parser("evaluate", help="score ranked results against ground truth")
-    ep.add_argument("--results", required=True, help="ranked id lists (.ivecs)")
+    ep.add_argument("--results", required=True, help="ranked id lists, a run's ids file")
     ep.add_argument("--ground-truth", required=True)
     ep.add_argument("--timing", default=None, help="timing JSON from a query run")
     ep.add_argument("--exclude-self", action="store_true",
@@ -173,15 +177,9 @@ def _cmd_query(args) -> int:
                 "normalize": args.normalize}
     _echo_config("query", resolved)
     results, summary = search.batch_query(ix, queries, cfg)
-    search.write_batch_results(
-        results, summary,
-        ids_path=args.out + ".ivecs",
-        summary_path=args.out + ".summary.json",
-        timing_path=args.out + ".timing.json",
-        config=resolved,
-    )
-    print(f"[query] {len(results)} queries, mean time "
-          f"{summary.mean_query_time * 1e3:.3f} ms")
+    mean = search.write_run(args.out, [r.ids for r in results], summary.candidate_counts,
+                            summary.query_times, resolved)
+    print(f"[query] {len(results)} queries, mean time {mean * 1e3:.3f} ms")
     return EXIT_OK
 
 
@@ -207,25 +205,15 @@ def _cmd_baseline(args) -> int:
         def run_one(q):
             return bl.lsh_query(lix, q, args.topk)
 
-    summary = search.BatchSummary()
-    ranked: list[list[int]] = []
+    ranked, scanned, times = [], [], []
     for q in queries.vectors:
         t0 = time.perf_counter()
-        ids, scanned = run_one(q)
-        summary.query_times.append(time.perf_counter() - t0)
+        ids, count = run_one(q)
+        times.append(time.perf_counter() - t0)
         ranked.append(ids)
-        summary.candidate_counts.append(scanned)
-    results = [search.RankedResult(entries=[(i, 1, 0) for i in ids], candidates=c)
-               for ids, c in zip(ranked, summary.candidate_counts)]
-    search.write_batch_results(
-        results, summary,
-        ids_path=args.out + ".ivecs",
-        summary_path=args.out + ".summary.json",
-        timing_path=args.out + ".timing.json",
-        config=resolved,
-    )
-    print(f"[baseline] {len(ranked)} queries, mean time "
-          f"{summary.mean_query_time * 1e3:.3f} ms")
+        scanned.append(count)
+    mean = search.write_run(args.out, ranked, scanned, times, resolved)
+    print(f"[baseline] {len(ranked)} queries, mean time {mean * 1e3:.3f} ms")
     return EXIT_OK
 
 
@@ -236,22 +224,7 @@ def _cmd_evaluate(args) -> int:
                 "exclude_self": args.exclude_self}
     _echo_config("evaluate", resolved)
     results = {qid: [int(i) for i in ids] for qid, ids in enumerate(lists)}
-    times = None
-    if args.timing:
-        with open(args.timing, "r", encoding="utf-8") as f:
-            timing = json.load(f)
-        times = timing.get("query_times_s") if isinstance(timing, dict) else None
-        if not isinstance(times, list) or any(type(t) not in (int, float) for t in times):
-            raise DataError(f"{args.timing}: query_times_s must be a list of numbers")
-        # `json.load` takes NaN and Infinity, and a NaN or infinite mean
-        # would make the report invalid JSON
-        finite = all(0 <= t <= sys.float_info.max for t in times)
-        if not (finite and math.isfinite(sum(map(float, times)))):
-            raise DataError(f"{args.timing}: query_times_s must be finite, >= 0 "
-                            "and of finite sum")
-        if len(times) != len(lists):
-            raise DataError(f"{args.timing}: {len(times)} query times for "
-                            f"{len(lists)} result records")
+    times = search.read_query_times(args.timing, len(lists)) if args.timing else None
     report = evaluation.evaluate(results, gt, query_times=times,
                                  config=resolved, exclude_self=args.exclude_self)
     print(f"MAP {report.map:.6f}")
@@ -308,7 +281,7 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return EXIT_OK
-    except (DataError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, KeyError, ValueError) as exc:
         print(f"cnnidx: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:

@@ -7,11 +7,16 @@ rows, then the index's quantizer assigns each its W words (`words`) and packs
 its codes against them (`codes`), as it does for the build. The second scans
 one query's lists at a time. `query` is the one-row case of both, and
 `batch_query` runs the first stage through `invindex.encode_chunks`, in
-chunks sized as the build's are."""
+chunks sized as the build's are.
+
+A run's files (`RUN_SUFFIXES`) are written by `write_run` and their timings
+read back by `read_query_times`, and by no other code."""
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +24,7 @@ import numpy as np
 
 from .embed import hamming_to_many
 from .invindex import InvertedIndex, encode_chunks
-from .vecio import check_ints, write_int_lists
+from .vecio import DataError, check_ints, write_int_lists
 
 
 @dataclass
@@ -197,28 +202,49 @@ def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
     return results, summary
 
 
-def write_batch_results(results: list[RankedResult], summary: BatchSummary,
-                        ids_path, summary_path, timing_path, config: dict) -> None:
-    """Persist ranked id lists (binary int records) plus a deterministic JSON
-    summary; timings go to a separate file so reruns are byte-identical.
-    Its `query_times_s` are `batch_query`'s per-query shares of each chunk's
-    wall time."""
-    write_int_lists([r.ids for r in results], ids_path)
-    with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "config": config,
-                "num_queries": len(results),
-                "candidate_counts": summary.candidate_counts,
-                "result_sizes": [len(r.ids) for r in results],
-            },
-            f, indent=2, sort_keys=True)
+# The files of a query run at one prefix: its ranked ids, its summary and its
+# per-query times. The timings are apart, so reruns write the first two
+# byte-identical.
+RUN_SUFFIXES = (".ivecs", ".summary.json", ".timing.json")
+
+
+def _write_json(obj: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(timing_path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "query_times_s": summary.query_times,
-                "mean_query_time_s": summary.mean_query_time,
-            },
-            f, indent=2, sort_keys=True)
-        f.write("\n")
+
+
+def write_run(prefix, ids, candidate_counts, query_times, config: dict) -> float:
+    """Write a query run's files and return its mean query time in seconds.
+
+    `prefix.ivecs` holds each query's ranked ids as an integer list;
+    `prefix.summary.json` the config, the query count, each query's
+    candidate count (Python ints) and result size; `prefix.timing.json`
+    `query_times_s`, each query's seconds, and `mean_query_time_s`."""
+    ids_path, summary_path, timing_path = (f"{prefix}{s}" for s in RUN_SUFFIXES)
+    run = BatchSummary(list(candidate_counts), list(query_times))
+    write_int_lists(ids, ids_path)
+    _write_json({"config": config, "num_queries": len(ids),
+                 "candidate_counts": run.candidate_counts,
+                 "result_sizes": [len(r) for r in ids]}, summary_path)
+    _write_json({"query_times_s": run.query_times,
+                 "mean_query_time_s": run.mean_query_time}, timing_path)
+    return run.mean_query_time
+
+
+def read_query_times(path, count: int) -> list:
+    """The `query_times_s` of a run's `.timing.json`, checked to be `count`
+    finite numbers >= 0 of finite sum; otherwise a DataError naming `path`."""
+    with open(path, "r", encoding="utf-8") as f:
+        timing = json.load(f)
+    times = timing.get("query_times_s") if isinstance(timing, dict) else None
+    if not isinstance(times, list) or any(type(t) not in (int, float) for t in times):
+        raise DataError(f"{path}: query_times_s must be a list of numbers")
+    # `json.load` takes NaN and Infinity, and a NaN or infinite mean would
+    # make a report invalid JSON
+    finite = all(0 <= t <= sys.float_info.max for t in times)
+    if not (finite and math.isfinite(sum(map(float, times)))):
+        raise DataError(f"{path}: query_times_s must be finite, >= 0 and of finite sum")
+    if len(times) != count:
+        raise DataError(f"{path}: {len(times)} query times for {count} result records")
+    return times

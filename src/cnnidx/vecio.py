@@ -18,6 +18,7 @@ payload columns from the matrix. Neither holds a second copy of the vectors.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -131,6 +132,9 @@ class SynthSpec:
         check_ints(self, {"n_clusters": 1, "points_per_cluster": 1, "dim": 1, "seed": 0})
         if self.cluster_stddev < 0 or self.noise_stddev < 0:
             raise ValueError("stddevs must be >= 0")
+        for name in ("cluster_stddev", "noise_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 # spread of cluster centers relative to unit within-cluster noise; keeps
@@ -219,13 +223,33 @@ def write_feature_file(fs: FeatureSet, path) -> None:
     """Write a FeatureSet so that read_feature_file reconstructs it exactly."""
     if fs.n == 0:
         raise DataError("refusing to write an empty feature set")
-    _write_records(fs.vectors, path)
+    rows = chunk_rows(4 * (1 + fs.dim))
+    buf = np.empty((min(rows, fs.n), 1 + fs.dim), dtype="<i4")
+    buf[:, 0] = fs.dim
+    with open(path, "wb") as f:
+        for lo in range(0, fs.n, rows):
+            chunk = buf[: min(rows, fs.n - lo)]
+            chunk[:, 1:].view("<f4")[...] = fs.vectors[lo : lo + len(chunk)]
+            f.write(chunk)
 
 
 def read_int_lists(path) -> list[np.ndarray]:
     """Read an integer-list file; record lengths may differ and may be 0."""
     raw = np.fromfile(path, dtype=np.uint8)
-    return _parse_records(raw, np.int32, path)
+    records = []
+    off = 0
+    while off < raw.size:
+        if off + 4 > raw.size:
+            raise DataError(f"{path}: record {len(records)}: truncated header")
+        count = int(raw[off : off + 4].view("<i4")[0])
+        if count < 0:
+            raise DataError(f"{path}: record {len(records)}: bad length {count}")
+        off += 4
+        if off + 4 * count > raw.size:
+            raise DataError(f"{path}: record {len(records)}: truncated payload")
+        records.append(raw[off : off + 4 * count].view("<i4"))
+        off += 4 * count
+    return records
 
 
 def write_int_lists(lists, path) -> None:
@@ -235,38 +259,6 @@ def write_int_lists(lists, path) -> None:
             ids = np.asarray(ids, dtype=np.int32)
             f.write(np.int32(len(ids)).tobytes())
             f.write(ids.astype("<i4").tobytes())
-
-
-def _parse_records(raw: np.ndarray, dtype, path) -> list[np.ndarray]:
-    itemsize = np.dtype(dtype).itemsize
-    records = []
-    off = 0
-    total = raw.size
-    while off < total:
-        if off + 4 > total:
-            raise DataError(f"{path}: record {len(records)}: truncated header")
-        count = int(raw[off : off + 4].view("<i4")[0])
-        if count < 0:
-            raise DataError(f"{path}: record {len(records)}: bad length {count}")
-        off += 4
-        nbytes = count * itemsize
-        if off + nbytes > total:
-            raise DataError(f"{path}: record {len(records)}: truncated payload")
-        records.append(raw[off : off + nbytes].view(np.dtype(dtype).newbyteorder("<")))
-        off += nbytes
-    return records
-
-
-def _write_records(matrix: np.ndarray, path) -> None:
-    n, dim = matrix.shape
-    rows = chunk_rows(4 * (1 + dim))
-    buf = np.empty((min(rows, n), 1 + dim), dtype="<i4")
-    buf[:, 0] = dim
-    with open(path, "wb") as f:
-        for lo in range(0, n, rows):
-            chunk = buf[: min(rows, n - lo)]
-            chunk[:, 1:].view("<f4")[...] = matrix[lo : lo + len(chunk)]
-            f.write(chunk)
 
 
 def read_ground_truth(path, n: int | None = None) -> dict[int, set[int]]:

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnnidx import invindex, vecio
-from cnnidx.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from cnnidx import baseline, invindex, search, vecio
+from cnnidx.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
+from cnnidx.invindex import BuildConfig
+from cnnidx.pq import PqConfig
 
 
 @pytest.fixture(scope="module")
@@ -38,15 +40,20 @@ def test_synth_outputs(workspace):
 @pytest.mark.parametrize("flag, value, message", [
     ("--clusters", "0", "n_clusters must be >= 1, got 0"),
     ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--cluster-std", "nan", "cluster_stddev must be finite, got nan"),
+    ("--noise-std", "inf", "noise_stddev must be finite, got inf"),
 ])
 def test_synth_bad_spec_is_data_error(tmp_path, capsys, flag, value, message):
+    """A bad spec fails before its config is echoed, so no NaN, which is not
+    JSON, reaches stdout."""
     spec = {"--clusters": "2", "--per-cluster": "3", "--dim": "4", "--cluster-std": "1.0",
             "--noise-std": "0.1", "--seed": "0", flag: value}
     rc = run(["synth", *[x for kv in spec.items() for x in kv],
               "--out-features", str(tmp_path / "db.fvecs"),
               "--out-queries", str(tmp_path / "q.fvecs"), "--out-gt", str(tmp_path / "gt.txt")])
     assert rc == EXIT_DATA
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
     assert not (tmp_path / "db.fvecs").exists()
 
 
@@ -170,6 +177,73 @@ def test_baseline_lsh_runs(workspace, tmp_path):
     ])
     assert rc == EXIT_OK
     assert (tmp_path / "lsh.ivecs").exists()
+
+
+def read_run(prefix):
+    """A run's ranked ids, candidate counts and result sizes, with its
+    timings checked by the reader `evaluate --timing` uses."""
+    ids = [r.tolist() for r in vecio.read_int_lists(f"{prefix}.ivecs")]
+    summary = json.loads(Path(f"{prefix}.summary.json").read_text())
+    times = search.read_query_times(f"{prefix}.timing.json", len(ids))
+    timing = json.loads(Path(f"{prefix}.timing.json").read_text())
+    assert timing["mean_query_time_s"] == pytest.approx(np.mean(times))
+    assert summary["num_queries"] == len(ids)
+    return ids, summary["candidate_counts"], summary["result_sizes"]
+
+
+@pytest.mark.parametrize("scheme, flags", [
+    ("tifc", ["--S", "4", "--L", "8"]),
+    ("ifc", ["--S", "3", "--L", "8", "--K", "4", "--M", "2"]),
+])
+def test_query_run_files_hold_the_library_answers(workspace, tmp_path, scheme, flags):
+    """`cnnidx query` writes `batch_query`'s ids and candidate counts, which
+    are also each query's own `query` ids and `candidate_set` size."""
+    rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", scheme,
+              *flags, "--out", str(tmp_path / "x.idx")])
+    assert rc == EXIT_OK
+    rc = run(["query", "--index", str(tmp_path / "x.idx"), "--queries",
+              str(workspace / "q.fvecs"), "--W", "3", "--T", "4", "--topk", "7",
+              "--out", str(tmp_path / "r")])
+    assert rc == EXIT_OK
+    ix = invindex.load(tmp_path / "x.idx")
+    queries = vecio.read_feature_file(workspace / "q.fvecs")
+    cfg = search.QueryConfig(assignment_count=3, hamming_threshold=4, top_k=7)
+    results, summary = search.batch_query(ix, queries, cfg)
+    ids = [r.ids for r in results]
+    assert read_run(tmp_path / "r") == (ids, summary.candidate_counts, [len(i) for i in ids])
+    assert ids == [search.query(ix, q, cfg).ids for q in queries.vectors]
+    assert summary.candidate_counts == [len(search.candidate_set(ix, q, 3))
+                                        for q in queries.vectors]
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("bf", []), ("lsh", ["--tables", "4", "--bits", "4", "--seed", "2"])])
+def test_baseline_run_files_hold_the_library_answers(workspace, tmp_path, method, flags):
+    """`cnnidx baseline` writes each query's `brute_force` or `lsh_query`
+    ids, and the database size or bucket union it scanned."""
+    rc = run(["baseline", "--method", method, "--features", str(workspace / "db.fvecs"),
+              "--queries", str(workspace / "q.fvecs"), "--topk", "7", *flags,
+              "--out", str(tmp_path / "b")])
+    assert rc == EXIT_OK
+    db = vecio.read_feature_file(workspace / "db.fvecs")
+    queries = vecio.read_feature_file(workspace / "q.fvecs")
+    if method == "bf":
+        want = [(baseline.brute_force(db, q, 7), db.n) for q in queries.vectors]
+    else:
+        lix = baseline.lsh_build(db, baseline.LshConfig(4, 4, 2))
+        want = [baseline.lsh_query(lix, q, 7) for q in queries.vectors]
+    ids = [w[0] for w in want]
+    assert read_run(tmp_path / "b") == (ids, [w[1] for w in want], [len(i) for i in ids])
+
+
+def test_build_defaults_are_the_configs_defaults():
+    """A build command that leaves out the seeds and k-means settings gets
+    the configs' defaults, as a sweep or `build_config` caller does."""
+    args = build_parser().parse_args(
+        ["build", "--features", "db.fvecs", "--scheme", "ifc", "--out", "x.idx"])
+    params = vars(args)
+    assert invindex.build_config("ifc", params).pq == PqConfig(args.M, args.K)
+    assert invindex.build_config("tifc", params) == BuildConfig("tifc", args.S, args.L)
 
 
 def test_baseline_lsh_records_bucket_union(workspace, tmp_path):

@@ -484,13 +484,9 @@ class TestBatch:
         cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
         for run in ("a", "b"):
             results, summary = search.batch_query(ifc_index, queries, cfg)
-            search.write_batch_results(
-                results, summary,
-                ids_path=tmp_path / f"{run}.ivecs",
-                summary_path=tmp_path / f"{run}.summary.json",
-                timing_path=tmp_path / f"{run}.timing.json",
-                config={"W": 3, "T": 6},
-            )
+            search.write_run(tmp_path / run, [r.ids for r in results],
+                             summary.candidate_counts, summary.query_times,
+                             config={"W": 3, "T": 6})
         assert (tmp_path / "a.ivecs").read_bytes() == (tmp_path / "b.ivecs").read_bytes()
         assert (tmp_path / "a.summary.json").read_text() == \
             (tmp_path / "b.summary.json").read_text()
