@@ -177,8 +177,7 @@ def main() -> None:
             peak = traced_build_peak(db, build_cfg)
             del db
             ix = invindex.load(path)
-            cfg = search.QueryConfig(assignment_count=spec["W"], hamming_threshold=spec["T"],
-                                     top_k=spec["top_k"])
+            cfg = search.query_config(build_cfg, spec)
             load = stage_medians(LOAD_STAGES, "load", [lambda: invindex.load(path)], args.loads)
             query = stage_medians(QUERY_STAGES, "query",
                                   [lambda q=q: search.query(ix, q, cfg) for q in queries],

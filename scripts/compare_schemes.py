@@ -8,7 +8,6 @@ import time
 from cnnidx import baseline, evaluation, invindex, search, vecio
 from cnnidx.baseline import LshConfig
 from cnnidx.invindex import build_config
-from cnnidx.search import QueryConfig
 from cnnidx.vecio import SynthSpec
 
 
@@ -29,9 +28,10 @@ def main():
     spec = SynthSpec(args.clusters, args.per_cluster, args.dim,
                      cluster_stddev=1.0, noise_stddev=0.1, seed=args.seed)
     db, queries, gt = vecio.generate_synthetic(spec)
-    t = round(0.35 * args.L)
-    qcfg = QueryConfig(assignment_count=args.W, hamming_threshold=t,
-                       top_k=args.topk)
+    tifc_cfg = build_config("tifc", {**vars(args), "S": min(args.S, args.dim)})
+    ifc_cfg = build_config("ifc", vars(args))
+    # both schemes query at `cnnidx query`'s default T, which depends on L alone
+    t = search.query_config(ifc_cfg, {}).hamming_threshold
     print(f"database {db.n} x {db.dim}, {queries.n} queries, "
           f"S={args.S} W={args.W} L={args.L} T={t} K={args.K} M={args.M}")
 
@@ -64,14 +64,11 @@ def main():
     add_row("LSH", ranked, times, cands, db.vectors.nbytes)
 
     # TIFC and IFC
-    for name, cfg in (
-        ("TIFC", build_config("tifc", {**vars(args), "S": min(args.S, args.dim)})),
-        ("IFC", build_config("ifc", vars(args))),
-    ):
+    for name, cfg in (("TIFC", tifc_cfg), ("IFC", ifc_cfg)):
         ix = invindex.build(db, cfg)
-        wcfg = QueryConfig(assignment_count=min(args.W, ix.quantizer.word_count),
-                           hamming_threshold=t, top_k=args.topk)
-        results, summary = search.batch_query(ix, queries, wcfg)
+        qcfg = search.query_config(cfg, {"W": min(args.W, ix.quantizer.word_count),
+                                         "top_k": args.topk})
+        results, summary = search.batch_query(ix, queries, qcfg)
         add_row(name, {q: results[q].ids for q in range(queries.n)},
                 summary.query_times, summary.candidate_counts,
                 invindex.stats(ix).estimated_file_bytes)

@@ -19,9 +19,8 @@ import time
 
 from . import baseline as bl
 from . import evaluation, invindex, search, vecio
-from .invindex import BuildConfig
 from .pq import PqConfig
-from .search import RUN_SUFFIXES, QueryConfig
+from .search import RUN_SUFFIXES
 from .vecio import DataError, SynthSpec
 
 EXIT_OK = 0
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--kmeans-seed", type=int, default=PqConfig.kmeans_seed)
     bp.add_argument("--kmeans-iters", type=int, default=PqConfig.kmeans_iters)
     bp.add_argument("--kmeans-restarts", type=int, default=PqConfig.kmeans_restarts)
-    bp.add_argument("--virtual-seed", type=int, default=BuildConfig.virtual_word_seed)
     bp.add_argument("--normalize", action="store_true",
                     help="L2-normalize vectors before indexing")
     bp.add_argument("--out", required=True)
@@ -168,11 +166,9 @@ def _cmd_query(args) -> int:
     queries = vecio.read_feature_file(args.queries)
     if args.normalize:
         queries = vecio.l2_normalize(queries)
-    w = args.W if args.W is not None else ix.config.link_count
-    t = args.T if args.T is not None else round(0.35 * ix.config.code_length)
-    cfg = QueryConfig(assignment_count=w, hamming_threshold=t, top_k=args.topk)
-    resolved = {"index": args.index, "queries": args.queries,
-                "W": w, "T": t, "topk": args.topk, "scheme": ix.config.scheme,
+    cfg = search.query_config(ix.config, {"W": args.W, "T": args.T, "top_k": args.topk})
+    resolved = {"index": args.index, "queries": args.queries, "W": cfg.assignment_count,
+                "T": cfg.hamming_threshold, "topk": args.topk, "scheme": ix.config.scheme,
                 "L": ix.config.code_length, "S": ix.config.link_count,
                 "normalize": args.normalize}
     _echo_config("query", resolved)
@@ -229,9 +225,7 @@ def _cmd_evaluate(args) -> int:
                                  config=resolved, exclude_self=args.exclude_self)
     print(f"MAP {report.map:.6f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        vecio.write_json(report.to_dict(), args.out)
     return EXIT_OK
 
 

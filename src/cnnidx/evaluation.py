@@ -6,15 +6,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import invindex, search
 from .invindex import InvertedIndex
-from .search import QueryConfig
-from .vecio import DataError, FeatureSet
+from .vecio import DataError, FeatureSet, write_json
 
 
 def average_precision(ranked, relevant) -> float:
@@ -111,9 +109,8 @@ class SweepSpec:
     """A grid over any of L/T/S/W/K/M; everything else fixed in ``base``.
 
     ``base`` carries scheme, top_k, defaults for non-swept parameters and
-    the optional build settings of `invindex.BUILD_KEYS`: virtual_seed for
-    TIFC; kmeans_seed, kmeans_iters and kmeans_restarts for IFC. A setting
-    left out keeps its default, as in `cnnidx build`.
+    the IFC k-means settings; one left out keeps the default of `cnnidx
+    build`, or for W, T and top_k of `cnnidx query` (`search.query_config`).
     """
 
     grid: dict[str, list]
@@ -134,6 +131,7 @@ def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,
     order. A failing point is reported in its row and the sweep continues.
 
     Indexes are cached across points that share all build-side parameters.
+    Each row reports the W and T its point ran with.
     """
     keys = list(spec.grid)
     index_cache: dict[tuple, InvertedIndex] = {}
@@ -141,7 +139,7 @@ def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,
     for values in itertools.product(*(spec.grid[k] for k in keys)):
         point = dict(spec.base)
         point.update(dict(zip(keys, values)))
-        row = {k: point.get(k) for k in SWEEPABLE if k in point or k in keys}
+        row = {k: point.get(k) for k in SWEEPABLE if k in point or k in ("W", "T")}
         row["scheme"] = point.get("scheme")
         try:
             cfg = invindex.build_config(point.get("scheme"), point)
@@ -149,11 +147,8 @@ def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,
             ix = index_cache.get(build_key)
             if ix is None:
                 ix = index_cache[build_key] = invindex.build(db, cfg, training=training)
-            qcfg = QueryConfig(
-                assignment_count=point["W"],
-                hamming_threshold=point["T"],
-                top_k=point.get("top_k", 10),
-            )
+            qcfg = search.query_config(cfg, point)
+            row.update(W=qcfg.assignment_count, T=qcfg.hamming_threshold)
             results, summary = search.batch_query(ix, queries, qcfg)
             report = evaluate(
                 {qid: results[qid].ids for qid in range(len(results))},
@@ -197,6 +192,4 @@ def write_sweep_json(rows: list[dict], path) -> None:
             out["per_query_ap"] = {str(k): v for k, v in sorted(out["per_query_ap"].items())}
         return out
 
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump([clean(r) for r in rows], f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json([clean(r) for r in rows], path)

@@ -10,15 +10,15 @@ holds the entries offsets[j]:offsets[j + 1].
 
 Index file layout (all integers little-endian):
 
-    magic   8 bytes  b"CNNIDX04"
+    magic   8 bytes  b"CNNIDX05"
     hlen    uint32   length of the JSON header
     header  bytes    JSON: the BuildConfig and n, nothing else: scheme,
                      link_count, code_length, indexed_count, and quantizer
-                     (dim plus the PqConfig fields for IFC, seed for TIFC)
+                     (dim, plus the PqConfig fields for IFC)
     quantizer payload: IFC -> sub-codebook centroids as float32, segments in
                      order; TIFC -> empty (the (D, L) table of the virtual
-                     words' segment means is redrawn from dim, code_length
-                     and seed)
+                     words' segment means is the one `tifc.fill_means`
+                     draws for dim and code_length)
     nlists  uint64   number of non-empty posting lists
     wids    uW x nlists, strictly increasing
     lengths uN x nlists, each >= 1, summing to indexed_count * S
@@ -37,9 +37,10 @@ form, so a file that loads saves back to the same bytes. `load` reads each
 section straight into its array and rejects with `DataError` every file that
 breaks one of these rules, so a query never meets an id outside
 [0, indexed_count) or an image twice in one list. `CNNIDX01`
-(one record per list), `CNNIDX02` (int64 word ids and lengths, int32 ids) and
-`CNNIDX03` (a header that also held the word count and a quantizer kind)
-files are not read; rebuild them.
+(one record per list), `CNNIDX02` (int64 word ids and lengths, int32 ids),
+`CNNIDX03` (a header that also held the word count and a quantizer kind) and
+`CNNIDX04` (a TIFC header that also held the table's seed) files are not
+read; rebuild them.
 
 Build and query share one encoding stage, the quantizer's `words` and then
 its `codes` over chunks of `_row_bytes` each: `encode_rows` runs both on a
@@ -91,8 +92,8 @@ from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import DataError, FeatureSet, check_ints, chunk_rows
 
-MAGIC = b"CNNIDX04"
-OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03")
+MAGIC = b"CNNIDX05"
+OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03", b"CNNIDX04")
 
 SCHEME_TIFC = "tifc"
 SCHEME_IFC = "ifc"
@@ -115,16 +116,13 @@ class BuildConfig:
     link_count: int  # S
     code_length: int  # L
     pq: PqConfig | None = None
-    virtual_word_seed: int = 0
 
     def __post_init__(self):
         if self.scheme not in (SCHEME_TIFC, SCHEME_IFC):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        check_ints(self, {"link_count": 1, "code_length": 1, "virtual_word_seed": 0})
+        check_ints(self, {"link_count": 1, "code_length": 1})
         if (self.pq is None) == (self.scheme == SCHEME_IFC):
             raise ValueError("a PqConfig is given for an IFC build and for no other")
-        if self.scheme == SCHEME_IFC and self.virtual_word_seed:
-            raise ValueError("virtual_word_seed is a TIFC setting; an IFC build takes 0")
 
     def word_count(self, dim: int, where) -> int:
         """D for TIFC, K^M for IFC: the word count over vectors of width dim
@@ -150,22 +148,22 @@ class BuildConfig:
 
 
 # The paper's build parameters that each scheme reads, by the names the CLI
-# and a sweep spec use: S links per vector and L-bit codes; for TIFC the seed
-# of its table of means, for IFC the K x M product codebook and its k-means.
+# and a sweep spec use: S links per vector and L-bit codes, and for IFC the
+# K x M product codebook and its k-means.
 BUILD_KEYS = {
-    SCHEME_TIFC: ("S", "L", "virtual_seed"),
+    SCHEME_TIFC: ("S", "L"),
     SCHEME_IFC: ("S", "L", "K", "M", "kmeans_seed", "kmeans_iters", "kmeans_restarts"),
 }
 _REQUIRED_KEYS = ("S", "L", "K", "M")
-_FIELD_NAMES = {"S": "link_count", "L": "code_length", "virtual_seed": "virtual_word_seed",
-                "K": "words_per_segment", "M": "segments"}
+_FIELD_NAMES = {"S": "link_count", "L": "code_length", "K": "words_per_segment",
+                "M": "segments"}
 _PQ_FIELDS = tuple(f.name for f in fields(PqConfig))
 
 
 def build_config(scheme: str, params: dict) -> BuildConfig:
     """The BuildConfig that the keys `BUILD_KEYS[scheme]` of params give, as
     they are: a value that is not an integer is the configs' ValueError. S
-    and L, and for IFC K and M, must be present (KeyError); a seed or k-means
+    and L, and for IFC K and M, must be present (KeyError); a k-means
     setting left out keeps its default, and keys of the other scheme or of no
     build parameter are ignored."""
     if scheme not in BUILD_KEYS:
@@ -351,7 +349,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     if cfg.scheme == SCHEME_TIFC:
         if training is not None:
             raise ValueError("a TIFC build takes no training set")
-        quantizer = tifc.make_virtual_words(d, cfg.virtual_word_seed, cfg.code_length)
+        quantizer = tifc.make_virtual_words(d, cfg.code_length)
     else:
         training = training if training is not None else db
         if training.dim != d:
@@ -481,10 +479,9 @@ def _field(path, obj: dict, key: str, kind: type):
 
 def _header_json(cfg: BuildConfig, dim: int, indexed_count: int) -> bytes:
     """The header that `save` writes, as sorted JSON: the configuration and
-    n, and a quantizer object of D and the `PqConfig` fields (IFC) or the
-    table's seed (TIFC). `_read_header` is its inverse."""
-    quantizer = ({"dim": dim, **asdict(cfg.pq)} if cfg.scheme == SCHEME_IFC
-                 else {"dim": dim, "seed": cfg.virtual_word_seed})
+    n, and a quantizer object of D, plus the `PqConfig` fields for IFC.
+    `_read_header` is its inverse."""
+    quantizer = {"dim": dim, **(asdict(cfg.pq) if cfg.pq else {})}
     header = {"scheme": cfg.scheme, "link_count": cfg.link_count,
               "code_length": cfg.code_length, "indexed_count": indexed_count,
               "quantizer": quantizer}
@@ -510,8 +507,7 @@ def _read_header(path, raw) -> tuple[BuildConfig, int, int, int]:
     scheme = header.get("scheme")
     try:
         pq_cfg = PqConfig(**{k: q.get(k) for k in _PQ_FIELDS}) if scheme == SCHEME_IFC else None
-        cfg = BuildConfig(scheme, header.get("link_count"), header.get("code_length"), pq_cfg,
-                          q.get("seed") if scheme == SCHEME_TIFC else 0)
+        cfg = BuildConfig(scheme, header.get("link_count"), header.get("code_length"), pq_cfg)
     except ValueError as exc:
         raise DataError(f"{path}: bad configuration in index header ({exc})") from None
     word_count = cfg.word_count(dim, path)
@@ -606,8 +602,7 @@ def load(path) -> InvertedIndex:
         jobs = [read]
         if cfg.scheme == SCHEME_TIFC:
             means = np.empty((dim, cfg.code_length))
-            rng = np.random.default_rng(cfg.virtual_word_seed)
-            jobs.append(lambda stop: tifc.fill_means(means, rng, stop))
+            jobs.append(lambda stop: tifc.fill_means(means, stop))
         _run_jobs(jobs)
         wids, lengths, ids, codes = sections
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import hamming_to_many
-from .invindex import InvertedIndex, encode_chunks
-from .vecio import DataError, check_ints, write_int_lists
+from .invindex import BuildConfig, InvertedIndex, encode_chunks
+from .vecio import DataError, check_ints, write_int_lists, write_json
 
 
 @dataclass
@@ -35,6 +35,17 @@ class QueryConfig:
 
     def __post_init__(self):
         check_ints(self, {"assignment_count": 1, "hamming_threshold": 0, "top_k": 1})
+
+
+def query_config(build_cfg: BuildConfig, params: dict) -> QueryConfig:
+    """The QueryConfig of params' W, T and top_k, as they are; one left out
+    or None takes `cnnidx query`'s default for an index built under
+    build_cfg: W = S, T = round(0.35 * L), top_k 10."""
+    w, t, top_k = (params.get(k) for k in ("W", "T", "top_k"))
+    return QueryConfig(
+        assignment_count=build_cfg.link_count if w is None else w,
+        hamming_threshold=round(0.35 * build_cfg.code_length) if t is None else t,
+        top_k=QueryConfig.top_k if top_k is None else top_k)
 
 
 @dataclass
@@ -208,12 +219,6 @@ def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
 RUN_SUFFIXES = (".ivecs", ".summary.json", ".timing.json")
 
 
-def _write_json(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def write_run(prefix, ids, candidate_counts, query_times, config: dict) -> float:
     """Write a query run's files and return its mean query time in seconds.
 
@@ -224,11 +229,11 @@ def write_run(prefix, ids, candidate_counts, query_times, config: dict) -> float
     ids_path, summary_path, timing_path = (f"{prefix}{s}" for s in RUN_SUFFIXES)
     run = BatchSummary(list(candidate_counts), list(query_times))
     write_int_lists(ids, ids_path)
-    _write_json({"config": config, "num_queries": len(ids),
-                 "candidate_counts": run.candidate_counts,
-                 "result_sizes": [len(r) for r in ids]}, summary_path)
-    _write_json({"query_times_s": run.query_times,
-                 "mean_query_time_s": run.mean_query_time}, timing_path)
+    write_json({"config": config, "num_queries": len(ids),
+                "candidate_counts": run.candidate_counts,
+                "result_sizes": [len(r) for r in ids]}, summary_path)
+    write_json({"query_times_s": run.query_times,
+                "mean_query_time_s": run.mean_query_time}, timing_path)
     return run.mean_query_time
 
 

@@ -9,8 +9,8 @@ The virtual words are D random N(0, 1) vectors that only ever enter through
 their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
 N(0, L/D): `make_virtual_words` draws the (D, L) table of means directly, no
 D x D bank exists, and a `VirtualWordBank` is that table alone. The draw is
-`fill_means`, block by block, which a TIFC `invindex.load` also runs into a
-table it allocates: on a helper thread, or after the CRC on one CPU."""
+`fill_means`, block by block from seed 0, so D and L fix the table; a TIFC
+`invindex.load` runs it too: on a helper thread, or after the CRC on one CPU."""
 
 from __future__ import annotations
 
@@ -63,8 +63,7 @@ def top_words_rows(tf: np.ndarray, count: int) -> np.ndarray:
 @dataclass
 class VirtualWordBank:
     """Reference segment means of the D virtual words, the (D, L) table that
-    `make_virtual_words` draws. A file stores the draw's seed, not the table,
-    so the payload is empty."""
+    `make_virtual_words` draws. D and L give it, so the payload is empty."""
 
     means: np.ndarray  # (D, L) float64
 
@@ -95,15 +94,16 @@ class VirtualWordBank:
         return np.empty(0, dtype="<f4")
 
 
-def fill_means(means: np.ndarray, rng: np.random.Generator, stop=None) -> None:
+def fill_means(means: np.ndarray, stop=None) -> None:
     """Fill a C-contiguous (D, L) float64 table with
-    `rng.standard_normal((D, L)) * sqrt(L / D)`, in blocks of
-    `chunk_rows(8 * L)` rows, each drawn from rng into the table and scaled
+    `np.random.default_rng(0).standard_normal((D, L)) * sqrt(L / D)`, in
+    blocks of `chunk_rows(8 * L)` rows, each drawn into the table and scaled
     in place: the same values, bit for bit, as one draw of the whole table.
     With a `threading.Event` as `stop`, the fill returns before any block,
     the first included, once the event is set, leaving the later rows
     unfilled."""
     dim, code_length = means.shape
+    rng = np.random.default_rng(0)
     rows = chunk_rows(8 * code_length)
     scale = np.sqrt(code_length / dim)
     for lo in range(0, dim, rows):
@@ -114,14 +114,13 @@ def fill_means(means: np.ndarray, rng: np.random.Generator, stop=None) -> None:
         block *= scale
 
 
-def make_virtual_words(dim: int, seed: int, code_length: int) -> VirtualWordBank:
-    """`np.random.default_rng(seed).standard_normal((dim, code_length)) *
-    sqrt(code_length / dim)`: the law of the segment means of D random
-    N(0, 1) words, drawn at O(D * L) cost by `fill_means`."""
+def make_virtual_words(dim: int, code_length: int) -> VirtualWordBank:
+    """The table of `fill_means` for D = dim and L = code_length: the law of
+    the segment means of D random N(0, 1) words, drawn at O(D * L) cost."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if code_length < 1 or dim % code_length:
         raise ValueError(f"code_length {code_length} does not divide dim {dim}")
     means = np.empty((dim, code_length))
-    fill_means(means, np.random.default_rng(seed))
+    fill_means(means)
     return VirtualWordBank(means)

@@ -8,6 +8,7 @@ File formats:
   and may be 0 (a query with no result).
 * Ground truth: UTF-8 text, one query per line, ``qid: id1 id2 ...``,
   ``#`` starts a comment.
+* Reports (`write_json`): JSON with sorted keys, indent 2, a final newline.
 
 Feature files are read and written in chunks of whole records through one
 reused (rows, 1 + D) int32 buffer of at most `CHUNK_BYTES`. A read allocates
@@ -18,6 +19,7 @@ payload columns from the matrix. Neither holds a second copy of the vectors.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -132,9 +134,15 @@ class SynthSpec:
         check_ints(self, {"n_clusters": 1, "points_per_cluster": 1, "dim": 1, "seed": 0})
         if self.cluster_stddev < 0 or self.noise_stddev < 0:
             raise ValueError("stddevs must be >= 0")
+        # `generate_synthetic` scales its float32 draws by np.float32(stddev)
+        top = float(np.finfo(np.float32).max)
         for name in ("cluster_stddev", "noise_stddev"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value > top:
+                raise ValueError(f"{name} must be at most float32's largest value "
+                                 f"{top:.8g}, got {value}")
 
 
 # spread of cluster centers relative to unit within-cluster noise; keeps
@@ -294,6 +302,12 @@ def read_ground_truth(path, n: int | None = None) -> dict[int, set[int]]:
     if not entries:
         raise DataError(f"{path}: no ground-truth entries")
     return entries
+
+
+def write_json(obj, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def write_ground_truth(gt: dict[int, set[int]], path) -> None:

@@ -17,8 +17,7 @@ def small_dataset():
 @pytest.fixture(scope="session")
 def tifc_index(small_dataset):
     db, _, _ = small_dataset
-    return invindex.build(db, BuildConfig(scheme="tifc", link_count=3,
-                                          code_length=8, virtual_word_seed=7))
+    return invindex.build(db, BuildConfig(scheme="tifc", link_count=3, code_length=8))
 
 
 @pytest.fixture(scope="session")

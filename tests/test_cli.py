@@ -13,6 +13,7 @@ from cnnidx import baseline, invindex, search, vecio
 from cnnidx.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
+from test_invindex import write_cnnidx04_file
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,8 @@ def test_synth_outputs(workspace):
     ("--seed", "-1", "seed must be >= 0, got -1"),
     ("--cluster-std", "nan", "cluster_stddev must be finite, got nan"),
     ("--noise-std", "inf", "noise_stddev must be finite, got inf"),
+    ("--cluster-std", "1e39",
+     "cluster_stddev must be at most float32's largest value 3.4028235e+38, got 1e+39"),
 ])
 def test_synth_bad_spec_is_data_error(tmp_path, capsys, flag, value, message):
     """A bad spec fails before its config is echoed, so no NaN, which is not
@@ -280,6 +283,33 @@ def test_sweep_command(workspace, tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_without_w_and_t_takes_the_query_defaults(workspace, tmp_path):
+    """Every point of a spec without W and T runs with `cnnidx query`'s
+    defaults, W = S and T = round(0.35 * L), reports them, and scores the
+    MAP that `cnnidx query` with its defaults and `cnnidx evaluate` score."""
+    spec = {"grid": {"S": [2, 4]}, "base": {"scheme": "ifc", "L": 8, "K": 4, "M": 2},
+            "datasets": {"features": str(workspace / "db.fvecs"),
+                         "queries": str(workspace / "q.fvecs"),
+                         "ground_truth": str(workspace / "gt.txt")}}
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    rc = run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+              "--out-prefix", str(tmp_path / "sw")])
+    assert rc == EXIT_OK
+    rows = json.loads((tmp_path / "sw.json").read_text())
+    assert (tmp_path / "sw.csv").read_text().splitlines()[0].startswith("L,T,S,W,K,M,scheme,")
+    for row in rows:
+        assert "error" not in row and (row["W"], row["T"]) == (row["S"], 3)
+        s = str(row["S"])
+        assert run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "ifc",
+                    "--S", s, "--L", "8", "--K", "4", "--M", "2",
+                    "--out", str(tmp_path / "x.idx")]) == EXIT_OK
+        assert run(["query", "--index", str(tmp_path / "x.idx"), "--queries",
+                    str(workspace / "q.fvecs"), "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert run(["evaluate", "--results", str(tmp_path / "r.ivecs"), "--ground-truth",
+                    str(workspace / "gt.txt"), "--out", str(tmp_path / "e.json")]) == EXIT_OK
+        assert json.loads((tmp_path / "e.json").read_text())["map"] == row["map"]
+
+
 @pytest.mark.parametrize("change", [
     {"grid": ["W"]},
     {"grid": {"W": 3}},
@@ -440,11 +470,12 @@ def test_build_code_length_below_one_is_usage_error(workspace, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("scheme, flag, value, message", [
-    ("ifc", "--kmeans-seed", "-1", "kmeans_seed must be >= 0, got -1"),
-    ("tifc", "--virtual-seed", "-1", "virtual_word_seed must be >= 0, got -1"),
-    ("ifc", "--S", "0", "link_count must be >= 1, got 0"),
-    ("ifc", "--K", "0", "words_per_segment must be >= 1, got 0"),
-    ("ifc", "--kmeans-iters", "0", "kmeans_iters must be >= 1, got 0"),
+    ("ifc", "--kmeans-seed", "-1", "cnnidx build: error: kmeans_seed must be >= 0, got -1"),
+    # the table's seed is no longer a setting
+    ("tifc", "--virtual-seed", "0", "cnnidx: error: unrecognized arguments: --virtual-seed 0"),
+    ("ifc", "--S", "0", "cnnidx build: error: link_count must be >= 1, got 0"),
+    ("ifc", "--K", "0", "cnnidx build: error: words_per_segment must be >= 1, got 0"),
+    ("ifc", "--kmeans-iters", "0", "cnnidx build: error: kmeans_iters must be >= 1, got 0"),
 ], ids=["kmeans-seed", "virtual-seed", "S", "K", "kmeans-iters"])
 def test_build_bad_parameter_is_usage_error_before_any_read(tmp_path, capsys, scheme, flag,
                                                             value, message):
@@ -456,7 +487,7 @@ def test_build_bad_parameter_is_usage_error_before_any_read(tmp_path, capsys, sc
         "--out", str(tmp_path / "x.idx"),
     ])
     assert rc == EXIT_USAGE
-    assert f"cnnidx build: error: {message}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x.idx").exists()
 
 
@@ -511,6 +542,18 @@ def test_query_on_malformed_index_is_data_error(workspace, tmp_path, capsys):
     ])
     assert rc == EXIT_DATA
     assert "posting ids outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+def test_query_on_cnnidx04_index_asks_for_rebuild(workspace, tmp_path, capsys, scheme):
+    db = vecio.read_feature_file(workspace / "db.fvecs")
+    ix = invindex.build(db, invindex.build_config(scheme, dict(S=3, L=8, K=4, M=2)))
+    write_cnnidx04_file(ix, tmp_path / "old.idx")
+    rc = run(["query", "--index", str(tmp_path / "old.idx"),
+              "--queries", str(workspace / "q.fvecs"), "--out", str(tmp_path / "res")])
+    assert rc == EXIT_DATA
+    assert ("index file in the old CNNIDX04 format; rebuild the index with `cnnidx build`"
+            in capsys.readouterr().err)
 
 
 def test_evaluate_perfect_prints_one(tmp_path, capsys):
@@ -601,8 +644,7 @@ def test_query_with_no_results_evaluates_to_zero(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scheme, flags, echoed", [
-    ("tifc", ["--S", "4", "--L", "8", "--virtual-seed", "5"],
-     {"L": 8, "S": 4, "virtual_seed": 5}),
+    ("tifc", ["--S", "4", "--L", "8"], {"L": 8, "S": 4}),
     ("ifc", ["--S", "3", "--L", "8", "--K", "4", "--M", "2", "--kmeans-seed", "2",
              "--kmeans-iters", "7", "--kmeans-restarts", "2"],
      {"K": 4, "L": 8, "M": 2, "S": 3, "kmeans_iters": 7, "kmeans_restarts": 2,

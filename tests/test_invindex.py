@@ -608,19 +608,25 @@ class TestThreadedLoad:
         """Patch `tifc.fill_means` to record the rows of each block it draws
         in blocks; its first block waits at `arrived` (a barrier), then
         until the fill's stop is set."""
-        fill = tifc.fill_means
+        fill, default_rng = tifc.fill_means, np.random.default_rng
 
-        def held(means, rng, stop=None):
+        def held(means, stop=None):
             class Rng:
+                def __init__(self, seed):
+                    self.gen = default_rng(seed)
+
                 def standard_normal(self, out):
                     blocks.append(len(out))
                     if len(blocks) == 1 and stop is not None:
                         if arrived:
                             arrived.wait()
                         assert stop.wait(timeout=30)
-                    rng.standard_normal(out=out)
+                    self.gen.standard_normal(out=out)
 
-            fill(means, Rng(), stop)
+            # the fill's generator, only while the fill runs
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np.random, "default_rng", Rng)
+                fill(means, stop)
 
         monkeypatch.setattr(tifc, "fill_means", held)
 
@@ -695,7 +701,7 @@ class TestThreadedLoad:
         invindex.save(tifc_index, path)
         boom = RuntimeError("draw failed")
 
-        def fill(means, rng, stop=None):
+        def fill(means, stop=None):
             raise boom
 
         monkeypatch.setattr(invindex, "_cpus", lambda: 2)
@@ -782,7 +788,7 @@ class TestBuildConfig:
     the keys of `BUILD_KEYS[scheme]`."""
 
     PARAMS = dict(S=3, L=8, K=4, M=2, kmeans_seed=5, kmeans_iters=2, kmeans_restarts=1,
-                  virtual_seed=9, T=4, W=3, scheme="tifc")
+                  T=4, W=3, scheme="tifc")
 
     def test_ifc_names(self):
         assert invindex.build_config("ifc", self.PARAMS) == BuildConfig(
@@ -792,7 +798,7 @@ class TestBuildConfig:
 
     def test_tifc_names(self):
         assert invindex.build_config("tifc", self.PARAMS) == BuildConfig(
-            scheme="tifc", link_count=3, code_length=8, virtual_word_seed=9)
+            scheme="tifc", link_count=3, code_length=8)
 
     def test_left_out_settings_keep_defaults(self):
         params = dict(S=3, L=8, K=4, M=2)
@@ -817,8 +823,6 @@ class TestBuildConfig:
         ("tifc", dict(pq=PqConfig(segments=2, words_per_segment=4)),
          "a PqConfig is given for an IFC build and for no other"),
         ("ifc", dict(), "a PqConfig is given for an IFC build and for no other"),
-        ("ifc", dict(pq=PqConfig(segments=2, words_per_segment=4), virtual_word_seed=7),
-         "virtual_word_seed is a TIFC setting; an IFC build takes 0"),
     ])
     def test_settings_the_scheme_does_not_read_rejected(self, scheme, settings, message):
         """A setting that the scheme's build never reads would not survive
@@ -841,7 +845,6 @@ class TestBuildConfig:
 
     @pytest.mark.parametrize("scheme, key, message", [
         ("ifc", "kmeans_seed", "kmeans_seed must be >= 0, got -1"),
-        ("tifc", "virtual_seed", "virtual_word_seed must be >= 0, got -1"),
     ])
     def test_negative_seed_rejected(self, scheme, key, message):
         """A negative seed is refused with the config, as the loader refuses
@@ -1067,7 +1070,7 @@ class TestQuantizerMatchesConfig:
         db = FeatureSet(np.random.default_rng(24).standard_normal((200, 8)).astype(np.float32))
         return {
             "ifc": invindex.build(db, BuildConfig("ifc", 2, 4, PqConfig(2, 4, kmeans_seed=6))),
-            "tifc": invindex.build(db, BuildConfig("tifc", 2, 4, virtual_word_seed=5)),
+            "tifc": invindex.build(db, BuildConfig("tifc", 2, 4)),
         }
 
     @staticmethod
@@ -1079,8 +1082,8 @@ class TestQuantizerMatchesConfig:
         # M = 4, K = 4 under M = 2, K = 4: the payload has the same size
         ("ifc", lambda: TestQuantizerMatchesConfig.codebook(4, 4, 2)),
         ("ifc", lambda: TestQuantizerMatchesConfig.codebook(2, 8, 4)),  # K = 8 under K = 4
-        ("tifc", lambda: tifc.make_virtual_words(8, 5, 2)),  # L = 2 under L = 4
-        ("ifc", lambda: tifc.make_virtual_words(8, 0, 4)),
+        ("tifc", lambda: tifc.make_virtual_words(8, 2)),  # L = 2 under L = 4
+        ("ifc", lambda: tifc.make_virtual_words(8, 4)),
         ("tifc", lambda: TestQuantizerMatchesConfig.codebook(2, 4, 4)),
     ], ids=["ifc-m4-same-size", "ifc-k8", "tifc-l2", "ifc-table", "tifc-codebook"])
     def test_other_quantizer_refused(self, indexes, scheme, make):
@@ -1193,7 +1196,7 @@ class TestPersistence:
         path = tmp_path / "h.idx"
         invindex.save(ix, path)
         header, _ = split_file(path)
-        quantizer = ({"dim": dim, "seed": cfg.virtual_word_seed} if scheme == "tifc"
+        quantizer = ({"dim": dim} if scheme == "tifc"
                      else {"dim": dim, **dataclasses.asdict(cfg.pq)})
         assert header == {"scheme": scheme, "link_count": cfg.link_count,
                           "code_length": cfg.code_length, "indexed_count": ix.indexed_count,
@@ -1204,13 +1207,21 @@ class TestPersistence:
         invindex.save(invindex.load(path), tmp_path / "again.idx")
         assert (tmp_path / "again.idx").read_bytes() == blob
 
-    def test_header_bytes_are_the_cnnidx04_format(self):
-        """The header's keys, their order and their spacing are the ones
-        files were written with since `CNNIDX04`, so those files still load."""
-        tifc_cfg = BuildConfig(scheme="tifc", link_count=2, code_length=12, virtual_word_seed=9)
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_cnnidx04_file_asks_for_rebuild(self, scheme, tifc_index, ifc_index, tmp_path):
+        path = tmp_path / "old.idx"
+        write_cnnidx04_file(tifc_index if scheme == "tifc" else ifc_index, path)
+        with pytest.raises(DataError, match="old CNNIDX04 format; rebuild the index"):
+            invindex.load(path)
+
+    def test_header_bytes_are_the_cnnidx05_format(self):
+        """The header's keys, their order and their spacing: an IFC header
+        is the one `CNNIDX04` files held, and a TIFC header is that of
+        `CNNIDX04` without the table's seed."""
+        tifc_cfg = BuildConfig(scheme="tifc", link_count=2, code_length=12)
         assert invindex._header_json(tifc_cfg, 12, 3) == (
             b'{"code_length": 12, "indexed_count": 3, "link_count": 2, '
-            b'"quantizer": {"dim": 12, "seed": 9}, "scheme": "tifc"}')
+            b'"quantizer": {"dim": 12}, "scheme": "tifc"}')
         ifc_cfg = BuildConfig(scheme="ifc", link_count=40, code_length=32,
                               pq=PqConfig(segments=2, words_per_segment=64))
         assert invindex._header_json(ifc_cfg, 64, 15000) == (
@@ -1239,6 +1250,17 @@ def write_file(path, header, payload):
     head = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
     body = struct.pack("<I", len(head)) + head + payload
     path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+
+
+def write_cnnidx04_file(ix, path):
+    """ix's file as the `CNNIDX04` format wrote it: that magic, and for TIFC
+    the table's seed, 0, in the header's quantizer object."""
+    invindex.save(ix, path)
+    header, payload = split_file(path)
+    if ix.config.scheme == "tifc":
+        header["quantizer"]["seed"] = 0
+    write_file(path, header, payload)
+    path.write_bytes(b"CNNIDX04" + path.read_bytes()[8:])
 
 
 @pytest.fixture(scope="module")
@@ -1324,7 +1346,6 @@ class TestLoadValidation:
                 invindex.load(path)
 
     @pytest.mark.parametrize("scheme, key, message", [
-        ("tifc", "seed", "virtual_word_seed must be an integer, got None"),
         ("ifc", "kmeans_seed", "kmeans_seed must be an integer, got None"),
     ])
     def test_missing_seed_rejected(self, scheme, key, message, tifc_index, ifc_index,
@@ -1359,7 +1380,7 @@ class TestLoadValidation:
         header["code_length"] = 16
         header["quantizer"]["dim"] = 4096
         # 4,096 words widen the file's word ids to 16 bits
-        wide = dataclasses.replace(tiny_index, quantizer=tifc.make_virtual_words(4096, 0, 16),
+        wide = dataclasses.replace(tiny_index, quantizer=tifc.make_virtual_words(4096, 16),
                                    config=dataclasses.replace(tiny_index.config, code_length=16))
         write_file(path, header, payload_of(wide))
         tracemalloc.start()
@@ -1404,9 +1425,12 @@ class TestLoadValidation:
             invindex.load(path)
 
     @pytest.mark.parametrize("form", [
-        # a CNNIDX03-style TIFC header under the CNNIDX04 magic
+        # a CNNIDX03-style TIFC header under the current magic
         lambda h: json.dumps({**h, "word_count": 999, "quantizer": {**h["quantizer"],
                               "kind": "virtual"}}, sort_keys=True),
+        # a CNNIDX04 TIFC header, which held the table's seed
+        lambda h: json.dumps({**h, "quantizer": {**h["quantizer"], "seed": 0}},
+                             sort_keys=True),
         lambda h: json.dumps({**h, "extra": 1}, sort_keys=True),
         lambda h: json.dumps({**h, "quantizer": {**h["quantizer"], "kind": "means"}},
                              sort_keys=True),
@@ -1416,8 +1440,8 @@ class TestLoadValidation:
         lambda h: json.dumps(h, sort_keys=True, separators=(",", ":")),
         lambda h: json.dumps(h, sort_keys=True, indent=1),
         lambda h: json.dumps(h, sort_keys=True).replace('"tifc"', '"\\u0074ifc"'),
-    ], ids=["found-file", "unknown-key", "unknown-quantizer-key", "repeated-key", "unsorted",
-            "compact", "indented", "escaped"])
+    ], ids=["found-file", "cnnidx04-seed", "unknown-key", "unknown-quantizer-key",
+            "repeated-key", "unsorted", "compact", "indented", "escaped"])
     def test_header_not_in_saved_form_rejected(self, tiny_index, tmp_path, form):
         """A header that states a valid configuration loads only in the
         exact form `save` writes for it, so every file that loads saves back
@@ -1598,9 +1622,10 @@ class TestLoaderFuzz:
 
     def test_crc_fixed_flips_in_header_and_postings(self, fuzz_case, small_dataset, tmp_path):
         """A flip under a valid CRC gives DataError or a file that loads as
-        what it says. Most flips break a rule; the rest (a seed in the
-        header, an image id or word id moved to another valid value) give
-        an index that saves back to the same bytes and answers a query.
+        what it says. Most flips break a rule; the rest (a seed or a
+        dimension in the header, an image id or word id moved to another
+        valid value) give an index that saves back to the same bytes and
+        answers a query of its dimension.
         Flips that leave the posting arrays whole load equal to them."""
         ix, raw = fuzz_case
         b = section_bounds(ix)
@@ -1620,7 +1645,7 @@ class TestLoaderFuzz:
                 continue
             invindex.save(back, tmp_path / "again.idx")
             assert (tmp_path / "again.idx").read_bytes() == bad
-            search.query(back, query, cfg)
+            search.query(back, np.resize(query, back.quantizer.dim), cfg)
             if bit < b[3] * 8:
                 for name in ("wids", "offsets", "ids", "codes"):
                     np.testing.assert_array_equal(getattr(back, name), getattr(ix, name))

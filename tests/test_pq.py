@@ -93,7 +93,7 @@ CONFIGS = {
     "PqConfig": (PqConfig, dict(segments=2, words_per_segment=4, kmeans_iters=3,
                                 kmeans_seed=0, kmeans_restarts=1)),
     "BuildConfig": (lambda **kw: BuildConfig(scheme="tifc", **kw),
-                    dict(link_count=2, code_length=8, virtual_word_seed=0)),
+                    dict(link_count=2, code_length=8)),
     "QueryConfig": (QueryConfig, dict(assignment_count=2, hamming_threshold=3, top_k=5)),
     "LshConfig": (LshConfig, dict(tables=2, bits_per_table=8, seed=0)),
     "EmbedConfig": (EmbedConfig, dict(code_length=8)),

@@ -56,7 +56,7 @@ def check_columns(timings, stages, empty=(), factor=None):
 
 
 BUILD_CFGS = {
-    "tifc": BuildConfig(scheme="tifc", link_count=3, code_length=8, virtual_word_seed=7),
+    "tifc": BuildConfig(scheme="tifc", link_count=3, code_length=8),
     "ifc": BuildConfig(scheme="ifc", link_count=3, code_length=8,
                        pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3)),
 }

@@ -17,10 +17,16 @@ from cnnidx.vecio import FeatureSet
 from test_pq import exhaustive_ranking, integer_codebook, random_codebook
 
 
-def pipeline_oracle(ix, q, cfg):
+def drawn_table(dim, length, seed):
+    """A (D, L) table of TIFC reference means drawn from `seed`, by the law
+    of `tifc.make_virtual_words` (whose table is seed 0's)."""
+    return np.random.default_rng(seed).standard_normal((dim, length)) * math.sqrt(length / dim)
+
+
+def pipeline_oracle(ix, q, cfg, table_seed=0):
     """Independent re-implementation of the query pipeline with plain dict
     loops and per-pair encode/hamming calls. TIFC reference means come from a
-    (D, L) table drawn here, not from the index's table."""
+    (D, L) table drawn here from `table_seed`, not from the index's table."""
     wids = search.select_words(ix, q, cfg.assignment_count)
     votes = {}
     min_h = {}
@@ -29,9 +35,7 @@ def pipeline_oracle(ix, q, cfg):
              for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
     length = ix.config.code_length
     if ix.config.scheme == invindex.SCHEME_TIFC:
-        dim = ix.quantizer.dim
-        table = (np.random.default_rng(ix.config.virtual_word_seed).standard_normal((dim, length))
-                 * math.sqrt(length / dim))
+        table = drawn_table(ix.quantizer.dim, length, table_seed)
     for wid in wids:
         if ix.config.scheme == invindex.SCHEME_TIFC:
             q_code = embed.pack_bits(embed.segment_means(q, length) >= table[wid])
@@ -50,6 +54,25 @@ def pipeline_oracle(ix, q, cfg):
 @pytest.fixture(scope="module", params=["tifc", "ifc"])
 def index_pair(request, tifc_index, ifc_index):
     return tifc_index if request.param == "tifc" else ifc_index
+
+
+class TestQueryConfigDefaults:
+    """`query_config` fills what params leave out, or give as None, with
+    `cnnidx query`'s defaults and passes the rest as they are."""
+
+    BUILD = BuildConfig("ifc", 6, 16, PqConfig(segments=2, words_per_segment=4))
+
+    @pytest.mark.parametrize("params, want", [
+        ({}, QueryConfig(6, 6, 10)),
+        ({"W": None, "T": None, "top_k": None}, QueryConfig(6, 6, 10)),
+        ({"W": 2, "T": 0, "top_k": 3, "S": 9, "L": 32}, QueryConfig(2, 0, 3)),
+    ], ids=["left-out", "none", "given"])
+    def test_defaults(self, params, want):
+        assert search.query_config(self.BUILD, params) == want
+
+    def test_value_passed_as_it_is(self):
+        with pytest.raises(ValueError, match="assignment_count must be an integer, got '2'"):
+            search.query_config(self.BUILD, {"W": "2"})
 
 
 class TestQuery:
@@ -149,7 +172,9 @@ def random_index(scheme, seed, n, length, data):
     """A random small index with some duplicated rows, 24-d for codes of up to
     24 bits and 384-d for wider ones, and a query config drawn to include
     T = 0, T = L and W up to the word count: (index, vectors, config,
-    generator)."""
+    generator). A TIFC index takes the table of seed `seed % 89`
+    (`drawn_table`) and codes against it, as a build with that table would
+    make them, so the queries meet many tables, not only the drawn one."""
     rng = np.random.default_rng(seed)
     dim = 24 if length <= 24 else 384
     vectors = rng.standard_normal((n, dim)).astype(np.float32)
@@ -166,10 +191,13 @@ def random_index(scheme, seed, n, length, data):
         training = FeatureSet(rng.standard_normal((4 * k, dim)).astype(np.float32))
     s = data.draw(st.integers(1, min(4, word_count)), label="S")
     ix = invindex.build(FeatureSet(vectors),
-                        BuildConfig(scheme=scheme, link_count=s, code_length=length,
-                                    pq=pq_cfg,
-                                    virtual_word_seed=seed % 89 if scheme == "tifc" else 0),
+                        BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg),
                         training=training)
+    if scheme == "tifc":
+        bank = tifc.VirtualWordBank(drawn_table(dim, length, seed % 89))
+        words = np.repeat(ix.wids, np.diff(ix.offsets))[:, None]
+        codes = bank.codes(vectors[ix.ids].astype(np.float64), words, length)[:, 0]
+        ix = dataclasses.replace(ix, quantizer=bank, codes=codes)
     w = data.draw(st.sampled_from([1, s, word_count]) | st.integers(1, word_count),
                   label="W")
     t = data.draw(st.sampled_from([0, length]) | st.integers(0, length), label="T")
@@ -187,7 +215,7 @@ def check_query_against_oracle(scheme, seed, n, length, data):
     batch, _ = search.batch_query(ix, queries, cfg)
     for q, counted in zip(queries, batch):
         res = search.query(ix, q, cfg)
-        assert res.entries == pipeline_oracle(ix, q, cfg)
+        assert res.entries == pipeline_oracle(ix, q, cfg, seed % 89)
         union = set().union(*(lists.get(wid, set())
                               for wid in search.select_words(ix, q, w)))
         assert search.candidate_set(ix, q, w) == union
@@ -202,7 +230,7 @@ def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=7), label="queries")
     queries = pool[np.array(picks, dtype=np.int64)]
     expected = [search.query(ix, q, cfg).entries for q in queries]
-    assert expected == [pipeline_oracle(ix, q, cfg) for q in queries]
+    assert expected == [pipeline_oracle(ix, q, cfg, seed % 89) for q in queries]
     counts = [len(search.candidate_set(ix, q, cfg.assignment_count)) for q in queries]
     d = vectors.shape[1]
     stage = d if scheme == "tifc" else 2 * ix.quantizer.sub_codebooks.shape[1]
@@ -328,8 +356,7 @@ class TestBatchWords:
                 training = FeatureSet(rng.standard_normal((4 * k, dim)).astype(np.float32))
         s = data.draw(st.integers(1, min(6, word_count)), label="S")
         chunk_rows = data.draw(st.integers(1, n), label="build chunk rows")
-        cfg = BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg,
-                          virtual_word_seed=seed % 89 if scheme == "tifc" else 0)
+        cfg = BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg)
         built = []
 
         def recording(words):

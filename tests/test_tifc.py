@@ -138,42 +138,37 @@ class TestTopWordsRows:
 
 class TestVirtualWordBank:
     def test_determinism(self):
-        a = tifc.make_virtual_words(8, seed=5, code_length=4)
-        b = tifc.make_virtual_words(8, seed=5, code_length=4)
+        a = tifc.make_virtual_words(8, code_length=4)
+        b = tifc.make_virtual_words(8, code_length=4)
         np.testing.assert_array_equal(a.means, b.means)
 
-    def test_different_seeds_differ(self):
-        a = tifc.make_virtual_words(8, seed=5, code_length=4)
-        b = tifc.make_virtual_words(8, seed=6, code_length=4)
-        assert not np.array_equal(a.means, b.means)
-
     def test_degenerate_dim_one(self):
-        bank = tifc.make_virtual_words(1, seed=0, code_length=1)
+        bank = tifc.make_virtual_words(1, code_length=1)
         assert bank.means.shape == (1, 1)
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
-            tifc.make_virtual_words(0, seed=0, code_length=1)
+            tifc.make_virtual_words(0, code_length=1)
 
     def test_words_rank_activations_where_exp_underflows(self):
         """exp(-800) and exp(-900) are both 0 in float64, so the softmax bins
         of words 1 and 2 tie and would rank by word id; the activations
         themselves put word 2 (-800) before word 1 (-900)."""
-        bank = tifc.make_virtual_words(6, seed=0, code_length=3)
+        bank = tifc.make_virtual_words(6, code_length=3)
         row = np.array([[0.0, -900.0, -800.0, -1000.0, -950.0, -1200.0]])
         np.testing.assert_array_equal(bank.words(row, 3), [[0, 2, 1]])
 
     def test_code_length_must_divide_dim(self):
         with pytest.raises(ValueError, match="does not divide"):
-            tifc.make_virtual_words(12, seed=0, code_length=5)
+            tifc.make_virtual_words(12, code_length=5)
 
     @pytest.mark.parametrize("dim", [12, 384])
     def test_table_is_scaled_direct_draw(self, dim):
         """Bit-identical to an independently drawn (D, L) standard-normal
-        table scaled by sqrt(L / D), for L in {1, 3, D}."""
+        table of seed 0 scaled by sqrt(L / D), for L in {1, 3, D}."""
         for length in (1, 3, dim):
-            table = tifc.make_virtual_words(dim, seed=11, code_length=length).means
-            expected = (np.random.default_rng(11).standard_normal((dim, length))
+            table = tifc.make_virtual_words(dim, code_length=length).means
+            expected = (np.random.default_rng(0).standard_normal((dim, length))
                         * math.sqrt(length / dim))
             np.testing.assert_array_equal(table, expected)
 
@@ -184,12 +179,12 @@ class TestVirtualWordBank:
         `CHUNK_BYTES`, the table equals one draw of the whole table."""
         if rows is not None:
             monkeypatch.setattr(vecio, "CHUNK_BYTES", rows * 8 * length)
-        expected = (np.random.default_rng(23).standard_normal((dim, length))
+        expected = (np.random.default_rng(0).standard_normal((dim, length))
                     * math.sqrt(length / dim))
         means = np.empty((dim, length))
-        tifc.fill_means(means, np.random.default_rng(23))
+        tifc.fill_means(means)
         np.testing.assert_array_equal(means, expected)
-        np.testing.assert_array_equal(tifc.make_virtual_words(dim, 23, length).means, expected)
+        np.testing.assert_array_equal(tifc.make_virtual_words(dim, length).means, expected)
 
     def test_fill_stops_before_its_next_block(self, monkeypatch):
         """A set stop ends the fill before its next block: the rows drawn
@@ -197,9 +192,10 @@ class TestVirtualWordBank:
         monkeypatch.setattr(vecio, "CHUNK_BYTES", 2 * 8 * 4)  # blocks of 2 rows
         stop = threading.Event()
         drawn = []
+        default_rng = np.random.default_rng
 
         class Rng:
-            gen = np.random.default_rng(5)
+            gen = default_rng(0)
 
             def standard_normal(self, out):
                 drawn.append(len(out))
@@ -207,10 +203,11 @@ class TestVirtualWordBank:
                     stop.set()
                 self.gen.standard_normal(out=out)
 
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Rng())
         means = np.full((8, 4), np.nan)
-        tifc.fill_means(means, Rng(), stop)
+        tifc.fill_means(means, stop)
         assert drawn == [2, 2]
-        expected = np.random.default_rng(5).standard_normal((4, 4)) * math.sqrt(4 / 8)
+        expected = default_rng(0).standard_normal((4, 4)) * math.sqrt(4 / 8)
         np.testing.assert_array_equal(means[:4], expected)
         assert np.isnan(means[4:]).all()
 
@@ -220,7 +217,7 @@ class TestVirtualWordBank:
         words. Over 524,288 entries one standard error is 0.2% of the
         variance and 0.0005 of the mean; the bounds are 1.5% and 0.002."""
         dim, length = 2048, 256
-        table = tifc.make_virtual_words(dim, seed=3, code_length=length).means
+        table = tifc.make_virtual_words(dim, code_length=length).means
         bank = np.random.default_rng(3).standard_normal((dim, dim))
         for means in (table, segment_means(bank, length)):
             assert abs(means.mean()) < 0.002
