@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="codebook training set (default: the database)")
     bp.add_argument("--kmeans-seed", type=int, default=PqConfig.kmeans_seed)
     bp.add_argument("--kmeans-iters", type=int, default=PqConfig.kmeans_iters)
-    bp.add_argument("--kmeans-restarts", type=int, default=PqConfig.kmeans_restarts)
     bp.add_argument("--normalize", action="store_true",
                     help="L2-normalize vectors before indexing")
     bp.add_argument("--out", required=True)

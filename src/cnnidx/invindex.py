@@ -10,7 +10,7 @@ holds the entries offsets[j]:offsets[j + 1].
 
 Index file layout (all integers little-endian):
 
-    magic   8 bytes  b"CNNIDX05"
+    magic   8 bytes  b"CNNIDX06"
     hlen    uint32   length of the JSON header
     header  bytes    JSON: the BuildConfig and n, nothing else: scheme,
                      link_count, code_length, indexed_count, and quantizer
@@ -38,9 +38,10 @@ section straight into its array and rejects with `DataError` every file that
 breaks one of these rules, so a query never meets an id outside
 [0, indexed_count) or an image twice in one list. `CNNIDX01`
 (one record per list), `CNNIDX02` (int64 word ids and lengths, int32 ids),
-`CNNIDX03` (a header that also held the word count and a quantizer kind) and
-`CNNIDX04` (a TIFC header that also held the table's seed) files are not
-read; rebuild them.
+`CNNIDX03` (a header that also held the word count and a quantizer kind),
+`CNNIDX04` (a TIFC header that also held the table's seed) and `CNNIDX05`
+(an IFC header that also held the k-means restart count) files are not read;
+rebuild them.
 
 Build and query share one encoding stage, the quantizer's `words` and then
 its `codes` over chunks of `_row_bytes` each: `encode_rows` runs both on a
@@ -92,8 +93,8 @@ from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import DataError, FeatureSet, check_ints, chunk_rows
 
-MAGIC = b"CNNIDX05"
-OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03", b"CNNIDX04")
+MAGIC = b"CNNIDX06"
+OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03", b"CNNIDX04", b"CNNIDX05")
 
 SCHEME_TIFC = "tifc"
 SCHEME_IFC = "ifc"
@@ -152,7 +153,7 @@ class BuildConfig:
 # K x M product codebook and its k-means.
 BUILD_KEYS = {
     SCHEME_TIFC: ("S", "L"),
-    SCHEME_IFC: ("S", "L", "K", "M", "kmeans_seed", "kmeans_iters", "kmeans_restarts"),
+    SCHEME_IFC: ("S", "L", "K", "M", "kmeans_seed", "kmeans_iters"),
 }
 _REQUIRED_KEYS = ("S", "L", "K", "M")
 _FIELD_NAMES = {"S": "link_count", "L": "code_length", "K": "words_per_segment",

@@ -21,7 +21,8 @@ M segments at once with no BLAS call, and sum each distance in an order that
 does not depend on the other rows, so a row gets bit-identical distances,
 and so the same words, alone or in any batch. Its centroid terms, like the
 tables of sub-centroid means that codes compare against, are computed once
-per codebook (see `PqCodebook`). K-means training keeps its own matmul form
+per codebook (see `PqCodebook`). K-means training, one k-means++ Lloyd run
+per segment, keeps its own matmul form
 (`_sq_dists`), and its Lloyd update gives every centroid the bits of numpy's
 `mean` of its members without grouping the rows (see `_kmeans`). Its
 k-means++ seeding screens every row against each new seed with one
@@ -43,15 +44,18 @@ from .vecio import FeatureSet, check_ints, chunk_rows
 
 @dataclass
 class PqConfig:
+    """M segments of K words each; each segment's sub-codebook is one
+    k-means++ Lloyd run of at most kmeans_iters iterations, every segment
+    drawing from the one generator that kmeans_seed seeds (see `train`)."""
+
     segments: int  # M
     words_per_segment: int  # K
     kmeans_iters: int = 25
     kmeans_seed: int = 0
-    kmeans_restarts: int = 3
 
     def __post_init__(self):
         check_ints(self, {"segments": 1, "words_per_segment": 1, "kmeans_iters": 1,
-                          "kmeans_seed": 0, "kmeans_restarts": 1})
+                          "kmeans_seed": 0})
         # K >= 2 puts K^M at 2^64 or more past M = 63, so K^M is never
         # computed for a huge M
         if (self.words_per_segment > 1 and self.segments > 63
@@ -177,14 +181,12 @@ def decode_words(wids, k: int, m: int) -> list[np.ndarray]:
 
 
 def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
-    """Train per-segment sub-codebooks with restarted k-means++ Lloyd runs.
+    """Train per-segment sub-codebooks, one k-means++ Lloyd run each.
 
-    Each sub-codebook is the best of kmeans_restarts runs by within-cluster
-    sum of squares (a tie keeps the earlier run). Every restart of every
-    segment draws from one generator seeded by kmeans_seed, so the codebook
-    is deterministic for a fixed seed. The segment's points are cast to
-    float64 and transposed to (D/M, n) once each, and its restarts share
-    both.
+    The segments run in order and draw from one generator seeded by
+    kmeans_seed, so the codebook is deterministic for a fixed seed. One run,
+    as FAISS's k-means makes by default: restarts bought no recall on the
+    benchmark's data.
     """
     m, k = cfg.segments, cfg.words_per_segment
     n, d = training.n, training.dim
@@ -197,19 +199,11 @@ def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
     sub = np.empty((m, k, seg_dim), dtype=np.float32)
     for s in range(m):
         pts = training.vectors[:, s * seg_dim : (s + 1) * seg_dim].astype(np.float64)
-        columns = np.ascontiguousarray(pts.T)
-        best = None
-        best_wcss = np.inf
-        for _ in range(cfg.kmeans_restarts):
-            centroids, wcss = _kmeans(pts, k, cfg.kmeans_iters, rng, columns)
-            if wcss < best_wcss:
-                best, best_wcss = centroids, wcss
-        sub[s] = best.astype(np.float32)
+        sub[s] = _kmeans(pts, k, cfg.kmeans_iters, rng)[0]
     return PqCodebook(sub)
 
 
-def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng,
-            columns: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, float]:
     """One Lloyd run with k-means++ seeding; stops when assignments stabilize.
 
     Returns the (k, d) float64 centroids and their within-cluster sum of
@@ -225,7 +219,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng,
     the mean of its members, the values numpy's `mean` of the member rows
     gives. For d > 1 that mean sums in ascending row order, so each column's
     sums come from one `np.bincount` over `columns`, the points transposed
-    to (d, n) in C order (made here when not given). For d = 1 numpy sums a
+    to (d, n) in C order. For d = 1 numpy sums a
     (members, 1) block pairwise, so there the members are grouped by one
     stable sort and meaned.
     Every centroid left without members takes the same point: the one
@@ -253,8 +247,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng,
             d2[rows] = np.minimum(d2[rows], sq_dist_to(pts, centroids[j], rows))
 
     dists = np.empty((n, k))
-    if columns is None:
-        columns = np.ascontiguousarray(pts.T)
+    columns = np.ascontiguousarray(pts.T)
     assign = None
     for _ in range(max_iters):
         _sq_dists(pts, pts_sq, centroids, dists)

@@ -119,6 +119,14 @@ class FeatureSet:
         return self.n
 
 
+# spread of cluster centers relative to unit within-cluster noise; keeps
+# clusters well separated for any reasonable cluster_stddev
+_CENTER_SCALE = 10.0
+# a bound on |x| for every float32 draw of numpy's standard normal: its
+# ziggurat tail returns at most r - ln(2^-24) / r, about 8.21 (r = 3.654)
+_DRAW_BOUND = 16.0
+
+
 @dataclass
 class SynthSpec:
     """Parameters for the clustered synthetic dataset generator."""
@@ -134,8 +142,12 @@ class SynthSpec:
         check_ints(self, {"n_clusters": 1, "points_per_cluster": 1, "dim": 1, "seed": 0})
         if self.cluster_stddev < 0 or self.noise_stddev < 0:
             raise ValueError("stddevs must be >= 0")
-        # `generate_synthetic` scales its float32 draws by np.float32(stddev)
+        # `generate_synthetic` casts each stddev to float32, which must stay
+        # finite, and scales float32 draws by it: no value of a query exceeds
+        # _DRAW_BOUND (_CENTER_SCALE + cluster_stddev + noise_stddev) in
+        # magnitude, which must stay below float32's largest value too
         top = float(np.finfo(np.float32).max)
+        budget = top / _DRAW_BOUND - _CENTER_SCALE
         for name in ("cluster_stddev", "noise_stddev"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -143,11 +155,12 @@ class SynthSpec:
             if value > top:
                 raise ValueError(f"{name} must be at most float32's largest value "
                                  f"{top:.8g}, got {value}")
+            if value > budget:
+                raise ValueError(f"{name} must be at most {budget:.8g} for float32 draws "
+                                 f"to stay finite, got {value}")
+            budget -= value
 
 
-# spread of cluster centers relative to unit within-cluster noise; keeps
-# clusters well separated for any reasonable cluster_stddev
-_CENTER_SCALE = 10.0
 
 
 def read_feature_file(path) -> FeatureSet:

@@ -222,7 +222,7 @@ def test_criterion_8_storage_trend(tmp_path):
         db,
         BuildConfig(scheme="ifc", link_count=links, code_length=length,
                     pq=PqConfig(segments=2, words_per_segment=64,
-                                kmeans_iters=10, kmeans_restarts=1, kmeans_seed=0)),
+                                kmeans_iters=10, kmeans_seed=0)),
         training=training)
     idx_path = tmp_path / "big.idx"
     invindex.save(ix, idx_path)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from cnnidx import baseline, invindex, search, vecio
 from cnnidx.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
-from test_invindex import write_cnnidx04_file
+from test_invindex import write_cnnidx04_file, write_cnnidx05_file
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +46,22 @@ def test_synth_outputs(workspace):
     ("--noise-std", "inf", "noise_stddev must be finite, got inf"),
     ("--cluster-std", "1e39",
      "cluster_stddev must be at most float32's largest value 3.4028235e+38, got 1e+39"),
+    # below float32's largest value, but the draws times it are not
+    ("--cluster-std", "3e38",
+     "cluster_stddev must be at most 2.1267647e+37 for float32 draws to stay finite, "
+     "got 3e+38"),
 ])
 def test_synth_bad_spec_is_data_error(tmp_path, capsys, flag, value, message):
     """A bad spec fails before its config is echoed, so no NaN, which is not
-    JSON, reaches stdout."""
+    JSON, reaches stdout, and before numpy draws, so it warns of no overflow."""
     spec = {"--clusters": "2", "--per-cluster": "3", "--dim": "4", "--cluster-std": "1.0",
             "--noise-std": "0.1", "--seed": "0", flag: value}
-    rc = run(["synth", *[x for kv in spec.items() for x in kv],
-              "--out-features", str(tmp_path / "db.fvecs"),
-              "--out-queries", str(tmp_path / "q.fvecs"), "--out-gt", str(tmp_path / "gt.txt")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["synth", *[x for kv in spec.items() for x in kv],
+                  "--out-features", str(tmp_path / "db.fvecs"),
+                  "--out-queries", str(tmp_path / "q.fvecs"),
+                  "--out-gt", str(tmp_path / "gt.txt")])
     assert rc == EXIT_DATA
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
@@ -392,9 +400,13 @@ class HeadOne:
 
 def test_closed_stdout_ends_quietly(workspace, tmp_path, monkeypatch, capsys):
     out = HeadOne()
-    monkeypatch.setattr(sys, "stdout", out)
-    rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "tifc",
-              "--S", "3", "--L", "8", "--out", str(tmp_path / "t.idx")])
+    # put capsys's stream back before capsys is torn down: a setattr undone
+    # after that would leave sys.stdout the closed capture stream for every
+    # later test when pytest runs with -s
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "tifc",
+                  "--S", "3", "--L", "8", "--out", str(tmp_path / "t.idx")])
     assert rc == EXIT_OK
     assert out.text.startswith("[build] config: ")
     assert capsys.readouterr().err == ""
@@ -476,7 +488,10 @@ def test_build_code_length_below_one_is_usage_error(workspace, tmp_path, capsys,
     ("ifc", "--S", "0", "cnnidx build: error: link_count must be >= 1, got 0"),
     ("ifc", "--K", "0", "cnnidx build: error: words_per_segment must be >= 1, got 0"),
     ("ifc", "--kmeans-iters", "0", "cnnidx build: error: kmeans_iters must be >= 1, got 0"),
-], ids=["kmeans-seed", "virtual-seed", "S", "K", "kmeans-iters"])
+    # IFC trains one k-means run per segment: no restart count
+    ("ifc", "--kmeans-restarts", "3",
+     "cnnidx: error: unrecognized arguments: --kmeans-restarts 3"),
+], ids=["kmeans-seed", "virtual-seed", "S", "K", "kmeans-iters", "kmeans-restarts"])
 def test_build_bad_parameter_is_usage_error_before_any_read(tmp_path, capsys, scheme, flag,
                                                             value, message):
     # the features file does not exist: the parameters are refused before it
@@ -554,6 +569,19 @@ def test_query_on_cnnidx04_index_asks_for_rebuild(workspace, tmp_path, capsys, s
     assert rc == EXIT_DATA
     assert ("index file in the old CNNIDX04 format; rebuild the index with `cnnidx build`"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+def test_query_on_cnnidx05_index_asks_for_rebuild(workspace, tmp_path, capsys, scheme):
+    db = vecio.read_feature_file(workspace / "db.fvecs")
+    ix = invindex.build(db, invindex.build_config(scheme, dict(S=3, L=8, K=4, M=2)))
+    write_cnnidx05_file(ix, tmp_path / "old.idx")
+    rc = run(["query", "--index", str(tmp_path / "old.idx"),
+              "--queries", str(workspace / "q.fvecs"), "--out", str(tmp_path / "res")])
+    assert rc == EXIT_DATA
+    assert ("index file in the old CNNIDX05 format; rebuild the index with `cnnidx build`"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "res.ivecs").exists()
 
 
 def test_evaluate_perfect_prints_one(tmp_path, capsys):
@@ -646,8 +674,8 @@ def test_query_with_no_results_evaluates_to_zero(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("scheme, flags, echoed", [
     ("tifc", ["--S", "4", "--L", "8"], {"L": 8, "S": 4}),
     ("ifc", ["--S", "3", "--L", "8", "--K", "4", "--M", "2", "--kmeans-seed", "2",
-             "--kmeans-iters", "7", "--kmeans-restarts", "2"],
-     {"K": 4, "L": 8, "M": 2, "S": 3, "kmeans_iters": 7, "kmeans_restarts": 2,
+             "--kmeans-iters", "7"],
+     {"K": 4, "L": 8, "M": 2, "S": 3, "kmeans_iters": 7,
       "kmeans_seed": 2, "train_features": None}),
 ])
 def test_build_echoes_its_scheme_parameters(workspace, tmp_path, capsys, scheme, flags,

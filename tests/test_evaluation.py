@@ -200,12 +200,12 @@ class TestSweep:
             return train(training, cfg)
 
         monkeypatch.setattr(pq, "train", recording_train)
-        base = dict(self.BASE, kmeans_seed=5, kmeans_iters=2, kmeans_restarts=1)
+        base = dict(self.BASE, kmeans_seed=5, kmeans_iters=2)
         rows = evaluation.sweep(SweepSpec(grid={"W": [1, 3]}, base=base), db, queries, gt)
         assert all("map" in row for row in rows)
         # one build serves both points
         assert trained == [PqConfig(segments=2, words_per_segment=4, kmeans_seed=5,
-                                    kmeans_iters=2, kmeans_restarts=1)]
+                                    kmeans_iters=2)]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -28,14 +28,14 @@ NUMPY_VERSION = "2.4.6"
 # name: build parameters, query config, file SHA-256, answer SHA-256
 CASES = {
     "tifc": (dict(S=6, L=16), QueryConfig(6, 6, 10),
-             "5b1d157958126dd6550a1cbe434fc7921eaaec13ff97fcf089c3b8cbf42e405c",
+             "b7d394fb2f8e0781252d004d479ffbc1907603c6b14535a935443de6dc62e221",
              "6ecad10c4b590ed65fea179bc57bfea8d3c8d68f1a47e08abc491a36d4b37363"),
     "ifc-m-divides-l": (dict(S=6, L=16, K=8, M=2), QueryConfig(6, 6, 10),
-                        "097d96000c537ac1a65142e9e454995fc8cad795482ac07dd1da2bb0b1316545",
-                        "0375987221dd847cdb453fb77bdd93e21b4cecb980dfcc9679a1c36c57239f8d"),
+                        "c5b576bbf1f67ed34af0cd45308e2958f7c0127f7653d02abf73bef33c68f685",
+                        "c394e739f1a63e520af8e5e97c3302abe74a95d9aca26dda44fe14786f1800e9"),
     "ifc-l-mod-m": (dict(S=6, L=16, K=8, M=3), QueryConfig(6, 6, 10),
-                    "e532db0c935701c650d3f47725fa8ede61a6f31fb4542e6f908ce3efe919bea3",
-                    "045e200f041ab370598204f72976beda291331dacbed206c066b689e1847c8e8"),
+                    "5abb603395d303c2878078fd12f05dc7cf28bade7403950bda7a574ad6366c3a",
+                    "26b4e272d9a81346c5060015efaebf0f4899f05830a5c1c169e720efda4fc6e2"),
 }
 
 

@@ -787,14 +787,13 @@ class TestBuildConfig:
     """`build_config` maps the paper's names to a BuildConfig, reading only
     the keys of `BUILD_KEYS[scheme]`."""
 
-    PARAMS = dict(S=3, L=8, K=4, M=2, kmeans_seed=5, kmeans_iters=2, kmeans_restarts=1,
-                  T=4, W=3, scheme="tifc")
+    PARAMS = dict(S=3, L=8, K=4, M=2, kmeans_seed=5, kmeans_iters=2, T=4, W=3,
+                  scheme="tifc")
 
     def test_ifc_names(self):
         assert invindex.build_config("ifc", self.PARAMS) == BuildConfig(
             scheme="ifc", link_count=3, code_length=8,
-            pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=5, kmeans_iters=2,
-                        kmeans_restarts=1))
+            pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=5, kmeans_iters=2))
 
     def test_tifc_names(self):
         assert invindex.build_config("tifc", self.PARAMS) == BuildConfig(
@@ -886,8 +885,7 @@ class TestBuildMemory:
         db = FeatureSet(rng.standard_normal((20_000, 64)).astype(np.float32))
         training = FeatureSet(rng.standard_normal((1_000, 64)).astype(np.float32))
         cfg = BuildConfig(scheme="ifc", link_count=1, code_length=8,
-                          pq=PqConfig(segments=2, words_per_segment=256, kmeans_iters=5,
-                                      kmeans_restarts=1))
+                          pq=PqConfig(segments=2, words_per_segment=256, kmeans_iters=5))
         assert self.build_peak(db, cfg, training) < self.LIMIT
 
     def postings_peak(self, cpus, monkeypatch):
@@ -1214,10 +1212,28 @@ class TestPersistence:
         with pytest.raises(DataError, match="old CNNIDX04 format; rebuild the index"):
             invindex.load(path)
 
-    def test_header_bytes_are_the_cnnidx05_format(self):
-        """The header's keys, their order and their spacing: an IFC header
-        is the one `CNNIDX04` files held, and a TIFC header is that of
-        `CNNIDX04` without the table's seed."""
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_cnnidx05_file_asks_for_rebuild(self, scheme, tifc_index, ifc_index, tmp_path):
+        path = tmp_path / "old.idx"
+        write_cnnidx05_file(tifc_index if scheme == "tifc" else ifc_index, path)
+        with pytest.raises(DataError, match="old CNNIDX05 format; rebuild the index"):
+            invindex.load(path)
+
+    def test_cnnidx05_ifc_header_under_the_new_magic_rejected(self, ifc_index, tmp_path):
+        """An IFC header that still holds the restart count is not one that
+        `save` writes, whatever the magic."""
+        path = tmp_path / "old.idx"
+        invindex.save(ifc_index, path)
+        header, payload = split_file(path)
+        header["quantizer"]["kmeans_restarts"] = 3
+        write_file(path, header, payload)
+        with pytest.raises(DataError, match="index header is not the one `save` writes"):
+            invindex.load(path)
+
+    def test_header_bytes_are_the_cnnidx06_format(self):
+        """The header's keys, their order and their spacing: a TIFC header
+        is the one `CNNIDX05` files held, and an IFC header is that of
+        `CNNIDX05` without the k-means restart count."""
         tifc_cfg = BuildConfig(scheme="tifc", link_count=2, code_length=12)
         assert invindex._header_json(tifc_cfg, 12, 3) == (
             b'{"code_length": 12, "indexed_count": 3, "link_count": 2, '
@@ -1226,8 +1242,8 @@ class TestPersistence:
                               pq=PqConfig(segments=2, words_per_segment=64))
         assert invindex._header_json(ifc_cfg, 64, 15000) == (
             b'{"code_length": 32, "indexed_count": 15000, "link_count": 40, '
-            b'"quantizer": {"dim": 64, "kmeans_iters": 25, "kmeans_restarts": 3, '
-            b'"kmeans_seed": 0, "segments": 2, "words_per_segment": 64}, "scheme": "ifc"}')
+            b'"quantizer": {"dim": 64, "kmeans_iters": 25, "kmeans_seed": 0, '
+            b'"segments": 2, "words_per_segment": 64}, "scheme": "ifc"}')
 
 
 def split_file(path):
@@ -1261,6 +1277,18 @@ def write_cnnidx04_file(ix, path):
         header["quantizer"]["seed"] = 0
     write_file(path, header, payload)
     path.write_bytes(b"CNNIDX04" + path.read_bytes()[8:])
+
+
+def write_cnnidx05_file(ix, path):
+    """ix's file as the `CNNIDX05` format wrote it: that magic, and for IFC
+    the k-means restart count, 3 by default, in the header's quantizer
+    object."""
+    invindex.save(ix, path)
+    header, payload = split_file(path)
+    if ix.config.scheme == "ifc":
+        header["quantizer"]["kmeans_restarts"] = 3
+    write_file(path, header, payload)
+    path.write_bytes(b"CNNIDX05" + path.read_bytes()[8:])
 
 
 @pytest.fixture(scope="module")

@@ -91,7 +91,7 @@ class TestPqConfig:
 # each config by name: how to make it, and valid values of its integer fields
 CONFIGS = {
     "PqConfig": (PqConfig, dict(segments=2, words_per_segment=4, kmeans_iters=3,
-                                kmeans_seed=0, kmeans_restarts=1)),
+                                kmeans_seed=0)),
     "BuildConfig": (lambda **kw: BuildConfig(scheme="tifc", **kw),
                     dict(link_count=2, code_length=8)),
     "QueryConfig": (QueryConfig, dict(assignment_count=2, hamming_threshold=3, top_k=5)),
@@ -141,8 +141,7 @@ class TestTrain:
         # exhaustive 2-partition oracle: the optimum clusters each pair together
         pts = np.array([[0.0, 0.0], [0.2, 0.0], [10.0, 10.0], [10.2, 10.0]],
                        dtype=np.float32)
-        cb = pq.train(FeatureSet(pts), PqConfig(segments=1, words_per_segment=2,
-                                                kmeans_restarts=5))
+        cb = pq.train(FeatureSet(pts), PqConfig(segments=1, words_per_segment=2))
         got = sorted(cb.sub_codebooks[0].tolist())
         np.testing.assert_allclose(got, [[0.1, 0.0], [10.1, 10.0]], atol=1e-5)
 
@@ -314,16 +313,14 @@ class TestKmeansOracle:
             assert got.tolist() == [[1.0], [10.0], [2.0]]
 
     def test_train_matches_reference_codebooks(self):
+        """One reference run per segment, the segments in order, all drawn
+        from the one generator that kmeans_seed seeds."""
         rng = np.random.default_rng(42)
         data = FeatureSet(np.abs(rng.standard_normal((300, 10))).astype(np.float32))
         cfg = PqConfig(segments=2, words_per_segment=8, kmeans_seed=43)
         ref_rng = np.random.default_rng(43)
-        want = []
-        for s in range(2):
-            pts = data.vectors[:, 5 * s : 5 * s + 5].astype(np.float64)
-            runs = [reference_kmeans(pts, 8, 25, ref_rng) for _ in range(3)]
-            best = min(range(3), key=lambda r: (runs[r][1], r))
-            want.append(runs[best][0].astype(np.float32))
+        want = [reference_kmeans(data.vectors[:, 5 * s : 5 * s + 5].astype(np.float64),
+                                 8, 25, ref_rng)[0].astype(np.float32) for s in range(2)]
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
 
     @pytest.mark.parametrize("block_rows", [1, 7, 64])
@@ -351,19 +348,16 @@ class TestKmeansOracle:
     def test_train_matches_choice_seeding(self, n, dim, m, k, seed):
         """Seeds drawn by CDF, as `pq._draw` draws them, give the codebooks
         that `rng.choice(n, p=...)` seeding gives, and leave the generator
-        where it does: the reference draws every restart of every segment
-        from one generator with `choice`."""
+        where it does: the reference draws the one run of every segment, in
+        order, from one generator with `choice`."""
         rng = np.random.default_rng(seed - 1)
         data = FeatureSet(np.abs(rng.standard_normal((n, dim))).astype(np.float32))
         cfg = PqConfig(segments=m, words_per_segment=k, kmeans_seed=seed)
         ref_rng = np.random.default_rng(seed)
         seg_dim = dim // m
-        want = []
-        for s in range(m):
-            pts = data.vectors[:, seg_dim * s : seg_dim * (s + 1)].astype(np.float64)
-            runs = [reference_kmeans(pts, k, 25, ref_rng) for _ in range(3)]
-            best = min(range(3), key=lambda r: (runs[r][1], r))
-            want.append(runs[best][0].astype(np.float32))
+        want = [reference_kmeans(data.vectors[:, seg_dim * s : seg_dim * (s + 1)]
+                                 .astype(np.float64), k, 25, ref_rng)[0].astype(np.float32)
+                for s in range(m)]
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
 
     def test_segment_distances_match_reference(self):

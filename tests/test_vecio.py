@@ -337,6 +337,21 @@ class TestSynthetic:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 SynthSpec(*args)
 
+    def test_largest_stddevs_draw_finite_values(self):
+        """The stddevs' bound leaves the draws finite: at it, every vector is
+        finite and numpy warns of no overflow; just above it, for either
+        stddev, the spec is refused and names the field."""
+        budget = float(np.finfo(np.float32).max) / vecio._DRAW_BOUND - vecio._CENTER_SCALE
+        for cluster, noise in ((budget, 0.0), (budget / 2, budget / 2), (0.0, budget)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                db, queries, _ = vecio.generate_synthetic(SynthSpec(4, 50, 8, cluster, noise, 9))
+            assert np.isfinite(db.vectors).all() and np.isfinite(queries.vectors).all()
+        for args, name in (((budget * 1.001, 0.0), "cluster_stddev"),
+                           ((budget / 2, budget * 0.501), "noise_stddev")):
+            with pytest.raises(ValueError, match=f"^{name} must be at most .* to stay finite"):
+                SynthSpec(4, 50, 8, *args, 9)
+
 
 class TestNormalize:
     def test_unit_norms_and_direction_preserved(self):
