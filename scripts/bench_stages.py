@@ -12,8 +12,9 @@ that workload's W, T and top-k. The real `build`, `load` and `query` run,
 and a `stagetimer.StageTimer` splits their time into the self times of
 named calls. The stages of `build` and `save`, in ms per build:
 
-- train: the IFC codebook's training (`pq.train`) or the TIFC table draw
-  (`tifc.make_virtual_words`);
+- train: the IFC codebook's training (`pq.train`) or the TIFC table
+  (`tifc.make_virtual_words`, drawn in the warm build and memoised, so
+  the timed builds only look it up);
 - words: the quantizer's `words`, each chunk's words in the build's
   first pass;
 - codes: the quantizer's `codes`, each chunk's codes against its words in
@@ -33,19 +34,17 @@ The stages of `load`, in ms per load:
 
 - header: `invindex._read_header`;
 - quantizer: the IFC codebook's constants (`PqCodebook.__post_init__`) or
-  the TIFC table draw (`tifc.fill_means`, on `load`'s helper thread on 2
-  or more CPUs and on the calling thread after the CRC on one);
+  the TIFC table (`tifc.make_virtual_words`, which draws it on a process's
+  first load of its shape and hands back the memoised one after that);
 - postings: `invindex._check_postings`;
 - sections: the rest of `load`, chiefly its sections read into their
   arrays with the CRC updated as each arrives, then the payload and list
-  length checks; on 2 or more CPUs also the wait for a TIFC load's helper.
+  length checks.
 
-On 2 or more CPUs a TIFC load draws its table on a helper thread while the
-calling thread reads the sections, so the quantizer stage overlaps the
-others, and the stages may add up to more than the whole `load`. Both
-`build` and `load` run their threads through `invindex._run_jobs`, on
-`invindex._threads()` threads at most, so each workload's first line gives
-that count beside its file size and traced build peak.
+`load` runs on the calling thread alone, so its stages add up to no more
+than the whole call. `build` runs its threads through `invindex._run_jobs`,
+on `invindex._threads()` threads at most, so each workload's first line
+gives that count beside its file size and traced build peak.
 
 The stages of `query`, in us per query:
 
@@ -65,8 +64,8 @@ or pass's host factor (`scripts/stagetimer.py`), which reads the same on a
 slower or busier host.
 The file size of each index is printed too, and the traced peak of one
 more, untimed build under `tracemalloc`, in MiB: the most memory the build's
-Python and numpy allocations held at once, which checks a memory change
-without a benchmark run.
+Python and numpy allocations held at once (a memoised TIFC table not
+included), which checks a memory change without a benchmark run.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ BUILD_STAGES = {
 }
 LOAD_STAGES = {
     "header": ("invindex._read_header",),
-    "quantizer": ("pq.PqCodebook.__post_init__", "tifc.fill_means"),
+    "quantizer": ("pq.PqCodebook.__post_init__", "tifc.make_virtual_words"),
     "postings": ("invindex._check_postings",),
     "sections": ("invindex.load",),
 }

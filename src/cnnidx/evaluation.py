@@ -111,6 +111,8 @@ class SweepSpec:
     ``base`` carries scheme, top_k, defaults for non-swept parameters and
     the IFC k-means settings; one left out keeps the default of `cnnidx
     build`, or for W, T and top_k of `cnnidx query` (`search.query_config`).
+    A ``base`` key that no point reads, none of those nor of
+    `invindex.BUILD_KEYS`, is a ValueError that names it.
     """
 
     grid: dict[str, list]
@@ -123,6 +125,11 @@ class SweepSpec:
         unknown = set(self.grid) - set(SWEEPABLE)
         if unknown:
             raise ValueError(f"cannot sweep over {sorted(unknown)}")
+        # a point reads the scheme, the query's keys and its build's
+        read = {"scheme", "top_k", "W", "T"}.union(*invindex.BUILD_KEYS.values())
+        unread = set(self.base) - read
+        if unread:
+            raise ValueError(f"sweep base keys {sorted(unread)} are read by no point")
 
 
 def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,

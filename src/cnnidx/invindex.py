@@ -17,8 +17,9 @@ Index file layout (all integers little-endian):
                      (dim, plus the PqConfig fields for IFC)
     quantizer payload: IFC -> sub-codebook centroids as float32, segments in
                      order; TIFC -> empty (the (D, L) table of the virtual
-                     words' segment means is the one `tifc.fill_means`
-                     draws for dim and code_length)
+                     words' segment means is the one
+                     `tifc.make_virtual_words` draws for dim and
+                     code_length, and `save` refuses any other)
     nlists  uint64   number of non-empty posting lists
     wids    uW x nlists, strictly increasing
     lengths uN x nlists, each >= 1, summing to indexed_count * S
@@ -59,10 +60,10 @@ calling thread and one helper thread per further CPU, up to `MAX_THREADS`
 (`_fill_rows`). Between them one stable sort of the words gives every link
 its slot in the grouped lists, and pass 2 writes each code straight into its
 slot, so the (n*S, B) codes are held once. The file does not depend on the
-thread count. A TIFC `load` draws its table beside its reads of the posting
-sections (on a helper thread given 2 or more CPUs, after the CRC on one) and
-uses it only after the CRC. One runner, `_run_jobs`, starts, stops and joins
-every thread of both.
+thread count. `_run_jobs` starts, stops and joins those threads. `load`
+runs on the calling thread alone and takes a TIFC table from the memo of
+`tifc.make_virtual_words` after the CRC, so a process's first TIFC load of a
+(D, L) draws it serially (about 10 ms at 2,048 x 256).
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -102,12 +103,11 @@ SCHEME_IFC = "ifc"
 # Largest TIFC table of segment means, D * L, that build or load will draw.
 MAX_TABLE_ENTRIES = 1 << 24
 
-# Most threads `_run_jobs` runs on, the caller included: a build's encoding
-# and a TIFC load's reads and table draw. Two were measured (2 vCPUs), on
-# 1 MiB chunks at the default budget; chunks of a few rows run slower on two
-# threads than on one (`vecio.CHUNK_BYTES`), and w threads take chunks of a
-# 4w-th of the budget, so more threads stay unmeasured. A load has two jobs,
-# so it never starts more than one helper.
+# Most threads a build's encoding runs on, the caller included. Two were
+# measured (2 vCPUs), on 1 MiB chunks at the default budget; chunks of a few
+# rows run slower on two threads than on one (`vecio.CHUNK_BYTES`), and w
+# threads take chunks of a 4w-th of the budget, so more threads stay
+# unmeasured.
 MAX_THREADS = 2
 
 
@@ -247,19 +247,17 @@ def _cpus() -> int:
 
 
 def _threads() -> int:
-    """Threads that `_run_jobs` runs on, the caller included."""
+    """Threads that `_fill_rows` runs on, the caller included."""
     return min(_cpus(), MAX_THREADS)
 
 
 def _run_jobs(jobs: list) -> None:
-    """Call job(stop) for every job, `stop` one `threading.Event`: jobs 1 ..
-    `_threads()` - 1 on one helper thread each, job 0 and then the rest in
-    order on the caller. The first exception (a job's, a thread's that
-    cannot start, an interrupt while the caller waits) sets `stop`, at which
-    every job should return; the caller waits for every helper, then raises
-    it as it was raised."""
-    stop, threads = threading.Event(), _threads()
-    errors = []
+    """Call job(stop) for every job, `stop` one `threading.Event`: job 0 on
+    the caller and every other job on a helper thread of its own. The first
+    exception (a job's, a thread's that cannot start, an interrupt while the
+    caller waits) sets `stop`, at which every job should return; the caller
+    waits for every helper, then raises it as it was raised."""
+    stop, errors = threading.Event(), []
 
     def run(job) -> None:
         try:
@@ -270,15 +268,14 @@ def _run_jobs(jobs: list) -> None:
 
     helpers = []
     try:
-        for job in jobs[1:threads]:
+        for job in jobs[1:]:
             thread = threading.Thread(target=run, args=(job,))
             thread.start()
             helpers.append(thread)
     except BaseException as exc:  # a thread that did not start
         errors.append(exc)
         stop.set()
-    for job in jobs[:1] + jobs[threads:]:
-        run(job)
+    run(jobs[0])
     try:
         for thread in helpers:
             thread.join()
@@ -459,7 +456,17 @@ def _sections(ix: InvertedIndex) -> list[tuple[np.ndarray, np.dtype]]:
 
 def save(ix: InvertedIndex, path) -> None:
     """Write the index file, each section as one array at its file dtype: no
-    copy for a built or loaded index, which holds its postings at those."""
+    copy for a built or loaded index, which holds its postings at those.
+
+    A TIFC file holds no table, so an index whose table is not the drawn
+    one for its (D, L) would load with other words: ValueError, before the
+    file is opened."""
+    q = ix.quantizer
+    if isinstance(q, VirtualWordBank):
+        drawn = tifc.make_virtual_words(*q.means.shape)
+        if q is not drawn and not np.array_equal(q.means, drawn.means):
+            raise ValueError("a TIFC table other than the drawn one for its "
+                             f"{q.means.shape}: the file cannot hold it")
     crc = 0
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -549,14 +556,10 @@ def load(path) -> InvertedIndex:
     count is checked against the bytes left in the file, and after `nlists`
     those bytes must match the header's sizes exactly. The CRC is checked
     before any value is used: the payload's (finite centroids), the posting
-    rules and the quantizer, the IFC codebook or the TIFC table.
-
-    The rest of the file is read by one job of `_run_jobs`; a TIFC load adds
-    a second, the table's draw (`tifc.fill_means`), which runs on a helper
-    thread beside the reads on 2 or more CPUs and after the CRC on one. Any
-    exception, an interrupt included, stops the draw before its next block
-    and comes out once the helper has ended, so on one CPU a file that fails
-    its CRC is never drawn."""
+    rules and the quantizer, the IFC codebook or the TIFC table. All of it
+    runs on the calling thread, and a TIFC table is taken from
+    `tifc.make_virtual_words` only after the CRC, so a file that fails it
+    is never drawn for."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic in OLD_MAGICS:
@@ -591,21 +594,11 @@ def load(path) -> InvertedIndex:
             raise DataError(f"{path}: truncated index file")
         if need < left:
             raise DataError(f"{path}: {left - need} trailing bytes after posting lists")
-        sections = []
-
-        def read(stop: threading.Event) -> None:
-            sections.extend([array(nlists, wid_t), array(nlists, len_t), array(total, id_t),
-                             array(total * b, np.uint8).reshape(total, b)])
-            trailer = f.read(4)
-            if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
-                raise DataError(f"{path}: checksum mismatch (corrupt index file)")
-
-        jobs = [read]
-        if cfg.scheme == SCHEME_TIFC:
-            means = np.empty((dim, cfg.code_length))
-            jobs.append(lambda stop: tifc.fill_means(means, stop))
-        _run_jobs(jobs)
-        wids, lengths, ids, codes = sections
+        wids, lengths, ids = array(nlists, wid_t), array(nlists, len_t), array(total, id_t)
+        codes = array(total * b, np.uint8).reshape(total, b)
+        trailer = f.read(4)
+        if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
+            raise DataError(f"{path}: checksum mismatch (corrupt index file)")
 
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: NaN or infinite centroid in the quantizer payload")
@@ -616,7 +609,7 @@ def load(path) -> InvertedIndex:
     offsets = np.zeros(nlists + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
     quantizer = (PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
-                 if cfg.pq else VirtualWordBank(means))
+                 if cfg.pq else tifc.make_virtual_words(dim, cfg.code_length))
     ix = InvertedIndex(
         config=cfg,
         indexed_count=indexed_count,

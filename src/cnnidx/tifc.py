@@ -9,18 +9,21 @@ The virtual words are D random N(0, 1) vectors that only ever enter through
 their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
 N(0, L/D): `make_virtual_words` draws the (D, L) table of means directly, no
 D x D bank exists, and a `VirtualWordBank` is that table alone. The draw is
-`fill_means`, block by block from seed 0, so D and L fix the table; a TIFC
-`invindex.load` runs it too: on a helper thread, or after the CRC on one CPU."""
+one `default_rng(0)` draw, so D and L fix the table. It is memoised for the
+last (D, L) asked for: the builds, loads and saves of that shape share one
+read-only table, which stays referenced after its last index is dropped (at
+most `invindex.MAX_TABLE_ENTRIES` x 8 B; 4 MiB at 2,048 x 256), and a
+process's first TIFC load of a shape draws it serially, after the CRC."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .embed import pack_bits, segment_means
 from .pq import first_in_order
-from .vecio import chunk_rows
 
 
 def softmax(x) -> np.ndarray:
@@ -60,10 +63,11 @@ def top_words_rows(tf: np.ndarray, count: int) -> np.ndarray:
     return first_in_order(-tf, count)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VirtualWordBank:
     """Reference segment means of the D virtual words, the (D, L) table that
-    `make_virtual_words` draws. D and L give it, so the payload is empty."""
+    `make_virtual_words` draws. D and L give it, so the payload is empty.
+    Frozen, as the memo hands one bank to every caller."""
 
     means: np.ndarray  # (D, L) float64
 
@@ -94,33 +98,17 @@ class VirtualWordBank:
         return np.empty(0, dtype="<f4")
 
 
-def fill_means(means: np.ndarray, stop=None) -> None:
-    """Fill a C-contiguous (D, L) float64 table with
-    `np.random.default_rng(0).standard_normal((D, L)) * sqrt(L / D)`, in
-    blocks of `chunk_rows(8 * L)` rows, each drawn into the table and scaled
-    in place: the same values, bit for bit, as one draw of the whole table.
-    With a `threading.Event` as `stop`, the fill returns before any block,
-    the first included, once the event is set, leaving the later rows
-    unfilled."""
-    dim, code_length = means.shape
-    rng = np.random.default_rng(0)
-    rows = chunk_rows(8 * code_length)
-    scale = np.sqrt(code_length / dim)
-    for lo in range(0, dim, rows):
-        if stop is not None and stop.is_set():
-            return
-        block = means[lo:lo + rows]
-        rng.standard_normal(out=block)
-        block *= scale
-
-
+@lru_cache(maxsize=1)
 def make_virtual_words(dim: int, code_length: int) -> VirtualWordBank:
-    """The table of `fill_means` for D = dim and L = code_length: the law of
-    the segment means of D random N(0, 1) words, drawn at O(D * L) cost."""
+    """The table for D = dim and L = code_length,
+    `np.random.default_rng(0).standard_normal((D, L)) * sqrt(L / D)`: the law
+    of the segment means of D random N(0, 1) words, drawn at O(D * L) cost.
+    Calls for the last (D, L) return one bank, its table read-only."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if code_length < 1 or dim % code_length:
         raise ValueError(f"code_length {code_length} does not divide dim {dim}")
-    means = np.empty((dim, code_length))
-    fill_means(means)
+    means = np.random.default_rng(0).standard_normal((dim, code_length))
+    means *= np.sqrt(code_length / dim)
+    means.flags.writeable = False
     return VirtualWordBank(means)

@@ -342,6 +342,22 @@ def test_malformed_sweep_spec_is_data_error(workspace, tmp_path, capsys, change)
     assert not (tmp_path / "sw.csv").exists()
 
 
+def test_sweep_base_key_that_no_point_reads_is_data_error(workspace, tmp_path, capsys):
+    """`kmeans_restarts` is no longer a setting: a spec that sets it exits 2
+    naming the key, before any file is read or written."""
+    spec = {"grid": {"W": [1]},
+            "base": {"scheme": "ifc", "L": 8, "S": 3, "K": 4, "M": 2, "kmeans_restarts": 3},
+            "datasets": {"features": str(tmp_path / "nope.fvecs"),
+                         "queries": str(workspace / "q.fvecs"),
+                         "ground_truth": str(workspace / "gt.txt")}}
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    rc = run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+              "--out-prefix", str(tmp_path / "sw")])
+    assert rc == EXIT_DATA
+    assert "'kmeans_restarts'" in capsys.readouterr().err
+    assert not (tmp_path / "sw.csv").exists()
+
+
 def test_tifc_sweep_with_train_features_is_data_error(workspace, tmp_path, capsys):
     """A TIFC sweep reads no training set: a spec that names one is refused
     before any file is read, so a missing path gives this error, not a

@@ -217,6 +217,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(grid={"bogus": [1]}, base=self.BASE)
 
+    @pytest.mark.parametrize("key", ["kmeans_restarts", "kmeans_iter", "virtual_word_seed"])
+    def test_base_key_that_no_point_reads_rejected(self, key):
+        """A misspelt or retired setting would build with the default and
+        say nothing, so the spec is refused, naming the key."""
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            SweepSpec(grid={"W": [1]}, base={**self.BASE, key: 3})
+        for scheme in ("ifc", "tifc"):  # every key a point reads passes
+            SweepSpec(grid={"W": [1]}, base={**self.BASE, "scheme": scheme, "kmeans_seed": 1,
+                                             "kmeans_iters": 2})
+
     def test_csv_and_json_outputs(self, data, tmp_path):
         db, queries, gt = data
         spec = SweepSpec(grid={"W": [1, 2]}, base=self.BASE)

@@ -444,38 +444,24 @@ class TestThreadedFill:
 
 
 class TestRunJobs:
-    """`invindex._run_jobs` runs jobs 1 .. `_threads()` - 1 on helper
-    threads and the rest on the caller; tests set the CPU count by patching
-    `invindex._cpus`."""
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_jobs_beyond_the_threads_run_on_the_caller_in_order(self, cpus, monkeypatch):
-        """Five jobs: on one CPU all run on the caller in order; on two job 1
-        runs on the helper and the caller runs 0, 2, 3 and 4 in order."""
-        monkeypatch.setattr(invindex, "_cpus", lambda: cpus)
-        caller, ran = threading.current_thread(), []
-
-        def job(k):
-            return lambda stop: ran.append((k, threading.current_thread() is caller))
-
-        before = threading.active_count()
-        invindex._run_jobs([job(k) for k in range(5)])
-        assert threading.active_count() == before
-        on_caller = [k for k, mine in ran if mine]
-        assert on_caller == ([0, 1, 2, 3, 4] if cpus == 1 else [0, 2, 3, 4])
-        assert sorted(k for k, _ in ran) == [0, 1, 2, 3, 4]
+    """`invindex._run_jobs` runs job 0 on the caller and every other job on
+    a helper thread of its own; `_fill_rows` gives it one job per thread."""
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])
     def test_exception_sets_stop_before_the_next_step(self, failing, monkeypatch):
-        """Two CPUs, three jobs: 0 and then 2 on the caller, 1 on the helper.
-        Job `failing` raises; each other job takes its next step only once
-        the raise has left that job (the helper has ended, or the caller has
-        gone on to job 2), and finds `stop` set. The exception comes out as
-        it was raised, and the helper has ended."""
-        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        """Two jobs, 0 on the caller and 1 on the helper. Job `failing`
+        raises; the other job takes its next step only once the raise has
+        left that job (the helper has ended, or the caller waits for the
+        helper), and finds `stop` set. The exception comes out as it was
+        raised, and the helper has ended."""
         boom = RuntimeError("job failed")
-        raised, caller_moved_on = threading.Event(), threading.Event()
+        raised, joining = threading.Event(), threading.Event()
         raiser, seen = [], {}
+
+        class Thread(threading.Thread):
+            def join(self, timeout=None):
+                joining.set()  # the caller has left job 0
+                super().join(timeout)
 
         def job(k):
             def run(stop):
@@ -486,18 +472,17 @@ class TestRunJobs:
                 if k == 0:  # the helper raised: wait for it to end
                     assert raised.wait(timeout=30)
                     raiser[0].join(timeout=30)
-                elif k == 1:  # the caller raised: wait for it to reach job 2
-                    assert caller_moved_on.wait(timeout=30)
-                else:
-                    caller_moved_on.set()
+                else:  # the caller raised: wait for it to wait for this job
+                    assert joining.wait(timeout=30)
                 seen[k] = stop.is_set()
             return run
 
+        monkeypatch.setattr(threading, "Thread", Thread)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            invindex._run_jobs([job(k) for k in range(3)])
+            invindex._run_jobs([job(k) for k in range(2)])
         assert info.value is boom
-        assert seen == {k: True for k in range(3) if k != failing}
+        assert seen == {1 - failing: True}
         assert threading.active_count() == before
 
     def test_build_interrupted_once_in_its_join_ends_its_helper(self, monkeypatch):
@@ -585,76 +570,51 @@ class TestTwoPassBuild:
 
 
 class TestThreadedLoad:
-    """On 2 or more CPUs a TIFC `load` draws its table on one helper thread
-    while the caller reads the sections; tests set the CPU count by patching
-    `invindex._cpus`. The (16, 8) table of `tifc_index` takes 64 bytes a
-    row, so at a `CHUNK_BYTES` of 128 it is drawn in 8 blocks of 2 rows."""
+    """`load` runs on the calling thread alone on any CPU count, and takes a
+    TIFC table from `tifc.make_virtual_words`, which draws it once per
+    process and (D, L), and only after the CRC. Tests set the CPU count by
+    patching `invindex._cpus`."""
 
     @staticmethod
-    def counting_thread(monkeypatch, started, after_start=None):
-        """Patch `threading.Thread` to record each thread it starts, and to
-        call after_start() once the thread runs."""
+    def counting_thread(monkeypatch, started):
+        """Patch `threading.Thread` to record each thread it starts."""
         class Thread(threading.Thread):
             def start(self):
                 started.append(self)
                 super().start()
-                if after_start:
-                    after_start()
 
         monkeypatch.setattr(threading, "Thread", Thread)
 
     @staticmethod
-    def held_fill(monkeypatch, blocks, arrived=None):
-        """Patch `tifc.fill_means` to record the rows of each block it draws
-        in blocks; its first block waits at `arrived` (a barrier), then
-        until the fill's stop is set."""
-        fill, default_rng = tifc.fill_means, np.random.default_rng
-
-        def held(means, stop=None):
-            class Rng:
-                def __init__(self, seed):
-                    self.gen = default_rng(seed)
-
-                def standard_normal(self, out):
-                    blocks.append(len(out))
-                    if len(blocks) == 1 and stop is not None:
-                        if arrived:
-                            arrived.wait()
-                        assert stop.wait(timeout=30)
-                    self.gen.standard_normal(out=out)
-
-            # the fill's generator, only while the fill runs
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(np.random, "default_rng", Rng)
-                fill(means, stop)
-
-        monkeypatch.setattr(tifc, "fill_means", held)
+    def counting_draw(monkeypatch):
+        """Empty the table memo and record the seed of each table draw."""
+        tifc.make_virtual_words.cache_clear()
+        draws, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: draws.append(seed) or default_rng(seed))
+        return draws
 
     @pytest.mark.parametrize("chunk_bytes", [64, 128, 8 << 20])
     def test_load_equal_for_any_cpu_count(self, tifc_index, chunk_bytes, tmp_path,
                                           monkeypatch):
         """1, 2 and 3 CPUs load the same arrays and table, and save the same
-        bytes; one CPU starts no thread, more start one helper."""
+        bytes, and none starts a thread."""
         path = tmp_path / "x.idx"
         invindex.save(tifc_index, path)
         monkeypatch.setattr(vecio, "CHUNK_BYTES", chunk_bytes)
-        monkeypatch.setattr(invindex, "MAX_THREADS", 3)
         started = []
         self.counting_thread(monkeypatch, started)
         loads = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(invindex, "_cpus", lambda c=cpus: c)
-            started.clear()
-            before = threading.active_count()
             loads.append(invindex.load(path))
-            assert threading.active_count() == before
-            assert len(started) == (cpus > 1)
+            assert started == []
             invindex.save(loads[-1], tmp_path / "back.idx")
             assert (tmp_path / "back.idx").read_bytes() == path.read_bytes()
         for ix in loads[1:]:
             for name in ("wids", "offsets", "ids", "codes"):
                 np.testing.assert_array_equal(getattr(ix, name), getattr(loads[0], name))
-            np.testing.assert_array_equal(ix.quantizer.means, loads[0].quantizer.means)
+            assert ix.quantizer is loads[0].quantizer
         np.testing.assert_array_equal(loads[0].quantizer.means, tifc_index.quantizer.means)
 
     def test_ifc_load_starts_no_thread(self, ifc_index, tmp_path, monkeypatch):
@@ -667,120 +627,43 @@ class TestThreadedLoad:
         assert started == []
 
     def test_one_cpu_draws_after_the_crc(self, tifc_index, tmp_path, monkeypatch):
-        """On one CPU a corrupt body fails its checksum before any draw."""
+        """With the memo empty, a corrupt body fails its checksum before any
+        draw (as on any CPU count: `load` does not read it)."""
         path = tmp_path / "x.idx"
         invindex.save(tifc_index, path)
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         path.write_bytes(raw)
         monkeypatch.setattr(invindex, "_cpus", lambda: 1)
-        blocks = []
-        self.held_fill(monkeypatch, blocks)
+        draws = self.counting_draw(monkeypatch)
         with pytest.raises(DataError, match="checksum"):
             invindex.load(path)
-        assert blocks == []
+        assert draws == []
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda raw: raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 1])
-         + raw[len(raw) // 2 + 1:], "checksum"),
-        (lambda raw: raw[:-5], "truncated"),
-        (lambda raw: raw + b"\0", "trailing bytes"),
-    ], ids=["corrupt", "truncated", "trailing"])
-    def test_bad_file_ends_the_helper(self, tifc_index, edit, message, tmp_path, monkeypatch):
+    def test_builds_and_loads_of_one_shape_draw_once(self, small_dataset, tmp_path,
+                                                     monkeypatch):
+        """With the memo empty, a TIFC build draws its table, and a second
+        build, a save and two loads of that (D, L) draw nothing and share
+        the build's table."""
+        draws = self.counting_draw(monkeypatch)
+        cfg = BuildConfig(scheme="tifc", link_count=3, code_length=8)
+        ix = invindex.build(small_dataset[0], cfg)
+        assert draws == [0]
+        path = tmp_path / "x.idx"
+        invindex.save(invindex.build(small_dataset[0], cfg), path)
+        loads = [invindex.load(path) for _ in range(2)]
+        assert draws == [0]
+        assert all(x.quantizer is ix.quantizer for x in loads)
+
+    def test_first_load_of_a_shape_draws_once(self, tifc_index, tmp_path, monkeypatch):
+        """With the memo empty, the first load draws the table and a second
+        load of the file draws nothing."""
         path = tmp_path / "x.idx"
         invindex.save(tifc_index, path)
-        path.write_bytes(edit(path.read_bytes()))
-        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
-        before = threading.active_count()
-        with pytest.raises(DataError, match=message):
-            invindex.load(path)
-        assert threading.active_count() == before
-
-    def test_helper_exception_comes_out_as_raised(self, tifc_index, tmp_path, monkeypatch):
-        path = tmp_path / "x.idx"
-        invindex.save(tifc_index, path)
-        boom = RuntimeError("draw failed")
-
-        def fill(means, stop=None):
-            raise boom
-
-        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
-        monkeypatch.setattr(tifc, "fill_means", fill)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            invindex.load(path)
-        assert info.value is boom
-        assert threading.active_count() == before
-
-    def test_helper_that_cannot_start(self, tifc_index, tmp_path, monkeypatch):
-        path = tmp_path / "x.idx"
-        invindex.save(tifc_index, path)
-        refused = RuntimeError("can't start new thread")
-
-        class Thread(threading.Thread):
-            def start(self):
-                raise refused
-
-        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
-        monkeypatch.setattr(threading, "Thread", Thread)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            invindex.load(path)
-        assert info.value is refused
-        assert threading.active_count() == before
-
-    def test_checksum_failure_stops_the_fill(self, tifc_index, tmp_path, monkeypatch):
-        """The caller goes on reading only once the helper is held in its
-        first block; its checksum failure stops the fill after that block,
-        before the last."""
-        path = tmp_path / "x.idx"
-        invindex.save(tifc_index, path)
-        raw = bytearray(path.read_bytes())
-        raw[-5] ^= 0x01  # the last code byte
-        path.write_bytes(raw)
-        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
-        monkeypatch.setattr(vecio, "CHUNK_BYTES", 128)
-        arrived = threading.Barrier(2, timeout=30)
-        blocks, started = [], []
-        self.counting_thread(monkeypatch, started, arrived.wait)
-        self.held_fill(monkeypatch, blocks, arrived)
-        with pytest.raises(DataError, match="checksum"):
-            invindex.load(path)
-        assert blocks == [2]
-        assert len(started) == 1 and not started[0].is_alive()
-
-    def test_interrupt_in_the_join_stops_the_fill(self, tifc_index, tmp_path, monkeypatch):
-        """An interrupt while the caller waits for the helper comes out of
-        `load`, and the fill draws no block after its current one."""
-        path = tmp_path / "x.idx"
-        invindex.save(tifc_index, path)
-        interrupt = KeyboardInterrupt()
-        started, blocks = [], []
-
-        class Thread(threading.Thread):
-            interrupted = False
-
-            def start(self):
-                started.append(self)
-                super().start()
-
-            def join(self, timeout=None):
-                if not Thread.interrupted:
-                    Thread.interrupted = True
-                    raise interrupt
-                super().join(timeout)
-
-        monkeypatch.setattr(threading, "Thread", Thread)
-        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
-        monkeypatch.setattr(vecio, "CHUNK_BYTES", 128)
-        self.held_fill(monkeypatch, blocks)
-        before = threading.active_count()
-        with pytest.raises(KeyboardInterrupt) as info:
-            invindex.load(path)
-        assert info.value is interrupt
-        assert len(blocks) <= 1
-        assert not started[0].is_alive()
-        assert threading.active_count() == before
+        draws = self.counting_draw(monkeypatch)
+        first = invindex.load(path)
+        assert draws == [0] and not first.quantizer.means.flags.writeable
+        assert invindex.load(path).quantizer is first.quantizer and draws == [0]
 
 
 class TestBuildConfig:
@@ -1116,6 +999,25 @@ class TestQuantizerMatchesConfig:
         """The refused M = 4 codebook would have saved under the M = 2 header
         and loaded reshaped into another codebook."""
         assert self.codebook(4, 4, 2).payload().size == indexes["ifc"].quantizer.payload().size
+
+    def test_save_refuses_a_table_the_file_cannot_hold(self, indexes, tmp_path):
+        """A TIFC file stores no table, so a hand-made table of another draw,
+        which answers otherwise than the drawn one, is refused before the
+        file is opened; an equal copy of the drawn table saves."""
+        ix = indexes["tifc"]
+        other = tifc.VirtualWordBank(np.random.default_rng(9).standard_normal((8, 4)) * 0.5**0.5)
+        hand_made = dataclasses.replace(ix, quantizer=other)
+        cfg = QueryConfig(assignment_count=2, hamming_threshold=2, top_k=5)
+        queries = np.random.default_rng(24).standard_normal((20, 8)).astype(np.float32)
+        assert any(search.query(hand_made, q, cfg).entries != search.query(ix, q, cfg).entries
+                   for q in queries)
+        path = tmp_path / "x.idx"
+        with pytest.raises(ValueError, match="the file cannot hold it"):
+            invindex.save(hand_made, path)
+        assert not path.exists()
+        copy = tifc.VirtualWordBank(ix.quantizer.means.copy())
+        invindex.save(dataclasses.replace(ix, quantizer=copy), path)
+        assert path.exists()
 
     @pytest.mark.parametrize("scheme", ["ifc", "tifc"])
     def test_round_trip_keeps_config_and_arrays(self, indexes, scheme, tmp_path):

@@ -1,5 +1,5 @@
+import dataclasses
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -162,12 +162,16 @@ class TestVirtualWordBank:
         with pytest.raises(ValueError, match="does not divide"):
             tifc.make_virtual_words(12, code_length=5)
 
-    @pytest.mark.parametrize("dim", [12, 384])
+    @pytest.mark.parametrize("dim", [12, 384, 2048])
     def test_table_is_scaled_direct_draw(self, dim):
         """Bit-identical to an independently drawn (D, L) standard-normal
-        table of seed 0 scaled by sqrt(L / D), for L in {1, 3, D}."""
-        for length in (1, 3, dim):
-            table = tifc.make_virtual_words(dim, code_length=length).means
+        table of seed 0 scaled by sqrt(L / D), for each L in {1, 3, 256, D}
+        that divides D: (2,048, 256) is the benchmark's shape."""
+        for length in (1, 3, 256, dim):
+            if dim % length:
+                continue
+            tifc.make_virtual_words.cache_clear()
+            table = tifc.make_virtual_words(dim, length).means
             expected = (np.random.default_rng(0).standard_normal((dim, length))
                         * math.sqrt(length / dim))
             np.testing.assert_array_equal(table, expected)
@@ -175,41 +179,31 @@ class TestVirtualWordBank:
     @pytest.mark.parametrize("dim, length", [(12, 3), (384, 1), (96, 96), (2048, 256)])
     @pytest.mark.parametrize("rows", [1, 3, None], ids=["one-row", "few-rows", "default"])
     def test_blocked_fill_is_one_draw(self, dim, length, rows, monkeypatch):
-        """Filled in blocks of one row, of three rows, or at the default
-        `CHUNK_BYTES`, the table equals one draw of the whole table."""
+        """The chunk budget does not block the draw: at a `CHUNK_BYTES` of
+        one row of the table, three rows or the default, a fresh draw equals
+        one draw of the whole table."""
         if rows is not None:
             monkeypatch.setattr(vecio, "CHUNK_BYTES", rows * 8 * length)
         expected = (np.random.default_rng(0).standard_normal((dim, length))
                     * math.sqrt(length / dim))
-        means = np.empty((dim, length))
-        tifc.fill_means(means)
-        np.testing.assert_array_equal(means, expected)
+        tifc.make_virtual_words.cache_clear()
         np.testing.assert_array_equal(tifc.make_virtual_words(dim, length).means, expected)
 
-    def test_fill_stops_before_its_next_block(self, monkeypatch):
-        """A set stop ends the fill before its next block: the rows drawn
-        before it keep their values, and later rows are not written."""
-        monkeypatch.setattr(vecio, "CHUNK_BYTES", 2 * 8 * 4)  # blocks of 2 rows
-        stop = threading.Event()
-        drawn = []
-        default_rng = np.random.default_rng
-
-        class Rng:
-            gen = default_rng(0)
-
-            def standard_normal(self, out):
-                drawn.append(len(out))
-                if len(drawn) == 2:
-                    stop.set()
-                self.gen.standard_normal(out=out)
-
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Rng())
-        means = np.full((8, 4), np.nan)
-        tifc.fill_means(means, stop)
-        assert drawn == [2, 2]
-        expected = default_rng(0).standard_normal((4, 4)) * math.sqrt(4 / 8)
-        np.testing.assert_array_equal(means[:4], expected)
-        assert np.isnan(means[4:]).all()
+    def test_memoised_table_is_drawn_once_and_read_only(self, monkeypatch):
+        """Calls for one (D, L) share one bank, drawn once, whose table
+        cannot be written; another (D, L) draws its own."""
+        tifc.make_virtual_words.cache_clear()
+        draws, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: draws.append(seed) or default_rng(seed))
+        bank = tifc.make_virtual_words(16, 8)
+        assert tifc.make_virtual_words(16, 8) is bank and draws == [0]
+        assert not bank.means.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bank.means[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bank.means = np.zeros((16, 8))
+        assert tifc.make_virtual_words(16, 4).means.shape == (16, 4) and draws == [0, 0]
 
     def test_table_has_the_law_of_bank_segment_means(self):
         """At D = 2,048 and L = 256 the table's entries have mean 0 and
