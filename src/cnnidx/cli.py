@@ -19,7 +19,6 @@ import time
 
 from . import baseline as bl
 from . import evaluation, invindex, search, vecio
-from .pq import PqConfig
 from .search import RUN_SUFFIXES
 from .vecio import DataError, SynthSpec
 
@@ -64,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--M", type=int, default=2, help="segments (ifc)")
     bp.add_argument("--train-features", default=None,
                     help="codebook training set (default: the database)")
-    bp.add_argument("--kmeans-seed", type=int, default=PqConfig.kmeans_seed)
-    bp.add_argument("--kmeans-iters", type=int, default=PqConfig.kmeans_iters)
     bp.add_argument("--normalize", action="store_true",
                     help="L2-normalize vectors before indexing")
     bp.add_argument("--out", required=True)
@@ -130,16 +127,18 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(command: str, message) -> int:
+    print(f"cnnidx {command}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_build(args) -> int:
     if args.train_features and args.scheme != invindex.SCHEME_IFC:
-        print("cnnidx build: error: --train-features applies to --scheme ifc only",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("build", "--train-features applies to --scheme ifc only")
     try:
         cfg = invindex.build_config(args.scheme, vars(args))
     except ValueError as exc:
-        print(f"cnnidx build: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("build", exc)
     db = vecio.read_feature_file(args.features)
     if args.normalize:
         db = vecio.l2_normalize(db)
@@ -161,6 +160,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    # the flags alone, before any read: an absent W or T stands in as its
+    # least value, and the rules that need the index run after the load
+    try:
+        search.QueryConfig(1 if args.W is None else args.W, 0 if args.T is None else args.T,
+                           args.topk)
+    except ValueError as exc:
+        return _usage_error("query", exc)
     ix = invindex.load(args.index)
     queries = vecio.read_feature_file(args.queries)
     if args.normalize:
@@ -179,6 +185,13 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    # --topk by QueryConfig's rule and the LSH flags by LshConfig's, before any read
+    try:
+        search.QueryConfig(1, 0, args.topk)
+        lsh_cfg = (bl.LshConfig(args.tables, args.bits, args.seed)
+                   if args.method == "lsh" else None)
+    except ValueError as exc:
+        return _usage_error("baseline", exc)
     db = vecio.read_feature_file(args.features)
     queries = vecio.read_feature_file(args.queries)
     if args.normalize:
@@ -195,7 +208,7 @@ def _cmd_baseline(args) -> int:
         def run_one(q):
             return bl.brute_force(db, q, args.topk), db.n
     else:
-        lix = bl.lsh_build(db, bl.LshConfig(args.tables, args.bits, args.seed))
+        lix = bl.lsh_build(db, lsh_cfg)
 
         def run_one(q):
             return bl.lsh_query(lix, q, args.topk)
@@ -233,8 +246,11 @@ def _cmd_sweep(args) -> int:
         raw = json.load(f)
     if not isinstance(raw, dict) or not isinstance(raw.get("datasets"), dict):
         raise DataError(f"{args.spec}: a spec is a JSON object with a datasets object")
-    spec = evaluation.SweepSpec(grid=raw["grid"], base=raw.get("base", {}))
     ds = raw["datasets"]
+    for key in ("grid", "datasets.features", "datasets.queries", "datasets.ground_truth"):
+        if key.removeprefix("datasets.") not in (ds if "." in key else raw):
+            raise DataError(f"{args.spec}: spec has no {key}")
+    spec = evaluation.SweepSpec(grid=raw["grid"], base=raw.get("base", {}))
     _echo_config("sweep", {"spec": args.spec, "grid": raw["grid"],
                            "base": raw.get("base", {}), "datasets": ds})
     if ds.get("train_features") and spec.base.get("scheme") == invindex.SCHEME_TIFC:

@@ -10,11 +10,11 @@ holds the entries offsets[j]:offsets[j + 1].
 
 Index file layout (all integers little-endian):
 
-    magic   8 bytes  b"CNNIDX06"
+    magic   8 bytes  b"CNNIDX07"
     hlen    uint32   length of the JSON header
     header  bytes    JSON: the BuildConfig and n, nothing else: scheme,
                      link_count, code_length, indexed_count, and quantizer
-                     (dim, plus the PqConfig fields for IFC)
+                     (dim, plus segments and words_per_segment for IFC)
     quantizer payload: IFC -> sub-codebook centroids as float32, segments in
                      order; TIFC -> empty (the (D, L) table of the virtual
                      words' segment means is the one
@@ -37,12 +37,11 @@ Only `_header_json` writes the header, and a header loads only in its exact
 form, so a file that loads saves back to the same bytes. `load` reads each
 section straight into its array and rejects with `DataError` every file that
 breaks one of these rules, so a query never meets an id outside
-[0, indexed_count) or an image twice in one list. `CNNIDX01`
-(one record per list), `CNNIDX02` (int64 word ids and lengths, int32 ids),
-`CNNIDX03` (a header that also held the word count and a quantizer kind),
-`CNNIDX04` (a TIFC header that also held the table's seed) and `CNNIDX05`
-(an IFC header that also held the k-means restart count) files are not read;
-rebuild them.
+[0, indexed_count) or an image twice in one list. Files of the older
+formats, `OLD_MAGICS`, are not read; rebuild them. `CNNIDX01` to `CNNIDX03`
+laid out the postings or the header otherwise; each header of `CNNIDX04` to
+`CNNIDX06` held more than the next format's: the TIFC table's seed, the
+k-means restart count, and the k-means seed and iteration cap.
 
 Build and query share one encoding stage, the quantizer's `words` and then
 its `codes` over chunks of `_row_bytes` each: `encode_rows` runs both on a
@@ -94,8 +93,9 @@ from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import DataError, FeatureSet, check_ints, chunk_rows
 
-MAGIC = b"CNNIDX06"
-OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03", b"CNNIDX04", b"CNNIDX05")
+MAGIC = b"CNNIDX07"
+OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03", b"CNNIDX04", b"CNNIDX05",
+              b"CNNIDX06")
 
 SCHEME_TIFC = "tifc"
 SCHEME_IFC = "ifc"
@@ -150,30 +150,25 @@ class BuildConfig:
 
 # The paper's build parameters that each scheme reads, by the names the CLI
 # and a sweep spec use: S links per vector and L-bit codes, and for IFC the
-# K x M product codebook and its k-means.
+# K x M product codebook.
 BUILD_KEYS = {
     SCHEME_TIFC: ("S", "L"),
-    SCHEME_IFC: ("S", "L", "K", "M", "kmeans_seed", "kmeans_iters"),
+    SCHEME_IFC: ("S", "L", "K", "M"),
 }
-_REQUIRED_KEYS = ("S", "L", "K", "M")
 _FIELD_NAMES = {"S": "link_count", "L": "code_length", "K": "words_per_segment",
                 "M": "segments"}
 _PQ_FIELDS = tuple(f.name for f in fields(PqConfig))
 
 
 def build_config(scheme: str, params: dict) -> BuildConfig:
-    """The BuildConfig that the keys `BUILD_KEYS[scheme]` of params give, as
-    they are: a value that is not an integer is the configs' ValueError. S
-    and L, and for IFC K and M, must be present (KeyError); a k-means
-    setting left out keeps its default, and keys of the other scheme or of no
-    build parameter are ignored."""
+    """The BuildConfig that the keys `BUILD_KEYS[scheme]` of params give, each
+    required (KeyError) and passed as it is, so a value that is not an integer
+    is the configs' ValueError; other keys are ignored."""
     if scheme not in BUILD_KEYS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    values = {_FIELD_NAMES.get(k, k): params[k] for k in BUILD_KEYS[scheme]
-              if k in params or k in _REQUIRED_KEYS}
-    pq_cfg = None
-    if scheme == SCHEME_IFC:
-        pq_cfg = PqConfig(**{k: values.pop(k) for k in _PQ_FIELDS if k in values})
+    values = {_FIELD_NAMES[k]: params[k] for k in BUILD_KEYS[scheme]}
+    pq_cfg = (PqConfig(**{k: values.pop(k) for k in _PQ_FIELDS})
+              if scheme == SCHEME_IFC else None)
     return BuildConfig(scheme=scheme, pq=pq_cfg, **values)
 
 

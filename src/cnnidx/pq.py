@@ -22,10 +22,9 @@ does not depend on the other rows, so a row gets bit-identical distances,
 and so the same words, alone or in any batch. Its centroid terms, like the
 tables of sub-centroid means that codes compare against, are computed once
 per codebook (see `PqCodebook`). K-means training, one k-means++ Lloyd run
-per segment, keeps its own matmul form
-(`_sq_dists`), and its Lloyd update gives every centroid the bits of numpy's
-`mean` of its members without grouping the rows (see `_kmeans`). Its
-k-means++ seeding screens every row against each new seed with one
+per segment (see `train`), keeps its own matmul form (`_sq_dists`), and its
+Lloyd update gives every centroid the bits of numpy's `mean` of its members
+without grouping the rows (see `_kmeans`). Its k-means++ seeding screens every row against each new seed with one
 matrix-vector product less a rounding bound (`_screen`), and makes the exact
 differences only for the rows that the screen cannot show to be no nearer,
 so every seed is the one that exact passes over all rows give."""
@@ -45,17 +44,13 @@ from .vecio import FeatureSet, check_ints, chunk_rows
 @dataclass
 class PqConfig:
     """M segments of K words each; each segment's sub-codebook is one
-    k-means++ Lloyd run of at most kmeans_iters iterations, every segment
-    drawing from the one generator that kmeans_seed seeds (see `train`)."""
+    k-means++ Lloyd run (see `train`)."""
 
     segments: int  # M
     words_per_segment: int  # K
-    kmeans_iters: int = 25
-    kmeans_seed: int = 0
 
     def __post_init__(self):
-        check_ints(self, {"segments": 1, "words_per_segment": 1, "kmeans_iters": 1,
-                          "kmeans_seed": 0})
+        check_ints(self, {"segments": 1, "words_per_segment": 1})
         # K >= 2 puts K^M at 2^64 or more past M = 63, so K^M is never
         # computed for a huge M
         if (self.words_per_segment > 1 and self.segments > 63
@@ -183,10 +178,10 @@ def decode_words(wids, k: int, m: int) -> list[np.ndarray]:
 def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
     """Train per-segment sub-codebooks, one k-means++ Lloyd run each.
 
-    The segments run in order and draw from one generator seeded by
-    kmeans_seed, so the codebook is deterministic for a fixed seed. One run,
-    as FAISS's k-means makes by default: restarts bought no recall on the
-    benchmark's data.
+    The segments run in order from one generator seeded with 0, and each run
+    makes at most 25 iterations and no restart, as FAISS's k-means does by
+    default (restarts bought no recall on the benchmark's data). Neither the
+    seed nor the cap is a setting.
     """
     m, k = cfg.segments, cfg.words_per_segment
     n, d = training.n, training.dim
@@ -195,21 +190,21 @@ def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
     if n < k:
         raise ValueError(f"need at least {k} training vectors, got {n}")
     seg_dim = d // m
-    rng = np.random.default_rng(cfg.kmeans_seed)
+    rng = np.random.default_rng(0)
     sub = np.empty((m, k, seg_dim), dtype=np.float32)
     for s in range(m):
         pts = training.vectors[:, s * seg_dim : (s + 1) * seg_dim].astype(np.float64)
-        sub[s] = _kmeans(pts, k, cfg.kmeans_iters, rng)[0]
+        sub[s] = _kmeans(pts, k, 25, rng)
     return PqCodebook(sub)
 
 
-def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, float]:
-    """One Lloyd run with k-means++ seeding; stops when assignments stabilize.
-
-    Returns the (k, d) float64 centroids and their within-cluster sum of
-    squares. Seeding keeps each row's squared distance d2 to its nearest seed,
-    as `sq_dist_to` gives it, and draws the next seed by `_draw` with
-    probability d2 / sum(d2), or uniformly once every d2 is 0. After a draw
+def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> np.ndarray:
+    """The (k, d) float64 centroids of one Lloyd run with k-means++ seeding:
+    at most max_iters iterations of one distance pass each, stopping when
+    the assignments stabilize. Seeding keeps each row's squared
+    distance d2 to its nearest seed, as `sq_dist_to` gives it, and draws the
+    next seed by `_draw` with probability d2 / sum(d2), or uniformly once
+    every d2 is 0. After a draw
     only the rows that `_screen` cannot show to be at least d2 from the new
     seed, about 6% of them on the benchmark's data, go through
     `sq_dist_to`; a row it shows lies no nearer, so its d2 would not move, and
@@ -225,8 +220,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
     Every centroid left without members takes the same point: the one
     farthest from its nearest centroid before the update. Seeding and the
     iterations share the points' squared norms, the iterations one (n, k)
-    distance buffer, and a run that converges takes its WCSS from the last
-    assignment's distances.
+    distance buffer.
     """
     n, d = pts.shape
     pts_sq = _sq_norms(pts)
@@ -253,7 +247,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
         _sq_dists(pts, pts_sq, centroids, dists)
         new_assign, mins = _nearest_centroid(dists)
         if assign is not None and np.array_equal(assign, new_assign):
-            break  # the centroids did not move, so dists is still theirs
+            break  # the centroids did not move
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
         if d > 1:
@@ -270,10 +264,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> tuple[np.ndarray, f
         if empty.any():
             # steal the point currently worst-represented
             centroids[empty] = pts[int(mins.argmax())]
-    else:
-        _sq_dists(pts, pts_sq, centroids, dists)
-        mins = _nearest_centroid(dists)[1]
-    return centroids, float(mins.sum())
+    return centroids
 
 
 def _nearest_centroid(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ def ifc_index(small_dataset):
     db, _, _ = small_dataset
     cfg = BuildConfig(
         scheme="ifc", link_count=3, code_length=8,
-        pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3),
+        pq=PqConfig(segments=2, words_per_segment=4),
     )
     return invindex.build(db, cfg)
 

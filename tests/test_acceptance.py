@@ -30,7 +30,7 @@ def report(criterion, ok, detail):
 SPEC_10K = SynthSpec(100, 100, 64, 1.0, 0.1, seed=2024)
 SPEC_100K = SynthSpec(100, 1000, 64, 1.0, 0.1, seed=2024)
 IFC_CFG = dict(scheme="ifc", link_count=40, code_length=32)
-PQ_CFG = dict(segments=2, words_per_segment=64, kmeans_seed=0)
+PQ_CFG = dict(segments=2, words_per_segment=64)
 QUERY_CFG = QueryConfig(assignment_count=40, hamming_threshold=round(0.35 * 32),
                         top_k=10)
 
@@ -147,7 +147,7 @@ def test_criterion_5_monotonicity():
     db, queries, _ = vecio.generate_synthetic(SynthSpec(10, 100, 32, 1.0, 0.1, seed=5))
     ix = invindex.build(db, BuildConfig(
         scheme="ifc", link_count=8, code_length=16,
-        pq=PqConfig(segments=2, words_per_segment=16, kmeans_seed=0)))
+        pq=PqConfig(segments=2, words_per_segment=16)))
 
     for q in queries.vectors[:20]:
         prev: set[int] = set()
@@ -221,8 +221,7 @@ def test_criterion_8_storage_trend(tmp_path):
     ix = invindex.build(
         db,
         BuildConfig(scheme="ifc", link_count=links, code_length=length,
-                    pq=PqConfig(segments=2, words_per_segment=64,
-                                kmeans_iters=10, kmeans_seed=0)),
+                    pq=PqConfig(segments=2, words_per_segment=64)),
         training=training)
     idx_path = tmp_path / "big.idx"
     invindex.save(ix, idx_path)

@@ -14,7 +14,7 @@ from cnnidx import baseline, invindex, search, vecio
 from cnnidx.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
-from test_invindex import write_cnnidx04_file, write_cnnidx05_file
+from test_invindex import write_old_file
 
 
 @pytest.fixture(scope="module")
@@ -248,8 +248,8 @@ def test_baseline_run_files_hold_the_library_answers(workspace, tmp_path, method
 
 
 def test_build_defaults_are_the_configs_defaults():
-    """A build command that leaves out the seeds and k-means settings gets
-    the configs' defaults, as a sweep or `build_config` caller does."""
+    """A build command that leaves out S, L, K and M gets the config of the
+    flags' defaults, through `build_config` as a sweep gets its own."""
     args = build_parser().parse_args(
         ["build", "--features", "db.fvecs", "--scheme", "ifc", "--out", "x.idx"])
     params = vars(args)
@@ -340,6 +340,26 @@ def test_malformed_sweep_spec_is_data_error(workspace, tmp_path, capsys, change)
     assert rc == EXIT_DATA
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "sw.csv").exists()
+
+
+@pytest.mark.parametrize("missing", ["grid", "datasets.features", "datasets.queries",
+                                     "datasets.ground_truth"])
+def test_sweep_spec_missing_key_is_named(tmp_path, capsys, missing):
+    """A spec without one of its required keys exits 2 naming the spec file
+    and the key, before it echoes its config or reads a file: no dataset
+    exists."""
+    spec = {"grid": {"W": [1]}, "base": {"scheme": "tifc", "L": 8, "S": 3},
+            "datasets": {k: str(tmp_path / f"nope.{k}")
+                         for k in ("features", "queries", "ground_truth")}}
+    outer, _, key = missing.rpartition(".")
+    del (spec[outer] if outer else spec)[key]
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    rc = run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+              "--out-prefix", str(tmp_path / "sw")])
+    assert rc == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert f"{tmp_path / 'sweep.json'}: spec has no {missing}" in err
+    assert out == ""
 
 
 def test_sweep_base_key_that_no_point_reads_is_data_error(workspace, tmp_path, capsys):
@@ -498,12 +518,12 @@ def test_build_code_length_below_one_is_usage_error(workspace, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("scheme, flag, value, message", [
-    ("ifc", "--kmeans-seed", "-1", "cnnidx build: error: kmeans_seed must be >= 0, got -1"),
-    # the table's seed is no longer a setting
+    # the k-means seed and iteration cap, and the table's seed, are no longer settings
+    ("ifc", "--kmeans-seed", "-1", "cnnidx: error: unrecognized arguments: --kmeans-seed -1"),
     ("tifc", "--virtual-seed", "0", "cnnidx: error: unrecognized arguments: --virtual-seed 0"),
     ("ifc", "--S", "0", "cnnidx build: error: link_count must be >= 1, got 0"),
     ("ifc", "--K", "0", "cnnidx build: error: words_per_segment must be >= 1, got 0"),
-    ("ifc", "--kmeans-iters", "0", "cnnidx build: error: kmeans_iters must be >= 1, got 0"),
+    ("ifc", "--kmeans-iters", "25", "cnnidx: error: unrecognized arguments: --kmeans-iters 25"),
     # IFC trains one k-means run per segment: no restart count
     ("ifc", "--kmeans-restarts", "3",
      "cnnidx: error: unrecognized arguments: --kmeans-restarts 3"),
@@ -534,29 +554,56 @@ def test_build_huge_segment_count_is_quick_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.idx").exists()
 
 
-def test_baseline_lsh_bits_beyond_a_bucket_key_is_data_error(workspace, tmp_path, capsys):
-    rc = run([
-        "baseline", "--method", "lsh",
-        "--features", str(workspace / "db.fvecs"),
-        "--queries", str(workspace / "q.fvecs"),
-        "--tables", "2", "--bits", "70", "--out", str(tmp_path / "lsh"),
-    ])
-    assert rc == EXIT_DATA
-    assert "bits_per_table must be <= 64" in capsys.readouterr().err
+@pytest.mark.parametrize("command, flags, message", [
+    ("query", ["--topk", "0"], "cnnidx query: error: top_k must be >= 1, got 0"),
+    ("query", ["--W", "0"], "cnnidx query: error: assignment_count must be >= 1, got 0"),
+    ("query", ["--T", "-1"], "cnnidx query: error: hamming_threshold must be >= 0, got -1"),
+    *[("baseline", ["--method", method, "--topk", topk],
+       f"cnnidx baseline: error: top_k must be >= 1, got {topk}")
+      for method in ("bf", "lsh") for topk in ("0", "-2")],
+    ("baseline", ["--method", "lsh", "--bits", "65"],
+     "cnnidx baseline: error: bits_per_table must be <= 64, the bits of a bucket key"),
+    ("baseline", ["--method", "lsh", "--tables", "0"],
+     "cnnidx baseline: error: tables must be >= 1, got 0"),
+], ids=["query-topk", "query-W", "query-T", "bf-topk-0", "bf-topk--2", "lsh-topk-0",
+        "lsh-topk--2", "lsh-bits", "lsh-tables"])
+def test_search_bad_parameter_is_usage_error_before_any_read(tmp_path, capsys, command,
+                                                             flags, message):
+    """`query` and `baseline` refuse a flag that no index or data could make
+    valid by the configs' own checks, as `build` does, before any file is
+    opened: none of the input files exists."""
+    inputs = (["--index", str(tmp_path / "nope.idx")] if command == "query"
+              else ["--features", str(tmp_path / "nope.fvecs")])
+    rc = run([command, *inputs, "--queries", str(tmp_path / "nope.fvecs"), *flags,
+              "--out", str(tmp_path / "r")])
+    assert rc == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.ivecs").exists()
 
 
-@pytest.mark.parametrize("method", ["bf", "lsh"])
-@pytest.mark.parametrize("topk", ["0", "-2"])
-def test_baseline_topk_below_one_is_data_error(workspace, tmp_path, capsys, method, topk):
-    rc = run([
-        "baseline", "--method", method,
-        "--features", str(workspace / "db.fvecs"),
-        "--queries", str(workspace / "q.fvecs"),
-        "--topk", topk, "--out", str(tmp_path / "b"),
-    ])
+@pytest.mark.parametrize("flags, message", [
+    (["--T", "9"], "hamming_threshold 9 exceeds code length 8"),
+    (["--W", "17"], "assignment count must be in [1, 16]"),
+])
+def test_query_parameter_beyond_the_index_is_data_error(workspace, tmp_path, capsys, flags,
+                                                        message):
+    """T <= L and W <= the word count need the index: they stay data errors,
+    after the load."""
+    assert run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "tifc",
+                "--S", "3", "--L", "8", "--out", str(tmp_path / "x.idx")]) == EXIT_OK
+    rc = run(["query", "--index", str(tmp_path / "x.idx"),
+              "--queries", str(workspace / "q.fvecs"), *flags, "--out", str(tmp_path / "r")])
     assert rc == EXIT_DATA
-    assert "top_k must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "b.ivecs").exists()
+    assert message in capsys.readouterr().err
+
+
+def test_baseline_bf_ignores_the_lsh_flags(workspace, tmp_path):
+    """The LSH flags configure nothing of a brute-force run, so their values
+    are not checked there."""
+    rc = run(["baseline", "--method", "bf", "--features", str(workspace / "db.fvecs"),
+              "--queries", str(workspace / "q.fvecs"), "--bits", "65",
+              "--out", str(tmp_path / "b")])
+    assert rc == EXIT_OK
 
 
 def test_query_on_malformed_index_is_data_error(workspace, tmp_path, capsys):
@@ -579,7 +626,7 @@ def test_query_on_malformed_index_is_data_error(workspace, tmp_path, capsys):
 def test_query_on_cnnidx04_index_asks_for_rebuild(workspace, tmp_path, capsys, scheme):
     db = vecio.read_feature_file(workspace / "db.fvecs")
     ix = invindex.build(db, invindex.build_config(scheme, dict(S=3, L=8, K=4, M=2)))
-    write_cnnidx04_file(ix, tmp_path / "old.idx")
+    write_old_file(ix, tmp_path / "old.idx", "CNNIDX04")
     rc = run(["query", "--index", str(tmp_path / "old.idx"),
               "--queries", str(workspace / "q.fvecs"), "--out", str(tmp_path / "res")])
     assert rc == EXIT_DATA
@@ -591,7 +638,7 @@ def test_query_on_cnnidx04_index_asks_for_rebuild(workspace, tmp_path, capsys, s
 def test_query_on_cnnidx05_index_asks_for_rebuild(workspace, tmp_path, capsys, scheme):
     db = vecio.read_feature_file(workspace / "db.fvecs")
     ix = invindex.build(db, invindex.build_config(scheme, dict(S=3, L=8, K=4, M=2)))
-    write_cnnidx05_file(ix, tmp_path / "old.idx")
+    write_old_file(ix, tmp_path / "old.idx", "CNNIDX05")
     rc = run(["query", "--index", str(tmp_path / "old.idx"),
               "--queries", str(workspace / "q.fvecs"), "--out", str(tmp_path / "res")])
     assert rc == EXIT_DATA
@@ -689,10 +736,8 @@ def test_query_with_no_results_evaluates_to_zero(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("scheme, flags, echoed", [
     ("tifc", ["--S", "4", "--L", "8"], {"L": 8, "S": 4}),
-    ("ifc", ["--S", "3", "--L", "8", "--K", "4", "--M", "2", "--kmeans-seed", "2",
-             "--kmeans-iters", "7"],
-     {"K": 4, "L": 8, "M": 2, "S": 3, "kmeans_iters": 7,
-      "kmeans_seed": 2, "train_features": None}),
+    ("ifc", ["--S", "3", "--L", "8", "--K", "4", "--M", "2"],
+     {"K": 4, "L": 8, "M": 2, "S": 3, "train_features": None}),
 ])
 def test_build_echoes_its_scheme_parameters(workspace, tmp_path, capsys, scheme, flags,
                                             echoed):

@@ -200,12 +200,11 @@ class TestSweep:
             return train(training, cfg)
 
         monkeypatch.setattr(pq, "train", recording_train)
-        base = dict(self.BASE, kmeans_seed=5, kmeans_iters=2)
+        base = dict(self.BASE, K=3)
         rows = evaluation.sweep(SweepSpec(grid={"W": [1, 3]}, base=base), db, queries, gt)
         assert all("map" in row for row in rows)
         # one build serves both points
-        assert trained == [PqConfig(segments=2, words_per_segment=4, kmeans_seed=5,
-                                    kmeans_iters=2)]
+        assert trained == [PqConfig(segments=2, words_per_segment=3)]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -217,15 +216,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(grid={"bogus": [1]}, base=self.BASE)
 
-    @pytest.mark.parametrize("key", ["kmeans_restarts", "kmeans_iter", "virtual_word_seed"])
+    @pytest.mark.parametrize("key", ["kmeans_restarts", "kmeans_iter", "virtual_word_seed",
+                                     "kmeans_seed", "kmeans_iters"])
     def test_base_key_that_no_point_reads_rejected(self, key):
         """A misspelt or retired setting would build with the default and
         say nothing, so the spec is refused, naming the key."""
         with pytest.raises(ValueError, match=f"'{key}'"):
             SweepSpec(grid={"W": [1]}, base={**self.BASE, key: 3})
         for scheme in ("ifc", "tifc"):  # every key a point reads passes
-            SweepSpec(grid={"W": [1]}, base={**self.BASE, "scheme": scheme, "kmeans_seed": 1,
-                                             "kmeans_iters": 2})
+            SweepSpec(grid={"W": [1]}, base={**self.BASE, "scheme": scheme})
 
     def test_csv_and_json_outputs(self, data, tmp_path):
         db, queries, gt = data

@@ -28,13 +28,13 @@ NUMPY_VERSION = "2.4.6"
 # name: build parameters, query config, file SHA-256, answer SHA-256
 CASES = {
     "tifc": (dict(S=6, L=16), QueryConfig(6, 6, 10),
-             "b7d394fb2f8e0781252d004d479ffbc1907603c6b14535a935443de6dc62e221",
+             "320e75861a7a7d5e7fa130dee914b57e63e7deef39ca5101f44f91e58847d896",
              "6ecad10c4b590ed65fea179bc57bfea8d3c8d68f1a47e08abc491a36d4b37363"),
     "ifc-m-divides-l": (dict(S=6, L=16, K=8, M=2), QueryConfig(6, 6, 10),
-                        "c5b576bbf1f67ed34af0cd45308e2958f7c0127f7653d02abf73bef33c68f685",
+                        "ddd342286fc68be2f1ac3c7729f00ca5b216b2f0eff1b0cd9e6c015ec3e3436c",
                         "c394e739f1a63e520af8e5e97c3302abe74a95d9aca26dda44fe14786f1800e9"),
     "ifc-l-mod-m": (dict(S=6, L=16, K=8, M=3), QueryConfig(6, 6, 10),
-                    "5abb603395d303c2878078fd12f05dc7cf28bade7403950bda7a574ad6366c3a",
+                    "be862e816eece5d0f0cf33f079f8eee2fa89feda2450fa9866ed3913685c0243",
                     "26b4e272d9a81346c5060015efaebf0f4899f05830a5c1c169e720efda4fc6e2"),
 }
 

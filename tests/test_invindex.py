@@ -49,7 +49,7 @@ class TestBuild:
     def test_single_link_is_assign_word(self, small_dataset):
         db = small_dataset[0]
         cfg = BuildConfig(scheme="ifc", link_count=1, code_length=8,
-                          pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3))
+                          pq=PqConfig(segments=2, words_per_segment=4))
         ix = invindex.build(db, cfg)
         assert entry_count(ix) == db.n
         for i in range(db.n):
@@ -93,7 +93,7 @@ class TestBuild:
         training, pq_cfg = None, None
         if scheme == "ifc":
             training = FeatureSet(rng.standard_normal((20, 8)).astype(np.float32))
-            pq_cfg = PqConfig(segments=2, words_per_segment=3, kmeans_iters=2)
+            pq_cfg = PqConfig(segments=2, words_per_segment=3)
         cfg = BuildConfig(scheme=scheme, link_count=2, code_length=4, pq=pq_cfg)
         with pytest.MonkeyPatch.context() as mp:
             for module, name in ((pq, "train"), (tifc, "make_virtual_words")):
@@ -152,7 +152,7 @@ class TestBuild:
         monkeypatch.setattr(invindex, "_cpus", lambda: 1)
         db = small_dataset[0]
         cfg = BuildConfig(scheme=scheme, link_count=3, code_length=8,
-                          pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3)
+                          pq=PqConfig(segments=2, words_per_segment=4)
                           if scheme == "ifc" else None)
         whole, chunked = tmp_path / "whole.idx", tmp_path / "chunked.idx"
         invindex.save(invindex.build(db, cfg), whole)
@@ -184,8 +184,8 @@ class TestBuild:
         x = np.vstack([x, x[:10]])  # duplicate rows link to the same words
         n, s, length = len(x), 3, dim // 3
         cfg = BuildConfig(scheme=scheme, link_count=s, code_length=length,
-                          pq=PqConfig(segments=segments, words_per_segment=4,
-                                      kmeans_seed=seed) if scheme == "ifc" else None)
+                          pq=PqConfig(segments=segments, words_per_segment=4)
+                          if scheme == "ifc" else None)
         ix = invindex.build(FeatureSet(x), cfg)
         if scheme == "tifc":
             wids = tifc.top_words_rows(tifc.softmax_rows(x), s)
@@ -215,7 +215,7 @@ class TestBuild:
     def test_build_determinism(self, small_dataset, tmp_path):
         db = small_dataset[0]
         cfg = BuildConfig(scheme="ifc", link_count=2, code_length=8,
-                          pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=9))
+                          pq=PqConfig(segments=2, words_per_segment=4))
         a, b = tmp_path / "a.idx", tmp_path / "b.idx"
         invindex.save(invindex.build(db, cfg), a)
         invindex.save(invindex.build(db, cfg), b)
@@ -232,8 +232,8 @@ class TestThreadedFill:
     @staticmethod
     def config(scheme):
         return BuildConfig(scheme=scheme, link_count=3, code_length=8,
-                           pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3,
-                                       kmeans_iters=3) if scheme == "ifc" else None)
+                           pq=PqConfig(segments=2, words_per_segment=4)
+                           if scheme == "ifc" else None)
 
     @staticmethod
     def recording_words(monkeypatch, record):
@@ -533,12 +533,10 @@ class TestTwoPassBuild:
     CONFIGS = {
         "tifc": BuildConfig(scheme="tifc", link_count=3, code_length=8),
         "ifc": BuildConfig(scheme="ifc", link_count=3, code_length=8,
-                           pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3,
-                                       kmeans_iters=3)),
+                           pq=PqConfig(segments=2, words_per_segment=4)),
         # L % M != 0: a code segment straddles two sub-centroids
         "ifc-straddling": BuildConfig(scheme="ifc", link_count=4, code_length=8,
-                                      pq=PqConfig(segments=3, words_per_segment=3,
-                                                  kmeans_seed=4, kmeans_iters=3)),
+                                      pq=PqConfig(segments=3, words_per_segment=3)),
     }
 
     @staticmethod
@@ -670,24 +668,15 @@ class TestBuildConfig:
     """`build_config` maps the paper's names to a BuildConfig, reading only
     the keys of `BUILD_KEYS[scheme]`."""
 
-    PARAMS = dict(S=3, L=8, K=4, M=2, kmeans_seed=5, kmeans_iters=2, T=4, W=3,
-                  scheme="tifc")
+    PARAMS = dict(S=3, L=8, K=4, M=2, T=4, W=3, scheme="tifc")
 
     def test_ifc_names(self):
         assert invindex.build_config("ifc", self.PARAMS) == BuildConfig(
             scheme="ifc", link_count=3, code_length=8,
-            pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=5, kmeans_iters=2))
+            pq=PqConfig(segments=2, words_per_segment=4))
 
     def test_tifc_names(self):
         assert invindex.build_config("tifc", self.PARAMS) == BuildConfig(
-            scheme="tifc", link_count=3, code_length=8)
-
-    def test_left_out_settings_keep_defaults(self):
-        params = dict(S=3, L=8, K=4, M=2)
-        assert invindex.build_config("ifc", params) == BuildConfig(
-            scheme="ifc", link_count=3, code_length=8,
-            pq=PqConfig(segments=2, words_per_segment=4))
-        assert invindex.build_config("tifc", params) == BuildConfig(
             scheme="tifc", link_count=3, code_length=8)
 
     @pytest.mark.parametrize("scheme, missing", [
@@ -717,22 +706,13 @@ class TestBuildConfig:
         ("S", "4", "link_count must be an integer, got '4'"),
         ("L", True, "code_length must be an integer, got True"),
         ("K", 4.0, "words_per_segment must be an integer, got 4.0"),
-        ("kmeans_iters", None, "kmeans_iters must be an integer, got None"),
+        ("M", None, "segments must be an integer, got None"),
     ])
     def test_non_integer_value_rejected(self, key, value, message):
         """Values are passed as they are, never cast: "4" is not read as 4,
         nor True as 1."""
         with pytest.raises(ValueError, match=message):
             invindex.build_config("ifc", {**self.PARAMS, key: value})
-
-    @pytest.mark.parametrize("scheme, key, message", [
-        ("ifc", "kmeans_seed", "kmeans_seed must be >= 0, got -1"),
-    ])
-    def test_negative_seed_rejected(self, scheme, key, message):
-        """A negative seed is refused with the config, as the loader refuses
-        one in an index header, not later by numpy's generator."""
-        with pytest.raises(ValueError, match=message):
-            invindex.build_config(scheme, {**self.PARAMS, key: -1})
 
 
 class TestBuildMemory:
@@ -768,7 +748,7 @@ class TestBuildMemory:
         db = FeatureSet(rng.standard_normal((20_000, 64)).astype(np.float32))
         training = FeatureSet(rng.standard_normal((1_000, 64)).astype(np.float32))
         cfg = BuildConfig(scheme="ifc", link_count=1, code_length=8,
-                          pq=PqConfig(segments=2, words_per_segment=256, kmeans_iters=5))
+                          pq=PqConfig(segments=2, words_per_segment=256))
         assert self.build_peak(db, cfg, training) < self.LIMIT
 
     def postings_peak(self, cpus, monkeypatch):
@@ -846,7 +826,7 @@ class TestEncodeRows:
         rng = np.random.default_rng(8)
         db = FeatureSet(rng.standard_normal((300, 16)).astype(np.float32))
         cfg = BuildConfig(scheme="ifc", link_count=3, code_length=8,
-                          pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=8))
+                          pq=PqConfig(segments=2, words_per_segment=4))
         ix = invindex.build(db, cfg)
         invindex.save(ix, tmp_path / "i.idx")
         back = invindex.load(tmp_path / "i.idx").quantizer
@@ -950,7 +930,7 @@ class TestQuantizerMatchesConfig:
     def indexes(self):
         db = FeatureSet(np.random.default_rng(24).standard_normal((200, 8)).astype(np.float32))
         return {
-            "ifc": invindex.build(db, BuildConfig("ifc", 2, 4, PqConfig(2, 4, kmeans_seed=6))),
+            "ifc": invindex.build(db, BuildConfig("ifc", 2, 4, PqConfig(2, 4))),
             "tifc": invindex.build(db, BuildConfig("tifc", 2, 4)),
         }
 
@@ -1076,14 +1056,46 @@ class TestPersistence:
         with pytest.raises(DataError):
             invindex.load(path)
 
-    def test_old_format_asks_for_rebuild(self, tifc_index, tmp_path):
+    def test_old_format_asks_for_rebuild(self, tifc_index, ifc_index, tmp_path):
+        """Every retired format of `OLD_FORMATS`, of either scheme, asks for
+        a rebuild; a header whose quantizer holds a retired key is not one
+        that `save` writes, under the current magic too."""
         path = tmp_path / "old.idx"
-        invindex.save(tifc_index, path)
-        raw = path.read_bytes()
-        for magic in ("CNNIDX01", "CNNIDX03"):
-            path.write_bytes(magic.encode() + raw[8:])
-            with pytest.raises(DataError, match=f"{magic}.*rebuild"):
-                invindex.load(path)
+        for magic, extra_keys in OLD_FORMATS.items():
+            for ix in (tifc_index, ifc_index):
+                write_old_file(ix, path, magic)
+                with pytest.raises(DataError, match=f"old {magic} format; rebuild the index"):
+                    invindex.load(path)
+                if extra_keys.get(ix.config.scheme):
+                    path.write_bytes(invindex.MAGIC + path.read_bytes()[8:])
+                    with pytest.raises(DataError, match="index header is not the one `save` "
+                                                        "writes"):
+                        invindex.load(path)
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_cnnidx04_file_asks_for_rebuild(self, scheme, tifc_index, ifc_index, tmp_path):
+        path = tmp_path / "old.idx"
+        write_old_file(tifc_index if scheme == "tifc" else ifc_index, path, "CNNIDX04")
+        with pytest.raises(DataError, match="old CNNIDX04 format; rebuild the index"):
+            invindex.load(path)
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_cnnidx05_file_asks_for_rebuild(self, scheme, tifc_index, ifc_index, tmp_path):
+        path = tmp_path / "old.idx"
+        write_old_file(tifc_index if scheme == "tifc" else ifc_index, path, "CNNIDX05")
+        with pytest.raises(DataError, match="old CNNIDX05 format; rebuild the index"):
+            invindex.load(path)
+
+    def test_cnnidx05_ifc_header_under_the_new_magic_rejected(self, ifc_index, tmp_path):
+        """An IFC header that still holds the restart count is not one that
+        `save` writes, whatever the magic."""
+        path = tmp_path / "old.idx"
+        invindex.save(ifc_index, path)
+        header, payload = split_file(path)
+        header["quantizer"]["kmeans_restarts"] = 3
+        write_file(path, header, payload)
+        with pytest.raises(DataError, match="index header is not the one `save` writes"):
+            invindex.load(path)
 
     @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
     def test_header_holds_only_the_configuration(self, scheme, tifc_index, ifc_index,
@@ -1107,35 +1119,10 @@ class TestPersistence:
         invindex.save(invindex.load(path), tmp_path / "again.idx")
         assert (tmp_path / "again.idx").read_bytes() == blob
 
-    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
-    def test_cnnidx04_file_asks_for_rebuild(self, scheme, tifc_index, ifc_index, tmp_path):
-        path = tmp_path / "old.idx"
-        write_cnnidx04_file(tifc_index if scheme == "tifc" else ifc_index, path)
-        with pytest.raises(DataError, match="old CNNIDX04 format; rebuild the index"):
-            invindex.load(path)
-
-    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
-    def test_cnnidx05_file_asks_for_rebuild(self, scheme, tifc_index, ifc_index, tmp_path):
-        path = tmp_path / "old.idx"
-        write_cnnidx05_file(tifc_index if scheme == "tifc" else ifc_index, path)
-        with pytest.raises(DataError, match="old CNNIDX05 format; rebuild the index"):
-            invindex.load(path)
-
-    def test_cnnidx05_ifc_header_under_the_new_magic_rejected(self, ifc_index, tmp_path):
-        """An IFC header that still holds the restart count is not one that
-        `save` writes, whatever the magic."""
-        path = tmp_path / "old.idx"
-        invindex.save(ifc_index, path)
-        header, payload = split_file(path)
-        header["quantizer"]["kmeans_restarts"] = 3
-        write_file(path, header, payload)
-        with pytest.raises(DataError, match="index header is not the one `save` writes"):
-            invindex.load(path)
-
-    def test_header_bytes_are_the_cnnidx06_format(self):
+    def test_header_bytes_are_the_cnnidx07_format(self):
         """The header's keys, their order and their spacing: a TIFC header
-        is the one `CNNIDX05` files held, and an IFC header is that of
-        `CNNIDX05` without the k-means restart count."""
+        is the one `CNNIDX05` and `CNNIDX06` files held, and an IFC header is
+        that of `CNNIDX06` without the k-means seed and iteration cap."""
         tifc_cfg = BuildConfig(scheme="tifc", link_count=2, code_length=12)
         assert invindex._header_json(tifc_cfg, 12, 3) == (
             b'{"code_length": 12, "indexed_count": 3, "link_count": 2, '
@@ -1144,8 +1131,8 @@ class TestPersistence:
                               pq=PqConfig(segments=2, words_per_segment=64))
         assert invindex._header_json(ifc_cfg, 64, 15000) == (
             b'{"code_length": 32, "indexed_count": 15000, "link_count": 40, '
-            b'"quantizer": {"dim": 64, "kmeans_iters": 25, "kmeans_seed": 0, '
-            b'"segments": 2, "words_per_segment": 64}, "scheme": "ifc"}')
+            b'"quantizer": {"dim": 64, "segments": 2, "words_per_segment": 64}, '
+            b'"scheme": "ifc"}')
 
 
 def split_file(path):
@@ -1170,27 +1157,27 @@ def write_file(path, header, payload):
     path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
 
 
-def write_cnnidx04_file(ix, path):
-    """ix's file as the `CNNIDX04` format wrote it: that magic, and for TIFC
-    the table's seed, 0, in the header's quantizer object."""
-    invindex.save(ix, path)
-    header, payload = split_file(path)
-    if ix.config.scheme == "tifc":
-        header["quantizer"]["seed"] = 0
-    write_file(path, header, payload)
-    path.write_bytes(b"CNNIDX04" + path.read_bytes()[8:])
+# Every retired format by its magic, with the keys, by scheme, that its
+# header's quantizer object held beyond today's, at their default values:
+# the edit that makes a current file into one of that format. Before
+# CNNIDX04 the layout differed beyond the header, and the magic alone stands
+# for it.
+_OLD_KMEANS = {"kmeans_iters": 25, "kmeans_seed": 0}
+OLD_FORMATS = {
+    "CNNIDX01": {}, "CNNIDX02": {}, "CNNIDX03": {},
+    "CNNIDX04": {"tifc": {"seed": 0}, "ifc": {**_OLD_KMEANS, "kmeans_restarts": 3}},
+    "CNNIDX05": {"ifc": {**_OLD_KMEANS, "kmeans_restarts": 3}},
+    "CNNIDX06": {"ifc": _OLD_KMEANS},
+}
 
 
-def write_cnnidx05_file(ix, path):
-    """ix's file as the `CNNIDX05` format wrote it: that magic, and for IFC
-    the k-means restart count, 3 by default, in the header's quantizer
-    object."""
+def write_old_file(ix, path, magic):
+    """ix's file as the retired format `magic` of `OLD_FORMATS` wrote it."""
     invindex.save(ix, path)
     header, payload = split_file(path)
-    if ix.config.scheme == "ifc":
-        header["quantizer"]["kmeans_restarts"] = 3
+    header["quantizer"].update(OLD_FORMATS[magic].get(ix.config.scheme, {}))
     write_file(path, header, payload)
-    path.write_bytes(b"CNNIDX05" + path.read_bytes()[8:])
+    path.write_bytes(magic.encode() + path.read_bytes()[8:])
 
 
 @pytest.fixture(scope="module")
@@ -1265,7 +1252,8 @@ class TestLoadValidation:
         path = tmp_path / "bad.idx"
         invindex.save(ifc_index, path)
         header, payload = split_file(path)
-        for key, value, message in (("kmeans_iters", 0, "kmeans_iters must be >= 1, got 0"),
+        for key, value, message in (("words_per_segment", 0,
+                                     "words_per_segment must be >= 1, got 0"),
                                     ("segments", "2", "segments must be an integer, got '2'"),
                                     ("segments", 3, "not divisible by 3 segments"),
                                     ("segments", 64, "64-bit word id")):
@@ -1274,21 +1262,6 @@ class TestLoadValidation:
             write_file(path, edited, payload)
             with pytest.raises(DataError, match=message):
                 invindex.load(path)
-
-    @pytest.mark.parametrize("scheme, key, message", [
-        ("ifc", "kmeans_seed", "kmeans_seed must be an integer, got None"),
-    ])
-    def test_missing_seed_rejected(self, scheme, key, message, tifc_index, ifc_index,
-                                   tmp_path):
-        """No header field has a default: a file without its seed is not read
-        as seed 0."""
-        path = tmp_path / "bad.idx"
-        invindex.save(tifc_index if scheme == "tifc" else ifc_index, path)
-        header, payload = split_file(path)
-        del header["quantizer"][key]
-        write_file(path, header, payload)
-        with pytest.raises(DataError, match=f"bad configuration in index header \\({message}\\)"):
-            invindex.load(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_centroid_rejected(self, ifc_index, tmp_path, value):
@@ -1394,7 +1367,7 @@ class TestLoadValidation:
             invindex.load(path)
 
 
-_PQ = PqConfig(segments=2, words_per_segment=3, kmeans_iters=2)
+_PQ = PqConfig(segments=2, words_per_segment=3)
 
 
 class TestConfigRules:

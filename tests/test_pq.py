@@ -90,8 +90,7 @@ class TestPqConfig:
 
 # each config by name: how to make it, and valid values of its integer fields
 CONFIGS = {
-    "PqConfig": (PqConfig, dict(segments=2, words_per_segment=4, kmeans_iters=3,
-                                kmeans_seed=0)),
+    "PqConfig": (PqConfig, dict(segments=2, words_per_segment=4)),
     "BuildConfig": (lambda **kw: BuildConfig(scheme="tifc", **kw),
                     dict(link_count=2, code_length=8)),
     "QueryConfig": (QueryConfig, dict(assignment_count=2, hamming_threshold=3, top_k=5)),
@@ -155,7 +154,7 @@ class TestTrain:
     def test_determinism(self):
         rng = np.random.default_rng(3)
         data = FeatureSet(rng.standard_normal((60, 8)).astype(np.float32))
-        cfg = PqConfig(segments=2, words_per_segment=4, kmeans_seed=11)
+        cfg = PqConfig(segments=2, words_per_segment=4)
         a = pq.train(data, cfg)
         b = pq.train(data, cfg)
         np.testing.assert_array_equal(a.sub_codebooks, b.sub_codebooks)
@@ -176,8 +175,8 @@ class TestTrain:
         pts = rng.standard_normal((200, 4))
         wcss_by_iters = []
         for iters in (1, 2, 4, 8, 25):
-            _, wcss = pq._kmeans(pts.copy(), 8, iters, np.random.default_rng(0))
-            wcss_by_iters.append(wcss)
+            centroids = pq._kmeans(pts.copy(), 8, iters, np.random.default_rng(0))
+            wcss_by_iters.append(reference_pairwise_sq_dists(pts, centroids).min(axis=1).sum())
         assert all(a >= b - 1e-9 for a, b in zip(wcss_by_iters, wcss_by_iters[1:]))
 
 
@@ -212,9 +211,7 @@ def reference_kmeans(pts, k, max_iters, rng):
             else:
                 # steal the point currently worst-represented
                 centroids[j] = pts[int(mind.argmax())]
-    dists = reference_pairwise_sq_dists(pts, centroids)
-    wcss = float(dists.min(axis=1).sum())
-    return centroids, wcss
+    return centroids
 
 
 def reference_sq_dist_to(pts, c):
@@ -263,8 +260,8 @@ class ScriptedRng:
 
 
 class TestKmeansOracle:
-    """`pq._kmeans` against the reference Lloyd run: equal centroids and an
-    equal WCSS, bit for bit."""
+    """`pq._kmeans` against the reference Lloyd run: equal centroids, bit for
+    bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(seg_dim=st.sampled_from([1, 2, 3, 32]), n=st.integers(1, 40),
@@ -274,10 +271,9 @@ class TestKmeansOracle:
     def test_matches_reference(self, seg_dim, n, k_frac, iters, kind, seed):
         pts = kmeans_points(kind, n, seg_dim, seed)
         k = 1 + int(k_frac * (n - 1))
-        want, want_wcss = reference_kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
-        got, got_wcss = pq._kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
+        want = reference_kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
+        got = pq._kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
 
     def test_early_convergence_reuses_last_distances(self, monkeypatch):
         # two far-apart blobs settle in a few iterations, well before 25
@@ -291,12 +287,11 @@ class TestKmeansOracle:
             return sq_dists(*args)
 
         monkeypatch.setattr(pq, "_sq_dists", counting)
-        got, got_wcss = pq._kmeans(pts.copy(), 2, 25, np.random.default_rng(41))
+        got = pq._kmeans(pts.copy(), 2, 25, np.random.default_rng(41))
         # one call per iteration run, the last of which saw no change
         assert len(calls) < 25
-        want, want_wcss = reference_kmeans(pts.copy(), 2, 25, np.random.default_rng(41))
+        want = reference_kmeans(pts.copy(), 2, 25, np.random.default_rng(41))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
 
     @pytest.mark.parametrize("iters", [1, 25])
     def test_empty_cluster_takes_worst_point(self, iters, monkeypatch):
@@ -305,22 +300,21 @@ class TestKmeansOracle:
         # and takes 2, the point farthest from its own centroid
         monkeypatch.setattr(pq, "_draw", lambda rng, p: rng.choice(len(p), p=p))
         pts = np.array([[0.0], [1.0], [2.0], [10.0]])
-        got, got_wcss = pq._kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
-        want, want_wcss = reference_kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
+        got = pq._kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
+        want = reference_kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
         if iters == 1:
             assert got.tolist() == [[1.0], [10.0], [2.0]]
 
     def test_train_matches_reference_codebooks(self):
         """One reference run per segment, the segments in order, all drawn
-        from the one generator that kmeans_seed seeds."""
+        from the one generator that seed 0 seeds."""
         rng = np.random.default_rng(42)
         data = FeatureSet(np.abs(rng.standard_normal((300, 10))).astype(np.float32))
-        cfg = PqConfig(segments=2, words_per_segment=8, kmeans_seed=43)
-        ref_rng = np.random.default_rng(43)
+        cfg = PqConfig(segments=2, words_per_segment=8)
+        ref_rng = np.random.default_rng(0)
         want = [reference_kmeans(data.vectors[:, 5 * s : 5 * s + 5].astype(np.float64),
-                                 8, 25, ref_rng)[0].astype(np.float32) for s in range(2)]
+                                 8, 25, ref_rng).astype(np.float32) for s in range(2)]
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
 
     @pytest.mark.parametrize("block_rows", [1, 7, 64])
@@ -330,16 +324,15 @@ class TestKmeansOracle:
         codebooks equal those of one whole difference."""
         rng = np.random.default_rng(50)
         data = FeatureSet(rng.standard_normal((300, 12)).astype(np.float32))
-        cfg = PqConfig(segments=2, words_per_segment=8, kmeans_seed=51)
+        cfg = PqConfig(segments=2, words_per_segment=8)
         want = pq.train(data, cfg).sub_codebooks
         monkeypatch.setattr(vecio, "CHUNK_BYTES", block_rows * 6 * 16)
         pts = data.vectors[:, :6].astype(np.float64)
         for c in (pts[0], pts[299], np.zeros(6)):
             np.testing.assert_array_equal(pq.sq_dist_to(pts, c), reference_sq_dist_to(pts, c))
-        got, got_wcss = pq._kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
-        ref, ref_wcss = reference_kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
+        got = pq._kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
+        ref = reference_kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
         np.testing.assert_array_equal(got, ref)
-        assert got_wcss == ref_wcss
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, want)
 
     @pytest.mark.parametrize("n, dim, m, k, seed", [
@@ -352,11 +345,11 @@ class TestKmeansOracle:
         order, from one generator with `choice`."""
         rng = np.random.default_rng(seed - 1)
         data = FeatureSet(np.abs(rng.standard_normal((n, dim))).astype(np.float32))
-        cfg = PqConfig(segments=m, words_per_segment=k, kmeans_seed=seed)
-        ref_rng = np.random.default_rng(seed)
+        cfg = PqConfig(segments=m, words_per_segment=k)
+        ref_rng = np.random.default_rng(0)
         seg_dim = dim // m
         want = [reference_kmeans(data.vectors[:, seg_dim * s : seg_dim * (s + 1)]
-                                 .astype(np.float64), k, 25, ref_rng)[0].astype(np.float32)
+                                 .astype(np.float64), k, 25, ref_rng).astype(np.float32)
                 for s in range(m)]
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
 
@@ -391,10 +384,9 @@ class TestLloydExactness:
         by a pairwise sum, which a row-order sum does not reproduce."""
         rng = np.random.default_rng(70 + seed)
         pts = rng.standard_normal((900, 1)) * 1e3 + rng.standard_normal((900, 1))
-        want, want_wcss = reference_kmeans(pts.copy(), 3, 25, np.random.default_rng(seed))
-        got, got_wcss = pq._kmeans(pts.copy(), 3, 25, np.random.default_rng(seed))
+        want = reference_kmeans(pts.copy(), 3, 25, np.random.default_rng(seed))
+        got = pq._kmeans(pts.copy(), 3, 25, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
         # the trap is live: a row-order mean of some cluster differs
         assign = reference_pairwise_sq_dists(pts, want).argmin(axis=1)
         row_order = [np.cumsum(pts[assign == j, 0])[-1] / np.sum(assign == j)
@@ -420,10 +412,9 @@ class TestLloydExactness:
             return out
 
         monkeypatch.setattr(pq, "_sq_dists", recording)
-        got, got_wcss = pq._kmeans(pts.copy(), 8, iters, np.random.default_rng(seed))
-        want, want_wcss = reference_kmeans(pts.copy(), 8, iters, np.random.default_rng(seed))
+        got = pq._kmeans(pts.copy(), 8, iters, np.random.default_rng(seed))
+        want = reference_kmeans(pts.copy(), 8, iters, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
         assert sum(traps) > 0
 
     def test_nearest_centroid_reads_negatives_as_zero(self):
@@ -449,11 +440,10 @@ class TestLloydExactness:
             return sq_dists(*args)
 
         monkeypatch.setattr(pq, "_sq_dists", counting)
-        got, got_wcss = pq._kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
-        assert len(calls) == 26  # no early stop: 25 iterations and the final WCSS
-        want, want_wcss = reference_kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
+        got = pq._kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
+        assert len(calls) == 25  # no early stop: one distance pass per iteration
+        want = reference_kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
 
 
 class CountingRng:
@@ -499,10 +489,9 @@ class TestSeedingScreen:
         pts = kmeans_points("offset", n, seg_dim, seed)
         k = min(n, 1 + n // 8 + extra)  # more seeds than distinct rows
         rng = CountingRng(seed)
-        got, got_wcss = pq._kmeans(pts.copy(), k, iters, rng)
-        want, want_wcss = reference_kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
+        got = pq._kmeans(pts.copy(), k, iters, rng)
+        want = reference_kmeans(pts.copy(), k, iters, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
         distinct = len(np.unique(pts, axis=0))
         assert rng.integer_draws == 1 + (k - distinct)
 
@@ -517,10 +506,9 @@ class TestSeedingScreen:
         assert (expanded[same] != 0).any() and (pq.sq_dist_to(pts, pts[0])[same[0]] == 0).all()
         calls = recording_sq_dist_to(monkeypatch)
         rng = CountingRng(seed)
-        got, got_wcss = pq._kmeans(pts.copy(), 40, 25, rng)
-        want, want_wcss = reference_kmeans(pts.copy(), 40, 25, np.random.default_rng(seed))
+        got = pq._kmeans(pts.copy(), 40, 25, rng)
+        want = reference_kmeans(pts.copy(), 40, 25, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
         assert rng.integer_draws > 1 and len(calls) == 39  # the last seed's are not needed
         # once every distinct row is a seed, every d2 is 0 and no row is recomputed
         assert len(calls[-1]) == 0
@@ -537,10 +525,9 @@ class TestSeedingScreen:
         calls = recording_sq_dist_to(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             assert (pq._sq_norms(pts) > np.finfo(np.float64).max / 8).all()
-            got, got_wcss = pq._kmeans(pts.copy(), 6, iters, np.random.default_rng(91))
-            want, want_wcss = reference_kmeans(pts.copy(), 6, iters, np.random.default_rng(91))
+            got = pq._kmeans(pts.copy(), 6, iters, np.random.default_rng(91))
+            want = reference_kmeans(pts.copy(), 6, iters, np.random.default_rng(91))
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_wcss, want_wcss)
         assert calls[0] is None and [len(rows) for rows in calls[1:]] == [40] * 4
 
     def test_rows_above_norm_cap_are_never_certified(self, monkeypatch):
@@ -551,10 +538,9 @@ class TestSeedingScreen:
         pts = np.concatenate([5e153 + 1e150 * rng.standard_normal((2, 1)),
                               rng.standard_normal((38, 1))])
         calls = recording_sq_dist_to(monkeypatch)
-        got, got_wcss = pq._kmeans(pts.copy(), 8, 25, np.random.default_rng(93))
-        want, want_wcss = reference_kmeans(pts.copy(), 8, 25, np.random.default_rng(93))
+        got = pq._kmeans(pts.copy(), 8, 25, np.random.default_rng(93))
+        want = reference_kmeans(pts.copy(), 8, 25, np.random.default_rng(93))
         np.testing.assert_array_equal(got, want)
-        assert got_wcss == want_wcss
         assert all({0, 1} <= set(rows.tolist()) for rows in calls[1:])
         assert min(len(rows) for rows in calls[1:]) < 40
 

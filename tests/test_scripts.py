@@ -58,7 +58,7 @@ def check_columns(timings, stages, empty=(), factor=None):
 BUILD_CFGS = {
     "tifc": BuildConfig(scheme="tifc", link_count=3, code_length=8),
     "ifc": BuildConfig(scheme="ifc", link_count=3, code_length=8,
-                       pq=PqConfig(segments=2, words_per_segment=4, kmeans_seed=3)),
+                       pq=PqConfig(segments=2, words_per_segment=4)),
 }
 
 
@@ -310,3 +310,15 @@ def test_sweep_example_prints_and_writes_its_grid(monkeypatch, capsys, tmp_path)
         assert (map_, scan) == (f"{row['map']:.6f}", f"{row['scan_fraction']:.3f}")
     assert len({(w, scan) for _, w, _, scan in printed}) == 4
     assert len(prefix.with_suffix(".csv").read_text().splitlines()) == 1 + 24
+
+
+def test_count_src_lines_counts_code_and_docstrings(monkeypatch, capsys, tmp_path):
+    """A blank line and a `#` comment do not count; a code line and a
+    docstring line do, in each module and in the total."""
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text('"""Doc."""\n\n    # note\nx = 1  # set x\n')
+    (tmp_path / "b.py").write_text("# only a comment\n\n")
+    monkeypatch.setattr(sys, "argv", ["count_src_lines.py", "--root", str(tmp_path)])
+    load_script("count_src_lines").main()
+    assert capsys.readouterr().out.splitlines() == [
+        "     0  b.py", "     2  pkg/a.py", "     2  total"]

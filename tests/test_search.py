@@ -186,8 +186,7 @@ def random_index(scheme, seed, n, length, data):
     else:
         k = data.draw(st.integers(2, 4), label="K")
         word_count = k * k
-        pq_cfg = PqConfig(segments=2, words_per_segment=k, kmeans_iters=3,
-                          kmeans_seed=seed % 97)
+        pq_cfg = PqConfig(segments=2, words_per_segment=k)
         training = FeatureSet(rng.standard_normal((4 * k, dim)).astype(np.float32))
     s = data.draw(st.integers(1, min(4, word_count)), label="S")
     ix = invindex.build(FeatureSet(vectors),
@@ -343,8 +342,7 @@ class TestBatchWords:
         if scheme == "ifc":
             k = data.draw(st.integers(2, 6), label="K")
             word_count = k * k
-            pq_cfg = PqConfig(segments=2, words_per_segment=k, kmeans_iters=3,
-                              kmeans_seed=seed % 97)
+            pq_cfg = PqConfig(segments=2, words_per_segment=k)
             if integer:
                 # K distinct integer points per segment, each repeated: k-means
                 # keeps them as its centroids, so every distance is an integer
