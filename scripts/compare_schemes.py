@@ -3,7 +3,6 @@
 MAP, mean query time, scan fraction and index size in one table."""
 
 import argparse
-import time
 
 from cnnidx import baseline, evaluation, invindex, search, vecio
 from cnnidx.baseline import LshConfig
@@ -37,40 +36,23 @@ def main():
 
     rows = []
 
-    def add_row(name, results, times, candidates, index_bytes):
+    def add_row(name, ranked, candidates, times, index_bytes):
         report = evaluation.evaluate(
-            {q: results[q] for q in range(queries.n)}, gt,
+            dict(enumerate(ranked)), gt,
             query_times=times, candidate_counts=candidates,
             database_size=db.n, index_bytes=index_bytes)
         rows.append((name, report.map, report.mean_query_time * 1e3,
                      report.scan_fraction, index_bytes / 1e6))
 
-    # brute force
-    times, ranked = [], {}
-    for qid, q in enumerate(queries.vectors):
-        t0 = time.perf_counter()
-        ranked[qid] = baseline.brute_force(db, q, args.topk)
-        times.append(time.perf_counter() - t0)
-    add_row("BF", ranked, times, [db.n] * queries.n, db.vectors.nbytes)
+    for name, lsh in (("BF", None), ("LSH", LshConfig(tables=8, bits_per_table=16, seed=0))):
+        add_row(name, *baseline.run(db, queries, args.topk, lsh), db.vectors.nbytes)
 
-    # LSH
-    lsh = baseline.lsh_build(db, LshConfig(tables=8, bits_per_table=16, seed=0))
-    times, ranked, cands = [], {}, []
-    for qid, q in enumerate(queries.vectors):
-        t0 = time.perf_counter()
-        ranked[qid], scanned = baseline.lsh_query(lsh, q, args.topk)
-        times.append(time.perf_counter() - t0)
-        cands.append(scanned)
-    add_row("LSH", ranked, times, cands, db.vectors.nbytes)
-
-    # TIFC and IFC
     for name, cfg in (("TIFC", tifc_cfg), ("IFC", ifc_cfg)):
         ix = invindex.build(db, cfg)
         qcfg = search.query_config(cfg, {"W": min(args.W, ix.quantizer.word_count),
                                          "top_k": args.topk})
         results, summary = search.batch_query(ix, queries, qcfg)
-        add_row(name, {q: results[q].ids for q in range(queries.n)},
-                summary.query_times, summary.candidate_counts,
+        add_row(name, [r.ids for r in results], summary.candidate_counts, summary.query_times,
                 invindex.stats(ix).estimated_file_bytes)
 
     print(f"\n{'method':<6} {'MAP':>9} {'ms/query':>9} {'scan':>6} {'MB':>8}")

@@ -1,9 +1,10 @@
 """Comparison baselines: exact brute-force search over squared Euclidean
 distance, and sign-random-projection LSH with exact re-ranking of bucket
-candidates."""
+candidates. `run` times either one query by query."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,10 @@ class LshConfig:
 class LshIndex:
     config: LshConfig
     planes: np.ndarray  # (tables, bits, D)
-    buckets: list[dict[int, np.ndarray]]  # per table: hash key -> ids
+    # per table, its rows sorted by bucket key (by row within a key) and
+    # their keys in that order: a bucket is one run of equal keys
+    rows: np.ndarray  # (tables, n) row ids
+    keys: np.ndarray  # (tables, n) int64
     db: FeatureSet = field(repr=False)
 
 
@@ -71,18 +75,10 @@ def _hash_keys(vectors: np.ndarray, planes: np.ndarray) -> np.ndarray:
 def lsh_build(db: FeatureSet, cfg: LshConfig) -> LshIndex:
     rng = np.random.default_rng(cfg.seed)
     planes = rng.standard_normal((cfg.tables, cfg.bits_per_table, db.dim))
-    keys = _hash_keys(db.vectors, planes)
-    buckets: list[dict[int, np.ndarray]] = []
-    for t in range(cfg.tables):
-        table: dict[int, np.ndarray] = {}
-        order = np.argsort(keys[:, t], kind="stable")
-        sorted_keys = keys[order, t]
-        uniq, starts = np.unique(sorted_keys, return_index=True)
-        bounds = np.append(starts, len(order))
-        for i, key in enumerate(uniq):
-            table[int(key)] = order[bounds[i] : bounds[i + 1]].astype(np.int32)
-        buckets.append(table)
-    return LshIndex(config=cfg, planes=planes, buckets=buckets, db=db)
+    keys = _hash_keys(db.vectors, planes).T
+    rows = np.argsort(keys, axis=1, kind="stable")
+    return LshIndex(config=cfg, planes=planes, rows=rows,
+                    keys=np.take_along_axis(keys, rows, axis=1), db=db)
 
 
 def lsh_query(ix: LshIndex, q, top_k: int) -> tuple[list[int], int]:
@@ -94,15 +90,25 @@ def lsh_query(ix: LshIndex, q, top_k: int) -> tuple[list[int], int]:
     a ValueError.
     """
     q = _check_query(ix.db.vectors, q, top_k)
-    keys = _hash_keys(q[None, :], ix.planes)[0]
-    cand: set[int] = set()
-    for t, key in enumerate(keys):
-        hit = ix.buckets[t].get(int(key))
-        if hit is not None:
-            cand.update(int(i) for i in hit)
-    if not cand:
-        return [], 0
-    ids = np.fromiter(cand, dtype=np.int64)
+    ids = np.unique(np.concatenate([
+        rows[keys.searchsorted(key, "left") : keys.searchsorted(key, "right")]
+        for rows, keys, key in zip(ix.rows, ix.keys, _hash_keys(q[None, :], ix.planes)[0])]))
     dists = sq_dist_to(ix.db.vectors, q, ids)
     order = np.lexsort((ids, dists))
     return [int(ids[i]) for i in order[:top_k]], len(ids)
+
+
+def run(db: FeatureSet, queries: FeatureSet, top_k: int,
+        lsh: LshConfig | None = None) -> tuple[list[list[int]], list[int], list[float]]:
+    """Each query's ranked ids, the database rows it scanned and its wall
+    time in seconds, by `brute_force` or, with an LshConfig, by `lsh_query`
+    over one `lsh_build` of db that is not timed."""
+    ix = None if lsh is None else lsh_build(db, lsh)
+    ranked, scanned, times = [], [], []
+    for q in queries.vectors:
+        t0 = time.perf_counter()
+        ids, count = lsh_query(ix, q, top_k) if ix else (brute_force(db, q, top_k), db.n)
+        times.append(time.perf_counter() - t0)
+        ranked.append(ids)
+        scanned.append(count)
+    return ranked, scanned, times

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import baseline as bl
 from . import evaluation, invindex, search, vecio
@@ -203,25 +202,8 @@ def _cmd_baseline(args) -> int:
     if args.method == "lsh":
         resolved.update(tables=args.tables, bits=args.bits, seed=args.seed)
     _echo_config("baseline", resolved)
-
-    if args.method == "bf":
-        def run_one(q):
-            return bl.brute_force(db, q, args.topk), db.n
-    else:
-        lix = bl.lsh_build(db, lsh_cfg)
-
-        def run_one(q):
-            return bl.lsh_query(lix, q, args.topk)
-
-    ranked, scanned, times = [], [], []
-    for q in queries.vectors:
-        t0 = time.perf_counter()
-        ids, count = run_one(q)
-        times.append(time.perf_counter() - t0)
-        ranked.append(ids)
-        scanned.append(count)
-    mean = search.write_run(args.out, ranked, scanned, times, resolved)
-    print(f"[baseline] {len(ranked)} queries, mean time {mean * 1e3:.3f} ms")
+    mean = search.write_run(args.out, *bl.run(db, queries, args.topk, lsh_cfg), resolved)
+    print(f"[baseline] {queries.n} queries, mean time {mean * 1e3:.3f} ms")
     return EXIT_OK
 
 
@@ -242,24 +224,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict) or not isinstance(raw.get("datasets"), dict):
-        raise DataError(f"{args.spec}: a spec is a JSON object with a datasets object")
-    ds = raw["datasets"]
-    for key in ("grid", "datasets.features", "datasets.queries", "datasets.ground_truth"):
-        if key.removeprefix("datasets.") not in (ds if "." in key else raw):
-            raise DataError(f"{args.spec}: spec has no {key}")
-    spec = evaluation.SweepSpec(grid=raw["grid"], base=raw.get("base", {}))
-    _echo_config("sweep", {"spec": args.spec, "grid": raw["grid"],
-                           "base": raw.get("base", {}), "datasets": ds})
-    if ds.get("train_features") and spec.base.get("scheme") == invindex.SCHEME_TIFC:
-        raise DataError(f"{args.spec}: datasets.train_features applies to scheme ifc only")
+    spec, ds = evaluation.read_sweep_spec(args.spec)
+    _echo_config("sweep", {"spec": args.spec, "grid": spec.grid, "base": spec.base,
+                           "datasets": ds})
     db = vecio.read_feature_file(ds["features"])
     queries = vecio.read_feature_file(ds["queries"])
     gt = vecio.read_ground_truth(ds["ground_truth"], n=db.n)
     training = (vecio.read_feature_file(ds["train_features"])
-                if ds.get("train_features") else None)
+                if "train_features" in ds else None)
     rows = evaluation.sweep(spec, db, queries, gt, training=training)
     evaluation.write_sweep_csv(rows, args.out_prefix + ".csv")
     evaluation.write_sweep_json(rows, args.out_prefix + ".json")

@@ -1,11 +1,12 @@
 """Retrieval accuracy (AP / MAP), timing, scan-fraction and storage
 measurement, plus a parameter-sweep harness over the indexing and query
-knobs (L, T, S, W, K, M)."""
+knobs (L, T, S, W, K, M), and the reader of its JSON spec files."""
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,11 +109,12 @@ SWEEPABLE = ("L", "T", "S", "W", "K", "M")
 class SweepSpec:
     """A grid over any of L/T/S/W/K/M; everything else fixed in ``base``.
 
-    ``base`` carries scheme, top_k, defaults for non-swept parameters and
-    the IFC k-means settings; one left out keeps the default of `cnnidx
-    build`, or for W, T and top_k of `cnnidx query` (`search.query_config`).
-    A ``base`` key that no point reads, none of those nor of
-    `invindex.BUILD_KEYS`, is a ValueError that names it.
+    ``base`` names the scheme, and ``base`` and the grid together set every
+    key that `invindex.BUILD_KEYS` lists for it. W, T and top_k may be
+    swept, set in ``base`` or left out (or None) for `cnnidx query`'s
+    default (`search.query_config`). A ``base`` with no known scheme, a
+    build key that neither sets, or a ``base`` key that no point reads is a
+    ValueError that names the key.
     """
 
     grid: dict[str, list]
@@ -130,6 +132,41 @@ class SweepSpec:
         unread = set(self.base) - read
         if unread:
             raise ValueError(f"sweep base keys {sorted(unread)} are read by no point")
+        scheme, schemes = self.base.get("scheme"), sorted(invindex.BUILD_KEYS)
+        # a list: `in` on the dict would raise TypeError for an unhashable scheme
+        if scheme not in schemes:
+            raise ValueError(f"base.scheme must be one of {schemes}, got {scheme!r}")
+        for key in invindex.BUILD_KEYS[scheme]:
+            if key not in self.base and key not in self.grid:
+                raise ValueError(f"spec has no base.{key} or grid.{key} for scheme {scheme}")
+
+
+def read_sweep_spec(path) -> tuple[SweepSpec, dict[str, str]]:
+    """The SweepSpec and the datasets of a JSON spec file: ``grid``, ``base``
+    and ``datasets``, a non-empty path string for each of features, queries,
+    ground_truth and, for scheme ifc only, train_features. Every rule is
+    checked before any dataset is opened; a broken one is a DataError that
+    names the file and the key."""
+    with open(path, "r", encoding="utf-8") as f:
+        raw = json.load(f)
+    ds = raw.get("datasets") if isinstance(raw, dict) else None
+    if not isinstance(ds, dict):
+        raise DataError(f"{path}: a spec is a JSON object with a datasets object")
+    for key in ("grid", "base", "datasets.features", "datasets.queries",
+                "datasets.ground_truth"):
+        if key.removeprefix("datasets.") not in (ds if "." in key else raw):
+            raise DataError(f"{path}: spec has no {key}")
+    for key, value in ds.items():
+        if not (isinstance(value, str) and value):  # 0 would be opened as stdin
+            raise DataError(f"{path}: datasets.{key} must be a non-empty path string, "
+                            f"got {value!r}")
+    try:
+        spec = SweepSpec(grid=raw["grid"], base=raw["base"])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if "train_features" in ds and spec.base["scheme"] != invindex.SCHEME_IFC:
+        raise DataError(f"{path}: datasets.train_features applies to scheme ifc only")
+    return spec, ds
 
 
 def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,

@@ -131,8 +131,11 @@ class TestLsh:
         for q in rng.standard_normal((20, 8)):
             ids, scanned = baseline.lsh_query(ix, q, 10)
             q_keys = baseline._hash_keys(q[None, :], ix.planes)[0]
-            assert scanned == int((db_keys == q_keys).any(axis=1).sum())
-            assert scanned >= len(ids)
+            union = np.flatnonzero((db_keys == q_keys).any(axis=1))
+            assert scanned == len(union) >= len(ids)
+            # the union ranked by (distance, id)
+            dists = pq.sq_dist_to(db.vectors, q, union)
+            assert ids == [int(union[i]) for i in np.lexsort((union, dists))[:10]]
 
     def test_recall_reasonable_on_clustered_data(self):
         db, queries, _ = generate_synthetic(
@@ -189,8 +192,13 @@ class TestLsh:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(len(ids) for ids in ix.buckets[0].values()) == db.n
         assert peak < 32 << 20
+        # every row lies in exactly one bucket per table, the run of its key
+        np.testing.assert_array_equal(np.sort(ix.rows, axis=1),
+                                      np.tile(np.arange(db.n), (8, 1)))
+        keys = baseline._hash_keys(db.vectors, ix.planes).T
+        np.testing.assert_array_equal(ix.keys, np.take_along_axis(keys, ix.rows, axis=1))
+        assert (np.diff(ix.keys, axis=1) >= 0).all()
 
     def test_build_determinism(self):
         rng = np.random.default_rng(3)
@@ -200,3 +208,19 @@ class TestLsh:
         b = baseline.lsh_build(db, cfg)
         q = rng.standard_normal(8)
         assert baseline.lsh_query(a, q, 10) == baseline.lsh_query(b, q, 10)
+
+
+@pytest.mark.parametrize("lsh", [None, LshConfig(tables=4, bits_per_table=4, seed=2)],
+                         ids=["bf", "lsh"])
+def test_run_is_the_per_query_calls(lsh):
+    """`run` gives each query the ids and scanned count of one `brute_force`
+    or `lsh_query` call, and one wall time of at least 0."""
+    db, queries, _ = generate_synthetic(SynthSpec(5, 20, 16, 1.0, 0.1, seed=4))
+    ranked, scanned, times = baseline.run(db, queries, 7, lsh)
+    if lsh is None:
+        want = [(baseline.brute_force(db, q, 7), db.n) for q in queries.vectors]
+    else:
+        ix = baseline.lsh_build(db, lsh)
+        want = [baseline.lsh_query(ix, q, 7) for q in queries.vectors]
+    assert list(zip(ranked, scanned)) == want
+    assert len(times) == queries.n and all(t >= 0 for t in times)

@@ -342,7 +342,7 @@ def test_malformed_sweep_spec_is_data_error(workspace, tmp_path, capsys, change)
     assert not (tmp_path / "sw.csv").exists()
 
 
-@pytest.mark.parametrize("missing", ["grid", "datasets.features", "datasets.queries",
+@pytest.mark.parametrize("missing", ["grid", "base", "datasets.features", "datasets.queries",
                                      "datasets.ground_truth"])
 def test_sweep_spec_missing_key_is_named(tmp_path, capsys, missing):
     """A spec without one of its required keys exits 2 naming the spec file
@@ -396,6 +396,62 @@ def test_tifc_sweep_with_train_features_is_data_error(workspace, tmp_path, capsy
     assert rc == EXIT_DATA
     assert "datasets.train_features applies to scheme ifc only" in capsys.readouterr().err
     assert not (tmp_path / "sw.csv").exists()
+
+
+def _refused_sweep(tmp_path, monkeypatch, capsys, spec):
+    """Run `cnnidx sweep` on spec, recording every read of a dataset; the
+    spec's exit code, stdout, stderr and the reads."""
+    reads = []
+    for name in ("read_feature_file", "read_ground_truth"):
+        monkeypatch.setattr(vecio, name, lambda *a, **k: reads.append(a))
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    rc = run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+              "--out-prefix", str(tmp_path / "sw")])
+    out, err = capsys.readouterr()
+    assert not (tmp_path / "sw.csv").exists()
+    return rc, out, err, reads
+
+
+@pytest.mark.parametrize("value", [None, 0, 5, "", [], {}],
+                         ids=["null", "zero", "five", "empty", "list", "object"])
+@pytest.mark.parametrize("key", ["features", "queries", "ground_truth", "train_features"])
+def test_sweep_dataset_that_is_no_path_is_data_error(tmp_path, monkeypatch, capsys,
+                                                     key, value):
+    """A dataset value must be a non-empty path string: a number would be
+    opened as a file descriptor (0 as stdin), and null is no path. The spec
+    exits 2 naming the key, before its config is echoed and before any
+    dataset is read."""
+    spec = {"grid": {"W": [1]}, "base": {"scheme": "ifc", "L": 8, "S": 3, "K": 4, "M": 2},
+            "datasets": {k: str(tmp_path / f"{k}.fvecs")
+                         for k in ("features", "queries", "ground_truth")}}
+    spec["datasets"][key] = value
+    rc, out, err, reads = _refused_sweep(tmp_path, monkeypatch, capsys, spec)
+    assert rc == EXIT_DATA
+    assert f"datasets.{key} must be a non-empty path string, got {value!r}" in err
+    assert out == "" and reads == []
+
+
+@pytest.mark.parametrize("base, grid, message", [
+    ({"L": 8, "S": 3}, {"W": [1]}, "base.scheme must be one of ['ifc', 'tifc'], got None"),
+    ({"scheme": "ifcc", "L": 8, "S": 3}, {"W": [1]},
+     "base.scheme must be one of ['ifc', 'tifc'], got 'ifcc'"),
+    ({"scheme": "ifc", "L": 8, "S": 3, "M": 2}, {"W": [1]},
+     "spec has no base.K or grid.K for scheme ifc"),
+    ({"scheme": "tifc", "S": 3}, {"S": [2, 4]}, "spec has no base.L or grid.L for scheme tifc"),
+], ids=["no-scheme", "unknown-scheme", "no-K", "no-L"])
+def test_sweep_whose_every_point_would_fail_is_data_error(tmp_path, monkeypatch, capsys,
+                                                          base, grid, message):
+    """A spec whose every point would fail the same way (no scheme, an
+    unknown one, a build key that neither base nor grid sets) exits 2 naming
+    the key, before its config is echoed and before any dataset is read,
+    rather than writing a row of errors per point and exiting 0."""
+    spec = {"grid": grid, "base": base,
+            "datasets": {k: str(tmp_path / f"{k}.fvecs")
+                         for k in ("features", "queries", "ground_truth")}}
+    rc, out, err, reads = _refused_sweep(tmp_path, monkeypatch, capsys, spec)
+    assert rc == EXIT_DATA
+    assert f"{tmp_path / 'sweep.json'}: {message}" in err
+    assert out == "" and reads == []
 
 
 def test_unknown_flag_is_usage_error(workspace, capsys):

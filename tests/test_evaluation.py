@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -225,6 +226,24 @@ class TestSweep:
             SweepSpec(grid={"W": [1]}, base={**self.BASE, key: 3})
         for scheme in ("ifc", "tifc"):  # every key a point reads passes
             SweepSpec(grid={"W": [1]}, base={**self.BASE, "scheme": scheme})
+
+    @pytest.mark.parametrize("drop, scheme, message", [
+        ("scheme", None, "base.scheme must be one of ['ifc', 'tifc'], got None"),
+        (None, "IFC", "base.scheme must be one of ['ifc', 'tifc'], got 'IFC'"),
+        (None, ["ifc"], "base.scheme must be one of ['ifc', 'tifc'], got ['ifc']"),
+        ("K", "ifc", "spec has no base.K or grid.K for scheme ifc"),
+        ("L", "tifc", "spec has no base.L or grid.L for scheme tifc"),
+    ])
+    def test_spec_whose_every_point_fails_rejected(self, drop, scheme, message):
+        """Without a known scheme, or with a build key that neither base nor
+        grid sets, every point would fail alike: the spec is refused."""
+        base = {k: v for k, v in self.BASE.items() if k != drop}
+        if scheme is not None:
+            base["scheme"] = scheme
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepSpec(grid={"W": [1]}, base=base)
+        if drop not in (None, "scheme"):  # the grid may set the key instead
+            SweepSpec(grid={drop: [4]}, base=base)
 
     def test_csv_and_json_outputs(self, data, tmp_path):
         db, queries, gt = data
