@@ -18,8 +18,9 @@ host-corrected.
 
 The table splits one warm `batch_query` pass into the self times of its
 calls, by a `stagetimer.StageTimer`, in ms per query: encode (the
-quantizer's `words` and `codes`), probe (`search._probe`), gather
-(`search._gather`, the ids and codes of the probed lists), Hamming
+quantizer's `words` and `invindex.list_codes`), probe (the lookup of the
+words' lists, `invindex.find_lists`, and of their slices, `search._spans`),
+gather (`search._gather`, the ids and codes of the probed lists), Hamming
 (`embed.hamming_to_many`) and scan (the rest of `search._scan`: votes,
 minimum Hamming, rank and candidate count). Each cell gives the raw time
 and, after a slash, the time divided by the pass's host factor. The mean
@@ -47,9 +48,8 @@ from cnnidx.invindex import BuildConfig  # noqa: E402
 from cnnidx.pq import PqConfig  # noqa: E402
 
 STAGES = {
-    "encode": ("pq.PqCodebook.words", "pq.PqCodebook.codes",
-               "tifc.VirtualWordBank.words", "tifc.VirtualWordBank.codes"),
-    "probe": ("search._probe",),
+    "encode": ("pq.PqCodebook.words", "tifc.VirtualWordBank.words", "invindex.list_codes"),
+    "probe": ("invindex.find_lists", "search._spans"),
     "gather": ("search._gather",),
     "Hamming": ("embed.hamming_to_many",),
     "scan": ("search._scan",),

@@ -17,11 +17,13 @@ named calls. The stages of `build` and `save`, in ms per build:
   the timed builds only look it up);
 - words: the quantizer's `words`, each chunk's words in the build's
   first pass;
-- codes: the quantizer's `codes`, each chunk's codes against its words in
-  the second pass;
+- codes: `invindex.list_codes`, each chunk's codes against its lists'
+  reference means in the second pass (the build derives those means once,
+  in group + save);
 - group + save: the rest of `build` and `save`: chiefly the stable argsort
-  of the words, the slot array it gives and the ids and grouped words made
-  from it, the float64 casts and the writes into place of the caller's
+  of the words, the slot array, the grouped words, the list numbers and
+  the ids made from it, the lists' reference means
+  (`InvertedIndex.list_means`), the float64 casts and the writes into place of the caller's
   chunks in both passes, its wait for the helpers' last chunks, and the
   file.
 
@@ -53,8 +55,9 @@ The stages of `query`, in us per query:
   TIFC query ranks its activations themselves, so this stage reads 0;
 - words: the choice of the W words, `pq._nearest` (IFC) or
   `tifc.top_words_rows` (TIFC);
-- encode: the quantizer's `codes`, the query's codes against its words;
-- scan: `search._scan`, the list scan, votes and ranking.
+- encode: `invindex.list_codes`, the query's codes against its lists;
+- scan: `invindex.find_lists`, the lookup of the words' lists, and
+  `search._scan`, the list scan, votes and ranking.
 
 `build`, `load` and `query` are whole calls. `BUILDS` rounds of one build
 each, `--loads` rounds of one load each and `--passes` passes over the
@@ -95,7 +98,7 @@ BUILDS = 5  # timed builds per workload, after one warm build
 BUILD_STAGES = {
     "train": ("pq.train", "tifc.make_virtual_words"),
     "words": ("pq.PqCodebook.words", "tifc.VirtualWordBank.words"),
-    "codes": ("pq.PqCodebook.codes", "tifc.VirtualWordBank.codes"),
+    "codes": ("invindex.list_codes",),
     "group + save": ("invindex.build", "invindex.save"),
 }
 LOAD_STAGES = {
@@ -108,8 +111,8 @@ QUERY_STAGES = {
     "check": ("search._check_config", "search._check_queries"),
     "scores": ("pq.segment_distances_batch",),
     "words": ("pq._nearest", "tifc.top_words_rows"),
-    "encode": ("pq.PqCodebook.codes", "tifc.VirtualWordBank.codes"),
-    "scan": ("search._scan",),
+    "encode": ("invindex.list_codes",),
+    "scan": ("invindex.find_lists", "search._scan"),
 }
 BENCH_WORKLOADS = [w["name"] for w in
                    json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]

@@ -144,9 +144,10 @@ class SweepSpec:
 def read_sweep_spec(path) -> tuple[SweepSpec, dict[str, str]]:
     """The SweepSpec and the datasets of a JSON spec file: ``grid``, ``base``
     and ``datasets``, a non-empty path string for each of features, queries,
-    ground_truth and, for scheme ifc only, train_features. Every rule is
-    checked before any dataset is opened; a broken one is a DataError that
-    names the file and the key."""
+    ground_truth and, for scheme ifc only, train_features; any other key,
+    at the top or in ``datasets``, is refused. Every rule is checked before
+    any dataset is opened; a broken one is a DataError that names the file
+    and the key."""
     with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
     ds = raw.get("datasets") if isinstance(raw, dict) else None
@@ -156,6 +157,12 @@ def read_sweep_spec(path) -> tuple[SweepSpec, dict[str, str]]:
                 "datasets.ground_truth"):
         if key.removeprefix("datasets.") not in (ds if "." in key else raw):
             raise DataError(f"{path}: spec has no {key}")
+    # a misspelt train_features would leave an IFC sweep training on its database
+    unknown = ([k for k in raw if k not in ("grid", "base", "datasets")]
+               + [f"datasets.{k}" for k in ds
+                  if k not in ("features", "queries", "ground_truth", "train_features")])
+    if unknown:
+        raise DataError(f"{path}: spec key {unknown[0]} is not one that a sweep reads")
     for key, value in ds.items():
         if not (isinstance(value, str) and value):  # 0 would be opened as stdin
             raise DataError(f"{path}: datasets.{key} must be a non-empty path string, "

@@ -43,26 +43,29 @@ laid out the postings or the header otherwise; each header of `CNNIDX04` to
 `CNNIDX06` held more than the next format's: the TIFC table's seed, the
 k-means restart count, and the k-means seed and iteration cap.
 
-Build and query share one encoding stage, the quantizer's `words` and then
-its `codes` over chunks of `_row_bytes` each: `encode_rows` runs both on a
-chunk of queries, and `build` runs them in two passes. `tifc.VirtualWordBank` and `pq.PqCodebook` have the same
+Build and query share one encoding stage over chunks of `_row_bytes` each:
+the quantizer's `words`, then `list_codes`, the one code function, against
+`InvertedIndex.list_means`, one row of reference segment means per list,
+which an index derives once from its quantizer's `word_means` and the file
+does not hold. `tifc.VirtualWordBank` and `pq.PqCodebook` have the same
 members: `words` gives a matrix of rows their words (TIFC: the top softmax
-bins; IFC: the exact nearest product words), `codes` packs each row's codes
-against those words' segment means, `stage_width` is the word stage's
-float64 values per row, `word_count` counts the words, and `payload` is the
-quantizer's part of the file. A quantizer holds only its arrays, and an index
-takes only the one its config makes. A row's words and codes depend on that
-row alone, so a database vector queried with itself gets exactly its S links
-and their codes. `batch_query` streams its chunks through `encode_chunks`.
-`build` makes two passes over the rows, words and then codes, each on the
-calling thread and one helper thread per further CPU, up to `MAX_THREADS`
-(`_fill_rows`). Between them one stable sort of the words gives every link
-its slot in the grouped lists, and pass 2 writes each code straight into its
-slot, so the (n*S, B) codes are held once. The file does not depend on the
-thread count. `_run_jobs` starts, stops and joins those threads. `load`
-runs on the calling thread alone and takes a TIFC table from the memo of
-`tifc.make_virtual_words` after the CRC, so a process's first TIFC load of a
-(D, L) draws it serially (about 10 ms at 2,048 x 256).
+bins; IFC: the exact nearest product words), `word_means` the words' means
+(TIFC: table rows; IFC: those of the reconstructed words), `stage_width` is
+the word stage's float64 values per row, `word_count` counts the words, and
+`payload` is the quantizer's part of the file. A quantizer holds only its
+arrays, and an index takes only the one its config makes. A row's words and
+codes depend on that row alone, so a database vector queried with itself
+gets exactly its S links and their codes. `batch_query` streams its chunks
+through `encode_chunks`. `build` makes two passes over the rows, words and
+then codes, each on the calling thread and one helper thread per further
+CPU, up to `MAX_THREADS` (`_fill_rows`). Between them one stable sort of the
+words gives every link its slot in the grouped lists and its list number,
+and pass 2 writes each code straight into its slot, so the (n*S, B) codes
+are held once. The file does not depend on the thread count. `_run_jobs`
+starts, stops and joins those threads. `load` runs on the calling thread
+alone and takes a TIFC table from the memo of `tifc.make_virtual_words`
+after the CRC, so a process's first TIFC load of a (D, L) draws it serially
+(about 10 ms at 2,048 x 256).
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -84,11 +87,12 @@ import threading
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from . import pq, tifc
-from .embed import code_bytes
+from .embed import code_bytes, pack_bits, segment_means
 from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import DataError, FeatureSet, check_ints, chunk_rows
@@ -196,6 +200,14 @@ class InvertedIndex:
             raise ValueError(f"codebook dtype {q.sub_codebooks.dtype} is not float32, "
                              "the dtype of the file's payload")
 
+    @cached_property
+    def list_means(self) -> np.ndarray:
+        """Row j: the reference segment means of list j's word, (nlists, L)
+        float64 and read-only, derived on first use, once per index."""
+        means = self.quantizer.word_means(self.wids, self.config.code_length)
+        means.flags.writeable = False
+        return means
+
 
 @dataclass
 class IndexStats:
@@ -208,29 +220,39 @@ class IndexStats:
     estimated_file_bytes: int = 0
 
 
-def encode_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
-                code_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The quantizer's (rows, count) words and their codes for a chunk of
-    rows, cast to float64 once."""
-    chunk = np.asarray(xs, dtype=np.float64)
-    wids = quantizer.words(chunk, count)
-    return wids, quantizer.codes(chunk, wids, code_length)
+def list_codes(list_means: np.ndarray, xs: np.ndarray, lists: np.ndarray) -> np.ndarray:
+    """The packed codes of the rows of xs against their lists' reference
+    means, (N, count, B) for (N, count) list numbers: bit i is 1 iff the
+    row's i-th segment mean is >= the list's."""
+    return pack_bits(segment_means(xs, list_means.shape[1])[:, None, :] >= list_means[lists])
+
+
+def find_lists(ix: InvertedIndex, wids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's list number and whether it has a list; a word without one
+    gets another list's number. The words go to `ix.wids`' dtype, so
+    `searchsorted` does not convert the index's array."""
+    wids = np.asarray(wids, dtype=ix.wids.dtype)
+    lists = np.searchsorted(ix.wids, wids)
+    np.minimum(lists, len(ix.wids) - 1, out=lists)
+    return lists, ix.wids[lists] == wids
 
 
 def _row_bytes(quantizer: VirtualWordBank | PqCodebook, dim: int, count: int,
                code_length: int) -> int:
-    """Working bytes of one row of `encode_rows`: D + stage_width + count * L
-    float64 values, its input, its word stage and the means of its words."""
+    """Working bytes of one row of the encoding stage: D + stage_width +
+    count * L float64 values, its input, word stage and lists' means."""
     return 8 * (dim + quantizer.stage_width + count * code_length)
 
 
-def encode_chunks(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
-                  code_length: int):
-    """Yield `encode_rows` of the rows of xs, chunk after chunk, each chunk's
-    rows within `CHUNK_BYTES` by `_row_bytes`."""
-    rows = chunk_rows(_row_bytes(quantizer, xs.shape[1], count, code_length))
+def encode_chunks(ix: InvertedIndex, xs: np.ndarray, count: int):
+    """Yield `find_lists` of the rows' `count` words and their `list_codes`,
+    chunk after chunk of rows within `CHUNK_BYTES` by `_row_bytes`."""
+    q = ix.quantizer
+    rows = chunk_rows(_row_bytes(q, xs.shape[1], count, ix.config.code_length))
     for lo in range(0, len(xs), rows):
-        yield encode_rows(quantizer, xs[lo:lo + rows], count, code_length)
+        chunk = np.asarray(xs[lo:lo + rows], dtype=np.float64)
+        lists, found = find_lists(ix, q.words(chunk, count))
+        yield lists, found, list_codes(ix.list_means, chunk, lists)
 
 
 def _cpus() -> int:
@@ -293,7 +315,7 @@ def _fill_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: i
     pass 1, the rows of the chunk's slots in pass 2. Numpy releases the GIL
     in the large calls of a chunk, so the threads run side by side.
 
-    Chunks are sized by `_row_bytes`, the footprint of `encode_rows`. On one
+    Chunks are sized by `_row_bytes`, the encoding stage's footprint. On one
     CPU each takes `CHUNK_BYTES`; with w threads a 4w-th of it, so the
     chunks in flight stay within a quarter of the budget: each helper's
     malloc arena keeps its chunk's working set after the build. Any
@@ -325,15 +347,14 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     The postings are built in two passes over the rows, each a chunk at a
     time on as many threads as the process has CPUs, up to `MAX_THREADS`
     (`_fill_rows`). Pass 1 fills the (n, S) words. One stable argsort of
-    them lays out the lists, and its inverse, the slot array, gives each
-    link its row of the grouped (n*S, B) codes. Pass 2 casts each chunk
-    again, computes its codes against its words and writes each code into
-    its slot, so the codes are held once, never in row order beside the
-    grouped copy. The ids and the grouped words then come from the slots.
-    A row's words and codes come from that row alone, with no BLAS call
-    (IFC's distances are `einsum` contractions), so the file does not
-    depend on the chunk size or the thread count, and it equals the
-    grouping of `encode_rows` over all rows.
+    them lays out the lists, gives each link its list number, written over
+    its word, and by its inverse, the slot array, its row of the grouped
+    (n*S, B) codes. Pass 2 casts each chunk again, codes it against its
+    lists (`list_codes`) and writes each code into its slot, so the codes
+    are held once, never in row order beside the grouped copy. A row's
+    words and codes come from that row alone, with no BLAS call (IFC's
+    distances are `einsum` contractions), so the file does not depend on
+    the chunk size or the thread count.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
@@ -370,37 +391,34 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     # already, so a stable sort on the word (a radix sort for word counts up
     # to 2^16) lays the lists out in (word, id) order, and its inverse, at
     # the narrowest width that holds n*S - 1, gives each link its slot
-    order = np.argsort(wids.ravel(), kind="stable")
+    links = wids.reshape(-1)
+    order = np.argsort(links, kind="stable")
     slot = np.empty(total, dtype=np.min_scalar_type(total - 1))
     slot[order] = np.arange(total, dtype=slot.dtype)
-    del order
-    slot = slot.reshape(n, s)
-
-    # pass 2: every row's codes against its words, each written straight
-    # into its slot; the slots are a permutation, so threads write disjoint rows
-    def fill_codes(part: slice, chunk: np.ndarray) -> None:
-        rows = quantizer.codes(chunk, wids[part], cfg.code_length)
-        codes[slot[part].ravel()] = rows.reshape(-1, b)
-
-    _fill_rows(quantizer, db.vectors, s, cfg.code_length, fill_codes)
-    slot = slot.ravel()
-    ids = np.empty(total, dtype=id_t)
-    ids[slot] = np.repeat(np.arange(n, dtype=id_t), s)
-    grouped = np.empty(total, dtype=wid_t)
-    grouped[slot] = wids.ravel()
-    del slot, wids
+    grouped = links[order]
     # neighbours compared, not differenced: the word ids are unsigned
     starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    offsets = np.append(starts, total)
+    # each link's list number over its word: no more lists than words
+    links[order] = np.repeat(np.arange(len(starts), dtype=wid_t), np.diff(offsets))
+    del order
+    # the index before its ids and codes are filled: pass 2 reads its
+    # lists' means, derived once here on the calling thread
+    ids = np.empty(total, dtype=id_t)
+    ix = InvertedIndex(config=cfg, indexed_count=n, wids=grouped[starts], offsets=offsets,
+                       ids=ids, codes=codes, quantizer=quantizer)
+    list_means = ix.list_means
+    del grouped, starts
+    slot = slot.reshape(n, s)
 
-    return InvertedIndex(
-        config=cfg,
-        indexed_count=n,
-        wids=grouped[starts],
-        offsets=np.append(starts, total),
-        ids=ids,
-        codes=codes,
-        quantizer=quantizer,
-    )
+    # pass 2: every row's codes against its lists, each written straight
+    # into its slot; the slots are a permutation, so threads write disjoint rows
+    def fill_codes(part: slice, chunk: np.ndarray) -> None:
+        codes[slot[part].ravel()] = list_codes(list_means, chunk, wids[part]).reshape(-1, b)
+
+    _fill_rows(quantizer, db.vectors, s, cfg.code_length, fill_codes)
+    ids[slot.ravel()] = np.repeat(np.arange(n, dtype=id_t), s)
+    return ix
 
 
 def posting_dtypes(word_count: int, indexed_count: int) -> tuple[np.dtype, np.dtype, np.dtype]:

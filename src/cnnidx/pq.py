@@ -19,12 +19,13 @@ prefix count, K), and `_pairs` memoises it as read-only arrays.
 the build side and the query side alike. Its `einsum` contractions cover all
 M segments at once with no BLAS call, and sum each distance in an order that
 does not depend on the other rows, so a row gets bit-identical distances,
-and so the same words, alone or in any batch. Its centroid terms, like the
-tables of sub-centroid means that codes compare against, are computed once
-per codebook (see `PqCodebook`). K-means training, one k-means++ Lloyd run
-per segment (see `train`), keeps its own matmul form (`_sq_dists`), and its
-Lloyd update gives every centroid the bits of numpy's `mean` of its members
-without grouping the rows (see `_kmeans`). Its k-means++ seeding screens every row against each new seed with one
+and so the same words, alone or in any batch. Its centroid terms are
+computed once per codebook (see `PqCodebook`), and an index takes its lists'
+reference segment means from `PqCodebook.word_means` once. K-means training,
+one k-means++ Lloyd run per segment (see `train`), keeps its own matmul form
+(`_sq_dists`), and its Lloyd update gives every centroid the bits of numpy's
+`mean` of its members without grouping the rows (see `_kmeans`). Its
+k-means++ seeding screens every row against each new seed with one
 matrix-vector product less a rounding bound (`_screen`), and makes the exact
 differences only for the rows that the screen cannot show to be no nearer,
 so every seed is the one that exact passes over all rows give."""
@@ -37,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .embed import pack_bits, segment_means
+from .embed import segment_means
 from .vecio import FeatureSet, check_ints, chunk_rows
 
 
@@ -67,36 +68,18 @@ class PqCodebook:
 
     Construction derives the constants that every word assignment reads:
     `centroids`, the sub-codebooks cast to float64, and `sq_norms`, their
-    (M, K) squared norms by `einsum`. `mean_table` builds each code length's
-    table of sub-centroid segment means on first use and keeps it, one table
-    for every thread that asks. All of them are read-only, and
+    (M, K) squared norms by `einsum`. Both are read-only, and
     `sub_codebooks` must not change after construction.
     """
 
     sub_codebooks: np.ndarray  # (M, K, D/M) float32
     centroids: np.ndarray = field(init=False, repr=False, compare=False)
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    _mean_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         c = self.sub_codebooks.astype(np.float64)
         self.centroids = _read_only(c)
         self.sq_norms = _read_only(np.einsum("mkd,mkd->mk", c, c))
-
-    def mean_table(self, code_length: int) -> np.ndarray:
-        """Segment means of every sub-centroid for L-bit codes, (M, K, L/M)
-        float64, where M divides L: row w of table s is
-        `segment_means(sub_codebooks[s][w], L/M)`, the same values averaged in
-        the same order as those segments of the reconstructed word's means."""
-        table = self._mean_tables.get(code_length)
-        if table is None:
-            m = len(self.sub_codebooks)
-            if code_length % m:
-                raise ValueError(f"code length {code_length} not divisible by {m} segments")
-            # two threads may make it at once; both return the one stored
-            table = self._mean_tables.setdefault(
-                code_length, _read_only(segment_means(self.sub_codebooks, code_length // m)))
-        return table
 
     @property
     def dim(self) -> int:
@@ -115,26 +98,20 @@ class PqCodebook:
         """Each row's `count` nearest product words, (N, count), in (distance, id) order."""
         return nearest_words_batch(xs, self, count)
 
-    def codes(self, xs: np.ndarray, wids: np.ndarray, code_length: int) -> np.ndarray:
-        """Each row's packed codes against its words' segment means: (N, count, B)
-        for (N, count) word ids. With M | L each segment's slice of the row
-        means meets the `mean_table` rows of the words' sub-ids straight in the
-        bit array, with no (N, count, L) array of word means. With L % M != 0
-        a code segment straddles two sub-centroids, so the distinct words are
-        reconstructed and averaged: the codes' definition, taken literally."""
-        x_means = segment_means(xs, code_length)
+    def word_means(self, wids: np.ndarray, code_length: int) -> np.ndarray:
+        """The segment means of the given words' reconstructions for L-bit
+        codes, (len(wids), L) float64. With M | L each code segment lies in
+        one sub-centroid, so each word's means are gathered by sub-id from
+        the sub-centroids' own segment means, in one gather of (M*K, L/M)
+        rows: the same values, averaged in the same order. With L % M != 0 a
+        code segment straddles two sub-centroids, and the words are
+        reconstructed and averaged."""
         m, k, _ = self.sub_codebooks.shape
         if code_length % m:
-            uniq, inverse = np.unique(wids, return_inverse=True)
-            uniq_means = segment_means(reconstruct_batch(uniq, self), code_length)
-            return pack_bits(x_means[:, None, :] >= uniq_means[inverse.reshape(wids.shape)])
-        table = self.mean_table(code_length)
-        width = code_length // m
-        bits = np.empty(wids.shape + (code_length,), dtype=bool)
-        for s, sub in enumerate(decode_words(wids, k, m)):
-            seg = slice(s * width, (s + 1) * width)
-            np.greater_equal(x_means[:, None, seg], table[s][sub], out=bits[..., seg])
-        return pack_bits(bits)
+            return segment_means(reconstruct_batch(wids, self), code_length)
+        table = segment_means(self.sub_codebooks, code_length // m).reshape(m * k, -1)
+        rows = np.stack(decode_words(wids, k, m), axis=-1) + np.arange(0, m * k, k)
+        return table[rows].reshape(len(wids), code_length)
 
     def payload(self) -> np.ndarray:
         return np.ascontiguousarray(self.sub_codebooks, dtype="<f4")

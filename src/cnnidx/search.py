@@ -1,11 +1,13 @@
 """Query pipeline: assign the query to W words (multiple assignment), filter
 each probed posting list by Hamming distance < T against the query's binary
-code for that word, then rank candidates by vote count.
+code for that list, then rank candidates by vote count.
 
 It runs in two stages. The first takes a matrix of queries: it checks the
-rows, then the index's quantizer assigns each its W words (`words`) and packs
-its codes against them (`codes`), as it does for the build. The second scans
-one query's lists at a time. `query` is the one-row case of both, and
+rows, then the index's quantizer assigns each its W words (`words`), the
+words are looked up among the index's lists (`invindex.find_lists`), and
+`invindex.list_codes` packs the row's code against each list's reference
+means, the one code function that the build runs too. The second scans one
+query's lists at a time. `query` is the one-row case of both, and
 `batch_query` runs the first stage through `invindex.encode_chunks`, in
 chunks sized as the build's are.
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import hamming_to_many
-from .invindex import BuildConfig, InvertedIndex, encode_chunks
+from .invindex import BuildConfig, InvertedIndex, encode_chunks, find_lists, list_codes
 from .vecio import DataError, check_ints, write_int_lists, write_json
 
 
@@ -94,17 +96,12 @@ def select_words(ix: InvertedIndex, q, count: int) -> np.ndarray:
     return ix.quantizer.words(_check_queries(ix, np.asarray(q)[None], count), count)[0]
 
 
-def _probe(ix: InvertedIndex, wids) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """The posting lists of the given words: the positions in `wids` of the
-    words that have a list, the lengths of those lists, and their slices of
-    `ix.ids`/`ix.codes`, list after list. The words go to `ix.wids`' dtype,
-    so `searchsorted` does not convert the index's array."""
-    wids = np.asarray(wids, dtype=ix.wids.dtype)
-    pos = np.searchsorted(ix.wids, wids)
-    slots = np.flatnonzero(ix.wids.take(pos, mode="clip") == wids)
-    starts = ix.offsets[pos[slots]]
-    ends = ix.offsets[pos[slots] + 1]
-    return slots, ends - starts, [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+def _spans(ix: InvertedIndex, lists: np.ndarray) -> tuple[np.ndarray, list[slice]]:
+    """The lengths of the given lists and their slices of `ix.ids`/`ix.codes`,
+    list after list."""
+    starts = ix.offsets[lists]
+    ends = ix.offsets[lists + 1]
+    return ends - starts, [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _gather(a: np.ndarray, spans: list[slice], dtype=None) -> np.ndarray:
@@ -125,10 +122,10 @@ def _check_config(ix: InvertedIndex, cfg: QueryConfig) -> None:
                          "exceeds the int64 ranking key")
 
 
-def _scan(ix: InvertedIndex, wids: np.ndarray, q_codes: np.ndarray, cfg: QueryConfig,
+def _scan(ix: InvertedIndex, lists: np.ndarray, q_codes: np.ndarray, cfg: QueryConfig,
           count_candidates: bool) -> RankedResult:
-    """Vote and rank over the posting lists of one query's words, given its
-    code against each word.
+    """Vote and rank over one query's posting lists, given its code against
+    each list.
 
     All probed entries are gathered at once and go through one Hamming pass.
     Two `ufunc.at` passes over them then fill n-sized arrays: each id's votes
@@ -141,11 +138,10 @@ def _scan(ix: InvertedIndex, wids: np.ndarray, q_codes: np.ndarray, cfg: QueryCo
     keep votes <= W.
     """
     n, length, w = ix.indexed_count, ix.config.code_length, cfg.assignment_count
-    slots, lengths, spans = _probe(ix, wids)
+    lengths, spans = _spans(ix, lists)
     # cast in the copy: `ufunc.at` would cast narrower ids to intp twice
     ids = _gather(ix.ids, spans, np.intp)
-    dists = hamming_to_many(np.repeat(q_codes[slots], lengths, axis=0),
-                            _gather(ix.codes, spans))
+    dists = hamming_to_many(np.repeat(q_codes, lengths, axis=0), _gather(ix.codes, spans))
     votes = np.zeros(n, dtype=np.min_scalar_type(w))
     np.add.at(votes, ids, (dists < cfg.hamming_threshold).view(np.uint8))
     min_h = np.full(n, length + 1, dtype=dists.dtype)
@@ -167,33 +163,34 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
     """Rank database images for one query vector.
 
     A posting entry votes when its code is at Hamming distance < T from the
-    query's code against the shared word. Images are ranked by vote count,
+    query's code against the entry's list. Images are ranked by vote count,
     minimum observed Hamming distance, then id. The result does not count
     the candidates, a pass over an n-sized array that only `batch_query`
     reports.
 
-    This is the one-row case of `batch_query`: the same word assignment and
-    codes, then the same scan.
+    This is the one-row case of `batch_query`: the same word assignment,
+    lists and codes, then the same scan. A word without a list is skipped.
     """
     _check_config(ix, cfg)
     q = np.asarray(q, dtype=np.float64)
-    wids = select_words(ix, q, cfg.assignment_count)
-    q_codes = ix.quantizer.codes(q[None], wids[None], ix.config.code_length)[0]
-    return _scan(ix, wids, q_codes, cfg, count_candidates=False)
+    lists, found = find_lists(ix, select_words(ix, q, cfg.assignment_count))
+    q_codes = list_codes(ix.list_means, q[None], lists[None])[0]
+    return _scan(ix, lists[found], q_codes[found], cfg, count_candidates=False)
 
 
 def candidate_set(ix: InvertedIndex, q, count: int) -> set[int]:
     """Union of posting-list members over the W selected words (pre-filter)."""
-    _, _, spans = _probe(ix, select_words(ix, np.asarray(q, dtype=np.float64), count))
-    return set(_gather(ix.ids, spans).tolist())
+    lists, found = find_lists(ix, select_words(ix, np.asarray(q, dtype=np.float64), count))
+    return set(_gather(ix.ids, _spans(ix, lists[found])[1]).tolist())
 
 
 def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
                 ) -> tuple[list[RankedResult], BatchSummary]:
     """Run every query and count its candidates; each result equals `query`'s.
 
-    The rows are checked once, then assigned their words and encoded by
-    `encode_chunks`, and each row's lists are scanned on their own. A query's
+    The rows are checked once, then assigned their words and lists and
+    encoded by `encode_chunks`, and each row's lists are scanned on their
+    own. A query's
     entry in `query_times` is an equal share of its chunk's wall time (index
     access only).
     """
@@ -203,8 +200,9 @@ def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
     summary = BatchSummary()
     results = []
     t0 = time.perf_counter()
-    for wids, codes in encode_chunks(ix.quantizer, qs, w, ix.config.code_length):
-        chunk = [_scan(ix, wq, cq, cfg, count_candidates=True) for wq, cq in zip(wids, codes)]
+    for lists, found, codes in encode_chunks(ix, qs, w):
+        chunk = [_scan(ix, lq[fq], cq[fq], cfg, count_candidates=True)
+                 for lq, fq, cq in zip(lists, found, codes)]
         t1 = time.perf_counter()
         summary.query_times += [(t1 - t0) / len(chunk)] * len(chunk)
         t0 = t1

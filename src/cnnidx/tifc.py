@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .embed import pack_bits, segment_means
 from .pq import first_in_order
 
 
@@ -89,10 +88,10 @@ class VirtualWordBank:
         order: its largest softmax bins, ranked without rounding by `exp`."""
         return top_words_rows(np.asarray(xs, dtype=np.float64), count)
 
-    def codes(self, xs: np.ndarray, wids: np.ndarray, code_length: int) -> np.ndarray:
-        """Each row's packed codes against its words' rows of the table,
-        (N, count, B) for (N, count) word ids."""
-        return pack_bits(segment_means(xs, code_length)[:, None, :] >= self.means[wids])
+    def word_means(self, wids: np.ndarray, code_length: int) -> np.ndarray:
+        """The table's rows of strictly increasing word ids: the table itself
+        when they are every word, which an index then holds no copy of."""
+        return self.means if len(wids) == self.dim else self.means[wids]
 
     def payload(self) -> np.ndarray:
         return np.empty(0, dtype="<f4")

@@ -29,12 +29,12 @@ import numpy as np
 
 # Bytes of working buffer per chunk of rows, the one budget of every pass
 # over rows: a feature file's read and write here (int32 records),
-# `invindex.encode_rows` for batch queries, the build's two passes (words,
-# then codes) over the chunks of `encode_rows`, and `baseline`'s brute force
-# and LSH hashing (float64 working arrays). A row that `encode_rows` encodes
-# takes D + stage + count*L float64 values: its input, its word stage (D
-# term frequencies for TIFC, M*K segment distances for IFC) and the means of
-# its `count` words; both build passes size their chunks by that whole
+# `invindex.encode_chunks` for batch queries, the build's two passes (words,
+# then codes) over chunks of the same rows, and `baseline`'s brute force and
+# LSH hashing (float64 working arrays). A row of the encoding stage takes
+# D + stage + count*L float64 values: its input, its word stage (D term
+# frequencies for TIFC, M*K segment distances for IFC) and the means of its
+# `count` lists; both build passes size their chunks by that whole
 # footprint, though each uses only part of it, as IFC's word stage holds
 # temporaries beyond its M*K distances. A build on w > 1 CPUs encodes on w
 # threads (at most `invindex.MAX_THREADS`), each chunk at a 4w-th of the
@@ -347,9 +347,12 @@ def generate_synthetic(spec: SynthSpec) -> tuple[FeatureSet, FeatureSet, dict[in
     queries = np.empty((spec.n_clusters, spec.dim), dtype=np.float32)
     gt: dict[int, set[int]] = {}
     for c in range(spec.n_clusters):
-        noise = rng.standard_normal((ppc, spec.dim), dtype=np.float32)
-        block = centers[c] + noise * np.float32(spec.cluster_stddev)
-        db[c * ppc : (c + 1) * ppc] = block
+        # drawn, scaled and shifted in place: the values of
+        # centers[c] + noise * stddev, with no temporary block
+        block = db[c * ppc : (c + 1) * ppc]
+        rng.standard_normal(dtype=np.float32, out=block)
+        block *= np.float32(spec.cluster_stddev)
+        block += centers[c]
         qnoise = rng.standard_normal(spec.dim, dtype=np.float32)
         queries[c] = block[0] + qnoise * np.float32(spec.noise_stddev)
         gt[c] = set(range(c * ppc, (c + 1) * ppc))

@@ -185,28 +185,36 @@ def test_criterion_6_end_to_end_recall(synth10k, ifc10k):
 
 
 def test_criterion_7_sublinear_time_trend(synth10k, ifc10k):
+    """IFC's mean query time grows less than 5x from 10k to 100k vectors,
+    while brute force grows more than 5x and IFC scans under 30% of the
+    100k database. IFC is timed over three `batch_query` passes per size,
+    10k and 100k alternating, and the factor is the ratio of the medians: a
+    slow moment of the host falls on one pass, not on the factor."""
     db10, queries, _ = synth10k
     db100, _, _ = vecio.generate_synthetic(SPEC_100K)
     ix100 = invindex.build(db100, BuildConfig(pq=PqConfig(**PQ_CFG), **IFC_CFG))
 
-    def mean_times(db, ix):
-        _, summary = search.batch_query(ix, queries, QUERY_CFG)
+    def brute_force_time(db):
         bf = []
         for q in queries.vectors:
             t0 = time.perf_counter()
             baseline.brute_force(db, q, 10)
             bf.append(time.perf_counter() - t0)
-        scan = float(np.mean(summary.candidate_counts)) / db.n
-        return summary.mean_query_time, float(np.mean(bf)), scan
+        return float(np.mean(bf))
 
-    ifc10, bf10, _ = mean_times(db10, ifc10k)
-    ifc100, bf100, scan100 = mean_times(db100, ix100)
-    ifc_factor = ifc100 / ifc10
-    bf_factor = bf100 / bf10
+    ifc = {10: [], 100: []}
+    for _ in range(3):
+        for size, ix in ((10, ifc10k), (100, ix100)):
+            _, summary = search.batch_query(ix, queries, QUERY_CFG)
+            ifc[size].append(summary.mean_query_time)
+    scan100 = float(np.mean(summary.candidate_counts)) / db100.n
+    passes = ", ".join(f"x{b / a:.2f}" for a, b in zip(ifc[10], ifc[100]))
+    ifc_factor = float(np.median(ifc[100]) / np.median(ifc[10]))
+    bf_factor = brute_force_time(db100) / brute_force_time(db10)
     ok = ifc_factor < 5.0 and bf_factor > 5.0 and scan100 < 0.3
     report(7, ok,
-           f"10k->100k: IFC x{ifc_factor:.2f} (<5), BF x{bf_factor:.2f} (~10), "
-           f"scan fraction {scan100:.3f} (<0.3)")
+           f"10k->100k: IFC x{ifc_factor:.2f} (<5; median of three passes, each {passes}), "
+           f"BF x{bf_factor:.2f} (~10), scan fraction {scan100:.3f} (<0.3)")
 
 
 def test_criterion_8_storage_trend(tmp_path):

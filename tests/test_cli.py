@@ -431,6 +431,32 @@ def test_sweep_dataset_that_is_no_path_is_data_error(tmp_path, monkeypatch, caps
     assert out == "" and reads == []
 
 
+def test_sweep_unknown_dataset_key_is_data_error(tmp_path, monkeypatch, capsys):
+    """A misspelt `train_features` would leave an IFC sweep training on its
+    database: the spec exits 2 naming the key, before any dataset is read."""
+    spec = {"grid": {"W": [1]}, "base": {"scheme": "ifc", "L": 8, "S": 3, "K": 4, "M": 2},
+            "datasets": {k: str(tmp_path / f"{k}.fvecs")
+                         for k in ("features", "queries", "ground_truth", "train_feature")}}
+    rc, out, err, reads = _refused_sweep(tmp_path, monkeypatch, capsys, spec)
+    assert rc == EXIT_DATA
+    assert (f"{tmp_path / 'sweep.json'}: spec key datasets.train_feature is not one that "
+            "a sweep reads") in err
+    assert out == "" and reads == []
+
+
+def test_sweep_unknown_top_level_key_is_data_error(tmp_path, monkeypatch, capsys):
+    """A misspelt `base` beside the real one would be ignored: the spec exits
+    2 naming the key, before any dataset is read."""
+    spec = {"grid": {"W": [1]}, "base": {"scheme": "tifc", "L": 8, "S": 3},
+            "bsae": {"S": 9},
+            "datasets": {k: str(tmp_path / f"{k}.fvecs")
+                         for k in ("features", "queries", "ground_truth")}}
+    rc, out, err, reads = _refused_sweep(tmp_path, monkeypatch, capsys, spec)
+    assert rc == EXIT_DATA
+    assert f"{tmp_path / 'sweep.json'}: spec key bsae is not one that a sweep reads" in err
+    assert out == "" and reads == []
+
+
 @pytest.mark.parametrize("base, grid, message", [
     ({"L": 8, "S": 3}, {"W": [1]}, "base.scheme must be one of ['ifc', 'tifc'], got None"),
     ({"scheme": "ifcc", "L": 8, "S": 3}, {"W": [1]},

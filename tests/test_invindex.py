@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cnnidx import embed, invindex, pq, search, tifc, vecio
+from cnnidx.embed import EmbedConfig
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
 from cnnidx.search import QueryConfig
@@ -29,6 +30,15 @@ def entry_count(ix):
 
 def words_of_image(ix, image_id):
     return {wid for wid, (ids, _) in posting_lists(ix).items() if image_id in ids}
+
+
+def oracle_code(quantizer, x, wid, length):
+    """The code of row x linked to word wid, by the codes' definition:
+    `embed.encode` against the reconstructed word (IFC), or the row's
+    segment means against the word's row of the table (TIFC)."""
+    if isinstance(quantizer, tifc.VirtualWordBank):
+        return embed.pack_bits(embed.segment_means(x, length) >= quantizer.means[wid])
+    return embed.encode(x, pq.reconstruct_batch([wid], quantizer)[0], EmbedConfig(length))
 
 
 class TestBuild:
@@ -162,8 +172,8 @@ class TestBuild:
             chunks.append(len(bits))
             return embed.pack_bits(bits)
 
-        for module in (tifc, pq):  # each quantizer packs its own codes
-            monkeypatch.setattr(module, "pack_bits", counting_pack_bits)
+        # `invindex.list_codes` packs every code
+        monkeypatch.setattr(invindex, "pack_bits", counting_pack_bits)
         # 3 rows of float64 (D + stage + S*L): stage is D for TIFC, M*K for IFC
         monkeypatch.setattr(vecio, "CHUNK_BYTES",
                             3 * (16 + (16 if scheme == "tifc" else 2 * 4) + 3 * 8) * 8)
@@ -527,8 +537,9 @@ class TestRunJobs:
 class TestTwoPassBuild:
     """`build` fills the words in one pass and writes each code straight into
     its list slot in a second. The oracle is the one-pass grouping it
-    replaced: `encode_rows` over all rows, a stable argsort of the words,
-    then one gather of the ids and codes."""
+    replaced: every row's words, a stable argsort of them, then the ids in
+    that order and each entry's code by the codes' definition
+    (`oracle_code`)."""
 
     CONFIGS = {
         "tifc": BuildConfig(scheme="tifc", link_count=3, code_length=8),
@@ -541,13 +552,13 @@ class TestTwoPassBuild:
 
     @staticmethod
     def one_pass(quantizer, x, s, length):
-        wids, codes = invindex.encode_rows(quantizer, x, s, length)
-        wids = wids.ravel()
+        wids = quantizer.words(x.astype(np.float64), s).ravel()
         order = np.argsort(wids, kind="stable")
+        codes = np.array([oracle_code(quantizer, x[e // s], wids[e], length) for e in order])
         wids = wids[order]
         starts = np.flatnonzero(np.concatenate(([True], wids[1:] != wids[:-1])))
         return {"wids": wids[starts], "offsets": np.append(starts, len(wids)),
-                "ids": order // s, "codes": codes.reshape(len(wids), -1)[order]}
+                "ids": order // s, "codes": codes}
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     @pytest.mark.parametrize("chunk_bytes", [1, 20_000, 8 << 20])
@@ -773,10 +784,11 @@ class TestBuildMemory:
 
 
 class TestEncodeRows:
-    """IFC codes (`PqCodebook.codes`) against the codes' definition: the bits
-    of the row's segment means >= the segment means of the reconstructed
-    word. With M | L they come from the codebook's per-segment mean tables,
-    otherwise from the words."""
+    """IFC codes (`invindex.list_codes` against `PqCodebook.word_means`)
+    against the codes' definition: the bits of the row's segment means >= the
+    segment means of the reconstructed word. With M | L the means are
+    gathered from the sub-centroids' own segment means, otherwise taken from
+    the reconstructed words."""
 
     @staticmethod
     def codebook(dim, m, integer, seed):
@@ -793,7 +805,7 @@ class TestEncodeRows:
 
     # (M, L) on 96-d rows: D/L from 1 to 24 values per segment mean
     @pytest.mark.parametrize("m, length", [
-        (1, 8), (2, 8), (4, 8), (4, 4), (2, 32), (4, 96), (3, 12),  # M | L: tables
+        (1, 8), (2, 8), (4, 8), (4, 4), (2, 32), (4, 96), (3, 12),  # M | L: gathered
         (3, 8), (2, 3), (4, 6),  # a code segment straddles two sub-centroids
     ])
     @pytest.mark.parametrize("integer", [False, True])
@@ -814,11 +826,16 @@ class TestEncodeRows:
             ties = x_means == embed.segment_means(
                 pq.reconstruct_batch(wids.ravel(), cb), length).reshape(20, 7, length)
             assert ties.any() and bits[ties].all()
+        # one list per distinct word, as an index holds them
+        uniq, lists = np.unique(wids, return_inverse=True)
+        lists = lists.reshape(wids.shape)
         if length % m == 0:
-            # the tables alone: reconstructing a word would be the other path
+            # gathered alone: reconstructing a word would be the other path
             monkeypatch.setattr(pq, "reconstruct_batch", None)
+        means = cb.word_means(uniq, length)
         for size in (1, 3, len(xs)):
-            got = np.concatenate([cb.codes(xs[lo:lo + size], wids[lo:lo + size], length)
+            got = np.concatenate([invindex.list_codes(means, xs[lo:lo + size],
+                                                      lists[lo:lo + size])
                                   for lo in range(0, len(xs), size)])
             np.testing.assert_array_equal(got, want, err_msg=f"chunks of {size}")
 
@@ -829,53 +846,76 @@ class TestEncodeRows:
                           pq=PqConfig(segments=2, words_per_segment=4))
         ix = invindex.build(db, cfg)
         invindex.save(ix, tmp_path / "i.idx")
-        back = invindex.load(tmp_path / "i.idx").quantizer
+        loaded = invindex.load(tmp_path / "i.idx")
+        back = loaded.quantizer
         xs = rng.standard_normal((40, 16))
         wids = pq.nearest_words_batch(xs, ix.quantizer, 3)
         np.testing.assert_array_equal(pq.nearest_words_batch(xs, back, 3), wids)
-        np.testing.assert_array_equal(back.codes(xs, wids, 8),
-                                      ix.quantizer.codes(xs, wids, 8))
+        lists, found = invindex.find_lists(ix, wids)
+        assert found.all()
+        np.testing.assert_array_equal(invindex.list_codes(loaded.list_means, xs, lists),
+                                      invindex.list_codes(ix.list_means, xs, lists))
         np.testing.assert_array_equal(back.centroids, ix.quantizer.centroids)
         np.testing.assert_array_equal(back.sq_norms, ix.quantizer.sq_norms)
 
-    def test_cached_constants_read_only(self):
+    def test_cached_constants_read_only(self, ifc_index):
+        """The codebook's constants, and an index's lists' means, which it
+        derives once."""
         cb = self.codebook(96, 2, False, seed=9)
         c = cb.sub_codebooks.astype(np.float64)
         np.testing.assert_array_equal(cb.centroids, c)
         np.testing.assert_array_equal(cb.sq_norms, np.einsum("mkd,mkd->mk", c, c))
-        table = cb.mean_table(8)
-        assert table.shape == (2, 5, 4) and cb.mean_table(8) is table
-        for a in (cb.centroids, cb.sq_norms, table):
+        ix = dataclasses.replace(ifc_index)
+        means = ix.list_means
+        assert means.shape == (len(ix.wids), 8) and ix.list_means is means
+        for a in (cb.centroids, cb.sq_norms, means):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        with pytest.raises(ValueError, match="not divisible by 2 segments"):
-            cb.mean_table(3)
 
-    def test_mean_table_made_at_once_by_two_threads(self, monkeypatch):
-        """Two threads that ask for a new table together both make it (the
-        barrier holds each in `segment_means` until the other arrives), and
-        both get back the one table the codebook keeps."""
-        cb = self.codebook(96, 2, False, seed=9)
-        barrier = threading.Barrier(2, timeout=30)
 
-        def segment_means(x, length):
-            barrier.wait()
-            return embed.segment_means(x, length)
+class TestListMeans:
+    """Differential test of an index's lists' reference means and of its
+    stored codes: a loaded index's means equal the built one's, and every
+    stored code equals `oracle_code` of its row and its list's word, for IFC
+    with M | L and with L % M != 0, and for TIFC with every word occupied
+    (the means are the table itself) and with an empty word (a copy of the
+    occupied rows)."""
 
-        monkeypatch.setattr(pq, "segment_means", segment_means)
-        tables = [None, None]
+    CASES = {
+        "ifc": (BuildConfig("ifc", 3, 8, PqConfig(2, 4)), None),
+        "ifc-straddling": (BuildConfig("ifc", 4, 8, PqConfig(3, 3)), None),
+        "tifc-full": (BuildConfig("tifc", 3, 8), None),
+        # word 5 is every row's smallest activation, so no row links to it
+        "tifc-empty-word": (BuildConfig("tifc", 3, 8), 5),
+    }
 
-        def ask(i):
-            tables[i] = cb.mean_table(8)
-
-        threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
-        assert tables[0] is tables[1] is cb.mean_table(8)
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_means_and_codes_match_the_definition(self, name, tmp_path):
+        cfg, empty = self.CASES[name]
+        x = np.random.default_rng(31).standard_normal((120, 24)).astype(np.float32)
+        if empty is not None:
+            x[:, empty] = -100.0
+        ix = invindex.build(FeatureSet(x), cfg)
+        q, length = ix.quantizer, cfg.code_length
+        if cfg.pq:
+            want = embed.segment_means(pq.reconstruct_batch(ix.wids, q), length)
+            np.testing.assert_array_equal(ix.list_means, want)
+        elif empty is None:
+            assert len(ix.wids) == q.word_count and ix.list_means is q.means
+        else:
+            assert empty not in ix.wids and len(ix.wids) == q.word_count - 1
+            assert not np.shares_memory(ix.list_means, q.means)
+            np.testing.assert_array_equal(ix.list_means, q.means[ix.wids])
+        path = tmp_path / "x.idx"
+        invindex.save(ix, path)
+        back = invindex.load(path)
+        np.testing.assert_array_equal(back.list_means, ix.list_means)
+        words = np.repeat(ix.wids, np.diff(ix.offsets))
+        for e, (row, wid) in enumerate(zip(ix.ids, words)):
+            np.testing.assert_array_equal(ix.codes[e], oracle_code(q, x[row], wid, length),
+                                          err_msg=f"entry {e}")
+        np.testing.assert_array_equal(back.codes, ix.codes)
 
 
 @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
@@ -910,8 +950,10 @@ class TestQuantizerContract:
             wids = q.words(xs, count)
             assert wids.shape == (30, count)
             np.testing.assert_array_equal(back.words(xs, count), wids)
-            np.testing.assert_array_equal(back.codes(xs, wids, length),
-                                          q.codes(xs, wids, length))
+            uniq = np.unique(wids)
+            np.testing.assert_array_equal(back.word_means(uniq, length),
+                                          q.word_means(uniq, length))
+        np.testing.assert_array_equal(loaded.list_means, ix.list_means)
 
     def test_quantizer_bytes_is_payload_size(self, scheme, tifc_index, ifc_index):
         """IFC stores M * K * (D/M) float32 centroids; TIFC redraws its table."""

@@ -209,8 +209,7 @@ def test_timer_changes_no_answer_and_restores(index, small_dataset, tmp_path):
     queries = small_dataset[1]
     path = tmp_path / "x.idx"
     invindex.save(index, path)
-    originals = (invindex.load, search._scan, search.hamming_to_many,
-                 type(index.quantizer).codes)
+    originals = (invindex.load, search._scan, search.hamming_to_many, search.list_codes)
     ref_single = [search.query(index, q, QUERY_CFG).entries for q in queries.vectors]
     ref_batch = search.batch_query(index, queries, QUERY_CFG)[0]
     tables = [load_script("bench_stages").LOAD_STAGES, load_script("bench_stages").QUERY_STAGES,
@@ -230,8 +229,7 @@ def test_timer_changes_no_answer_and_restores(index, small_dataset, tmp_path):
     assert single == ref_single and batch == ref_batch
     # self times are disjoint, so the stages of `load` fit in the whole call
     assert 0 < sum(stages.values()) <= whole
-    assert originals == (invindex.load, search._scan, search.hamming_to_many,
-                         type(index.quantizer).codes)
+    assert originals == (invindex.load, search._scan, search.hamming_to_many, search.list_codes)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

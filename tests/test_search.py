@@ -193,10 +193,11 @@ def random_index(scheme, seed, n, length, data):
                         BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg),
                         training=training)
     if scheme == "tifc":
-        bank = tifc.VirtualWordBank(drawn_table(dim, length, seed % 89))
-        words = np.repeat(ix.wids, np.diff(ix.offsets))[:, None]
-        codes = bank.codes(vectors[ix.ids].astype(np.float64), words, length)[:, 0]
-        ix = dataclasses.replace(ix, quantizer=bank, codes=codes)
+        ix = dataclasses.replace(ix, quantizer=tifc.VirtualWordBank(
+            drawn_table(dim, length, seed % 89)))
+        lists = np.repeat(np.arange(len(ix.wids)), np.diff(ix.offsets))[:, None]
+        codes = invindex.list_codes(ix.list_means, vectors[ix.ids], lists)[:, 0]
+        ix = dataclasses.replace(ix, codes=codes)
     w = data.draw(st.sampled_from([1, s, word_count]) | st.integers(1, word_count),
                   label="W")
     t = data.draw(st.sampled_from([0, length]) | st.integers(0, length), label="T")
@@ -309,7 +310,9 @@ class TestBatchWords:
     def test_integer_codebook_words_match_exhaustive(self, ifc_index):
         """Exact distances with many ties: the (distance, word id) order."""
         cb = integer_codebook(k=16, m=2, seg_dim=2, seed=29)
-        cfg = dataclasses.replace(ifc_index.config, pq=PqConfig(segments=2, words_per_segment=16))
+        # L = 4 divides the codebook's D = 4, so the index can derive its lists' means
+        cfg = dataclasses.replace(ifc_index.config, code_length=4,
+                                  pq=PqConfig(segments=2, words_per_segment=16))
         ix = dataclasses.replace(ifc_index, config=cfg, quantizer=cb)
         xs = np.random.default_rng(7).integers(0, 3, (70, cb.dim)).astype(np.float64)
         count = 40

@@ -398,3 +398,38 @@ class TestNormalize:
         fs = FeatureSet(np.array([[1.0, 2.0], [0.0, 0.0]], dtype=np.float32))
         with pytest.raises(DataError, match="record 1"):
             vecio.l2_normalize(fs)
+
+
+def two_temporary_synthetic(spec: SynthSpec):
+    """The reference form of `generate_synthetic`: each cluster's noise drawn
+    into a new array, then scaled and shifted into another."""
+    rng = np.random.default_rng(spec.seed)
+    centers = rng.standard_normal((spec.n_clusters, spec.dim), dtype=np.float32)
+    centers *= vecio._CENTER_SCALE
+    ppc = spec.points_per_cluster
+    db = np.empty((spec.n_clusters * ppc, spec.dim), dtype=np.float32)
+    queries = np.empty((spec.n_clusters, spec.dim), dtype=np.float32)
+    for c in range(spec.n_clusters):
+        noise = rng.standard_normal((ppc, spec.dim), dtype=np.float32)
+        block = centers[c] + noise * np.float32(spec.cluster_stddev)
+        db[c * ppc : (c + 1) * ppc] = block
+        qnoise = rng.standard_normal(spec.dim, dtype=np.float32)
+        queries[c] = block[0] + qnoise * np.float32(spec.noise_stddev)
+    return db, queries
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(5, 10, 16, 1.0, 0.1, seed=101),
+    SynthSpec(3, 1, 7, 0.3, 0.0, seed=2),
+    SynthSpec(4, 50, 130, 2.5, 0.7, seed=99),
+])
+def test_synthetic_blocks_drawn_in_place_equal_reference(spec):
+    """Drawing each cluster's block in place gives the arrays of the
+    two-temporary form, bit for bit, and the ground truth is each
+    cluster's rows."""
+    db, queries, gt = vecio.generate_synthetic(spec)
+    want_db, want_queries = two_temporary_synthetic(spec)
+    np.testing.assert_array_equal(db.vectors, want_db)
+    np.testing.assert_array_equal(queries.vectors, want_queries)
+    ppc = spec.points_per_cluster
+    assert gt == {c: set(range(c * ppc, (c + 1) * ppc)) for c in range(spec.n_clusters)}
