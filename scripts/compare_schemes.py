@@ -44,7 +44,7 @@ def main():
         rows.append((name, report.map, report.mean_query_time * 1e3,
                      report.scan_fraction, index_bytes / 1e6))
 
-    for name, lsh in (("BF", None), ("LSH", LshConfig(tables=8, bits_per_table=16, seed=0))):
+    for name, lsh in (("BF", None), ("LSH", LshConfig(tables=8, bits_per_table=16))):
         add_row(name, *baseline.run(db, queries, args.topk, lsh), db.vectors.nbytes)
 
     for name, cfg in (("TIFC", tifc_cfg), ("IFC", ifc_cfg)):

@@ -17,10 +17,9 @@ from .vecio import FeatureSet, check_ints, chunk_rows
 class LshConfig:
     tables: int
     bits_per_table: int
-    seed: int = 0
 
     def __post_init__(self):
-        check_ints(self, {"tables": 1, "bits_per_table": 1, "seed": 0})
+        check_ints(self, {"tables": 1, "bits_per_table": 1})
         if self.bits_per_table > 64:
             raise ValueError("bits_per_table must be <= 64, the bits of a bucket key")
 
@@ -73,8 +72,9 @@ def _hash_keys(vectors: np.ndarray, planes: np.ndarray) -> np.ndarray:
 
 
 def lsh_build(db: FeatureSet, cfg: LshConfig) -> LshIndex:
-    rng = np.random.default_rng(cfg.seed)
-    planes = rng.standard_normal((cfg.tables, cfg.bits_per_table, db.dim))
+    """Bucket db's rows by sign-random-projection planes, which are no
+    setting: seed 0's draw of their (tables, bits, D) shape."""
+    planes = np.random.default_rng(0).standard_normal((cfg.tables, cfg.bits_per_table, db.dim))
     keys = _hash_keys(db.vectors, planes).T
     rows = np.argsort(keys, axis=1, kind="stable")
     return LshIndex(config=cfg, planes=planes, rows=rows,

@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--topk", type=int, default=10)
     lp.add_argument("--tables", type=int, default=8)
     lp.add_argument("--bits", type=int, default=16)
-    lp.add_argument("--seed", type=int, default=0)
     lp.add_argument("--normalize", action="store_true",
                     help="L2-normalize database and query vectors")
     lp.add_argument("--out", required=True, help="output prefix, as for query")
@@ -187,8 +186,7 @@ def _cmd_baseline(args) -> int:
     # --topk by QueryConfig's rule and the LSH flags by LshConfig's, before any read
     try:
         search.QueryConfig(1, 0, args.topk)
-        lsh_cfg = (bl.LshConfig(args.tables, args.bits, args.seed)
-                   if args.method == "lsh" else None)
+        lsh_cfg = bl.LshConfig(args.tables, args.bits) if args.method == "lsh" else None
     except ValueError as exc:
         return _usage_error("baseline", exc)
     db = vecio.read_feature_file(args.features)
@@ -200,7 +198,7 @@ def _cmd_baseline(args) -> int:
                 "features": args.features, "queries": args.queries,
                 "normalize": args.normalize}
     if args.method == "lsh":
-        resolved.update(tables=args.tables, bits=args.bits, seed=args.seed)
+        resolved.update(tables=args.tables, bits=args.bits)
     _echo_config("baseline", resolved)
     mean = search.write_run(args.out, *bl.run(db, queries, args.topk, lsh_cfg), resolved)
     print(f"[baseline] {queries.n} queries, mean time {mean * 1e3:.3f} ms")
@@ -234,7 +232,7 @@ def _cmd_sweep(args) -> int:
                 if "train_features" in ds else None)
     rows = evaluation.sweep(spec, db, queries, gt, training=training)
     evaluation.write_sweep_csv(rows, args.out_prefix + ".csv")
-    evaluation.write_sweep_json(rows, args.out_prefix + ".json")
+    vecio.write_json(rows, args.out_prefix + ".json")
     for row in rows:
         if "error" in row:
             print(f"[sweep] point {row}: {row['error']}", file=sys.stderr)

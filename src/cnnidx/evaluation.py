@@ -13,7 +13,7 @@ import numpy as np
 
 from . import invindex, search
 from .invindex import InvertedIndex
-from .vecio import DataError, FeatureSet, write_json
+from .vecio import DataError, FeatureSet
 
 
 def average_precision(ranked, relevant) -> float:
@@ -179,10 +179,13 @@ def read_sweep_spec(path) -> tuple[SweepSpec, dict[str, str]]:
 def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,
           gt: dict[int, set[int]], training: FeatureSet | None = None) -> list[dict]:
     """Run the full pipeline once per grid point; rows follow grid iteration
-    order. A failing point is reported in its row and the sweep continues.
+    order. A point that the configs or the data refuse (a ValueError or a
+    DataError) is reported in its row and the sweep continues; any other
+    exception is a fault of the program and ends the sweep.
 
     Indexes are cached across points that share all build-side parameters.
-    Each row reports the W and T its point ran with.
+    Each row reports the W and T its point ran with, and the fields of its
+    `EvalReport.to_dict` except its config.
     """
     keys = list(spec.grid)
     index_cache: dict[tuple, InvertedIndex] = {}
@@ -208,16 +211,10 @@ def sweep(spec: SweepSpec, db: FeatureSet, queries: FeatureSet,
                 candidate_counts=summary.candidate_counts,
                 database_size=db.n,
                 index_bytes=invindex.stats(ix).estimated_file_bytes,
-                config=point,
             )
-            row.update(
-                map=report.map,
-                mean_query_time_s=report.mean_query_time,
-                scan_fraction=report.scan_fraction,
-                index_bytes=report.index_bytes,
-                per_query_ap=report.per_query_ap,
-            )
-        except Exception as exc:  # keep sweeping past bad grid points
+            row.update(report.to_dict())
+            del row["config"]
+        except (ValueError, DataError) as exc:  # keep sweeping past bad grid points
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
@@ -234,13 +231,3 @@ def write_sweep_csv(rows: list[dict], path) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def write_sweep_json(rows: list[dict], path) -> None:
-    def clean(row):
-        out = dict(row)
-        if "per_query_ap" in out:
-            out["per_query_ap"] = {str(k): v for k, v in sorted(out["per_query_ap"].items())}
-        return out
-
-    write_json([clean(r) for r in rows], path)

@@ -180,8 +180,8 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> np.ndarray:
     at most max_iters iterations of one distance pass each, stopping when
     the assignments stabilize. Seeding keeps each row's squared
     distance d2 to its nearest seed, as `sq_dist_to` gives it, and draws the
-    next seed by `_draw` with probability d2 / sum(d2), or uniformly once
-    every d2 is 0. After a draw
+    next seed by `Generator.choice` with probability d2 / sum(d2), or
+    uniformly once every d2 is 0. After a draw
     only the rows that `_screen` cannot show to be at least d2 from the new
     seed, about 6% of them on the benchmark's data, go through
     `sq_dist_to`; a row it shows lies no nearer, so its d2 would not move, and
@@ -209,7 +209,7 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> np.ndarray:
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
-            idx = _draw(rng, d2 / total)
+            idx = rng.choice(n, p=d2 / total)
         else:
             idx = rng.integers(n)
         centroids[j] = pts[idx]
@@ -255,15 +255,6 @@ def _nearest_centroid(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         assign[low] = (dists[low] <= 0).argmax(axis=1)
         mins[low] = 0.0
     return assign, mins
-
-
-def _draw(rng, p: np.ndarray) -> int:
-    """An index drawn with the probabilities p (summing to 1 up to rounding)
-    by the steps `rng.choice(len(p), p=p)` takes: the same index, and the
-    generator left in the same state, without `choice`'s checks of p."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def sq_dist_to(pts: np.ndarray, c, rows: np.ndarray | None = None) -> np.ndarray:

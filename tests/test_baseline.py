@@ -118,7 +118,7 @@ class TestLsh:
     def test_exact_duplicate_always_candidate(self):
         rng = np.random.default_rng(1)
         db = FeatureSet(rng.standard_normal((100, 16)).astype(np.float32))
-        ix = baseline.lsh_build(db, LshConfig(tables=4, bits_per_table=8, seed=2))
+        ix = baseline.lsh_build(db, LshConfig(tables=4, bits_per_table=8))
         for i in (0, 17, 99):
             got, _ = baseline.lsh_query(ix, db.vectors[i], 10)
             assert got[0] == i
@@ -126,7 +126,7 @@ class TestLsh:
     def test_scanned_count_is_bucket_union(self):
         rng = np.random.default_rng(7)
         db = FeatureSet(rng.standard_normal((300, 8)).astype(np.float32))
-        ix = baseline.lsh_build(db, LshConfig(tables=4, bits_per_table=3, seed=1))
+        ix = baseline.lsh_build(db, LshConfig(tables=4, bits_per_table=3))
         db_keys = baseline._hash_keys(db.vectors, ix.planes)
         for q in rng.standard_normal((20, 8)):
             ids, scanned = baseline.lsh_query(ix, q, 10)
@@ -141,7 +141,7 @@ class TestLsh:
         db, queries, _ = generate_synthetic(
             SynthSpec(n_clusters=100, points_per_cluster=100, dim=32,
                       cluster_stddev=1.0, noise_stddev=0.1, seed=5))
-        ix = baseline.lsh_build(db, LshConfig(tables=8, bits_per_table=16, seed=0))
+        ix = baseline.lsh_build(db, LshConfig(tables=8, bits_per_table=16))
         hits = total = 0
         for q in queries.vectors:
             exact = set(baseline.brute_force(db, q, 10))
@@ -157,7 +157,7 @@ class TestLsh:
         exact = [set(baseline.brute_force(db, q, 10)) for q in queries.vectors]
 
         def recall(tables):
-            ix = baseline.lsh_build(db, LshConfig(tables=tables, bits_per_table=12, seed=0))
+            ix = baseline.lsh_build(db, LshConfig(tables=tables, bits_per_table=12))
             hits = sum(len(exact[i] & set(baseline.lsh_query(ix, q, 10)[0]))
                        for i, q in enumerate(queries.vectors))
             return hits / (10 * queries.n)
@@ -200,17 +200,25 @@ class TestLsh:
         np.testing.assert_array_equal(ix.keys, np.take_along_axis(keys, ix.rows, axis=1))
         assert (np.diff(ix.keys, axis=1) >= 0).all()
 
+    @pytest.mark.parametrize("tables, bits, dim", [(1, 1, 3), (4, 8, 16), (8, 16, 32)])
+    def test_planes_are_seed_zeros_draw(self, tables, bits, dim):
+        """The planes are no setting: one draw of seed 0 for each shape."""
+        db = FeatureSet(np.ones((5, dim), dtype=np.float32))
+        ix = baseline.lsh_build(db, LshConfig(tables, bits))
+        np.testing.assert_array_equal(
+            ix.planes, np.random.default_rng(0).standard_normal((tables, bits, dim)))
+
     def test_build_determinism(self):
         rng = np.random.default_rng(3)
         db = FeatureSet(rng.standard_normal((50, 8)).astype(np.float32))
-        cfg = LshConfig(tables=3, bits_per_table=6, seed=4)
+        cfg = LshConfig(tables=3, bits_per_table=6)
         a = baseline.lsh_build(db, cfg)
         b = baseline.lsh_build(db, cfg)
         q = rng.standard_normal(8)
         assert baseline.lsh_query(a, q, 10) == baseline.lsh_query(b, q, 10)
 
 
-@pytest.mark.parametrize("lsh", [None, LshConfig(tables=4, bits_per_table=4, seed=2)],
+@pytest.mark.parametrize("lsh", [None, LshConfig(tables=4, bits_per_table=4)],
                          ids=["bf", "lsh"])
 def test_run_is_the_per_query_calls(lsh):
     """`run` gives each query the ids and scanned count of one `brute_force`

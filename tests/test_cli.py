@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from cnnidx import baseline, invindex, search, vecio
-from cnnidx.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
+from cnnidx.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, run
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
 from test_invindex import write_old_file
@@ -228,7 +229,7 @@ def test_query_run_files_hold_the_library_answers(workspace, tmp_path, scheme, f
 
 
 @pytest.mark.parametrize("method, flags", [
-    ("bf", []), ("lsh", ["--tables", "4", "--bits", "4", "--seed", "2"])])
+    ("bf", []), ("lsh", ["--tables", "4", "--bits", "4"])])
 def test_baseline_run_files_hold_the_library_answers(workspace, tmp_path, method, flags):
     """`cnnidx baseline` writes each query's `brute_force` or `lsh_query`
     ids, and the database size or bucket union it scanned."""
@@ -241,7 +242,7 @@ def test_baseline_run_files_hold_the_library_answers(workspace, tmp_path, method
     if method == "bf":
         want = [(baseline.brute_force(db, q, 7), db.n) for q in queries.vectors]
     else:
-        lix = baseline.lsh_build(db, baseline.LshConfig(4, 4, 2))
+        lix = baseline.lsh_build(db, baseline.LshConfig(4, 4))
         want = [baseline.lsh_query(lix, q, 7) for q in queries.vectors]
     ids = [w[0] for w in want]
     assert read_run(tmp_path / "b") == (ids, [w[1] for w in want], [len(i) for i in ids])
@@ -289,6 +290,55 @@ def test_sweep_command(workspace, tmp_path):
     assert rc == EXIT_OK
     lines = (tmp_path / "sw.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_sweep_example_writes_its_grid_in_order(tmp_path):
+    """The README's example: `synth` 20 clusters of 100 32-d vectors, then an
+    IFC sweep over 6 T x 4 W. Both files hold the 24 points in grid order,
+    the CSV the JSON's values, and the scan fraction depends on W alone."""
+    assert run(["synth", "--clusters", "20", "--per-cluster", "100", "--dim", "32",
+                "--seed", "7", "--out-features", str(tmp_path / "db.fvecs"),
+                "--out-queries", str(tmp_path / "q.fvecs"),
+                "--out-gt", str(tmp_path / "gt.txt")]) == EXIT_OK
+    spec = {"grid": {"T": [2, 4, 6, 8, 11, 16], "W": [1, 4, 8, 16]},
+            "base": {"scheme": "ifc", "L": 16, "S": 8, "K": 16, "M": 2, "top_k": 100},
+            "datasets": {"features": str(tmp_path / "db.fvecs"),
+                         "queries": str(tmp_path / "q.fvecs"),
+                         "ground_truth": str(tmp_path / "gt.txt")}}
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    assert run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+                "--out-prefix", str(tmp_path / "sw")]) == EXIT_OK
+    written = json.loads((tmp_path / "sw.json").read_text())
+    with open(tmp_path / "sw.csv", newline="", encoding="utf-8") as f:
+        table = list(csv.DictReader(f))
+    grid = [(t, w) for t in (2, 4, 6, 8, 11, 16) for w in (1, 4, 8, 16)]
+    assert [(r["T"], r["W"]) for r in written] == grid
+    assert [(int(r["T"]), int(r["W"])) for r in table] == grid
+    for line, row in zip(table, written):
+        assert "error" not in row
+        assert (float(line["map"]), float(line["scan_fraction"])) == \
+            (row["map"], row["scan_fraction"])
+    assert len({(r["W"], r["scan_fraction"]) for r in written}) == 4
+
+
+def test_sweep_internal_error_exits_3(workspace, tmp_path, monkeypatch, capsys):
+    """An exception that no bad point raises is a fault of the program: the
+    sweep ends at it with exit 3 and writes no results."""
+    def broken_build(*args, **kwargs):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(invindex, "build", broken_build)
+    spec = {"grid": {"W": [1, 3]}, "base": {"scheme": "tifc", "L": 8, "S": 3},
+            "datasets": {"features": str(workspace / "db.fvecs"),
+                         "queries": str(workspace / "q.fvecs"),
+                         "ground_truth": str(workspace / "gt.txt")}}
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    rc = run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+              "--out-prefix", str(tmp_path / "sw")])
+    assert rc == EXIT_INTERNAL
+    assert ("cnnidx: internal error: IndexError: index 7 is out of bounds"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sw.csv").exists() and not (tmp_path / "sw.json").exists()
 
 
 def test_sweep_without_w_and_t_takes_the_query_defaults(workspace, tmp_path):
@@ -647,8 +697,11 @@ def test_build_huge_segment_count_is_quick_usage_error(tmp_path, capsys):
      "cnnidx baseline: error: bits_per_table must be <= 64, the bits of a bucket key"),
     ("baseline", ["--method", "lsh", "--tables", "0"],
      "cnnidx baseline: error: tables must be >= 1, got 0"),
+    # the planes are one fixed draw: no seed flag
+    ("baseline", ["--method", "lsh", "--seed", "0"],
+     "cnnidx: error: unrecognized arguments: --seed 0"),
 ], ids=["query-topk", "query-W", "query-T", "bf-topk-0", "bf-topk--2", "lsh-topk-0",
-        "lsh-topk--2", "lsh-bits", "lsh-tables"])
+        "lsh-topk--2", "lsh-bits", "lsh-tables", "lsh-seed"])
 def test_search_bad_parameter_is_usage_error_before_any_read(tmp_path, capsys, command,
                                                              flags, message):
     """`query` and `baseline` refuse a flag that no index or data could make

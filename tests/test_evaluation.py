@@ -4,10 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from cnnidx import baseline, evaluation, pq, vecio
+from cnnidx import baseline, evaluation, invindex, pq, vecio
 from cnnidx.evaluation import SweepSpec, average_precision
 from cnnidx.pq import PqConfig
-from cnnidx.vecio import DataError, SynthSpec
+from cnnidx.vecio import DataError, FeatureSet, SynthSpec
 
 
 def ap_direct(ranked, relevant):
@@ -192,6 +192,29 @@ class TestSweep:
         assert time.perf_counter() - t0 < 1.0
         assert "K^M does not fit in a 64-bit word id" in row["error"]
 
+    def test_small_training_set_is_a_row_error(self, data):
+        """A DataError of one point, too few training vectors for its K, is
+        reported in its row as a ValueError is."""
+        db, queries, gt = data
+        spec = SweepSpec(grid={"K": [4, 16]}, base=self.BASE)
+        good, bad = evaluation.sweep(spec, db, queries, gt, training=FeatureSet(db.vectors[:10]))
+        assert "map" in good and "error" not in good
+        assert bad["error"] == "DataError: need at least 16 training vectors, got 10"
+
+    def test_internal_error_ends_the_sweep(self, data, monkeypatch):
+        """An exception other than a ValueError or a DataError is a fault of
+        the program, not of a point: it leaves the sweep as it was raised."""
+        db, queries, gt = data
+        boom = IndexError("index 7 is out of bounds")
+
+        def broken_build(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr(invindex, "build", broken_build)
+        with pytest.raises(IndexError) as info:
+            evaluation.sweep(SweepSpec(grid={"W": [1, 3]}, base=self.BASE), db, queries, gt)
+        assert info.value is boom
+
     def test_base_build_settings_reach_training(self, data, monkeypatch):
         db, queries, gt = data
         trained, train = [], pq.train
@@ -250,7 +273,7 @@ class TestSweep:
         spec = SweepSpec(grid={"W": [1, 2]}, base=self.BASE)
         rows = evaluation.sweep(spec, db, queries, gt)
         evaluation.write_sweep_csv(rows, tmp_path / "s.csv")
-        evaluation.write_sweep_json(rows, tmp_path / "s.json")
+        vecio.write_json(rows, tmp_path / "s.json")
         lines = (tmp_path / "s.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 rows
         assert "map" in lines[0] and "scan_fraction" in lines[0]

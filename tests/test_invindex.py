@@ -323,25 +323,21 @@ class TestThreadedFill:
             assert sorted(r for r, _ in rows) == [2] * 50
             assert all(active <= before + 1 for _, active in rows)
 
-    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
-    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "helper-1", "helper-2"])
-    def test_exception_in_a_chunk_stops_the_build(self, scheme, failing, monkeypatch):
-        """Three threads over 1-row chunks: chunk `failing` is the first of
-        its thread, and another thread's first chunk, if it starts before
-        the failure, waits until the failing thread has left its chunks (a
+    @staticmethod
+    def failing_chunk(monkeypatch, failing, boom):
+        """A record(xs) for 1-row chunks whose first value names them, and
+        the list of chunks it has seen. Chunk `failing` raises boom; every
+        other chunk waits until the failing thread has left its chunks (a
         helper has ended, or the caller waits for the helpers), so the error
-        is recorded. The exception comes out of `build` as it was raised, no
-        thread starts a later chunk, and every helper has ended."""
-        n = 30
-        x = np.random.default_rng(14).standard_normal((n, 16)).astype(np.float32)
-        x[:, 0] = np.arange(n)  # a chunk's one row names it
-        boom = RuntimeError("chunk failed")
+        is recorded before that chunk ends. Patches `threading.Thread` to see
+        the caller's wait."""
         failed, joining = threading.Event(), threading.Event()
         raiser, started = [], []
 
         class Thread(threading.Thread):
             def join(self, timeout=None):
-                joining.set()  # the caller has left its chunks, or a waiter
+                if failed.is_set():
+                    joining.set()  # the caller has left its chunks, or a waiter
                 super().join(timeout)
 
         def record(xs):
@@ -357,16 +353,60 @@ class TestThreadedFill:
             else:
                 assert joining.wait(timeout=30)
 
+        monkeypatch.setattr(threading, "Thread", Thread)
+        return record, started
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "helper-1", "helper-2"])
+    def test_exception_in_a_chunk_stops_the_build(self, scheme, failing, monkeypatch):
+        """Three threads over 1-row chunks: pass 1's `words` raises in chunk
+        `failing`, the first of its thread (`failing_chunk`). The exception
+        comes out of `build` as it was raised, no thread starts a later
+        chunk, and every helper has ended."""
+        n = 30
+        x = np.random.default_rng(14).standard_normal((n, 16)).astype(np.float32)
+        x[:, 0] = np.arange(n)  # a chunk's one row names it
+        boom = RuntimeError("chunk failed")
+        record, started = self.failing_chunk(monkeypatch, failing, boom)
         monkeypatch.setattr(invindex, "_cpus", lambda: 3)
         monkeypatch.setattr(invindex, "MAX_THREADS", 3)
         monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
-        monkeypatch.setattr(threading, "Thread", Thread)
         before = threading.active_count()
         self.recording_words(monkeypatch, record)
         with pytest.raises(RuntimeError) as info:
             invindex.build(FeatureSet(x), self.config(scheme))
         assert info.value is boom
         assert failing in started and set(started) <= {0, 1, 2}
+        assert len(set(started)) == len(started)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])
+    def test_exception_in_a_code_chunk_stops_the_build(self, scheme, failing, monkeypatch):
+        """Two threads over 1-row chunks: pass 1 runs through, and pass 2's
+        `list_codes` raises in chunk `failing`, the caller's first or the
+        helper's (`failing_chunk`). The exception comes out of `build` as it
+        was raised, no thread starts a later code chunk, and the helper has
+        ended."""
+        n = 30
+        x = np.random.default_rng(19).standard_normal((n, 16)).astype(np.float32)
+        x[:, 0] = np.arange(n)
+        boom = RuntimeError("code chunk failed")
+        record, started = self.failing_chunk(monkeypatch, failing, boom)
+        list_codes = invindex.list_codes
+
+        def recording_codes(list_means, xs, lists):
+            record(xs)
+            return list_codes(list_means, xs, lists)
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(invindex, "list_codes", recording_codes)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            invindex.build(FeatureSet(x), self.config(scheme))
+        assert info.value is boom
+        assert failing in started and set(started) <= {0, 1}
         assert len(set(started)) == len(started)
         assert threading.active_count() == before
 

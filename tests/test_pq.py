@@ -94,7 +94,7 @@ CONFIGS = {
     "BuildConfig": (lambda **kw: BuildConfig(scheme="tifc", **kw),
                     dict(link_count=2, code_length=8)),
     "QueryConfig": (QueryConfig, dict(assignment_count=2, hamming_threshold=3, top_k=5)),
-    "LshConfig": (LshConfig, dict(tables=2, bits_per_table=8, seed=0)),
+    "LshConfig": (LshConfig, dict(tables=2, bits_per_table=8)),
     "EmbedConfig": (EmbedConfig, dict(code_length=8)),
     "SynthSpec": (lambda **kw: SynthSpec(cluster_stddev=1.0, noise_stddev=0.1, **kw),
                   dict(n_clusters=2, points_per_cluster=3, dim=4, seed=0)),
@@ -245,9 +245,8 @@ def kmeans_points(kind, n, seg_dim, seed):
 
 
 class ScriptedRng:
-    """Stands in for the generator: k-means++ seeds at the listed rows. The
-    seeds may have zero probability, which no uniform draw by CDF reaches, so
-    a test that runs `pq._kmeans` with it routes `pq._draw` to `choice`."""
+    """Stands in for the generator: k-means++ seeds at the listed rows, which
+    may have zero probability."""
 
     def __init__(self, rows):
         self.rows = iter(rows)
@@ -294,11 +293,10 @@ class TestKmeansOracle:
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("iters", [1, 25])
-    def test_empty_cluster_takes_worst_point(self, iters, monkeypatch):
+    def test_empty_cluster_takes_worst_point(self, iters):
         # seeds 0, 10, 10: the second 10 wins no point (ties go to the
         # smaller index), so its cluster is empty after the first assignment
         # and takes 2, the point farthest from its own centroid
-        monkeypatch.setattr(pq, "_draw", lambda rng, p: rng.choice(len(p), p=p))
         pts = np.array([[0.0], [1.0], [2.0], [10.0]])
         got = pq._kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
         want = reference_kmeans(pts.copy(), 3, iters, ScriptedRng([0, 3, 3]))
@@ -339,10 +337,9 @@ class TestKmeansOracle:
         (1_500, 12, 3, 16, 47), (2_000, 8, 1, 64, 48), (400, 16, 4, 5, 49),
     ])
     def test_train_matches_choice_seeding(self, n, dim, m, k, seed):
-        """Seeds drawn by CDF, as `pq._draw` draws them, give the codebooks
-        that `rng.choice(n, p=...)` seeding gives, and leave the generator
-        where it does: the reference draws the one run of every segment, in
-        order, from one generator with `choice`."""
+        """The reference draws the one run of every segment, in order, from
+        one generator with `rng.choice(n, p=...)`, as `pq.train` does, and
+        gives the same codebooks on larger data."""
         rng = np.random.default_rng(seed - 1)
         data = FeatureSet(np.abs(rng.standard_normal((n, dim))).astype(np.float32))
         cfg = PqConfig(segments=m, words_per_segment=k)
@@ -458,8 +455,8 @@ class CountingRng:
         self.integer_draws += 1
         return self.gen.integers(n)
 
-    def random(self):
-        return self.gen.random()
+    def choice(self, n, p):
+        return self.gen.choice(n, p=p)
 
 
 def recording_sq_dist_to(monkeypatch):

@@ -3,11 +3,10 @@
 by the calls that `scripts/stagetimer.StageTimer` wraps. Running them here
 on small indexes fails the suite when a wrapped name leaves `cnnidx` or a
 stage stops being called. Each timing comes raw and divided by its pass's
-host factor. The example scripts `compare_schemes.py` and `sweep_example.py`
-run here on tiny data, so a library change that breaks them fails too."""
+host factor. The example script `compare_schemes.py` runs here on tiny
+data, so a library change that breaks it fails too."""
 
 import importlib.util
-import json
 import re
 import sys
 import time
@@ -289,25 +288,6 @@ def test_compare_schemes_prints_a_row_per_method(monkeypatch, capsys):
     for name, (map_, ms, scan, mb) in rows.items():
         assert 0 <= map_ <= 1 and ms > 0 and 0 < scan <= 1 and mb >= 0, name
     assert rows["BF"][0] == 0.5 and rows["BF"][2] == 1.0
-
-
-def test_sweep_example_prints_and_writes_its_grid(monkeypatch, capsys, tmp_path):
-    """Each of the 6 x 4 (T, W) points is printed as written to the JSON, and
-    the scan fraction does not depend on T."""
-    prefix = tmp_path / "sweep"
-    monkeypatch.setattr(sys, "argv", ["sweep_example.py", "--out-prefix", str(prefix)])
-    load_script("sweep_example").main()
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["T", "W", "MAP", "scan"]
-    printed = [line.split() for line in lines[1:]]
-    written = json.loads(prefix.with_suffix(".json").read_text())
-    assert [(int(t), int(w)) for t, w, *_ in printed] == \
-        [(r["T"], r["W"]) for r in written] == \
-        [(t, w) for t in (2, 4, 6, 8, 11, 16) for w in (1, 4, 8, 16)]
-    for (_, _, map_, scan), row in zip(printed, written):
-        assert (map_, scan) == (f"{row['map']:.6f}", f"{row['scan_fraction']:.3f}")
-    assert len({(w, scan) for _, w, _, scan in printed}) == 4
-    assert len(prefix.with_suffix(".csv").read_text().splitlines()) == 1 + 24
 
 
 def test_count_src_lines_counts_code_and_docstrings(monkeypatch, capsys, tmp_path):
