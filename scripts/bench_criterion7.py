@@ -9,9 +9,10 @@ the build and query configurations and the queries come from
 `tests/test_acceptance.py`. Both are warmed up with `--warmup` batch runs
 each, then `--pairs` pairs of batch runs alternate which index goes first.
 Each pair's factor is the criterion's: the ratio of the two batches'
-`BatchSummary.mean_query_time`. The criterion passes below 5.0; it times the
-first batch of its process, so judge a change by the warm median here and by
-full tier-1 runs, not by isolated runs of the test. Each batch run is also
+`BatchSummary.mean_query_time`. The criterion passes below 5.0; it gates the
+ratio of the medians of three passes per size, 10k and 100k alternating,
+with no warm-up, so judge a change by the warm median here and by full
+tier-1 runs, not by isolated runs of the test. Each batch run is also
 divided by its host factor (`scripts/stagetimer.py`), and each pair's factor
 and the summary are printed raw and, in brackets or on their own line,
 host-corrected.

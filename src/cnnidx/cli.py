@@ -260,7 +260,7 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return EXIT_OK
-    except (DataError, OSError, KeyError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"cnnidx: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:

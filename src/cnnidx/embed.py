@@ -43,8 +43,9 @@ def segment_means(x: np.ndarray, code_length: int) -> np.ndarray:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack boolean bit rows into uint8 codes; trailing pad bits are zero."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1, bitorder="little")
+    """Pack bit rows (bools, or integers with nonzero as 1) into uint8 codes
+    as they come, with no cast; trailing pad bits are zero."""
+    return np.packbits(bits, axis=-1, bitorder="little")
 
 
 def encode(x, c, cfg: EmbedConfig) -> np.ndarray:

@@ -37,11 +37,8 @@ Only `_header_json` writes the header, and a header loads only in its exact
 form, so a file that loads saves back to the same bytes. `load` reads each
 section straight into its array and rejects with `DataError` every file that
 breaks one of these rules, so a query never meets an id outside
-[0, indexed_count) or an image twice in one list. Files of the older
-formats, `OLD_MAGICS`, are not read; rebuild them. `CNNIDX01` to `CNNIDX03`
-laid out the postings or the header otherwise; each header of `CNNIDX04` to
-`CNNIDX06` held more than the next format's: the TIFC table's seed, the
-k-means restart count, and the k-means seed and iteration cap.
+[0, indexed_count) or an image twice in one list. Older files
+(`OLD_MAGICS`) are not read; rebuild.
 
 Build and query share one encoding stage over chunks of `_row_bytes` each:
 the quantizer's `words`, then `list_codes`, the one code function, against
@@ -60,9 +57,9 @@ through `encode_chunks`. `build` makes two passes over the rows, words and
 then codes, each on the calling thread and one helper thread per further
 CPU, up to `MAX_THREADS` (`_fill_rows`). Between them one stable sort of the
 words gives every link its slot in the grouped lists and its list number,
-and pass 2 writes each code straight into its slot, so the (n*S, B) codes
-are held once. The file does not depend on the thread count. `_run_jobs`
-starts, stops and joins those threads. `load` runs on the calling thread
+and every list its ids, and pass 2 writes each code straight into its slot,
+so the (n*S, B) codes are held once. The file does not depend on the thread
+count. `_run_jobs` starts, stops and joins those threads. `load` runs on the calling thread
 alone and takes a TIFC table from the memo of `tifc.make_virtual_words`
 after the CRC, so a process's first TIFC load of a (D, L) draws it serially
 (about 10 ms at 2,048 x 256).
@@ -349,12 +346,13 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     (`_fill_rows`). Pass 1 fills the (n, S) words. One stable argsort of
     them lays out the lists, gives each link its list number, written over
     its word, and by its inverse, the slot array, its row of the grouped
-    (n*S, B) codes. Pass 2 casts each chunk again, codes it against its
-    lists (`list_codes`) and writes each code into its slot, so the codes
-    are held once, never in row order beside the grouped copy. A row's
-    words and codes come from that row alone, with no BLAS call (IFC's
-    distances are `einsum` contractions), so the file does not depend on
-    the chunk size or the thread count.
+    (n*S, B) codes; the sort itself, divided by S, is the grouped ids. Pass
+    2 casts each chunk again, codes it against its lists (`list_codes`) and
+    writes each code into its slot, so the codes are held once, never in
+    row order beside the grouped copy. A row's words and codes come from
+    that row alone, with no BLAS call (IFC's distances are `einsum`
+    contractions), so the file does not depend on the chunk size or the
+    thread count.
     """
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
@@ -401,10 +399,12 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     offsets = np.append(starts, total)
     # each link's list number over its word: no more lists than words
     links[order] = np.repeat(np.arange(len(starts), dtype=wid_t), np.diff(offsets))
+    # position j holds link order[j], of row order[j] // S: the grouped ids,
+    # divided in place so that no second n*S int64 array is held
+    ids = np.floor_divide(order, s, out=order).astype(id_t)
     del order
-    # the index before its ids and codes are filled: pass 2 reads its
-    # lists' means, derived once here on the calling thread
-    ids = np.empty(total, dtype=id_t)
+    # the index before its codes are filled: pass 2 reads its lists' means,
+    # derived once here on the calling thread
     ix = InvertedIndex(config=cfg, indexed_count=n, wids=grouped[starts], offsets=offsets,
                        ids=ids, codes=codes, quantizer=quantizer)
     list_means = ix.list_means
@@ -417,7 +417,6 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         codes[slot[part].ravel()] = list_codes(list_means, chunk, wids[part]).reshape(-1, b)
 
     _fill_rows(quantizer, db.vectors, s, cfg.code_length, fill_codes)
-    ids[slot.ravel()] = np.repeat(np.arange(n, dtype=id_t), s)
     return ix
 
 

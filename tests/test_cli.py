@@ -248,6 +248,40 @@ def test_baseline_run_files_hold_the_library_answers(workspace, tmp_path, method
     assert read_run(tmp_path / "b") == (ids, [w[1] for w in want], [len(i) for i in ids])
 
 
+@pytest.mark.parametrize("method, flags", [
+    ("bf", []), ("lsh", ["--tables", "4", "--bits", "4"])])
+def test_baseline_normalize_runs_on_the_normalized_sets(workspace, tmp_path, method, flags):
+    """`cnnidx baseline --normalize` writes the ids and scanned counts that
+    `baseline.run` gives on the `l2_normalize`d database and queries."""
+    rc = run(["baseline", "--method", method, "--features", str(workspace / "db.fvecs"),
+              "--queries", str(workspace / "q.fvecs"), "--topk", "7", *flags, "--normalize",
+              "--out", str(tmp_path / "b")])
+    assert rc == EXIT_OK
+    db = vecio.l2_normalize(vecio.read_feature_file(workspace / "db.fvecs"))
+    queries = vecio.l2_normalize(vecio.read_feature_file(workspace / "q.fvecs"))
+    lsh_cfg = baseline.LshConfig(4, 4) if method == "lsh" else None
+    ids, scanned, _ = baseline.run(db, queries, 7, lsh_cfg)
+    assert read_run(tmp_path / "b") == (ids, scanned, [len(i) for i in ids])
+    assert json.loads((tmp_path / "b.summary.json").read_text())["config"]["normalize"]
+
+
+def test_ifc_build_normalizes_its_training_set(workspace, tmp_path):
+    """`cnnidx build --scheme ifc --normalize --train-features` writes the
+    bytes of a library build on the normalized database and training set."""
+    db = vecio.read_feature_file(workspace / "db.fvecs")
+    training = vecio.FeatureSet(3 * db.vectors[::-1] + 1)
+    vecio.write_feature_file(training, tmp_path / "train.fvecs")
+    rc = run(["build", "--features", str(workspace / "db.fvecs"), "--scheme", "ifc",
+              "--S", "3", "--L", "8", "--K", "4", "--M", "2", "--normalize",
+              "--train-features", str(tmp_path / "train.fvecs"),
+              "--out", str(tmp_path / "cli.idx")])
+    assert rc == EXIT_OK
+    cfg = BuildConfig("ifc", 3, 8, PqConfig(2, 4))
+    ix = invindex.build(vecio.l2_normalize(db), cfg, training=vecio.l2_normalize(training))
+    invindex.save(ix, tmp_path / "lib.idx")
+    assert (tmp_path / "cli.idx").read_bytes() == (tmp_path / "lib.idx").read_bytes()
+
+
 def test_build_defaults_are_the_configs_defaults():
     """A build command that leaves out S, L, K and M gets the config of the
     flags' defaults, through `build_config` as a sweep gets its own."""
@@ -339,6 +373,50 @@ def test_sweep_internal_error_exits_3(workspace, tmp_path, monkeypatch, capsys):
     assert ("cnnidx: internal error: IndexError: index 7 is out of bounds"
             in capsys.readouterr().err)
     assert not (tmp_path / "sw.csv").exists() and not (tmp_path / "sw.json").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "sweep"])
+def test_internal_key_error_exits_3(workspace, tmp_path, monkeypatch, capsys, command):
+    """No reader answers bad input with a KeyError: every build flag has a
+    default, and a sweep spec is checked key by key before a point reads
+    it. So a KeyError from inside the program is a fault, exit 3."""
+    def broken_build(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(invindex, "build", broken_build)
+    features = str(workspace / "db.fvecs")
+    if command == "build":
+        argv = ["build", "--features", features, "--scheme", "tifc", "--S", "3", "--L", "8",
+                "--out", str(tmp_path / "x.idx")]
+    else:
+        spec = {"grid": {"W": [1]}, "base": {"scheme": "tifc", "L": 8, "S": 3},
+                "datasets": {"features": features, "queries": str(workspace / "q.fvecs"),
+                             "ground_truth": str(workspace / "gt.txt")}}
+        (tmp_path / "sweep.json").write_text(json.dumps(spec))
+        argv = ["sweep", "--spec", str(tmp_path / "sweep.json"),
+                "--out-prefix", str(tmp_path / "sw")]
+    assert run(argv) == EXIT_INTERNAL
+    assert "cnnidx: internal error: KeyError: 'internal'" in capsys.readouterr().err
+
+
+def test_sweep_point_that_its_configs_refuse_is_reported(workspace, tmp_path, capsys):
+    """A point whose T exceeds the code length keeps its row, with the
+    error, and prints that error to stderr; the other points run and the
+    sweep exits 0."""
+    spec = {"grid": {"T": [4, 9]}, "base": {"scheme": "tifc", "L": 8, "S": 3},
+            "datasets": {"features": str(workspace / "db.fvecs"),
+                         "queries": str(workspace / "q.fvecs"),
+                         "ground_truth": str(workspace / "gt.txt")}}
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    rc = run(["sweep", "--spec", str(tmp_path / "sweep.json"),
+              "--out-prefix", str(tmp_path / "sw")])
+    assert rc == EXIT_OK
+    ok, refused = json.loads((tmp_path / "sw.json").read_text())
+    assert "error" not in ok and "map" in ok
+    assert refused["error"] == "ValueError: hamming_threshold 9 exceeds code length 8"
+    err = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert len(err) == 1
+    assert err[0].startswith("[sweep] point {") and err[0].endswith(": " + refused["error"])
 
 
 def test_sweep_without_w_and_t_takes_the_query_defaults(workspace, tmp_path):

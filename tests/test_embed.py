@@ -95,6 +95,10 @@ class TestHamming:
             expected = int((bits_a != bits_b).sum())
             assert embed.hamming(embed.pack_bits(bits_a), embed.pack_bits(bits_b)) == expected
 
+    def test_hamming_to_many_width_mismatch(self):
+        with pytest.raises(ValueError, match="code length mismatch"):
+            embed.hamming_to_many(np.zeros(3, dtype=np.uint8), np.zeros((5, 4), dtype=np.uint8))
+
     def test_hamming_to_many(self):
         rng = np.random.default_rng(4)
         code = rng.integers(0, 256, size=4, dtype=np.uint8)

@@ -1320,6 +1320,7 @@ class TestLoadValidation:
         (lambda h: h.update(link_count=13), "exceeds word count"),
         (lambda h: h.update(indexed_count=2**31), "exceeds int32 result ids"),
         (lambda h: h.update(code_length=5), "not divisible by code length"),
+        (lambda h: h["quantizer"].update(dim=0), "dimension 0 below 1"),
     ])
     def test_malformed_header_rejected(self, tiny_index, tmp_path, edit, message):
         path = tmp_path / "bad.idx"
@@ -1437,6 +1438,14 @@ class TestLoadValidation:
         write_file(path, form(header).encode(), payload)
         with pytest.raises(DataError, match="index header is not the one `save` writes "
                                             "for its configuration"):
+            invindex.load(path)
+
+    def test_header_that_is_a_json_array_rejected(self, tiny_index, tmp_path):
+        path = tmp_path / "bad.idx"
+        invindex.save(tiny_index, path)
+        header, payload = split_file(path)
+        write_file(path, json.dumps([header]).encode(), payload)
+        with pytest.raises(DataError, match="index header is not a JSON object"):
             invindex.load(path)
 
     def test_unreadable_header_rejected(self, tiny_index, tmp_path):

@@ -162,6 +162,16 @@ class TestQuery:
         with pytest.raises(ValueError, match="does not match index dim 16"):
             search.batch_query(index_pair, np.zeros((2, *shape)), cfg)
 
+    def test_assignment_count_beyond_the_ranking_key_rejected(self, index_pair, small_dataset):
+        """W * (L + 1) * n must fit the int64 ranking key; W = 2^62 on a small
+        index does not, and is refused before any word is assigned."""
+        cfg = QueryConfig(assignment_count=2**62, hamming_threshold=4, top_k=5)
+        message = "exceeds the int64 ranking key"
+        with pytest.raises(ValueError, match=message):
+            search.query(index_pair, small_dataset[1].vectors[0], cfg)
+        with pytest.raises(ValueError, match=message):
+            search.batch_query(index_pair, small_dataset[1], cfg)
+
     def test_batch_rejects_threshold_above_code_length(self, index_pair, small_dataset):
         cfg = QueryConfig(assignment_count=1, hamming_threshold=9, top_k=5)
         with pytest.raises(ValueError, match="exceeds code length"):

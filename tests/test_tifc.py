@@ -38,6 +38,11 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             tifc.softmax([1.0, np.inf])
 
+    @pytest.mark.parametrize("x", [np.zeros((2, 3)), np.zeros(0)], ids=["2-d", "empty"])
+    def test_rejects_other_than_a_non_empty_vector(self, x):
+        with pytest.raises(ValueError, match="expected a non-empty 1-d vector"):
+            tifc.softmax(x)
+
     @settings(max_examples=200, deadline=None)
     @given(x=finite_vectors)
     def test_normalization(self, x):

@@ -71,6 +71,16 @@ def test_non_finite_vectors_rejected():
         FeatureSet(np.array([[1.0, np.nan]], dtype=np.float32))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros(4), r"feature matrix must be 2-d, got shape \(4,\)"),
+    (np.zeros((2, 3, 4)), r"feature matrix must be 2-d, got shape \(2, 3, 4\)"),
+    (np.zeros((3, 0)), "feature dimension must be >= 1"),
+], ids=["1-d", "3-d", "no-columns"])
+def test_feature_matrix_of_other_shape_rejected(matrix, message):
+    with pytest.raises(DataError, match=message):
+        FeatureSet(matrix)
+
+
 def feature_bytes(dims) -> bytes:
     """Records of the given dimensions, record i filled with the value i."""
     return b"".join(np.int32(d).tobytes() + np.full(d, i, dtype="<f4").tobytes()
@@ -86,8 +96,11 @@ def feature_bytes(dims) -> bytes:
     (feature_bytes([3, 3, 3])[:-2], "record 2: truncated payload"),
     (feature_bytes([3, 3])[:-16] + b"\x03\x00", "record 1: truncated header"),
     (b"", "no records"),
+    (b"\x03", "record 0: truncated header"),
+    (b"\x03\x00", "record 0: truncated header"),
+    (b"\x03\x00\x00", "record 0: truncated header"),
 ], ids=["short-mid", "long-last", "short-last", "zero-mid", "zero-first", "cut-payload",
-        "cut-header", "empty"])
+        "cut-header", "empty", "one-byte", "two-bytes", "three-bytes"])
 def test_malformed_feature_file_names_first_bad_record(tmp_path, buf, message):
     path = tmp_path / "bad.fvecs"
     path.write_bytes(buf)
@@ -247,6 +260,23 @@ def test_int_lists_negative_length_rejected(tmp_path):
         vecio.read_int_lists(path)
 
 
+@pytest.mark.parametrize("buf, message", [
+    (np.array([1, 7], dtype="<i4").tobytes() + b"\x02", "record 1: truncated header"),
+    (np.array([1, 7], dtype="<i4").tobytes() + b"\x02\x00", "record 1: truncated header"),
+    (np.array([1, 7], dtype="<i4").tobytes() + b"\x02\x00\x00",
+     "record 1: truncated header"),
+    (np.array([1, 7, 2, 5], dtype="<i4").tobytes(), "record 1: truncated payload"),
+    (np.array([1, 7, 2, 5], dtype="<i4").tobytes() + b"\x06\x00",
+     "record 1: truncated payload"),
+], ids=["one-trailing-byte", "two-trailing-bytes", "three-trailing-bytes",
+        "cut-payload", "cut-payload-mid-value"])
+def test_malformed_int_lists_name_the_bad_record(tmp_path, buf, message):
+    path = tmp_path / "ids.ivecs"
+    path.write_bytes(buf)
+    with pytest.raises(DataError, match=message):
+        vecio.read_int_lists(path)
+
+
 class TestGroundTruth:
     def test_basic_line(self, tmp_path):
         path = tmp_path / "gt.txt"
@@ -268,6 +298,18 @@ class TestGroundTruth:
         path = tmp_path / "gt.txt"
         path.write_text("abc: 1 2\n")
         with pytest.raises(DataError, match="bad query id"):
+            vecio.read_ground_truth(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0: 1 2\n1 3 4\n", r"gt.txt:2: missing ':' separator"),
+        ("0: 1 x 2\n", "gt.txt:1: non-integer relevant id"),
+        ("0: 1 2.5\n", "gt.txt:1: non-integer relevant id"),
+        ("# only a comment\n\n   # and another\n", "gt.txt: no ground-truth entries"),
+    ], ids=["no-colon", "word-id", "fraction-id", "comments-only"])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "gt.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
             vecio.read_ground_truth(path)
 
     def test_id_range_validation(self, tmp_path):
