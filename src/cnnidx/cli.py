@@ -235,7 +235,8 @@ def _cmd_sweep(args) -> int:
     vecio.write_json(rows, args.out_prefix + ".json")
     for row in rows:
         if "error" in row:
-            print(f"[sweep] point {row}: {row['error']}", file=sys.stderr)
+            point = {key: value for key, value in row.items() if key != "error"}
+            print(f"[sweep] point {point}: {row['error']}", file=sys.stderr)
     print(f"[sweep] {len(rows)} grid points -> {args.out_prefix}.csv")
     return EXIT_OK
 

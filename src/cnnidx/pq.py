@@ -196,8 +196,11 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> np.ndarray:
     stable sort and meaned.
     Every centroid left without members takes the same point: the one
     farthest from its nearest centroid before the update. Seeding and the
-    iterations share the points' squared norms, the iterations one (n, k)
-    distance buffer.
+    iterations share the points' squared norms. Each iteration makes its
+    distances in balanced row blocks of at most half of `CHUNK_BYTES`, as
+    seeding does, through one reused (block, k) buffer, and writes every
+    row's assignment and minimum into (n,) arrays, which the convergence
+    test and the update read.
     """
     n, d = pts.shape
     pts_sq = _sq_norms(pts)
@@ -217,12 +220,19 @@ def _kmeans(pts: np.ndarray, k: int, max_iters: int, rng) -> np.ndarray:
             rows = np.flatnonzero(~(_screen(pts, lows, centroids[j], screen) >= d2))
             d2[rows] = np.minimum(d2[rows], sq_dist_to(pts, centroids[j], rows))
 
-    dists = np.empty((n, k))
     columns = np.ascontiguousarray(pts.T)
+    blocks = -(-n // chunk_rows(16 * k))
+    step = -(-n // blocks)
+    dists = np.empty((step, k))
     assign = None
     for _ in range(max_iters):
-        _sq_dists(pts, pts_sq, centroids, dists)
-        new_assign, mins = _nearest_centroid(dists)
+        new_assign = np.empty(n, dtype=np.intp)
+        mins = np.empty(n)
+        for lo in range(0, n, step):
+            part = slice(lo, lo + step)
+            block = dists[: min(step, n - lo)]
+            _sq_dists(pts[part], pts_sq[part], centroids, block)
+            new_assign[part], mins[part] = _nearest_centroid(block)
         if assign is not None and np.array_equal(assign, new_assign):
             break  # the centroids did not move
         assign = new_assign

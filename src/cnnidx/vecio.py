@@ -30,18 +30,21 @@ import numpy as np
 # Bytes of working buffer per chunk of rows, the one budget of every pass
 # over rows: a feature file's read and write here (int32 records),
 # `invindex.encode_chunks` for batch queries, the build's two passes (words,
-# then codes) over chunks of the same rows, and `baseline`'s brute force and
-# LSH hashing (float64 working arrays). A row of the encoding stage takes
-# D + stage + count*L float64 values: its input, its word stage (D term
-# frequencies for TIFC, M*K segment distances for IFC) and the means of its
-# `count` lists; both build passes size their chunks by that whole
-# footprint, though each uses only part of it, as IFC's word stage holds
-# temporaries beyond its M*K distances. A build on w > 1 CPUs encodes on w
-# threads (at most `invindex.MAX_THREADS`), each chunk at a 4w-th of the
-# budget, so the chunks in flight take a quarter of it: each helper thread's
-# malloc arena keeps its chunk's working set after the build. Median seconds
-# of the build's encoding loop, then one pass of words and codes together,
-# in process on the seed-1 benchmark data, interleaved, 7 runs (2 vCPUs):
+# then codes) over chunks of the same rows, `baseline`'s brute force and LSH
+# hashing (float64 working arrays), and IFC training (`pq._kmeans`):
+# k-means++ seeding makes its float64 differences, and each Lloyd iteration
+# its (rows, K) float64 distances, in row blocks of half the budget. A row
+# of the encoding stage takes D + stage + count*L float64 values: its input,
+# its word stage (D term frequencies for TIFC, M*K segment distances for
+# IFC) and the means of its `count` lists; both build passes size their
+# chunks by that whole footprint, though each uses only part of it, as IFC's
+# word stage holds temporaries beyond its M*K distances. A build on w > 1
+# CPUs encodes on w threads (at most `invindex.MAX_THREADS`), each chunk at
+# a 4w-th of the budget, so the chunks in flight take a quarter of it: each
+# helper thread's malloc arena keeps its chunk's working set after the
+# build. Median seconds of the build's encoding loop, then one pass of words
+# and codes together, in process on the seed-1 benchmark data, interleaved,
+# 7 runs (2 vCPUs):
 #
 #   threads, bytes per chunk   1, 8 MiB   2, 0.5 MiB   2, 1 MiB   2, 2 MiB
 #   tifc-wide                  0.41       0.41         0.29       0.23

@@ -1,9 +1,25 @@
+import warnings
+
 import pytest
 
 from cnnidx import invindex, vecio
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
 from cnnidx.vecio import SynthSpec
+
+
+# Hypothesis imports its failure-patch writer, and with it libcst, the first
+# time a @given test fails. libcst raises a DeprecationWarning
+# (mypy_extensions.TypedDict) on import, which under `filterwarnings =
+# ["error"]` escapes the report hook as INTERNALERROR: the failure goes
+# unreported and the session ends. Importing the writer once here, with
+# that one import's warnings ignored, leaves every other warning an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: Hypothesis writes no patch
+        pass
 
 
 @pytest.fixture(scope="session")

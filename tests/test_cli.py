@@ -417,6 +417,7 @@ def test_sweep_point_that_its_configs_refuse_is_reported(workspace, tmp_path, ca
     err = [line for line in capsys.readouterr().err.splitlines() if line]
     assert len(err) == 1
     assert err[0].startswith("[sweep] point {") and err[0].endswith(": " + refused["error"])
+    assert err[0].count("hamming_threshold 9") == 1 and "'error'" not in err[0]
 
 
 def test_sweep_without_w_and_t_takes_the_query_defaults(workspace, tmp_path):

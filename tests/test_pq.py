@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,7 +288,8 @@ class TestKmeansOracle:
 
         monkeypatch.setattr(pq, "_sq_dists", counting)
         got = pq._kmeans(pts.copy(), 2, 25, np.random.default_rng(41))
-        # one call per iteration run, the last of which saw no change
+        # one call per row block (here one) per iteration run, the last of
+        # which saw no change
         assert len(calls) < 25
         want = reference_kmeans(pts.copy(), 2, 25, np.random.default_rng(41))
         np.testing.assert_array_equal(got, want)
@@ -315,11 +317,14 @@ class TestKmeansOracle:
                                  8, 25, ref_rng).astype(np.float32) for s in range(2)]
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, np.stack(want))
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    @pytest.mark.parametrize("block_rows", [1, 7, 13, 64])
     def test_seeding_in_row_blocks_matches_reference(self, block_rows, monkeypatch):
         """With `CHUNK_BYTES` cut to a few rows, k-means++ seeding makes its
-        distances in many blocks (the last one short), and the distances and
-        codebooks equal those of one whole difference."""
+        differences in blocks of `block_rows` rows and each Lloyd iteration
+        its distances in balanced blocks of at most 3/4 as many (K = 8 rows
+        of distances against width 6); at 13 and 64 both leave a short last
+        block. The distances, centroids and codebooks equal those of one
+        whole difference and one whole distance matrix."""
         rng = np.random.default_rng(50)
         data = FeatureSet(rng.standard_normal((300, 12)).astype(np.float32))
         cfg = PqConfig(segments=2, words_per_segment=8)
@@ -328,10 +333,41 @@ class TestKmeansOracle:
         pts = data.vectors[:, :6].astype(np.float64)
         for c in (pts[0], pts[299], np.zeros(6)):
             np.testing.assert_array_equal(pq.sq_dist_to(pts, c), reference_sq_dist_to(pts, c))
+        blocks = []
+        sq_dists = pq._sq_dists
+
+        def recording(x, x_sq, c, out):
+            blocks.append(len(out))
+            return sq_dists(x, x_sq, c, out)
+
+        monkeypatch.setattr(pq, "_sq_dists", recording)
         got = pq._kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
         ref = reference_kmeans(pts.copy(), 8, 25, np.random.default_rng(52))
         np.testing.assert_array_equal(got, ref)
+        step = max(1, block_rows * 6 // 8)
+        passes, rest = divmod(len(blocks), -(-300 // step))
+        assert not rest and max(blocks) <= step and sum(blocks) == 300 * passes
+        assert (blocks[-1] < blocks[0]) == (block_rows in (13, 64))
         np.testing.assert_array_equal(pq.train(data, cfg).sub_codebooks, want)
+
+    def test_lloyd_peak_within_half_the_budget(self, monkeypatch):
+        """4,000 rows of width 16 into K = 32 under a 256 KiB budget: one
+        (n, K) distance matrix would take 1,000 KiB, nearly eight times half
+        the budget. `_kmeans` holds the points' transposed copy (or,
+        before it, their squares), a few (n,) arrays and one distance block,
+        so its traced peak stays below two float64 copies of the points
+        plus half the budget."""
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 256 << 10)
+        pts = np.random.default_rng(55).standard_normal((4_000, 16))
+        rng = np.random.default_rng(56)
+        tracemalloc.start()
+        try:
+            pq._kmeans(pts, 32, 3, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 4_000 * 32 * 8 > vecio.CHUNK_BYTES // 2
+        assert peak < 2 * pts.nbytes + vecio.CHUNK_BYTES // 2, peak
 
     @pytest.mark.parametrize("n, dim, m, k, seed", [
         (1_500, 12, 3, 16, 47), (2_000, 8, 1, 64, 48), (400, 16, 4, 5, 49),
@@ -438,7 +474,8 @@ class TestLloydExactness:
 
         monkeypatch.setattr(pq, "_sq_dists", counting)
         got = pq._kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
-        assert len(calls) == 25  # no early stop: one distance pass per iteration
+        # no early stop: one distance block (all 5,000 rows) per iteration
+        assert len(calls) == 25
         want = reference_kmeans(pts.copy(), 64, 25, np.random.default_rng(63))
         np.testing.assert_array_equal(got, want)
 
