@@ -44,7 +44,7 @@ The stages of `load`, in ms per load:
   length checks.
 
 `load` runs on the calling thread alone, so its stages add up to no more
-than the whole call. `build` runs its threads through `invindex._run_jobs`,
+than the whole call. `build` runs its threads through `invindex._fill_rows`,
 on `invindex._threads()` threads at most, so each workload's first line
 gives that count beside its file size and traced build peak.
 

@@ -5,7 +5,7 @@ is on (`with timer:`) and restores them after, as `perfbench/spans.Tracer`
 does, so the stage scripts time the real `invindex.load`, `search.query` and
 `search.batch_query`. A stage names one or more of them by their dotted path
 under `cnnidx`: a function (`invindex._read_header`) or a method
-(`pq.PqCodebook.codes`). A function is replaced under every name that refers
+(`pq.PqCodebook.words`). A function is replaced under every name that refers
 to it in a `cnnidx` module, because callers import some into their own
 namespace; a method is replaced on its class. Classes themselves are never
 replaced, as `InvertedIndex` checks its quantizer with `isinstance`. A

@@ -55,14 +55,14 @@ codes depend on that row alone, so a database vector queried with itself
 gets exactly its S links and their codes. `batch_query` streams its chunks
 through `encode_chunks`. `build` makes two passes over the rows, words and
 then codes, each on the calling thread and one helper thread per further
-CPU, up to `MAX_THREADS` (`_fill_rows`). Between them one stable sort of the
-words gives every link its slot in the grouped lists and its list number,
-and every list its ids, and pass 2 writes each code straight into its slot,
-so the (n*S, B) codes are held once. The file does not depend on the thread
-count. `_run_jobs` starts, stops and joins those threads. `load` runs on the calling thread
-alone and takes a TIFC table from the memo of `tifc.make_virtual_words`
-after the CRC, so a process's first TIFC load of a (D, L) draws it serially
-(about 10 ms at 2,048 x 256).
+CPU, up to `MAX_THREADS`; `_fill_rows` starts, stops and joins those
+threads. Between them one stable sort of the words gives every link its
+slot in the grouped lists and its list number, and every list its ids, and
+pass 2 writes each code straight into its slot, so the (n*S, B) codes are
+held once. The file does not depend on the thread count. `load` runs on the
+calling thread alone and takes a TIFC table from the memo of
+`tifc.make_virtual_words` after the CRC, so a process's first TIFC load of
+a (D, L) draws it serially (about 10 ms at 2,048 x 256).
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -265,72 +265,56 @@ def _threads() -> int:
     return min(_cpus(), MAX_THREADS)
 
 
-def _run_jobs(jobs: list) -> None:
-    """Call job(stop) for every job, `stop` one `threading.Event`: job 0 on
-    the caller and every other job on a helper thread of its own. The first
-    exception (a job's, a thread's that cannot start, an interrupt while the
-    caller waits) sets `stop`, at which every job should return; the caller
-    waits for every helper, then raises it as it was raised."""
+def _fill_rows(xs: np.ndarray, row_bytes: int, write) -> None:
+    """Call write(part, chunk) on every chunk of rows of xs, `part` the
+    chunk's slice of rows and `chunk` those rows cast to float64, on w
+    threads, w no more than there are chunks: the caller and w - 1 helpers.
+    Thread t takes chunks t, t + w, t + 2w, ..., so `write` must write only
+    outputs of its own chunk's rows, which no other chunk writes: `build`'s
+    words rows in pass 1, the rows of the chunk's slots in pass 2. Numpy
+    releases the GIL in the large calls of a chunk, so the threads run side
+    by side.
+
+    Chunks take `row_bytes` a row. On one CPU each takes `CHUNK_BYTES`;
+    with w threads a 4w-th of it, so the chunks in flight stay within a
+    quarter of the budget: each helper's malloc arena keeps its chunk's
+    working set after the build. The first exception (a chunk's, a
+    helper's that cannot start, an interrupt while the caller waits) stops
+    every thread before its next chunk; once every helper has ended, it is
+    raised as it was raised."""
+    threads = _threads()
+    rows = chunk_rows(row_bytes * 4 * threads if threads > 1 else row_bytes)
+    starts = range(0, len(xs), rows)
+    workers = min(threads, len(starts))
     stop, errors = threading.Event(), []
 
-    def run(job) -> None:
+    def fill(first: int) -> None:
         try:
-            job(stop)
+            for lo in starts[first::workers]:
+                if stop.is_set():
+                    return
+                part = slice(lo, lo + rows)
+                write(part, np.asarray(xs[part], dtype=np.float64))
         except BaseException as exc:
             errors.append(exc)
             stop.set()
 
     helpers = []
     try:
-        for job in jobs[1:]:
-            thread = threading.Thread(target=run, args=(job,))
+        for t in range(1, workers):
+            thread = threading.Thread(target=fill, args=(t,))
             thread.start()
             helpers.append(thread)
-    except BaseException as exc:  # a thread that did not start
-        errors.append(exc)
-        stop.set()
-    run(jobs[0])
-    try:
+        fill(0)
         for thread in helpers:
             thread.join()
-    except BaseException as exc:  # an interrupt while waiting: stop, wait again
+    except BaseException as exc:  # a helper that did not start, or an interrupt in a join
         errors.append(exc)
         stop.set()
         for thread in helpers:
             thread.join()
     if errors:
         raise errors[0]
-
-
-def _fill_rows(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, count: int,
-               code_length: int, write) -> None:
-    """Call write(part, chunk) on every chunk of rows of xs, `part` the
-    chunk's slice of rows and `chunk` those rows cast to float64, on w
-    threads by `_run_jobs`, w no more than there are chunks. Thread t takes
-    chunks t, t + w, t + 2w, ..., so `write` must write only outputs of its
-    own chunk's rows, which no other chunk writes: `build`'s words rows in
-    pass 1, the rows of the chunk's slots in pass 2. Numpy releases the GIL
-    in the large calls of a chunk, so the threads run side by side.
-
-    Chunks are sized by `_row_bytes`, the encoding stage's footprint. On one
-    CPU each takes `CHUNK_BYTES`; with w threads a 4w-th of it, so the
-    chunks in flight stay within a quarter of the budget: each helper's
-    malloc arena keeps its chunk's working set after the build. Any
-    exception stops every thread before its next chunk."""
-    threads = _threads()
-    row_bytes = _row_bytes(quantizer, xs.shape[1], count, code_length)
-    rows = chunk_rows(row_bytes * 4 * threads if threads > 1 else row_bytes)
-    starts = range(0, len(xs), rows)
-    workers = min(threads, len(starts))
-
-    def fill(first: int, stop: threading.Event) -> None:
-        for lo in starts[first::workers]:
-            if stop.is_set():
-                return
-            part = slice(lo, lo + rows)
-            write(part, np.asarray(xs[part], dtype=np.float64))
-
-    _run_jobs([lambda stop, t=t: fill(t, stop) for t in range(workers)])
 
 
 def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) -> InvertedIndex:
@@ -380,7 +364,8 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     def fill_words(part: slice, chunk: np.ndarray) -> None:
         wids[part] = quantizer.words(chunk, s)
 
-    _fill_rows(quantizer, db.vectors, s, cfg.code_length, fill_words)
+    row_bytes = _row_bytes(quantizer, d, s, cfg.code_length)
+    _fill_rows(db.vectors, row_bytes, fill_words)
     # the grouped codes, allocated before the layout's temporaries: where the
     # heap holds memory freed by earlier work (a second build), the largest
     # array then takes the largest free block before they split it
@@ -416,7 +401,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     def fill_codes(part: slice, chunk: np.ndarray) -> None:
         codes[slot[part].ravel()] = list_codes(list_means, chunk, wids[part]).reshape(-1, b)
 
-    _fill_rows(quantizer, db.vectors, s, cfg.code_length, fill_codes)
+    _fill_rows(db.vectors, row_bytes, fill_codes)
     return ix
 
 

@@ -1,13 +1,14 @@
 """Golden outputs: the saved index file and the `batch_query` answers of
 three small indexes, pinned as SHA-256 digests.
 
-The cases are TIFC, IFC with M | L and IFC with L % M != 0 (the per-word
-mean table of `PqCodebook.codes`), all over one `vecio.generate_synthetic`
-set, which is drawn without BLAS. A file digest covers every byte `save`
-writes; an answer digest covers each query's (id, votes, minimum Hamming)
-entries and its candidate count. A change that keeps "same words, same
-bytes" leaves every digest in place; one that moves a digest on purpose (a
-format bump moves the file digests alone) updates the constant and says why.
+The cases are TIFC, IFC with M | L and IFC with L % M != 0 (the
+reconstructed-word path of `PqCodebook.word_means`), all over one
+`vecio.generate_synthetic` set, which is drawn without BLAS. A file digest
+covers every byte `save` writes; an answer digest covers each query's (id,
+votes, minimum Hamming) entries and its candidate count. A change that
+keeps "same words, same bytes" leaves every digest in place; one that moves
+a digest on purpose (a format bump moves the file digests alone) updates the
+constant and says why.
 
 numpy does not promise its `Generator` streams across versions, so the
 digests hold for the numpy they were recorded with, `NUMPY_VERSION`; a

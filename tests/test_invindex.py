@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import struct
 import sys
 import threading
@@ -494,46 +495,75 @@ class TestThreadedFill:
 
 
 class TestRunJobs:
-    """`invindex._run_jobs` runs job 0 on the caller and every other job on
-    a helper thread of its own; `_fill_rows` gives it one job per thread."""
+    """`invindex._fill_rows` runs chunks t, t + w, ... on thread t, the
+    caller being thread 0 and the others w - 1 helpers that it starts, stops
+    and joins itself."""
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])
     def test_exception_sets_stop_before_the_next_step(self, failing, monkeypatch):
-        """Two jobs, 0 on the caller and 1 on the helper. Job `failing`
-        raises; the other job takes its next step only once the raise has
-        left that job (the helper has ended, or the caller waits for the
-        helper), and finds `stop` set. The exception comes out as it was
-        raised, and the helper has ended."""
-        boom = RuntimeError("job failed")
+        """Two threads over four 1-row chunks, 0 and 2 on the caller, 1 and
+        3 on the helper. Chunk `failing` raises once the other thread's
+        first chunk has begun; that chunk ends only once the raise has left
+        its thread (the helper has ended, or the caller waits for the
+        helper), and its thread starts no second chunk. The exception comes
+        out as it was raised, and the helper has ended."""
+        boom = RuntimeError("chunk failed")
         raised, joining = threading.Event(), threading.Event()
-        raiser, seen = [], {}
+        began = [threading.Event() for _ in range(4)]
+        raiser, started = [], []
 
         class Thread(threading.Thread):
             def join(self, timeout=None):
-                joining.set()  # the caller has left job 0
+                joining.set()  # the caller has left its chunks
                 super().join(timeout)
 
-        def job(k):
-            def run(stop):
-                if k == failing:
-                    raiser.append(threading.current_thread())
-                    raised.set()
-                    raise boom
-                if k == 0:  # the helper raised: wait for it to end
-                    assert raised.wait(timeout=30)
-                    raiser[0].join(timeout=30)
-                else:  # the caller raised: wait for it to wait for this job
-                    assert joining.wait(timeout=30)
-                seen[k] = stop.is_set()
-            return run
+        def write(part, chunk):
+            started.append(part.start)
+            began[part.start].set()
+            if part.start == failing:
+                assert began[1 - failing].wait(timeout=30)
+                raiser.append(threading.current_thread())
+                raised.set()
+                raise boom
+            if part.start == 0:  # the helper raised: wait for it to end
+                assert raised.wait(timeout=30)
+                raiser[0].join(timeout=30)
+            else:  # the caller raised: wait for it to wait for the helper
+                assert joining.wait(timeout=30)
 
         monkeypatch.setattr(threading, "Thread", Thread)
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            invindex._run_jobs([job(k) for k in range(2)])
+            invindex._fill_rows(np.zeros((4, 1), dtype=np.float32), 8, write)
         assert info.value is boom
-        assert seen == {1 - failing: True}
+        assert sorted(started) == [0, 1]
         assert threading.active_count() == before
+
+    def test_first_of_two_exceptions_comes_out(self, monkeypatch):
+        """The helper's first chunk raises once the caller's has begun, and
+        the caller's raises once the helper has ended: the helper's
+        exception, the first, comes out as it was raised."""
+        first, second = RuntimeError("helper chunk"), RuntimeError("caller chunk")
+        began, raised, raiser = threading.Event(), threading.Event(), []
+
+        def write(part, chunk):
+            if part.start == 1:
+                assert began.wait(timeout=30)
+                raiser.append(threading.current_thread())
+                raised.set()
+                raise first
+            began.set()
+            assert raised.wait(timeout=30)
+            raiser[0].join(timeout=30)
+            raise second
+
+        monkeypatch.setattr(invindex, "_cpus", lambda: 2)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+        with pytest.raises(RuntimeError) as info:
+            invindex._fill_rows(np.zeros((4, 1), dtype=np.float32), 8, write)
+        assert info.value is first
 
     def test_build_interrupted_once_in_its_join_ends_its_helper(self, monkeypatch):
         """An interrupt in the caller's first wait for the helper stops the
@@ -572,6 +602,33 @@ class TestRunJobs:
         assert not helpers[0].is_alive()
         assert info.value is interrupt
         assert sorted(started) == [0, 1, 2, 4, 6, 8]
+
+
+class TestCpus:
+    """`invindex._cpus` on a platform without `os.sched_getaffinity` counts
+    `os.cpu_count()` CPUs, or one when that count is unknown."""
+
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_count_without_affinity_masks(self, count, cpus, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert invindex._cpus() == cpus
+
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_build_without_affinity_masks_writes_the_same_bytes(self, scheme, small_dataset,
+                                                                tmp_path, monkeypatch):
+        """On 1-row chunks, so that the fallback's three CPUs run two threads."""
+        db, cfg = small_dataset[0], TestThreadedFill.config(scheme)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
+        default, fallback = tmp_path / "default.idx", tmp_path / "fallback.idx"
+        invindex.save(invindex.build(db, cfg), default)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        started = []
+        TestThreadedLoad.counting_thread(monkeypatch, started)
+        invindex.save(invindex.build(db, cfg), fallback)
+        assert len(started) == 2  # one helper in each pass
+        assert fallback.read_bytes() == default.read_bytes()
 
 
 class TestTwoPassBuild:
