@@ -54,7 +54,10 @@ The stages of `query`, in us per query:
 - scores: the word stage's scores, `pq.segment_distances_batch` (IFC); a
   TIFC query ranks its activations themselves, so this stage reads 0;
 - words: the choice of the W words, `pq._nearest` (IFC) or
-  `tifc.top_words_rows` (TIFC);
+  `tifc.top_words_rows` (TIFC); a one-row IFC query at K^M = 4,096 is
+  within `pq.DENSE_WORDS`, so it scores all K^M words (`pq._dense_nearest`),
+  where the build's chunks run the prune-and-merge (`pq._pruned_merge`),
+  both inside this stage's time;
 - encode: `invindex.list_codes`, the query's codes against its lists;
 - scan: `invindex.find_lists`, the lookup of the words' lists, and
   `search._scan`, the list scan, votes and ranking.

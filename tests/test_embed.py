@@ -58,6 +58,52 @@ class TestEncode:
         assert code.tolist() == [0b00011111]
 
 
+def adversarial_rows(rows, d, seed):
+    """Rows whose sums depend on the order of additions: magnitudes from
+    1e-16 to 1e16 of both signs, so partial sums cancel and absorb, and rows
+    of negative zeros, whose sum keeps its sign only without a 0.0 start."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-16, 17, (rows, d))
+    x[::11] = -0.0
+    x[1::11, ::2] = -0.0
+    return x
+
+
+class TestSegmentMeans:
+    """`segment_means` has the bits of numpy's `mean` over each segment:
+    column adds below width 8, `mean` itself from width 8."""
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_bits_of_mean(self, width):
+        length = 5
+        x = adversarial_rows(20_000, length * width, width)
+        got = embed.segment_means(x, length)
+        assert got.dtype == np.float64 and got.shape == (20_000, length)
+        assert got.tobytes() == x.reshape(-1, length, width).mean(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("width", [2, 3, 7, 8, 9])
+    def test_non_contiguous_rows(self, width):
+        """Every other column of a wider matrix, and a Fortran-ordered
+        matrix, get the bits of `mean` over the same segments."""
+        length = 4
+        wide = adversarial_rows(5_000, 2 * length * width, 30 + width)
+        for x in (wide[:, ::2], np.asfortranarray(wide[:, :length * width])):
+            assert not x.flags.c_contiguous
+            want = x.reshape(-1, length, width).mean(axis=-1)
+            assert embed.segment_means(x, length).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8])
+    def test_vector(self, width):
+        """A (D,) vector gives (L,) means, those of the vector as a row."""
+        length = 6
+        x = adversarial_rows(12, length * width, 40 + width)
+        for row in x:
+            got = embed.segment_means(row, length)
+            assert got.shape == (length,)
+            assert got.tobytes() == row.reshape(length, width).mean(axis=-1).tobytes()
+            assert got.tobytes() == embed.segment_means(row[None], length)[0].tobytes()
+
+
 class TestHamming:
     def test_identity(self):
         rng = np.random.default_rng(2)
@@ -144,7 +190,7 @@ def test_hamming_to_many_matches_hamming_across_widths():
             expected = [embed.hamming(a, c)
                         for a, c in zip(np.broadcast_to(query, codes.shape), codes)]
             assert got.shape == (rows,)
-            assert got.dtype == (np.int64 if nbytes > word else np.uint8)
+            assert got.dtype == (np.min_scalar_type(8 * nbytes) if nbytes > word else np.uint8)
             np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64),
                                           err_msg=f"{nbytes} bytes, {rows} rows")
             seen.update(got.tolist())
@@ -153,11 +199,12 @@ def test_hamming_to_many_matches_hamming_across_widths():
 
 def test_hamming_to_many_exact_up_to_2_24_bits():
     """Codes of 2^21 bytes that differ in every bit give exactly 2^24, the
-    most a float32 sum of popcounts holds exactly; one byte more raises."""
+    most a float32 sum of popcounts holds exactly, as uint32; one byte more
+    raises."""
     nbytes = 1 << 21
     code = np.zeros(nbytes, dtype=np.uint8)
     got = embed.hamming_to_many(code, np.full((2, nbytes), 255, dtype=np.uint8))
-    assert got.dtype == np.int64
+    assert got.dtype == np.uint32
     assert got.tolist() == [1 << 24, 1 << 24]
     with pytest.raises(ValueError, match="2\\^24"):
         embed.hamming_to_many(np.zeros(nbytes + 1, dtype=np.uint8),

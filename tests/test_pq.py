@@ -626,9 +626,11 @@ class TestSeedingScreen:
 
 
 class TestMergeCutTies:
-    """`_nearest` keeps each step's first `count` pairs by a partition, so a
-    row whose count-th distance ties a left-out pair must still choose by
-    word id. Integer distances tie often; the oracle ranks all K^M words."""
+    """`_pruned_merge` keeps each step's first `count` pairs by a partition,
+    so a row whose count-th distance ties a left-out pair must still choose
+    by word id. Integer distances tie often; the oracle ranks all K^M words.
+    These calls are small enough for `_nearest` to score every word, so each
+    check runs the merge itself as well."""
 
     @staticmethod
     def exhaustive(dists):
@@ -649,9 +651,11 @@ class TestMergeCutTies:
         prefixes = np.sort((dists[:, 0, :, None] + dists[:, 1, None, :]).reshape(len(dists), -1))
         cut_ties = {"middle": 0, "last": 0}
         for count in range(1, k**m):
-            got_wids, got_totals = pq._nearest(dists, k, count)
-            np.testing.assert_array_equal(got_wids, wids[:, :count], err_msg=f"count {count}")
-            np.testing.assert_array_equal(got_totals, totals[:, :count])
+            for nearest in (pq._nearest, pq._pruned_merge):
+                got_wids, got_totals = nearest(dists, k, count)
+                np.testing.assert_array_equal(got_wids, wids[:, :count],
+                                              err_msg=f"{nearest.__name__}, count {count}")
+                np.testing.assert_array_equal(got_totals, totals[:, :count])
             cut_ties["last"] += (totals[:, count - 1] == totals[:, count]).sum()
             if m == 3 and count < k * k:
                 cut_ties["middle"] += (prefixes[:, count - 1] == prefixes[:, count]).sum()
@@ -660,11 +664,12 @@ class TestMergeCutTies:
     def test_one_row_matches_batch(self):
         dists = np.random.default_rng(9).integers(0, 3, (50, 3, 4)).astype(np.float64)
         for count in (1, 5, 16, 17, 40):
-            batch = pq._nearest(dists, 4, count)
-            for r in range(len(dists)):
-                one = pq._nearest(dists[r:r + 1], 4, count)
-                np.testing.assert_array_equal(one[0][0], batch[0][r])
-                np.testing.assert_array_equal(one[1][0], batch[1][r])
+            for nearest in (pq._nearest, pq._pruned_merge):
+                batch = nearest(dists, 4, count)
+                for r in range(len(dists)):
+                    one = nearest(dists[r:r + 1], 4, count)
+                    np.testing.assert_array_equal(one[0][0], batch[0][r])
+                    np.testing.assert_array_equal(one[1][0], batch[1][r])
 
 
 class TestFirstInOrder:
@@ -835,7 +840,9 @@ def integer_codebook(k, m, seg_dim, seed):
 
 class TestPrunedMerge:
     """The batch kernel against the exhaustive oracle where it prunes: K or
-    the prefix count exceeds `count`, so the rank grid drops pairs."""
+    the prefix count exceeds `count`, so the rank grid drops pairs. Six rows
+    of at most 512 words are few enough for `_nearest` to score every word,
+    so each case runs `_pruned_merge` on the same distances too."""
 
     # (codebook, counts, integer-valued queries)
     CASES = [
@@ -860,9 +867,13 @@ class TestPrunedMerge:
         cb, counts, integer = self.CASES[case]
         xs = self.queries(cb.dim, integer, case)
         oracle = np.array([[w for _, w in exhaustive_ranking(x, cb)] for x in xs])
+        dists = pq.segment_distances_batch(xs, cb)
+        k = cb.sub_codebooks.shape[1]
         for s in counts:
             np.testing.assert_array_equal(pq.nearest_words_batch(xs, cb, s), oracle[:, :s],
                                           err_msg=f"count {s}")
+            np.testing.assert_array_equal(pq._pruned_merge(dists, k, s)[0], oracle[:, :s],
+                                          err_msg=f"merge, count {s}")
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_single_matches_batch_and_heap(self, case):
@@ -874,7 +885,10 @@ class TestPrunedMerge:
             for i, x in enumerate(xs):
                 single = pq.nearest_words(x, cb, s)
                 assert [w for w, _ in single] == list(batch[i])
-                assert single == pq._merge_nearest(pq.segment_distances(x, cb), k, s)
+                dists = pq.segment_distances(x, cb)
+                assert single == pq._merge_nearest(dists, k, s)
+                merged = pq._pruned_merge(dists[None], k, s)
+                assert single == [(int(w), float(t)) for w, t in zip(*(a[0] for a in merged))]
 
     # Rows where float rounding breaks the dominance the pruning relies on:
     # a left-out word's sum rounds to the same value as a kept word's, and
@@ -902,7 +916,7 @@ class TestPrunedMerge:
             return heap(row, k, count)
 
         monkeypatch.setattr(pq, "_merge_nearest", recording)
-        got_wids, got_totals = pq._nearest(dists, 2, count)
+        got_wids, got_totals = pq._pruned_merge(dists, 2, count)
         assert len(slow_rows) == 1
         np.testing.assert_array_equal(slow_rows[0], dists[0])
         assert got_wids.tolist() == [wids]
@@ -922,8 +936,8 @@ class TestPrunedMerge:
 
 
 class TestMergeLayoutCache:
-    """`_nearest` reads each step's pair layout from `_pairs`, memoised by
-    (count, prefix count, K); calls with other counts in between must not
+    """`_pruned_merge` reads each step's pair layout from `_pairs`, memoised
+    by (count, prefix count, K); calls with other counts in between must not
     see a stale layout."""
 
     @pytest.mark.parametrize("k, m", [(16, 1), (16, 2), (8, 3)])
@@ -935,8 +949,10 @@ class TestMergeLayoutCache:
         pq._pairs.cache_clear()
         for count in counts + counts[::-1] + counts:
             want = oracle[:, :count]
-            got, _ = pq._nearest(pq.segment_distances_batch(xs, cb), k, count)
-            np.testing.assert_array_equal(got, want, err_msg=f"count {count}")
+            dists = pq.segment_distances_batch(xs, cb)
+            for nearest in (pq._nearest, pq._pruned_merge):
+                got, _ = nearest(dists, k, count)
+                np.testing.assert_array_equal(got, want, err_msg=f"count {count}")
             np.testing.assert_array_equal(pq.nearest_words_batch(xs, cb, count), want)
             single = [w for w, _ in pq.nearest_words(xs[0], cb, count)]
             assert single == want[0].tolist()
@@ -951,6 +967,81 @@ class TestMergeLayoutCache:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+def heap_nearest(dists, k, count):
+    """`_merge_nearest` of every row of (rows, M, K) distances, as (ids,
+    totals) arrays."""
+    merged = [list(zip(*pq._merge_nearest(row, k, count))) for row in dists]
+    return (np.array([ids for ids, _ in merged], dtype=np.int64),
+            np.array([totals for _, totals in merged]))
+
+
+def assert_same_words(got, want, msg):
+    """Equal ids and bit-identical totals."""
+    np.testing.assert_array_equal(got[0], want[0], err_msg=msg)
+    assert got[1].dtype == want[1].dtype == np.float64, msg
+    assert got[1].tobytes() == want[1].tobytes(), msg
+
+
+class TestDenseWords:
+    """`_dense_nearest`, which scores all K^M words, against the merge and
+    the heap merge: the same ids and the same bits for every shape, on both
+    sides of `DENSE_WORDS`, and `_nearest` takes the merge only past it."""
+
+    @pytest.mark.parametrize("k, m", [(64, 2), (128, 2), (8, 4), (4, 4)])
+    @pytest.mark.parametrize("kind", ["gaussian", "integer"])
+    def test_matches_merge_and_heap(self, k, m, kind):
+        """Integer distances in {0, 1, 2} tie across segments, so many words
+        share a total and the order falls to the word id."""
+        rng = np.random.default_rng(k + m)
+        words = k**m
+        at = max(pq.DENSE_WORDS // words, 1)  # 1 where even one row is past the bound
+        for rows in (at, at + 1):
+            if kind == "integer":
+                dists = rng.integers(0, 3, (rows, m, k)).astype(np.float64)
+            else:
+                dists = rng.standard_normal((rows, m, k)) ** 2
+            for count in (1, 40, words):
+                msg = f"{rows} rows, count {count}"
+                dense = pq._dense_nearest(dists, count)
+                assert_same_words(dense, pq._pruned_merge(dists, k, count), msg)
+                assert_same_words(dense, heap_nearest(dists, k, count), msg)
+
+    @pytest.mark.parametrize("dists,count,wids,totals", TestPrunedMerge.ROUNDING_TIES)
+    def test_rounding_ties(self, dists, count, wids, totals):
+        """Rows whose left-out words tie a kept one only after rounding."""
+        dists = np.array([dists])
+        dense = pq._dense_nearest(dists, count)
+        assert dense[0].tolist() == [wids] and dense[1].tolist() == [totals]
+        assert_same_words(dense, pq._pruned_merge(dists, 2, count), "merge")
+        assert_same_words(dense, heap_nearest(dists, 2, count), "heap")
+
+    @pytest.mark.parametrize("k, m", [(64, 2), (8, 4), (4, 4), (128, 2)])
+    def test_merge_only_past_the_bound(self, monkeypatch, k, m):
+        """At the bound `_nearest` never calls the merge, and one row past
+        it never the dense form; both answer as the other would."""
+        rng = np.random.default_rng(m * k)
+        at = pq.DENSE_WORDS // k**m
+        dists = rng.standard_normal((at + 1, m, k)) ** 2
+        want = pq._dense_nearest(dists, 40)
+
+        def forbidden(*args):
+            raise AssertionError("wrong strategy")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pq, "_pruned_merge", forbidden)
+            if at:
+                assert_same_words(pq._nearest(dists[:at], k, 40),
+                                  (want[0][:at], want[1][:at]), "at the bound")
+            with pytest.raises(AssertionError, match="wrong strategy"):
+                pq._nearest(dists, k, 40)
+        with monkeypatch.context() as patch:
+            patch.setattr(pq, "_dense_nearest", forbidden)
+            assert_same_words(pq._nearest(dists, k, 40), want, "past the bound")
+            if at:
+                with pytest.raises(AssertionError, match="wrong strategy"):
+                    pq._nearest(dists[:at], k, 40)
 
 
 class TestReconstruct:
