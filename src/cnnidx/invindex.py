@@ -8,37 +8,18 @@ their file widths (`posting_dtypes`), the list boundaries `offsets` (int64)
 and the packed codes `codes` (n*S, B). List j belongs to word wids[j] and
 holds the entries offsets[j]:offsets[j + 1].
 
-Index file layout (all integers little-endian):
-
-    magic   8 bytes  b"CNNIDX07"
-    hlen    uint32   length of the JSON header
-    header  bytes    JSON: the BuildConfig and n, nothing else: scheme,
-                     link_count, code_length, indexed_count, and quantizer
-                     (dim, plus segments and words_per_segment for IFC)
-    quantizer payload: IFC -> sub-codebook centroids as float32, segments in
-                     order; TIFC -> empty (the (D, L) table of the virtual
-                     words' segment means is the one
-                     `tifc.make_virtual_words` draws for dim and
-                     code_length, and `save` refuses any other)
-    nlists  uint64   number of non-empty posting lists
-    wids    uW x nlists, strictly increasing
-    lengths uN x nlists, each >= 1, summing to indexed_count * S
-    ids     uI x (indexed_count * S), list after list
-    codes   uint8 x (indexed_count * S * code_bytes), one code per id
-    crc     uint32   CRC32 of every byte after the magic
-
-The posting integers take the narrowest unsigned width of 8, 16, 32 or 64
-bits that holds every value the header allows (`posting_dtypes`): uW holds
-word_count - 1, uN holds indexed_count and uI holds indexed_count - 1. So no
-header field names a width, and the ids of an index of up to 65,536 vectors
-take two bytes.
+The index file is the magic b"CNNIDX07", a uint32 length and the JSON
+header (the BuildConfig and n), the sections that `_layout` lists in file
+order, and a CRC32 of every byte after the magic; all integers are
+little-endian. `save`, `load` and `stats` take the sections from that one
+list, so no header field names a width.
 
 Only `_header_json` writes the header, and a header loads only in its exact
 form, so a file that loads saves back to the same bytes. `load` reads each
 section straight into its array and rejects with `DataError` every file that
-breaks one of these rules, so a query never meets an id outside
-[0, indexed_count) or an image twice in one list. Older files
-(`OLD_MAGICS`) are not read; rebuild.
+breaks one of the rules noted on `_layout`'s sections, so a query never
+meets an id outside [0, indexed_count) or an image twice in one list. Older
+files (`OLD_MAGICS`) are not read; rebuild.
 
 Build and query share one encoding stage over chunks of `_row_bytes` each:
 the quantizer's `words`, then `list_codes`, the one code function, against
@@ -341,7 +322,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     d, n, s = db.dim, db.n, cfg.link_count
     if n == 0:
         raise DataError("database has no vectors to index")
-    word_count = cfg.word_count(d, "database")
+    cfg.word_count(d, "database")  # the shape rules, before any training
     if cfg.scheme == SCHEME_TIFC:
         if training is not None:
             raise ValueError("a TIFC build takes no training set")
@@ -356,8 +337,9 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         quantizer = pq.train(training, cfg.pq)
 
     # pass 1: every row's S words, at their file width (every word id is
-    # below word_count), filled in place chunk by chunk
-    wid_t, _, id_t = posting_dtypes(word_count, n)
+    # below the word count), filled in place chunk by chunk
+    widths = {name: dtype for name, _, dtype in _layout(cfg, d, n, 0)}
+    wid_t, id_t = widths["wids"], widths["ids"]
     total, b = n * s, code_bytes(cfg.code_length)
     wids = np.empty((n, s), dtype=wid_t)
 
@@ -413,62 +395,77 @@ def posting_dtypes(word_count: int, indexed_count: int) -> tuple[np.dtype, np.dt
                  for v in (word_count - 1, indexed_count, indexed_count - 1))
 
 
+def _layout(cfg: BuildConfig, dim: int, indexed_count: int,
+            nlists: int) -> list[tuple[str, int, np.dtype]]:
+    """The file's sections after the header, in file order, each as (name,
+    value count, little-endian dtype). `save` writes the index's array of
+    each name, `stats` sums their bytes and `load` reads them. Only the
+    counts of `wids` and `lengths` depend on nlists, which comes before them."""
+    total = indexed_count * cfg.link_count
+    wid_t, len_t, id_t = posting_dtypes(cfg.word_count(dim, "index"), indexed_count)
+    return [
+        # IFC: the M x K sub-codebook centroids, segments in order; TIFC:
+        # none (its table is the one `tifc.make_virtual_words` draws for
+        # dim and code_length, and `save` refuses any other)
+        ("payload", cfg.pq.words_per_segment * dim if cfg.pq else 0, np.dtype("<f4")),
+        ("nlists", 1, np.dtype("<u8")),  # how many posting lists are non-empty
+        ("wids", nlists, wid_t),  # strictly increasing
+        ("lengths", nlists, len_t),  # each >= 1, summing to n * S
+        ("ids", total, id_t),  # list after list, rising within each
+        ("codes", total * code_bytes(cfg.code_length), np.dtype(np.uint8)),  # one per id
+    ]
+
+
 def stats(ix: InvertedIndex) -> IndexStats:
-    """Entry counts, list-length histogram and byte sizes, all read from the
-    sections that `save` writes: each array's length times its file width,
-    with no copy at that width."""
+    """Entry counts, list-length histogram and byte sizes. The sizes are
+    `_layout`'s, which `save` checks the index's arrays against, so
+    `estimated_file_bytes` is the size of the file that `save` writes."""
     lengths = np.diff(ix.offsets)
     hist = Counter(lengths.tolist())
     hist[0] += ix.quantizer.word_count - len(ix.wids)
-    sizes = [values.size * dtype.itemsize for values, dtype in _sections(ix)]
+    header = _header_json(ix.config, ix.quantizer.dim, ix.indexed_count)
+    sizes = {name: count * dtype.itemsize for name, count, dtype in
+             _layout(ix.config, ix.quantizer.dim, ix.indexed_count, len(ix.wids))}
     return IndexStats(
         word_count=ix.quantizer.word_count,
         total_entries=len(ix.ids),
-        posting_bytes=sum(sizes[-4:-1]),  # wids, lengths and ids
-        code_bytes=ix.codes.nbytes,
-        quantizer_bytes=sizes[2],  # the quantizer payload
+        posting_bytes=sizes["wids"] + sizes["lengths"] + sizes["ids"],
+        code_bytes=sizes["codes"],
+        quantizer_bytes=sizes["payload"],
         list_length_histogram=hist,
-        estimated_file_bytes=len(MAGIC) + sum(sizes) + 4,
+        estimated_file_bytes=len(MAGIC) + 4 + len(header) + sum(sizes.values()) + 4,
     )
-
-
-def _sections(ix: InvertedIndex) -> list[tuple[np.ndarray, np.dtype]]:
-    """The file's sections between the magic and the CRC, in order, each as
-    an array and the little-endian dtype its values are written at: the
-    posting integers at `posting_dtypes`, the rest at their own."""
-    header = _header_json(ix.config, ix.quantizer.dim, ix.indexed_count)
-    payload = ix.quantizer.payload()
-    wid_t, len_t, id_t = posting_dtypes(ix.quantizer.word_count, ix.indexed_count)
-    return [
-        (np.array([len(header)]), np.dtype("<u4")),
-        (np.frombuffer(header, dtype=np.uint8), np.dtype(np.uint8)),
-        (payload, payload.dtype),
-        (np.array([len(ix.wids)]), np.dtype("<u8")),
-        (ix.wids, wid_t),
-        (np.diff(ix.offsets), len_t),
-        (ix.ids, id_t),
-        (ix.codes, np.dtype(np.uint8)),
-    ]
 
 
 def save(ix: InvertedIndex, path) -> None:
     """Write the index file, each section as one array at its file dtype: no
     copy for a built or loaded index, which holds its postings at those.
 
-    A TIFC file holds no table, so an index whose table is not the drawn
-    one for its (D, L) would load with other words: ValueError, before the
-    file is opened."""
+    An index that its file cannot describe is refused with ValueError before
+    the file is opened: an array whose size is not its section's count in
+    `_layout`, or a TIFC table other than the drawn one for its (D, L),
+    which the file does not hold, so the index would load with other
+    words."""
     q = ix.quantizer
     if isinstance(q, VirtualWordBank):
         drawn = tifc.make_virtual_words(*q.means.shape)
         if q is not drawn and not np.array_equal(q.means, drawn.means):
             raise ValueError("a TIFC table other than the drawn one for its "
                              f"{q.means.shape}: the file cannot hold it")
-    crc = 0
+    arrays = {"payload": q.payload(), "nlists": np.array([len(ix.wids)]), "wids": ix.wids,
+              "lengths": np.diff(ix.offsets), "ids": ix.ids, "codes": ix.codes}
+    layout = _layout(ix.config, q.dim, ix.indexed_count, len(ix.wids))
+    for name, count, _ in layout:
+        if arrays[name].size != count:
+            raise ValueError(f"{name} holds {arrays[name].size} values, not the "
+                             f"{count} of its file section")
+    header = _header_json(ix.config, q.dim, ix.indexed_count)
+    head = struct.pack("<I", len(header)) + header
+    crc = zlib.crc32(head)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        for values, dtype in _sections(ix):
-            values = np.ascontiguousarray(values, dtype=dtype)
+        f.write(MAGIC + head)
+        for name, _, dtype in layout:
+            values = np.ascontiguousarray(arrays[name], dtype=dtype)
             crc = zlib.crc32(values, crc)
             f.write(values)
         f.write(struct.pack("<I", crc))
@@ -547,11 +544,11 @@ def _check_postings(path, ix: InvertedIndex) -> None:
 def load(path) -> InvertedIndex:
     """Read and validate an index file; any malformed file raises DataError.
 
-    The file is read section by section, each straight into the array the
-    index keeps (the posting integers at their file widths), and the CRC is
-    updated as each section arrives. No array is allocated before its byte
-    count is checked against the bytes left in the file, and after `nlists`
-    those bytes must match the header's sizes exactly. The CRC is checked
+    The file is read section by section in `_layout`'s order, each straight
+    into the array the index keeps (the posting integers at their file
+    widths), and the CRC is updated as each section arrives. No array is
+    allocated before its byte count is checked against the bytes left in the
+    file, and after the last section no byte may be left. The CRC is checked
     before any value is used: the payload's (finite centroids), the posting
     rules and the quantizer, the IFC codebook or the TIFC table. All of it
     runs on the calling thread, and a TIFC table is taken from
@@ -580,23 +577,24 @@ def load(path) -> InvertedIndex:
             return out
 
         (hlen,) = struct.unpack("<I", array(4, np.uint8))
-        cfg, dim, word_count, indexed_count = _read_header(path, array(hlen, np.uint8))
-        payload = array(cfg.pq.words_per_segment * dim if cfg.pq else 0, "<f4")
-        total = indexed_count * cfg.link_count
-        b = code_bytes(cfg.code_length)
-        wid_t, len_t, id_t = posting_dtypes(word_count, indexed_count)
-        nlists = int(array(1, "<u8")[0])
-        need = nlists * (wid_t.itemsize + len_t.itemsize) + total * (id_t.itemsize + b)
-        if need > left:
-            raise DataError(f"{path}: truncated index file")
-        if need < left:
-            raise DataError(f"{path}: {left - need} trailing bytes after posting lists")
-        wids, lengths, ids = array(nlists, wid_t), array(nlists, len_t), array(total, id_t)
-        codes = array(total * b, np.uint8).reshape(total, b)
+        cfg, dim, _, indexed_count = _read_header(path, array(hlen, np.uint8))
+        # the sections up to nlists, whose counts do not depend on it, then the rest
+        got = {}
+        for name, count, dtype in _layout(cfg, dim, indexed_count, 0):
+            got[name] = array(count, dtype)
+            if name == "nlists":
+                break
+        nlists = int(got["nlists"][0])
+        for name, count, dtype in _layout(cfg, dim, indexed_count, nlists):
+            if name not in got:
+                got[name] = array(count, dtype)
+        if left:
+            raise DataError(f"{path}: {left} trailing bytes after posting lists")
         trailer = f.read(4)
         if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
             raise DataError(f"{path}: checksum mismatch (corrupt index file)")
 
+    payload, lengths, total = got["payload"], got["lengths"], len(got["ids"])
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: NaN or infinite centroid in the quantizer payload")
     # total fits the file, so a sum of lengths in [1, total] cannot overflow
@@ -607,14 +605,7 @@ def load(path) -> InvertedIndex:
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
     quantizer = (PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
                  if cfg.pq else tifc.make_virtual_words(dim, cfg.code_length))
-    ix = InvertedIndex(
-        config=cfg,
-        indexed_count=indexed_count,
-        wids=wids,
-        offsets=offsets,
-        ids=ids,
-        codes=codes,
-        quantizer=quantizer,
-    )
+    ix = InvertedIndex(config=cfg, indexed_count=indexed_count, wids=got["wids"], offsets=offsets,
+                       ids=got["ids"], codes=got["codes"].reshape(total, -1), quantizer=quantizer)
     _check_postings(path, ix)
     return ix

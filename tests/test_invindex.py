@@ -494,7 +494,7 @@ class TestThreadedFill:
         assert threading.active_count() == before
 
 
-class TestRunJobs:
+class TestFillRowsErrors:
     """`invindex._fill_rows` runs chunks t, t + w, ... on thread t, the
     caller being thread 0 and the others w - 1 helpers that it starts, stops
     and joins itself."""
@@ -1281,10 +1281,23 @@ def split_file(path):
     return json.loads(blob[12:12 + hlen]), blob[12 + hlen:-4]
 
 
+def layout_of(ix):
+    """`invindex._layout` for ix: its file's sections after the header."""
+    return invindex._layout(ix.config, ix.quantizer.dim, ix.indexed_count, len(ix.wids))
+
+
+def section_arrays(ix):
+    """ix's arrays by the names of its file's sections."""
+    return {"payload": ix.quantizer.payload(), "nlists": np.array([len(ix.wids)]),
+            "wids": ix.wids, "lengths": np.diff(ix.offsets), "ids": ix.ids,
+            "codes": ix.codes}
+
+
 def payload_of(ix):
     """The bytes after the header of ix's index file."""
-    return b"".join(np.ascontiguousarray(values, dtype=dtype).tobytes()
-                    for values, dtype in invindex._sections(ix)[2:])
+    arrays = section_arrays(ix)
+    return b"".join(np.ascontiguousarray(arrays[name], dtype=dtype).tobytes()
+                    for name, _, dtype in layout_of(ix))
 
 
 def write_file(path, header, payload):
@@ -1605,12 +1618,77 @@ class TestPostingWidths:
             np.testing.assert_array_equal(getattr(back, name), getattr(ix, name))
 
 
+# The three shapes of `tests/test_golden.py`: TIFC, IFC with M | L and IFC
+# with L % M != 0, by scheme and build parameters.
+GOLDEN_SHAPES = {
+    "tifc": ("tifc", dict(S=6, L=16)),
+    "ifc-m-divides-l": ("ifc", dict(S=6, L=16, K=8, M=2)),
+    "ifc-l-mod-m": ("ifc", dict(S=6, L=16, K=8, M=3)),
+}
+
+
+@pytest.fixture(scope="module", params=GOLDEN_SHAPES)
+def golden_index(request):
+    """An index of each golden shape over `tests/test_golden.py`'s data."""
+    db, _, _ = vecio.generate_synthetic(vecio.SynthSpec(20, 30, 48, 1.0, 0.5, seed=31))
+    scheme, params = GOLDEN_SHAPES[request.param]
+    return invindex.build(db, invindex.build_config(scheme, params))
+
+
+class TestLayout:
+    """`_layout` lists the file's sections after the header, and `save`,
+    `load` and `stats` follow it."""
+
+    def test_saved_file_walks_by_the_layout(self, golden_index, tmp_path):
+        """Each section holds the index's array of its name at its dtype, the
+        sections end at the CRC, and `stats` sums their bytes by name."""
+        ix = golden_index
+        path = tmp_path / "g.idx"
+        invindex.save(ix, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        want = {name: np.ravel(values) for name, values in section_arrays(ix).items()}
+        at, sizes = 12 + hlen, {}
+        for name, count, dtype in layout_of(ix):
+            got = np.frombuffer(raw, dtype=dtype, count=count, offset=at)
+            assert got.size == want[name].size, name
+            np.testing.assert_array_equal(got, want[name], err_msg=name)
+            at += got.nbytes
+            sizes[name] = got.nbytes
+        assert at == len(raw) - 4
+        st = invindex.stats(ix)
+        assert st.posting_bytes == sizes["wids"] + sizes["lengths"] + sizes["ids"]
+        assert st.code_bytes == sizes["codes"]
+        assert st.quantizer_bytes == sizes["payload"]
+        assert st.estimated_file_bytes == len(raw)
+
+    @pytest.mark.parametrize("cut", [
+        lambda ix: dict(ids=ix.ids[:-1], codes=ix.codes[:-1]),
+        lambda ix: dict(codes=ix.codes[:, :1]),
+        lambda ix: dict(offsets=ix.offsets[:-1]),
+    ], ids=["one-link-less", "one-code-byte", "one-list-length-less"])
+    def test_save_refuses_arrays_the_file_cannot_describe(self, golden_index, cut,
+                                                           tmp_path):
+        """An array whose size is not its section's count would write a file
+        that `load` rejects, and that `stats` would misstate: ValueError,
+        before the file is opened."""
+        path = tmp_path / "bad.idx"
+        bad = dataclasses.replace(golden_index, **cut(golden_index))
+        with pytest.raises(ValueError, match="not the .* of its file section"):
+            invindex.save(bad, path)
+        assert not path.exists()
+
+
 def section_bounds(ix):
-    """The byte offsets in ix's index file where the magic, each section of
-    `_sections` and the CRC begin, and the file size."""
-    sizes = ([len(invindex.MAGIC)] + [values.size * dtype.itemsize
-                                      for values, dtype in invindex._sections(ix)] + [4])
-    return [0] + np.cumsum(sizes).tolist()
+    """The byte offset in ix's index file where each part begins, by name:
+    the magic, `hlen`, the header, each section of `invindex._layout` and
+    the CRC; and the file size, as `end`."""
+    header = invindex._header_json(ix.config, ix.quantizer.dim, ix.indexed_count)
+    sizes = ([("magic", len(invindex.MAGIC)), ("hlen", 4), ("header", len(header))]
+             + [(name, count * dtype.itemsize) for name, count, dtype in layout_of(ix)]
+             + [("crc", 4), ("end", 0)])
+    starts = np.cumsum([0] + [size for _, size in sizes]).tolist()
+    return {name: start for (name, _), start in zip(sizes, starts)}
 
 
 def with_crc(raw):
@@ -1657,7 +1735,8 @@ class TestLoaderFuzz:
 
     def test_truncation_at_section_boundaries(self, fuzz_case, tmp_path):
         ix, raw = fuzz_case
-        cuts = {q for b in section_bounds(ix) for q in (b - 1, b, b + 1) if 0 <= q < len(raw)}
+        cuts = {q for b in section_bounds(ix).values() for q in (b - 1, b, b + 1)
+                if 0 <= q < len(raw)}
         for q in sorted(cuts):
             assert load_or_none(tmp_path / "cut.idx", raw[:q]) is None, q
         assert load_or_none(tmp_path / "long.idx", raw + b"\0") is None
@@ -1681,7 +1760,8 @@ class TestLoaderFuzz:
         ix, raw = fuzz_case
         b = section_bounds(ix)
         # hlen and header; nlists, wids, lengths and ids
-        spans = list(range(b[1] * 8, b[3] * 8)) + list(range(b[-7] * 8, b[-3] * 8))
+        spans = (list(range(b["hlen"] * 8, b["payload"] * 8))
+                 + list(range(b["nlists"] * 8, b["codes"] * 8)))
         rng = np.random.default_rng(17)
         query = small_dataset[1].vectors[0]
         cfg = QueryConfig(assignment_count=3, hamming_threshold=5, top_k=10)
@@ -1697,7 +1777,7 @@ class TestLoaderFuzz:
             invindex.save(back, tmp_path / "again.idx")
             assert (tmp_path / "again.idx").read_bytes() == bad
             search.query(back, np.resize(query, back.quantizer.dim), cfg)
-            if bit < b[3] * 8:
+            if bit < b["payload"] * 8:
                 for name in ("wids", "offsets", "ids", "codes"):
                     np.testing.assert_array_equal(getattr(back, name), getattr(ix, name))
         assert rejected > 300
@@ -1719,7 +1799,7 @@ class TestLoaderFuzz:
     @pytest.mark.parametrize("nlists", [2**64 - 1, 2**63, 2**40, 10**6])
     def test_huge_nlists_rejected_before_allocating(self, fuzz_case, nlists, tmp_path):
         ix, raw = fuzz_case
-        at = section_bounds(ix)[-7]
+        at = section_bounds(ix)["nlists"]
         bad = bytearray(raw)
         bad[at:at + 8] = struct.pack("<Q", nlists)
         path = tmp_path / "huge.idx"
