@@ -38,10 +38,11 @@ The stages of `load`, in ms per load:
 - quantizer: the IFC codebook's constants (`PqCodebook.__post_init__`) or
   the TIFC table (`tifc.make_virtual_words`, which draws it on a process's
   first load of its shape and hands back the memoised one after that);
-- postings: `invindex._check_postings`;
-- sections: the rest of `load`, chiefly its sections read into their
-  arrays with the CRC updated as each arrives, then the payload and list
-  length checks.
+- postings: `invindex._check_postings`, every posting rule, the list
+  lengths' included;
+- sections: the rest of `load`, chiefly its one walk of the sections,
+  each read into its array with the CRC updated as it arrives, then the
+  payload check.
 
 `load` runs on the calling thread alone, so its stages add up to no more
 than the whole call. `build` runs its threads through `invindex._fill_rows`,

@@ -15,11 +15,11 @@ little-endian. `save`, `load` and `stats` take the sections from that one
 list, so no header field names a width.
 
 Only `_header_json` writes the header, and a header loads only in its exact
-form, so a file that loads saves back to the same bytes. `load` reads each
-section straight into its array and rejects with `DataError` every file that
-breaks one of the rules noted on `_layout`'s sections, so a query never
-meets an id outside [0, indexed_count) or an image twice in one list. Older
-files (`OLD_MAGICS`) are not read; rebuild.
+form, so a file that loads saves back to the same bytes. `load` reads the
+sections in one walk of `_layout`, and `_check_postings` rejects with
+`DataError` every file that breaks a rule noted on its sections, so a query
+never meets an id outside [0, indexed_count) or an image twice in one list.
+Older files (`OLD_MAGICS`) are not read; rebuild.
 
 Build and query share one encoding stage over chunks of `_row_bytes` each:
 the quantizer's `words`, then `list_codes`, the one code function, against
@@ -396,11 +396,11 @@ def posting_dtypes(word_count: int, indexed_count: int) -> tuple[np.dtype, np.dt
 
 
 def _layout(cfg: BuildConfig, dim: int, indexed_count: int,
-            nlists: int) -> list[tuple[str, int, np.dtype]]:
+            nlists: int | None) -> list[tuple[str, int | None, np.dtype]]:
     """The file's sections after the header, in file order, each as (name,
     value count, little-endian dtype). `save` writes the index's array of
-    each name, `stats` sums their bytes and `load` reads them. Only the
-    counts of `wids` and `lengths` depend on nlists, which comes before them."""
+    each name, `stats` sums their bytes and `load` reads them; nlists, the
+    count of `wids` and `lengths`, is None for `load`, which reads it first."""
     total = indexed_count * cfg.link_count
     wid_t, len_t, id_t = posting_dtypes(cfg.word_count(dim, "index"), indexed_count)
     return [
@@ -490,9 +490,9 @@ def _header_json(cfg: BuildConfig, dim: int, indexed_count: int) -> bytes:
     return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
-def _read_header(path, raw) -> tuple[BuildConfig, int, int, int]:
-    """The header's BuildConfig, vector width D, word count and indexed
-    count. The configuration's values go into the configs as they are, so
+def _read_header(path, raw) -> tuple[BuildConfig, int, int]:
+    """The header's BuildConfig, vector width D and indexed count. The
+    configuration's values go into the configs as they are, so
     the rules that `build` applies (the configs' own, types included, and
     `BuildConfig.word_count`'s) hold them; a field left out is None, which
     no config takes. Last, the bytes must be `_header_json`'s for what they
@@ -512,7 +512,7 @@ def _read_header(path, raw) -> tuple[BuildConfig, int, int, int]:
         cfg = BuildConfig(scheme, header.get("link_count"), header.get("code_length"), pq_cfg)
     except ValueError as exc:
         raise DataError(f"{path}: bad configuration in index header ({exc})") from None
-    word_count = cfg.word_count(dim, path)
+    cfg.word_count(dim, path)  # the shape rules
     # the result records of `vecio.write_int_lists` hold image ids as int32
     if not 0 < indexed_count <= np.iinfo(np.int32).max:
         raise DataError(f"{path}: index header field 'indexed_count' is {indexed_count}, "
@@ -520,13 +520,18 @@ def _read_header(path, raw) -> tuple[BuildConfig, int, int, int]:
     if bytes(raw) != _header_json(cfg, dim, indexed_count):
         raise DataError(f"{path}: index header is not the one `save` writes "
                         "for its configuration")
-    return cfg, dim, word_count, indexed_count
+    return cfg, dim, indexed_count
 
 
 def _check_postings(path, ix: InvertedIndex) -> None:
-    """Reject posting arrays that break the layout's invariants; the lengths
-    are checked already, so there is at least one list and one entry."""
+    """Reject posting arrays that break a rule noted on `_layout`'s sections;
+    the lengths' first, so the rest meet at least one list and one entry."""
     wids, ids = ix.wids, ix.ids  # unsigned, so never below 0
+    lengths, total = np.diff(ix.offsets), len(ids)
+    # total fits the file, so a sum of lengths in [1, total] cannot overflow
+    if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
+        raise DataError(f"{path}: list lengths are not all >= 1 with sum "
+                        f"indexed_count * link_count = {total}")
     words = ix.quantizer.word_count
     if wids[-1] >= words or np.any(wids[1:] <= wids[:-1]):
         raise DataError(f"{path}: word ids not strictly increasing in [0, {words})")
@@ -544,14 +549,15 @@ def _check_postings(path, ix: InvertedIndex) -> None:
 def load(path) -> InvertedIndex:
     """Read and validate an index file; any malformed file raises DataError.
 
-    The file is read section by section in `_layout`'s order, each straight
+    One walk of `_layout` reads the sections in file order, each straight
     into the array the index keeps (the posting integers at their file
-    widths), and the CRC is updated as each section arrives. No array is
-    allocated before its byte count is checked against the bytes left in the
-    file, and after the last section no byte may be left. The CRC is checked
-    before any value is used: the payload's (finite centroids), the posting
-    rules and the quantizer, the IFC codebook or the TIFC table. All of it
-    runs on the calling thread, and a TIFC table is taken from
+    widths), the counts it leaves open from `nlists`, and updates the CRC as
+    each arrives. No array is allocated before its byte count is checked
+    against the bytes left in the file, and after the last section no byte
+    may be left. The CRC is checked before any value is used: the payload's
+    (finite centroids), the quantizer, the IFC codebook or the TIFC table,
+    and the posting rules (`_check_postings`). All of it runs on the
+    calling thread, and a TIFC table is taken from
     `tifc.make_virtual_words` only after the CRC, so a file that fails it
     is never drawn for."""
     with open(path, "rb") as f:
@@ -577,17 +583,11 @@ def load(path) -> InvertedIndex:
             return out
 
         (hlen,) = struct.unpack("<I", array(4, np.uint8))
-        cfg, dim, _, indexed_count = _read_header(path, array(hlen, np.uint8))
-        # the sections up to nlists, whose counts do not depend on it, then the rest
+        cfg, dim, indexed_count = _read_header(path, array(hlen, np.uint8))
         got = {}
-        for name, count, dtype in _layout(cfg, dim, indexed_count, 0):
-            got[name] = array(count, dtype)
-            if name == "nlists":
-                break
-        nlists = int(got["nlists"][0])
-        for name, count, dtype in _layout(cfg, dim, indexed_count, nlists):
-            if name not in got:
-                got[name] = array(count, dtype)
+        for name, count, dtype in _layout(cfg, dim, indexed_count, None):
+            # a count left open is the value of `nlists`, a section already read
+            got[name] = array(int(got["nlists"][0]) if count is None else count, dtype)
         if left:
             raise DataError(f"{path}: {left} trailing bytes after posting lists")
         trailer = f.read(4)
@@ -597,11 +597,7 @@ def load(path) -> InvertedIndex:
     payload, lengths, total = got["payload"], got["lengths"], len(got["ids"])
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: NaN or infinite centroid in the quantizer payload")
-    # total fits the file, so a sum of lengths in [1, total] cannot overflow
-    if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
-        raise DataError(f"{path}: list lengths are not all >= 1 with sum "
-                        f"indexed_count * link_count = {total}")
-    offsets = np.zeros(nlists + 1, dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
     quantizer = (PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
                  if cfg.pq else tifc.make_virtual_words(dim, cfg.code_length))

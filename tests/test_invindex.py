@@ -1029,8 +1029,9 @@ class TestQuantizerContract:
         assert (q.word_count, q.stage_width) == {"tifc": (16, 16), "ifc": (16, 8)}[scheme]
         payload = q.payload()
         header = invindex._header_json(ix.config, q.dim, ix.indexed_count)
-        cfg, dim, words, n = invindex._read_header("contract.idx", header)
-        assert (cfg, dim, words, n) == (ix.config, q.dim, q.word_count, ix.indexed_count)
+        cfg, dim, n = invindex._read_header("contract.idx", header)
+        assert (cfg, dim, n) == (ix.config, q.dim, ix.indexed_count)
+        assert cfg.word_count(dim, "contract.idx") == q.word_count
         path = tmp_path / "contract.idx"
         invindex.save(ix, path)
         loaded = invindex.load(path)
@@ -1641,7 +1642,9 @@ class TestLayout:
 
     def test_saved_file_walks_by_the_layout(self, golden_index, tmp_path):
         """Each section holds the index's array of its name at its dtype, the
-        sections end at the CRC, and `stats` sums their bytes by name."""
+        sections end at the CRC, and `stats` sums their bytes by name. The
+        layout `load` walks, with the counts of `wids` and `lengths` left
+        open and read from the `nlists` section, reads the same sections."""
         ix = golden_index
         path = tmp_path / "g.idx"
         invindex.save(ix, path)
@@ -1656,6 +1659,15 @@ class TestLayout:
             at += got.nbytes
             sizes[name] = got.nbytes
         assert at == len(raw) - 4
+        walk = invindex._layout(ix.config, ix.quantizer.dim, ix.indexed_count, None)
+        assert [name for name, count, _ in walk if count is None] == ["wids", "lengths"]
+        at, read = 12 + hlen, {}
+        for name, count, dtype in walk:
+            count = int(read["nlists"][0]) if count is None else count
+            read[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=at)
+            np.testing.assert_array_equal(read[name], want[name], err_msg=name)
+            at += read[name].nbytes
+        assert list(read) == list(sizes) and at == len(raw) - 4
         st = invindex.stats(ix)
         assert st.posting_bytes == sizes["wids"] + sizes["lengths"] + sizes["ids"]
         assert st.code_bytes == sizes["codes"]
