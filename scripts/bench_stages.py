@@ -38,11 +38,11 @@ The stages of `load`, in ms per load:
 - quantizer: the IFC codebook's constants (`PqCodebook.__post_init__`) or
   the TIFC table (`tifc.make_virtual_words`, which draws it on a process's
   first load of its shape and hands back the memoised one after that);
-- postings: `invindex._check_postings`, every posting rule, the list
-  lengths' included;
+- rules: `invindex._check_sections`, every rule on the sections' values:
+  their counts, the finite payload and the posting rules (`save` runs the
+  same function, inside group + save);
 - sections: the rest of `load`, chiefly its one walk of the sections,
-  each read into its array with the CRC updated as it arrives, then the
-  payload check.
+  each read into its array with the CRC updated as it arrives.
 
 `load` runs on the calling thread alone, so its stages add up to no more
 than the whole call. `build` runs its threads through `invindex._fill_rows`,
@@ -108,7 +108,7 @@ BUILD_STAGES = {
 LOAD_STAGES = {
     "header": ("invindex._read_header",),
     "quantizer": ("pq.PqCodebook.__post_init__", "tifc.make_virtual_words"),
-    "postings": ("invindex._check_postings",),
+    "rules": ("invindex._check_sections",),
     "sections": ("invindex.load",),
 }
 QUERY_STAGES = {

@@ -15,11 +15,11 @@ little-endian. `save`, `load` and `stats` take the sections from that one
 list, so no header field names a width.
 
 Only `_header_json` writes the header, and a header loads only in its exact
-form, so a file that loads saves back to the same bytes. `load` reads the
-sections in one walk of `_layout`, and `_check_postings` rejects with
-`DataError` every file that breaks a rule noted on its sections, so a query
-never meets an id outside [0, indexed_count) or an image twice in one list.
-Older files (`OLD_MAGICS`) are not read; rebuild.
+form, so a file that loads saves back to the same bytes. `_check_sections`
+holds every rule noted on the sections: `load` rejects a file that breaks
+one and `save` refuses to write it, so every saved file loads as the index
+saved, and a query never meets an id outside [0, indexed_count) or an image
+twice in one list. Older files (`OLD_MAGICS`) are not read; rebuild.
 
 Build and query share one encoding stage over chunks of `_row_bytes` each:
 the quantizer's `words`, then `list_codes`, the one code function, against
@@ -49,11 +49,8 @@ a (D, L) draws it serially (about 10 ms at 2,048 x 256).
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
 of D * L float64 means holds at most `MAX_TABLE_ENTRIES` = 2^24 entries
 (128 MiB), so a small file cannot ask for gigabytes. `build` checks the
-database's D by it, before any training or table draw, and `load` the D of
-the `BuildConfig` that `_read_header` rebuilds from the header. The configs
-check that each integer field is an integer (`vecio.check_ints`), so
-`_read_header` passes them the header's values as they are. An index keeps
-that `BuildConfig` as `config`.
+database's D by it, before any training or table draw, and `_read_header`
+the header's. An index keeps its `BuildConfig` as `config`.
 """
 
 from __future__ import annotations
@@ -399,8 +396,9 @@ def _layout(cfg: BuildConfig, dim: int, indexed_count: int,
             nlists: int | None) -> list[tuple[str, int | None, np.dtype]]:
     """The file's sections after the header, in file order, each as (name,
     value count, little-endian dtype). `save` writes the index's array of
-    each name, `stats` sums their bytes and `load` reads them; nlists, the
-    count of `wids` and `lengths`, is None for `load`, which reads it first."""
+    each name, `stats` sums their bytes, `load` reads them and
+    `_check_sections` holds the rules noted on them; nlists, the count of
+    `wids` and `lengths`, is None for `load`, which reads it first."""
     total = indexed_count * cfg.link_count
     wid_t, len_t, id_t = posting_dtypes(cfg.word_count(dim, "index"), indexed_count)
     return [
@@ -438,34 +436,32 @@ def stats(ix: InvertedIndex) -> IndexStats:
 
 
 def save(ix: InvertedIndex, path) -> None:
-    """Write the index file, each section as one array at its file dtype: no
-    copy for a built or loaded index, which holds its postings at those.
-
-    An index that its file cannot describe is refused with ValueError before
-    the file is opened: an array whose size is not its section's count in
-    `_layout`, or a TIFC table other than the drawn one for its (D, L),
-    which the file does not hold, so the index would load with other
-    words."""
+    """Write the index file, each section as its array cast to its file
+    dtype: no copy for a built or loaded index, which holds its postings at
+    those. ValueError before the file is opened refuses a TIFC table other
+    than the drawn one for its (D, L), which the file does not hold; cast
+    arrays that break a rule of `_check_sections`, with the message `load`
+    gives for their file; and then values that the cast changed."""
     q = ix.quantizer
     if isinstance(q, VirtualWordBank):
         drawn = tifc.make_virtual_words(*q.means.shape)
         if q is not drawn and not np.array_equal(q.means, drawn.means):
             raise ValueError("a TIFC table other than the drawn one for its "
                              f"{q.means.shape}: the file cannot hold it")
-    arrays = {"payload": q.payload(), "nlists": np.array([len(ix.wids)]), "wids": ix.wids,
-              "lengths": np.diff(ix.offsets), "ids": ix.ids, "codes": ix.codes}
-    layout = _layout(ix.config, q.dim, ix.indexed_count, len(ix.wids))
-    for name, count, _ in layout:
-        if arrays[name].size != count:
-            raise ValueError(f"{name} holds {arrays[name].size} values, not the "
-                             f"{count} of its file section")
+    given = {"payload": q.payload(), "nlists": np.array([len(ix.wids)]), "wids": ix.wids,
+             "lengths": np.diff(ix.offsets), "ids": ix.ids, "codes": ix.codes}
+    arrays = {name: np.ascontiguousarray(given[name], dtype=dtype) for name, _, dtype
+              in _layout(ix.config, q.dim, ix.indexed_count, len(ix.wids))}
+    _check_sections(path, ix.config, q.dim, ix.indexed_count, arrays, ValueError)
+    for name, values in arrays.items():
+        if values.dtype != given[name].dtype and not np.array_equal(values, given[name]):
+            raise ValueError(f"{path}: {name} values change in their file dtype {values.dtype}")
     header = _header_json(ix.config, q.dim, ix.indexed_count)
     head = struct.pack("<I", len(header)) + header
     crc = zlib.crc32(head)
     with open(path, "wb") as f:
         f.write(MAGIC + head)
-        for name, _, dtype in layout:
-            values = np.ascontiguousarray(arrays[name], dtype=dtype)
+        for values in arrays.values():
             crc = zlib.crc32(values, crc)
             f.write(values)
         f.write(struct.pack("<I", crc))
@@ -523,27 +519,41 @@ def _read_header(path, raw) -> tuple[BuildConfig, int, int]:
     return cfg, dim, indexed_count
 
 
-def _check_postings(path, ix: InvertedIndex) -> None:
-    """Reject posting arrays that break a rule noted on `_layout`'s sections;
-    the lengths' first, so the rest meet at least one list and one entry."""
-    wids, ids = ix.wids, ix.ids  # unsigned, so never below 0
-    lengths, total = np.diff(ix.offsets), len(ids)
+def _check_sections(where, cfg: BuildConfig, dim: int, indexed_count: int, arrays: dict,
+                    error: type[Exception] = DataError) -> None:
+    """Raise `error`, naming `where`, unless `arrays`, the sections by name
+    at their file dtypes, meet every rule noted on `_layout`: the value
+    counts, a finite payload, and the posting rules, the lengths' first, so
+    the rest meet at least one list and one entry."""
+    wids, lengths, ids = arrays["wids"], arrays["lengths"], arrays["ids"]  # unsigned
+    for name, count, _ in _layout(cfg, dim, indexed_count, len(wids)):
+        if arrays[name].size != count:
+            raise error(f"{where}: {name} holds {arrays[name].size} values, not the "
+                        f"{count} of its file section")
+    if not np.isfinite(arrays["payload"]).all():
+        raise error(f"{where}: NaN or infinite centroid in the quantizer payload")
+    total = len(ids)
     # total fits the file, so a sum of lengths in [1, total] cannot overflow
-    if np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
-        raise DataError(f"{path}: list lengths are not all >= 1 with sum "
-                        f"indexed_count * link_count = {total}")
-    words = ix.quantizer.word_count
+    if not total or np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
+        raise error(f"{where}: list lengths are not all >= 1 with sum "
+                    f"indexed_count * link_count = {total}")
+    words = cfg.word_count(dim, where)
     if wids[-1] >= words or np.any(wids[1:] <= wids[:-1]):
-        raise DataError(f"{path}: word ids not strictly increasing in [0, {words})")
-    if ids.max() >= ix.indexed_count:
-        raise DataError(f"{path}: posting ids outside [0, {ix.indexed_count})")
-    rising = ids[1:] > ids[:-1]
-    rising[ix.offsets[1:-1] - 1] = True  # list boundaries may step down
-    if not rising.all():
-        raise DataError(f"{path}: posting ids not strictly increasing within a list")
-    pad = ix.config.code_length % 8
-    if pad and np.any(ix.codes[:, -1] >> pad):
-        raise DataError(f"{path}: nonzero pad bits in the codes")
+        raise error(f"{where}: word ids not strictly increasing in [0, {words})")
+    if ids.max() >= indexed_count:
+        raise error(f"{where}: posting ids outside [0, {indexed_count})")
+    # neighbours compared in eight blocks, so no mask longer than an eighth
+    # of the ids is held; the id at a list's start (but the first's) may step down
+    starts, block = np.cumsum(lengths[:-1], dtype=np.int64), total // 8 + 1
+    for lo in range(0, total - 1, block):
+        hi = min(lo + block, total - 1)
+        rising = ids[lo + 1:hi + 1] > ids[lo:hi]
+        rising[starts[slice(*np.searchsorted(starts, (lo + 1, hi + 1)))] - lo - 1] = True
+        if not rising.all():
+            raise error(f"{where}: posting ids not strictly increasing within a list")
+    pad = cfg.code_length % 8
+    if pad and arrays["codes"].reshape(total, -1)[:, -1].max() >> pad:
+        raise error(f"{where}: nonzero pad bits in the codes")
 
 
 def load(path) -> InvertedIndex:
@@ -554,12 +564,11 @@ def load(path) -> InvertedIndex:
     widths), the counts it leaves open from `nlists`, and updates the CRC as
     each arrives. No array is allocated before its byte count is checked
     against the bytes left in the file, and after the last section no byte
-    may be left. The CRC is checked before any value is used: the payload's
-    (finite centroids), the quantizer, the IFC codebook or the TIFC table,
-    and the posting rules (`_check_postings`). All of it runs on the
-    calling thread, and a TIFC table is taken from
-    `tifc.make_virtual_words` only after the CRC, so a file that fails it
-    is never drawn for."""
+    may be left. The CRC is checked before any value is used: the rules of
+    `_check_sections`, then the quantizer, the IFC codebook or the TIFC
+    table, which is taken from `tifc.make_virtual_words` only then, so a
+    file that fails them is never drawn for. All of it runs on the calling
+    thread."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic in OLD_MAGICS:
@@ -594,14 +603,10 @@ def load(path) -> InvertedIndex:
         if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
             raise DataError(f"{path}: checksum mismatch (corrupt index file)")
 
-    payload, lengths, total = got["payload"], got["lengths"], len(got["ids"])
-    if not np.isfinite(payload).all():
-        raise DataError(f"{path}: NaN or infinite centroid in the quantizer payload")
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
-    quantizer = (PqCodebook(payload.reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
+    _check_sections(path, cfg, dim, indexed_count, got)
+    offsets = np.concatenate(([0], np.cumsum(got["lengths"], dtype=np.int64)))
+    quantizer = (PqCodebook(got["payload"].reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
                  if cfg.pq else tifc.make_virtual_words(dim, cfg.code_length))
-    ix = InvertedIndex(config=cfg, indexed_count=indexed_count, wids=got["wids"], offsets=offsets,
-                       ids=got["ids"], codes=got["codes"].reshape(total, -1), quantizer=quantizer)
-    _check_postings(path, ix)
-    return ix
+    return InvertedIndex(config=cfg, indexed_count=indexed_count, wids=got["wids"],
+                         offsets=offsets, ids=got["ids"],
+                         codes=got["codes"].reshape(len(got["ids"]), -1), quantizer=quantizer)

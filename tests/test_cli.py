@@ -15,7 +15,7 @@ from cnnidx import baseline, invindex, search, vecio
 from cnnidx.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, run
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
-from test_invindex import write_old_file
+from test_invindex import write_old_file, write_raw
 
 
 @pytest.fixture(scope="module")
@@ -822,12 +822,13 @@ def test_baseline_bf_ignores_the_lsh_flags(workspace, tmp_path):
 
 def test_query_on_malformed_index_is_data_error(workspace, tmp_path, capsys):
     # a CRC-valid file whose first posting id is -1, written at the ids' file
-    # width (so as its largest value, outside [0, indexed_count))
+    # width (so as its largest value, outside [0, indexed_count)) without
+    # `save`, which refuses it
     db = vecio.read_feature_file(workspace / "db.fvecs")
     ix = invindex.build(db, invindex.BuildConfig(scheme="tifc", link_count=3, code_length=8))
     ids = ix.ids.astype(np.int64)
     ids[0] = -1
-    invindex.save(dataclasses.replace(ix, ids=ids), tmp_path / "bad.idx")
+    write_raw(tmp_path / "bad.idx", dataclasses.replace(ix, ids=ids))
     rc = run([
         "query", "--index", str(tmp_path / "bad.idx"),
         "--queries", str(workspace / "q.fvecs"), "--out", str(tmp_path / "res"),

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnnidx import embed, invindex, pq, search, tifc, vecio
 from cnnidx.embed import EmbedConfig
@@ -1310,6 +1312,13 @@ def write_file(path, header, payload):
     path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
 
 
+def write_raw(path, ix):
+    """The file that `save` would write for ix, each array cast to its
+    section's dtype as `save` casts it, but with none of `save`'s checks."""
+    write_file(path, invindex._header_json(ix.config, ix.quantizer.dim, ix.indexed_count),
+               payload_of(ix))
+
+
 # Every retired format by its magic, with the keys, by scheme, that its
 # header's quantizer object held beyond today's, at their default values:
 # the edit that makes a current file into one of that format. Before
@@ -1346,6 +1355,31 @@ def tiny_index():
         codes=np.zeros((6, 2), dtype=np.uint8))
 
 
+# Changes to `tiny_index`'s arrays that break a rule of
+# `invindex._check_sections`, each with the fragment of the message that
+# `load` gives for its file and `save` for the index. A -1 is cast to 255.
+MALFORMED_POSTINGS = [
+    (dict(ids=[-1, 1, 1, 2, 0, 2]), "outside"),
+    (dict(ids=[0, 1, 1, 3, 0, 2]), "outside"),
+    (dict(ids=[1, 0, 1, 2, 0, 2]), "strictly increasing within"),
+    (dict(ids=[1, 1, 1, 2, 0, 2]), "strictly increasing within"),
+    (dict(wids=[-1, 5, 7]), "word ids"),
+    (dict(wids=[0, 5, 12]), "word ids"),
+    (dict(wids=[5, 0, 7]), "word ids"),
+    (dict(wids=[0, 5, 5]), "word ids"),
+    (dict(wids=[0, 3, 5, 7], offsets=[0, 2, 2, 4, 6]), "lengths"),
+    (dict(offsets=[0, 2, 4, 5]), "lengths"),
+    (dict(offsets=[0, 2, 4, 7]), "lengths"),
+    (dict(codes=[[0, 0]] * 5 + [[0, 0x10]]), "pad bits"),
+]
+
+
+def hand_made(ix, change):
+    """ix with the arrays of `change`, each at the dtype ix holds it at."""
+    return dataclasses.replace(ix, **{k: np.asarray(v, dtype=getattr(ix, k).dtype)
+                                      for k, v in change.items()})
+
+
 class TestLoadValidation:
     """CRC-valid files that break the layout's rules raise DataError."""
 
@@ -1356,25 +1390,10 @@ class TestLoadValidation:
         for name in ("wids", "offsets", "ids", "codes"):
             np.testing.assert_array_equal(getattr(back, name), getattr(tiny_index, name))
 
-    @pytest.mark.parametrize("change, message", [
-        (dict(ids=[-1, 1, 1, 2, 0, 2]), "outside"),
-        (dict(ids=[0, 1, 1, 3, 0, 2]), "outside"),
-        (dict(ids=[1, 0, 1, 2, 0, 2]), "strictly increasing within"),
-        (dict(ids=[1, 1, 1, 2, 0, 2]), "strictly increasing within"),
-        (dict(wids=[-1, 5, 7]), "word ids"),
-        (dict(wids=[0, 5, 12]), "word ids"),
-        (dict(wids=[5, 0, 7]), "word ids"),
-        (dict(wids=[0, 5, 5]), "word ids"),
-        (dict(wids=[0, 3, 5, 7], offsets=[0, 2, 2, 4, 6]), "lengths"),
-        (dict(offsets=[0, 2, 4, 5]), "lengths"),
-        (dict(offsets=[0, 2, 4, 7]), "lengths"),
-        (dict(codes=[[0, 0]] * 5 + [[0, 0x10]]), "pad bits"),
-    ])
+    @pytest.mark.parametrize("change, message", MALFORMED_POSTINGS)
     def test_malformed_postings_rejected(self, tiny_index, tmp_path, change, message):
-        arrays = {k: np.asarray(v, dtype=getattr(tiny_index, k).dtype)
-                  for k, v in change.items()}
         path = tmp_path / "bad.idx"
-        invindex.save(dataclasses.replace(tiny_index, **arrays), path)
+        write_raw(path, hand_made(tiny_index, change))
         with pytest.raises(DataError, match=message):
             invindex.load(path)
 
@@ -1527,6 +1546,138 @@ class TestLoadValidation:
         path.write_bytes(invindex.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(DataError, match="unreadable index header"):
             invindex.load(path)
+
+
+class TestSaveValidation:
+    """`save` refuses, with ValueError and before it opens the file, every
+    index whose file `load` would reject, with `load`'s message, and every
+    index whose values its file's dtypes would change."""
+
+    @pytest.mark.parametrize("change, message", MALFORMED_POSTINGS)
+    def test_malformed_postings_refused(self, tiny_index, tmp_path, change, message):
+        path = tmp_path / "bad.idx"
+        with pytest.raises(ValueError, match=message):
+            invindex.save(hand_made(tiny_index, change), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ix: dict(ids=np.r_[ix.ids[1::-1], ix.ids[2:]]), "strictly increasing within"),
+        (lambda ix: dict(wids=np.r_[ix.wids[1::-1], ix.wids[2:]]), "word ids"),
+        (lambda ix: dict(offsets=np.r_[0, ix.offsets[:1], ix.offsets[2:]]), "lengths"),
+    ], ids=["ids-swapped", "word-ids-swapped", "empty-list"])
+    def test_built_index_edits_refused(self, golden_index, tmp_path, edit, message):
+        """A built index with its first two ids or word ids swapped, or its
+        first list emptied into the second: `save` refuses it, and `load`
+        rejects the file written without `save`'s checks, alike."""
+        bad = dataclasses.replace(golden_index, **edit(golden_index))
+        path = tmp_path / "bad.idx"
+        with pytest.raises(ValueError, match=message):
+            invindex.save(bad, path)
+        assert not path.exists()
+        write_raw(path, bad)
+        with pytest.raises(DataError, match=message):
+            invindex.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centroid_refused(self, ifc_index, tmp_path, value):
+        """The index of `TestLoadValidation.test_non_finite_centroid_rejected`'s
+        file: `save` refuses it, and `load` rejects it written raw."""
+        sub = ifc_index.quantizer.sub_codebooks.copy()
+        sub[0, 0, 0] = value
+        bad = dataclasses.replace(ifc_index, quantizer=pq.PqCodebook(sub))
+        path = tmp_path / "bad.idx"
+        with pytest.raises(ValueError, match="NaN or infinite centroid"):
+            invindex.save(bad, path)
+        assert not path.exists()
+        write_raw(path, bad)
+        with pytest.raises(DataError, match="NaN or infinite centroid"):
+            invindex.load(path)
+
+    @pytest.mark.parametrize("change", [dict(ids=[0, 1, 1, 2, 256, 2]), dict(wids=[256, 5, 7])],
+                             ids=["id", "word-id"])
+    def test_values_the_file_width_wraps_refused(self, tiny_index, tmp_path, change):
+        """An id and a word id of 256 where the file holds them as uint8:
+        written raw, the file loads with no error as another index, the
+        hand-written one's with 0 for 256; `save` refuses it."""
+        bad = hand_made(tiny_index, change)
+        path = tmp_path / "bad.idx"
+        with pytest.raises(ValueError, match="values change in their file dtype uint8"):
+            invindex.save(bad, path)
+        assert not path.exists()
+        write_raw(path, bad)
+        back = invindex.load(path)
+        (name,) = change
+        assert not np.array_equal(getattr(back, name), getattr(bad, name))
+        for name in ("wids", "offsets", "ids", "codes"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(tiny_index, name))
+
+    def test_index_with_no_entries_refused(self, tiny_index, tmp_path):
+        """n = 0 with no lists meets every other rule vacuously; `load`
+        refuses its header, and `save` refuses it by the lengths rule."""
+        empty = dataclasses.replace(tiny_index, indexed_count=0, wids=tiny_index.wids[:0],
+                                    offsets=tiny_index.offsets[:1], ids=tiny_index.ids[:0],
+                                    codes=tiny_index.codes[:0])
+        path = tmp_path / "bad.idx"
+        with pytest.raises(ValueError, match="lengths are not all >= 1 with sum .* = 0"):
+            invindex.save(empty, path)
+        assert not path.exists()
+
+    def test_swapped_neighbour_ids_found_anywhere(self):
+        """Two neighbouring ids swapped at any of the 2,999 places in 3,000,
+        in a list or across the end of one, break the id-order rule;
+        unswapped, they pass."""
+        db = FeatureSet(np.random.default_rng(8).standard_normal((1_500, 8)).astype(np.float32))
+        ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=8))
+
+        def check(ids):
+            arrays = {name: np.ascontiguousarray(a, dtype=dtype) for (name, _, dtype), a in
+                      zip(layout_of(ix), section_arrays(dataclasses.replace(ix, ids=ids)).values())}
+            invindex._check_sections("x", ix.config, 8, ix.indexed_count, arrays)
+
+        check(ix.ids)
+        for p in range(len(ix.ids) - 1):
+            ids = ix.ids.copy()
+            ids[[p, p + 1]] = ids[[p + 1, p]]
+            with pytest.raises(DataError, match="strictly increasing within"):
+                check(ids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_save_refuses_exactly_what_load_rejects(self, tiny_index, tmp_path_factory, data):
+        """Hand-made posting arrays around `tiny_index`, in and out of every
+        rule (a -1 is 255 at the file's widths): `save` refuses them exactly
+        when `load` rejects them written raw, with the same message, and
+        otherwise `load` gives back the arrays that `save` was given."""
+        # each image's two words, as a build links them, then up to two
+        # values set anywhere in the posting arrays
+        links = [data.draw(st.sets(st.integers(0, 11), min_size=2, max_size=2)) for _ in range(3)]
+        wids = sorted(set().union(*links))
+        lists = [[i for i in range(3) if w in links[i]] for w in wids]
+        arrays = dict(wids=wids, offsets=np.cumsum([0] + [len(x) for x in lists]).tolist(),
+                      ids=sum(lists, []), codes=[[0, 0] for _ in range(6)])
+        for name, at, value in data.draw(st.lists(st.tuples(
+                st.sampled_from(sorted(arrays)), st.integers(0, 6), st.integers(-1, 12)),
+                max_size=2)):
+            at %= len(arrays[name])
+            arrays[name][at] = [0, (value & 15) << 4] if name == "codes" else value
+        ix = hand_made(tiny_index, arrays)
+        path = tmp_path_factory.getbasetemp() / "differential.idx"
+        path.unlink(missing_ok=True)
+        try:
+            invindex.save(ix, path)
+            refusal = None
+        except ValueError as exc:
+            refusal = str(exc)
+        assert path.exists() == (refusal is None)
+        write_raw(path, ix)
+        try:
+            back = invindex.load(path)
+        except DataError as exc:
+            assert str(exc) == refusal
+            return
+        assert refusal is None
+        for name in ("wids", "offsets", "ids", "codes"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ix, name))
 
 
 _PQ = PqConfig(segments=2, words_per_segment=3)
