@@ -63,6 +63,11 @@ The stages of `query`, in us per query:
 - scan: `invindex.find_lists`, the lookup of the words' lists, and
   `search._scan`, the list scan, votes and ranking.
 
+A query runs the row step that `batch_query` runs on its chunks,
+`search._rank_rows`, on its one row. The self time of that step (the
+selection of each row's found lists and codes) and of `query` itself is
+in no stage, only in the whole `query`.
+
 `build`, `load` and `query` are whole calls. `BUILDS` rounds of one build
 each, `--loads` rounds of one load each and `--passes` passes over the
 queries each follow one warm round or pass, and each cell gives the median

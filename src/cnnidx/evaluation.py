@@ -113,8 +113,8 @@ class SweepSpec:
     key that `invindex.BUILD_KEYS` lists for it. W, T and top_k may be
     swept, set in ``base`` or left out (or None) for `cnnidx query`'s
     default (`search.query_config`). A ``base`` with no known scheme, a
-    build key that neither sets, or a ``base`` key that no point reads is a
-    ValueError that names the key.
+    ``base`` or grid key that the scheme's points do not read, or a build
+    key that neither sets is a ValueError that names the key.
     """
 
     grid: dict[str, list]
@@ -127,15 +127,17 @@ class SweepSpec:
         unknown = set(self.grid) - set(SWEEPABLE)
         if unknown:
             raise ValueError(f"cannot sweep over {sorted(unknown)}")
-        # a point reads the scheme, the query's keys and its build's
-        read = {"scheme", "top_k", "W", "T"}.union(*invindex.BUILD_KEYS.values())
-        unread = set(self.base) - read
-        if unread:
-            raise ValueError(f"sweep base keys {sorted(unread)} are read by no point")
         scheme, schemes = self.base.get("scheme"), sorted(invindex.BUILD_KEYS)
         # a list: `in` on the dict would raise TypeError for an unhashable scheme
         if scheme not in schemes:
             raise ValueError(f"base.scheme must be one of {schemes}, got {scheme!r}")
+        # a point reads the scheme, the query's keys and its scheme's build keys
+        read = {"scheme", "top_k", "W", "T", *invindex.BUILD_KEYS[scheme]}
+        for part, keys in (("base", self.base), ("grid", self.grid)):
+            unread = set(keys) - read
+            if unread:
+                raise ValueError(f"sweep {part} keys {sorted(unread)} are read by no "
+                                 f"{scheme} point")
         for key in invindex.BUILD_KEYS[scheme]:
             if key not in self.base and key not in self.grid:
                 raise ValueError(f"spec has no base.{key} or grid.{key} for scheme {scheme}")

@@ -33,8 +33,8 @@ the word stage's float64 values per row, `word_count` counts the words, and
 `payload` is the quantizer's part of the file. A quantizer holds only its
 arrays, and an index takes only the one its config makes. A row's words and
 codes depend on that row alone, so a database vector queried with itself
-gets exactly its S links and their codes. `batch_query` streams its chunks
-through `encode_chunks`. `build` makes two passes over the rows, words and
+gets exactly its S links and their codes. `search.batch_query` runs the
+stage on chunks of queries. `build` makes two passes over the rows, words and
 then codes, each on the calling thread and one helper thread per further
 CPU, up to `MAX_THREADS`; `_fill_rows` starts, stops and joins those
 threads. Between them one stable sort of the words gives every link its
@@ -217,17 +217,6 @@ def _row_bytes(quantizer: VirtualWordBank | PqCodebook, dim: int, count: int,
     """Working bytes of one row of the encoding stage: D + stage_width +
     count * L float64 values, its input, word stage and lists' means."""
     return 8 * (dim + quantizer.stage_width + count * code_length)
-
-
-def encode_chunks(ix: InvertedIndex, xs: np.ndarray, count: int):
-    """Yield `find_lists` of the rows' `count` words and their `list_codes`,
-    chunk after chunk of rows within `CHUNK_BYTES` by `_row_bytes`."""
-    q = ix.quantizer
-    rows = chunk_rows(_row_bytes(q, xs.shape[1], count, ix.config.code_length))
-    for lo in range(0, len(xs), rows):
-        chunk = np.asarray(xs[lo:lo + rows], dtype=np.float64)
-        lists, found = find_lists(ix, q.words(chunk, count))
-        yield lists, found, list_codes(ix.list_means, chunk, lists)
 
 
 def _cpus() -> int:

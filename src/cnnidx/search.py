@@ -2,14 +2,14 @@
 each probed posting list by Hamming distance < T against the query's binary
 code for that list, then rank candidates by vote count.
 
-It runs in two stages. The first takes a matrix of queries: it checks the
-rows, then the index's quantizer assigns each its W words (`words`), the
-words are looked up among the index's lists (`invindex.find_lists`), and
-`invindex.list_codes` packs the row's code against each list's reference
-means, the one code function that the build runs too. The second scans one
-query's lists at a time. `query` is the one-row case of both, and
-`batch_query` runs the first stage through `invindex.encode_chunks`, in
-chunks sized as the build's are.
+The rows are checked, then the index's quantizer assigns each its W words
+(`words`), and one row step, `_rank_rows`, takes a chunk of rows and their
+words: it looks the words up among the index's lists
+(`invindex.find_lists`), packs each row's code against each list's
+reference means with `invindex.list_codes`, the one code function that the
+build runs too, and scans one row's lists at a time. `query` runs the row
+step on its one row, and `batch_query` on chunks sized as the build's are,
+so a query is one row of a batch.
 
 A run's files (`RUN_SUFFIXES`) are written by `write_run` and their timings
 read back by `read_query_times`, and by no other code."""
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import hamming_to_many
-from .invindex import BuildConfig, InvertedIndex, encode_chunks, find_lists, list_codes
-from .vecio import DataError, check_ints, write_int_lists, write_json
+from .invindex import BuildConfig, InvertedIndex, _row_bytes, find_lists, list_codes
+from .vecio import DataError, check_ints, chunk_rows, write_int_lists, write_json
 
 
 @dataclass
@@ -55,9 +55,7 @@ class RankedResult:
     """Entries sorted by votes desc, then min Hamming asc, then image id."""
 
     entries: list[tuple[int, int, int]]  # (image_id, votes, min_hamming)
-    # distinct ids in the probed lists, before the Hamming filter; None for
-    # a single `query`, which does not count them
-    candidates: int | None = None
+    candidates: int  # distinct ids in the probed lists, before the Hamming filter
 
     @property
     def ids(self) -> list[int]:
@@ -122,8 +120,8 @@ def _check_config(ix: InvertedIndex, cfg: QueryConfig) -> None:
                          "exceeds the int64 ranking key")
 
 
-def _scan(ix: InvertedIndex, lists: np.ndarray, q_codes: np.ndarray, cfg: QueryConfig,
-          count_candidates: bool) -> RankedResult:
+def _scan(ix: InvertedIndex, lists: np.ndarray, q_codes: np.ndarray, cfg: QueryConfig
+          ) -> RankedResult:
     """Vote and rank over one query's posting lists, given its code against
     each list.
 
@@ -155,8 +153,16 @@ def _scan(ix: InvertedIndex, lists: np.ndarray, q_codes: np.ndarray, cfg: QueryC
     rest = key // n
     entries = zip((key % n).tolist(), (w - rest // (length + 1)).tolist(),
                   (rest % (length + 1)).tolist())
-    candidates = int(np.count_nonzero(min_h <= length)) if count_candidates else None
-    return RankedResult(entries=list(entries), candidates=candidates)
+    return RankedResult(list(entries), int(np.count_nonzero(min_h <= length)))
+
+
+def _rank_rows(ix: InvertedIndex, xs: np.ndarray, words: np.ndarray, cfg: QueryConfig
+               ) -> list[RankedResult]:
+    """The row step: the results of float64 rows xs given their (N, W) words,
+    each row's lists scanned on their own and a word without a list skipped."""
+    lists, found = find_lists(ix, words)
+    codes = list_codes(ix.list_means, xs, lists)
+    return [_scan(ix, lq[fq], cq[fq], cfg) for lq, fq, cq in zip(lists, found, codes)]
 
 
 def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
@@ -164,18 +170,15 @@ def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
 
     A posting entry votes when its code is at Hamming distance < T from the
     query's code against the entry's list. Images are ranked by vote count,
-    minimum observed Hamming distance, then id. The result does not count
-    the candidates, a pass over an n-sized array that only `batch_query`
-    reports.
+    minimum observed Hamming distance, then id.
 
-    This is the one-row case of `batch_query`: the same word assignment,
-    lists and codes, then the same scan. A word without a list is skipped.
+    This is the one-row case of `batch_query`: the row's words from
+    `select_words`, then the same row step, so the result equals the
+    batch's for that row, candidate count included.
     """
     _check_config(ix, cfg)
     q = np.asarray(q, dtype=np.float64)
-    lists, found = find_lists(ix, select_words(ix, q, cfg.assignment_count))
-    q_codes = list_codes(ix.list_means, q[None], lists[None])[0]
-    return _scan(ix, lists[found], q_codes[found], cfg, count_candidates=False)
+    return _rank_rows(ix, q[None], select_words(ix, q, cfg.assignment_count)[None], cfg)[0]
 
 
 def candidate_set(ix: InvertedIndex, q, count: int) -> set[int]:
@@ -188,21 +191,21 @@ def batch_query(ix: InvertedIndex, queries, cfg: QueryConfig
                 ) -> tuple[list[RankedResult], BatchSummary]:
     """Run every query and count its candidates; each result equals `query`'s.
 
-    The rows are checked once, then assigned their words and lists and
-    encoded by `encode_chunks`, and each row's lists are scanned on their
-    own. A query's
-    entry in `query_times` is an equal share of its chunk's wall time (index
-    access only).
+    The rows are checked once, then go through the row step in chunks within
+    `CHUNK_BYTES` by `invindex._row_bytes`, each chunk cast to float64 and
+    assigned its words by the quantizer. A query's entry in `query_times` is
+    an equal share of its chunk's wall time (index access only).
     """
     _check_config(ix, cfg)
     w = cfg.assignment_count
     qs = _check_queries(ix, queries.vectors if hasattr(queries, "vectors") else queries, w)
+    rows = chunk_rows(_row_bytes(ix.quantizer, qs.shape[1], w, ix.config.code_length))
     summary = BatchSummary()
     results = []
     t0 = time.perf_counter()
-    for lists, found, codes in encode_chunks(ix, qs, w):
-        chunk = [_scan(ix, lq[fq], cq[fq], cfg, count_candidates=True)
-                 for lq, fq, cq in zip(lists, found, codes)]
+    for lo in range(0, len(qs), rows):
+        xs = np.asarray(qs[lo:lo + rows], dtype=np.float64)
+        chunk = _rank_rows(ix, xs, ix.quantizer.words(xs, w), cfg)
         t1 = time.perf_counter()
         summary.query_times += [(t1 - t0) / len(chunk)] * len(chunk)
         t0 = t1

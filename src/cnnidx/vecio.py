@@ -29,7 +29,7 @@ import numpy as np
 
 # Bytes of working buffer per chunk of rows, the one budget of every pass
 # over rows: a feature file's read and write here (int32 records),
-# `invindex.encode_chunks` for batch queries, the build's two passes (words,
+# `search.batch_query`'s chunks of queries, the build's two passes (words,
 # then codes) over chunks of the same rows, `baseline`'s brute force and LSH
 # hashing (float64 working arrays), and IFC training (`pq._kmeans`):
 # k-means++ seeding makes its float64 differences, and each Lloyd iteration

@@ -137,6 +137,7 @@ def data():
 class TestSweep:
     BASE = {"scheme": "ifc", "L": 8, "S": 3, "W": 3, "T": 4,
             "K": 4, "M": 2, "top_k": 20}
+    TIFC_BASE = {"scheme": "tifc", "L": 8, "S": 3, "W": 3, "T": 4, "top_k": 20}
 
     def test_threshold_boundary_rows(self, data):
         db, queries, gt = data
@@ -247,8 +248,20 @@ class TestSweep:
         say nothing, so the spec is refused, naming the key."""
         with pytest.raises(ValueError, match=f"'{key}'"):
             SweepSpec(grid={"W": [1]}, base={**self.BASE, key: 3})
-        for scheme in ("ifc", "tifc"):  # every key a point reads passes
-            SweepSpec(grid={"W": [1]}, base={**self.BASE, "scheme": scheme})
+        # every key a point reads passes
+        for base in (self.BASE, self.TIFC_BASE):
+            SweepSpec(grid={"W": [1]}, base=base)
+
+    @pytest.mark.parametrize("grid, base, message", [
+        ({"W": [1]}, {"K": 4}, "sweep base keys ['K'] are read by no tifc point"),
+        ({"K": [4, 8]}, {}, "sweep grid keys ['K'] are read by no tifc point"),
+        ({"M": [2], "S": [1]}, {}, "sweep grid keys ['M'] are read by no tifc point"),
+    ])
+    def test_key_that_the_scheme_does_not_read_rejected(self, grid, base, message):
+        """A TIFC point reads no K or M: a spec that sets one, in base or
+        grid, would label identical points with different values."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepSpec(grid=grid, base={**self.TIFC_BASE, **base})
 
     @pytest.mark.parametrize("drop, scheme, message", [
         ("scheme", None, "base.scheme must be one of ['ifc', 'tifc'], got None"),
@@ -260,7 +273,8 @@ class TestSweep:
     def test_spec_whose_every_point_fails_rejected(self, drop, scheme, message):
         """Without a known scheme, or with a build key that neither base nor
         grid sets, every point would fail alike: the spec is refused."""
-        base = {k: v for k, v in self.BASE.items() if k != drop}
+        base = {k: v for k, v in (self.TIFC_BASE if scheme == "tifc" else self.BASE).items()
+                if k != drop}
         if scheme is not None:
             base["scheme"] = scheme
         with pytest.raises(ValueError, match=re.escape(message)):

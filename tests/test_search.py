@@ -230,6 +230,7 @@ def check_query_against_oracle(scheme, seed, n, length, data):
                               for wid in search.select_words(ix, q, w)))
         assert search.candidate_set(ix, q, w) == union
         assert counted.candidates == len(union)
+        assert res == counted
 
 
 def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
@@ -239,9 +240,11 @@ def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
     pool = np.vstack([vectors, rng.standard_normal((7, vectors.shape[1]))])
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=7), label="queries")
     queries = pool[np.array(picks, dtype=np.int64)]
-    expected = [search.query(ix, q, cfg).entries for q in queries]
-    assert expected == [pipeline_oracle(ix, q, cfg, seed % 89) for q in queries]
+    expected = [search.query(ix, q, cfg) for q in queries]
+    assert [r.entries for r in expected] == [pipeline_oracle(ix, q, cfg, seed % 89)
+                                             for q in queries]
     counts = [len(search.candidate_set(ix, q, cfg.assignment_count)) for q in queries]
+    assert [r.candidates for r in expected] == counts
     d = vectors.shape[1]
     stage = d if scheme == "tifc" else 2 * ix.quantizer.sub_codebooks.shape[1]
     for chunk in (1, 2, 3):
@@ -250,9 +253,8 @@ def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
             mp.setattr(vecio, "CHUNK_BYTES",
                        chunk * 8 * (d + stage + cfg.assignment_count * ix.config.code_length))
             results, summary = search.batch_query(ix, queries, cfg)
-        assert [r.entries for r in results] == expected
+        assert results == expected
         assert summary.candidate_counts == counts
-        assert [r.candidates for r in results] == counts
         assert len(summary.query_times) == len(queries)
 
 
@@ -490,7 +492,7 @@ class TestBatch:
         assert len(results) == queries.n
         assert len(summary.query_times) == queries.n
         for i, q in enumerate(queries.vectors):
-            assert results[i].entries == search.query(ifc_index, q, cfg).entries
+            assert results[i] == search.query(ifc_index, q, cfg)
 
     def test_query_times_are_shares_of_their_chunk(self, index_pair, small_dataset,
                                                    monkeypatch):
@@ -515,7 +517,7 @@ class TestBatch:
             expected = [len(search.candidate_set(index_pair, q, w)) for q in queries.vectors]
             assert summary.candidate_counts == expected
             assert [r.candidates for r in results] == expected
-            assert search.query(index_pair, queries.vectors[0], cfg).candidates is None
+            assert search.query(index_pair, queries.vectors[0], cfg) == results[0]
 
     def test_written_outputs_are_deterministic(self, ifc_index, small_dataset, tmp_path):
         queries = small_dataset[1]
