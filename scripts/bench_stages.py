@@ -17,15 +17,13 @@ named calls. The stages of `build` and `save`, in ms per build:
   the timed builds only look it up);
 - words: the quantizer's `words`, each chunk's words in the build's
   first pass;
-- codes: `invindex.list_codes`, each chunk's codes against its lists'
-  reference means in the second pass (the build derives those means once,
-  in group + save);
+- codes: `invindex.list_codes`, each chunk's codes against its words'
+  reference means, gathered by word id from the quantizer's table, in the
+  second pass;
 - group + save: the rest of `build` and `save`: chiefly the stable argsort
-  of the words, the slot array, the grouped words, the list numbers and
-  the ids made from it, the lists' reference means
-  (`InvertedIndex.list_means`), the float64 casts and the writes into place of the caller's
-  chunks in both passes, its wait for the helpers' last chunks, and the
-  file.
+  of the words, the slot array, the grouped words and the ids made from
+  it, the float64 casts and the writes into place of the caller's chunks
+  in both passes, its wait for the helpers' last chunks, and the file.
 
 `build` runs each pass's chunks on the calling thread and one helper per
 further CPU, up to `invindex.MAX_THREADS`, so words and codes are busy time
@@ -59,7 +57,7 @@ The stages of `query`, in us per query:
   within `pq.DENSE_WORDS`, so it scores all K^M words (`pq._dense_nearest`),
   where the build's chunks run the prune-and-merge (`pq._pruned_merge`),
   both inside this stage's time;
-- encode: `invindex.list_codes`, the query's codes against its lists;
+- encode: `invindex.list_codes`, the query's codes against its words;
 - scan: `invindex.find_lists`, the lookup of the words' lists, and
   `search._scan`, the list scan, votes and ranking.
 

@@ -23,27 +23,26 @@ twice in one list. Older files (`OLD_MAGICS`) are not read; rebuild.
 
 Build and query share one encoding stage over chunks of `_row_bytes` each:
 the quantizer's `words`, then `list_codes`, the one code function, against
-`InvertedIndex.list_means`, one row of reference segment means per list,
-which an index derives once from its quantizer's `word_means` and the file
-does not hold. `tifc.VirtualWordBank` and `pq.PqCodebook` have the same
-members: `words` gives a matrix of rows their words (TIFC: the top softmax
-bins; IFC: the exact nearest product words), `word_means` the words' means
-(TIFC: table rows; IFC: those of the reconstructed words), `stage_width` is
-the word stage's float64 values per row, `word_count` counts the words, and
-`payload` is the quantizer's part of the file. A quantizer holds only its
-arrays, and an index takes only the one its config makes. A row's words and
-codes depend on that row alone, so a database vector queried with itself
-gets exactly its S links and their codes. `search.batch_query` runs the
-stage on chunks of queries. `build` makes two passes over the rows, words and
-then codes, each on the calling thread and one helper thread per further
-CPU, up to `MAX_THREADS`; `_fill_rows` starts, stops and joins those
-threads. Between them one stable sort of the words gives every link its
-slot in the grouped lists and its list number, and every list its ids, and
-pass 2 writes each code straight into its slot, so the (n*S, B) codes are
-held once. The file does not depend on the thread count. `load` runs on the
-calling thread alone and takes a TIFC table from the memo of
-`tifc.make_virtual_words` after the CRC, so a process's first TIFC load of
-a (D, L) draws it serially (about 10 ms at 2,048 x 256).
+the words' reference segment means, which no index holds. The quantizers,
+`tifc.VirtualWordBank` and `pq.PqCodebook`, have the same members: `words`
+gives rows their words (TIFC: the top softmax bins; IFC: the exact nearest
+product words), `word_means` the means of any array of word ids (TIFC:
+table rows; IFC: those of the reconstructed words), `stage_width` a row's
+word stage in float64 values, `mean_bytes` a word's working bytes in
+`word_means`, `word_count` the words, and `payload` the quantizer's part of
+the file. A quantizer holds only its arrays, and an index takes only the
+one its config makes. A row's words and codes depend on that row alone, so
+a database vector queried with itself gets exactly its S links and their
+codes. `search.batch_query` runs the stage on chunks of queries. `build`
+makes two passes over the rows, words and then codes, each on the calling
+thread and one helper thread per further CPU, up to `MAX_THREADS`;
+`_fill_rows` starts, stops and joins those threads. Between them one stable
+sort of the words gives every link its slot in the grouped lists, and every
+list its ids, and pass 2 writes each code straight into its slot, so the
+(n*S, B) codes are held once; the file does not depend on the thread count.
+`load` runs on the calling thread alone and takes a TIFC table from the
+memo of `tifc.make_virtual_words` after the CRC, so a process's first TIFC
+load of a (D, L) draws it serially (about 10 ms at 2,048 x 256).
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
 divides D, M divides D (IFC), S is at most the word count, and a TIFC table
@@ -62,7 +61,6 @@ import threading
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -175,14 +173,6 @@ class InvertedIndex:
             raise ValueError(f"codebook dtype {q.sub_codebooks.dtype} is not float32, "
                              "the dtype of the file's payload")
 
-    @cached_property
-    def list_means(self) -> np.ndarray:
-        """Row j: the reference segment means of list j's word, (nlists, L)
-        float64 and read-only, derived on first use, once per index."""
-        means = self.quantizer.word_means(self.wids, self.config.code_length)
-        means.flags.writeable = False
-        return means
-
 
 @dataclass
 class IndexStats:
@@ -195,11 +185,12 @@ class IndexStats:
     estimated_file_bytes: int = 0
 
 
-def list_codes(list_means: np.ndarray, xs: np.ndarray, lists: np.ndarray) -> np.ndarray:
-    """The packed codes of the rows of xs against their lists' reference
-    means, (N, count, B) for (N, count) list numbers: bit i is 1 iff the
-    row's i-th segment mean is >= the list's."""
-    return pack_bits(segment_means(xs, list_means.shape[1])[:, None, :] >= list_means[lists])
+def list_codes(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: np.ndarray,
+               code_length: int) -> np.ndarray:
+    """The packed L-bit codes of the rows of xs, (N, count, B) for (N, count)
+    word ids: bit i is 1 iff the row's i-th segment mean is >= the word's."""
+    means = quantizer.word_means(wids, code_length)
+    return pack_bits(segment_means(xs, code_length)[:, None, :] >= means)
 
 
 def find_lists(ix: InvertedIndex, wids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +204,12 @@ def find_lists(ix: InvertedIndex, wids: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _row_bytes(quantizer: VirtualWordBank | PqCodebook, dim: int, count: int,
-               code_length: int) -> int:
-    """Working bytes of one row of the encoding stage: D + stage_width +
-    count * L float64 values, its input, word stage and lists' means."""
-    return 8 * (dim + quantizer.stage_width + count * code_length)
+               code_length: int, coded: bool = True) -> int:
+    """Working bytes of one row of the encoding stage: its D input and
+    stage_width word stage float64 values, and its count words' `mean_bytes`
+    (L float64 values each where the row is not `coded`)."""
+    per_word = quantizer.mean_bytes(code_length) if coded else 8 * code_length
+    return 8 * (dim + quantizer.stage_width) + count * per_word
 
 
 def _cpus() -> int:
@@ -295,12 +288,12 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     The postings are built in two passes over the rows, each a chunk at a
     time on as many threads as the process has CPUs, up to `MAX_THREADS`
     (`_fill_rows`). Pass 1 fills the (n, S) words. One stable argsort of
-    them lays out the lists, gives each link its list number, written over
-    its word, and by its inverse, the slot array, its row of the grouped
-    (n*S, B) codes; the sort itself, divided by S, is the grouped ids. Pass
-    2 casts each chunk again, codes it against its lists (`list_codes`) and
-    writes each code into its slot, so the codes are held once, never in
-    row order beside the grouped copy. A row's words and codes come from
+    them lays out the lists and, by its inverse, the slot array, gives each
+    link its row of the grouped (n*S, B) codes; the sort itself, divided by
+    S, is the grouped ids. Pass 2 casts each chunk again, codes it against
+    its words (`list_codes`) and writes each code into its slot, so the
+    codes are held once, never in row order beside the grouped copy. The
+    index is made from the filled arrays. A row's words and codes come from
     that row alone, with no BLAS call (IFC's distances are `einsum`
     contractions), so the file does not depend on the chunk size or the
     thread count.
@@ -332,8 +325,10 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     def fill_words(part: slice, chunk: np.ndarray) -> None:
         wids[part] = quantizer.words(chunk, s)
 
-    row_bytes = _row_bytes(quantizer, d, s, cfg.code_length)
-    _fill_rows(db.vectors, row_bytes, fill_words)
+    # pass 1 rebuilds no word, so it takes L means a word: where no word is
+    # rebuilt, both passes take chunks of one size
+    _fill_rows(db.vectors, _row_bytes(quantizer, d, s, cfg.code_length, coded=False),
+               fill_words)
     # the grouped codes, allocated before the layout's temporaries: where the
     # heap holds memory freed by earlier work (a second build), the largest
     # array then takes the largest free block before they split it
@@ -342,35 +337,29 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     # already, so a stable sort on the word (a radix sort for word counts up
     # to 2^16) lays the lists out in (word, id) order, and its inverse, at
     # the narrowest width that holds n*S - 1, gives each link its slot
-    links = wids.reshape(-1)
-    order = np.argsort(links, kind="stable")
+    order = np.argsort(wids, axis=None, kind="stable")
     slot = np.empty(total, dtype=np.min_scalar_type(total - 1))
     slot[order] = np.arange(total, dtype=slot.dtype)
-    grouped = links[order]
+    grouped = wids.ravel()[order]
     # neighbours compared, not differenced: the word ids are unsigned
     starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-    offsets = np.append(starts, total)
-    # each link's list number over its word: no more lists than words
-    links[order] = np.repeat(np.arange(len(starts), dtype=wid_t), np.diff(offsets))
+    list_wids, offsets = grouped[starts], np.append(starts, total)
+    del grouped, starts
     # position j holds link order[j], of row order[j] // S: the grouped ids,
     # divided in place so that no second n*S int64 array is held
     ids = np.floor_divide(order, s, out=order).astype(id_t)
     del order
-    # the index before its codes are filled: pass 2 reads its lists' means,
-    # derived once here on the calling thread
-    ix = InvertedIndex(config=cfg, indexed_count=n, wids=grouped[starts], offsets=offsets,
-                       ids=ids, codes=codes, quantizer=quantizer)
-    list_means = ix.list_means
-    del grouped, starts
     slot = slot.reshape(n, s)
 
-    # pass 2: every row's codes against its lists, each written straight
+    # pass 2: every row's codes against its words, each written straight
     # into its slot; the slots are a permutation, so threads write disjoint rows
     def fill_codes(part: slice, chunk: np.ndarray) -> None:
-        codes[slot[part].ravel()] = list_codes(list_means, chunk, wids[part]).reshape(-1, b)
+        codes[slot[part].ravel()] = list_codes(quantizer, chunk, wids[part],
+                                               cfg.code_length).reshape(-1, b)
 
-    _fill_rows(db.vectors, row_bytes, fill_codes)
-    return ix
+    _fill_rows(db.vectors, _row_bytes(quantizer, d, s, cfg.code_length), fill_codes)
+    return InvertedIndex(config=cfg, indexed_count=n, wids=list_wids, offsets=offsets,
+                         ids=ids, codes=codes, quantizer=quantizer)
 
 
 def posting_dtypes(word_count: int, indexed_count: int) -> tuple[np.dtype, np.dtype, np.dtype]:

@@ -26,20 +26,20 @@ Each merge step keeps its first S pairs by `first_in_order`, the selection
 that `tifc.top_words_rows` makes too, of the pairs that `_pairs` lays out
 for it at each step (13 us at S = 40, K = 64 and 40 prefixes, 2 vCPUs).
 
-`segment_distances_batch` is the one kernel that word assignment uses, on
-the build side and the query side alike. Its `einsum` contractions cover all
-M segments at once with no BLAS call, and sum each distance in an order that
-does not depend on the other rows, so a row gets bit-identical distances,
-and so the same words, alone or in any batch. Its centroid terms are
-computed once per codebook (see `PqCodebook`), and an index takes its lists'
-reference segment means from `PqCodebook.word_means` once. K-means training,
-one k-means++ Lloyd run per segment (see `train`), keeps its own matmul form
-(`_sq_dists`), and its Lloyd update gives every centroid the bits of numpy's
-`mean` of its members without grouping the rows (see `_kmeans`). Its
-k-means++ seeding screens every row against each new seed with one
-matrix-vector product less a rounding bound (`_screen`), and makes the exact
-differences only for the rows that the screen cannot show to be no nearer,
-so every seed is the one that exact passes over all rows give."""
+`segment_distances_batch` is the one kernel that word assignment uses, on the
+build side and the query side alike. Its `einsum` contractions cover all M
+segments at once with no BLAS call, and sum each distance in an order that
+does not depend on the other rows, so a row gets bit-identical distances, and
+so the same words, alone or in any batch. Its centroid terms are computed
+once per codebook (see `PqCodebook`), as is the table that codes gather their
+words' means from (`word_means`). K-means training, one k-means++ Lloyd run
+per segment (see `train`), keeps its own matmul form (`_sq_dists`), and its
+Lloyd update gives every centroid the bits of numpy's `mean` of its members
+without grouping the rows (see `_kmeans`). Its k-means++ seeding screens
+every row against each new seed with one matrix-vector product less a
+rounding bound (`_screen`), and makes the exact differences only for the rows
+that the screen cannot show to be no nearer, so every seed is the one that
+exact passes over all rows give."""
 
 from __future__ import annotations
 
@@ -82,13 +82,15 @@ class PqCodebook:
 
     Construction derives the constants that every word assignment reads:
     `centroids`, the sub-codebooks cast to float64, and `sq_norms`, their
-    (M, K) squared norms by `einsum`. Both are read-only, and
-    `sub_codebooks` must not change after construction.
+    (M, K) squared norms by `einsum`; `word_means` adds one table per code
+    length to `mean_tables`. All are read-only, and `sub_codebooks` must not
+    change after construction.
     """
 
     sub_codebooks: np.ndarray  # (M, K, D/M) float32
     centroids: np.ndarray = field(init=False, repr=False, compare=False)
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         c = self.sub_codebooks.astype(np.float64)
@@ -112,20 +114,36 @@ class PqCodebook:
         """Each row's `count` nearest product words, (N, count), in (distance, id) order."""
         return nearest_words_batch(xs, self, count)
 
+    def mean_bytes(self, code_length: int) -> int:
+        """Working bytes of a word in `word_means`: L float64 means and, where M
+        does not divide L, its rebuilt D float32 values and their float64 copy."""
+        return 8 * code_length + 12 * self.dim * (code_length % len(self.sub_codebooks) > 0)
+
     def word_means(self, wids: np.ndarray, code_length: int) -> np.ndarray:
-        """The segment means of the given words' reconstructions for L-bit
-        codes, (len(wids), L) float64. With M | L each code segment lies in
-        one sub-centroid, so each word's means are gathered by sub-id from
-        the sub-centroids' own segment means, in one gather of (M*K, L/M)
-        rows: the same values, averaged in the same order. With L % M != 0 a
-        code segment straddles two sub-centroids, and the words are
-        reconstructed and averaged."""
+        """The segment means of the words' reconstructions for L-bit codes,
+        float64 of shape wids.shape + (L,): with M | L the same values from the
+        sub-centroids' own in `mean_tables[L]`, else the rebuilt words'."""
         m, k, _ = self.sub_codebooks.shape
         if code_length % m:
             return segment_means(reconstruct_batch(wids, self), code_length)
-        table = segment_means(self.sub_codebooks, code_length // m).reshape(m * k, -1)
-        rows = np.stack(decode_words(wids, k, m), axis=-1) + np.arange(0, m * k, k)
-        return table[rows].reshape(len(wids), code_length)
+        table = self.mean_tables.get(code_length)
+        if table is None:  # threads that meet here all keep setdefault's table
+            table = _read_only(segment_means(self.centroids, code_length // m).reshape(m * k, -1))
+            table = self.mean_tables.setdefault(code_length, table)
+        rows = self.stacked_rows(wids)
+        return np.take(table, rows, axis=0).reshape(*rows.shape[:-1], code_length)
+
+    def stacked_rows(self, wids) -> np.ndarray:
+        """Each word's M sub-centroid rows in an (M*K, ...) stack of segment
+        tables, on a new last axis: its mixed-radix digit s plus (s-1) * K."""
+        wids = np.asarray(wids)
+        m, k, _ = self.sub_codebooks.shape
+        rows = np.empty((*wids.shape, m), dtype=np.intp)
+        for s in range(m - 1, 0, -1):  # divmod by the scalar K: a fast integer path
+            wids, digit = np.divmod(wids, k)
+            np.add(digit, s * k, out=rows[..., s], dtype=np.intp)
+        rows[..., 0] = wids
+        return rows
 
     def payload(self) -> np.ndarray:
         return np.ascontiguousarray(self.sub_codebooks, dtype="<f4")
@@ -153,17 +171,6 @@ def decode_word(wid: int, k: int, m: int) -> tuple[int, ...]:
         out.append(wid % k)
         wid //= k
     return tuple(reversed(out))
-
-
-def decode_words(wids, k: int, m: int) -> list[np.ndarray]:
-    """Mixed-radix decode of an array of product word ids: M arrays of
-    sub-word ids, segment 1 first, each of the shape of wids."""
-    rem = np.asarray(wids, dtype=np.int64)
-    out = []
-    for _ in range(m):
-        out.append(rem % k)
-        rem = rem // k
-    return out[::-1]
 
 
 def train(training: FeatureSet, cfg: PqConfig) -> PqCodebook:
@@ -571,11 +578,9 @@ def _merge_nearest(dists: np.ndarray, k: int, count: int) -> list[tuple[int, flo
 
 
 def reconstruct_batch(wids: np.ndarray, cb: PqCodebook) -> np.ndarray:
-    """Reconstructed centroids for an array of word ids, shape (len, D): the
-    concatenation of the M sub-centroids each word id encodes."""
-    m, k, seg_dim = cb.sub_codebooks.shape
-    wids = np.asarray(wids, dtype=np.int64)
-    out = np.empty((wids.size, m * seg_dim), dtype=np.float32)
-    for s, sub in enumerate(decode_words(wids, k, m)):
-        out[:, s * seg_dim : (s + 1) * seg_dim] = cb.sub_codebooks[s][sub]
-    return out
+    """Reconstructed centroids for an array of word ids, of shape
+    wids.shape + (D,) at the codebook's dtype: the concatenation of the M
+    sub-centroids each word id encodes."""
+    rows = cb.stacked_rows(wids)
+    subs = np.take(cb.sub_codebooks.reshape(-1, cb.sub_codebooks.shape[2]), rows, axis=0)
+    return subs.reshape(*rows.shape[:-1], cb.dim)

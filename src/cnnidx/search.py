@@ -4,12 +4,12 @@ code for that list, then rank candidates by vote count.
 
 The rows are checked, then the index's quantizer assigns each its W words
 (`words`), and one row step, `_rank_rows`, takes a chunk of rows and their
-words: it looks the words up among the index's lists
-(`invindex.find_lists`), packs each row's code against each list's
-reference means with `invindex.list_codes`, the one code function that the
-build runs too, and scans one row's lists at a time. `query` runs the row
-step on its one row, and `batch_query` on chunks sized as the build's are,
-so a query is one row of a batch.
+words: it packs each row's code against each word's reference means with
+`invindex.list_codes`, the one code function that the build runs too, looks
+the words up among the index's lists (`invindex.find_lists`), and scans one
+row's lists at a time. `query` runs the row step on its one row, and
+`batch_query` on chunks sized as the build's are, so a query is one row of a
+batch.
 
 A run's files (`RUN_SUFFIXES`) are written by `write_run` and their timings
 read back by `read_query_times`, and by no other code."""
@@ -160,8 +160,8 @@ def _rank_rows(ix: InvertedIndex, xs: np.ndarray, words: np.ndarray, cfg: QueryC
                ) -> list[RankedResult]:
     """The row step: the results of float64 rows xs given their (N, W) words,
     each row's lists scanned on their own and a word without a list skipped."""
+    codes = list_codes(ix.quantizer, xs, words, ix.config.code_length)
     lists, found = find_lists(ix, words)
-    codes = list_codes(ix.list_means, xs, lists)
     return [_scan(ix, lq[fq], cq[fq], cfg) for lq, fq, cq in zip(lists, found, codes)]
 
 

@@ -8,7 +8,8 @@ underflow distinct values.
 The virtual words are D random N(0, 1) vectors that only ever enter through
 their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
 N(0, L/D): `make_virtual_words` draws the (D, L) table of means directly, no
-D x D bank exists, and a `VirtualWordBank` is that table alone. The draw is
+D x D bank exists, and a `VirtualWordBank` is that table alone, whose rows
+codes gather by word id (`word_means`): no index holds a copy. The draw is
 one `default_rng(0)` draw, so D and L fix the table. It is memoised for the
 last (D, L) asked for: the builds, loads and saves of that shape share one
 read-only table, which stays referenced after its last index is dropped (at
@@ -88,10 +89,13 @@ class VirtualWordBank:
         order: its largest softmax bins, ranked without rounding by `exp`."""
         return top_words_rows(np.asarray(xs, dtype=np.float64), count)
 
+    def mean_bytes(self, code_length: int) -> int:
+        """Working bytes of one word in `word_means`: its L float64 means."""
+        return 8 * code_length
+
     def word_means(self, wids: np.ndarray, code_length: int) -> np.ndarray:
-        """The table's rows of strictly increasing word ids: the table itself
-        when they are every word, which an index then holds no copy of."""
-        return self.means if len(wids) == self.dim else self.means[wids]
+        """The table's rows of the given word ids, of shape wids.shape + (L,)."""
+        return self.means[wids]
 
     def payload(self) -> np.ndarray:
         return np.empty(0, dtype="<f4")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnidx import embed, invindex, pq, search, tifc, vecio
+from cnnidx import cli, embed, invindex, pq, search, tifc, vecio
 from cnnidx.embed import EmbedConfig
 from cnnidx.invindex import BuildConfig
 from cnnidx.pq import PqConfig
@@ -33,6 +33,17 @@ def entry_count(ix):
 
 def words_of_image(ix, image_id):
     return {wid for wid, (ids, _) in posting_lists(ix).items() if image_id in ids}
+
+
+def traced_peak(call):
+    """call()'s result and the traced peak of the allocations it made, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def oracle_code(quantizer, x, wid, length):
@@ -305,6 +316,8 @@ class TestThreadedFill:
             sys.setswitchinterval(interval)
         for name in ("wids", "offsets", "ids", "codes"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        if scheme == "ifc":  # one table of means, for L = 8, whichever thread made it
+            assert list(got.quantizer.mean_tables) == [8]
 
     @pytest.mark.parametrize("workers", [1, 2, 64])
     def test_chunk_budget(self, workers, monkeypatch):
@@ -325,6 +338,31 @@ class TestThreadedFill:
         else:
             assert sorted(r for r, _ in rows) == [2] * 50
             assert all(active <= before + 1 for _, active in rows)
+
+    def test_rebuilt_words_shrink_only_the_code_chunks(self, monkeypatch):
+        """With M = 3 not dividing L = 8 the codes rebuild each word, and
+        `mean_bytes` charges a word its 24 float32 values and their float64
+        copy beside its 8 means: pass 2 takes 8 * (24 + 12) + 3 * (64 + 288)
+        bytes a row, while pass 1, which rebuilds nothing, keeps its
+        8 * (24 + 12 + 24)."""
+        cfg = BuildConfig(scheme="ifc", link_count=3, code_length=8,
+                          pq=PqConfig(segments=3, words_per_segment=4))
+        word_rows, code_rows = [], []
+        self.recording_words(monkeypatch, lambda xs: word_rows.append(len(xs)))
+        list_codes = invindex.list_codes
+
+        def recording_codes(quantizer, xs, wids, code_length):
+            code_rows.append(len(xs))
+            return list_codes(quantizer, xs, wids, code_length)
+
+        monkeypatch.setattr(invindex, "list_codes", recording_codes)
+        monkeypatch.setattr(invindex, "_cpus", lambda: 1)
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 10 * 8 * (24 + 12 + 24))
+        x = np.random.default_rng(14).standard_normal((30, 24)).astype(np.float32)
+        ix = invindex.build(FeatureSet(x), cfg)
+        assert (ix.quantizer.mean_bytes(8), ix.quantizer.mean_bytes(6)) == (64 + 288, 48)
+        assert word_rows == [10] * 3
+        assert code_rows == [3] * 10
 
     @staticmethod
     def failing_chunk(monkeypatch, failing, boom):
@@ -398,9 +436,9 @@ class TestThreadedFill:
         record, started = self.failing_chunk(monkeypatch, failing, boom)
         list_codes = invindex.list_codes
 
-        def recording_codes(list_means, xs, lists):
+        def recording_codes(quantizer, xs, wids, code_length):
             record(xs)
-            return list_codes(list_means, xs, lists)
+            return list_codes(quantizer, xs, wids, code_length)
 
         monkeypatch.setattr(invindex, "_cpus", lambda: 2)
         monkeypatch.setattr(vecio, "CHUNK_BYTES", 1)
@@ -827,19 +865,14 @@ class TestBuildConfig:
 
 class TestBuildMemory:
     """The build's traced peak stays bounded as n grows: rows are chunked by
-    their whole float64 footprint, input plus word stage plus word means."""
+    their whole footprint, input plus word stage plus word means, plus the
+    reconstructed words where those means come from them."""
 
     LIMIT = 64 << 20
 
     @staticmethod
     def build_peak(db, cfg, training=None):
-        tracemalloc.start()
-        try:
-            invindex.build(db, cfg, training=training)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
+        return traced_peak(lambda: invindex.build(db, cfg, training=training))[1]
 
     def test_tifc_peak_bounded(self):
         """20,000 x 512 at S = 2, L = 8: each row's D term frequencies, not
@@ -860,6 +893,21 @@ class TestBuildMemory:
         cfg = BuildConfig(scheme="ifc", link_count=1, code_length=8,
                           pq=PqConfig(segments=2, words_per_segment=256))
         assert self.build_peak(db, cfg, training) < self.LIMIT
+
+    def test_ifc_peak_bounded_by_reconstructed_words(self, monkeypatch):
+        """K = 32, M = 3 on 768-d rows at S = 40, L = 8, on one CPU: with
+        L % M != 0 each link's means are those of its reconstructed word, D
+        float32 values and their float64 copy, 369 KB a row against 9 KB of
+        the rest, so they must be counted for the 8 MiB chunk to stay small.
+        The peak is 13.4 MiB, set by pass 1, which reconstructs nothing and
+        takes 885-row chunks; reconstructing the 16,351 occupied words at
+        once took 145."""
+        monkeypatch.setattr(invindex, "_cpus", lambda: 1)
+        rng = np.random.default_rng(8)
+        db = FeatureSet(rng.standard_normal((2_000, 768)).astype(np.float32))
+        cfg = BuildConfig(scheme="ifc", link_count=40, code_length=8,
+                          pq=PqConfig(segments=3, words_per_segment=32))
+        assert self.build_peak(db, cfg) < self.LIMIT
 
     def postings_peak(self, cpus, monkeypatch):
         """The traced peak of a TIFC build of 4,000 x 2,048 at S = 40,
@@ -882,12 +930,37 @@ class TestBuildMemory:
         assert self.postings_peak(1, monkeypatch) < 22 << 20
 
 
+class TestDefaultsMemory:
+    """`cnnidx build`'s defaults (IFC K = 1,000, M = 2, L = 512, S = 40) on
+    1,000 x 512 rows occupy 39,927 of the 10^6 words. The codes gather their
+    words' means from the codebook's (2,000, 256) table, 3.9 MiB, so neither
+    the build nor the first query after a load holds one float64 row of L
+    means per list (156 MiB): their traced peaks were 170 and 160 MiB when
+    they did, and are 19 and 4.2 MiB."""
+
+    FIRST_QUERY_LIMIT = 8 << 20
+
+    def test_build_and_first_query_peaks(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["build", "--features", "db.fvecs", "--scheme", "ifc", "--out", "db.idx"])
+        cfg = invindex.build_config("ifc", vars(args))
+        assert (cfg.pq, cfg.code_length, cfg.link_count) == (PqConfig(2, 1000), 512, 40)
+        x = np.random.default_rng(12).standard_normal((1_000, 512)).astype(np.float32)
+        ix, peak = traced_peak(lambda: invindex.build(FeatureSet(x), cfg))
+        assert peak < TestBuildMemory.LIMIT
+        invindex.save(ix, tmp_path / "db.idx")
+        ix = invindex.load(tmp_path / "db.idx")
+        result, peak = traced_peak(lambda: search.query(ix, x[0], search.query_config(cfg, {})))
+        assert result.entries[0] == (0, 40, 0)
+        assert peak < self.FIRST_QUERY_LIMIT
+
+
 class TestEncodeRows:
     """IFC codes (`invindex.list_codes` against `PqCodebook.word_means`)
     against the codes' definition: the bits of the row's segment means >= the
     segment means of the reconstructed word. With M | L the means are
-    gathered from the sub-centroids' own segment means, otherwise taken from
-    the reconstructed words."""
+    gathered from the codebook's table of the sub-centroids' own segment
+    means, otherwise taken from the reconstructed words."""
 
     @staticmethod
     def codebook(dim, m, integer, seed):
@@ -925,16 +998,12 @@ class TestEncodeRows:
             ties = x_means == embed.segment_means(
                 pq.reconstruct_batch(wids.ravel(), cb), length).reshape(20, 7, length)
             assert ties.any() and bits[ties].all()
-        # one list per distinct word, as an index holds them
-        uniq, lists = np.unique(wids, return_inverse=True)
-        lists = lists.reshape(wids.shape)
         if length % m == 0:
             # gathered alone: reconstructing a word would be the other path
             monkeypatch.setattr(pq, "reconstruct_batch", None)
-        means = cb.word_means(uniq, length)
         for size in (1, 3, len(xs)):
-            got = np.concatenate([invindex.list_codes(means, xs[lo:lo + size],
-                                                      lists[lo:lo + size])
+            got = np.concatenate([invindex.list_codes(cb, xs[lo:lo + size],
+                                                      wids[lo:lo + size], length)
                                   for lo in range(0, len(xs), size)])
             np.testing.assert_array_equal(got, want, err_msg=f"chunks of {size}")
 
@@ -950,36 +1019,38 @@ class TestEncodeRows:
         xs = rng.standard_normal((40, 16))
         wids = pq.nearest_words_batch(xs, ix.quantizer, 3)
         np.testing.assert_array_equal(pq.nearest_words_batch(xs, back, 3), wids)
-        lists, found = invindex.find_lists(ix, wids)
-        assert found.all()
-        np.testing.assert_array_equal(invindex.list_codes(loaded.list_means, xs, lists),
-                                      invindex.list_codes(ix.list_means, xs, lists))
+        assert invindex.find_lists(ix, wids)[1].all()
+        np.testing.assert_array_equal(invindex.list_codes(back, xs, wids, 8),
+                                      invindex.list_codes(ix.quantizer, xs, wids, 8))
         np.testing.assert_array_equal(back.centroids, ix.quantizer.centroids)
         np.testing.assert_array_equal(back.sq_norms, ix.quantizer.sq_norms)
 
-    def test_cached_constants_read_only(self, ifc_index):
-        """The codebook's constants, and an index's lists' means, which it
-        derives once."""
+    def test_cached_constants_read_only(self):
+        """The codebook's constants, and its table of the sub-centroids'
+        segment means for L = 8, which it makes once, on first use."""
         cb = self.codebook(96, 2, False, seed=9)
         c = cb.sub_codebooks.astype(np.float64)
         np.testing.assert_array_equal(cb.centroids, c)
         np.testing.assert_array_equal(cb.sq_norms, np.einsum("mkd,mkd->mk", c, c))
-        ix = dataclasses.replace(ifc_index)
-        means = ix.list_means
-        assert means.shape == (len(ix.wids), 8) and ix.list_means is means
-        for a in (cb.centroids, cb.sq_norms, means):
+        wids = np.arange(cb.word_count)
+        assert not cb.mean_tables
+        assert cb.word_means(wids, 8).shape == (cb.word_count, 8)
+        table = cb.mean_tables[8]
+        np.testing.assert_array_equal(table, embed.segment_means(c, 4).reshape(10, 4))
+        cb.word_means(wids[::-1], 8)
+        assert list(cb.mean_tables) == [8] and cb.mean_tables[8] is table
+        for a in (cb.centroids, cb.sq_norms, table):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
 
 class TestListMeans:
-    """Differential test of an index's lists' reference means and of its
-    stored codes: a loaded index's means equal the built one's, and every
-    stored code equals `oracle_code` of its row and its list's word, for IFC
-    with M | L and with L % M != 0, and for TIFC with every word occupied
-    (the means are the table itself) and with an empty word (a copy of the
-    occupied rows)."""
+    """Differential test of the reference means of an index's lists' words
+    and of its stored codes: a loaded index's means equal the built one's,
+    and every stored code equals `oracle_code` of its row and its list's
+    word, for IFC with M | L and with L % M != 0, and for TIFC with every
+    word occupied and with an empty word."""
 
     CASES = {
         "ifc": (BuildConfig("ifc", 3, 8, PqConfig(2, 4)), None),
@@ -997,19 +1068,20 @@ class TestListMeans:
             x[:, empty] = -100.0
         ix = invindex.build(FeatureSet(x), cfg)
         q, length = ix.quantizer, cfg.code_length
+        means = q.word_means(ix.wids, length)
         if cfg.pq:
             want = embed.segment_means(pq.reconstruct_batch(ix.wids, q), length)
-            np.testing.assert_array_equal(ix.list_means, want)
+            np.testing.assert_array_equal(means, want)
         elif empty is None:
-            assert len(ix.wids) == q.word_count and ix.list_means is q.means
+            assert len(ix.wids) == q.word_count
+            np.testing.assert_array_equal(means, q.means)
         else:
             assert empty not in ix.wids and len(ix.wids) == q.word_count - 1
-            assert not np.shares_memory(ix.list_means, q.means)
-            np.testing.assert_array_equal(ix.list_means, q.means[ix.wids])
+            np.testing.assert_array_equal(means, q.means[ix.wids])
         path = tmp_path / "x.idx"
         invindex.save(ix, path)
         back = invindex.load(path)
-        np.testing.assert_array_equal(back.list_means, ix.list_means)
+        np.testing.assert_array_equal(back.quantizer.word_means(back.wids, length), means)
         words = np.repeat(ix.wids, np.diff(ix.offsets))
         for e, (row, wid) in enumerate(zip(ix.ids, words)):
             np.testing.assert_array_equal(ix.codes[e], oracle_code(q, x[row], wid, length),
@@ -1050,10 +1122,11 @@ class TestQuantizerContract:
             wids = q.words(xs, count)
             assert wids.shape == (30, count)
             np.testing.assert_array_equal(back.words(xs, count), wids)
-            uniq = np.unique(wids)
-            np.testing.assert_array_equal(back.word_means(uniq, length),
-                                          q.word_means(uniq, length))
-        np.testing.assert_array_equal(loaded.list_means, ix.list_means)
+            means = q.word_means(wids, length)
+            assert means.shape == (30, count, length)
+            np.testing.assert_array_equal(back.word_means(wids, length), means)
+        np.testing.assert_array_equal(loaded.quantizer.word_means(loaded.wids, length),
+                                      q.word_means(ix.wids, length))
 
     def test_quantizer_bytes_is_payload_size(self, scheme, tifc_index, ifc_index):
         """IFC stores M * K * (D/M) float32 centroids; TIFC redraws its table."""
@@ -1459,12 +1532,7 @@ class TestLoadValidation:
         wide = dataclasses.replace(tiny_index, quantizer=tifc.make_virtual_words(4096, 16),
                                    config=dataclasses.replace(tiny_index.config, code_length=16))
         write_file(path, header, payload_of(wide))
-        tracemalloc.start()
-        try:
-            ix = invindex.load(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ix, peak = traced_peak(lambda: invindex.load(path))
         assert ix.quantizer.means.shape == (4096, 16)
         assert peak < 16 << 20
 

@@ -64,9 +64,9 @@ class TestWordCodec:
     @pytest.mark.parametrize("k, m", [(1, 3), (5, 1), (4, 3), (64, 2)])
     def test_array_decode_matches_single(self, k, m):
         wids = np.arange(k**m).reshape(-1, 1)
-        subs = pq.decode_words(wids, k, m)
-        assert len(subs) == m and all(sub.shape == wids.shape for sub in subs)
-        got = np.stack([sub[:, 0] for sub in subs], axis=1)
+        rows = PqCodebook(np.zeros((m, k, 1), dtype=np.float32)).stacked_rows(wids)
+        assert rows.shape == (*wids.shape, m)
+        got = rows[:, 0] - np.arange(0, m * k, k)
         assert [tuple(row) for row in got.tolist()] == [pq.decode_word(w, k, m)
                                                        for w in range(k**m)]
 

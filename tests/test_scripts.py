@@ -4,9 +4,11 @@ by the calls that `scripts/stagetimer.StageTimer` wraps. Running them here
 on small indexes fails the suite when a wrapped name leaves `cnnidx` or a
 stage stops being called. Each timing comes raw and divided by its pass's
 host factor. The example script `compare_schemes.py` runs here on tiny
-data, so a library change that breaks it fails too."""
+data, and `bench_file.py` on the benchmark's toy workloads, so a change that
+breaks either fails too."""
 
 import importlib.util
+import json
 import re
 import sys
 import time
@@ -300,3 +302,41 @@ def test_count_src_lines_counts_code_and_docstrings(monkeypatch, capsys, tmp_pat
     load_script("count_src_lines").main()
     assert capsys.readouterr().out.splitlines() == [
         "     0  b.py", "     2  pkg/a.py", "     2  total"]
+
+
+def test_bench_file_summarises_seeded_runs(monkeypatch, tmp_path):
+    """`bench_file.py` over the smoke test's toy workloads on seeds 3, 3 and
+    4: the file holds every key, each metric's median is that of the runs'
+    values, and the two runs of seed 3 give equal index and answer digests."""
+    bench = load_script("bench_file")
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    run = bench.load_run()
+    import test_smoke
+
+    monkeypatch.setattr(run, "WORKLOADS", test_smoke.TOY)
+    monkeypatch.setattr(run, "N_QUERIES", 40)
+    records, real_run = [], run.run
+    monkeypatch.setattr(run, "run", lambda *args: records.append(real_run(*args)) or records[-1])
+    seeds = [3, 3, 4]
+    path = bench.write_bench(bench.bench(run, list(test_smoke.TOY), seeds, 1), seeds, 1,
+                             tmp_path)
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"commit", "clean", "seeds", "seconds", "machine", "workloads"}
+    assert path.name == f"BENCH_{doc['commit']}{'' if doc['clean'] else '-dirty'}.json"
+    assert set(doc["machine"]) == {"cpu_model", "cpu_count", "affinity_cpus", "python",
+                                   "numpy", "blas", "blas_version", "openblas_core"}
+    assert doc["seeds"] == seeds and list(doc["workloads"]) == list(test_smoke.TOY)
+    names = [m["name"] for m in test_smoke.BENCHMARK["end_to_end"]]
+    for workload, summary in doc["workloads"].items():
+        recs = [r for r in records if r["workload"] == workload]
+        assert list(summary["metrics"]) == names
+        for name, m in summary["metrics"].items():
+            values = [r["result"]["metrics"][name]["value"] for r in recs]
+            assert m["median"] == np.median(values) and m["count"] == len(seeds)
+            assert m["q1"] <= m["median"] <= m["q3"]
+            assert m["unit"] == recs[0]["result"]["metrics"][name]["unit"]
+        runs = summary["runs"]
+        assert [r["seed"] for r in runs] == seeds
+        assert all(r["failed"] == 0 and r["attempted"] > 0 for r in runs)
+        for key in ("index_sha256", "answers_sha256"):
+            assert runs[0][key] == runs[1][key] == recs[0][key]

@@ -205,8 +205,8 @@ def random_index(scheme, seed, n, length, data):
     if scheme == "tifc":
         ix = dataclasses.replace(ix, quantizer=tifc.VirtualWordBank(
             drawn_table(dim, length, seed % 89)))
-        lists = np.repeat(np.arange(len(ix.wids)), np.diff(ix.offsets))[:, None]
-        codes = invindex.list_codes(ix.list_means, vectors[ix.ids], lists)[:, 0]
+        words = np.repeat(ix.wids, np.diff(ix.offsets))[:, None]
+        codes = invindex.list_codes(ix.quantizer, vectors[ix.ids], words, length)[:, 0]
         ix = dataclasses.replace(ix, codes=codes)
     w = data.draw(st.sampled_from([1, s, word_count]) | st.integers(1, word_count),
                   label="W")
