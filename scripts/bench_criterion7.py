@@ -23,7 +23,9 @@ quantizer's `words` and `invindex.list_codes`), probe (the lookup of the
 words' lists, `invindex.find_lists`, and of their slices, `search._spans`),
 gather (`search._gather`, the ids and codes of the probed lists), Hamming
 (`embed.hamming_to_many`) and scan (the rest of `search._scan`: votes,
-minimum Hamming, rank and candidate count). Each cell gives the raw time
+minimum Hamming, rank and candidate count). The criterion's indexes are
+IFC, whose codes are per link and gathered list by list; a TIFC index's
+one code per vector would be taken by id in the scan stage. Each cell gives the raw time
 and, after a slash, the time divided by the pass's host factor. The mean
 entries scanned and kept (at distance < T) per query are counted from
 `hamming_to_many`'s results, outside every stage's time.

@@ -12,18 +12,20 @@ that workload's W, T and top-k. The real `build`, `load` and `query` run,
 and a `stagetimer.StageTimer` splits their time into the self times of
 named calls. The stages of `build` and `save`, in ms per build:
 
-- train: the IFC codebook's training (`pq.train`) or the TIFC table
-  (`tifc.make_virtual_words`, drawn in the warm build and memoised, so
-  the timed builds only look it up);
+- train: the IFC codebook's training (`pq.train`) or the TIFC reference,
+  the in-place partition of the (L, n) segment means that gives each
+  segment's lower median (`tifc.lower_medians`), and the bank made from it
+  (`tifc.make_virtual_words`);
 - words: the quantizer's `words`, each chunk's words in the build's
   first pass;
-- codes: `invindex.list_codes`, each chunk's codes against its words'
-  reference means, gathered by word id from the quantizer's table, in the
-  second pass;
+- codes: `invindex.list_codes`, each chunk's codes in the second pass:
+  IFC's against its words' reference means, gathered by word id from the
+  codebook's table, TIFC's one code a row against the reference row;
 - group + save: the rest of `build` and `save`: chiefly the stable argsort
-  of the words, the slot array, the grouped words and the ids made from
-  it, the float64 casts and the writes into place of the caller's chunks
-  in both passes, its wait for the helpers' last chunks, and the file.
+  of the words, the slot array (IFC), the grouped words and the ids made
+  from it, the float64 casts and the writes into place of the caller's
+  chunks in both passes, TIFC's segment means in the first, its wait for
+  the helpers' last chunks, and the file.
 
 `build` runs each pass's chunks on the calling thread and one helper per
 further CPU, up to `invindex.MAX_THREADS`, so words and codes are busy time
@@ -34,8 +36,8 @@ The stages of `load`, in ms per load:
 
 - header: `invindex._read_header`;
 - quantizer: the IFC codebook's constants (`PqCodebook.__post_init__`) or
-  the TIFC table (`tifc.make_virtual_words`, which draws it on a process's
-  first load of its shape and hands back the memoised one after that);
+  the TIFC bank (`tifc.make_virtual_words`, which copies the L reference
+  means that the payload holds, and draws nothing);
 - rules: `invindex._check_sections`, every rule on the sections' values:
   their counts, the finite payload and the posting rules (`save` runs the
   same function, inside group + save);
@@ -74,8 +76,8 @@ or pass's host factor (`scripts/stagetimer.py`), which reads the same on a
 slower or busier host.
 The file size of each index is printed too, and the traced peak of one
 more, untimed build under `tracemalloc`, in MiB: the most memory the build's
-Python and numpy allocations held at once (a memoised TIFC table not
-included), which checks a memory change without a benchmark run.
+Python and numpy allocations held at once, which checks a memory change
+without a benchmark run.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ from cnnidx.vecio import FeatureSet  # noqa: E402
 
 BUILDS = 5  # timed builds per workload, after one warm build
 BUILD_STAGES = {
-    "train": ("pq.train", "tifc.make_virtual_words"),
+    "train": ("pq.train", "tifc.lower_medians", "tifc.make_virtual_words"),
     "words": ("pq.PqCodebook.words", "tifc.VirtualWordBank.words"),
     "codes": ("invindex.list_codes",),
     "group + save": ("invindex.build", "invindex.save"),

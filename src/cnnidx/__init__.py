@@ -2,9 +2,10 @@
 
 Two quantization schemes turn a vector into visual words: TIFC (softmax term
 frequencies over per-dimension virtual words) and IFC (a product-quantization
-dictionary of K^M words). Posting entries carry L-bit binary codes that are
-filtered by Hamming distance at query time, and candidates are ranked by a
-voting process over the probed lists.
+dictionary of K^M words). Posting entries carry L-bit binary codes, a code
+per link (IFC) or the vector's one code (TIFC), that are filtered by Hamming
+distance at query time, and candidates are ranked by a voting process over
+the probed lists.
 """
 
 from .baseline import LshConfig, brute_force, lsh_build, lsh_query

@@ -1,18 +1,24 @@
 """The inverted table: every database vector is linked to its S nearest words
-(multiple link) and each posting entry carries the vector's binary code
-relative to that word.
+(multiple link) and carries binary codes: under IFC each posting entry holds
+the vector's code relative to that entry's word, and under TIFC the vector
+has one code, relative to the one reference row of `tifc.VirtualWordBank`,
+which every entry of the vector shares.
 
 In memory the posting lists are four arrays: the occupied word ids `wids`
 (ascending) and the image ids `ids` (ascending within each list), both at
 their file widths (`posting_dtypes`), the list boundaries `offsets` (int64)
-and the packed codes `codes` (n*S, B). List j belongs to word wids[j] and
-holds the entries offsets[j]:offsets[j + 1].
+and the packed codes `codes`: (n*S, B) in list order for IFC, (n, B) in row
+order for TIFC (`_code_rows`). List j belongs to word wids[j] and holds the
+entries offsets[j]:offsets[j + 1].
 
-The index file is the magic b"CNNIDX07", a uint32 length and the JSON
+The index file is the magic b"CNNIDX08", a uint32 length and the JSON
 header (the BuildConfig and n), the sections that `_layout` lists in file
 order, and a CRC32 of every byte after the magic; all integers are
 little-endian. `save`, `load` and `stats` take the sections from that one
-list, so no header field names a width.
+list, so no header field names a width. The header and the file's size give
+the whole layout: the count of lists is the one that makes the sections
+fill the file (`_count_lists`), and `load` checks it before it reads any
+section.
 
 Only `_header_json` writes the header, and a header loads only in its exact
 form, so a file that loads saves back to the same bytes. `_check_sections`
@@ -23,33 +29,30 @@ twice in one list. Older files (`OLD_MAGICS`) are not read; rebuild.
 
 Build and query share one encoding stage over chunks of `_row_bytes` each:
 the quantizer's `words`, then `list_codes`, the one code function, against
-the words' reference segment means, which no index holds. The quantizers,
-`tifc.VirtualWordBank` and `pq.PqCodebook`, have the same members: `words`
-gives rows their words (TIFC: the top softmax bins; IFC: the exact nearest
-product words), `word_means` the means of any array of word ids (TIFC:
-table rows; IFC: those of the reconstructed words), `stage_width` a row's
-word stage in float64 values, `mean_bytes` a word's working bytes in
-`word_means`, `word_count` the words, and `payload` the quantizer's part of
-the file. A quantizer holds only its arrays, and an index takes only the
-one its config makes. A row's words and codes depend on that row alone, so
-a database vector queried with itself gets exactly its S links and their
-codes. `search.batch_query` runs the stage on chunks of queries. `build`
-makes two passes over the rows, words and then codes, each on the calling
-thread and one helper thread per further CPU, up to `MAX_THREADS`;
+the words' reference segment means. The quantizers, `tifc.VirtualWordBank`
+and `pq.PqCodebook`, have the same members: `words` gives rows their words
+(TIFC: the top softmax bins; IFC: the exact nearest product words),
+`word_means` the means of any array of word ids (TIFC: the one reference
+row for them all; IFC: those of the reconstructed words, which no index
+holds as rows), `stage_width` a row's word stage in float64 values,
+`mean_bytes` a word's working bytes in `word_means`, `word_count` the
+words, and `payload` the quantizer's part of the file. A quantizer holds
+only its arrays, and an index takes only the one its config makes. A row's
+words and codes depend on that row and the quantizer alone, so a database
+vector queried with itself gets exactly its S links and their codes.
+`search.batch_query` runs the stage on chunks of queries. `build` makes two
+passes over the rows, words and then codes, each on the calling thread and
+one helper thread per further CPU, up to `MAX_THREADS`;
 `_fill_rows` starts, stops and joins those threads. Between them one stable
-sort of the words gives every link its slot in the grouped lists, and every
-list its ids, and pass 2 writes each code straight into its slot, so the
-(n*S, B) codes are held once; the file does not depend on the thread count.
-`load` runs on the calling thread alone and takes a TIFC table from the
-memo of `tifc.make_virtual_words` after the CRC, so a process's first TIFC
-load of a (D, L) draws it serially (about 10 ms at 2,048 x 256).
+sort of the words gives every list its ids, and every IFC link its slot in
+the grouped lists, and pass 2 writes each code straight into its slot (IFC)
+or its row (TIFC), so the codes are held once; the file does not depend on
+the thread count. `load` runs on the calling thread alone.
 
 `BuildConfig.word_count` holds the shape rules for vectors of width D: L
-divides D, M divides D (IFC), S is at most the word count, and a TIFC table
-of D * L float64 means holds at most `MAX_TABLE_ENTRIES` = 2^24 entries
-(128 MiB), so a small file cannot ask for gigabytes. `build` checks the
-database's D by it, before any training or table draw, and `_read_header`
-the header's. An index keeps its `BuildConfig` as `config`.
+divides D, M divides D (IFC) and S is at most the word count. `build` checks
+the database's D by it, before any training, and `_read_header` the
+header's. An index keeps its `BuildConfig` as `config`.
 """
 
 from __future__ import annotations
@@ -70,15 +73,12 @@ from .pq import PqCodebook, PqConfig
 from .tifc import VirtualWordBank
 from .vecio import DataError, FeatureSet, check_ints, chunk_rows
 
-MAGIC = b"CNNIDX07"
+MAGIC = b"CNNIDX08"
 OLD_MAGICS = (b"CNNIDX01", b"CNNIDX02", b"CNNIDX03", b"CNNIDX04", b"CNNIDX05",
-              b"CNNIDX06")
+              b"CNNIDX06", b"CNNIDX07")
 
 SCHEME_TIFC = "tifc"
 SCHEME_IFC = "ifc"
-
-# Largest TIFC table of segment means, D * L, that build or load will draw.
-MAX_TABLE_ENTRIES = 1 << 24
 
 # Most threads a build's encoding runs on, the caller included. Two were
 # measured (2 vCPUs), on 1 MiB chunks at the default budget; chunks of a few
@@ -111,9 +111,6 @@ class BuildConfig:
             raise DataError(f"{where}: dimension {dim} not divisible by code length "
                             f"{self.code_length}")
         if self.scheme == SCHEME_TIFC:
-            if dim * self.code_length > MAX_TABLE_ENTRIES:
-                raise DataError(f"{where}: TIFC table of {dim} x {self.code_length} means "
-                                f"exceeds {MAX_TABLE_ENTRIES} entries")
             words = dim
         else:
             if dim % self.pq.segments:
@@ -156,7 +153,7 @@ class InvertedIndex:
     wids: np.ndarray  # (nlists,) at posting_dtypes, occupied word ids, strictly increasing
     offsets: np.ndarray  # (nlists + 1,) int64, list j is offsets[j]:offsets[j + 1]
     ids: np.ndarray  # (n * S,) at posting_dtypes, strictly increasing within each list
-    codes: np.ndarray  # (n * S, B) uint8, packed code of each entry
+    codes: np.ndarray  # (_code_rows, B) uint8: IFC each entry's code, TIFC each vector's
     quantizer: VirtualWordBank | PqCodebook
 
     def __post_init__(self):
@@ -165,12 +162,13 @@ class InvertedIndex:
             m, k = cfg.pq.segments, cfg.pq.words_per_segment
             ok = isinstance(q, PqCodebook) and q.sub_codebooks.shape == (m, k, q.dim // m)
         else:
-            ok = isinstance(q, VirtualWordBank) and q.means.shape == (q.dim, cfg.code_length)
+            ok = isinstance(q, VirtualWordBank) and q.reference.shape == (cfg.code_length,)
         if not ok:
             raise ValueError(f"{cfg} does not make a quantizer of this type and shape")
         # the values `save` writes, so the index computes with what loads
-        if cfg.pq and q.sub_codebooks.dtype.type is not np.float32:
-            raise ValueError(f"codebook dtype {q.sub_codebooks.dtype} is not float32, "
+        name, values = ("codebook", q.sub_codebooks) if cfg.pq else ("reference", q.reference)
+        if values.dtype.type is not np.float32:
+            raise ValueError(f"{name} dtype {values.dtype} is not float32, "
                              "the dtype of the file's payload")
 
 
@@ -187,8 +185,10 @@ class IndexStats:
 
 def list_codes(quantizer: VirtualWordBank | PqCodebook, xs: np.ndarray, wids: np.ndarray,
                code_length: int) -> np.ndarray:
-    """The packed L-bit codes of the rows of xs, (N, count, B) for (N, count)
-    word ids: bit i is 1 iff the row's i-th segment mean is >= the word's."""
+    """The packed L-bit codes of the rows of xs for their (N, count) word ids:
+    bit i is 1 iff the row's i-th segment mean is >= the word's. IFC gives
+    (N, count, B), a code per word; TIFC (N, 1, B), the row's one code, as
+    every word's means are the reference row."""
     means = quantizer.word_means(wids, code_length)
     return pack_bits(segment_means(xs, code_length)[:, None, :] >= means)
 
@@ -287,25 +287,33 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
 
     The postings are built in two passes over the rows, each a chunk at a
     time on as many threads as the process has CPUs, up to `MAX_THREADS`
-    (`_fill_rows`). Pass 1 fills the (n, S) words. One stable argsort of
-    them lays out the lists and, by its inverse, the slot array, gives each
-    link its row of the grouped (n*S, B) codes; the sort itself, divided by
-    S, is the grouped ids. Pass 2 casts each chunk again, codes it against
-    its words (`list_codes`) and writes each code into its slot, so the
-    codes are held once, never in row order beside the grouped copy. The
-    index is made from the filled arrays. A row's words and codes come from
-    that row alone, with no BLAS call (IFC's distances are `einsum`
+    (`_fill_rows`). Pass 1 fills the (n, S) words; under TIFC it also writes
+    each row's L segment means into an (L, n) float32 buffer, whose rows'
+    lower medians, their (n - 1) // 2-th order statistics, are the reference
+    row, and which is then freed. One stable argsort of the words lays out
+    the lists; the sort itself, divided by S, is the grouped ids, and under
+    IFC its inverse, the slot array, gives each link its row of the grouped
+    (n*S, B) codes. Pass 2 casts each chunk again and codes it with
+    `list_codes`: IFC against its words, each code written into its slot,
+    so the codes are held once, never in row order beside the grouped copy;
+    TIFC once per row against the reference, into the (n, B) codes in row
+    order. The index is made from the filled arrays. A row's words and codes
+    come from that row alone (and the reference, which is an order
+    statistic), with no BLAS call (IFC's distances are `einsum`
     contractions), so the file does not depend on the chunk size or the
     thread count.
     """
-    d, n, s = db.dim, db.n, cfg.link_count
+    d, n, s, length = db.dim, db.n, cfg.link_count, cfg.code_length
     if n == 0:
         raise DataError("database has no vectors to index")
     cfg.word_count(d, "database")  # the shape rules, before any training
     if cfg.scheme == SCHEME_TIFC:
         if training is not None:
             raise ValueError("a TIFC build takes no training set")
-        quantizer = tifc.make_virtual_words(d, cfg.code_length)
+        # pass 1's words need no reference, so a zero row stands in for the
+        # one that the medians of its segment means make
+        quantizer = tifc.make_virtual_words(d, np.zeros(length, dtype=np.float32))
+        seg_means = np.empty((length, n), dtype=np.float32)
     else:
         training = training if training is not None else db
         if training.dim != d:
@@ -319,27 +327,33 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     # below the word count), filled in place chunk by chunk
     widths = {name: dtype for name, _, dtype in _layout(cfg, d, n, 0)}
     wid_t, id_t = widths["wids"], widths["ids"]
-    total, b = n * s, code_bytes(cfg.code_length)
+    total, b = n * s, code_bytes(length)
     wids = np.empty((n, s), dtype=wid_t)
 
     def fill_words(part: slice, chunk: np.ndarray) -> None:
         wids[part] = quantizer.words(chunk, s)
+        if cfg.scheme == SCHEME_TIFC:
+            seg_means[:, part] = segment_means(chunk, length).T
 
     # pass 1 rebuilds no word, so it takes L means a word: where no word is
-    # rebuilt, both passes take chunks of one size
-    _fill_rows(db.vectors, _row_bytes(quantizer, d, s, cfg.code_length, coded=False),
-               fill_words)
+    # rebuilt, both IFC passes take chunks of one size
+    _fill_rows(db.vectors, _row_bytes(quantizer, d, s, length, coded=False), fill_words)
+    if cfg.scheme == SCHEME_TIFC:
+        quantizer = tifc.make_virtual_words(d, tifc.lower_medians(seg_means))
+        del seg_means
     # the grouped codes, allocated before the layout's temporaries: where the
     # heap holds memory freed by earlier work (a second build), the largest
     # array then takes the largest free block before they split it
-    codes = np.empty((total, b), dtype=np.uint8)
+    codes = np.empty((_code_rows(cfg, n), b), dtype=np.uint8)
     # link e (row e // S) goes to list slot[e]: the links ascend by row
     # already, so a stable sort on the word (a radix sort for word counts up
     # to 2^16) lays the lists out in (word, id) order, and its inverse, at
     # the narrowest width that holds n*S - 1, gives each link its slot
     order = np.argsort(wids, axis=None, kind="stable")
-    slot = np.empty(total, dtype=np.min_scalar_type(total - 1))
-    slot[order] = np.arange(total, dtype=slot.dtype)
+    if cfg.pq:
+        slot = np.empty(total, dtype=np.min_scalar_type(total - 1))
+        slot[order] = np.arange(total, dtype=slot.dtype)
+        slot = slot.reshape(n, s)
     grouped = wids.ravel()[order]
     # neighbours compared, not differenced: the word ids are unsigned
     starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
@@ -349,15 +363,15 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     # divided in place so that no second n*S int64 array is held
     ids = np.floor_divide(order, s, out=order).astype(id_t)
     del order
-    slot = slot.reshape(n, s)
 
-    # pass 2: every row's codes against its words, each written straight
-    # into its slot; the slots are a permutation, so threads write disjoint rows
+    # pass 2: every row's codes against its words (IFC), each written
+    # straight into its slot, or its one code (TIFC), into its row; the
+    # slots are a permutation, so threads write disjoint rows
     def fill_codes(part: slice, chunk: np.ndarray) -> None:
-        codes[slot[part].ravel()] = list_codes(quantizer, chunk, wids[part],
-                                               cfg.code_length).reshape(-1, b)
+        rows = slot[part].ravel() if cfg.pq else part
+        codes[rows] = list_codes(quantizer, chunk, wids[part], length).reshape(-1, b)
 
-    _fill_rows(db.vectors, _row_bytes(quantizer, d, s, cfg.code_length), fill_codes)
+    _fill_rows(db.vectors, _row_bytes(quantizer, d, s, length), fill_codes)
     return InvertedIndex(config=cfg, indexed_count=n, wids=list_wids, offsets=offsets,
                          ids=ids, codes=codes, quantizer=quantizer)
 
@@ -370,26 +384,49 @@ def posting_dtypes(word_count: int, indexed_count: int) -> tuple[np.dtype, np.dt
                  for v in (word_count - 1, indexed_count, indexed_count - 1))
 
 
+def _code_rows(cfg: BuildConfig, indexed_count: int) -> int:
+    """The codes an index holds: one per link (IFC) or per vector (TIFC)."""
+    return indexed_count * (cfg.link_count if cfg.pq else 1)
+
+
 def _layout(cfg: BuildConfig, dim: int, indexed_count: int,
-            nlists: int | None) -> list[tuple[str, int | None, np.dtype]]:
+            nlists: int) -> list[tuple[str, int, np.dtype]]:
     """The file's sections after the header, in file order, each as (name,
-    value count, little-endian dtype). `save` writes the index's array of
-    each name, `stats` sums their bytes, `load` reads them and
-    `_check_sections` holds the rules noted on them; nlists, the count of
-    `wids` and `lengths`, is None for `load`, which reads it first."""
+    value count, little-endian dtype), for nlists non-empty posting lists.
+    `save` writes the index's array of each name, `stats` sums their bytes,
+    `load` reads them and `_check_sections` holds the rules noted on them."""
     total = indexed_count * cfg.link_count
     wid_t, len_t, id_t = posting_dtypes(cfg.word_count(dim, "index"), indexed_count)
     return [
         # IFC: the M x K sub-codebook centroids, segments in order; TIFC:
-        # none (its table is the one `tifc.make_virtual_words` draws for
-        # dim and code_length, and `save` refuses any other)
-        ("payload", cfg.pq.words_per_segment * dim if cfg.pq else 0, np.dtype("<f4")),
-        ("nlists", 1, np.dtype("<u8")),  # how many posting lists are non-empty
-        ("wids", nlists, wid_t),  # strictly increasing
+        # the L values of the reference row; all finite
+        ("payload", cfg.pq.words_per_segment * dim if cfg.pq else cfg.code_length,
+         np.dtype("<f4")),
+        ("wids", nlists, wid_t),  # strictly increasing, below the word count
         ("lengths", nlists, len_t),  # each >= 1, summing to n * S
         ("ids", total, id_t),  # list after list, rising within each
-        ("codes", total * code_bytes(cfg.code_length), np.dtype(np.uint8)),  # one per id
+        # IFC: one per id, in list order; TIFC: one per vector, in row order
+        ("codes", _code_rows(cfg, indexed_count) * code_bytes(cfg.code_length),
+         np.dtype(np.uint8)),
     ]
+
+
+def _count_lists(where, cfg: BuildConfig, dim: int, indexed_count: int, nbytes: int) -> int:
+    """The count of non-empty lists whose sections take exactly nbytes: the
+    bytes left after the payload, ids and codes must be a whole number of
+    lists' word id and length, from 1 to min(word count, n * S); otherwise
+    DataError naming `where`."""
+    def size(nlists: int) -> int:
+        return sum(count * dtype.itemsize for _, count, dtype in
+                   _layout(cfg, dim, indexed_count, nlists))
+
+    fixed = size(0)
+    nlists, extra = divmod(nbytes - fixed, size(1) - fixed)
+    most = min(cfg.word_count(dim, where), indexed_count * cfg.link_count)
+    if nbytes < fixed or extra or not 1 <= nlists <= most:
+        raise DataError(f"{where}: truncated index file, or trailing bytes: its {nbytes} "
+                        f"bytes of sections are not those of 1 to {most} posting lists")
+    return nlists
 
 
 def stats(ix: InvertedIndex) -> IndexStats:
@@ -416,17 +453,11 @@ def stats(ix: InvertedIndex) -> IndexStats:
 def save(ix: InvertedIndex, path) -> None:
     """Write the index file, each section as its array cast to its file
     dtype: no copy for a built or loaded index, which holds its postings at
-    those. ValueError before the file is opened refuses a TIFC table other
-    than the drawn one for its (D, L), which the file does not hold; cast
-    arrays that break a rule of `_check_sections`, with the message `load`
-    gives for their file; and then values that the cast changed."""
+    those. ValueError before the file is opened refuses cast arrays that
+    break a rule of `_check_sections`, with the message `load` gives for
+    their file, and then values that the cast changed."""
     q = ix.quantizer
-    if isinstance(q, VirtualWordBank):
-        drawn = tifc.make_virtual_words(*q.means.shape)
-        if q is not drawn and not np.array_equal(q.means, drawn.means):
-            raise ValueError("a TIFC table other than the drawn one for its "
-                             f"{q.means.shape}: the file cannot hold it")
-    given = {"payload": q.payload(), "nlists": np.array([len(ix.wids)]), "wids": ix.wids,
+    given = {"payload": q.payload(), "wids": ix.wids,
              "lengths": np.diff(ix.offsets), "ids": ix.ids, "codes": ix.codes}
     arrays = {name: np.ascontiguousarray(given[name], dtype=dtype) for name, _, dtype
               in _layout(ix.config, q.dim, ix.indexed_count, len(ix.wids))}
@@ -509,7 +540,8 @@ def _check_sections(where, cfg: BuildConfig, dim: int, indexed_count: int, array
             raise error(f"{where}: {name} holds {arrays[name].size} values, not the "
                         f"{count} of its file section")
     if not np.isfinite(arrays["payload"]).all():
-        raise error(f"{where}: NaN or infinite centroid in the quantizer payload")
+        raise error(f"{where}: NaN or infinite {'centroid' if cfg.pq else 'reference mean'} "
+                    "in the quantizer payload")
     total = len(ids)
     # total fits the file, so a sum of lengths in [1, total] cannot overflow
     if not total or np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
@@ -530,22 +562,21 @@ def _check_sections(where, cfg: BuildConfig, dim: int, indexed_count: int, array
         if not rising.all():
             raise error(f"{where}: posting ids not strictly increasing within a list")
     pad = cfg.code_length % 8
-    if pad and arrays["codes"].reshape(total, -1)[:, -1].max() >> pad:
+    if pad and arrays["codes"].reshape(-1, code_bytes(cfg.code_length))[:, -1].max() >> pad:
         raise error(f"{where}: nonzero pad bits in the codes")
 
 
 def load(path) -> InvertedIndex:
     """Read and validate an index file; any malformed file raises DataError.
 
-    One walk of `_layout` reads the sections in file order, each straight
-    into the array the index keeps (the posting integers at their file
-    widths), the counts it leaves open from `nlists`, and updates the CRC as
-    each arrives. No array is allocated before its byte count is checked
-    against the bytes left in the file, and after the last section no byte
-    may be left. The CRC is checked before any value is used: the rules of
+    The header's length is checked against the file's size before the
+    header is read, and the file's size against the header (`_count_lists`)
+    before any section is read. One walk of `_layout` then reads the
+    sections in file order, each straight into the array the index keeps
+    (the posting integers at their file widths), and updates the CRC as each
+    arrives. The CRC is checked before any value is used: the rules of
     `_check_sections`, then the quantizer, the IFC codebook or the TIFC
-    table, which is taken from `tifc.make_virtual_words` only then, so a
-    file that fails them is never drawn for. All of it runs on the calling
+    bank of `tifc.make_virtual_words`. All of it runs on the calling
     thread."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
@@ -571,12 +602,9 @@ def load(path) -> InvertedIndex:
 
         (hlen,) = struct.unpack("<I", array(4, np.uint8))
         cfg, dim, indexed_count = _read_header(path, array(hlen, np.uint8))
-        got = {}
-        for name, count, dtype in _layout(cfg, dim, indexed_count, None):
-            # a count left open is the value of `nlists`, a section already read
-            got[name] = array(int(got["nlists"][0]) if count is None else count, dtype)
-        if left:
-            raise DataError(f"{path}: {left} trailing bytes after posting lists")
+        nlists = _count_lists(path, cfg, dim, indexed_count, left)
+        got = {name: array(count, dtype)
+               for name, count, dtype in _layout(cfg, dim, indexed_count, nlists)}
         trailer = f.read(4)
         if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
             raise DataError(f"{path}: checksum mismatch (corrupt index file)")
@@ -584,7 +612,8 @@ def load(path) -> InvertedIndex:
     _check_sections(path, cfg, dim, indexed_count, got)
     offsets = np.concatenate(([0], np.cumsum(got["lengths"], dtype=np.int64)))
     quantizer = (PqCodebook(got["payload"].reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
-                 if cfg.pq else tifc.make_virtual_words(dim, cfg.code_length))
+                 if cfg.pq else tifc.make_virtual_words(dim, got["payload"]))
     return InvertedIndex(config=cfg, indexed_count=indexed_count, wids=got["wids"],
                          offsets=offsets, ids=got["ids"],
-                         codes=got["codes"].reshape(len(got["ids"]), -1), quantizer=quantizer)
+                         codes=got["codes"].reshape(_code_rows(cfg, indexed_count), -1),
+                         quantizer=quantizer)

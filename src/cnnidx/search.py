@@ -1,10 +1,11 @@
 """Query pipeline: assign the query to W words (multiple assignment), filter
 each probed posting list by Hamming distance < T against the query's binary
-code for that list, then rank candidates by vote count.
+code for that list (IFC) or its one code (TIFC), then rank candidates by
+vote count.
 
 The rows are checked, then the index's quantizer assigns each its W words
 (`words`), and one row step, `_rank_rows`, takes a chunk of rows and their
-words: it packs each row's code against each word's reference means with
+words: it packs each row's codes against its words' reference means with
 `invindex.list_codes`, the one code function that the build runs too, looks
 the words up among the index's lists (`invindex.find_lists`), and scans one
 row's lists at a time. `query` runs the row step on its one row, and
@@ -123,9 +124,12 @@ def _check_config(ix: InvertedIndex, cfg: QueryConfig) -> None:
 def _scan(ix: InvertedIndex, lists: np.ndarray, q_codes: np.ndarray, cfg: QueryConfig
           ) -> RankedResult:
     """Vote and rank over one query's posting lists, given its code against
-    each list.
+    each list (IFC, (len(lists), B)) or its one code (TIFC, (B,)).
 
-    All probed entries are gathered at once and go through one Hamming pass.
+    All probed entries are gathered at once and go through one Hamming pass:
+    under IFC each entry's code, gathered list by list, against the query's
+    code for its list; under TIFC the code of each entry's vector, taken by
+    id, against the query's one code.
     Two `ufunc.at` passes over them then fill n-sized arrays: each id's votes
     (its entries at distance < T) and its minimum distance over all its
     entries. Entries below T are the kept ones, so an id was kept iff that
@@ -139,7 +143,10 @@ def _scan(ix: InvertedIndex, lists: np.ndarray, q_codes: np.ndarray, cfg: QueryC
     lengths, spans = _spans(ix, lists)
     # cast in the copy: `ufunc.at` would cast narrower ids to intp twice
     ids = _gather(ix.ids, spans, np.intp)
-    dists = hamming_to_many(np.repeat(q_codes, lengths, axis=0), _gather(ix.codes, spans))
+    if ix.config.pq:
+        dists = hamming_to_many(np.repeat(q_codes, lengths, axis=0), _gather(ix.codes, spans))
+    else:  # `np.take` of 8,183 32-byte codes: 8.8 against 88 us by fancy index, 2 vCPUs
+        dists = hamming_to_many(q_codes, np.take(ix.codes, ids, axis=0))
     votes = np.zeros(n, dtype=np.min_scalar_type(w))
     np.add.at(votes, ids, (dists < cfg.hamming_threshold).view(np.uint8))
     min_h = np.full(n, length + 1, dtype=dists.dtype)
@@ -162,15 +169,17 @@ def _rank_rows(ix: InvertedIndex, xs: np.ndarray, words: np.ndarray, cfg: QueryC
     each row's lists scanned on their own and a word without a list skipped."""
     codes = list_codes(ix.quantizer, xs, words, ix.config.code_length)
     lists, found = find_lists(ix, words)
-    return [_scan(ix, lq[fq], cq[fq], cfg) for lq, fq, cq in zip(lists, found, codes)]
+    return [_scan(ix, lq[fq], cq[fq] if ix.config.pq else cq[0], cfg)
+            for lq, fq, cq in zip(lists, found, codes)]
 
 
 def query(ix: InvertedIndex, q, cfg: QueryConfig) -> RankedResult:
     """Rank database images for one query vector.
 
     A posting entry votes when its code is at Hamming distance < T from the
-    query's code against the entry's list. Images are ranked by vote count,
-    minimum observed Hamming distance, then id.
+    query's code against the entry's list (IFC), or when its vector's code
+    is at distance < T from the query's one code (TIFC). Images are ranked
+    by vote count, minimum observed Hamming distance, then id.
 
     This is the one-row case of `batch_query`: the row's words from
     `select_words`, then the same row step, so the result equals the

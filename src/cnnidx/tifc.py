@@ -5,21 +5,20 @@ within a row, so those bins are the row's S largest activations, and the word
 stage ranks the activations themselves: no rounding of `exp` can tie or
 underflow distinct values.
 
-The virtual words are D random N(0, 1) vectors that only ever enter through
-their L segment means. Each mean averages D/L iid N(0, 1) draws, so it is
-N(0, L/D): `make_virtual_words` draws the (D, L) table of means directly, no
-D x D bank exists, and a `VirtualWordBank` is that table alone, whose rows
-codes gather by word id (`word_means`): no index holds a copy. The draw is
-one `default_rng(0)` draw, so D and L fix the table. It is memoised for the
-last (D, L) asked for: the builds, loads and saves of that shape share one
-read-only table, which stays referenced after its last index is dropped (at
-most `invindex.MAX_TABLE_ENTRIES` x 8 B; 4 MiB at 2,048 x 256), and a
-process's first TIFC load of a shape draws it serially, after the CRC."""
+A TIFC code does not depend on the word: every vector has one L-bit code,
+made against one reference row of L segment means, the per-segment lower
+median of the database's segment means (Jegou, Douze & Schmid, "Hamming
+Embedding and Weak Geometric Consistency for Large Scale Image Search", ECCV
+2008, threshold each bit at a median; Gong & Lazebnik, "Iterative
+Quantization", CVPR 2011, give each global descriptor one code). About half
+of a code's bits are then 1, so the Hamming filter sees signal. The build
+takes the row from its data (`invindex.build`), the file holds it as its
+payload, and `make_virtual_words` makes the bank, D and that row, for the
+build and for `invindex.load`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,17 +62,13 @@ def top_words_rows(tf: np.ndarray, count: int) -> np.ndarray:
     return first_in_order(-tf, count)[0]
 
 
-@dataclass(frozen=True)
+@dataclass
 class VirtualWordBank:
-    """Reference segment means of the D virtual words, the (D, L) table that
-    `make_virtual_words` draws. D and L give it, so the payload is empty.
-    Frozen, as the memo hands one bank to every caller."""
+    """The D virtual words and the one reference row that every TIFC code is
+    made against, whatever the word: the payload of the file."""
 
-    means: np.ndarray  # (D, L) float64
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[0]
+    dim: int
+    reference: np.ndarray  # (L,) float32, the file's dtype
 
     @property
     def word_count(self) -> int:
@@ -90,28 +85,35 @@ class VirtualWordBank:
         return top_words_rows(np.asarray(xs, dtype=np.float64), count)
 
     def mean_bytes(self, code_length: int) -> int:
-        """Working bytes of one word in `word_means`: its L float64 means."""
-        return 8 * code_length
+        """Working bytes of one word in `word_means`: none, as every word
+        shares the one reference row."""
+        return 0
 
     def word_means(self, wids: np.ndarray, code_length: int) -> np.ndarray:
-        """The table's rows of the given word ids, of shape wids.shape + (L,)."""
-        return self.means[wids]
+        """The reference row for every word, of shape (1, L): it broadcasts
+        against a row's segment means to give the row its one code."""
+        return self.reference[None]
 
     def payload(self) -> np.ndarray:
-        return np.empty(0, dtype="<f4")
+        return np.ascontiguousarray(self.reference, dtype="<f4")
 
 
-@lru_cache(maxsize=1)
-def make_virtual_words(dim: int, code_length: int) -> VirtualWordBank:
-    """The table for D = dim and L = code_length,
-    `np.random.default_rng(0).standard_normal((D, L)) * sqrt(L / D)`: the law
-    of the segment means of D random N(0, 1) words, drawn at O(D * L) cost.
-    Calls for the last (D, L) return one bank, its table read-only."""
+def lower_medians(means: np.ndarray) -> np.ndarray:
+    """The lower median of each row of an (L, n) array, its (n - 1) // 2-th
+    order statistic, as a view of that column after partitioning each row
+    in place."""
+    k = (means.shape[1] - 1) // 2
+    means.partition(k, axis=1)
+    return means[:, k]
+
+
+def make_virtual_words(dim: int, reference) -> VirtualWordBank:
+    """The bank of D = dim virtual words whose codes are made against
+    `reference`, the L segment means, copied at float32, with L dividing D."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if code_length < 1 or dim % code_length:
-        raise ValueError(f"code_length {code_length} does not divide dim {dim}")
-    means = np.random.default_rng(0).standard_normal((dim, code_length))
-    means *= np.sqrt(code_length / dim)
-    means.flags.writeable = False
-    return VirtualWordBank(means)
+    reference = np.array(reference, dtype=np.float32)
+    if reference.ndim != 1 or not reference.size or dim % reference.size:
+        raise ValueError(f"a reference of shape {reference.shape} is not one row of L "
+                         f"values, or its L does not divide dim {dim}")
+    return VirtualWordBank(dim, reference)

@@ -10,6 +10,12 @@ keeps "same words, same bytes" leaves every digest in place; one that moves
 a digest on purpose (a format bump moves the file digests alone) updates the
 constant and says why.
 
+`CNNIDX08` moved the file digests: the `nlists` section left the file, so an
+IFC file is the `CNNIDX07` one without those 8 bytes, under the new magic and
+CRC, and its answers did not move. The TIFC digests moved with the codes:
+one code per vector against the per-segment lower median of the database's
+segment means, in place of a code per link against a drawn table.
+
 numpy does not promise its `Generator` streams across versions, so the
 digests hold for the numpy they were recorded with, `NUMPY_VERSION`; a
 failure under another version names both.
@@ -29,13 +35,13 @@ NUMPY_VERSION = "2.4.6"
 # name: build parameters, query config, file SHA-256, answer SHA-256
 CASES = {
     "tifc": (dict(S=6, L=16), QueryConfig(6, 6, 10),
-             "320e75861a7a7d5e7fa130dee914b57e63e7deef39ca5101f44f91e58847d896",
-             "6ecad10c4b590ed65fea179bc57bfea8d3c8d68f1a47e08abc491a36d4b37363"),
+             "537eedf1660bec2157d0450d7ad433f21b19eafd158c779052f2fcb9a370fc8a",
+             "a95a110a8612e0c5ef32e64ee747a289ee34aea36c1022fbf446dd618e602a05"),
     "ifc-m-divides-l": (dict(S=6, L=16, K=8, M=2), QueryConfig(6, 6, 10),
-                        "ddd342286fc68be2f1ac3c7729f00ca5b216b2f0eff1b0cd9e6c015ec3e3436c",
+                        "8c424d6be2d2cf1550e912c41a41175cbe625808a31004da94140210ad893dbd",
                         "c394e739f1a63e520af8e5e97c3302abe74a95d9aca26dda44fe14786f1800e9"),
     "ifc-l-mod-m": (dict(S=6, L=16, K=8, M=3), QueryConfig(6, 6, 10),
-                    "be862e816eece5d0f0cf33f079f8eee2fa89feda2450fa9866ed3913685c0243",
+                    "72e5334ff4a2c2516940de01ce0cbc3d60ced3d675fb6579a27eaff5a8890099",
                     "26b4e272d9a81346c5060015efaebf0f4899f05830a5c1c169e720efda4fc6e2"),
 }
 

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import zlib
 
 import numpy as np
@@ -21,9 +22,16 @@ from cnnidx.search import QueryConfig
 from cnnidx.vecio import DataError, FeatureSet
 
 
+def entry_codes(ix):
+    """The code of every posting entry, list after list: its own (IFC) or
+    its vector's one code (TIFC)."""
+    return ix.codes if ix.config.pq else ix.codes[ix.ids]
+
+
 def posting_lists(ix):
     """word id -> (ids, codes) of its list, read from the index arrays."""
-    return {int(w): (ix.ids[lo:hi], ix.codes[lo:hi])
+    codes = entry_codes(ix)
+    return {int(w): (ix.ids[lo:hi], codes[lo:hi])
             for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
 
 
@@ -49,9 +57,9 @@ def traced_peak(call):
 def oracle_code(quantizer, x, wid, length):
     """The code of row x linked to word wid, by the codes' definition:
     `embed.encode` against the reconstructed word (IFC), or the row's
-    segment means against the word's row of the table (TIFC)."""
+    segment means against the reference row, whatever the word (TIFC)."""
     if isinstance(quantizer, tifc.VirtualWordBank):
-        return embed.pack_bits(embed.segment_means(x, length) >= quantizer.means[wid])
+        return embed.pack_bits(embed.segment_means(x, length) >= quantizer.reference)
     return embed.encode(x, pq.reconstruct_batch([wid], quantizer)[0], EmbedConfig(length))
 
 
@@ -188,9 +196,12 @@ class TestBuild:
 
         # `invindex.list_codes` packs every code
         monkeypatch.setattr(invindex, "pack_bits", counting_pack_bits)
-        # 3 rows of float64 (D + stage + S*L): stage is D for TIFC, M*K for IFC
+        # 3 rows of pass 2, of float64 (D + stage + S*L) for IFC (stage M*K)
+        # and (D + stage) for TIFC (stage D), which takes no means a word;
+        # TIFC's pass 1 takes chunks of one row, so its reference, the
+        # payload, is filled row by row
         monkeypatch.setattr(vecio, "CHUNK_BYTES",
-                            3 * (16 + (16 if scheme == "tifc" else 2 * 4) + 3 * 8) * 8)
+                            3 * (16 + (16 if scheme == "tifc" else 2 * 4 + 3 * 8)) * 8)
         invindex.save(invindex.build(db, cfg), chunked)
         assert chunks == [3] * 16 + [2]
         assert chunked.read_bytes() == whole.read_bytes()
@@ -213,7 +224,9 @@ class TestBuild:
         ix = invindex.build(FeatureSet(x), cfg)
         if scheme == "tifc":
             wids = tifc.top_words_rows(tifc.softmax_rows(x), s)
-            ref = ix.quantizer.means[wids]
+            # every link's reference is the rows' per-segment lower median
+            means = np.sort(embed.segment_means(x, length).astype(np.float32), axis=0)
+            ref = np.broadcast_to(means[(n - 1) // 2], (n, s, length))
         else:
             wids = pq.nearest_words_batch(x, ix.quantizer, s)
             ref = embed.segment_means(pq.reconstruct_batch(wids.ravel(), ix.quantizer),
@@ -226,15 +239,7 @@ class TestBuild:
         np.testing.assert_array_equal(ix.wids, wids[order][starts])
         np.testing.assert_array_equal(ix.offsets, np.append(starts, n * s))
         np.testing.assert_array_equal(ix.ids, ids[order])
-        np.testing.assert_array_equal(ix.codes, codes.reshape(n * s, -1)[order])
-
-    def test_huge_tifc_table_rejected_by_build(self, monkeypatch):
-        monkeypatch.setattr(invindex, "MAX_TABLE_ENTRIES", 12 * 3 - 1)
-        db = FeatureSet(np.ones((2, 12), dtype=np.float32))
-        with pytest.raises(DataError, match="TIFC table of 12 x 3 means"):
-            invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=3))
-        monkeypatch.setattr(invindex, "MAX_TABLE_ENTRIES", 12 * 3)
-        invindex.build(db, BuildConfig(scheme="tifc", link_count=2, code_length=3))
+        np.testing.assert_array_equal(entry_codes(ix), codes.reshape(n * s, -1)[order])
 
     def test_build_determinism(self, small_dataset, tmp_path):
         db = small_dataset[0]
@@ -673,10 +678,10 @@ class TestCpus:
 
 class TestTwoPassBuild:
     """`build` fills the words in one pass and writes each code straight into
-    its list slot in a second. The oracle is the one-pass grouping it
-    replaced: every row's words, a stable argsort of them, then the ids in
-    that order and each entry's code by the codes' definition
-    (`oracle_code`)."""
+    its list slot (IFC) or its row (TIFC) in a second. The oracle is the
+    one-pass grouping it replaced: every row's words, a stable argsort of
+    them, then the ids in that order and each entry's code (IFC) or each
+    row's (TIFC) by the codes' definition (`oracle_code`)."""
 
     CONFIGS = {
         "tifc": BuildConfig(scheme="tifc", link_count=3, code_length=8),
@@ -691,7 +696,8 @@ class TestTwoPassBuild:
     def one_pass(quantizer, x, s, length):
         wids = quantizer.words(x.astype(np.float64), s).ravel()
         order = np.argsort(wids, kind="stable")
-        codes = np.array([oracle_code(quantizer, x[e // s], wids[e], length) for e in order])
+        links = order if isinstance(quantizer, pq.PqCodebook) else np.arange(len(x)) * s
+        codes = np.array([oracle_code(quantizer, x[e // s], wids[e], length) for e in links])
         wids = wids[order]
         starts = np.flatnonzero(np.concatenate(([True], wids[1:] != wids[:-1])))
         return {"wids": wids[starts], "offsets": np.append(starts, len(wids)),
@@ -716,10 +722,9 @@ class TestTwoPassBuild:
 
 
 class TestThreadedLoad:
-    """`load` runs on the calling thread alone on any CPU count, and takes a
-    TIFC table from `tifc.make_virtual_words`, which draws it once per
-    process and (D, L), and only after the CRC. Tests set the CPU count by
-    patching `invindex._cpus`."""
+    """`load` runs on the calling thread alone on any CPU count, and makes a
+    TIFC bank with `tifc.make_virtual_words` only after the CRC. Tests set
+    the CPU count by patching `invindex._cpus`."""
 
     @staticmethod
     def counting_thread(monkeypatch, started):
@@ -731,20 +736,11 @@ class TestThreadedLoad:
 
         monkeypatch.setattr(threading, "Thread", Thread)
 
-    @staticmethod
-    def counting_draw(monkeypatch):
-        """Empty the table memo and record the seed of each table draw."""
-        tifc.make_virtual_words.cache_clear()
-        draws, default_rng = [], np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: draws.append(seed) or default_rng(seed))
-        return draws
-
     @pytest.mark.parametrize("chunk_bytes", [64, 128, 8 << 20])
     def test_load_equal_for_any_cpu_count(self, tifc_index, chunk_bytes, tmp_path,
                                           monkeypatch):
-        """1, 2 and 3 CPUs load the same arrays and table, and save the same
-        bytes, and none starts a thread."""
+        """1, 2 and 3 CPUs load the same arrays and reference, and save the
+        same bytes, and none starts a thread."""
         path = tmp_path / "x.idx"
         invindex.save(tifc_index, path)
         monkeypatch.setattr(vecio, "CHUNK_BYTES", chunk_bytes)
@@ -760,8 +756,9 @@ class TestThreadedLoad:
         for ix in loads[1:]:
             for name in ("wids", "offsets", "ids", "codes"):
                 np.testing.assert_array_equal(getattr(ix, name), getattr(loads[0], name))
-            assert ix.quantizer is loads[0].quantizer
-        np.testing.assert_array_equal(loads[0].quantizer.means, tifc_index.quantizer.means)
+            np.testing.assert_array_equal(ix.quantizer.reference, loads[0].quantizer.reference)
+        np.testing.assert_array_equal(loads[0].quantizer.reference,
+                                      tifc_index.quantizer.reference)
 
     def test_ifc_load_starts_no_thread(self, ifc_index, tmp_path, monkeypatch):
         path = tmp_path / "i.idx"
@@ -773,43 +770,19 @@ class TestThreadedLoad:
         assert started == []
 
     def test_one_cpu_draws_after_the_crc(self, tifc_index, tmp_path, monkeypatch):
-        """With the memo empty, a corrupt body fails its checksum before any
-        draw (as on any CPU count: `load` does not read it)."""
+        """A corrupt body fails its checksum before the bank is made (as on
+        any CPU count: `load` does not read it)."""
         path = tmp_path / "x.idx"
         invindex.save(tifc_index, path)
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         path.write_bytes(raw)
         monkeypatch.setattr(invindex, "_cpus", lambda: 1)
-        draws = self.counting_draw(monkeypatch)
+        draws = []
+        monkeypatch.setattr(tifc, "make_virtual_words", lambda *a: draws.append(a))
         with pytest.raises(DataError, match="checksum"):
             invindex.load(path)
         assert draws == []
-
-    def test_builds_and_loads_of_one_shape_draw_once(self, small_dataset, tmp_path,
-                                                     monkeypatch):
-        """With the memo empty, a TIFC build draws its table, and a second
-        build, a save and two loads of that (D, L) draw nothing and share
-        the build's table."""
-        draws = self.counting_draw(monkeypatch)
-        cfg = BuildConfig(scheme="tifc", link_count=3, code_length=8)
-        ix = invindex.build(small_dataset[0], cfg)
-        assert draws == [0]
-        path = tmp_path / "x.idx"
-        invindex.save(invindex.build(small_dataset[0], cfg), path)
-        loads = [invindex.load(path) for _ in range(2)]
-        assert draws == [0]
-        assert all(x.quantizer is ix.quantizer for x in loads)
-
-    def test_first_load_of_a_shape_draws_once(self, tifc_index, tmp_path, monkeypatch):
-        """With the memo empty, the first load draws the table and a second
-        load of the file draws nothing."""
-        path = tmp_path / "x.idx"
-        invindex.save(tifc_index, path)
-        draws = self.counting_draw(monkeypatch)
-        first = invindex.load(path)
-        assert draws == [0] and not first.quantizer.means.flags.writeable
-        assert invindex.load(path).quantizer is first.quantizer and draws == [0]
 
 
 class TestBuildConfig:
@@ -909,24 +882,35 @@ class TestBuildMemory:
                           pq=PqConfig(segments=3, words_per_segment=32))
         assert self.build_peak(db, cfg) < self.LIMIT
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_tifc_median_buffer_at_most_the_database(self, cpus, monkeypatch):
+        """10,000 x 512 at S = 2 and L = D = 512, the widest code: pass 1's
+        (L, n) float32 buffer of segment means is then as large as the
+        database's own n * D * 4 bytes (19.5 MiB), and the peak adds at most
+        one chunk budget to it: 25.6 MiB on one CPU, 21.1 on two."""
+        monkeypatch.setattr(invindex, "_cpus", lambda: cpus)
+        rng = np.random.default_rng(9)
+        db = FeatureSet(rng.standard_normal((10_000, 512)).astype(np.float32))
+        cfg = BuildConfig(scheme="tifc", link_count=2, code_length=512)
+        assert self.build_peak(db, cfg) < db.vectors.nbytes + vecio.CHUNK_BYTES
+
     def postings_peak(self, cpus, monkeypatch):
         """The traced peak of a TIFC build of 4,000 x 2,048 at S = 40,
-        L = 256 on `cpus` CPUs: its (n*S, B) codes take 4.9 MiB."""
+        L = 256 on `cpus` CPUs: its (n, B) codes take 125 KiB and its
+        (L, n) buffer of segment means 3.9 MiB."""
         monkeypatch.setattr(invindex, "_cpus", lambda: cpus)
         rng = np.random.default_rng(7)
         db = FeatureSet(rng.standard_normal((4_000, 2_048), dtype=np.float32))
         return self.build_peak(db, BuildConfig(scheme="tifc", link_count=40, code_length=256))
 
     def test_tifc_postings_filled_in_place(self, monkeypatch):
-        """Pass 1 fills the (n, S) words in place and pass 2 writes each code
-        straight into its list slot, so the codes are held once: 11.8 MiB on
-        2 CPUs, where filling them in row order and grouping them by one
-        gather took 15.9."""
+        """Pass 1 fills the (n, S) words in place and pass 2 writes each
+        row's code straight into its row, so the codes are held once: 5.1
+        MiB on 2 CPUs."""
         assert self.postings_peak(2, monkeypatch) < 14 << 20
 
     def test_tifc_postings_peak_on_one_cpu(self, monkeypatch):
-        """On one CPU the 8 MiB chunk sets the peak: 17.6 MiB, and 17.0 with
-        the gather."""
+        """On one CPU the 8 MiB chunk sets the peak: 7.7 MiB."""
         assert self.postings_peak(1, monkeypatch) < 22 << 20
 
 
@@ -1048,9 +1032,10 @@ class TestEncodeRows:
 class TestListMeans:
     """Differential test of the reference means of an index's lists' words
     and of its stored codes: a loaded index's means equal the built one's,
-    and every stored code equals `oracle_code` of its row and its list's
-    word, for IFC with M | L and with L % M != 0, and for TIFC with every
-    word occupied and with an empty word."""
+    and every entry's code equals `oracle_code` of its row and its list's
+    word, for IFC with M | L and with L % M != 0, and for TIFC, whose one
+    reference row serves every word, with every word occupied and with an
+    empty word."""
 
     CASES = {
         "ifc": (BuildConfig("ifc", 3, 8, PqConfig(2, 4)), None),
@@ -1074,17 +1059,18 @@ class TestListMeans:
             np.testing.assert_array_equal(means, want)
         elif empty is None:
             assert len(ix.wids) == q.word_count
-            np.testing.assert_array_equal(means, q.means)
+            np.testing.assert_array_equal(means, q.reference[None])
         else:
             assert empty not in ix.wids and len(ix.wids) == q.word_count - 1
-            np.testing.assert_array_equal(means, q.means[ix.wids])
+            np.testing.assert_array_equal(means, q.reference[None])
         path = tmp_path / "x.idx"
         invindex.save(ix, path)
         back = invindex.load(path)
         np.testing.assert_array_equal(back.quantizer.word_means(back.wids, length), means)
         words = np.repeat(ix.wids, np.diff(ix.offsets))
         for e, (row, wid) in enumerate(zip(ix.ids, words)):
-            np.testing.assert_array_equal(ix.codes[e], oracle_code(q, x[row], wid, length),
+            np.testing.assert_array_equal(entry_codes(ix)[e],
+                                          oracle_code(q, x[row], wid, length),
                                           err_msg=f"entry {e}")
         np.testing.assert_array_equal(back.codes, ix.codes)
 
@@ -1123,21 +1109,23 @@ class TestQuantizerContract:
             assert wids.shape == (30, count)
             np.testing.assert_array_equal(back.words(xs, count), wids)
             means = q.word_means(wids, length)
-            assert means.shape == (30, count, length)
+            # TIFC: the one reference row, which broadcasts over the words
+            assert means.shape == ((30, count, length) if scheme == "ifc" else (1, length))
             np.testing.assert_array_equal(back.word_means(wids, length), means)
         np.testing.assert_array_equal(loaded.quantizer.word_means(loaded.wids, length),
                                       q.word_means(ix.wids, length))
 
     def test_quantizer_bytes_is_payload_size(self, scheme, tifc_index, ifc_index):
-        """IFC stores M * K * (D/M) float32 centroids; TIFC redraws its table."""
+        """IFC stores M * K * (D/M) float32 centroids; TIFC its L float32
+        reference means."""
         ix = tifc_index if scheme == "tifc" else ifc_index
-        expected = {"tifc": 0, "ifc": 2 * 4 * (16 // 2) * 4}[scheme]
+        expected = {"tifc": 8 * 4, "ifc": 2 * 4 * (16 // 2) * 4}[scheme]
         assert invindex.stats(ix).quantizer_bytes == ix.quantizer.payload().nbytes == expected
 
 
 class TestQuantizerMatchesConfig:
     """An index holds only a quantizer that its `BuildConfig` makes: an
-    (M, K, D/M) codebook for IFC, a (D, L) table for TIFC. Any other is
+    (M, K, D/M) codebook for IFC, a bank of an L-value reference for TIFC. Any other is
     refused when the index is made, so `save` never writes a header that
     misstates the quantizer."""
 
@@ -1158,8 +1146,8 @@ class TestQuantizerMatchesConfig:
         # M = 4, K = 4 under M = 2, K = 4: the payload has the same size
         ("ifc", lambda: TestQuantizerMatchesConfig.codebook(4, 4, 2)),
         ("ifc", lambda: TestQuantizerMatchesConfig.codebook(2, 8, 4)),  # K = 8 under K = 4
-        ("tifc", lambda: tifc.make_virtual_words(8, 2)),  # L = 2 under L = 4
-        ("ifc", lambda: tifc.make_virtual_words(8, 4)),
+        ("tifc", lambda: tifc.make_virtual_words(8, np.zeros(2))),  # L = 2 under L = 4
+        ("ifc", lambda: tifc.make_virtual_words(8, np.zeros(4))),
         ("tifc", lambda: TestQuantizerMatchesConfig.codebook(2, 4, 4)),
     ], ids=["ifc-m4-same-size", "ifc-k8", "tifc-l2", "ifc-table", "tifc-codebook"])
     def test_other_quantizer_refused(self, indexes, scheme, make):
@@ -1186,33 +1174,22 @@ class TestQuantizerMatchesConfig:
         # a big-endian float32 codebook holds the same values: accepted
         dataclasses.replace(ix, quantizer=pq.PqCodebook(sub.astype(">f4")))
 
+    def test_float64_reference_refused(self, indexes):
+        """`save` writes the TIFC reference as float32 too, so a float64 one
+        is refused as a float64 codebook is."""
+        ix = indexes["tifc"]
+        reference = ix.quantizer.reference.astype(np.float64) + 1e-9
+        with pytest.raises(ValueError, match="reference dtype float64 is not float32"):
+            dataclasses.replace(ix, quantizer=tifc.VirtualWordBank(8, reference))
+
     def test_quantizers_hold_only_their_arrays(self):
         assert [f.name for f in dataclasses.fields(pq.PqCodebook) if f.init] == ["sub_codebooks"]
-        assert [f.name for f in dataclasses.fields(tifc.VirtualWordBank)] == ["means"]
+        assert [f.name for f in dataclasses.fields(tifc.VirtualWordBank)] == ["dim", "reference"]
 
     def test_same_size_codebook_payload(self, indexes):
         """The refused M = 4 codebook would have saved under the M = 2 header
         and loaded reshaped into another codebook."""
         assert self.codebook(4, 4, 2).payload().size == indexes["ifc"].quantizer.payload().size
-
-    def test_save_refuses_a_table_the_file_cannot_hold(self, indexes, tmp_path):
-        """A TIFC file stores no table, so a hand-made table of another draw,
-        which answers otherwise than the drawn one, is refused before the
-        file is opened; an equal copy of the drawn table saves."""
-        ix = indexes["tifc"]
-        other = tifc.VirtualWordBank(np.random.default_rng(9).standard_normal((8, 4)) * 0.5**0.5)
-        hand_made = dataclasses.replace(ix, quantizer=other)
-        cfg = QueryConfig(assignment_count=2, hamming_threshold=2, top_k=5)
-        queries = np.random.default_rng(24).standard_normal((20, 8)).astype(np.float32)
-        assert any(search.query(hand_made, q, cfg).entries != search.query(ix, q, cfg).entries
-                   for q in queries)
-        path = tmp_path / "x.idx"
-        with pytest.raises(ValueError, match="the file cannot hold it"):
-            invindex.save(hand_made, path)
-        assert not path.exists()
-        copy = tifc.VirtualWordBank(ix.quantizer.means.copy())
-        invindex.save(dataclasses.replace(ix, quantizer=copy), path)
-        assert path.exists()
 
     @pytest.mark.parametrize("scheme", ["ifc", "tifc"])
     def test_round_trip_keeps_config_and_arrays(self, indexes, scheme, tmp_path):
@@ -1220,7 +1197,7 @@ class TestQuantizerMatchesConfig:
         invindex.save(ix, tmp_path / "x.idx")
         back = invindex.load(tmp_path / "x.idx")
         assert back.config == ix.config
-        name = "sub_codebooks" if scheme == "ifc" else "means"
+        name = "sub_codebooks" if scheme == "ifc" else "reference"
         a, b = getattr(back.quantizer, name), getattr(ix.quantizer, name)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
@@ -1301,6 +1278,22 @@ class TestPersistence:
         with pytest.raises(DataError, match="old CNNIDX05 format; rebuild the index"):
             invindex.load(path)
 
+    @pytest.mark.parametrize("scheme", ["tifc", "ifc"])
+    def test_cnnidx07_file_asks_for_rebuild(self, scheme, tifc_index, ifc_index, tmp_path):
+        """A file as `CNNIDX07` wrote it: no TIFC payload, an `nlists`
+        section before the posting lists, and a code per link for both
+        schemes."""
+        ix = tifc_index if scheme == "tifc" else ifc_index
+        header = invindex._header_json(ix.config, ix.quantizer.dim, ix.indexed_count)
+        payload = ix.quantizer.payload() if scheme == "ifc" else np.empty(0, "<f4")
+        sections = [payload, np.array([len(ix.wids)], "<u8"), ix.wids, np.diff(ix.offsets),
+                    ix.ids, entry_codes(ix)]
+        path = tmp_path / "old.idx"
+        write_file(path, header, b"".join(np.ascontiguousarray(a).tobytes() for a in sections))
+        path.write_bytes(b"CNNIDX07" + path.read_bytes()[8:])
+        with pytest.raises(DataError, match="old CNNIDX07 format; rebuild the index"):
+            invindex.load(path)
+
     def test_cnnidx05_ifc_header_under_the_new_magic_rejected(self, ifc_index, tmp_path):
         """An IFC header that still holds the restart count is not one that
         `save` writes, whatever the magic."""
@@ -1335,9 +1328,10 @@ class TestPersistence:
         assert (tmp_path / "again.idx").read_bytes() == blob
 
     def test_header_bytes_are_the_cnnidx07_format(self):
-        """The header's keys, their order and their spacing: a TIFC header
-        is the one `CNNIDX05` and `CNNIDX06` files held, and an IFC header is
-        that of `CNNIDX06` without the k-means seed and iteration cap."""
+        """The header's keys, their order and their spacing, which `CNNIDX08`
+        keeps from `CNNIDX07`: a TIFC header is the one `CNNIDX05` to
+        `CNNIDX07` files held, and an IFC header is that of `CNNIDX06`
+        without the k-means seed and iteration cap."""
         tifc_cfg = BuildConfig(scheme="tifc", link_count=2, code_length=12)
         assert invindex._header_json(tifc_cfg, 12, 3) == (
             b'{"code_length": 12, "indexed_count": 3, "link_count": 2, '
@@ -1364,8 +1358,8 @@ def layout_of(ix):
 
 def section_arrays(ix):
     """ix's arrays by the names of its file's sections."""
-    return {"payload": ix.quantizer.payload(), "nlists": np.array([len(ix.wids)]),
-            "wids": ix.wids, "lengths": np.diff(ix.offsets), "ids": ix.ids,
+    return {"payload": ix.quantizer.payload(), "wids": ix.wids,
+            "lengths": np.diff(ix.offsets), "ids": ix.ids,
             "codes": ix.codes}
 
 
@@ -1403,6 +1397,7 @@ OLD_FORMATS = {
     "CNNIDX04": {"tifc": {"seed": 0}, "ifc": {**_OLD_KMEANS, "kmeans_restarts": 3}},
     "CNNIDX05": {"ifc": {**_OLD_KMEANS, "kmeans_restarts": 3}},
     "CNNIDX06": {"ifc": _OLD_KMEANS},
+    "CNNIDX07": {},
 }
 
 
@@ -1417,15 +1412,16 @@ def write_old_file(ix, path, magic):
 
 @pytest.fixture(scope="module")
 def tiny_index():
-    """Three 12-d vectors, each in two of the 12 TIFC words, with 12-bit codes
-    (4 pad bits in the second byte); posting arrays written out by hand."""
+    """Three 12-d vectors, each in two of the 12 TIFC words, with one 12-bit
+    code each (4 pad bits in the second byte); posting arrays written out by
+    hand."""
     rng = np.random.default_rng(4)
     ix = invindex.build(FeatureSet(rng.standard_normal((3, 12)).astype(np.float32)),
                         BuildConfig(scheme="tifc", link_count=2, code_length=12))
     return dataclasses.replace(
         ix, wids=np.array([0, 5, 7]), offsets=np.array([0, 2, 4, 6]),
         ids=np.array([0, 1, 1, 2, 0, 2], dtype=np.int32),
-        codes=np.zeros((6, 2), dtype=np.uint8))
+        codes=np.zeros((3, 2), dtype=np.uint8))
 
 
 # Changes to `tiny_index`'s arrays that break a rule of
@@ -1443,7 +1439,7 @@ MALFORMED_POSTINGS = [
     (dict(wids=[0, 3, 5, 7], offsets=[0, 2, 2, 4, 6]), "lengths"),
     (dict(offsets=[0, 2, 4, 5]), "lengths"),
     (dict(offsets=[0, 2, 4, 7]), "lengths"),
-    (dict(codes=[[0, 0]] * 5 + [[0, 0x10]]), "pad bits"),
+    (dict(codes=[[0, 0]] * 2 + [[0, 0x10]]), "pad bits"),
 ]
 
 
@@ -1521,37 +1517,20 @@ class TestLoadValidation:
             invindex.load(path)
 
     def test_wide_tifc_header_loads_in_bounded_memory(self, tiny_index, tmp_path):
-        """A file of about 200 bytes that declares dim 4,096 loads without the
-        134 MB D x D virtual-word bank: only the (D, L) means table."""
+        """A file of about 200 bytes that declares dim 4,096 loads without a
+        134 MB D x D virtual-word bank: its bank holds the L reference means."""
         path = tmp_path / "wide.idx"
         invindex.save(tiny_index, path)
         header, _ = split_file(path)
         header["code_length"] = 16
         header["quantizer"]["dim"] = 4096
         # 4,096 words widen the file's word ids to 16 bits
-        wide = dataclasses.replace(tiny_index, quantizer=tifc.make_virtual_words(4096, 16),
+        wide = dataclasses.replace(tiny_index,
+                                   quantizer=tifc.make_virtual_words(4096, np.zeros(16)),
                                    config=dataclasses.replace(tiny_index.config, code_length=16))
         write_file(path, header, payload_of(wide))
         ix, peak = traced_peak(lambda: invindex.load(path))
-        assert ix.quantizer.means.shape == (4096, 16)
-        assert peak < 16 << 20
-
-    def test_huge_tifc_table_rejected_before_allocating(self, tiny_index, tmp_path):
-        """A small CRC-valid file that declares a 2^20 x 2^10 table (8 GiB of
-        means) is rejected without drawing it."""
-        path = tmp_path / "huge.idx"
-        invindex.save(tiny_index, path)
-        header, payload = split_file(path)
-        header["code_length"] = 1 << 10
-        header["quantizer"]["dim"] = 1 << 20
-        write_file(path, header, payload)
-        tracemalloc.start()
-        try:
-            with pytest.raises(DataError, match="TIFC table of 1048576 x 1024 means"):
-                invindex.load(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        assert ix.quantizer.reference.shape == (16,)
         assert peak < 16 << 20
 
     def test_old_virtual_kind_asks_for_rebuild(self, tiny_index, tmp_path):
@@ -1722,7 +1701,7 @@ class TestSaveValidation:
         wids = sorted(set().union(*links))
         lists = [[i for i in range(3) if w in links[i]] for w in wids]
         arrays = dict(wids=wids, offsets=np.cumsum([0] + [len(x) for x in lists]).tolist(),
-                      ids=sum(lists, []), codes=[[0, 0] for _ in range(6)])
+                      ids=sum(lists, []), codes=[[0, 0] for _ in range(3)])
         for name, at, value in data.draw(st.lists(st.tuples(
                 st.sampled_from(sorted(arrays)), st.integers(0, 6), st.integers(-1, 12)),
                 max_size=2)):
@@ -1755,18 +1734,23 @@ class TestConfigRules:
     """Each shape rule of `BuildConfig.word_count` holds for a build and a
     file alike: one bad configuration over 12-d vectors raises the same
     DataError through `build` and through a CRC-valid header in `load`, and
-    neither trains a codebook or draws a TIFC table."""
+    neither trains a codebook or makes a TIFC bank."""
 
-    @pytest.mark.parametrize("scheme, s, length, pq_cfg, table, message", [
-        ("tifc", 2, 5, None, None, "dimension 12 not divisible by code length 5"),
-        ("ifc", 2, 5, _PQ, None, "dimension 12 not divisible by code length 5"),
-        ("ifc", 2, 4, PqConfig(segments=5, words_per_segment=3), None,
+    @pytest.mark.parametrize("scheme, s, length, pq_cfg, message", [
+        ("tifc", 2, 5, None, "dimension 12 not divisible by code length 5"),
+        ("ifc", 2, 5, _PQ, "dimension 12 not divisible by code length 5"),
+        ("ifc", 2, 4, PqConfig(segments=5, words_per_segment=3),
          "dimension 12 not divisible by 5 segments"),
-        ("tifc", 2, 4, None, 12 * 4 - 1, "TIFC table of 12 x 4 means exceeds 47 entries"),
-        ("tifc", 13, 4, None, None, "link count 13 exceeds word count 12"),
-        ("ifc", 10, 4, _PQ, None, "link count 10 exceeds word count 9"),
+        ("tifc", 13, 4, None, "link count 13 exceeds word count 12"),
+        ("ifc", 10, 4, _PQ, "link count 10 exceeds word count 9"),
+    ], ids=[  # the ids the cases had beside a since retired column of table caps
+        "tifc-2-5-None-None-dimension 12 not divisible by code length 5",
+        "ifc-2-5-pq_cfg1-None-dimension 12 not divisible by code length 5",
+        "ifc-2-4-pq_cfg2-None-dimension 12 not divisible by 5 segments",
+        "tifc-13-4-None-None-link count 13 exceeds word count 12",
+        "ifc-10-4-pq_cfg5-None-link count 10 exceeds word count 9",
     ])
-    def test_build_and_load_apply_one_rule(self, scheme, s, length, pq_cfg, table, message,
+    def test_build_and_load_apply_one_rule(self, scheme, s, length, pq_cfg, message,
                                            tmp_path, monkeypatch):
         db = FeatureSet(np.random.default_rng(5).standard_normal((20, 12)).astype(np.float32))
         good = BuildConfig(scheme=scheme, link_count=2, code_length=4,
@@ -1779,8 +1763,6 @@ class TestConfigRules:
             header["quantizer"].update(dataclasses.asdict(pq_cfg))
         write_file(path, header, payload)
         bad = BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg)
-        if table is not None:
-            monkeypatch.setattr(invindex, "MAX_TABLE_ENTRIES", table)
         for module, name in ((pq, "train"), (tifc, "make_virtual_words")):
             monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("drew a quantizer"))
         with pytest.raises(DataError, match=message):
@@ -1816,11 +1798,10 @@ class TestPostingWidths:
         st = invindex.stats(ix)
         assert st.estimated_file_bytes == path.stat().st_size
 
-        # the sections, read at the expected widths, hold the arrays and
-        # every byte of the payload
+        # the sections, read at the expected widths after the one float32
+        # reference mean (L = 1), hold the arrays and every byte of the file
         _, payload = split_file(path)
-        (nlists,) = struct.unpack_from("<Q", payload)
-        off = 8
+        nlists, off = len(ix.wids), 4
         for dtype, count, want in ((wid_t, nlists, ix.wids),
                                    (len_t, nlists, np.diff(ix.offsets)),
                                    (id_t, len(ix.ids), ix.ids),
@@ -1829,7 +1810,7 @@ class TestPostingWidths:
             np.testing.assert_array_equal(got, want)
             off += got.nbytes
         assert off == len(payload)
-        assert st.posting_bytes == off - 8 - ix.codes.size
+        assert st.posting_bytes == off - 4 - ix.codes.size
 
         back = invindex.load(path)
         assert (back.wids.dtype, back.ids.dtype) == (wid_t, id_t)
@@ -1862,8 +1843,8 @@ class TestLayout:
     def test_saved_file_walks_by_the_layout(self, golden_index, tmp_path):
         """Each section holds the index's array of its name at its dtype, the
         sections end at the CRC, and `stats` sums their bytes by name. The
-        layout `load` walks, with the counts of `wids` and `lengths` left
-        open and read from the `nlists` section, reads the same sections."""
+        layout `load` walks, with the count of lists that the file's size
+        gives (`_count_lists`), reads the same sections."""
         ix = golden_index
         path = tmp_path / "g.idx"
         invindex.save(ix, path)
@@ -1878,11 +1859,12 @@ class TestLayout:
             at += got.nbytes
             sizes[name] = got.nbytes
         assert at == len(raw) - 4
-        walk = invindex._layout(ix.config, ix.quantizer.dim, ix.indexed_count, None)
-        assert [name for name, count, _ in walk if count is None] == ["wids", "lengths"]
+        nlists = invindex._count_lists("g.idx", ix.config, ix.quantizer.dim, ix.indexed_count,
+                                       len(raw) - 12 - hlen - 4)
+        assert nlists == len(ix.wids)
+        walk = invindex._layout(ix.config, ix.quantizer.dim, ix.indexed_count, nlists)
         at, read = 12 + hlen, {}
         for name, count, dtype in walk:
-            count = int(read["nlists"][0]) if count is None else count
             read[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=at)
             np.testing.assert_array_equal(read[name], want[name], err_msg=name)
             at += read[name].nbytes
@@ -1990,9 +1972,9 @@ class TestLoaderFuzz:
         Flips that leave the posting arrays whole load equal to them."""
         ix, raw = fuzz_case
         b = section_bounds(ix)
-        # hlen and header; nlists, wids, lengths and ids
+        # hlen and header; wids, lengths and ids
         spans = (list(range(b["hlen"] * 8, b["payload"] * 8))
-                 + list(range(b["nlists"] * 8, b["codes"] * 8)))
+                 + list(range(b["wids"] * 8, b["codes"] * 8)))
         rng = np.random.default_rng(17)
         query = small_dataset[1].vectors[0]
         cfg = QueryConfig(assignment_count=3, hamming_threshold=5, top_k=10)
@@ -2028,13 +2010,19 @@ class TestLoaderFuzz:
         self.assert_truncated_in_bounded_memory(path)
 
     @pytest.mark.parametrize("nlists", [2**64 - 1, 2**63, 2**40, 10**6])
-    def test_huge_nlists_rejected_before_allocating(self, fuzz_case, nlists, tmp_path):
+    def test_huge_nlists_rejected_before_allocating(self, fuzz_case, nlists, tmp_path,
+                                                    monkeypatch):
+        """A file whose size makes it hold nlists lists, more than its words
+        or links allow: the size a stat of the file reports is that of the
+        file with the lists beyond its own appended."""
         ix, raw = fuzz_case
-        at = section_bounds(ix)["nlists"]
-        bad = bytearray(raw)
-        bad[at:at + 8] = struct.pack("<Q", nlists)
         path = tmp_path / "huge.idx"
-        path.write_bytes(with_crc(bad))
+        path.write_bytes(raw)
+        wid_t, len_t, _ = invindex.posting_dtypes(ix.quantizer.word_count, ix.indexed_count)
+        size = len(raw) + (nlists - len(ix.wids)) * (wid_t.itemsize + len_t.itemsize)
+        # `load` takes the size from `os.fstat` alone
+        monkeypatch.setattr(invindex, "os", types.SimpleNamespace(
+            fstat=lambda fd: types.SimpleNamespace(st_size=size)))
         self.assert_truncated_in_bounded_memory(path)
 
     @staticmethod
@@ -2061,10 +2049,15 @@ class TestStats:
     def test_entry_and_code_byte_arithmetic(self):
         rng = np.random.default_rng(2)
         db = FeatureSet(rng.standard_normal((1000, 64)).astype(np.float32))
-        ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=4, code_length=32))
+        ix = invindex.build(db, BuildConfig(scheme="ifc", link_count=4, code_length=32,
+                                            pq=PqConfig(segments=2, words_per_segment=4)))
         st = invindex.stats(ix)
         assert st.total_entries == 4000
         assert st.code_bytes == 4000 * 4  # 32 bits -> 4 bytes per entry
+        ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=4, code_length=32))
+        st = invindex.stats(ix)
+        assert st.total_entries == 4000
+        assert st.code_bytes == 1000 * 4  # 4 bytes per vector
 
     def test_histogram_counts_empty_lists(self, ifc_index):
         st = invindex.stats(ifc_index)

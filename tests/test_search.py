@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import time
 import tracemalloc
 
@@ -17,29 +16,34 @@ from cnnidx.vecio import FeatureSet
 from test_pq import exhaustive_ranking, integer_codebook, random_codebook
 
 
-def drawn_table(dim, length, seed):
-    """A (D, L) table of TIFC reference means drawn from `seed`, by the law
-    of `tifc.make_virtual_words` (whose table is seed 0's)."""
-    return np.random.default_rng(seed).standard_normal((dim, length)) * math.sqrt(length / dim)
+def tifc_code(x, reference):
+    """The TIFC code of row x: its segment means >= the reference's."""
+    return embed.pack_bits(embed.segment_means(x, len(reference)) >= reference)
 
 
-def pipeline_oracle(ix, q, cfg, table_seed=0):
+def pipeline_oracle(ix, q, cfg, vectors):
     """Independent re-implementation of the query pipeline with plain dict
-    loops and per-pair encode/hamming calls. TIFC reference means come from a
-    (D, L) table drawn here from `table_seed`, not from the index's table."""
+    loops and per-pair encode/hamming calls. Under TIFC the index's codes
+    and reference are not read: the reference is worked out here from the
+    database `vectors`, the lower median of each segment's float32 means by
+    `sorted`, and so is every vector's one code and the query's one code."""
     wids = search.select_words(ix, q, cfg.assignment_count)
     votes = {}
     min_h = {}
     ecfg = EmbedConfig(ix.config.code_length)
-    lists = {int(w): (ix.ids[lo:hi], ix.codes[lo:hi])
-             for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
     length = ix.config.code_length
     if ix.config.scheme == invindex.SCHEME_TIFC:
-        table = drawn_table(ix.quantizer.dim, length, table_seed)
+        means = embed.segment_means(vectors, length).astype(np.float32)
+        reference = np.array([sorted(column)[(len(vectors) - 1) // 2] for column in means.T])
+        codes = [tifc_code(v, reference) for v in vectors]
+        entry_codes = np.array([codes[i] for i in ix.ids])
+        q_code = tifc_code(q, reference)
+    else:
+        entry_codes = ix.codes
+    lists = {int(w): (ix.ids[lo:hi], entry_codes[lo:hi])
+             for w, lo, hi in zip(ix.wids, ix.offsets[:-1], ix.offsets[1:])}
     for wid in wids:
-        if ix.config.scheme == invindex.SCHEME_TIFC:
-            q_code = embed.pack_bits(embed.segment_means(q, length) >= table[wid])
-        else:
+        if ix.config.scheme == invindex.SCHEME_IFC:
             q_code = embed.encode(q, pq.reconstruct_batch([wid], ix.quantizer)[0], ecfg)
         ids, codes = lists.get(wid, (np.array([], dtype=np.int32), None))
         for row, image_id in enumerate(ids):
@@ -81,7 +85,7 @@ class TestQuery:
         cfg = QueryConfig(assignment_count=4, hamming_threshold=5, top_k=20)
         for q in queries.vectors:
             got = search.query(index_pair, q, cfg).entries
-            assert got == pipeline_oracle(index_pair, q, cfg)
+            assert got == pipeline_oracle(index_pair, q, cfg, small_dataset[0].vectors)
 
     def test_threshold_zero_returns_nothing(self, index_pair, small_dataset):
         q = small_dataset[1].vectors[0]
@@ -182,9 +186,8 @@ def random_index(scheme, seed, n, length, data):
     """A random small index with some duplicated rows, 24-d for codes of up to
     24 bits and 384-d for wider ones, and a query config drawn to include
     T = 0, T = L and W up to the word count: (index, vectors, config,
-    generator). A TIFC index takes the table of seed `seed % 89`
-    (`drawn_table`) and codes against it, as a build with that table would
-    make them, so the queries meet many tables, not only the drawn one."""
+    generator). n is drawn odd and even, so a TIFC reference is the middle
+    mean of a segment or the lower of its two middle ones."""
     rng = np.random.default_rng(seed)
     dim = 24 if length <= 24 else 384
     vectors = rng.standard_normal((n, dim)).astype(np.float32)
@@ -202,12 +205,6 @@ def random_index(scheme, seed, n, length, data):
     ix = invindex.build(FeatureSet(vectors),
                         BuildConfig(scheme=scheme, link_count=s, code_length=length, pq=pq_cfg),
                         training=training)
-    if scheme == "tifc":
-        ix = dataclasses.replace(ix, quantizer=tifc.VirtualWordBank(
-            drawn_table(dim, length, seed % 89)))
-        words = np.repeat(ix.wids, np.diff(ix.offsets))[:, None]
-        codes = invindex.list_codes(ix.quantizer, vectors[ix.ids], words, length)[:, 0]
-        ix = dataclasses.replace(ix, codes=codes)
     w = data.draw(st.sampled_from([1, s, word_count]) | st.integers(1, word_count),
                   label="W")
     t = data.draw(st.sampled_from([0, length]) | st.integers(0, length), label="T")
@@ -225,7 +222,7 @@ def check_query_against_oracle(scheme, seed, n, length, data):
     batch, _ = search.batch_query(ix, queries, cfg)
     for q, counted in zip(queries, batch):
         res = search.query(ix, q, cfg)
-        assert res.entries == pipeline_oracle(ix, q, cfg, seed % 89)
+        assert res.entries == pipeline_oracle(ix, q, cfg, vectors)
         union = set().union(*(lists.get(wid, set())
                               for wid in search.select_words(ix, q, w)))
         assert search.candidate_set(ix, q, w) == union
@@ -241,17 +238,18 @@ def check_batch_against_query_and_oracle(scheme, seed, n, length, data):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=7), label="queries")
     queries = pool[np.array(picks, dtype=np.int64)]
     expected = [search.query(ix, q, cfg) for q in queries]
-    assert [r.entries for r in expected] == [pipeline_oracle(ix, q, cfg, seed % 89)
+    assert [r.entries for r in expected] == [pipeline_oracle(ix, q, cfg, vectors)
                                              for q in queries]
     counts = [len(search.candidate_set(ix, q, cfg.assignment_count)) for q in queries]
     assert [r.candidates for r in expected] == counts
     d = vectors.shape[1]
     stage = d if scheme == "tifc" else 2 * ix.quantizer.sub_codebooks.shape[1]
+    # each word's means: L float64 values (IFC), none beside TIFC's one row
+    means = cfg.assignment_count * ix.config.code_length if scheme == "ifc" else 0
     for chunk in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            # chunk rows of float64 (D + stage + W*L)
-            mp.setattr(vecio, "CHUNK_BYTES",
-                       chunk * 8 * (d + stage + cfg.assignment_count * ix.config.code_length))
+            # chunk rows of float64 (D + stage + W*L, or D + stage)
+            mp.setattr(vecio, "CHUNK_BYTES", chunk * 8 * (d + stage + means))
             results, summary = search.batch_query(ix, queries, cfg)
         assert results == expected
         assert summary.candidate_counts == counts
@@ -281,6 +279,15 @@ class TestVotingOracle:
            data=st.data())
     def test_query_matches_oracle_wide_codes(self, scheme, seed, n, length, data):
         check_query_against_oracle(scheme, seed, n, length, data)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), half=st.integers(1, 6), odd=st.booleans(),
+           length=st.sampled_from([3, 4, 8, 24, 128]), data=st.data())
+    def test_tifc_reference_of_odd_and_even_counts(self, seed, half, odd, length, data):
+        """TIFC indexes of 2 to 13 rows, odd and even, with duplicated rows
+        drawn: the oracle's reference is the middle segment mean or the
+        lower of the two middle ones."""
+        check_query_against_oracle("tifc", seed, 2 * half + odd, length, data)
 
     @settings(max_examples=150, deadline=None)
     @given(scheme=st.sampled_from(["tifc", "ifc"]), seed=st.integers(0, 2**32 - 1),
@@ -439,9 +446,8 @@ class TestTracedCalls:
 
 class TestBatchMemory:
     def test_peak_bounded_at_wide_assignment(self):
-        """64 TIFC queries at D = 2,048, L = 512, W = 512: each query row
-        gathers W * L = 262,144 float64 word means (2 MiB), so chunks are
-        sized by bytes, not by a row count (128 MiB of means in 64 rows)."""
+        """64 TIFC queries at D = 2,048, L = 512, W = 512: chunks are sized
+        by bytes, the rows and their word stage, not by a row count."""
         rng = np.random.default_rng(4)
         db = FeatureSet(rng.standard_normal((1_000, 2_048), dtype=np.float32))
         ix = invindex.build(db, BuildConfig(scheme="tifc", link_count=4, code_length=512))
@@ -497,9 +503,10 @@ class TestBatch:
     def test_query_times_are_shares_of_their_chunk(self, index_pair, small_dataset,
                                                    monkeypatch):
         queries = small_dataset[1]
-        # 2 rows of float64 (D + stage + W*L) at D = 16, W = 3, L = 8
-        stage = 16 if index_pair.config.scheme == "tifc" else 2 * 4
-        monkeypatch.setattr(vecio, "CHUNK_BYTES", 2 * 8 * (16 + stage + 3 * 8))
+        # 2 rows of float64 (D + stage + W*L) at D = 16, W = 3, L = 8; TIFC
+        # takes no means a word, and a stage of D
+        row = 16 + 16 if index_pair.config.scheme == "tifc" else 16 + 2 * 4 + 3 * 8
+        monkeypatch.setattr(vecio, "CHUNK_BYTES", 2 * 8 * row)
         cfg = QueryConfig(assignment_count=3, hamming_threshold=6, top_k=10)
         t0 = time.perf_counter()
         _, summary = search.batch_query(index_pair, queries, cfg)

@@ -1,14 +1,13 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cnnidx import tifc, vecio
-from cnnidx.embed import segment_means
+from cnnidx import invindex, tifc, vecio
+from cnnidx.embed import pack_bits, segment_means
+from cnnidx.invindex import BuildConfig
+from cnnidx.vecio import FeatureSet
 
 finite_vectors = hnp.arrays(
     np.float64,
@@ -141,83 +140,91 @@ class TestTopWordsRows:
                                       argsort_top_words(tf, count))
 
 
+def lower_median(x, length):
+    """Oracle: each segment's lower median, the (n - 1) // 2-th of a Python
+    sort of the float32 rows' segment means, rounded to float32."""
+    means = segment_means(np.asarray(x, dtype=np.float32), length).astype(np.float32)
+    return np.array([sorted(column)[(len(x) - 1) // 2] for column in means.T],
+                    dtype=np.float32)
+
+
+def tifc_build(x, length, link_count=2):
+    return invindex.build(FeatureSet(np.asarray(x, dtype=np.float32)),
+                          BuildConfig(scheme="tifc", link_count=link_count,
+                                      code_length=length))
+
+
 class TestVirtualWordBank:
     def test_determinism(self):
-        a = tifc.make_virtual_words(8, code_length=4)
-        b = tifc.make_virtual_words(8, code_length=4)
-        np.testing.assert_array_equal(a.means, b.means)
+        a = tifc.make_virtual_words(8, np.arange(4) / 3)
+        b = tifc.make_virtual_words(8, np.arange(4) / 3)
+        np.testing.assert_array_equal(a.reference, b.reference)
 
     def test_degenerate_dim_one(self):
-        bank = tifc.make_virtual_words(1, code_length=1)
-        assert bank.means.shape == (1, 1)
+        bank = tifc.make_virtual_words(1, [0.5])
+        assert bank.reference.shape == (1,)
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
-            tifc.make_virtual_words(0, code_length=1)
+            tifc.make_virtual_words(0, [0.5])
 
     def test_words_rank_activations_where_exp_underflows(self):
         """exp(-800) and exp(-900) are both 0 in float64, so the softmax bins
         of words 1 and 2 tie and would rank by word id; the activations
         themselves put word 2 (-800) before word 1 (-900)."""
-        bank = tifc.make_virtual_words(6, code_length=3)
+        bank = tifc.make_virtual_words(6, np.zeros(3))
         row = np.array([[0.0, -900.0, -800.0, -1000.0, -950.0, -1200.0]])
         np.testing.assert_array_equal(bank.words(row, 3), [[0, 2, 1]])
 
     def test_code_length_must_divide_dim(self):
         with pytest.raises(ValueError, match="does not divide"):
-            tifc.make_virtual_words(12, code_length=5)
+            tifc.make_virtual_words(12, np.zeros(5))
 
     @pytest.mark.parametrize("dim", [12, 384, 2048])
     def test_table_is_scaled_direct_draw(self, dim):
-        """Bit-identical to an independently drawn (D, L) standard-normal
-        table of seed 0 scaled by sqrt(L / D), for each L in {1, 3, 256, D}
-        that divides D: (2,048, 256) is the benchmark's shape."""
+        """The bank's reference row, the file's whole TIFC payload, is
+        bit-identical to an independently computed lower median of the
+        rows' segment means (`lower_median`), kept at float32 and in a copy
+        of its own, for each L in {1, 3, 256, D} that divides D: (2,048,
+        256) is the benchmark's shape. The rows are ReLU'd, so many means
+        tie at 0, and some are duplicated."""
+        x = np.maximum(np.random.default_rng(dim).standard_normal((9, dim), np.float32), 0)
+        x[6:] = x[:3]
         for length in (1, 3, 256, dim):
             if dim % length:
                 continue
-            tifc.make_virtual_words.cache_clear()
-            table = tifc.make_virtual_words(dim, length).means
-            expected = (np.random.default_rng(0).standard_normal((dim, length))
-                        * math.sqrt(length / dim))
-            np.testing.assert_array_equal(table, expected)
+            reference = tifc_build(x, length).quantizer.reference
+            assert reference.dtype == np.float32 and reference.flags.owndata
+            np.testing.assert_array_equal(reference, lower_median(x, length))
 
     @pytest.mark.parametrize("dim, length", [(12, 3), (384, 1), (96, 96), (2048, 256)])
     @pytest.mark.parametrize("rows", [1, 3, None], ids=["one-row", "few-rows", "default"])
     def test_blocked_fill_is_one_draw(self, dim, length, rows, monkeypatch):
-        """The chunk budget does not block the draw: at a `CHUNK_BYTES` of
-        one row of the table, three rows or the default, a fresh draw equals
-        one draw of the whole table."""
+        """The chunk budget does not block the reference: the build fills
+        its (L, n) buffer of segment means chunk by chunk, and at a
+        `CHUNK_BYTES` of one pass-1 row, three rows or the default, on one
+        CPU, its medians equal those of all ten rows at once."""
+        monkeypatch.setattr(invindex, "_cpus", lambda: 1)
         if rows is not None:
-            monkeypatch.setattr(vecio, "CHUNK_BYTES", rows * 8 * length)
-        expected = (np.random.default_rng(0).standard_normal((dim, length))
-                    * math.sqrt(length / dim))
-        tifc.make_virtual_words.cache_clear()
-        np.testing.assert_array_equal(tifc.make_virtual_words(dim, length).means, expected)
+            monkeypatch.setattr(vecio, "CHUNK_BYTES", rows * 8 * (2 * dim + 2 * length))
+        x = np.random.default_rng(length).standard_normal((10, dim), np.float32)
+        np.testing.assert_array_equal(tifc_build(x, length).quantizer.reference,
+                                      lower_median(x, length))
 
-    def test_memoised_table_is_drawn_once_and_read_only(self, monkeypatch):
-        """Calls for one (D, L) share one bank, drawn once, whose table
-        cannot be written; another (D, L) draws its own."""
-        tifc.make_virtual_words.cache_clear()
-        draws, default_rng = [], np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: draws.append(seed) or default_rng(seed))
-        bank = tifc.make_virtual_words(16, 8)
-        assert tifc.make_virtual_words(16, 8) is bank and draws == [0]
-        assert not bank.means.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            bank.means[0, 0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            bank.means = np.zeros((16, 8))
-        assert tifc.make_virtual_words(16, 4).means.shape == (16, 4) and draws == [0, 0]
-
-    def test_table_has_the_law_of_bank_segment_means(self):
-        """At D = 2,048 and L = 256 the table's entries have mean 0 and
-        variance L / D, as do the segment means of a D x D bank of N(0, 1)
-        words. Over 524,288 entries one standard error is 0.2% of the
-        variance and 0.0005 of the mean; the bounds are 1.5% and 0.002."""
-        dim, length = 2048, 256
-        table = tifc.make_virtual_words(dim, code_length=length).means
-        bank = np.random.default_rng(3).standard_normal((dim, dim))
-        for means in (table, segment_means(bank, length)):
-            assert abs(means.mean()) < 0.002
-            assert means.var() == pytest.approx(length / dim, rel=0.015)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), dups=st.integers(0, 15), levels=st.sampled_from([2, 5, 0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reference_is_the_lower_median(self, n, dups, levels, seed):
+        """Odd and even row counts, duplicated rows and, on integer rows of a
+        few levels, ties at the median: the reference is the (n - 1) // 2-th
+        sorted mean of each segment, and every row's one code compares its
+        segment means with it."""
+        rng = np.random.default_rng(seed)
+        x = (rng.integers(0, levels, (n, 12)) if levels
+             else rng.standard_normal((n, 12))).astype(np.float32)
+        x[n - min(dups, n // 2):] = x[:min(dups, n // 2)]
+        ix = tifc_build(x, 4)
+        reference = lower_median(x, 4)
+        np.testing.assert_array_equal(ix.quantizer.reference, reference)
+        np.testing.assert_array_equal(
+            ix.codes, pack_bits(segment_means(x, 4) >= reference))
