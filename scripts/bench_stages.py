@@ -25,7 +25,8 @@ named calls. The stages of `build` and `save`, in ms per build:
   of the words, the slot array (IFC), the grouped words and the ids made
   from it, the float64 casts and the writes into place of the caller's
   chunks in both passes, TIFC's segment means in the first, its wait for
-  the helpers' last chunks, and the file.
+  the helpers' last chunks, the rules (`invindex._check_sections`, which
+  construction runs on the index `build` makes), and the file.
 
 `build` runs each pass's chunks on the calling thread and one helper per
 further CPU, up to `invindex.MAX_THREADS`, so words and codes are busy time
@@ -39,8 +40,9 @@ The stages of `load`, in ms per load:
   the TIFC bank (`tifc.make_virtual_words`, which copies the L reference
   means that the payload holds, and draws nothing);
 - rules: `invindex._check_sections`, every rule on the sections' values:
-  their counts, the finite payload and the posting rules (`save` runs the
-  same function, inside group + save);
+  their counts, shapes and dtypes, the finite payload and the posting
+  rules, which construction runs on the index `load` makes (and on the
+  index `build` makes, inside group + save);
 - sections: the rest of `load`, chiefly its one walk of the sections,
   each read into its array with the CRC updated as it arrives.
 

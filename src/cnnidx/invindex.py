@@ -22,10 +22,11 @@ section.
 
 Only `_header_json` writes the header, and a header loads only in its exact
 form, so a file that loads saves back to the same bytes. `_check_sections`
-holds every rule noted on the sections: `load` rejects a file that breaks
-one and `save` refuses to write it, so every saved file loads as the index
-saved, and a query never meets an id outside [0, indexed_count) or an image
-twice in one list. Older files (`OLD_MAGICS`) are not read; rebuild.
+holds every rule noted on the sections, and an index, built or loaded,
+meets them from the moment it is made (`InvertedIndex`): so `save` only
+writes, every file it writes loads as the index saved, and a query never
+meets an id outside [0, indexed_count) or an image twice in one list.
+Older files (`OLD_MAGICS`) are not read; rebuild.
 
 Build and query share one encoding stage over chunks of `_row_bytes` each:
 the quantizer's `words`, then `list_codes`, the one code function, against
@@ -148,6 +149,14 @@ def build_config(scheme: str, params: dict) -> BuildConfig:
 
 @dataclass
 class InvertedIndex:
+    """The posting lists of `indexed_count` vectors and the quantizer their
+    config makes, checked once, when the index is made: the quantizer's
+    type, shape and float32 values, `offsets` int64 from 0, and every rule
+    of `_check_sections` on the index's sections (`_sections`); then `wids`,
+    `offsets`, `ids` and `codes` are read-only. So an index that exists is
+    the one `load` gives back from the file `save` writes for it. A broken
+    rule is a ValueError."""
+
     config: BuildConfig
     indexed_count: int
     wids: np.ndarray  # (nlists,) at posting_dtypes, occupied word ids, strictly increasing
@@ -170,6 +179,12 @@ class InvertedIndex:
         if values.dtype.type is not np.float32:
             raise ValueError(f"{name} dtype {values.dtype} is not float32, "
                              "the dtype of the file's payload")
+        # the file holds the lengths, so the offsets must be their running sum from 0
+        if self.offsets.dtype != np.int64 or self.offsets[:1].tolist() != [0]:
+            raise ValueError("offsets are not int64 list boundaries from 0")
+        _check_sections(cfg, q.dim, self.indexed_count, _sections(self))
+        for values in (self.wids, self.offsets, self.ids, self.codes):
+            values.flags.writeable = False
 
 
 @dataclass
@@ -431,7 +446,7 @@ def _count_lists(where, cfg: BuildConfig, dim: int, indexed_count: int, nbytes: 
 
 def stats(ix: InvertedIndex) -> IndexStats:
     """Entry counts, list-length histogram and byte sizes. The sizes are
-    `_layout`'s, which `save` checks the index's arrays against, so
+    `_layout`'s, which construction checks the index's arrays against, so
     `estimated_file_bytes` is the size of the file that `save` writes."""
     lengths = np.diff(ix.offsets)
     hist = Counter(lengths.tolist())
@@ -450,27 +465,28 @@ def stats(ix: InvertedIndex) -> IndexStats:
     )
 
 
+def _sections(ix: InvertedIndex) -> dict:
+    """The index's arrays by the names of its file's sections: the
+    quantizer's payload, flat, the posting arrays, and the list lengths,
+    derived from the offsets at int64."""
+    return {"payload": ix.quantizer.payload().reshape(-1), "wids": ix.wids,
+            "lengths": np.diff(ix.offsets), "ids": ix.ids, "codes": ix.codes}
+
+
 def save(ix: InvertedIndex, path) -> None:
-    """Write the index file, each section as its array cast to its file
-    dtype: no copy for a built or loaded index, which holds its postings at
-    those. ValueError before the file is opened refuses cast arrays that
-    break a rule of `_check_sections`, with the message `load` gives for
-    their file, and then values that the cast changed."""
+    """Write the index file, the sections of `_sections` in `_layout`'s
+    order. Construction holds every array but the lengths at its file dtype
+    and the lengths within their width, so casting the lengths is the one
+    copy (and any array that is not contiguous)."""
     q = ix.quantizer
-    given = {"payload": q.payload(), "wids": ix.wids,
-             "lengths": np.diff(ix.offsets), "ids": ix.ids, "codes": ix.codes}
-    arrays = {name: np.ascontiguousarray(given[name], dtype=dtype) for name, _, dtype
-              in _layout(ix.config, q.dim, ix.indexed_count, len(ix.wids))}
-    _check_sections(path, ix.config, q.dim, ix.indexed_count, arrays, ValueError)
-    for name, values in arrays.items():
-        if values.dtype != given[name].dtype and not np.array_equal(values, given[name]):
-            raise ValueError(f"{path}: {name} values change in their file dtype {values.dtype}")
+    arrays = _sections(ix)
     header = _header_json(ix.config, q.dim, ix.indexed_count)
     head = struct.pack("<I", len(header)) + header
     crc = zlib.crc32(head)
     with open(path, "wb") as f:
         f.write(MAGIC + head)
-        for values in arrays.values():
+        for name, _, dtype in _layout(ix.config, q.dim, ix.indexed_count, len(ix.wids)):
+            values = np.ascontiguousarray(arrays[name], dtype=dtype)
             crc = zlib.crc32(values, crc)
             f.write(values)
         f.write(struct.pack("<I", crc))
@@ -528,30 +544,38 @@ def _read_header(path, raw) -> tuple[BuildConfig, int, int]:
     return cfg, dim, indexed_count
 
 
-def _check_sections(where, cfg: BuildConfig, dim: int, indexed_count: int, arrays: dict,
-                    error: type[Exception] = DataError) -> None:
-    """Raise `error`, naming `where`, unless `arrays`, the sections by name
-    at their file dtypes, meet every rule noted on `_layout`: the value
-    counts, a finite payload, and the posting rules, the lengths' first, so
-    the rest meet at least one list and one entry."""
-    wids, lengths, ids = arrays["wids"], arrays["lengths"], arrays["ids"]  # unsigned
-    for name, count, _ in _layout(cfg, dim, indexed_count, len(wids)):
-        if arrays[name].size != count:
-            raise error(f"{where}: {name} holds {arrays[name].size} values, not the "
-                        f"{count} of its file section")
+def _check_sections(cfg: BuildConfig, dim: int, indexed_count: int, arrays: dict) -> None:
+    """Raise ValueError unless `arrays`, the sections by name, meet every
+    rule noted on `_layout`: each its shape (the codes (code rows, B), the
+    rest flat, of the section's value count) and, but the lengths, which are
+    derived at int64, its file dtype; a finite payload; and the posting
+    rules, the lengths' first, so the rest meet at least one list and one
+    entry."""
+    wids, lengths, ids = arrays["wids"], arrays["lengths"], arrays["ids"]
+    for name, count, dtype in _layout(cfg, dim, indexed_count, wids.size):
+        values = arrays[name]
+        shape = ((_code_rows(cfg, indexed_count), code_bytes(cfg.code_length))
+                 if name == "codes" else (count,))
+        if values.shape != shape:
+            raise ValueError(f"{name} has shape {values.shape}, not the {shape} of its "
+                             "file section")
+        if name != "lengths" and values.dtype != dtype:
+            raise ValueError(f"{name} dtype {values.dtype} is not {dtype}, the dtype of its "
+                             "file section")
     if not np.isfinite(arrays["payload"]).all():
-        raise error(f"{where}: NaN or infinite {'centroid' if cfg.pq else 'reference mean'} "
-                    "in the quantizer payload")
+        raise ValueError(f"NaN or infinite {'centroid' if cfg.pq else 'reference mean'} "
+                         "in the quantizer payload")
     total = len(ids)
     # total fits the file, so a sum of lengths in [1, total] cannot overflow
     if not total or np.any(lengths < 1) or np.any(lengths > total) or lengths.sum() != total:
-        raise error(f"{where}: list lengths are not all >= 1 with sum "
-                    f"indexed_count * link_count = {total}")
-    words = cfg.word_count(dim, where)
+        raise ValueError("list lengths are not all >= 1 with sum "
+                         f"indexed_count * link_count = {total}")
+    words = cfg.word_count(dim, "index")
+    # the word ids and ids are unsigned, at their file dtypes
     if wids[-1] >= words or np.any(wids[1:] <= wids[:-1]):
-        raise error(f"{where}: word ids not strictly increasing in [0, {words})")
+        raise ValueError(f"word ids not strictly increasing in [0, {words})")
     if ids.max() >= indexed_count:
-        raise error(f"{where}: posting ids outside [0, {indexed_count})")
+        raise ValueError(f"posting ids outside [0, {indexed_count})")
     # neighbours compared in eight blocks, so no mask longer than an eighth
     # of the ids is held; the id at a list's start (but the first's) may step down
     starts, block = np.cumsum(lengths[:-1], dtype=np.int64), total // 8 + 1
@@ -560,10 +584,10 @@ def _check_sections(where, cfg: BuildConfig, dim: int, indexed_count: int, array
         rising = ids[lo + 1:hi + 1] > ids[lo:hi]
         rising[starts[slice(*np.searchsorted(starts, (lo + 1, hi + 1)))] - lo - 1] = True
         if not rising.all():
-            raise error(f"{where}: posting ids not strictly increasing within a list")
+            raise ValueError("posting ids not strictly increasing within a list")
     pad = cfg.code_length % 8
-    if pad and arrays["codes"].reshape(-1, code_bytes(cfg.code_length))[:, -1].max() >> pad:
-        raise error(f"{where}: nonzero pad bits in the codes")
+    if pad and arrays["codes"][:, -1].max() >> pad:
+        raise ValueError("nonzero pad bits in the codes")
 
 
 def load(path) -> InvertedIndex:
@@ -574,10 +598,12 @@ def load(path) -> InvertedIndex:
     before any section is read. One walk of `_layout` then reads the
     sections in file order, each straight into the array the index keeps
     (the posting integers at their file widths), and updates the CRC as each
-    arrives. The CRC is checked before any value is used: the rules of
-    `_check_sections`, then the quantizer, the IFC codebook or the TIFC
-    bank of `tifc.make_virtual_words`. All of it runs on the calling
-    thread."""
+    arrives. The CRC is checked before any value is used. Then the
+    quantizer is made, the IFC codebook or the TIFC bank of
+    `tifc.make_virtual_words`, and the index, whose construction holds the
+    rules of `_check_sections`: a file that breaks one raises DataError
+    naming the file, with construction's message. All of it runs on the
+    calling thread."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic in OLD_MAGICS:
@@ -609,11 +635,13 @@ def load(path) -> InvertedIndex:
         if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
             raise DataError(f"{path}: checksum mismatch (corrupt index file)")
 
-    _check_sections(path, cfg, dim, indexed_count, got)
     offsets = np.concatenate(([0], np.cumsum(got["lengths"], dtype=np.int64)))
     quantizer = (PqCodebook(got["payload"].reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
                  if cfg.pq else tifc.make_virtual_words(dim, got["payload"]))
-    return InvertedIndex(config=cfg, indexed_count=indexed_count, wids=got["wids"],
-                         offsets=offsets, ids=got["ids"],
-                         codes=got["codes"].reshape(_code_rows(cfg, indexed_count), -1),
-                         quantizer=quantizer)
+    try:
+        return InvertedIndex(config=cfg, indexed_count=indexed_count, wids=got["wids"],
+                             offsets=offsets, ids=got["ids"],
+                             codes=got["codes"].reshape(_code_rows(cfg, indexed_count), -1),
+                             quantizer=quantizer)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -34,11 +34,15 @@ import numpy as np
 # hashing (float64 working arrays), and IFC training (`pq._kmeans`):
 # k-means++ seeding makes its float64 differences, and each Lloyd iteration
 # its (rows, K) float64 distances, in row blocks of half the budget. A row
-# of the encoding stage takes D + stage + count*L float64 values: its input,
-# its word stage (D term frequencies for TIFC, M*K segment distances for
-# IFC) and the means of its `count` lists; both build passes size their
-# chunks by that whole footprint, though each uses only part of it, as IFC's
-# word stage holds temporaries beyond its M*K distances. A build on w > 1
+# of the encoding stage (`invindex._row_bytes`) takes D + stage float64
+# values, its input and its word stage (D term frequencies for TIFC, M*K
+# segment distances for IFC), and each of its `count` words' working bytes:
+# pass 2 and a batch query charge the quantizer's `mean_bytes` (L float64
+# means for IFC, more where M does not divide L; none for TIFC, whose words
+# share one reference row), and pass 1, which rebuilds no word, charges L
+# float64 values for either scheme. Each pass uses only part of its
+# footprint, as IFC's word stage holds temporaries beyond its M*K
+# distances. A build on w > 1
 # CPUs encodes on w threads (at most `invindex.MAX_THREADS`), each chunk at
 # a 4w-th of the budget, so the chunks in flight take a quarter of it: each
 # helper thread's malloc arena keeps its chunk's working set after the

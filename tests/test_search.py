@@ -329,11 +329,14 @@ class TestBatchWords:
     def test_integer_codebook_words_match_exhaustive(self, ifc_index):
         """Exact distances with many ties: the (distance, word id) order."""
         cb = integer_codebook(k=16, m=2, seg_dim=2, seed=29)
-        # L = 4 divides the codebook's D = 4, so the index can derive its lists' means
+        # an index of the codebook's shape, L = 4 dividing its D = 4, built
+        # on the rows below: its postings hold every rule whatever the
+        # codebook, so it takes the integer one in place of its trained one
         cfg = dataclasses.replace(ifc_index.config, code_length=4,
                                   pq=PqConfig(segments=2, words_per_segment=16))
-        ix = dataclasses.replace(ifc_index, config=cfg, quantizer=cb)
         xs = np.random.default_rng(7).integers(0, 3, (70, cb.dim)).astype(np.float64)
+        ix = dataclasses.replace(invindex.build(FeatureSet(xs.astype(np.float32)), cfg),
+                                 quantizer=cb)
         count = 40
         expected = [[w for _, w in exhaustive_ranking(x, cb)[:count]] for x in xs]
         for chunk in (1, 2, 16, 64):
