@@ -22,11 +22,12 @@ named calls. The stages of `build` and `save`, in ms per build:
   IFC's against its words' reference means, gathered by word id from the
   codebook's table, TIFC's one code a row against the reference row;
 - group + save: the rest of `build` and `save`: chiefly the stable argsort
-  of the words, the slot array (IFC), the grouped words and the ids made
-  from it, the float64 casts and the writes into place of the caller's
-  chunks in both passes, TIFC's segment means in the first, its wait for
-  the helpers' last chunks, the rules (`invindex._check_sections`, which
-  construction runs on the index `build` makes), and the file.
+  of the words, the slot array (IFC), the grouped words, the list lengths
+  and the ids made from it, the float64 casts and the writes into place of
+  the caller's chunks in both passes, TIFC's segment means in the first,
+  its wait for the helpers' last chunks, the rules
+  (`invindex._check_sections`, which construction runs on the index
+  `build` makes), construction's derivation of the offsets, and the file.
 
 `build` runs each pass's chunks on the calling thread and one helper per
 further CPU, up to `invindex.MAX_THREADS`, so words and codes are busy time
@@ -40,11 +41,13 @@ The stages of `load`, in ms per load:
   the TIFC bank (`tifc.make_virtual_words`, which copies the L reference
   means that the payload holds, and draws nothing);
 - rules: `invindex._check_sections`, every rule on the sections' values:
-  their counts, shapes and dtypes, the finite payload and the posting
-  rules, which construction runs on the index `load` makes (and on the
-  index `build` makes, inside group + save);
+  their shapes and dtypes, the finite payload and the posting rules,
+  which construction runs on the index `load` makes (and on the index
+  `build` makes, inside group + save);
 - sections: the rest of `load`, chiefly its one walk of the sections,
-  each read into its array with the CRC updated as it arrives.
+  each read at its shape into the array the index keeps with the CRC
+  updated as it arrives, and construction's derivation of the offsets,
+  the int64 running sum of the list lengths.
 
 `load` runs on the calling thread alone, so its stages add up to no more
 than the whole call. `build` runs its threads through `invindex._fill_rows`,

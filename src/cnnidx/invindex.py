@@ -4,21 +4,23 @@ the vector's code relative to that entry's word, and under TIFC the vector
 has one code, relative to the one reference row of `tifc.VirtualWordBank`,
 which every entry of the vector shares.
 
-In memory the posting lists are four arrays: the occupied word ids `wids`
-(ascending) and the image ids `ids` (ascending within each list), both at
-their file widths (`posting_dtypes`), the list boundaries `offsets` (int64)
-and the packed codes `codes`: (n*S, B) in list order for IFC, (n, B) in row
-order for TIFC (`_code_rows`). List j belongs to word wids[j] and holds the
-entries offsets[j]:offsets[j + 1].
+In memory the posting lists are the file's four sections, each at its
+file shape and dtype (`_layout`): the occupied word ids `wids` (ascending),
+the list lengths `lengths` and the image ids `ids` (ascending within each
+list), all at their file widths (`posting_dtypes`), and the packed codes
+`codes`: (n*S, B) in list order for IFC, (n, B) in row order for TIFC
+(`_code_rows`). List j belongs to word wids[j] and holds the entries
+offsets[j]:offsets[j + 1], `offsets` the int64 running sum of the lengths
+from 0, which the index derives when it is made.
 
 The index file is the magic b"CNNIDX08", a uint32 length and the JSON
 header (the BuildConfig and n), the sections that `_layout` lists in file
 order, and a CRC32 of every byte after the magic; all integers are
-little-endian. `save`, `load` and `stats` take the sections from that one
-list, so no header field names a width. The header and the file's size give
-the whole layout: the count of lists is the one that makes the sections
-fill the file (`_count_lists`), and `load` checks it before it reads any
-section.
+little-endian. `load` reads the sections by that one list, and an index
+holds exactly them, so `save` and `stats` take them as held and no header
+field names a width. The header and the file's size give the whole layout:
+the count of lists is the one that makes the sections fill the file
+(`_count_lists`), and `load` checks it before it reads any section.
 
 Only `_header_json` writes the header, and a header loads only in its exact
 form, so a file that loads saves back to the same bytes. `_check_sections`
@@ -59,6 +61,7 @@ header's. An index keeps its `BuildConfig` as `config`.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import threading
@@ -150,40 +153,36 @@ def build_config(scheme: str, params: dict) -> BuildConfig:
 @dataclass
 class InvertedIndex:
     """The posting lists of `indexed_count` vectors and the quantizer their
-    config makes, checked once, when the index is made: the quantizer's
-    type, shape and float32 values, `offsets` int64 from 0, and every rule
-    of `_check_sections` on the index's sections (`_sections`); then `wids`,
-    `offsets`, `ids` and `codes` are read-only. So an index that exists is
-    the one `load` gives back from the file `save` writes for it. A broken
-    rule is a ValueError."""
+    config makes, each array a file section as `_layout` gives it, checked
+    once, when the index is made: the quantizer's type and float32 values,
+    and every rule of `_check_sections` on the index's sections
+    (`_sections`), the payload's shape among them. Then `offsets` is derived
+    from the lengths, and it, `wids`, `lengths`, `ids` and `codes` are
+    read-only. So an index that exists is the one `load` gives back from the
+    file `save` writes for it. A broken rule is a ValueError."""
 
     config: BuildConfig
     indexed_count: int
     wids: np.ndarray  # (nlists,) at posting_dtypes, occupied word ids, strictly increasing
-    offsets: np.ndarray  # (nlists + 1,) int64, list j is offsets[j]:offsets[j + 1]
+    lengths: np.ndarray  # (nlists,) at posting_dtypes, each >= 1, summing to n * S
     ids: np.ndarray  # (n * S,) at posting_dtypes, strictly increasing within each list
     codes: np.ndarray  # (_code_rows, B) uint8: IFC each entry's code, TIFC each vector's
     quantizer: VirtualWordBank | PqCodebook
+    # (nlists + 1,) int64 from 0, list j is offsets[j]:offsets[j + 1]
+    offsets: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         cfg, q = self.config, self.quantizer
-        if cfg.pq:
-            m, k = cfg.pq.segments, cfg.pq.words_per_segment
-            ok = isinstance(q, PqCodebook) and q.sub_codebooks.shape == (m, k, q.dim // m)
-        else:
-            ok = isinstance(q, VirtualWordBank) and q.reference.shape == (cfg.code_length,)
-        if not ok:
-            raise ValueError(f"{cfg} does not make a quantizer of this type and shape")
+        if not isinstance(q, PqCodebook if cfg.pq else VirtualWordBank):
+            raise ValueError(f"{cfg} does not make a quantizer of this type")
         # the values `save` writes, so the index computes with what loads
         name, values = ("codebook", q.sub_codebooks) if cfg.pq else ("reference", q.reference)
         if values.dtype.type is not np.float32:
             raise ValueError(f"{name} dtype {values.dtype} is not float32, "
                              "the dtype of the file's payload")
-        # the file holds the lengths, so the offsets must be their running sum from 0
-        if self.offsets.dtype != np.int64 or self.offsets[:1].tolist() != [0]:
-            raise ValueError("offsets are not int64 list boundaries from 0")
         _check_sections(cfg, q.dim, self.indexed_count, _sections(self))
-        for values in (self.wids, self.offsets, self.ids, self.codes):
+        self.offsets = np.concatenate(([0], np.cumsum(self.lengths, dtype=np.int64)))
+        for values in (self.wids, self.lengths, self.ids, self.codes, self.offsets):
             values.flags.writeable = False
 
 
@@ -321,7 +320,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     d, n, s, length = db.dim, db.n, cfg.link_count, cfg.code_length
     if n == 0:
         raise DataError("database has no vectors to index")
-    cfg.word_count(d, "database")  # the shape rules, before any training
+    words = cfg.word_count(d, "database")  # the shape rules, before any training
     if cfg.scheme == SCHEME_TIFC:
         if training is not None:
             raise ValueError("a TIFC build takes no training set")
@@ -340,8 +339,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
 
     # pass 1: every row's S words, at their file width (every word id is
     # below the word count), filled in place chunk by chunk
-    widths = {name: dtype for name, _, dtype in _layout(cfg, d, n, 0)}
-    wid_t, id_t = widths["wids"], widths["ids"]
+    wid_t, len_t, id_t = posting_dtypes(words, n)
     total, b = n * s, code_bytes(length)
     wids = np.empty((n, s), dtype=wid_t)
 
@@ -372,7 +370,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
     grouped = wids.ravel()[order]
     # neighbours compared, not differenced: the word ids are unsigned
     starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-    list_wids, offsets = grouped[starts], np.append(starts, total)
+    list_wids, lengths = grouped[starts], np.diff(starts, append=total).astype(len_t)
     del grouped, starts
     # position j holds link order[j], of row order[j] // S: the grouped ids,
     # divided in place so that no second n*S int64 array is held
@@ -387,7 +385,7 @@ def build(db: FeatureSet, cfg: BuildConfig, training: FeatureSet | None = None) 
         codes[rows] = list_codes(quantizer, chunk, wids[part], length).reshape(-1, b)
 
     _fill_rows(db.vectors, _row_bytes(quantizer, d, s, length), fill_codes)
-    return InvertedIndex(config=cfg, indexed_count=n, wids=list_wids, offsets=offsets,
+    return InvertedIndex(config=cfg, indexed_count=n, wids=list_wids, lengths=lengths,
                          ids=ids, codes=codes, quantizer=quantizer)
 
 
@@ -405,23 +403,22 @@ def _code_rows(cfg: BuildConfig, indexed_count: int) -> int:
 
 
 def _layout(cfg: BuildConfig, dim: int, indexed_count: int,
-            nlists: int) -> list[tuple[str, int, np.dtype]]:
+            nlists: int) -> list[tuple[str, tuple, np.dtype]]:
     """The file's sections after the header, in file order, each as (name,
-    value count, little-endian dtype), for nlists non-empty posting lists.
-    `save` writes the index's array of each name, `stats` sums their bytes,
-    `load` reads them and `_check_sections` holds the rules noted on them."""
-    total = indexed_count * cfg.link_count
+    shape, little-endian dtype), for nlists non-empty posting lists: the
+    arrays an index holds (`_sections`), which `load` reads and `save`
+    writes, and on which `_check_sections` holds the rules noted here."""
     wid_t, len_t, id_t = posting_dtypes(cfg.word_count(dim, "index"), indexed_count)
     return [
-        # IFC: the M x K sub-codebook centroids, segments in order; TIFC:
-        # the L values of the reference row; all finite
-        ("payload", cfg.pq.words_per_segment * dim if cfg.pq else cfg.code_length,
-         np.dtype("<f4")),
-        ("wids", nlists, wid_t),  # strictly increasing, below the word count
-        ("lengths", nlists, len_t),  # each >= 1, summing to n * S
-        ("ids", total, id_t),  # list after list, rising within each
+        # IFC: the (M, K, D/M) sub-codebook centroids; TIFC: the L values
+        # of the reference row; all finite
+        ("payload", (cfg.pq.segments, cfg.pq.words_per_segment, dim // cfg.pq.segments)
+         if cfg.pq else (cfg.code_length,), np.dtype("<f4")),
+        ("wids", (nlists,), wid_t),  # strictly increasing, below the word count
+        ("lengths", (nlists,), len_t),  # each >= 1, summing to n * S
+        ("ids", (indexed_count * cfg.link_count,), id_t),  # list after list, rising within each
         # IFC: one per id, in list order; TIFC: one per vector, in row order
-        ("codes", _code_rows(cfg, indexed_count) * code_bytes(cfg.code_length),
+        ("codes", (_code_rows(cfg, indexed_count), code_bytes(cfg.code_length)),
          np.dtype(np.uint8)),
     ]
 
@@ -432,7 +429,7 @@ def _count_lists(where, cfg: BuildConfig, dim: int, indexed_count: int, nbytes: 
     lists' word id and length, from 1 to min(word count, n * S); otherwise
     DataError naming `where`."""
     def size(nlists: int) -> int:
-        return sum(count * dtype.itemsize for _, count, dtype in
+        return sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in
                    _layout(cfg, dim, indexed_count, nlists))
 
     fixed = size(0)
@@ -446,14 +443,12 @@ def _count_lists(where, cfg: BuildConfig, dim: int, indexed_count: int, nbytes: 
 
 def stats(ix: InvertedIndex) -> IndexStats:
     """Entry counts, list-length histogram and byte sizes. The sizes are
-    `_layout`'s, which construction checks the index's arrays against, so
+    those of the sections the index holds, which are the file's, so
     `estimated_file_bytes` is the size of the file that `save` writes."""
-    lengths = np.diff(ix.offsets)
-    hist = Counter(lengths.tolist())
+    hist = Counter(ix.lengths.tolist())
     hist[0] += ix.quantizer.word_count - len(ix.wids)
     header = _header_json(ix.config, ix.quantizer.dim, ix.indexed_count)
-    sizes = {name: count * dtype.itemsize for name, count, dtype in
-             _layout(ix.config, ix.quantizer.dim, ix.indexed_count, len(ix.wids))}
+    sizes = {name: values.nbytes for name, values in _sections(ix).items()}
     return IndexStats(
         word_count=ix.quantizer.word_count,
         total_entries=len(ix.ids),
@@ -466,27 +461,23 @@ def stats(ix: InvertedIndex) -> IndexStats:
 
 
 def _sections(ix: InvertedIndex) -> dict:
-    """The index's arrays by the names of its file's sections: the
-    quantizer's payload, flat, the posting arrays, and the list lengths,
-    derived from the offsets at int64."""
-    return {"payload": ix.quantizer.payload().reshape(-1), "wids": ix.wids,
-            "lengths": np.diff(ix.offsets), "ids": ix.ids, "codes": ix.codes}
+    """The index's arrays by the names of its file's sections, in file
+    order: the quantizer's payload and the posting arrays, as held."""
+    return {"payload": ix.quantizer.payload(), "wids": ix.wids, "lengths": ix.lengths,
+            "ids": ix.ids, "codes": ix.codes}
 
 
 def save(ix: InvertedIndex, path) -> None:
-    """Write the index file, the sections of `_sections` in `_layout`'s
-    order. Construction holds every array but the lengths at its file dtype
-    and the lengths within their width, so casting the lengths is the one
-    copy (and any array that is not contiguous)."""
-    q = ix.quantizer
-    arrays = _sections(ix)
-    header = _header_json(ix.config, q.dim, ix.indexed_count)
+    """Write the index file, the sections of `_sections` in order as they
+    are held, at their file dtypes since construction; only an array that
+    is not contiguous is copied."""
+    header = _header_json(ix.config, ix.quantizer.dim, ix.indexed_count)
     head = struct.pack("<I", len(header)) + header
     crc = zlib.crc32(head)
     with open(path, "wb") as f:
         f.write(MAGIC + head)
-        for name, _, dtype in _layout(ix.config, q.dim, ix.indexed_count, len(ix.wids)):
-            values = np.ascontiguousarray(arrays[name], dtype=dtype)
+        for values in _sections(ix).values():
+            values = np.ascontiguousarray(values)
             crc = zlib.crc32(values, crc)
             f.write(values)
         f.write(struct.pack("<I", crc))
@@ -545,21 +536,21 @@ def _read_header(path, raw) -> tuple[BuildConfig, int, int]:
 
 
 def _check_sections(cfg: BuildConfig, dim: int, indexed_count: int, arrays: dict) -> None:
-    """Raise ValueError unless `arrays`, the sections by name, meet every
-    rule noted on `_layout`: each its shape (the codes (code rows, B), the
-    rest flat, of the section's value count) and, but the lengths, which are
-    derived at int64, its file dtype; a finite payload; and the posting
-    rules, the lengths' first, so the rest meet at least one list and one
-    entry."""
+    """Raise ValueError unless D passes the config's shape rules and
+    `arrays`, the sections by name, meet every rule noted on `_layout`:
+    each its file shape and dtype; a finite payload; and the posting rules,
+    the lengths' first, so the rest meet at least one list and one entry."""
     wids, lengths, ids = arrays["wids"], arrays["lengths"], arrays["ids"]
-    for name, count, dtype in _layout(cfg, dim, indexed_count, wids.size):
+    try:
+        layout = _layout(cfg, dim, indexed_count, wids.size)
+    except DataError as exc:  # only a hand-made index: `build` and `load` check D first
+        raise ValueError(str(exc)) from None
+    for name, shape, dtype in layout:
         values = arrays[name]
-        shape = ((_code_rows(cfg, indexed_count), code_bytes(cfg.code_length))
-                 if name == "codes" else (count,))
         if values.shape != shape:
             raise ValueError(f"{name} has shape {values.shape}, not the {shape} of its "
                              "file section")
-        if name != "lengths" and values.dtype != dtype:
+        if values.dtype != dtype:
             raise ValueError(f"{name} dtype {values.dtype} is not {dtype}, the dtype of its "
                              "file section")
     if not np.isfinite(arrays["payload"]).all():
@@ -596,14 +587,14 @@ def load(path) -> InvertedIndex:
     The header's length is checked against the file's size before the
     header is read, and the file's size against the header (`_count_lists`)
     before any section is read. One walk of `_layout` then reads the
-    sections in file order, each straight into the array the index keeps
-    (the posting integers at their file widths), and updates the CRC as each
-    arrives. The CRC is checked before any value is used. Then the
-    quantizer is made, the IFC codebook or the TIFC bank of
-    `tifc.make_virtual_words`, and the index, whose construction holds the
-    rules of `_check_sections`: a file that breaks one raises DataError
-    naming the file, with construction's message. All of it runs on the
-    calling thread."""
+    sections in file order, each straight into the array the index keeps,
+    at its file shape and dtype, with no reshape, sum or cast after, and
+    updates the CRC as each arrives. The CRC is checked before any value is
+    used. Then the quantizer is made from the payload, the IFC codebook or
+    the TIFC bank of `tifc.make_virtual_words`, and the index, whose
+    construction holds the rules of `_check_sections` and derives the
+    offsets: a file that breaks a rule raises DataError naming the file,
+    with construction's message. All of it runs on the calling thread."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic in OLD_MAGICS:
@@ -614,34 +605,30 @@ def load(path) -> InvertedIndex:
         left = os.fstat(f.fileno()).st_size - len(MAGIC) - 4  # bytes before the CRC
         crc = 0
 
-        def array(count: int, dtype) -> np.ndarray:
+        def array(shape: tuple, dtype) -> np.ndarray:
             nonlocal crc, left
-            nbytes = count * np.dtype(dtype).itemsize
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
             if nbytes > left:
                 raise DataError(f"{path}: truncated index file")
-            out = np.empty(count, dtype=dtype)
+            out = np.empty(shape, dtype=dtype)
             if f.readinto(out) != nbytes:
                 raise DataError(f"{path}: truncated index file")
             crc = zlib.crc32(out, crc)
             left -= nbytes
             return out
 
-        (hlen,) = struct.unpack("<I", array(4, np.uint8))
-        cfg, dim, indexed_count = _read_header(path, array(hlen, np.uint8))
+        (hlen,) = struct.unpack("<I", array((4,), np.uint8))
+        cfg, dim, indexed_count = _read_header(path, array((hlen,), np.uint8))
         nlists = _count_lists(path, cfg, dim, indexed_count, left)
-        got = {name: array(count, dtype)
-               for name, count, dtype in _layout(cfg, dim, indexed_count, nlists)}
+        got = {name: array(shape, dtype)
+               for name, shape, dtype in _layout(cfg, dim, indexed_count, nlists)}
         trailer = f.read(4)
         if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != crc:
             raise DataError(f"{path}: checksum mismatch (corrupt index file)")
 
-    offsets = np.concatenate(([0], np.cumsum(got["lengths"], dtype=np.int64)))
-    quantizer = (PqCodebook(got["payload"].reshape(cfg.pq.segments, cfg.pq.words_per_segment, -1))
-                 if cfg.pq else tifc.make_virtual_words(dim, got["payload"]))
+    payload = got.pop("payload")
+    quantizer = PqCodebook(payload) if cfg.pq else tifc.make_virtual_words(dim, payload)
     try:
-        return InvertedIndex(config=cfg, indexed_count=indexed_count, wids=got["wids"],
-                             offsets=offsets, ids=got["ids"],
-                             codes=got["codes"].reshape(_code_rows(cfg, indexed_count), -1),
-                             quantizer=quantizer)
+        return InvertedIndex(config=cfg, indexed_count=indexed_count, quantizer=quantizer, **got)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None

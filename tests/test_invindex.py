@@ -1142,21 +1142,25 @@ class TestQuantizerMatchesConfig:
         rng = np.random.default_rng(m * k)
         return pq.PqCodebook(rng.standard_normal((m, k, seg_dim)).astype(np.float32))
 
-    @pytest.mark.parametrize("scheme, make", [
+    @pytest.mark.parametrize("scheme, make, message", [
         # M = 4, K = 4 under M = 2, K = 4: the payload has the same size
-        ("ifc", lambda: TestQuantizerMatchesConfig.codebook(4, 4, 2)),
-        ("ifc", lambda: TestQuantizerMatchesConfig.codebook(2, 8, 4)),  # K = 8 under K = 4
-        ("tifc", lambda: tifc.make_virtual_words(8, np.zeros(2))),  # L = 2 under L = 4
-        ("ifc", lambda: tifc.make_virtual_words(8, np.zeros(4))),
-        ("tifc", lambda: TestQuantizerMatchesConfig.codebook(2, 4, 4)),
+        ("ifc", lambda: TestQuantizerMatchesConfig.codebook(4, 4, 2),
+         r"payload has shape \(4, 4, 2\), not the \(2, 4, 4\) of its file section"),
+        ("ifc", lambda: TestQuantizerMatchesConfig.codebook(2, 8, 4),  # K = 8 under K = 4
+         r"payload has shape \(2, 8, 4\), not the \(2, 4, 4\) of its file section"),
+        ("tifc", lambda: tifc.make_virtual_words(8, np.zeros(2)),  # L = 2 under L = 4
+         r"payload has shape \(2,\), not the \(4,\) of its file section"),
+        ("ifc", lambda: tifc.make_virtual_words(8, np.zeros(4)),
+         "does not make a quantizer of this type"),
+        ("tifc", lambda: TestQuantizerMatchesConfig.codebook(2, 4, 4),
+         "does not make a quantizer of this type"),
     ], ids=["ifc-m4-same-size", "ifc-k8", "tifc-l2", "ifc-table", "tifc-codebook"])
-    def test_other_quantizer_refused(self, indexes, scheme, make):
+    def test_other_quantizer_refused(self, indexes, scheme, make, message):
         ix, quantizer = indexes[scheme], make()
         assert quantizer.dim == ix.quantizer.dim
-        message = "does not make a quantizer of this type and shape"
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ix, quantizer=quantizer)
-        fields = {f.name: getattr(ix, f.name) for f in dataclasses.fields(ix)}
+        fields = {f.name: getattr(ix, f.name) for f in dataclasses.fields(ix) if f.init}
         with pytest.raises(ValueError, match=message):
             invindex.InvertedIndex(**{**fields, "quantizer": quantizer})
 
@@ -1166,7 +1170,7 @@ class TestQuantizerMatchesConfig:
         than after a round trip."""
         ix = indexes["ifc"]
         sub = ix.quantizer.sub_codebooks.astype(np.float64) + 1e-9
-        fields = {f.name: getattr(ix, f.name) for f in dataclasses.fields(ix)}
+        fields = {f.name: getattr(ix, f.name) for f in dataclasses.fields(ix) if f.init}
         for make in (lambda q: dataclasses.replace(ix, quantizer=q),
                      lambda q: invindex.InvertedIndex(**{**fields, "quantizer": q})):
             with pytest.raises(ValueError, match="codebook dtype float64 is not float32"):
@@ -1357,15 +1361,13 @@ def layout_of(ix):
 
 
 def section_arrays(ix, **fields):
-    """ix's arrays by the names of its file's sections, with the index
-    fields of `fields` (a quantizer, wids, offsets, ids or codes) in place of
-    ix's own: the sections of an index that need not be one that can be
-    made."""
-    given = {name: getattr(ix, name) for name in ("quantizer", "wids", "offsets", "ids", "codes")}
+    """ix's arrays by the names of its file's sections, in file order, with
+    the index fields of `fields` (a quantizer, wids, lengths, ids or codes)
+    in place of ix's own: the sections of an index that need not be one
+    that can be made."""
+    given = {name: getattr(ix, name) for name in ("quantizer", "wids", "lengths", "ids", "codes")}
     given.update(fields)
-    return {"payload": given["quantizer"].payload().reshape(-1), "wids": given["wids"],
-            "lengths": np.diff(given["offsets"]), "ids": given["ids"],
-            "codes": given["codes"]}
+    return {"payload": given.pop("quantizer").payload(), **given}
 
 
 def sections_bytes(layout, sections):
@@ -1427,7 +1429,7 @@ def tiny_index():
     ix = invindex.build(FeatureSet(rng.standard_normal((3, 12)).astype(np.float32)),
                         BuildConfig(scheme="tifc", link_count=2, code_length=12))
     return dataclasses.replace(
-        ix, wids=np.array([0, 5, 7], dtype=np.uint8), offsets=np.array([0, 2, 4, 6]),
+        ix, wids=np.array([0, 5, 7], dtype=np.uint8), lengths=np.array([2, 2, 2], dtype=np.uint8),
         ids=np.array([0, 1, 1, 2, 0, 2], dtype=np.uint8),
         codes=np.zeros((3, 2), dtype=np.uint8))
 
@@ -1445,9 +1447,9 @@ MALFORMED_POSTINGS = [
     (dict(wids=[0, 5, 12]), "word ids"),
     (dict(wids=[5, 0, 7]), "word ids"),
     (dict(wids=[0, 5, 5]), "word ids"),
-    (dict(wids=[0, 3, 5, 7], offsets=[0, 2, 2, 4, 6]), "lengths"),
-    (dict(offsets=[0, 2, 4, 5]), "lengths"),
-    (dict(offsets=[0, 2, 4, 7]), "lengths"),
+    (dict(wids=[0, 3, 5, 7], lengths=[2, 0, 2, 2]), "lengths"),
+    (dict(lengths=[2, 2, 1]), "lengths"),
+    (dict(lengths=[2, 2, 3]), "lengths"),
     (dict(codes=[[0, 0]] * 2 + [[0, 0x10]]), "pad bits"),
 ]
 
@@ -1619,7 +1621,8 @@ class TestSaveValidation:
     @pytest.mark.parametrize("edit, message", [
         (lambda ix: dict(ids=np.r_[ix.ids[1::-1], ix.ids[2:]]), "strictly increasing within"),
         (lambda ix: dict(wids=np.r_[ix.wids[1::-1], ix.wids[2:]]), "word ids"),
-        (lambda ix: dict(offsets=np.r_[0, ix.offsets[:1], ix.offsets[2:]]), "lengths"),
+        (lambda ix: dict(lengths=np.r_[0, ix.offsets[2], ix.lengths[2:]].astype(ix.lengths.dtype)),
+         "lengths"),
     ], ids=["ids-swapped", "word-ids-swapped", "empty-list"])
     def test_built_index_edits_refused(self, golden_index, tmp_path, edit, message):
         """A built index with its first two ids or word ids swapped, or its
@@ -1673,7 +1676,7 @@ class TestSaveValidation:
         id_t = invindex.posting_dtypes(12, 0)[2]
         with pytest.raises(ValueError, match="lengths are not all >= 1 with sum .* = 0"):
             dataclasses.replace(tiny_index, indexed_count=0, wids=tiny_index.wids[:0],
-                                offsets=tiny_index.offsets[:1], ids=np.empty(0, dtype=id_t),
+                                lengths=tiny_index.lengths[:0], ids=np.empty(0, dtype=id_t),
                                 codes=tiny_index.codes[:0])
 
     def test_swapped_neighbour_ids_found_anywhere(self):
@@ -1701,15 +1704,13 @@ class TestSaveValidation:
         rule (a -1 is 255 at the file's widths): construction refuses them
         exactly when `load` rejects their file, with `load`'s message after
         the file's name, and otherwise `load` gives back the arrays that
-        construction was given. A file holds the lengths, so offsets that do
-        not start at 0 are refused by their own rule, and the file of their
-        lengths is compared with the offsets moved to start at 0."""
+        construction was given."""
         # each image's two words, as a build links them, then up to two
         # values set anywhere in the posting arrays
         links = [data.draw(st.sets(st.integers(0, 11), min_size=2, max_size=2)) for _ in range(3)]
         wids = sorted(set().union(*links))
         lists = [[i for i in range(3) if w in links[i]] for w in wids]
-        arrays = dict(wids=wids, offsets=np.cumsum([0] + [len(x) for x in lists]).tolist(),
+        arrays = dict(wids=wids, lengths=[len(x) for x in lists],
                       ids=sum(lists, []), codes=[[0, 0] for _ in range(3)])
         for name, at, value in data.draw(st.lists(st.tuples(
                 st.sampled_from(sorted(arrays)), st.integers(0, 6), st.integers(-1, 12)),
@@ -1717,10 +1718,6 @@ class TestSaveValidation:
             at %= len(arrays[name])
             arrays[name][at] = [0, (value & 15) << 4] if name == "codes" else value
         fields = hand_made(tiny_index, arrays)
-        if fields["offsets"][0]:
-            with pytest.raises(ValueError, match="^offsets are not int64 list boundaries from 0$"):
-                dataclasses.replace(tiny_index, **fields)
-            fields["offsets"] = fields["offsets"] - fields["offsets"][0]
         try:
             ix, refusal = dataclasses.replace(tiny_index, **fields), None
         except ValueError as exc:
@@ -1734,11 +1731,15 @@ class TestSaveValidation:
             assert refusal is not None and str(exc) == f"{path}: {refusal}"
             return
         assert refusal is None
-        for name in ("wids", "offsets", "ids", "codes"):
+        for name in ("wids", "lengths", "ids", "codes"):
             np.testing.assert_array_equal(getattr(back, name), fields[name])
         invindex.save(ix, base / "saved.idx")
         assert (base / "saved.idx").read_bytes() == path.read_bytes()
 
+
+
+_OFFSETS_NOT_GIVEN = (r"field offsets is declared with init=False, it cannot be specified "
+                      r"with replace\(\)")
 
 
 class TestConstruction:
@@ -1753,12 +1754,11 @@ class TestConstruction:
         return invindex.build(db, BuildConfig(scheme="tifc", link_count=3, code_length=8))
 
     @pytest.mark.parametrize("edit, message", [
-        # the file holds the lengths, which these offsets keep: its index
-        # answers otherwise than this one
-        (lambda ix: dict(offsets=ix.offsets + 1),
-         "offsets are not int64 list boundaries from 0"),
-        (lambda ix: dict(offsets=ix.offsets.astype(np.int32)),
-         "offsets are not int64 list boundaries from 0"),
+        # the file holds the lengths, so the offsets are derived from them
+        # and cannot be given: these ranked another image first, or were
+        # refused only by a rule of their own
+        (lambda ix: dict(offsets=ix.offsets + 1), _OFFSETS_NOT_GIVEN),
+        (lambda ix: dict(offsets=ix.offsets.astype(np.int32)), _OFFSETS_NOT_GIVEN),
         (lambda ix: dict(codes=ix.codes.reshape(25, 2)),
          r"codes has shape \(25, 2\), not the \(50, 1\) of its file section"),
         # one code per link, as TIFC codes were before one per vector
@@ -1769,16 +1769,35 @@ class TestConstruction:
         (lambda ix: dict(quantizer=tifc.VirtualWordBank(
             16, np.r_[np.float32(np.nan), ix.quantizer.reference[1:]])),
          "NaN or infinite reference mean in the quantizer payload"),
+        # a config whose shape rules fail on the quantizer's D: L = 5 does
+        # not divide 12, which `build` and `load` refuse with DataError
+        (lambda ix: dict(config=BuildConfig("tifc", 3, 5),
+                         quantizer=tifc.VirtualWordBank(12, np.zeros(5, np.float32))),
+         "index: dimension 12 not divisible by code length 5"),
     ], ids=["offsets-plus-one", "int32-offsets", "codes-reshaped", "per-link-codes",
-            "int64-word-ids", "nan-reference"])
+            "int64-word-ids", "nan-reference", "config-fails-on-dim"])
     def test_edit_refused(self, built, edit, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             dataclasses.replace(built, **edit(built))
 
+    def test_offsets_are_derived(self, built, tmp_path):
+        """`offsets` is no constructor argument either, and built or loaded
+        it is the lengths' int64 running sum from 0, read-only."""
+        init = [f.name for f in dataclasses.fields(built) if f.init]
+        assert init == ["config", "indexed_count", "wids", "lengths", "ids", "codes",
+                        "quantizer"]
+        with pytest.raises(TypeError, match="offsets"):
+            invindex.InvertedIndex(**{name: getattr(built, name) for name in init},
+                                   offsets=built.offsets + 1)
+        invindex.save(built, tmp_path / "ix.idx")
+        for ix in (built, invindex.load(tmp_path / "ix.idx")):
+            assert ix.offsets.dtype == np.int64 and not ix.offsets.flags.writeable
+            np.testing.assert_array_equal(ix.offsets, np.r_[0, np.cumsum(ix.lengths)])
+
     def test_posting_arrays_are_read_only(self, built):
         """`ix.ids[:] = 0` gave a query 29 votes at W = 3; now no posting
         array of an index, built or loaded, takes a write."""
-        for name in ("wids", "offsets", "ids", "codes"):
+        for name in ("wids", "lengths", "offsets", "ids", "codes"):
             values = getattr(built, name)
             assert not values.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
@@ -1787,7 +1806,7 @@ class TestConstruction:
     def test_loaded_arrays_are_read_only(self, built, tmp_path):
         invindex.save(built, tmp_path / "ix.idx")
         back = invindex.load(tmp_path / "ix.idx")
-        for name in ("wids", "offsets", "ids", "codes"):
+        for name in ("wids", "lengths", "offsets", "ids", "codes"):
             assert not getattr(back, name).flags.writeable, name
 
 
@@ -1914,11 +1933,11 @@ class TestLayout:
         invindex.save(ix, path)
         raw = path.read_bytes()
         (hlen,) = struct.unpack_from("<I", raw, 8)
-        want = {name: np.ravel(values) for name, values in section_arrays(ix).items()}
+        want = section_arrays(ix)
         at, sizes = 12 + hlen, {}
-        for name, count, dtype in layout_of(ix):
-            got = np.frombuffer(raw, dtype=dtype, count=count, offset=at)
-            assert got.size == want[name].size, name
+        for name, shape, dtype in layout_of(ix):
+            got = np.frombuffer(raw, dtype=dtype, count=np.prod(shape), offset=at).reshape(shape)
+            assert got.shape == want[name].shape, name
             np.testing.assert_array_equal(got, want[name], err_msg=name)
             at += got.nbytes
             sizes[name] = got.nbytes
@@ -1928,8 +1947,9 @@ class TestLayout:
         assert nlists == len(ix.wids)
         walk = invindex._layout(ix.config, ix.quantizer.dim, ix.indexed_count, nlists)
         at, read = 12 + hlen, {}
-        for name, count, dtype in walk:
-            read[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=at)
+        for name, shape, dtype in walk:
+            read[name] = np.frombuffer(raw, dtype=dtype, count=np.prod(shape),
+                                       offset=at).reshape(shape)
             np.testing.assert_array_equal(read[name], want[name], err_msg=name)
             at += read[name].nbytes
         assert list(read) == list(sizes) and at == len(raw) - 4
@@ -1942,7 +1962,7 @@ class TestLayout:
     @pytest.mark.parametrize("cut", [
         lambda ix: dict(ids=ix.ids[:-1], codes=ix.codes[:-1]),
         lambda ix: dict(codes=ix.codes[:, :1]),
-        lambda ix: dict(offsets=ix.offsets[:-1]),
+        lambda ix: dict(lengths=ix.lengths[:-1]),
     ], ids=["one-link-less", "one-code-byte", "one-list-length-less"])
     def test_save_refuses_arrays_the_file_cannot_describe(self, golden_index, cut):
         """An array whose size is not its section's count would make a file
@@ -1951,6 +1971,22 @@ class TestLayout:
         with pytest.raises(ValueError, match="not the .* of its file section"):
             dataclasses.replace(golden_index, **cut(golden_index))
 
+    def test_held_at_file_shapes_and_read_only(self, golden_index, tmp_path):
+        """Built and loaded, each array of `_sections` has exactly its
+        section's shape and dtype, so `save` and `load` neither reshape nor
+        cast, and every array the index holds, `offsets` included, is
+        read-only."""
+        invindex.save(golden_index, tmp_path / "g.idx")
+        for ix in (golden_index, invindex.load(tmp_path / "g.idx")):
+            held = invindex._sections(ix)
+            assert [(name, held[name].shape, held[name].dtype)
+                    for name in held] == layout_of(ix)
+            arrays = {f.name for f in dataclasses.fields(ix)
+                      if isinstance(getattr(ix, f.name), np.ndarray)}
+            assert arrays == {"wids", "lengths", "ids", "codes", "offsets"}
+            for name in arrays:
+                assert not getattr(ix, name).flags.writeable, name
+
 
 def section_bounds(ix):
     """The byte offset in ix's index file where each part begins, by name:
@@ -1958,7 +1994,7 @@ def section_bounds(ix):
     the CRC; and the file size, as `end`."""
     header = invindex._header_json(ix.config, ix.quantizer.dim, ix.indexed_count)
     sizes = ([("magic", len(invindex.MAGIC)), ("hlen", 4), ("header", len(header))]
-             + [(name, count * dtype.itemsize) for name, count, dtype in layout_of(ix)]
+             + [(name, np.prod(shape) * dtype.itemsize) for name, shape, dtype in layout_of(ix)]
              + [("crc", 4), ("end", 0)])
     starts = np.cumsum([0] + [size for _, size in sizes]).tolist()
     return {name: start for (name, _), start in zip(sizes, starts)}
